@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: codec
 // encode/decode, frustum culling, visibility computation, beam gain
-// evaluation, AWV synthesis and the grouping search. These are the budgets
-// that decide whether the cross-layer scheduler can run per frame interval
-// (33 ms at 30 FPS) on an edge server.
+// evaluation (direct and from a link table), AWV synthesis and the grouping
+// search. These are the budgets that decide whether the cross-layer
+// scheduler can run per frame interval (33 ms at 30 FPS) on an edge server.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -166,6 +166,22 @@ void BM_RssEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_RssEvaluation);
 
+void BM_RssLinkTable(benchmark::State& state) {
+  // The same link priced from a per-tick link table: the path geometry,
+  // array responses and body losses are built once (on the first call),
+  // each evaluation only sums the per-path terms. Bit-equal to
+  // BM_RssEvaluation's result.
+  const core::Testbed testbed;
+  const mmwave::Awv beam = testbed.ap().steer_at({4, 3, 1.5});
+  const geo::Vec3 receivers[] = {{4, 3, 1.5}};
+  mmwave::LinkTable table(testbed.ap(), testbed.channel(), testbed.budget(),
+                          testbed.blockage(), receivers, {});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.rss(beam, 0, {}));
+  }
+}
+BENCHMARK(BM_RssLinkTable);
+
 void BM_CombineAwvs(benchmark::State& state) {
   const core::Testbed testbed;
   std::vector<mmwave::Awv> beams;
@@ -203,7 +219,7 @@ void BM_GroupingGreedy(benchmark::State& state) {
     benchmark::DoNotOptimize(result.groups.size());
   }
 }
-BENCHMARK(BM_GroupingGreedy)->Arg(4)->Arg(7)->Arg(12);
+BENCHMARK(BM_GroupingGreedy)->Arg(4)->Arg(7)->Arg(12)->Arg(16);
 
 void BM_GroupIou(benchmark::State& state) {
   view::VisibilityMap a(1024);

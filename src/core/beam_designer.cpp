@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/units.h"
-#include "mmwave/link.h"
 #include "obs/metrics.h"
 
 namespace volcast::core {
@@ -32,16 +32,17 @@ double BeamDesigner::rss(const mmwave::Awv& w, const geo::Vec3& position,
 }
 
 GroupBeam BeamDesigner::finish(
-    mmwave::Awv awv, bool custom, std::span<const geo::Vec3> positions,
-    std::span<const geo::BodyObstacle> bodies) const {
+    mmwave::Awv awv, bool custom, std::size_t members,
+    const std::function<double(const mmwave::Awv&, std::size_t)>& member_rss)
+    const {
   GroupBeam out;
   out.awv = std::move(awv);
   out.custom = custom;
   out.min_member_rss_dbm = std::numeric_limits<double>::infinity();
-  for (const geo::Vec3& p : positions)
+  for (std::size_t i = 0; i < members; ++i)
     out.min_member_rss_dbm =
-        std::min(out.min_member_rss_dbm, rss(out.awv, p, bodies));
-  if (positions.empty()) out.min_member_rss_dbm = -200.0;
+        std::min(out.min_member_rss_dbm, member_rss(out.awv, i));
+  if (members == 0) out.min_member_rss_dbm = -200.0;
   out.multicast_rate_mbps =
       testbed_->mcs().goodput_mbps(out.min_member_rss_dbm);
   return out;
@@ -50,33 +51,66 @@ GroupBeam BeamDesigner::finish(
 GroupBeam BeamDesigner::design_unicast(
     const geo::Vec3& position,
     std::span<const geo::BodyObstacle> bodies) const {
-  const geo::Vec3 positions[] = {position};
+  const auto at_position = [&](const mmwave::Awv& w, std::size_t) {
+    return rss(w, position, bodies);
+  };
   if (unicast_designs_ != nullptr) unicast_designs_->add();
   if (config_.enable_custom_beams) {
     // Predicted-position steering: full aperture, no beam search.
     if (custom_selected_ != nullptr) custom_selected_->add();
-    return finish(testbed_->ap().steer_at(position), true, positions, bodies);
+    return finish(testbed_->ap().steer_at(position), true, 1, at_position);
   }
   const std::size_t sector =
       testbed_->codebook().best_beam_toward(testbed_->ap(), position);
   if (stock_selected_ != nullptr) stock_selected_->add();
-  return finish(testbed_->codebook().beam(sector), false, positions, bodies);
+  return finish(testbed_->codebook().beam(sector), false, 1, at_position);
+}
+
+mmwave::LinkTable BeamDesigner::link_table(
+    std::span<const geo::Vec3> receivers,
+    std::span<const geo::BodyObstacle> bodies) const {
+  return mmwave::LinkTable(testbed_->ap(), testbed_->channel(),
+                           testbed_->budget(), testbed_->blockage(),
+                           receivers, bodies);
 }
 
 GroupBeam BeamDesigner::design_multicast(
     std::span<const geo::Vec3> positions,
     std::span<const geo::BodyObstacle> bodies,
     std::span<const geo::Vec3> others) const {
-  if (positions.empty())
+  std::vector<geo::Vec3> receivers(positions.begin(), positions.end());
+  receivers.insert(receivers.end(), others.begin(), others.end());
+  mmwave::LinkTable links = link_table(receivers, bodies);
+  std::vector<std::size_t> members(positions.size());
+  std::iota(members.begin(), members.end(), std::size_t{0});
+  std::vector<std::size_t> other_ids(others.size());
+  std::iota(other_ids.begin(), other_ids.end(), positions.size());
+  const std::vector<std::uint8_t> every_body(bodies.size(), 1);
+  return design_multicast(links, members, every_body, other_ids);
+}
+
+GroupBeam BeamDesigner::design_multicast(
+    mmwave::LinkTable& links, std::span<const std::size_t> members,
+    std::span<const std::uint8_t> body_mask,
+    std::span<const std::size_t> others) const {
+  if (members.empty())
     throw std::invalid_argument("design_multicast: empty group");
+  if (&links.tx() != &testbed_->ap())
+    throw std::invalid_argument(
+        "design_multicast: link table built for another array");
   if (multicast_designs_ != nullptr) multicast_designs_->add();
+  const auto member_rss = [&](const mmwave::Awv& w, std::size_t i) {
+    return links.rss(w, members[i], body_mask, rss_evals_);
+  };
 
   // Stock fallback: the best common sector of the default codebook.
-  const std::size_t common =
-      testbed_->codebook().best_common_beam(testbed_->ap(), positions);
+  std::vector<const mmwave::Steering*> toward;
+  toward.reserve(members.size());
+  for (std::size_t m : members) toward.push_back(&links.steering(m));
+  const std::size_t common = testbed_->codebook().best_common_beam(toward);
   GroupBeam stock = finish(testbed_->codebook().beam(common), false,
-                           positions, bodies);
-  if (positions.size() == 1 || !config_.enable_custom_beams) {
+                           members.size(), member_rss);
+  if (members.size() == 1 || !config_.enable_custom_beams) {
     if (stock_selected_ != nullptr) stock_selected_->add();
     return stock;
   }
@@ -92,16 +126,16 @@ GroupBeam BeamDesigner::design_multicast(
   // by measured per-member RSS (linear).
   std::vector<mmwave::Awv> beams;
   std::vector<double> rss_mw;
-  beams.reserve(positions.size());
-  rss_mw.reserve(positions.size());
-  for (const geo::Vec3& p : positions) {
-    mmwave::Awv individual = testbed_->ap().steer_at(p);
-    const double member_rss = rss(individual, p, bodies);
+  beams.reserve(members.size());
+  rss_mw.reserve(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    mmwave::Awv individual = links.steered(members[i]);
+    const double own_rss = member_rss(individual, i);
     beams.push_back(std::move(individual));
-    rss_mw.push_back(std::max(dbm_to_mw(member_rss), 1e-15));
+    rss_mw.push_back(std::max(dbm_to_mw(own_rss), 1e-15));
   }
-  GroupBeam custom =
-      finish(mmwave::combine_awvs(beams, rss_mw), true, positions, bodies);
+  GroupBeam custom = finish(mmwave::combine_awvs(beams, rss_mw), true,
+                            members.size(), member_rss);
 
   // Probe before use (Section 5): the custom beam must actually improve the
   // weakest member and must not blast a non-member.
@@ -111,8 +145,9 @@ GroupBeam BeamDesigner::design_multicast(
     if (stock_selected_ != nullptr) stock_selected_->add();
     return stock;
   }
-  for (const geo::Vec3& other : others) {
-    if (rss(custom.awv, other, bodies) > config_.max_spill_dbm) {
+  for (std::size_t other : others) {
+    if (links.rss(custom.awv, other, body_mask, rss_evals_) >
+        config_.max_spill_dbm) {
       if (probe_rejects_ != nullptr) probe_rejects_->add();
       if (stock_selected_ != nullptr) stock_selected_->add();
       return stock;
@@ -132,12 +167,14 @@ GroupBeam BeamDesigner::design_reflection(
   if (reflection_designs_ != nullptr) reflection_designs_->add();
   const auto paths = testbed_->channel().paths(
       testbed_->ap().pose().position, position, {}, testbed_->blockage());
+  const auto at_position = [&](const mmwave::Awv& w, std::size_t) {
+    return rss(w, position, bodies);
+  };
   GroupBeam best{};
-  const geo::Vec3 positions[] = {position};
   for (const mmwave::Path& path : paths) {
     if (path.line_of_sight) continue;
     GroupBeam candidate = finish(testbed_->ap().steer(path.tx_direction),
-                                 true, positions, bodies);
+                                 true, 1, at_position);
     if (best.awv.empty() ||
         candidate.min_member_rss_dbm > best.min_member_rss_dbm)
       best = std::move(candidate);

@@ -11,11 +11,14 @@
 // sector when that already serves everyone well or the probe fails.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "core/testbed.h"
 #include "mmwave/beam_design.h"
+#include "mmwave/link.h"
 
 namespace volcast::obs {
 class Counter;
@@ -65,11 +68,29 @@ class BeamDesigner {
       std::span<const geo::BodyObstacle> bodies = {}) const;
 
   /// Multicast beam for `positions` (>= 1). `others` are non-member user
-  /// positions used for spill probing.
+  /// positions used for spill probing. Prices its links through a one-shot
+  /// link_table() over positions then others.
   [[nodiscard]] GroupBeam design_multicast(
       std::span<const geo::Vec3> positions,
       std::span<const geo::BodyObstacle> bodies = {},
       std::span<const geo::Vec3> others = {}) const;
+
+  /// The same design over a link table of this designer's AP: `members`
+  /// and `others` index the table's receivers, and `body_mask` selects the
+  /// shadowing bodies from its body list. Bit-identical to the overload
+  /// above called with those receivers' positions and the masked bodies.
+  /// Throws std::invalid_argument for an empty group or a table built for
+  /// another array.
+  [[nodiscard]] GroupBeam design_multicast(
+      mmwave::LinkTable& links, std::span<const std::size_t> members,
+      std::span<const std::uint8_t> body_mask,
+      std::span<const std::size_t> others = {}) const;
+
+  /// A link table from this designer's AP toward `receivers`, with
+  /// `bodies` as the shadowing body list (both referenced, not copied).
+  [[nodiscard]] mmwave::LinkTable link_table(
+      std::span<const geo::Vec3> receivers,
+      std::span<const geo::BodyObstacle> bodies) const;
 
   /// A reflection beam for blockage mitigation: steers at the strongest
   /// non-line-of-sight bounce toward `position` (empty AWV when the room
@@ -96,10 +117,12 @@ class BeamDesigner {
 
   [[nodiscard]] double rss(const mmwave::Awv& w, const geo::Vec3& position,
                            std::span<const geo::BodyObstacle> bodies) const;
-  [[nodiscard]] GroupBeam finish(mmwave::Awv awv, bool custom,
-                                 std::span<const geo::Vec3> positions,
-                                 std::span<const geo::BodyObstacle> bodies)
-      const;
+  /// Completes a GroupBeam from the weakest of `members` links, each priced
+  /// by `member_rss(awv, i)`.
+  [[nodiscard]] GroupBeam finish(
+      mmwave::Awv awv, bool custom, std::size_t members,
+      const std::function<double(const mmwave::Awv&, std::size_t)>&
+          member_rss) const;
 };
 
 }  // namespace volcast::core

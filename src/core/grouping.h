@@ -61,10 +61,19 @@ struct GrouperConfig {
 struct GroupingResult {
   std::vector<std::vector<std::size_t>> groups;  // user ids per group
   mac::FrameSchedule schedule;
+  /// Search effort: multi-member candidate lists planned (one group_rate
+  /// and one overlap_bits call each) and plans served from the cache.
+  std::size_t plan_evals = 0;
+  std::size_t plan_hits = 0;
 };
 
 /// Forms multicast groups over `users`.
-/// `group_rate` and `overlap_bits` are consulted for candidate groups.
+/// `group_rate` and `overlap_bits` are consulted for candidate groups of
+/// two or more members, each distinct ordered member list at most once per
+/// call: both must be pure functions of that list for the duration of the
+/// call. The list is passed in the order the search built it (it is not
+/// sorted), so order-sensitive callbacks see exactly what an uncached
+/// search would pass them.
 [[nodiscard]] GroupingResult form_groups(std::span<const UserState> users,
                                          const GrouperConfig& config,
                                          const GroupRateFn& group_rate,

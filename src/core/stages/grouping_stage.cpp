@@ -1,6 +1,8 @@
 #include "core/stages/grouping_stage.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,6 +21,12 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
   obs::Telemetry* tel = state.tel;
   auto& users = state.users;
   const auto absent = [&](std::size_t u) { return state.absent(u); };
+
+  // The tick's body list: every user's capsule by user index, then the
+  // injector's obstacles.
+  std::vector<geo::BodyObstacle> bodies(ctx.bodies.begin(), ctx.bodies.end());
+  for (const geo::BodyObstacle& o : state.injector.obstacles())
+    bodies.push_back(o);
 
   ctx.ap_plans.assign(state.coordinator.ap_count(), {});
   for (std::size_t a = 0; a < state.coordinator.ap_count(); ++a) {
@@ -74,7 +82,6 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
     }
 
     obs::Span group_span = ctx.span(obs::Stage::kGroup, ap32);
-    group_span.add_cost(members.size() * members.size());
     std::vector<UserState> states(members.size());
     state.pool.parallel_for(members.size(), [&](std::size_t i) {
       const std::size_t u = members[i];
@@ -87,54 +94,65 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       states[i] = s;
     });
 
+    // This AP's links toward every user, priced against the tick's body
+    // list (users by index, then the injector's obstacles). Each candidate
+    // group's body subsets are masks over that list. Built on first use:
+    // a unicast-only round never needs it.
+    std::optional<mmwave::LinkTable> links;
+    const auto link_table = [&]() -> mmwave::LinkTable& {
+      if (!links.has_value())
+        links.emplace(state.designers[a].link_table(ctx.room_pos, bodies));
+      return *links;
+    };
+    // 1 for every body that shadows this tick: present users and every
+    // obstacle.
+    std::vector<std::uint8_t> present_mask(bodies.size(), 1);
+    for (std::size_t u = 0; u < n; ++u)
+      if (absent(u)) present_mask[u] = 0;
+    // The bodies that shadow a group's beam: present users outside the
+    // group, and every obstacle.
+    const auto outside_mask = [&](std::span<const std::size_t> group) {
+      std::vector<std::uint8_t> mask = present_mask;
+      for (std::size_t u : group) mask[u] = 0;
+      return mask;
+    };
+
     auto group_tier = [&](std::span<const std::size_t> idx) {
       std::size_t tier = 0;
       for (std::size_t i : idx) tier = std::max(tier, users[members[i]].tier);
       return tier;
     };
     auto overlap_bits_fn = [&](std::span<const std::size_t> idx) {
-      std::vector<view::VisibilityMap> maps;
+      std::vector<const view::VisibilityMap*> maps;
       maps.reserve(idx.size());
       for (std::size_t i : idx)
-        maps.push_back(ctx.prediction.visibility[members[i]]);
-      const view::VisibilityMap inter = view::intersection(maps);
+        maps.push_back(&ctx.prediction.visibility[members[i]]);
+      const view::VisibilityMap inter = view::intersection(
+          std::span<const view::VisibilityMap* const>(maps));
       return visible_bits(inter, state.store, frame, group_tier(idx),
                           state.shed.min_lod);
     };
     auto group_rate_fn = [&](std::span<const std::size_t> idx) {
       if (!config.enable_multicast) return 0.0;
-      std::vector<geo::Vec3> positions;
-      std::vector<geo::Vec3> other_positions;
-      std::vector<geo::BodyObstacle> non_member_bodies;
-      positions.reserve(idx.size());
-      for (std::size_t i : idx) positions.push_back(ctx.room_pos[members[i]]);
-      for (std::size_t u = 0; u < n; ++u) {
-        if (absent(u)) continue;
-        if (std::find_if(idx.begin(), idx.end(), [&](std::size_t i) {
-              return members[i] == u;
-            }) == idx.end()) {
-          other_positions.push_back(ctx.room_pos[u]);
-          non_member_bodies.push_back(ctx.bodies[u]);
-        }
-      }
-      for (const geo::BodyObstacle& o : state.injector.obstacles())
-        non_member_bodies.push_back(o);
-      const GroupBeam beam = state.designers[a].design_multicast(
-          positions, non_member_bodies, other_positions);
-      // Worst member RSS including that member's shadowing.
+      mmwave::LinkTable& table = link_table();
+      std::vector<std::size_t> group;
+      group.reserve(idx.size());
+      for (std::size_t i : idx) group.push_back(members[i]);
+      // The beam is spill-probed against the present users outside.
+      const std::vector<std::uint8_t> outside = outside_mask(group);
+      std::vector<std::size_t> others;
+      for (std::size_t u = 0; u < n; ++u)
+        if (outside[u] != 0) others.push_back(u);
+      const GroupBeam beam =
+          state.designers[a].design_multicast(table, group, outside, others);
+      // Worst member RSS including that member's shadowing: every present
+      // user but the member itself, and every obstacle.
+      std::vector<std::uint8_t> mask = present_mask;
       double min_rss = 1e9;
-      for (std::size_t i : idx) {
-        const std::size_t u = members[i];
-        const Testbed& tb = state.coordinator.ap(a);
-        std::vector<geo::BodyObstacle> others;
-        for (std::size_t v = 0; v < n; ++v)
-          if (v != u && !absent(v)) others.push_back(ctx.bodies[v]);
-        for (const geo::BodyObstacle& o : state.injector.obstacles())
-          others.push_back(o);
-        const double rss =
-            mmwave::rss_dbm(tb.ap(), beam.awv, tb.channel(), ctx.room_pos[u],
-                            others, tb.budget(), tb.blockage()) +
-            ctx.shadow[u];
+      for (std::size_t u : group) {
+        mask[u] = 0;
+        const double rss = table.rss(beam.awv, u, mask) + ctx.shadow[u];
+        mask[u] = present_mask[u];
         min_rss = std::min(min_rss, rss);
       }
       return state.mcs->goodput_mbps(min_rss);
@@ -146,7 +164,13 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
     gc.min_iou = config.grouping_min_iou;
     GroupingResult& grouping = ctx.ap_plans[a].grouping;
     grouping = form_groups(states, gc, group_rate_fn, overlap_bits_fn);
+    // Logical cost: candidate plans priced, each one group-beam design.
+    group_span.add_cost(grouping.plan_evals);
     group_span.end();
+    if (state.plan_evals != nullptr) {
+      state.plan_evals->add(grouping.plan_evals);
+      state.plan_hits->add(grouping.plan_hits);
+    }
     if (tel != nullptr) {
       for (std::size_t g = 0; g < grouping.groups.size(); ++g) {
         obs::Event e;
@@ -184,20 +208,15 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
     // (the last multicast group's beam represents this AP next tick,
     // exactly as in the serial loop).
     std::vector<GroupBeam> group_beams(grouping.groups.size());
+    // Lanes only read the link table: fill every row they touch first.
+    for (const auto& group : grouping.groups)
+      if (group.size() >= 2)
+        for (std::size_t u : group) link_table().fill(u);
     state.pool.parallel_for(grouping.groups.size(), [&](std::size_t g) {
       const auto& group = grouping.groups[g];
       if (group.size() < 2) return;
-      std::vector<geo::Vec3> positions;
-      std::vector<geo::BodyObstacle> non_member_bodies;
-      for (std::size_t u : group) positions.push_back(ctx.room_pos[u]);
-      for (std::size_t u = 0; u < n; ++u)
-        if (!absent(u) &&
-            std::find(group.begin(), group.end(), u) == group.end())
-          non_member_bodies.push_back(ctx.bodies[u]);
-      for (const geo::BodyObstacle& o : state.injector.obstacles())
-        non_member_bodies.push_back(o);
-      group_beams[g] =
-          state.designers[a].design_multicast(positions, non_member_bodies, {});
+      group_beams[g] = state.designers[a].design_multicast(
+          *links, group, outside_mask(group), {});
     });
     for (std::size_t g = 0; g < grouping.groups.size(); ++g) {
       if (grouping.groups[g].size() < 2) continue;

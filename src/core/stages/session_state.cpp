@@ -67,8 +67,11 @@ SessionState::SessionState(SessionConfig c)
       has_faults(!c.fault_plan.empty()) {
   tel = config.telemetry;
   video_seed = bundle->key().video_seed;
-  if (tel != nullptr)
+  if (tel != nullptr) {
     rss_evals = &tel->metrics().counter("mmwave.rss_evals");
+    plan_evals = &tel->metrics().counter("grouping.plan_evals");
+    plan_hits = &tel->metrics().counter("grouping.plan_hits");
+  }
   BeamDesignerConfig bd;
   bd.enable_custom_beams = c.enable_custom_beams;
   bd.metrics = tel != nullptr ? &tel->metrics() : nullptr;

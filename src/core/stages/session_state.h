@@ -136,6 +136,8 @@ struct SessionState {
   // Telemetry (null = disabled; every hook is one pointer test).
   obs::Telemetry* tel = nullptr;
   obs::Counter* rss_evals = nullptr;
+  obs::Counter* plan_evals = nullptr;  // grouping.plan_evals
+  obs::Counter* plan_hits = nullptr;   // grouping.plan_hits
 
   // Run-scoped state, initialized by begin_run() before the first tick.
   double dt = 0.0;

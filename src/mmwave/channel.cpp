@@ -8,9 +8,12 @@
 
 namespace volcast::mmwave {
 
-double BlockageModel::segment_loss_db(const geo::Vec3& a, const geo::Vec3& b,
-                                      const geo::BodyObstacle& body) const
-    noexcept {
+// Out of line even here, where the many-body sum below calls it: the
+// per-segment sums of Channel::paths and LinkTable must run one compiled
+// copy, so FMA contraction (VOLCAST_NATIVE) cannot round them apart.
+[[gnu::noinline]] double BlockageModel::segment_loss_db(
+    const geo::Vec3& a, const geo::Vec3& b,
+    const geo::BodyObstacle& body) const noexcept {
   const double clearance = geo::segment_body_clearance(a, b, body);
   if (clearance >= clearance_m) return 0.0;
   // Linear (in dB) ramp: grazing the Fresnel boundary costs ~0, a
@@ -39,16 +42,31 @@ double Channel::fspl_db(double distance_m) const noexcept {
 std::vector<Path> Channel::paths(const geo::Vec3& tx, const geo::Vec3& rx,
                                  std::span<const geo::BodyObstacle> bodies,
                                  const BlockageModel& blockage) const {
+  const std::vector<TracedPath> geometry = trace(tx, rx);
   std::vector<Path> out;
+  out.reserve(geometry.size());
+  for (const TracedPath& traced : geometry) {
+    Path p = traced.path;
+    for (std::size_t s = 0; s < traced.segment_count(); ++s)
+      p.extra_loss_db += blockage.segment_loss_db(
+          traced.vertices[s], traced.vertices[s + 1], bodies);
+    out.push_back(p);
+  }
+  return out;
+}
+
+std::vector<TracedPath> Channel::trace(const geo::Vec3& tx,
+                                       const geo::Vec3& rx) const {
+  std::vector<TracedPath> out;
 
   // Line of sight.
   {
-    Path los;
+    TracedPath los;
     const geo::Vec3 delta = rx - tx;
-    los.length_m = delta.norm();
-    los.tx_direction = delta.normalized();
-    los.line_of_sight = true;
-    los.extra_loss_db = blockage.segment_loss_db(tx, rx, bodies);
+    los.path.length_m = delta.norm();
+    los.path.tx_direction = delta.normalized();
+    los.path.line_of_sight = true;
+    los.vertices = {tx, rx};
     out.push_back(los);
   }
   if (!room_.enable_reflections) return out;
@@ -96,15 +114,14 @@ std::vector<Path> Channel::paths(const geo::Vec3& tx, const geo::Vec3& rx,
     const geo::Vec3 bounce = tx + (image - tx) * t;
     if (!on_face(bounce)) continue;
 
-    Path p;
-    p.line_of_sight = false;
-    p.bounces = 1;
-    p.bounce_point = bounce;
-    p.length_m = (image - tx).norm();
-    p.tx_direction = (image - tx).normalized();
-    p.extra_loss_db = room_.reflection_loss_db +
-                      blockage.segment_loss_db(tx, bounce, bodies) +
-                      blockage.segment_loss_db(bounce, rx, bodies);
+    TracedPath p;
+    p.path.line_of_sight = false;
+    p.path.bounces = 1;
+    p.path.bounce_point = bounce;
+    p.path.length_m = (image - tx).norm();
+    p.path.tx_direction = (image - tx).normalized();
+    p.path.extra_loss_db = room_.reflection_loss_db;
+    p.vertices = {tx, bounce, rx};
     out.push_back(p);
   }
 
@@ -125,17 +142,14 @@ std::vector<Path> Channel::paths(const geo::Vec3& tx, const geo::Vec3& rx,
         const geo::Vec3 bounce_b = bounce_a + (image_b - bounce_a) * tb;
         if (!on_face(bounce_b)) continue;
 
-        Path p;
-        p.line_of_sight = false;
-        p.bounces = 2;
-        p.bounce_point = bounce_a;
-        p.length_m = (image_ab - tx).norm();
-        p.tx_direction = (image_ab - tx).normalized();
-        p.extra_loss_db =
-            2.0 * room_.reflection_loss_db +
-            blockage.segment_loss_db(tx, bounce_a, bodies) +
-            blockage.segment_loss_db(bounce_a, bounce_b, bodies) +
-            blockage.segment_loss_db(bounce_b, rx, bodies);
+        TracedPath p;
+        p.path.line_of_sight = false;
+        p.path.bounces = 2;
+        p.path.bounce_point = bounce_a;
+        p.path.length_m = (image_ab - tx).norm();
+        p.path.tx_direction = (image_ab - tx).normalized();
+        p.path.extra_loss_db = 2.0 * room_.reflection_loss_db;
+        p.vertices = {tx, bounce_a, bounce_b, rx};
         out.push_back(p);
       }
     }

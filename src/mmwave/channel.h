@@ -9,6 +9,7 @@
 // first-order image theory in a room provides.
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -40,6 +41,18 @@ struct Path {
   bool line_of_sight = true;
   int bounces = 0;            // 0 for LoS
   geo::Vec3 bounce_point{};   // first bounce, valid when !line_of_sight
+};
+
+/// A path's geometry before blockage: `path.extra_loss_db` holds only the
+/// reflection losses, and `vertices[0 .. path.bounces + 1]` is the polyline
+/// transmitter, bounce points, receiver whose segments bodies can shadow.
+struct TracedPath {
+  Path path;
+  std::array<geo::Vec3, 4> vertices{};
+
+  [[nodiscard]] std::size_t segment_count() const noexcept {
+    return static_cast<std::size_t>(path.bounces) + 1;
+  }
 };
 
 /// Human blockage with partial degradation (paper Section 5: "blockage does
@@ -75,6 +88,11 @@ class Channel {
       const geo::Vec3& tx, const geo::Vec3& rx,
       std::span<const geo::BodyObstacle> bodies = {},
       const BlockageModel& blockage = {}) const;
+
+  /// The same paths before blockage, with their segment polylines. paths()
+  /// is trace() plus, per path, each segment's body loss added in order.
+  [[nodiscard]] std::vector<TracedPath> trace(const geo::Vec3& tx,
+                                              const geo::Vec3& rx) const;
 
   /// Free-space path loss at the carrier for `distance_m` (positive dB).
   [[nodiscard]] double fspl_db(double distance_m) const noexcept;

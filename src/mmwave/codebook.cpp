@@ -62,11 +62,11 @@ Codebook::Codebook(const PhasedArray& array, const CodebookConfig& config) {
 
 std::size_t Codebook::best_beam_toward(const PhasedArray& array,
                                        const geo::Vec3& target) const {
-  const geo::Vec3 dir = target - array.pose().position;
+  const Steering response = array.steering(target - array.pose().position);
   std::size_t best = 0;
   double best_gain = -1.0;
   for (std::size_t i = 0; i < beams_.size(); ++i) {
-    const double g = array.gain(beams_[i], dir);
+    const double g = response.gain(beams_[i]);
     if (g > best_gain) {
       best_gain = g;
       best = i;
@@ -77,12 +77,24 @@ std::size_t Codebook::best_beam_toward(const PhasedArray& array,
 
 std::size_t Codebook::best_common_beam(
     const PhasedArray& array, std::span<const geo::Vec3> targets) const {
+  std::vector<Steering> responses;
+  responses.reserve(targets.size());
+  for (const geo::Vec3& t : targets)
+    responses.push_back(array.steering(t - array.pose().position));
+  std::vector<const Steering*> views;
+  views.reserve(responses.size());
+  for (const Steering& s : responses) views.push_back(&s);
+  return best_common_beam(views);
+}
+
+std::size_t Codebook::best_common_beam(
+    std::span<const Steering* const> targets) const {
   std::size_t best = 0;
   double best_min = -1.0;
   for (std::size_t i = 0; i < beams_.size(); ++i) {
     double min_gain = std::numeric_limits<double>::infinity();
-    for (const geo::Vec3& t : targets) {
-      const double g = array.gain(beams_[i], t - array.pose().position);
+    for (const Steering* t : targets) {
+      const double g = t->gain(beams_[i]);
       min_gain = std::min(min_gain, g);
     }
     if (targets.empty()) min_gain = 0.0;

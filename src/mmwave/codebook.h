@@ -53,6 +53,11 @@ class Codebook {
   [[nodiscard]] std::size_t best_common_beam(
       const PhasedArray& array, std::span<const geo::Vec3> targets) const;
 
+  /// The same selection over precomputed array responses toward each
+  /// target (PhasedArray::steering(target - array origin)).
+  [[nodiscard]] std::size_t best_common_beam(
+      std::span<const Steering* const> targets) const;
+
  private:
   std::vector<Awv> beams_;
 };

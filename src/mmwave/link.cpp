@@ -2,11 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/units.h"
 #include "obs/metrics.h"
 
 namespace volcast::mmwave {
+
+namespace {
+
+/// The one per-path term of the link budget, in mW: P_tx + G_tx - FSPL -
+/// extra losses + G_rx - implementation loss. rss_dbm and LinkTable::rss
+/// both sum it; it stays out of line so that FMA contraction
+/// (VOLCAST_NATIVE) cannot compile the two callers' copies differently.
+[[gnu::noinline]] double path_power_mw(const LinkBudget& budget,
+                                       double tx_gain, double fspl_db,
+                                       double extra_loss_db) noexcept {
+  const double gain_db = ratio_to_db(std::max(tx_gain, 1e-12));
+  const double rx_dbm = budget.tx_power_dbm + gain_db - fspl_db -
+                        extra_loss_db + budget.rx_gain_dbi -
+                        budget.implementation_loss_db;
+  return dbm_to_mw(rx_dbm);
+}
+
+double total_to_dbm(double total_mw) noexcept {
+  if (total_mw <= 0.0) return -200.0;
+  return mw_to_dbm(total_mw);
+}
+
+}  // namespace
 
 double rss_dbm(const PhasedArray& tx, const Awv& w, const Channel& channel,
                const geo::Vec3& rx_pos,
@@ -17,17 +41,81 @@ double rss_dbm(const PhasedArray& tx, const Awv& w, const Channel& channel,
   const auto paths = channel.paths(tx.pose().position, rx_pos, bodies,
                                    blockage);
   double total_mw = 0.0;
-  for (const Path& path : paths) {
-    const double gain_db = ratio_to_db(
-        std::max(tx.gain(w, path.tx_direction), 1e-12));
-    const double rx_dbm = budget.tx_power_dbm + gain_db -
-                          channel.fspl_db(path.length_m) -
-                          path.extra_loss_db + budget.rx_gain_dbi -
-                          budget.implementation_loss_db;
-    total_mw += dbm_to_mw(rx_dbm);
+  for (const Path& path : paths)
+    total_mw += path_power_mw(budget, tx.gain(w, path.tx_direction),
+                              channel.fspl_db(path.length_m),
+                              path.extra_loss_db);
+  return total_to_dbm(total_mw);
+}
+
+LinkTable::LinkTable(const PhasedArray& tx, const Channel& channel,
+                     const LinkBudget& budget, const BlockageModel& blockage,
+                     std::span<const geo::Vec3> receivers,
+                     std::span<const geo::BodyObstacle> bodies)
+    : tx_(&tx),
+      channel_(&channel),
+      budget_(budget),
+      blockage_(blockage),
+      receivers_(receivers),
+      bodies_(bodies),
+      rows_(receivers.size()) {}
+
+void LinkTable::fill(std::size_t rx) { (void)row(rx); }
+
+const Steering& LinkTable::steering(std::size_t rx) { return row(rx).toward; }
+
+const Awv& LinkTable::steered(std::size_t rx) { return row(rx).steered; }
+
+const LinkTable::Row& LinkTable::row(std::size_t rx) {
+  std::optional<Row>& slot = rows_.at(rx);
+  if (slot.has_value()) return *slot;
+  const geo::Vec3& origin = tx_->pose().position;
+  Row& r = slot.emplace();
+  r.toward = tx_->steering(receivers_[rx] - origin);
+  r.steered = PhasedArray::steer(r.toward);
+  for (const TracedPath& traced : channel_->trace(origin, receivers_[rx])) {
+    PathTerm term;
+    term.response = tx_->steering(traced.path.tx_direction);
+    term.fspl_db = channel_->fspl_db(traced.path.length_m);
+    term.reflection_loss_db = traced.path.extra_loss_db;
+    term.segments = traced.segment_count();
+    for (std::size_t s = 0; s < term.segments; ++s) {
+      term.loss_begin[s] = r.losses.size();
+      for (std::size_t k = 0; k < bodies_.size(); ++k) {
+        const double loss = blockage_.segment_loss_db(
+            traced.vertices[s], traced.vertices[s + 1], bodies_[k]);
+        if (loss != 0.0) r.losses.push_back({k, loss});
+      }
+    }
+    term.loss_begin[term.segments] = r.losses.size();
+    r.paths.push_back(std::move(term));
   }
-  if (total_mw <= 0.0) return -200.0;
-  return mw_to_dbm(total_mw);
+  return r;
+}
+
+double LinkTable::rss(const Awv& w, std::size_t rx,
+                      std::span<const std::uint8_t> body_mask,
+                      obs::Counter* evals) {
+  if (body_mask.size() != bodies_.size())
+    throw std::invalid_argument("LinkTable::rss: body mask size mismatch");
+  const Row& r = row(rx);
+  if (evals != nullptr) evals->add();
+  double total_mw = 0.0;
+  for (const PathTerm& term : r.paths) {
+    // Channel::paths order: reflection losses, then each segment's body
+    // losses summed from zero in body-list order.
+    double extra_loss_db = term.reflection_loss_db;
+    for (std::size_t s = 0; s < term.segments; ++s) {
+      double segment_db = 0.0;
+      for (std::size_t i = term.loss_begin[s]; i < term.loss_begin[s + 1];
+           ++i)
+        if (body_mask[r.losses[i].body] != 0) segment_db += r.losses[i].loss_db;
+      extra_loss_db += segment_db;
+    }
+    total_mw += path_power_mw(budget_, term.response.gain(w), term.fspl_db,
+                              extra_loss_db);
+  }
+  return total_to_dbm(total_mw);
 }
 
 double best_beam_rss_dbm(const PhasedArray& tx, const Codebook& codebook,

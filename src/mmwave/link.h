@@ -1,7 +1,11 @@
 // Link budget: AWV + multipath channel -> RSS -> MCS -> rate.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "mmwave/channel.h"
@@ -38,6 +42,83 @@ struct LinkBudget {
                              const LinkBudget& budget = {},
                              const BlockageModel& blockage = {},
                              obs::Counter* evals = nullptr);
+
+/// One transmitter's links toward a fixed set of receivers, for pricing
+/// many AWVs and many body subsets against the same geometry (one tick of
+/// multicast grouping).
+///
+/// Row r is built on the first use of receiver r. It holds Channel::trace's
+/// paths toward receivers[r] with their FSPL and reflection losses, each
+/// path's array response (PhasedArray::steering), and for each path
+/// segment the non-zero loss of every body in `bodies`, in list order.
+/// rss() then only sums: it adds the same terms in the same order as
+/// rss_dbm() over the masked bodies, through the same per-path term
+/// function, so the two agree bit for bit (a body whose loss is exactly
+/// zero adds nothing to a segment's sum).
+///
+/// `receivers` and `bodies` are referenced, not copied; they must outlive
+/// the table. Filling a row mutates the table: call fill() for every
+/// receiver first when several threads read it.
+class LinkTable {
+ public:
+  LinkTable(const PhasedArray& tx, const Channel& channel,
+            const LinkBudget& budget, const BlockageModel& blockage,
+            std::span<const geo::Vec3> receivers,
+            std::span<const geo::BodyObstacle> bodies);
+
+  [[nodiscard]] const PhasedArray& tx() const noexcept { return *tx_; }
+  [[nodiscard]] std::size_t body_count() const noexcept {
+    return bodies_.size();
+  }
+
+  /// Builds receiver `rx`'s row now (no-op when built). Throws
+  /// std::out_of_range for an unknown receiver.
+  void fill(std::size_t rx);
+
+  /// The array's response toward receivers[rx] (from the array origin),
+  /// as Codebook::best_common_beam takes it.
+  [[nodiscard]] const Steering& steering(std::size_t rx);
+
+  /// tx.steer_at(receivers[rx]).
+  [[nodiscard]] const Awv& steered(std::size_t rx);
+
+  /// rss_dbm(tx, w, channel, receivers[rx], B, budget, blockage, evals)
+  /// where B lists, in order, the bodies k with body_mask[k] != 0.
+  /// Throws std::invalid_argument unless body_mask has body_count() entries.
+  [[nodiscard]] double rss(const Awv& w, std::size_t rx,
+                           std::span<const std::uint8_t> body_mask,
+                           obs::Counter* evals = nullptr);
+
+ private:
+  struct BodyLoss {
+    std::size_t body;
+    double loss_db;
+  };
+  struct PathTerm {
+    Steering response;
+    double fspl_db = 0.0;
+    double reflection_loss_db = 0.0;
+    std::size_t segments = 0;
+    // Segment s owns Row::losses[loss_begin[s], loss_begin[s + 1]).
+    std::array<std::size_t, 4> loss_begin{};
+  };
+  struct Row {
+    Steering toward;
+    Awv steered;
+    std::vector<PathTerm> paths;
+    std::vector<BodyLoss> losses;
+  };
+
+  const PhasedArray* tx_;
+  const Channel* channel_;
+  LinkBudget budget_;
+  BlockageModel blockage_;
+  std::span<const geo::Vec3> receivers_;
+  std::span<const geo::BodyObstacle> bodies_;
+  std::vector<std::optional<Row>> rows_;
+
+  const Row& row(std::size_t rx);
+};
 
 /// Convenience: RSS with the best codebook beam for this receiver (the
 /// unicast SLS outcome).

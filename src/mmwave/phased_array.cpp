@@ -42,17 +42,41 @@ geo::Vec3 PhasedArray::to_local(const geo::Vec3& dir_world) const noexcept {
   return {u.dot(pose_.forward()), u.dot(pose_.left()), u.dot(pose_.up())};
 }
 
-Awv PhasedArray::steer(const geo::Vec3& dir_world) const {
+// Steering::gain and PhasedArray::steering are the only places the array
+// factor is computed, for rss_dbm and LinkTable alike. They stay out of
+// line so that FMA contraction (VOLCAST_NATIVE) compiles each exactly once
+// and both callers see the same bits.
+[[gnu::noinline]] double Steering::gain(const Awv& w) const noexcept {
+  if (w.size() != phasors.size()) return 0.0;
+  Complex af{0.0, 0.0};
+  for (std::size_t i = 0; i < w.size(); ++i) af += w[i] * phasors[i];
+  return std::norm(af) * element_gain;
+}
+
+[[gnu::noinline]] Steering PhasedArray::steering(
+    const geo::Vec3& dir_world) const {
   const geo::Vec3 local = to_local(dir_world);
   const double k = 2.0 * std::numbers::pi / wavelength_m_;
-  Awv w;
-  w.reserve(elements_local_.size());
+  Steering s;
+  s.phasors.reserve(elements_local_.size());
   for (const geo::Vec3& e : elements_local_) {
     const double phase = k * e.dot(local);
-    // Conjugate steering: cancel the per-element propagation phase.
-    w.emplace_back(std::cos(phase), -std::sin(phase));
+    s.phasors.emplace_back(std::cos(phase), std::sin(phase));
   }
+  s.element_gain = element_gain(local.x);
+  return s;
+}
+
+Awv PhasedArray::steer(const Steering& response) {
+  // Conjugate steering: cancel the per-element propagation phase.
+  Awv w;
+  w.reserve(response.phasors.size());
+  for (const Complex& p : response.phasors) w.push_back(std::conj(p));
   return power_normalized(std::move(w));
+}
+
+Awv PhasedArray::steer(const geo::Vec3& dir_world) const {
+  return steer(steering(dir_world));
 }
 
 Awv PhasedArray::steer_at(const geo::Vec3& target_world) const {
@@ -67,14 +91,7 @@ double PhasedArray::element_gain(double cos_theta) noexcept {
 
 double PhasedArray::gain(const Awv& w, const geo::Vec3& dir_world) const {
   if (w.size() != elements_local_.size()) return 0.0;
-  const geo::Vec3 local = to_local(dir_world);
-  const double k = 2.0 * std::numbers::pi / wavelength_m_;
-  Complex af{0.0, 0.0};
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const double phase = k * elements_local_[i].dot(local);
-    af += w[i] * Complex{std::cos(phase), std::sin(phase)};
-  }
-  return std::norm(af) * element_gain(local.x);
+  return steering(dir_world).gain(w);
 }
 
 double PhasedArray::gain_dbi(const Awv& w, const geo::Vec3& dir_world) const {

@@ -27,6 +27,18 @@ using Awv = std::vector<Complex>;
 /// Returns w scaled so that sum |w_i|^2 == 1 (no-op for a zero vector).
 [[nodiscard]] Awv power_normalized(Awv w);
 
+/// The array's response toward one direction: the per-element phasors
+/// exp(+j k e_i . u) and the element-pattern gain there. Evaluating many
+/// AWVs toward one direction reuses it instead of redoing the trigonometry.
+struct Steering {
+  std::vector<Complex> phasors;  // one per element
+  double element_gain = 0.0;
+
+  /// Linear gain of `w` in this direction: |sum_i w_i p_i|^2 times the
+  /// element gain; 0 when `w` does not have one weight per element.
+  [[nodiscard]] double gain(const Awv& w) const noexcept;
+};
+
 /// Element layout of the array.
 struct ArrayGeometry {
   unsigned ny = 8;  ///< elements along local y (the 8 patch columns)
@@ -56,13 +68,21 @@ class PhasedArray {
   /// (need not be normalized), power-normalized.
   [[nodiscard]] Awv steer(const geo::Vec3& dir_world) const;
 
+  /// The conjugate-steering AWV of a precomputed response: steer(dir) ==
+  /// steer(steering(dir)), bit for bit.
+  [[nodiscard]] static Awv steer(const Steering& response);
+
   /// AWV pointed at a world position (steer toward target - array origin).
   [[nodiscard]] Awv steer_at(const geo::Vec3& target_world) const;
+
+  /// The array's response toward world direction `dir` (need not be
+  /// normalized). gain() and steer() are both built on it.
+  [[nodiscard]] Steering steering(const geo::Vec3& dir_world) const;
 
   /// Linear transmit power gain of AWV `w` toward world direction `dir`:
   /// |array factor|^2 scaled by the single-element pattern. For a
   /// power-normalized conjugate-steered AWV the peak equals
-  /// element_count() * element peak gain.
+  /// element_count() * element peak gain. Equals steering(dir).gain(w).
   [[nodiscard]] double gain(const Awv& w, const geo::Vec3& dir_world) const;
 
   /// gain() in dBi.

@@ -37,18 +37,25 @@ double group_iou(std::span<const VisibilityMap* const> maps) {
 }
 
 VisibilityMap intersection(std::span<const VisibilityMap> maps) {
+  std::vector<const VisibilityMap*> ptrs;
+  ptrs.reserve(maps.size());
+  for (const VisibilityMap& m : maps) ptrs.push_back(&m);
+  return intersection(std::span<const VisibilityMap* const>(ptrs));
+}
+
+VisibilityMap intersection(std::span<const VisibilityMap* const> maps) {
   if (maps.empty()) return VisibilityMap{};
-  const std::size_t cells = maps.front().cell_count();
+  const std::size_t cells = maps.front()->cell_count();
   VisibilityMap out(cells);
   for (vv::CellId c = 0; c < cells; ++c) {
     bool in_all = true;
     double best = 0.0;
-    for (const VisibilityMap& m : maps) {
-      if (!m.visible(c)) {
+    for (const VisibilityMap* m : maps) {
+      if (!m->visible(c)) {
         in_all = false;
         break;
       }
-      best = std::max(best, m.lod(c));
+      best = std::max(best, m->lod(c));
     }
     if (in_all) out.set(c, best);
   }

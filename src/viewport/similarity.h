@@ -24,6 +24,8 @@ namespace volcast::view {
 /// Fig. 1: "overlapped cells"), with the group-maximum LoD per cell so the
 /// multicast copy satisfies the most demanding member.
 [[nodiscard]] VisibilityMap intersection(std::span<const VisibilityMap> maps);
+[[nodiscard]] VisibilityMap intersection(
+    std::span<const VisibilityMap* const> maps);
 
 /// Cells visible to at least one user.
 [[nodiscard]] VisibilityMap union_of(std::span<const VisibilityMap> maps);

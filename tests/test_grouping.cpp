@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <map>
 #include <set>
+#include <string>
 
+#include "common/rng.h"
 #include "viewport/similarity.h"
 
 namespace volcast::core {
@@ -216,6 +222,248 @@ TEST_P(GroupingRateSweep, MulticastAdoptionMonotoneInRate) {
 INSTANTIATE_TEST_SUITE_P(Rates, GroupingRateSweep,
                          ::testing::Values(200.0, 400.0, 600.0, 800.0,
                                            1200.0));
+
+// ---- plan cache -------------------------------------------------------
+
+/// The search as it ran before plans were cached: every candidate is
+/// re-planned each time the search looks at it, finalize plans again.
+mac::GroupPlan reference_plan(std::span<const UserState> users,
+                              std::span<const std::size_t> members,
+                              const GroupRateFn& rate,
+                              const OverlapBitsFn& overlap) {
+  mac::GroupPlan plan;
+  if (members.size() > 1) {
+    plan.group_overlap_bits = overlap(members);
+    plan.multicast_rate_mbps = rate(members);
+  }
+  for (std::size_t m : members)
+    plan.members.push_back({users[m].user, users[m].total_bits,
+                            plan.group_overlap_bits,
+                            users[m].unicast_rate_mbps});
+  return plan;
+}
+
+GroupingResult reference_groups(std::span<const UserState> users,
+                                const GrouperConfig& config,
+                                const GroupRateFn& rate,
+                                const OverlapBitsFn& overlap) {
+  const double budget = 1.0 / config.target_fps;
+  const auto time = [&](const std::vector<std::size_t>& members) {
+    return reference_plan(users, members, rate, overlap).transmit_time_s();
+  };
+  std::vector<std::vector<std::size_t>> sets;
+  if (config.policy == GroupingPolicy::kExhaustive) {
+    std::vector<std::vector<std::size_t>> current;
+    double best_time = std::numeric_limits<double>::infinity();
+    std::function<void(std::size_t)> recurse = [&](std::size_t next) {
+      if (next == users.size()) {
+        double t = 0.0;
+        for (const auto& block : current) {
+          const double bt = time(block);
+          t += bt > budget && block.size() > 1 ? 1e6 + bt : bt;
+        }
+        if (t < best_time) {
+          best_time = t;
+          sets = current;
+        }
+        return;
+      }
+      for (std::size_t b = 0, count = current.size(); b < count; ++b) {
+        current[b].push_back(next);
+        recurse(next + 1);
+        current[b].pop_back();
+      }
+      current.push_back({next});
+      recurse(next + 1);
+      current.pop_back();
+    };
+    recurse(0);
+  } else {
+    const std::size_t cap =
+        config.policy == GroupingPolicy::kPairsOnly ? 2 : 0;
+    for (std::size_t i = 0; i < users.size(); ++i) sets.push_back({i});
+    for (bool merged = true; merged;) {
+      merged = false;
+      double best_saving = 0.0;
+      std::size_t best_a = 0;
+      std::size_t best_b = 0;
+      std::vector<std::size_t> best_union;
+      for (std::size_t a = 0; a < sets.size(); ++a) {
+        for (std::size_t b = a + 1; b < sets.size(); ++b) {
+          std::vector<std::size_t> cand = sets[a];
+          cand.insert(cand.end(), sets[b].begin(), sets[b].end());
+          if (cap != 0 && cand.size() > cap) continue;
+          double lowest = 1.0;
+          for (std::size_t i = 0; i < cand.size(); ++i)
+            for (std::size_t j = i + 1; j < cand.size(); ++j)
+              lowest = std::min(lowest, view::iou(*users[cand[i]].visibility,
+                                                  *users[cand[j]].visibility));
+          if (lowest < config.min_iou) continue;
+          const double t = time(cand);
+          if (t > budget) continue;
+          const double saving = time(sets[a]) + time(sets[b]) - t;
+          if (saving > best_saving) {
+            best_saving = saving;
+            best_a = a;
+            best_b = b;
+            best_union = std::move(cand);
+          }
+        }
+      }
+      if (best_saving > 0.0) {
+        sets[best_a] = std::move(best_union);
+        sets.erase(sets.begin() + static_cast<std::ptrdiff_t>(best_b));
+        merged = true;
+      }
+    }
+  }
+  GroupingResult result;
+  for (auto& set : sets) {
+    std::sort(set.begin(), set.end());
+    result.schedule.groups.push_back(
+        reference_plan(users, set, rate, overlap));
+    std::vector<std::size_t> ids;
+    for (std::size_t m : set) ids.push_back(users[m].user);
+    result.groups.push_back(std::move(ids));
+  }
+  return result;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_same_result(const GroupingResult& got,
+                        const GroupingResult& want) {
+  ASSERT_EQ(got.groups, want.groups);
+  ASSERT_EQ(got.schedule.groups.size(), want.schedule.groups.size());
+  for (std::size_t g = 0; g < got.schedule.groups.size(); ++g) {
+    const mac::GroupPlan& a = got.schedule.groups[g];
+    const mac::GroupPlan& b = want.schedule.groups[g];
+    EXPECT_TRUE(same_bits(a.multicast_rate_mbps, b.multicast_rate_mbps));
+    EXPECT_TRUE(same_bits(a.group_overlap_bits, b.group_overlap_bits));
+    ASSERT_EQ(a.members.size(), b.members.size());
+    for (std::size_t m = 0; m < a.members.size(); ++m) {
+      EXPECT_EQ(a.members[m].user, b.members[m].user);
+      EXPECT_TRUE(same_bits(a.members[m].total_bits, b.members[m].total_bits));
+      EXPECT_TRUE(same_bits(a.members[m].unicast_rate_mbps,
+                            b.members[m].unicast_rate_mbps));
+    }
+  }
+}
+
+/// Random viewports over 16 cells; demand and link rates vary per user.
+struct RandomAudience {
+  std::vector<VisibilityMap> maps;
+  std::vector<UserState> users;
+
+  RandomAudience(std::size_t count, std::uint64_t seed) {
+    Rng rng(seed);
+    maps.assign(count, VisibilityMap(16));
+    for (auto& m : maps) {
+      const auto lo = static_cast<vv::CellId>(rng.uniform_int(0, 6));
+      const auto hi = static_cast<vv::CellId>(rng.uniform_int(9, 15));
+      for (vv::CellId c = lo; c <= hi; ++c)
+        if (rng.chance(0.85)) m.set(c, rng.uniform(0.3, 1.0));
+    }
+    for (std::size_t u = 0; u < count; ++u)
+      users.push_back({u, &maps[u], rng.uniform(4e6, 12e6),
+                       rng.uniform(700.0, 1600.0)});
+  }
+};
+
+/// An order-sensitive group rate (it depends on which member comes first,
+/// as a beam combined in member order does) that records every call.
+struct CountingRate {
+  std::map<std::vector<std::size_t>, int> calls;
+
+  [[nodiscard]] GroupRateFn fn() {
+    return [this](std::span<const std::size_t> idx) {
+      ++calls[std::vector<std::size_t>(idx.begin(), idx.end())];
+      double rate = 1400.0 - 35.0 * static_cast<double>(idx.size());
+      rate -= 3.0 * static_cast<double>(idx.front());
+      for (std::size_t i = 1; i < idx.size(); ++i)
+        rate -= 0.25 * static_cast<double>(idx[i] * i);
+      return rate;
+    };
+  }
+};
+
+OverlapBitsFn overlap_of(const std::vector<VisibilityMap>& maps) {
+  return [&maps](std::span<const std::size_t> idx) {
+    std::vector<const VisibilityMap*> group;
+    for (std::size_t i : idx) group.push_back(&maps[i]);
+    return 6e5 * static_cast<double>(
+                     view::intersection(
+                         std::span<const VisibilityMap* const>(group))
+                         .visible_count());
+  };
+}
+
+class PlanCache : public ::testing::TestWithParam<GroupingPolicy> {};
+
+TEST_P(PlanCache, EachOrderedMemberListEvaluatedOnceAndResultUnchanged) {
+  const GroupingPolicy policy = GetParam();
+  const std::size_t count = policy == GroupingPolicy::kExhaustive ? 7 : 14;
+  std::size_t merged_runs = 0;
+  std::size_t hits = 0;
+  std::size_t cached_calls = 0;
+  std::size_t uncached_calls = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    RandomAudience audience(count, seed);
+    GrouperConfig config;
+    config.policy = policy;
+    config.min_iou = seed % 3 == 0 ? 0.0 : 0.3;
+    CountingRate counting;
+    const GroupingResult got = form_groups(audience.users, config,
+                                           counting.fn(),
+                                           overlap_of(audience.maps));
+    for (const auto& [members, n] : counting.calls)
+      EXPECT_EQ(n, 1) << "seed " << seed << ": a member list of size "
+                      << members.size() << " was planned " << n << " times";
+    EXPECT_EQ(got.plan_evals, counting.calls.size());
+
+    CountingRate uncached;
+    const GroupingResult want = reference_groups(
+        audience.users, config, uncached.fn(), overlap_of(audience.maps));
+    expect_same_result(got, want);
+    // The cache saves evaluations, it never adds a member list.
+    for (const auto& entry : counting.calls)
+      EXPECT_EQ(uncached.calls.count(entry.first), 1u);
+    hits += got.plan_hits;
+    cached_calls += counting.calls.size();
+    for (const auto& entry : uncached.calls) uncached_calls += entry.second;
+    for (const auto& g : got.groups) merged_runs += g.size() > 1 ? 1 : 0;
+  }
+  EXPECT_GT(merged_runs, 0u);  // the sweep forms real multicast groups
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(cached_calls, uncached_calls);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, PlanCache,
+    ::testing::Values(GroupingPolicy::kGreedyIoU, GroupingPolicy::kPairsOnly,
+                      GroupingPolicy::kExhaustive),
+    [](const ::testing::TestParamInfo<GroupingPolicy>& info) {
+      switch (info.param) {
+        case GroupingPolicy::kGreedyIoU: return std::string("Greedy");
+        case GroupingPolicy::kPairsOnly: return std::string("PairsOnly");
+        case GroupingPolicy::kExhaustive: return std::string("Exhaustive");
+        default: return std::string("Other");
+      }
+    });
+
+TEST(PlanCache, UnicastOnlyPlansNothing) {
+  RandomAudience audience(6, 3);
+  GrouperConfig config;
+  config.policy = GroupingPolicy::kUnicastOnly;
+  CountingRate counting;
+  const auto result = form_groups(audience.users, config, counting.fn(),
+                                  overlap_of(audience.maps));
+  EXPECT_TRUE(counting.calls.empty());
+  EXPECT_EQ(result.plan_evals, 0u);
+  EXPECT_EQ(result.plan_hits, 0u);
+}
 
 }  // namespace
 }  // namespace volcast::core

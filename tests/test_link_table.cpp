@@ -1,0 +1,379 @@
+// Bit-equality of the per-tick link table against the direct link budget.
+//
+// LinkTable::rss must return the very double rss_dbm returns for the same
+// receiver, AWV and masked body list, and the table-priced multicast design
+// must pick the same beam as the design priced with rss_dbm directly. Every
+// comparison is a memcmp of the doubles, not a tolerance.
+#include "mmwave/link.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <numbers>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/units.h"
+#include "core/beam_designer.h"
+#include "mmwave/beam_design.h"
+#include "obs/metrics.h"
+
+namespace volcast {
+namespace {
+
+using mmwave::Awv;
+using mmwave::Complex;
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_bits(const Awv& a, const Awv& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   a.size() * sizeof(Complex)) == 0);
+}
+
+geo::Vec3 random_point(Rng& rng, const mmwave::Room& room) {
+  return {rng.uniform(0.2, room.width_m - 0.2),
+          rng.uniform(0.2, room.length_m - 0.2), rng.uniform(0.3, 2.0)};
+}
+
+/// Bodies anywhere in the room, some out of every segment's reach (their
+/// loss is exactly zero), and many crowding the receivers and the
+/// transmitter-receiver lines, so that one path often loses to several
+/// bodies on several of its segments: the case where a wrong summation
+/// order shows up in the last bits.
+std::vector<geo::BodyObstacle> random_bodies(
+    Rng& rng, const mmwave::Room& room, const geo::Vec3& tx,
+    const std::vector<geo::Vec3>& receivers) {
+  std::vector<geo::BodyObstacle> bodies;
+  const auto count = static_cast<std::size_t>(rng.uniform_int(0, 14));
+  for (std::size_t k = 0; k < count; ++k) {
+    geo::BodyObstacle body;
+    const geo::Vec3& rx = receivers[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(receivers.size()) - 1))];
+    const geo::Vec3 jitter{rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
+                           0.0};
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        body.position = random_point(rng, room);
+        break;
+      case 1:
+        body.position = rx + jitter;  // on or beside a receiver
+        break;
+      default:
+        body.position = tx + (rx - tx) * rng.uniform(0.2, 0.95) + jitter;
+        break;
+    }
+    if (rng.chance(0.15)) body.height_m = 0.05;  // under every segment
+    bodies.push_back(body);
+  }
+  return bodies;
+}
+
+Awv random_awv(Rng& rng, const mmwave::PhasedArray& ap,
+               const mmwave::Codebook& codebook, const mmwave::Room& room) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      return ap.steer_at(random_point(rng, room));
+    case 1:
+      return codebook.beam(static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(codebook.size()) - 1)));
+    case 2: {
+      const Awv beams[] = {ap.steer_at(random_point(rng, room)),
+                           ap.steer_at(random_point(rng, room))};
+      const double rss[] = {rng.uniform(1e-9, 1e-5), rng.uniform(1e-9, 1e-5)};
+      return mmwave::combine_awvs(beams, rss);
+    }
+    default: {
+      Awv w(ap.element_count());
+      for (Complex& c : w) c = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      return w;  // deliberately not power-normalized
+    }
+  }
+}
+
+/// A standing crowd on a grid over the whole room: every segment of every
+/// path passes several bodies, so each segment sums many losses.
+std::vector<geo::BodyObstacle> crowd(Rng& rng, const mmwave::Room& room) {
+  std::vector<geo::BodyObstacle> bodies;
+  for (double x = 0.4; x < room.width_m; x += 0.7)
+    for (double y = 0.6; y < room.length_m; y += 0.7)
+      bodies.push_back({{x + rng.uniform(-0.2, 0.2),
+                         y + rng.uniform(-0.2, 0.2), 0.0},
+                        0.25,
+                        rng.uniform(1.5, 2.0)});
+  return bodies;
+}
+
+std::vector<geo::BodyObstacle> masked(
+    const std::vector<geo::BodyObstacle>& bodies,
+    const std::vector<std::uint8_t>& mask) {
+  std::vector<geo::BodyObstacle> out;
+  for (std::size_t k = 0; k < bodies.size(); ++k)
+    if (mask[k] != 0) out.push_back(bodies[k]);
+  return out;
+}
+
+class LinkTableRss : public ::testing::TestWithParam<int> {};
+
+TEST_P(LinkTableRss, BitEqualToRssDbm) {
+  mmwave::Room room;
+  room.max_reflection_order = GetParam();
+  const mmwave::Channel channel(room);
+  Rng rng(static_cast<std::uint64_t>(1000 + GetParam()));
+  std::size_t zero_loss_trials = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    // A low-mounted AP puts bodies across every segment of most paths.
+    const mmwave::PhasedArray ap(
+        {},
+        geo::Pose::look_at({rng.uniform(1.0, 7.0), 0.1, rng.uniform(1.0, 2.6)},
+                           {4, 3, 1.2}),
+        kMmWaveCarrierHz);
+    const mmwave::Codebook codebook(ap);
+    mmwave::LinkBudget budget;
+    budget.tx_power_dbm = rng.uniform(0.0, 10.0);
+    mmwave::BlockageModel blockage;
+    blockage.max_loss_db = rng.uniform(5.0, 30.0);
+    blockage.clearance_m = rng.uniform(0.2, 0.6);
+    if (trial % 8 == 7) {
+      blockage.max_loss_db = 0.0;  // every body loss is exactly zero
+      ++zero_loss_trials;
+    }
+    std::vector<geo::Vec3> receivers;
+    for (int r = 0; r < 6; ++r) receivers.push_back(random_point(rng, room));
+    const auto bodies =
+        trial % 4 == 1
+            ? crowd(rng, room)
+            : random_bodies(rng, room, ap.pose().position, receivers);
+    mmwave::LinkTable table(ap, channel, budget, blockage, receivers, bodies);
+    for (int probe = 0; probe < 12; ++probe) {
+      const auto rx = static_cast<std::size_t>(rng.uniform_int(0, 5));
+      std::vector<std::uint8_t> mask(bodies.size());
+      for (auto& bit : mask) bit = rng.chance(0.6) ? 1 : 0;
+      Awv w = random_awv(rng, ap, codebook, room);
+      const auto traced = channel.trace(ap.pose().position, receivers[rx]);
+      if (traced.size() > 1 && rng.chance(0.5)) {
+        // Aim at a reflection so that a multi-segment path, not the LoS,
+        // carries most of the power and decides the last bits.
+        w = ap.steer(traced[static_cast<std::size_t>(rng.uniform_int(
+                                1, static_cast<std::int64_t>(traced.size()) -
+                                       1))]
+                         .path.tx_direction);
+      }
+      const double direct =
+          mmwave::rss_dbm(ap, w, channel, receivers[rx], masked(bodies, mask),
+                          budget, blockage);
+      const double tabled = table.rss(w, rx, mask);
+      EXPECT_TRUE(same_bits(direct, tabled))
+          << "trial " << trial << " rx " << rx << ": " << direct << " vs "
+          << tabled;
+    }
+  }
+  EXPECT_GT(zero_loss_trials, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ReflectionOrder, LinkTableRss,
+                         ::testing::Values(1, 2));
+
+TEST(LinkTable, BitEqualWithoutReflections) {
+  mmwave::Room room;
+  room.enable_reflections = false;
+  const mmwave::Channel channel(room);
+  const mmwave::PhasedArray ap(
+      {}, geo::Pose::look_at({4, 0.1, 2.6}, {4, 3, 1.2}), kMmWaveCarrierHz);
+  const std::vector<geo::Vec3> receivers = {{4, 3, 1.5}, {2, 4, 1.2}};
+  const std::vector<geo::BodyObstacle> bodies = {{{4, 1.5, 0}, 0.25, 1.8}};
+  mmwave::LinkTable table(ap, channel, {}, {}, receivers, bodies);
+  const std::vector<std::uint8_t> all = {1};
+  for (std::size_t rx = 0; rx < receivers.size(); ++rx) {
+    const Awv w = ap.steer_at(receivers[rx]);
+    EXPECT_TRUE(same_bits(
+        mmwave::rss_dbm(ap, w, channel, receivers[rx], bodies),
+        table.rss(w, rx, all)));
+  }
+}
+
+TEST(LinkTable, SteeringMatchesArray) {
+  const mmwave::PhasedArray ap(
+      {}, geo::Pose::look_at({4, 0.1, 2.6}, {4, 3, 1.2}), kMmWaveCarrierHz);
+  const mmwave::Channel channel(mmwave::Room{});
+  const mmwave::Codebook codebook(ap);
+  Rng rng(7);
+  std::vector<geo::Vec3> receivers;
+  for (int r = 0; r < 8; ++r)
+    receivers.push_back(random_point(rng, channel.room()));
+  mmwave::LinkTable table(ap, channel, {}, {}, receivers, {});
+  for (std::size_t rx = 0; rx < receivers.size(); ++rx) {
+    EXPECT_TRUE(same_bits(table.steered(rx), ap.steer_at(receivers[rx])));
+    for (const Awv& beam : codebook.beams())
+      EXPECT_TRUE(same_bits(
+          table.steering(rx).gain(beam),
+          ap.gain(beam, receivers[rx] - ap.pose().position)));
+  }
+}
+
+TEST(LinkTable, CountsEvaluationsAndValidatesArguments) {
+  const mmwave::PhasedArray ap(
+      {}, geo::Pose::look_at({4, 0.1, 2.6}, {4, 3, 1.2}), kMmWaveCarrierHz);
+  const mmwave::Channel channel(mmwave::Room{});
+  const std::vector<geo::Vec3> receivers = {{4, 3, 1.5}};
+  const std::vector<geo::BodyObstacle> bodies = {{{4, 1.5, 0}, 0.25, 1.8}};
+  mmwave::LinkTable table(ap, channel, {}, {}, receivers, bodies);
+  EXPECT_EQ(table.body_count(), 1u);
+  obs::MetricRegistry metrics;
+  obs::Counter& evals = metrics.counter("mmwave.rss_evals");
+  const std::vector<std::uint8_t> mask = {0};
+  const Awv w = ap.steer_at(receivers[0]);
+  (void)table.rss(w, 0, mask, &evals);
+  (void)table.rss(w, 0, mask, &evals);
+  EXPECT_EQ(evals.value(), 2u);
+  const std::vector<std::uint8_t> wrong_size;
+  EXPECT_THROW((void)table.rss(w, 0, wrong_size), std::invalid_argument);
+  EXPECT_THROW(table.fill(1), std::out_of_range);
+}
+
+TEST(ArrayResponse, GainBitEqualToDirectArrayFactor) {
+  // The array factor written out as PhasedArray::gain computed it before
+  // the response was factored out: one cos/sin pair per element.
+  const mmwave::ArrayGeometry geometry;
+  const geo::Pose pose = geo::Pose::look_at({4, 0.1, 2.6}, {4, 3, 1.2});
+  const mmwave::PhasedArray ap(geometry, pose, kMmWaveCarrierHz);
+  const double lambda = wavelength_m(kMmWaveCarrierHz);
+  const double d = geometry.spacing_wavelengths * lambda;
+  std::vector<geo::Vec3> elements;
+  for (unsigned iz = 0; iz < geometry.nz; ++iz)
+    for (unsigned iy = 0; iy < geometry.ny; ++iy)
+      elements.push_back({0.0, -0.5 * d * (geometry.ny - 1) + d * iy,
+                          -0.5 * d * (geometry.nz - 1) + d * iz});
+  const mmwave::Codebook codebook(ap);
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    const geo::Vec3 dir{rng.uniform(-1, 1), rng.uniform(-1, 1),
+                        rng.uniform(-1, 1)};
+    const Awv w = random_awv(rng, ap, codebook, mmwave::Room{});
+    const geo::Vec3 u = dir.normalized();
+    const geo::Vec3 local{u.dot(pose.forward()), u.dot(pose.left()),
+                          u.dot(pose.up())};
+    const double k = 2.0 * std::numbers::pi / lambda;
+    Complex af{0.0, 0.0};
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const double phase = k * elements[i].dot(local);
+      af += w[i] * Complex{std::cos(phase), std::sin(phase)};
+    }
+    const double direct =
+        std::norm(af) * mmwave::PhasedArray::element_gain(local.x);
+    EXPECT_TRUE(same_bits(direct, ap.gain(w, dir))) << "trial " << trial;
+  }
+}
+
+/// design_multicast as it priced links before the link table: rss_dbm per
+/// member and per non-member, Codebook selection from positions.
+core::GroupBeam reference_design(const core::Testbed& tb,
+                                 const core::BeamDesignerConfig& config,
+                                 const std::vector<geo::Vec3>& positions,
+                                 const std::vector<geo::BodyObstacle>& bodies,
+                                 const std::vector<geo::Vec3>& others) {
+  const auto rss = [&](const Awv& w, const geo::Vec3& p) {
+    return mmwave::rss_dbm(tb.ap(), w, tb.channel(), p, bodies, tb.budget(),
+                           tb.blockage());
+  };
+  const auto finish = [&](Awv awv, bool custom) {
+    core::GroupBeam out;
+    out.awv = std::move(awv);
+    out.custom = custom;
+    out.min_member_rss_dbm = std::numeric_limits<double>::infinity();
+    for (const geo::Vec3& p : positions)
+      out.min_member_rss_dbm = std::min(out.min_member_rss_dbm, rss(out.awv, p));
+    out.multicast_rate_mbps = tb.mcs().goodput_mbps(out.min_member_rss_dbm);
+    return out;
+  };
+  core::GroupBeam stock =
+      finish(tb.codebook().beam(tb.codebook().best_common_beam(tb.ap(),
+                                                               positions)),
+             false);
+  if (positions.size() == 1 || !config.enable_custom_beams ||
+      stock.min_member_rss_dbm >= config.default_beam_good_dbm)
+    return stock;
+  std::vector<Awv> beams;
+  std::vector<double> rss_mw;
+  for (const geo::Vec3& p : positions) {
+    beams.push_back(tb.ap().steer_at(p));
+    rss_mw.push_back(std::max(dbm_to_mw(rss(beams.back(), p)), 1e-15));
+  }
+  core::GroupBeam custom = finish(mmwave::combine_awvs(beams, rss_mw), true);
+  if (custom.min_member_rss_dbm <
+      stock.min_member_rss_dbm + config.min_improvement_db)
+    return stock;
+  for (const geo::Vec3& o : others)
+    if (rss(custom.awv, o) > config.max_spill_dbm) return stock;
+  return custom;
+}
+
+TEST(LinkTable, MulticastDesignMatchesDirectPricing) {
+  const core::Testbed tb;
+  const core::BeamDesignerConfig config;
+  const core::BeamDesigner designer(tb, config);
+  Rng rng(21);
+  std::size_t custom_picks = 0;
+  std::size_t stock_picks = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    // One tick: 7 users, the first few grouped; bodies are every user's
+    // capsule then one obstacle.
+    std::vector<geo::Vec3> users;
+    for (int u = 0; u < 7; ++u)
+      users.push_back(tb.to_room(geo::Vec3{rng.uniform(-2.5, 2.5),
+                                           rng.uniform(-2.0, 2.0), 1.5}));
+    std::vector<geo::BodyObstacle> bodies;
+    for (const geo::Vec3& p : users) bodies.push_back({p, 0.25, 1.8});
+    bodies.push_back({random_point(rng, tb.channel().room()), 0.3, 1.8});
+    const auto size = static_cast<std::size_t>(rng.uniform_int(2, 4));
+    std::vector<std::size_t> group;
+    std::vector<std::size_t> others;
+    std::vector<std::uint8_t> mask(bodies.size(), 1);
+    for (std::size_t u = 0; u < users.size(); ++u) {
+      if (u < size) {
+        group.push_back(size - 1 - u);  // unsorted member order
+        mask[u] = 0;
+      } else {
+        others.push_back(u);
+      }
+    }
+    mmwave::LinkTable table = designer.link_table(users, bodies);
+    const core::GroupBeam tabled =
+        designer.design_multicast(table, group, mask, others);
+    std::vector<geo::Vec3> positions;
+    for (std::size_t m : group) positions.push_back(users[m]);
+    std::vector<geo::Vec3> other_positions;
+    for (std::size_t o : others) other_positions.push_back(users[o]);
+    const core::GroupBeam direct = reference_design(
+        tb, config, positions, masked(bodies, mask), other_positions);
+    EXPECT_EQ(tabled.custom, direct.custom);
+    EXPECT_TRUE(same_bits(tabled.awv, direct.awv));
+    EXPECT_TRUE(same_bits(tabled.min_member_rss_dbm, direct.min_member_rss_dbm));
+    EXPECT_TRUE(same_bits(tabled.multicast_rate_mbps,
+                          direct.multicast_rate_mbps));
+    ++(tabled.custom ? custom_picks : stock_picks);
+  }
+  // The sweep exercises both outcomes of the probe.
+  EXPECT_GT(custom_picks, 0u);
+  EXPECT_GT(stock_picks, 0u);
+}
+
+TEST(LinkTable, DesignRejectsTableOfAnotherArray) {
+  const core::Testbed tb;
+  const core::Testbed other;
+  const core::BeamDesigner designer(tb);
+  const std::vector<geo::Vec3> users = {{3, 3, 1.5}, {5, 3, 1.5}};
+  mmwave::LinkTable table = core::BeamDesigner(other).link_table(users, {});
+  const std::size_t group[] = {0, 1};
+  EXPECT_THROW((void)designer.design_multicast(table, group, {}, {}),
+               std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace volcast

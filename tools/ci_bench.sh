@@ -36,11 +36,16 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 
 # Fold the fleet and transport sweeps into BENCH_scaling.json ("fleet" /
 # "transport" keys) and stamp the machine context the numbers were taken
-# on — num_cpus, build type, compiler, flags and the VOLCAST_NATIVE knob —
-# so one committed file carries the whole scaling trajectory and a baseline
-# from a different box, build type or tuning level is recognisable as such.
+# on — num_cpus, volcast's build type, compiler, flags and the
+# VOLCAST_NATIVE knob — so one committed file carries the whole scaling
+# trajectory and a baseline from a different box, build type or tuning
+# level is recognisable as such. BENCH_micro.json gets the same
+# volcast_build_type key: its own "library_build_type" is the build type of
+# the Google Benchmark library, not of volcast.
 # A rolling "history" list carries the committed runs' run_speedup at 8
 # users forward, so before/after of a perf-focused change stays in the file.
+# On a 1-CPU host parallel and serial runs share one core, so speedups are
+# noise there: they are neither recorded nor gated.
 BENCH_BUILD_DIR="$BUILD_DIR" python3 - <<'EOF'
 import json, os, re, subprocess
 with open("BENCH_scaling.json") as f:
@@ -69,11 +74,27 @@ flags = " ".join(filter(None, [
     cache_var(cache, f"CMAKE_CXX_FLAGS_{build_type.upper()}")])).strip()
 doc["context"] = {
     "num_cpus": os.cpu_count(),
-    "library_build_type": build_type,
+    "volcast_build_type": build_type,
     "compiler": cache_var(cache, "CMAKE_CXX_COMPILER") or "unknown",
     "cxx_flags": flags,
     "volcast_native": cache_var(cache, "VOLCAST_NATIVE") == "ON",
 }
+
+def multi_cpu(context):
+    return context.get("num_cpus") != 1
+
+if not multi_cpu(doc["context"]):
+    for e in doc.get("throughput", []):
+        e.pop("run_speedup", None)
+    for e in doc.get("fleet", {}).get("scaling", []):
+        e.pop("speedup", None)
+
+with open("BENCH_micro.json") as f:
+    micro = json.load(f)
+micro.setdefault("context", {})["volcast_build_type"] = build_type
+with open("BENCH_micro.json", "w") as f:
+    json.dump(micro, f, indent=2)
+    f.write("\n")
 
 def committed_scaling():
     try:
@@ -84,8 +105,9 @@ def committed_scaling():
         return None
 
 prev = committed_scaling()
-history = (prev or {}).get("history", [])
-if prev is not None:
+history = [h for h in (prev or {}).get("history", [])
+           if multi_cpu(h.get("context", {}))]
+if prev is not None and multi_cpu(prev.get("context", {})):
     speedup8 = next((e.get("run_speedup") for e in prev.get("throughput", [])
                      if e.get("users") == 8), None)
     if speedup8 is not None:
@@ -110,14 +132,16 @@ tol = float(os.environ.get("VOLCAST_BENCH_TOLERANCE", "0.20"))
 
 # Build-type guard: a debug-built library produced the stale 0.76-1.01x
 # run_speedup baselines this file once carried — never let non-Release
-# numbers gate (or seed) the trajectory again.
-with open("BENCH_scaling.json") as f:
-    build_type = json.load(f).get("context", {}).get("library_build_type")
-if build_type != "Release":
-    print(f"ci_bench: FAIL — benchmarks ran against a "
-          f"'{build_type}' build; only Release numbers may gate or seed "
-          f"the baselines")
-    sys.exit(1)
+# numbers gate (or seed) the trajectory again. The key is volcast's own
+# CMAKE_BUILD_TYPE, stamped into both files above.
+for path in ("BENCH_scaling.json", "BENCH_micro.json"):
+    with open(path) as f:
+        build_type = json.load(f).get("context", {}).get("volcast_build_type")
+    if build_type != "Release":
+        print(f"ci_bench: FAIL — {path} was measured on a '{build_type}' "
+              f"volcast build; only Release numbers may gate or seed the "
+              f"baselines")
+        sys.exit(1)
 
 def committed(path):
     """The baseline committed at HEAD, or None when this run seeds it."""
@@ -176,9 +200,10 @@ else:
     # Scaling gate: run_speedup at 8 users is the number the data-layout
     # and parallelism work exists to move — it may not drop below the
     # committed baseline (minus tolerance). Same-host numbers only: a
-    # different core count measures a different machine, not a regression.
-    if (base.get("context", {}).get("num_cpus")
-            == cur.get("context", {}).get("num_cpus")):
+    # different core count measures a different machine, not a regression,
+    # and a single core has no parallel speedup to measure.
+    num_cpus = cur.get("context", {}).get("num_cpus")
+    if num_cpus != 1 and base.get("context", {}).get("num_cpus") == num_cpus:
         def speedup8(doc):
             return next((e.get("run_speedup")
                          for e in doc.get("throughput", [])

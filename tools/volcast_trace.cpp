@@ -147,6 +147,9 @@ int summarize(const std::string& path) {
   // Overload-control counters ("overload.*", "fleet.admission.*") plus the
   // brownout level/utilization gauges (last value wins = end-of-run state).
   std::map<std::string, unsigned long long> overload;
+  // Grouping-search effort: plan-cache evaluations and hits, and the
+  // multicast beam designs the evaluations ran.
+  std::map<std::string, unsigned long long> grouping;
   double brownout_level = -1.0;
   double brownout_utilization = -1.0;
   double encode_bytes_per_user = -1.0;
@@ -186,6 +189,10 @@ int summarize(const std::string& path) {
               static_cast<unsigned long long>(record.uint("value"));
         if (name.rfind("overload.", 0) == 0)
           overload[name.substr(9)] =
+              static_cast<unsigned long long>(record.uint("value"));
+        if (name.rfind("grouping.plan_", 0) == 0 ||
+            name == "beam.multicast_designs")
+          grouping[name] =
               static_cast<unsigned long long>(record.uint("value"));
         if (name.rfind("fleet.admission.", 0) == 0)
           overload["admission " + name.substr(16)] =
@@ -338,6 +345,36 @@ int summarize(const std::string& path) {
       otable.row({"slots denied", std::to_string(get("admission denied"))});
     }
     std::printf("%s", otable.render().c_str());
+  }
+  if (grouping.count("grouping.plan_evals") != 0) {
+    // Each plan evaluation prices one candidate group (one multicast beam
+    // design); hits are candidates the search revisited for free.
+    const auto get = [&](const char* key) -> unsigned long long {
+      const auto it = grouping.find(key);
+      return it != grouping.end() ? it->second : 0ULL;
+    };
+    const unsigned long long evals = get("grouping.plan_evals");
+    const unsigned long long hits = get("grouping.plan_hits");
+    const double per_tick = ticks > 0 ? 1.0 / static_cast<double>(ticks) : 0.0;
+    std::printf("\ngrouping search:\n");
+    AsciiTable gtable;
+    gtable.header({"metric", "value"});
+    gtable.row({"candidate plans evaluated", std::to_string(evals)});
+    gtable.row({"plan cache hits", std::to_string(hits)});
+    gtable.row({"plan cache hit rate",
+                evals + hits > 0
+                    ? AsciiTable::num(static_cast<double>(hits) /
+                                          static_cast<double>(evals + hits),
+                                      3)
+                    : "-"});
+    gtable.row({"plans evaluated per tick",
+                AsciiTable::num(static_cast<double>(evals) * per_tick, 1)});
+    gtable.row({"multicast designs per tick",
+                AsciiTable::num(
+                    static_cast<double>(get("beam.multicast_designs")) *
+                        per_tick,
+                    1)});
+    std::printf("%s", gtable.render().c_str());
   }
   if (!counters.empty()) {
     std::printf("\ncounters:\n");
