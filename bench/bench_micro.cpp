@@ -6,14 +6,18 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "core/grouping.h"
+#include "core/session.h"
 #include "core/testbed.h"
+#include "core/workload_bundle.h"
 #include "mmwave/beam_design.h"
 #include "mmwave/link.h"
 #include "pointcloud/codec.h"
 #include "pointcloud/octree_codec.h"
 #include "pointcloud/video_generator.h"
+#include "pointcloud/video_store.h"
 #include "viewport/similarity.h"
 #include "viewport/visibility.h"
 
@@ -114,6 +118,42 @@ void BM_OctreeDecode(benchmark::State& state) {
       static_cast<std::int64_t>(cloud.size()));
 }
 BENCHMARK(BM_OctreeDecode)->Arg(100'000);
+
+// Set-up cost at the ledger's content size (120k points, 30 frames): the
+// store alone on one worker, then the whole bundle (generator, grid,
+// store) on 1 and 2 workers.
+void BM_VideoStoreBuild(benchmark::State& state) {
+  vv::VideoConfig vc;
+  vc.points_per_frame = 120'000;
+  vc.frame_count = 30;
+  const vv::VideoGenerator gen(vc);
+  const vv::CellGrid grid(gen.content_bounds(), 0.5);
+  common::ThreadPool pool(1);
+  vv::VideoStoreConfig sc;
+  const double scale = 120'000.0 / 550'000.0;  // the bundle's tier ladder
+  sc.tiers = {{"low", static_cast<std::size_t>(330'000 * scale)},
+              {"med", static_cast<std::size_t>(430'000 * scale)},
+              {"high", 120'000}};
+  sc.sample_frames = 1;
+  sc.pool = &pool;
+  for (auto _ : state) {
+    const vv::VideoStore store(gen, grid, sc);
+    benchmark::DoNotOptimize(store.frame_bytes(0, 0));
+  }
+}
+BENCHMARK(BM_VideoStoreBuild)->Unit(benchmark::kMillisecond);
+
+void BM_WorkloadBundleBuild(benchmark::State& state) {
+  core::SessionConfig config;
+  config.master_points = 120'000;
+  config.video_frames = 30;
+  config.worker_threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const auto bundle = core::WorkloadBundle::build(config);
+    benchmark::DoNotOptimize(bundle->store().frame_bytes(0, 0));
+  }
+}
+BENCHMARK(BM_WorkloadBundleBuild)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_FrustumCulling(benchmark::State& state) {
   const vv::CellGrid grid(generator().content_bounds(), 0.25);

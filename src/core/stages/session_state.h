@@ -46,8 +46,9 @@ struct SessionState {
   const vv::VideoGenerator& generator;
   const vv::CellGrid& grid;
   const vv::VideoStore& store;
-  // Per-video-frame occupancy at the top tier (drives visibility).
-  const std::vector<std::vector<std::uint32_t>>& occupancy;
+  // Per-video-frame occupancy at the top tier (drives visibility): a view
+  // of the store's point table.
+  const OccupancyTable occupancy;
   view::JointViewportPredictor joint;
   std::vector<BeamDesigner> designers;  // one per AP
   BlockageMitigator mitigator;

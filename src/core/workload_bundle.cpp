@@ -108,22 +108,9 @@ void WorkloadBundle::build_artifacts(std::size_t worker_threads) {
   auto store = std::make_unique<vv::VideoStore>(*generator, *grid,
                                                store_config(key_, &pool));
 
-  // Per-video-frame occupancy at the top tier (drives visibility).
-  std::vector<std::vector<std::uint32_t>> occupancy;
-  occupancy.reserve(static_cast<std::size_t>(key_.video_frames));
-  const std::size_t top = store->tier_count() - 1;
-  for (std::size_t f = 0; f < key_.video_frames; ++f) {
-    std::vector<std::uint32_t> occ(grid->cell_count());
-    for (vv::CellId cell = 0; cell < grid->cell_count(); ++cell)
-      occ[cell] = store->cell_points(f, top, cell);
-    occupancy.push_back(std::move(occ));
-  }
-
   generator_ = std::move(generator);
   grid_ = std::move(grid);
   store_ = std::move(store);
-  occupancy_ = std::move(occupancy);
-  has_occupancy_ = true;
 }
 
 void WorkloadBundle::install_video(std::unique_ptr<vv::VideoGenerator> generator,
@@ -138,17 +125,9 @@ void WorkloadBundle::install_video(std::unique_ptr<vv::VideoGenerator> generator
   store_ = std::move(store);
 }
 
-void WorkloadBundle::install_occupancy(
-    std::vector<std::vector<std::uint32_t>> occupancy) {
-  mutate_guard("install_occupancy()");
-  occupancy_ = std::move(occupancy);
-  has_occupancy_ = true;
-}
-
 void WorkloadBundle::freeze() {
   mutate_guard("freeze()");
-  if (generator_ == nullptr || grid_ == nullptr || store_ == nullptr ||
-      !has_occupancy_)
+  if (generator_ == nullptr || grid_ == nullptr || store_ == nullptr)
     throw std::logic_error(
         "WorkloadBundle::freeze: artifacts missing — build_artifacts() or "
         "install them before freezing");
@@ -177,17 +156,13 @@ const vv::VideoStore& WorkloadBundle::store() const {
       built_guard(store_.get(), "store"));
 }
 
-const std::vector<std::vector<std::uint32_t>>& WorkloadBundle::occupancy()
-    const {
-  if (!has_occupancy_)
-    throw std::logic_error(
-        "WorkloadBundle: occupancy accessed before the bundle was built");
-  return occupancy_;
+OccupancyTable WorkloadBundle::occupancy() const {
+  return OccupancyTable(store());
 }
 
 std::span<const std::uint32_t> WorkloadBundle::occupancy(
     std::size_t frame) const {
-  return occupancy().at(frame);
+  return occupancy()[frame];
 }
 
 std::uint64_t WorkloadBundle::builds_total() noexcept {

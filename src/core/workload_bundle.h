@@ -2,20 +2,17 @@
 // sessions.
 //
 // Per-session setup (generating the video, precomputing the codec size
-// tables and octrees, deriving the per-frame occupancy that drives
-// visibility) costs ~0.24-0.32 s — which dwarfs run time for short
-// sessions and scales fleet serial time linearly with slot count. But all
-// of those artifacts are pure functions of the *workload identity* (video
-// seed, point budget, frame count, fps, cell size), not of the audience:
-// every fleet slot streaming the same content recomputes byte-identical
-// tables. The WorkloadBundle hoists them into a single reference-counted,
-// frozen artifact set built once per fleet and read concurrently by every
-// slot — the same encode-once/serve-many amortization the tile cache
-// applies to the wire, applied to the setup path. The store build itself
-// runs in the structure-of-arrays frame layout (vv::FrameSoA; DESIGN.md
-// §11), so what the bundle shares read-only was produced by the
-// vectorizable column pipeline — with tables bit-identical to the AoS
-// path by the SoA exactness contract.
+// tables, deriving the per-frame occupancy that drives visibility) costs
+// ~0.15-0.27 s with 120k-point, 30-frame content — which dwarfs run time for
+// short sessions and scales fleet serial time linearly with slot count. But
+// all of those artifacts are pure functions of the *workload identity*
+// (video seed, point budget, frame count, fps, cell size), not of the
+// audience: every fleet slot streaming the same content recomputes
+// byte-identical tables. The WorkloadBundle hoists them into a single
+// reference-counted, frozen artifact set built once per fleet and read
+// concurrently by every slot — the same encode-once/serve-many
+// amortization the tile cache applies to the wire, applied to the setup
+// path. DESIGN.md §8 "Setup cost" breaks the store build down by phase.
 //
 // Ownership / copy-on-write rules:
 //  * The bundle is built (or installed) while unfrozen, then freeze()d.
@@ -84,9 +81,31 @@ struct WorkloadKey {
 /// bundle, so run_fleet can fingerprint resumes cheaply.
 [[nodiscard]] std::uint64_t workload_bundle_hash(const SessionConfig& config);
 
+/// Per-video-frame top-tier occupancy: a view of the store's point table
+/// (VideoStore::tier_points), not a copy. Cheap to copy; valid while the
+/// store it views lives.
+class OccupancyTable {
+ public:
+  explicit OccupancyTable(const vv::VideoStore& store) noexcept
+      : store_(&store) {}
+
+  /// Number of video frames.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return store_->frame_count();
+  }
+  /// Top-tier point count of every cell of one frame, indexed by CellId.
+  [[nodiscard]] std::span<const std::uint32_t> operator[](
+      std::size_t frame) const {
+    return store_->tier_points(frame, store_->tier_count() - 1);
+  }
+
+ private:
+  const vv::VideoStore* store_;
+};
+
 /// The immutable artifact set. Typical use is the one-liner
-/// WorkloadBundle::build(config); the two-phase constructor + install /
-/// build_artifacts + freeze path exists for callers that bring their own
+/// WorkloadBundle::build(config); the two-phase constructor + install_video
+/// / build_artifacts + freeze path exists for callers that bring their own
 /// artifacts (e.g. a VideoStore deserialized from disk) and for the
 /// immutability-guard tests.
 class WorkloadBundle {
@@ -96,7 +115,7 @@ class WorkloadBundle {
   WorkloadBundle(const WorkloadBundle&) = delete;
   WorkloadBundle& operator=(const WorkloadBundle&) = delete;
 
-  /// Builds video + store + occupancy from the key, in one call: exactly
+  /// Builds video + store from the key, in one call: exactly
   /// the tables SessionState used to build per session, bit-identical at
   /// any worker thread count. Throws std::logic_error once frozen.
   void build_artifacts(std::size_t worker_threads = 1);
@@ -106,9 +125,6 @@ class WorkloadBundle {
   void install_video(std::unique_ptr<vv::VideoGenerator> generator,
                      std::unique_ptr<vv::CellGrid> grid,
                      std::unique_ptr<vv::VideoStore> store);
-  /// Installs the per-frame top-tier occupancy tables (visibility
-  /// precompute). Throws std::logic_error once frozen.
-  void install_occupancy(std::vector<std::vector<std::uint32_t>> occupancy);
 
   /// Seals the bundle: mutators throw from now on, const accessors are
   /// free-threaded. Throws std::logic_error when artifacts are missing —
@@ -133,8 +149,9 @@ class WorkloadBundle {
   [[nodiscard]] const vv::VideoGenerator& generator() const;
   [[nodiscard]] const vv::CellGrid& grid() const;
   [[nodiscard]] const vv::VideoStore& store() const;
-  [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& occupancy()
-      const;
+  /// Per-frame top-tier occupancy (visibility input), served from the
+  /// store's point table.
+  [[nodiscard]] OccupancyTable occupancy() const;
   /// Top-tier occupancy row of one video frame.
   [[nodiscard]] std::span<const std::uint32_t> occupancy(
       std::size_t frame) const;
@@ -153,8 +170,6 @@ class WorkloadBundle {
   std::unique_ptr<vv::VideoGenerator> generator_;
   std::unique_ptr<vv::CellGrid> grid_;
   std::unique_ptr<vv::VideoStore> store_;
-  std::vector<std::vector<std::uint32_t>> occupancy_;
-  bool has_occupancy_ = false;
 };
 
 }  // namespace volcast::core

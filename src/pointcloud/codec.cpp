@@ -7,6 +7,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "common/endian.h"
 #include "geometry/morton.h"
@@ -79,6 +80,41 @@ struct ColorModels {
   UIntModels magnitude;
 };
 
+struct Keyed {
+  std::uint64_t code;
+  std::uint32_t index;
+};
+
+/// Stable LSD radix sort of `keyed` by the low `key_bits` bits of its
+/// codes, one byte digit per pass. The input lists indices in ascending
+/// order and every pass is stable, so equal codes keep ascending indices:
+/// the result equals a sort by (code, index). Passes whose digit is the
+/// same for every key are skipped; each pass shifts by at most 56.
+void radix_sort_by_code(std::vector<Keyed>& keyed, unsigned key_bits) {
+  constexpr unsigned kDigitBits = 8;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const std::size_t n = keyed.size();
+  if (n < 2) return;
+  const unsigned passes = (key_bits + kDigitBits - 1) / kDigitBits;
+  std::vector<std::array<std::uint32_t, kBuckets>> counts(passes);
+  for (auto& c : counts) c.fill(0);
+  for (const Keyed& k : keyed)
+    for (unsigned p = 0; p < passes; ++p)
+      ++counts[p][(k.code >> (kDigitBits * p)) & (kBuckets - 1)];
+
+  std::vector<Keyed> scratch(n);
+  for (unsigned p = 0; p < passes; ++p) {
+    auto& count = counts[p];
+    const unsigned shift = kDigitBits * p;
+    if (count[(keyed.front().code >> shift) & (kBuckets - 1)] == n) continue;
+    std::uint32_t offset = 0;
+    for (std::uint32_t& c : count) offset += std::exchange(c, offset);
+    for (const Keyed& k : keyed)
+      scratch[count[(k.code >> shift) & (kBuckets - 1)]++] = k;
+    keyed.swap(scratch);
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode(const FrameSoA& frame,
@@ -140,25 +176,22 @@ std::vector<std::uint8_t> encode(const FrameSoA& frame,
       q[i] = static_cast<std::uint32_t>(std::clamp(qq, 0.0, max_q));
     }
   };
-  std::vector<std::uint32_t> qx(n);
-  std::vector<std::uint32_t> qy(n);
-  std::vector<std::uint32_t> qz(n);
-  quantize_column(frame.xs(), stored.lo.x, extent.x, qx.data());
-  quantize_column(frame.ys(), stored.lo.y, extent.y, qy.data());
-  quantize_column(frame.zs(), stored.lo.z, extent.z, qz.data());
-
-  std::vector<std::uint64_t> codes(n);
-  geo::morton_encode_batch(qx.data(), qy.data(), qz.data(), codes.data(), n);
-
-  struct Keyed {
-    std::uint64_t code;
-    std::uint32_t index;
-  };
   std::vector<Keyed> keyed(n);
-  for (std::uint32_t i = 0; i < n; ++i) keyed[i] = {codes[i], i};
-  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
-    return a.code < b.code || (a.code == b.code && a.index < b.index);
-  });
+  {
+    // Scoped so the columns and codes are freed before the sort allocates
+    // its scratch, which then does not raise the encoder's peak memory.
+    std::vector<std::uint32_t> qx(n);
+    std::vector<std::uint32_t> qy(n);
+    std::vector<std::uint32_t> qz(n);
+    quantize_column(frame.xs(), stored.lo.x, extent.x, qx.data());
+    quantize_column(frame.ys(), stored.lo.y, extent.y, qy.data());
+    quantize_column(frame.zs(), stored.lo.z, extent.z, qz.data());
+    std::vector<std::uint64_t> codes(n);
+    geo::morton_encode_batch(qx.data(), qy.data(), qz.data(), codes.data(),
+                             n);
+    for (std::uint32_t i = 0; i < n; ++i) keyed[i] = {codes[i], i};
+  }
+  radix_sort_by_code(keyed, 3 * quant_bits);
 
   RangeEncoder enc;
   UIntModels delta_models;

@@ -2,53 +2,6 @@
 
 namespace volcast::vv {
 
-namespace {
-constexpr std::uint32_t kTopValue = 1u << 24;
-}
-
-void RangeEncoder::shift_low() {
-  if (low_ < 0xff000000ULL || low_ > 0xffffffffULL) {
-    // Carry resolved: flush the cached byte plus any 0xff run.
-    const auto carry = static_cast<std::uint8_t>(low_ >> 32);
-    while (cache_size_ != 0) {
-      output_.push_back(static_cast<std::uint8_t>(cache_ + carry));
-      cache_ = 0xff;
-      --cache_size_;
-    }
-    cache_ = static_cast<std::uint8_t>(low_ >> 24);
-    cache_size_ = 0;
-  }
-  ++cache_size_;
-  low_ = (low_ << 8) & 0xffffffffULL;
-}
-
-void RangeEncoder::encode_bit(BitModel& model, bool bit) {
-  const std::uint32_t bound =
-      (range_ >> BitModel::kBits) * model.prob_zero();
-  if (!bit) {
-    range_ = bound;
-  } else {
-    low_ += bound;
-    range_ -= bound;
-  }
-  model.update(bit);
-  while (range_ < kTopValue) {
-    range_ <<= 8;
-    shift_low();
-  }
-}
-
-void RangeEncoder::encode_raw(std::uint64_t value, unsigned count) {
-  for (unsigned i = count; i-- > 0;) {
-    range_ >>= 1;
-    if ((value >> i) & 1u) low_ += range_;
-    while (range_ < kTopValue) {
-      range_ <<= 8;
-      shift_low();
-    }
-  }
-}
-
 std::vector<std::uint8_t> RangeEncoder::finish() {
   for (int i = 0; i < 5; ++i) shift_low();
   return std::move(output_);
@@ -76,7 +29,7 @@ bool RangeDecoder::decode_bit(BitModel& model) {
     bit = true;
   }
   model.update(bit);
-  while (range_ < kTopValue) {
+  while (range_ < kRangeTopValue) {
     range_ <<= 8;
     code_ = (code_ << 8) | next_byte();
   }
@@ -95,7 +48,7 @@ std::uint64_t RangeDecoder::decode_raw(unsigned count) {
       bit = true;
     }
     value = (value << 1) | static_cast<std::uint64_t>(bit);
-    while (range_ < kTopValue) {
+    while (range_ < kRangeTopValue) {
       range_ <<= 8;
       code_ = (code_ << 8) | next_byte();
     }

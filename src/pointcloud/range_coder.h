@@ -33,12 +33,45 @@ class BitModel {
   std::uint32_t p0_ = kOne / 2;
 };
 
-/// Encodes a bit stream into bytes using per-call BitModel contexts.
+/// Renormalization threshold shared by the encoder and the decoder.
+inline constexpr std::uint32_t kRangeTopValue = 1u << 24;
+
+/// Encodes a bit stream into bytes using per-call BitModel contexts. The
+/// per-bit path is inline: every adaptive bit of the codecs goes through
+/// encode_bit, so an out-of-line call per bit would dominate a cell encode.
 class RangeEncoder {
  public:
-  void encode_bit(BitModel& model, bool bit);
+  void encode_bit(BitModel& model, bool bit) {
+    const std::uint32_t bound =
+        (range_ >> BitModel::kBits) * model.prob_zero();
+    if (!bit) {
+      range_ = bound;
+    } else {
+      low_ += bound;
+      range_ -= bound;
+    }
+    model.update(bit);
+    while (range_ < kRangeTopValue) {
+      range_ <<= 8;
+      shift_low();
+    }
+  }
+
   /// Encodes `count` raw (equiprobable) low bits of `value`, MSB first.
-  void encode_raw(std::uint64_t value, unsigned count);
+  void encode_raw(std::uint64_t value, unsigned count) {
+    for (unsigned i = count; i-- > 0;) {
+      range_ >>= 1;
+      // Branch-free form of `if (bit) low_ += range_`: raw bits are
+      // unpredictable, so a branch here mispredicts half the time.
+      const auto bit = static_cast<std::uint32_t>((value >> i) & 1u);
+      low_ += range_ & (0u - bit);
+      while (range_ < kRangeTopValue) {
+        range_ <<= 8;
+        shift_low();
+      }
+    }
+  }
+
   /// Flushes the coder state; must be called exactly once, after which the
   /// encoder is finished.
   [[nodiscard]] std::vector<std::uint8_t> finish();
@@ -48,7 +81,21 @@ class RangeEncoder {
   }
 
  private:
-  void shift_low();
+  void shift_low() {
+    if (low_ < 0xff000000ULL || low_ > 0xffffffffULL) {
+      // Carry resolved: flush the cached byte plus any 0xff run.
+      const auto carry = static_cast<std::uint8_t>(low_ >> 32);
+      while (cache_size_ != 0) {
+        output_.push_back(static_cast<std::uint8_t>(cache_ + carry));
+        cache_ = 0xff;
+        --cache_size_;
+      }
+      cache_ = static_cast<std::uint8_t>(low_ >> 24);
+      cache_size_ = 0;
+    }
+    ++cache_size_;
+    low_ = (low_ << 8) & 0xffffffffULL;
+  }
 
   std::uint64_t low_ = 0;
   std::uint32_t range_ = 0xffffffffu;

@@ -95,6 +95,24 @@ PointCloud VideoGenerator::frame(std::size_t index) const {
 }
 
 FrameSoA VideoGenerator::frame_soa(std::size_t index) const {
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> z;
+  positions(index, x, y, z);
+  std::vector<std::uint8_t> rgb;
+  rgb.reserve(3 * samples_.size());
+  for (const PartSample& s : samples_) {
+    rgb.push_back(s.r);
+    rgb.push_back(s.g);
+    rgb.push_back(s.b);
+  }
+  return FrameSoA::from_columns(std::move(x), std::move(y), std::move(z),
+                                std::move(rgb));
+}
+
+void VideoGenerator::positions(std::size_t index, std::vector<double>& x,
+                               std::vector<double>& y,
+                               std::vector<double>& z) const {
   const std::size_t wrapped =
       config_.frame_count > 0 ? index % config_.frame_count : index;
   const double t = static_cast<double>(wrapped) / config_.fps;
@@ -113,16 +131,19 @@ FrameSoA VideoGenerator::frame_soa(std::size_t index) const {
     part_rot[p] = Quat::from_axis_angle(part.swing_axis, angle);
   }
 
-  FrameSoA out;
-  out.reserve(samples_.size());
-  for (const PartSample& s : samples_) {
+  const std::size_t n = samples_.size();
+  x.resize(n);
+  y.resize(n);
+  z.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const PartSample& s = samples_[i];
     const PartSpec& part = kParts[s.part];
     Vec3 p = part.pivot + part_rot[s.part].rotate(s.local);
     p = body_rot.rotate(p);
-    p.z += bob;
-    out.push_back(p, s.r, s.g, s.b);
+    x[i] = p.x;
+    y[i] = p.y;
+    z[i] = p.z + bob;
   }
-  return out;
 }
 
 geo::Aabb VideoGenerator::content_bounds() const noexcept {
@@ -135,20 +156,22 @@ geo::Vec3 VideoGenerator::content_center() const noexcept {
   return {0.0, 0.0, 1.1};
 }
 
+ThinFilter::ThinFilter(double fraction) noexcept
+    : keep_all_(fraction >= 1.0),
+      threshold_(fraction > 0.0 && fraction < 1.0
+                     ? static_cast<std::uint32_t>(fraction * 4294967296.0)
+                     : 0) {}
+
 PointCloud thin(const PointCloud& cloud, double fraction) {
   if (fraction >= 1.0) return cloud;
   PointCloud out;
   if (fraction <= 0.0) return out;
-  const auto threshold = static_cast<std::uint32_t>(
-      fraction * 4294967296.0);
+  const ThinFilter filter(fraction);
   out.reserve(static_cast<std::size_t>(
       fraction * static_cast<double>(cloud.size())));
   const auto& pts = cloud.points();
-  for (std::uint32_t i = 0; i < pts.size(); ++i) {
-    // Knuth multiplicative hash of the index: stable, order-free thinning.
-    const std::uint32_t h = i * 2654435761u;
-    if (h < threshold) out.add(pts[i]);
-  }
+  for (std::uint32_t i = 0; i < pts.size(); ++i)
+    if (filter.keeps(i)) out.add(pts[i]);
   return out;
 }
 
@@ -156,17 +179,14 @@ FrameSoA thin(const FrameSoA& frame, double fraction) {
   if (fraction >= 1.0) return frame;
   FrameSoA out;
   if (fraction <= 0.0) return out;
-  const auto threshold = static_cast<std::uint32_t>(
-      fraction * 4294967296.0);
+  const ThinFilter filter(fraction);
   out.reserve(static_cast<std::size_t>(
       fraction * static_cast<double>(frame.size())));
   const std::span<const std::uint8_t> rgb = frame.rgb();
-  for (std::uint32_t i = 0; i < frame.size(); ++i) {
-    const std::uint32_t h = i * 2654435761u;
-    if (h < threshold)
+  for (std::uint32_t i = 0; i < frame.size(); ++i)
+    if (filter.keeps(i))
       out.push_back(frame.position(i), rgb[3 * i], rgb[3 * i + 1],
                     rgb[3 * i + 2]);
-  }
   return out;
 }
 

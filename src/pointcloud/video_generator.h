@@ -46,10 +46,16 @@ class VideoGenerator {
   /// Equal to frame_soa(index).to_aos().
   [[nodiscard]] PointCloud frame(std::size_t index) const;
 
-  /// SoA form of frame(): same transforms applied in the same point order,
-  /// written straight into contiguous columns. The store's build pipeline
-  /// consumes this layout directly.
+  /// SoA form of frame(): positions() plus the color column, in the same
+  /// point order. The store's exactly encoded frames consume this layout.
   [[nodiscard]] FrameSoA frame_soa(std::size_t index) const;
+
+  /// Fills x/y/z (resized to points_per_frame) with frame `index`'s point
+  /// positions. The only copy of the per-point transform: frame_soa() and
+  /// the store's modeled frames both read it, so their coordinates are the
+  /// same doubles under any floating-point contraction the build allows.
+  void positions(std::size_t index, std::vector<double>& x,
+                 std::vector<double>& y, std::vector<double>& z) const;
 
   /// Analytic bound that contains the figure in every frame; used to build
   /// the stable CellGrid.
@@ -67,6 +73,23 @@ class VideoGenerator {
 
   VideoConfig config_;
   std::vector<PartSample> samples_;  // one entry per output point
+};
+
+/// The index test behind thin(): keeps(i) is true exactly for the points
+/// thin(cloud, fraction) keeps. A Knuth multiplicative hash of the index
+/// against a threshold, so it is order-free and stable under re-runs, and
+/// a smaller fraction keeps a subset of what a larger one keeps.
+class ThinFilter {
+ public:
+  explicit ThinFilter(double fraction) noexcept;
+
+  [[nodiscard]] bool keeps(std::uint32_t index) const noexcept {
+    return keep_all_ || index * 2654435761u < threshold_;
+  }
+
+ private:
+  bool keep_all_;
+  std::uint32_t threshold_;
 };
 
 /// Deterministically thins a cloud to ~`fraction` of its points, uniformly

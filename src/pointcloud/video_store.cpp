@@ -19,33 +19,38 @@ std::vector<QualityTier> paper_quality_tiers() {
 
 namespace {
 
-/// Encodes each occupied cell of `frame` exactly; returns per-cell byte and
-/// point counts, and appends (points, bytes) pairs for the size model.
-/// SoA path: one counting-sort bucketing (no per-cell vectors), then a
-/// contiguous gather per occupied cell. Gather order equals the old
-/// assign()+add loop, so the per-cell blobs are byte-identical.
+/// Encodes each occupied cell of `frame` exactly into its per-cell byte
+/// and point slots. SoA path: one counting-sort bucketing (no per-cell
+/// vectors), then a contiguous gather per occupied cell. Gather order
+/// equals the old assign()+add loop, so the per-cell blobs are
+/// byte-identical. With a pool, cells are claimed one at a time by the
+/// pool's lanes; each writes only its own slots, so the tables do not
+/// depend on the lane count.
 void encode_frame_exact(const FrameSoA& frame, const CellGrid& grid,
                         const VideoStoreConfig& config,
                         std::vector<std::uint32_t>& bytes_out,
                         std::vector<std::uint32_t>& points_out,
-                        std::vector<double>* model_points,
-                        std::vector<double>* model_bytes) {
+                        common::ThreadPool* pool) {
   const FlatAssignment buckets = grid.assign_flat(frame);
   bytes_out.assign(grid.cell_count(), 0);
   points_out.assign(grid.cell_count(), 0);
-  for (CellId c = 0; c < grid.cell_count(); ++c) {
+  std::vector<CellId> occupied;
+  for (CellId c = 0; c < grid.cell_count(); ++c)
+    if (!buckets.cell(c).empty()) occupied.push_back(c);
+  const auto encode_cell = [&](std::size_t k) {
+    const CellId c = occupied[k];
     const auto indices = buckets.cell(c);
-    if (indices.empty()) continue;
     const FrameSoA cell_frame = frame.gather(indices);
     const auto blob = config.codec_kind == StoreCodec::kOctree
                           ? octree_encode(cell_frame.to_aos(), config.octree)
                           : encode(cell_frame, config.codec);
     bytes_out[c] = static_cast<std::uint32_t>(blob.size());
     points_out[c] = static_cast<std::uint32_t>(indices.size());
-    if (model_points != nullptr) {
-      model_points->push_back(static_cast<double>(indices.size()));
-      model_bytes->push_back(static_cast<double>(blob.size()));
-    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_tasks(occupied.size(), encode_cell);
+  } else {
+    for (std::size_t k = 0; k < occupied.size(); ++k) encode_cell(k);
   }
 }
 
@@ -67,50 +72,71 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
   const std::size_t n_tiers = config_.tiers.size();
   frames_.resize(n_frames);
 
+  std::vector<ThinFilter> filters;
+  std::vector<double> fractions;
+  for (const QualityTier& tier : config_.tiers) {
+    fractions.push_back(static_cast<double>(tier.points_per_frame) /
+                        static_cast<double>(master_points));
+    filters.emplace_back(fractions.back());
+  }
+
   // Per-tier linear size model fitted from exactly encoded sample frames.
-  std::vector<std::vector<double>> model_points(n_tiers);
-  std::vector<std::vector<double>> model_bytes(n_tiers);
   std::vector<LinearFit> fits(n_tiers);
   const std::size_t sample_count =
       config_.exact ? n_frames
                     : std::min(std::max<std::size_t>(config_.sample_frames, 1),
                                n_frames);
 
-  // frame_soa(f) is a pure function of the generator config, and each frame
+  // Frames are pure functions of the generator config, and each frame
   // fills only its own slot of frames_, so frames precompute in parallel
   // with bit-identical tables. Only the size-model fit couples frames: the
   // sample frames run serially first (their (points, bytes) pairs feed the
-  // fit in frame order), then the modeled remainder fans out. The whole
-  // build stays in the SoA layout — generate, thin, bucket and encode all
-  // stream contiguous columns.
-  const auto build_frame = [&](std::size_t f, bool exact_frame,
-                               std::vector<double>* mp,
-                               std::vector<double>* mb) {
+  // fit in frame order, then cell order), then the modeled remainder fans
+  // out.
+  //
+  // An exact frame generates the master frame, thins it once per tier,
+  // buckets each tier by cell and encodes every occupied cell.
+  const auto build_exact_frame = [&](std::size_t f,
+                                     common::ThreadPool* cell_pool) {
     const FrameSoA master = generator.frame_soa(f);
     FrameSizes& sizes = frames_[f];
     sizes.bytes.resize(n_tiers);
     sizes.points.resize(n_tiers);
+    for (std::size_t q = 0; q < n_tiers; ++q)
+      encode_frame_exact(thin(master, fractions[q]), grid, config_,
+                         sizes.bytes[q], sizes.points[q], cell_pool);
+  };
+  // A modeled frame needs only per-cell point counts, so it makes one pass
+  // over the master positions and counts each point into every tier that
+  // keeps it. That equals occupancy(thin(master, fraction)) per tier:
+  // thinning tests the point index alone, and locate() is the per-point
+  // form of the locate_batch() that occupancy() runs. Bytes come from the
+  // fit.
+  const auto build_modeled_frame = [&](std::size_t f) {
+    std::vector<double> x;
+    std::vector<double> y;
+    std::vector<double> z;
+    generator.positions(f, x, y, z);
+    FrameSizes& sizes = frames_[f];
+    sizes.points.assign(n_tiers,
+                        std::vector<std::uint32_t>(grid.cell_count(), 0));
+    std::vector<std::uint32_t*> rows(n_tiers);
+    for (std::size_t q = 0; q < n_tiers; ++q) rows[q] = sizes.points[q].data();
+    for (std::uint32_t i = 0; i < x.size(); ++i) {
+      const CellId id = grid.locate({x[i], y[i], z[i]});
+      for (std::size_t q = 0; q < n_tiers; ++q)
+        if (filters[q].keeps(i)) ++rows[q][id];
+    }
+    sizes.bytes.assign(n_tiers,
+                       std::vector<std::uint32_t>(grid.cell_count(), 0));
+    const auto floor_bytes = static_cast<double>(kCodecHeaderBytes);
     for (std::size_t q = 0; q < n_tiers; ++q) {
-      const double fraction =
-          static_cast<double>(config_.tiers[q].points_per_frame) /
-          static_cast<double>(master_points);
-      const FrameSoA cloud = thin(master, fraction);
-      if (exact_frame) {
-        encode_frame_exact(cloud, grid, config_, sizes.bytes[q],
-                           sizes.points[q], mp != nullptr ? &mp[q] : nullptr,
-                           mb != nullptr ? &mb[q] : nullptr);
-      } else {
-        // Modeled sizing: occupancy is exact, bytes come from the fit.
-        const auto counts = grid.occupancy(cloud);
-        sizes.points[q].assign(counts.begin(), counts.end());
-        sizes.bytes[q].assign(grid.cell_count(), 0);
-        for (CellId c = 0; c < counts.size(); ++c) {
-          if (counts[c] == 0) continue;
-          const double predicted = fits[q].at(static_cast<double>(counts[c]));
-          const double floor_bytes = static_cast<double>(kCodecHeaderBytes);
-          sizes.bytes[q][c] = static_cast<std::uint32_t>(
-              std::max(predicted, floor_bytes));
-        }
+      for (CellId c = 0; c < grid.cell_count(); ++c) {
+        const std::uint32_t count = sizes.points[q][c];
+        if (count == 0) continue;
+        const double predicted = fits[q].at(static_cast<double>(count));
+        sizes.bytes[q][c] =
+            static_cast<std::uint32_t>(std::max(predicted, floor_bytes));
       }
     }
   };
@@ -118,18 +144,33 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
   if (config_.exact) {
     // Every frame is exact and independent (no size model to fit).
     common::ThreadPool::run(config_.pool, n_frames, [&](std::size_t f) {
-      build_frame(f, true, nullptr, nullptr);
+      build_exact_frame(f, nullptr);
     });
   } else {
-    for (std::size_t f = 0; f < sample_count; ++f)
-      build_frame(f, true, model_points.data(), model_bytes.data());
+    // The serial sample frames spread their cells over the pool instead.
+    common::ThreadPool* cell_pool =
+        config_.pool != nullptr && config_.pool->thread_count() > 1
+            ? config_.pool
+            : nullptr;
+    std::vector<std::vector<double>> model_points(n_tiers);
+    std::vector<std::vector<double>> model_bytes(n_tiers);
+    for (std::size_t f = 0; f < sample_count; ++f) {
+      build_exact_frame(f, cell_pool);
+      for (std::size_t q = 0; q < n_tiers; ++q) {
+        const FrameSizes& sizes = frames_[f];
+        for (CellId c = 0; c < grid.cell_count(); ++c) {
+          if (sizes.points[q][c] == 0) continue;
+          model_points[q].push_back(static_cast<double>(sizes.points[q][c]));
+          model_bytes[q].push_back(static_cast<double>(sizes.bytes[q][c]));
+        }
+      }
+    }
     for (std::size_t q = 0; q < n_tiers; ++q)
       fits[q] = fit_line(model_points[q], model_bytes[q]);
-    common::ThreadPool::run(
-        config_.pool, n_frames - sample_count,
-        [&](std::size_t i) {
-          build_frame(sample_count + i, false, nullptr, nullptr);
-        });
+    common::ThreadPool::run(config_.pool, n_frames - sample_count,
+                            [&](std::size_t i) {
+                              build_modeled_frame(sample_count + i);
+                            });
   }
 }
 
@@ -141,6 +182,11 @@ std::size_t VideoStore::cell_bytes(std::size_t frame, std::size_t tier,
 std::uint32_t VideoStore::cell_points(std::size_t frame, std::size_t tier,
                                       CellId cell) const {
   return frames_.at(frame).points.at(tier).at(cell);
+}
+
+std::span<const std::uint32_t> VideoStore::tier_points(
+    std::size_t frame, std::size_t tier) const {
+  return frames_.at(frame).points.at(tier);
 }
 
 std::size_t VideoStore::frame_bytes(std::size_t frame,

@@ -48,10 +48,12 @@ struct VideoStoreConfig {
   /// sizes the remaining frames (fast; for system benches).
   bool exact = false;
   std::size_t sample_frames = 2;
-  /// Optional worker pool: independent frames are precomputed in parallel
-  /// (bit-identical tables — each frame fills its own slot; the size model
-  /// is still fitted from the sample frames in frame order). The pool must
-  /// outlive construction.
+  /// Optional worker pool: independent frames are precomputed in parallel,
+  /// and with more than one worker the serial sample frames encode their
+  /// cells in parallel (bit-identical tables — each frame and each cell
+  /// fills its own slot; the size model is still fitted from the sample
+  /// frames in frame, then cell, order). The pool must outlive
+  /// construction.
   common::ThreadPool* pool = nullptr;
 };
 
@@ -67,7 +69,9 @@ struct VideoStoreConfig {
 /// immutable for the guarantee to hold.
 class VideoStore {
  public:
-  /// Builds the store by generating (and thinning, and encoding) frames.
+  /// Builds the store: the sample frames (every frame when `exact`) are
+  /// generated, thinned per tier and encoded cell by cell; the other
+  /// frames only count each tier's points per cell.
   /// Throws std::invalid_argument for an empty tier list or tiers exceeding
   /// the generator's points_per_frame.
   VideoStore(const VideoGenerator& generator, const CellGrid& grid,
@@ -91,6 +95,11 @@ class VideoStore {
   /// Point count of one cell.
   [[nodiscard]] std::uint32_t cell_points(std::size_t frame, std::size_t tier,
                                           CellId cell) const;
+  /// Point counts of every cell of one frame at one tier, indexed by
+  /// CellId (a view of the table cell_points() reads; valid for the
+  /// store's lifetime).
+  [[nodiscard]] std::span<const std::uint32_t> tier_points(
+      std::size_t frame, std::size_t tier) const;
   /// Total encoded bytes of a frame at a tier.
   [[nodiscard]] std::size_t frame_bytes(std::size_t frame,
                                         std::size_t tier) const;

@@ -1,0 +1,393 @@
+// Equivalence wall for the store build. Each fast path is checked against
+// a plain reference written here:
+//  * modeled frames, counted in one pass over the master positions, equal
+//    occupancy(thin(master, fraction)) per tier, and the whole serialized
+//    store equals a reference blob at every pool size;
+//  * the radix-sorted encoder equals an encoder that sorts (code, index)
+//    pairs with a comparator, byte for byte, on tie-heavy clouds;
+//  * VideoGenerator::positions() equals frame_soa()'s columns bit for bit;
+//  * the bundle's occupancy is the store's top-tier row, not a copy.
+// Suite names start with VideoStore so the TSan run selects them.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/endian.h"
+#include "common/rng.h"
+#include "common/stats.h"
+#include "common/thread_pool.h"
+#include "core/session.h"
+#include "core/workload_bundle.h"
+#include "geometry/morton.h"
+#include "pointcloud/codec.h"
+#include "pointcloud/range_coder.h"
+#include "pointcloud/video_store.h"
+
+namespace volcast::vv {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Reference store: thin, bucket and encode every tier of every frame with
+// the plain AoS calls, fit the size model, and serialize the tables in the
+// VSTR layout.
+
+// [frame][tier][cell]
+using Table = std::vector<std::vector<std::vector<std::uint32_t>>>;
+
+struct ReferenceTables {
+  Table bytes;
+  Table points;
+};
+
+ReferenceTables reference_tables(const VideoGenerator& gen,
+                                 const CellGrid& grid,
+                                 const VideoStoreConfig& config) {
+  const std::size_t n_frames = gen.config().frame_count;
+  const std::size_t n_tiers = config.tiers.size();
+  const std::size_t samples = std::min(config.sample_frames, n_frames);
+  const auto master_points =
+      static_cast<double>(gen.config().points_per_frame);
+  ReferenceTables ref;
+  ref.bytes.assign(n_frames, {});
+  ref.points.assign(n_frames, {});
+  std::vector<std::vector<double>> fit_x(n_tiers);
+  std::vector<std::vector<double>> fit_y(n_tiers);
+  for (std::size_t f = 0; f < n_frames; ++f) {
+    const PointCloud master = gen.frame(f);
+    for (std::size_t q = 0; q < n_tiers; ++q) {
+      const double fraction =
+          static_cast<double>(config.tiers[q].points_per_frame) /
+          master_points;
+      const PointCloud cloud = thin(master, fraction);
+      ref.points[f].push_back(grid.occupancy(cloud));
+      std::vector<std::uint32_t> bytes(grid.cell_count(), 0);
+      if (f < samples) {
+        const auto buckets = grid.assign(cloud);
+        for (CellId c = 0; c < grid.cell_count(); ++c) {
+          if (buckets[c].empty()) continue;
+          PointCloud cell;
+          for (std::uint32_t i : buckets[c]) cell.add(cloud.points()[i]);
+          bytes[c] = static_cast<std::uint32_t>(encode(cell).size());
+          fit_x[q].push_back(static_cast<double>(buckets[c].size()));
+          fit_y[q].push_back(static_cast<double>(bytes[c]));
+        }
+      }
+      ref.bytes[f].push_back(std::move(bytes));
+    }
+  }
+  for (std::size_t q = 0; q < n_tiers; ++q) {
+    const LinearFit fit = fit_line(fit_x[q], fit_y[q]);
+    for (std::size_t f = samples; f < n_frames; ++f) {
+      for (CellId c = 0; c < grid.cell_count(); ++c) {
+        const std::uint32_t count = ref.points[f][q][c];
+        if (count == 0) continue;
+        ref.bytes[f][q][c] = static_cast<std::uint32_t>(
+            std::max(fit.at(static_cast<double>(count)),
+                     static_cast<double>(kCodecHeaderBytes)));
+      }
+    }
+  }
+  return ref;
+}
+
+std::vector<std::uint8_t> reference_blob(const ReferenceTables& ref,
+                                         const VideoStoreConfig& config,
+                                         double fps, std::size_t cells) {
+  std::vector<std::uint8_t> out{'V', 'S', 'T', 'R'};
+  common::put_u32(out, 1);
+  common::put_f64(out, fps);
+  common::put_u32(out, static_cast<std::uint32_t>(config.tiers.size()));
+  common::put_u32(out, static_cast<std::uint32_t>(ref.bytes.size()));
+  common::put_u64(out, cells);
+  for (const QualityTier& tier : config.tiers) {
+    common::put_u32(out, static_cast<std::uint32_t>(tier.name.size()));
+    out.insert(out.end(), tier.name.begin(), tier.name.end());
+    common::put_u64(out, tier.points_per_frame);
+  }
+  for (std::size_t f = 0; f < ref.bytes.size(); ++f) {
+    for (std::size_t q = 0; q < config.tiers.size(); ++q) {
+      for (std::uint32_t b : ref.bytes[f][q]) common::put_u32(out, b);
+      for (std::uint32_t p : ref.points[f][q]) common::put_u32(out, p);
+    }
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : out) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  common::put_u64(out, h);
+  return out;
+}
+
+struct BuildCase {
+  std::uint64_t seed;
+  std::size_t master_points;
+  std::vector<std::size_t> tier_points;
+  std::size_t sample_frames;
+};
+
+VideoStoreConfig case_config(const BuildCase& bc) {
+  VideoStoreConfig sc;
+  sc.tiers.clear();
+  for (std::size_t p : bc.tier_points)
+    sc.tiers.push_back({"t" + std::to_string(p), p});
+  sc.sample_frames = bc.sample_frames;
+  return sc;
+}
+
+std::vector<BuildCase> build_cases() {
+  Rng rng(0x5704e);
+  std::vector<BuildCase> cases;
+  for (int k = 0; k < 3; ++k) {
+    const auto seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
+    const auto master =
+        static_cast<std::size_t>(rng.uniform_int(2'000, 12'000));
+    // The paper's three-tier ladder scaled to the master, the top tier
+    // equal to the master (fraction 1).
+    cases.push_back({seed, master,
+                     {master * 330 / 550, master * 430 / 550, master},
+                     1});
+  }
+  // A one-point tier and a master tier side by side.
+  cases.push_back({7, 5'001, {1, 5'001}, 1});
+  // A four-tier ladder below the master, two sample frames.
+  cases.push_back({13, 9'999, {1'000, 3'333, 6'000, 9'998}, 2});
+  return cases;
+}
+
+TEST(VideoStoreFusedBuild, ModeledFramesEqualThinThenOccupancy) {
+  for (const BuildCase& bc : build_cases()) {
+    SCOPED_TRACE("seed " + std::to_string(bc.seed) + ", master " +
+                 std::to_string(bc.master_points));
+    VideoConfig vc;
+    vc.points_per_frame = bc.master_points;
+    vc.frame_count = 5;
+    vc.seed = bc.seed;
+    const VideoGenerator gen(vc);
+    const CellGrid grid(gen.content_bounds(), 0.5);
+    const VideoStoreConfig sc = case_config(bc);
+    const VideoStore store(gen, grid, sc);
+    for (std::size_t f = bc.sample_frames; f < vc.frame_count; ++f) {
+      const FrameSoA master = gen.frame_soa(f);
+      for (std::size_t q = 0; q < sc.tiers.size(); ++q) {
+        const double fraction =
+            static_cast<double>(sc.tiers[q].points_per_frame) /
+            static_cast<double>(bc.master_points);
+        const auto expected = grid.occupancy(thin(master, fraction));
+        const auto row = store.tier_points(f, q);
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), expected.begin(),
+                               expected.end()))
+            << "frame " << f << " tier " << q;
+      }
+    }
+  }
+}
+
+TEST(VideoStoreFusedBuild, SerializedStoreEqualsReferenceAtAnyPoolSize) {
+  for (const BuildCase& bc : build_cases()) {
+    SCOPED_TRACE("seed " + std::to_string(bc.seed) + ", master " +
+                 std::to_string(bc.master_points));
+    VideoConfig vc;
+    vc.points_per_frame = bc.master_points;
+    vc.frame_count = 4;
+    vc.seed = bc.seed;
+    const VideoGenerator gen(vc);
+    const CellGrid grid(gen.content_bounds(), 0.5);
+    VideoStoreConfig sc = case_config(bc);
+    const std::vector<std::uint8_t> expected = reference_blob(
+        reference_tables(gen, grid, sc), sc, vc.fps, grid.cell_count());
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      common::ThreadPool pool(threads);
+      sc.pool = &pool;
+      const VideoStore store(gen, grid, sc);
+      EXPECT_EQ(store.serialize(), expected) << threads << " worker threads";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reference encoder: the codec pipeline with a comparator sort of
+// (code, index) pairs. Explicit quant_bits (resolution_m <= 0) only.
+
+struct RefUIntModels {
+  std::array<BitModel, 65> length;
+  std::array<BitModel, 2> payload;
+};
+
+void ref_encode_uint(RangeEncoder& enc, RefUIntModels& m, std::uint64_t v) {
+  const auto len = static_cast<unsigned>(std::bit_width(v));
+  for (unsigned i = 0; i < len; ++i) enc.encode_bit(m.length[i], true);
+  if (len < 64) enc.encode_bit(m.length[len], false);
+  if (len <= 1) return;
+  unsigned remaining = len - 1;
+  for (unsigned k = 0; k < 2 && remaining > 0; ++k) {
+    --remaining;
+    enc.encode_bit(m.payload[k], ((v >> remaining) & 1u) != 0);
+  }
+  if (remaining > 0)
+    enc.encode_raw(v & ((std::uint64_t{1} << remaining) - 1), remaining);
+}
+
+std::vector<std::uint8_t> comparator_encode(const FrameSoA& frame,
+                                            unsigned quant_bits) {
+  const std::size_t n = frame.size();
+  const geo::Aabb bounds = n == 0 ? geo::Aabb{{0, 0, 0}, {0, 0, 0}}
+                                  : frame.bounds();
+  std::vector<std::uint8_t> out{'V', 'P', 'C', '1'};
+  common::put_u32(out, static_cast<std::uint32_t>(n));
+  out.push_back(static_cast<std::uint8_t>(quant_bits));
+  out.push_back(1);
+  for (double v : {bounds.lo.x, bounds.lo.y, bounds.lo.z, bounds.hi.x,
+                   bounds.hi.y, bounds.hi.z})
+    common::put_f64(out, v);
+  if (n == 0) return out;
+
+  const double max_q =
+      static_cast<double>((std::uint64_t{1} << quant_bits) - 1);
+  const geo::Vec3 extent = bounds.extent();
+  const auto quantize = [max_q](double v, double lo, double len) {
+    if (len <= 0.0) return std::uint32_t{0};
+    const double q = std::round((v - lo) * (max_q / len));
+    return static_cast<std::uint32_t>(std::clamp(q, 0.0, max_q));
+  };
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const geo::Vec3 p = frame.position(i);
+    keyed[i] = {geo::morton_encode(quantize(p.x, bounds.lo.x, extent.x),
+                                   quantize(p.y, bounds.lo.y, extent.y),
+                                   quantize(p.z, bounds.lo.z, extent.z)),
+                i};
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first || (a.first == b.first && a.second < b.second);
+  });
+
+  RangeEncoder enc;
+  RefUIntModels delta_models;
+  std::array<BitModel, 3> zero_models;
+  std::array<RefUIntModels, 3> magnitude_models;
+  std::uint64_t prev_code = 0;
+  std::array<int, 3> prev_color{128, 128, 128};
+  for (const auto& [code, index] : keyed) {
+    ref_encode_uint(enc, delta_models, code - prev_code);
+    prev_code = code;
+    for (std::size_t ch = 0; ch < 3; ++ch) {
+      const int c = frame.rgb()[3 * index + ch];
+      const std::int64_t diff = c - prev_color[ch];
+      enc.encode_bit(zero_models[ch], diff != 0);
+      if (diff != 0) {
+        const auto zig = (static_cast<std::uint64_t>(diff) << 1) ^
+                         static_cast<std::uint64_t>(diff >> 63);
+        ref_encode_uint(enc, magnitude_models[ch], zig - 1);
+      }
+      prev_color[ch] = c;
+    }
+  }
+  const std::vector<std::uint8_t> payload = enc.finish();
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+/// `n` points drawn from `distinct` random positions, each with a random
+/// color, so many points share a quantized position (and a Morton code)
+/// while differing in color: the tie order shows in the bytes.
+FrameSoA tie_heavy_cloud(std::size_t n, std::size_t distinct,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<geo::Vec3> sites(distinct);
+  for (geo::Vec3& s : sites)
+    s = {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 2)};
+  FrameSoA frame;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(distinct) - 1));
+    frame.push_back(sites[pick],
+                    static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                    static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                    static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+  }
+  return frame;
+}
+
+TEST(VideoStoreEncoder, RadixSortedEncodeEqualsComparatorSort) {
+  std::uint64_t seed = 1;
+  for (unsigned quant_bits : {1u, 2u, 9u, 11u, 21u}) {
+    CodecConfig config;
+    config.resolution_m = 0.0;
+    config.quant_bits = quant_bits;
+    for (std::size_t n : {0u, 1u, 2u, 3u, 100u, 2'000u}) {
+      for (std::size_t distinct : {std::size_t{1}, std::size_t{7}, n + 1}) {
+        const FrameSoA frame = tie_heavy_cloud(n, distinct, seed++);
+        EXPECT_EQ(encode(frame, config), comparator_encode(frame, quant_bits))
+            << "quant_bits " << quant_bits << ", " << n << " points, "
+            << distinct << " sites";
+      }
+    }
+  }
+}
+
+TEST(VideoStoreEncoder, RealContentEncodesEqualComparatorSort) {
+  VideoConfig vc;
+  vc.points_per_frame = 4'000;
+  vc.frame_count = 2;
+  const VideoGenerator gen(vc);
+  for (unsigned quant_bits : {1u, 10u, 21u}) {
+    CodecConfig config;
+    config.resolution_m = 0.0;
+    config.quant_bits = quant_bits;
+    const FrameSoA frame = gen.frame_soa(1);
+    EXPECT_EQ(encode(frame, config), comparator_encode(frame, quant_bits))
+        << "quant_bits " << quant_bits;
+  }
+}
+
+// ---------------------------------------------------------------------------
+
+TEST(VideoStorePositions, EqualFrameSoAColumnsBitForBit) {
+  VideoConfig vc;
+  vc.points_per_frame = 3'000;
+  vc.frame_count = 4;
+  vc.seed = 99;
+  const VideoGenerator gen(vc);
+  // Stale, oversized columns: positions() must resize, not append.
+  std::vector<double> x(5'000, 1.0);
+  std::vector<double> y(7, 2.0);
+  std::vector<double> z;
+  for (std::size_t f : {0u, 1u, 3u, 6u}) {  // 6 wraps to frame 2
+    gen.positions(f, x, y, z);
+    const FrameSoA frame = gen.frame_soa(f);
+    ASSERT_EQ(x.size(), frame.size());
+    ASSERT_EQ(y.size(), frame.size());
+    ASSERT_EQ(z.size(), frame.size());
+    EXPECT_EQ(std::memcmp(x.data(), frame.xs().data(), x.size() * 8), 0);
+    EXPECT_EQ(std::memcmp(y.data(), frame.ys().data(), y.size() * 8), 0);
+    EXPECT_EQ(std::memcmp(z.data(), frame.zs().data(), z.size() * 8), 0);
+  }
+}
+
+TEST(VideoStoreOccupancy, BundleServesTheStoreTopTierRows) {
+  core::SessionConfig c;
+  c.master_points = 6'000;
+  c.video_frames = 4;
+  c.worker_threads = 1;
+  const auto bundle = core::WorkloadBundle::build(c);
+  const VideoStore& store = bundle->store();
+  const std::size_t top = store.tier_count() - 1;
+  const core::OccupancyTable occupancy = bundle->occupancy();
+  ASSERT_EQ(occupancy.size(), c.video_frames);
+  for (std::size_t f = 0; f < c.video_frames; ++f) {
+    EXPECT_EQ(bundle->occupancy(f).data(), store.tier_points(f, top).data());
+    EXPECT_EQ(occupancy[f].data(), store.tier_points(f, top).data());
+    for (CellId cell = 0; cell < bundle->grid().cell_count(); ++cell)
+      EXPECT_EQ(occupancy[f][cell], store.cell_points(f, top, cell));
+  }
+  EXPECT_THROW((void)occupancy[c.video_frames], std::out_of_range);
+}
+
+}  // namespace
+}  // namespace volcast::vv

@@ -79,7 +79,6 @@ TEST(WorkloadBundle, MutationAfterFreezeThrows) {
   bundle.freeze();
   EXPECT_TRUE(bundle.frozen());
   EXPECT_THROW(bundle.build_artifacts(1), std::logic_error);
-  EXPECT_THROW(bundle.install_occupancy({}), std::logic_error);
   EXPECT_THROW(bundle.install_video(nullptr, nullptr, nullptr),
                std::logic_error);
   EXPECT_THROW(bundle.freeze(), std::logic_error);
