@@ -15,7 +15,6 @@
 #include "mmwave/beam_design.h"
 #include "mmwave/link.h"
 #include "pointcloud/codec.h"
-#include "pointcloud/octree_codec.h"
 #include "pointcloud/video_generator.h"
 #include "pointcloud/video_store.h"
 #include "viewport/similarity.h"
@@ -86,38 +85,6 @@ void BM_CodecDecode(benchmark::State& state) {
       static_cast<std::int64_t>(cloud.size()));
 }
 BENCHMARK(BM_CodecDecode)->Arg(10'000)->Arg(100'000);
-
-
-void BM_OctreeEncode(benchmark::State& state) {
-  const auto cloud = vv::thin(generator().frame(0),
-                              static_cast<double>(state.range(0)) / 100'000.0);
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const auto blob = vv::octree_encode(cloud);
-    bytes = blob.size();
-    benchmark::DoNotOptimize(blob.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(cloud.size()));
-  state.counters["bits/pt"] =
-      8.0 * static_cast<double>(bytes) / static_cast<double>(cloud.size());
-}
-BENCHMARK(BM_OctreeEncode)->Arg(10'000)->Arg(100'000);
-
-void BM_OctreeDecode(benchmark::State& state) {
-  const auto cloud = vv::thin(generator().frame(0),
-                              static_cast<double>(state.range(0)) / 100'000.0);
-  const auto blob = vv::octree_encode(cloud);
-  for (auto _ : state) {
-    const auto back = vv::octree_decode(blob);
-    benchmark::DoNotOptimize(back.points().data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(cloud.size()));
-}
-BENCHMARK(BM_OctreeDecode)->Arg(100'000);
 
 // Set-up cost at the ledger's content size (120k points, 30 frames): the
 // store alone on one worker, then the whole bundle (generator, grid,

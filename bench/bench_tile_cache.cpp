@@ -1,17 +1,11 @@
-// Encode-once, serve-many: tile-cache benefit across users and fleet
-// slots.
+// Encode-once, serve-many: first-touch tile accounting across users.
 //
-// Section 1 (single session): users x audience-spread sweep comparing
-// tiling=off (per-user encode) against tiling=shared. The logical encode
-// bytes per user are deterministic, so the encode-cost ratio is a hard
-// regression gate; the headline property is that shared encode cost scales
-// with *distinct viewports*, not user count — at 8 users in a tight arc
-// the per-user encode cost drops well past 2x.
-//
-// Section 2 (fleet): 8 slots streaming the same content (content_seed
-// pinned), per-slot local caches vs one fleet-shared cache. Cross-slot
-// handoff turns most first-touch encodes into cache hits; the hit rate is
-// deterministic in the serial run and gated, wall clock is informational.
+// Users x audience-spread sweep comparing tiling=off (per-user encode)
+// against tiling=shared. The logical encode bytes per user are
+// deterministic, so the encode-cost ratio is a hard regression gate; the
+// headline property is that shared encode cost scales with *distinct
+// viewports*, not user count — at 8 users in a tight arc the per-user
+// encode cost drops well past 2x. Wall clock is informational.
 //
 // `--json PATH` writes the machine-readable form consumed by
 // tools/ci_bench.sh (merged into BENCH_scaling.json as the "tile_cache"
@@ -21,9 +15,7 @@
 #include <cstring>
 
 #include "common/table.h"
-#include "core/fleet.h"
 #include "core/session.h"
-#include "pointcloud/tile_cache.h"
 
 using namespace volcast;
 using namespace volcast::core;
@@ -51,14 +43,12 @@ struct Timed {
   double wall_s = 0.0;
 };
 
-Timed run_timed(const SessionConfig& config, const char* tiling,
-                vv::TileCache* cache) {
+Timed run_timed(const SessionConfig& config, const char* tiling) {
   constexpr int kReps = 3;
   Timed best;
   for (int rep = 0; rep < kReps; ++rep) {
     SessionConfig sc = config;
     sc.policy_overrides["tiling"] = tiling;
-    sc.tile_cache = cache;
     Session session(std::move(sc));
     const auto t0 = std::chrono::steady_clock::now();
     SessionResult r = session.run();
@@ -86,11 +76,11 @@ int run(const char* json_path) {
                  "  \"sessions\": [");
   }
 
-  std::printf("=== Tile cache: encode-once/serve-many vs per-user encode "
+  std::printf("=== Tiling: encode-once/serve-many vs per-user encode "
               "===\n\n");
   AsciiTable table;
   table.header({"users", "spread", "off MB/user", "shared MB/user",
-                "encode ratio", "reuse", "hit rate", "off s", "shared s"});
+                "encode ratio", "reuse", "off s", "shared s"});
   bool first = true;
   // 1.5 rad is the "clustered" arc: viewports overlap heavily but the
   // users stay out of each other's body-blockage shadow (tighter arcs
@@ -102,11 +92,8 @@ int run(const char* json_path) {
         {8, 2.0},
         {16, 1.5}}) {
     const SessionConfig config = session_config(users, spread);
-    const Timed off = run_timed(config, "off", nullptr);
-    // An external cache so the deterministic serial run's hit rate is
-    // observable from outside the session.
-    vv::TileCache cache;
-    const Timed shared = run_timed(config, "shared", &cache);
+    const Timed off = run_timed(config, "off");
+    const Timed shared = run_timed(config, "shared");
 
     const double n = static_cast<double>(users);
     const double off_mb_user =
@@ -120,7 +107,6 @@ int run(const char* json_path) {
     const double reuse =
         static_cast<double>(shared.result.tiles.stitched_tiles) /
         static_cast<double>(shared.result.tiles.requests);
-    const double hit_rate = cache.stats().hit_rate();
 
     if (out != nullptr) {
       std::fprintf(out,
@@ -128,10 +114,9 @@ int run(const char* json_path) {
                    "\"off_encode_mb_per_user\": %.4f, "
                    "\"shared_encode_mb_per_user\": %.4f, "
                    "\"encode_ratio\": %.4f, \"reuse\": %.4f, "
-                   "\"hit_rate\": %.4f, \"off_s\": %.4f, "
-                   "\"shared_s\": %.4f}",
+                   "\"off_s\": %.4f, \"shared_s\": %.4f}",
                    first ? "" : ",", users, spread, off_mb_user,
-                   shared_mb_user, encode_ratio, reuse, hit_rate, off.wall_s,
+                   shared_mb_user, encode_ratio, reuse, off.wall_s,
                    shared.wall_s);
       first = false;
     }
@@ -139,71 +124,13 @@ int run(const char* json_path) {
                AsciiTable::num(off_mb_user, 2),
                AsciiTable::num(shared_mb_user, 2),
                AsciiTable::num(encode_ratio, 3), AsciiTable::num(reuse, 3),
-               AsciiTable::num(hit_rate, 3), AsciiTable::num(off.wall_s, 2),
+               AsciiTable::num(off.wall_s, 2),
                AsciiTable::num(shared.wall_s, 2)});
   }
   std::printf("%s", table.render().c_str());
 
-  // --- fleet: per-slot local caches vs one fleet-shared cache ------------
-  constexpr std::size_t kSlots = 8;
-  FleetConfig fc;
-  fc.session = session_config(4, 2.0);
-  fc.session.content_seed = 0x5eedc0de;  // every slot streams this video
-  fc.session.policy_overrides["tiling"] = "shared";
-  fc.sessions = kSlots;
-  fc.parallel_sessions = 1;
-
-  constexpr int kReps = 3;
-  double local_s = 0.0;
-  double shared_s = 0.0;
-  double shared_hit_rate = 0.0;
-  FleetResult fleet;
-  for (int rep = 0; rep < kReps; ++rep) {
-    // Per-slot local caches: defeat the fleet handoff by handing each slot
-    // nothing and forcing the template cache path off.
-    FleetConfig local_fc = fc;
-    vv::TileCache defeat(1);  // capacity 1 byte: nothing is ever resident
-    local_fc.session.tile_cache = &defeat;
-    auto t0 = std::chrono::steady_clock::now();
-    const FleetResult rl = run_fleet(local_fc);
-    const double local = seconds_since(t0);
-    if (rep == 0 || local < local_s) local_s = local;
-
-    FleetConfig shared_fc = fc;
-    vv::TileCache shared_cache;
-    shared_fc.session.tile_cache = &shared_cache;
-    t0 = std::chrono::steady_clock::now();
-    fleet = run_fleet(shared_fc);
-    const double shared = seconds_since(t0);
-    if (rep == 0 || shared < shared_s) shared_s = shared;
-    shared_hit_rate = shared_cache.stats().hit_rate();
-    if (rl.total_users != fleet.total_users) return 1;  // impossible
-  }
-  const double fleet_speedup = local_s / shared_s;
-
-  std::printf("\n=== Fleet handoff: %zu slots, same content, cold vs "
-              "shared cache ===\n\n",
-              kSlots);
-  AsciiTable ftable;
-  ftable.header({"slots", "cold s", "shared s", "speedup", "hit rate",
-                 "stitched", "encoded"});
-  ftable.row({std::to_string(kSlots), AsciiTable::num(local_s, 2),
-              AsciiTable::num(shared_s, 2),
-              AsciiTable::num(fleet_speedup, 2),
-              AsciiTable::num(shared_hit_rate, 3),
-              std::to_string(fleet.tiles.stitched_tiles),
-              std::to_string(fleet.tiles.encoded_tiles)});
-  std::printf("%s", ftable.render().c_str());
-
   if (out != nullptr) {
-    std::fprintf(out,
-                 "\n  ],\n  \"fleet\": {\"slots\": %zu, \"cold_s\": %.4f, "
-                 "\"shared_s\": %.4f, \"speedup\": %.3f, "
-                 "\"hit_rate\": %.4f, \"stitched_tiles\": %llu, "
-                 "\"encoded_tiles\": %llu}\n}\n",
-                 kSlots, local_s, shared_s, fleet_speedup, shared_hit_rate,
-                 static_cast<unsigned long long>(fleet.tiles.stitched_tiles),
-                 static_cast<unsigned long long>(fleet.tiles.encoded_tiles));
+    std::fprintf(out, "\n  ]\n}\n");
     std::fclose(out);
     std::printf("wrote %s\n", json_path);
   }

@@ -11,7 +11,6 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
-#include "core/stages/registry.h"
 #include "core/workload_bundle.h"
 #include "obs/telemetry.h"
 
@@ -97,15 +96,6 @@ SlotOutcome run_supervised_slot(const FleetConfig& config, std::size_t slot,
       seed = derive_retry_seed(base_seed, slot, attempt + 1);
     }
   }
-}
-
-/// The tiling policy the session template resolves to (default +
-/// override), i.e. what build_pipeline will instantiate in every slot.
-std::string resolved_tiling_policy(const SessionConfig& session) {
-  std::string name = default_policy(StageKind::kTiling, session);
-  const auto it = session.policy_overrides.find("tiling");
-  if (it != session.policy_overrides.end()) name = it->second;
-  return name;
 }
 
 FleetResult run_fleet_impl(const FleetConfig& config) {
@@ -314,21 +304,12 @@ FleetResult run_fleet(const FleetConfig& config) {
   // slot's workload identity is the same, so one shared WorkloadBundle
   // replaces per-slot setup (video generation, codec precompute,
   // occupancy). With content_seed == 0 each slot streams its own video
-  // (seed + k) and nothing is shareable — the legacy path stays. Like the
-  // tile cache below, the bundle changes wall clock only, never results.
+  // (seed + k) and nothing is shareable — the legacy path stays. The
+  // bundle changes wall clock only, never results, so it is not part of
+  // the checkpoint fingerprint and resumed runs stay compatible either way.
   if (effective.share_bundle && effective.session.bundle == nullptr &&
       effective.session.content_seed != 0)
     effective.session.bundle = WorkloadBundle::build(effective.session);
-  // Encode-once, serve-many across the fleet: when the slots will run the
-  // "shared" tiling policy and the caller didn't supply a cache, stand up
-  // one fleet-shared cache here so a tile encoded by any slot is stitched
-  // by all the others. Neither the cache pointer nor the bundle is part of
-  // the checkpoint fingerprint (they change wall clock only, never
-  // results), so resumed runs stay compatible either way.
-  vv::TileCache shared_cache;
-  if (effective.session.tile_cache == nullptr &&
-      resolved_tiling_policy(effective.session) == "shared")
-    effective.session.tile_cache = &shared_cache;
   return run_fleet_impl(effective);
 }
 

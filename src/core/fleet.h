@@ -119,11 +119,8 @@ struct FleetResult {
   /// Stall-time distribution across users.
   double p95_stall_time_s = 0.0;
   /// Tile assembly totals summed over completed slots (all zero under the
-  /// default "off" tiling policy). With the "shared" tiling policy
-  /// run_fleet hands every slot one shared cache (unless the template
-  /// already carries one), so cross-slot stitching shows up as wall-clock
-  /// savings while these logical totals stay bit-identical at any
-  /// parallel_sessions value.
+  /// default "off" tiling policy). Each slot counts its own first touches,
+  /// so these totals are bit-identical at any parallel_sessions value.
   vv::TileReport tiles;
 };
 

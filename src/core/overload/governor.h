@@ -5,7 +5,7 @@
 // a pipeline that always does all the work has only two operating points:
 // "fully serve every user" and "miss the 33 ms frame deadline". The
 // LoadGovernor adds the missing middle: it tracks per-tick *logical*
-// budgets — encode cost, airtime, tile-cache bytes — against watermarks
+// budgets — encode cost, airtime, encode working set — against watermarks
 // and drives a green/yellow/orange/red brownout ladder. Each level sheds
 // work in a fixed priority order (cap far users' tiers, then skip
 // low-saliency cells and defer non-critical tile encodes, then cap every
@@ -57,10 +57,10 @@ struct OverloadConfig {
   /// (1.0 = the full interval; above it the air queue is structurally
   /// behind).
   double airtime_budget = 1.0;
-  /// Logical tile-cache working-set budget: the sum of encode bytes over
-  /// the sliding window below is held against it. kMemPressure shrinks
-  /// this budget (never the real TileCache::max_bytes, which is shared
-  /// across fleet slots and therefore not deterministic per session).
+  /// Logical encode working-set budget: the sum of encode bytes over the
+  /// sliding window below is held against it, standing in for the memory
+  /// a server would hold encoded tiles in. kMemPressure shrinks this
+  /// budget. No physical cache backs it; tiling is first-touch accounting.
   double cache_budget_bytes = 48.0e6;
   /// Sliding window (ticks) for the cache working-set sum.
   std::size_t cache_window_ticks = 30;
@@ -104,7 +104,7 @@ struct TickLoad {
   double cache_window_bytes = 0.0;  // encode bytes over the sliding window
   /// kCpuPressure: >= 1 inflates the logical encode + airtime cost.
   double cpu_factor = 1.0;
-  /// kMemPressure: in (0, 1], shrinks the logical cache budget.
+  /// kMemPressure: in (0, 1], shrinks the logical working-set budget.
   double mem_factor = 1.0;
 };
 

@@ -31,7 +31,7 @@
 #include "core/testbed.h"
 #include "fault/fault_plan.h"
 #include "fault/health.h"
-#include "pointcloud/tile_cache.h"
+#include "pointcloud/tile_report.h"
 #include "sim/qoe.h"
 #include "trace/mobility.h"
 #include "transport/wire.h"
@@ -75,9 +75,9 @@ struct SessionConfig {
   std::uint64_t seed = 1;
   /// Content identity override. 0 (the default) derives the video seed
   /// from `seed` as before, so every session streams its own video. A
-  /// nonzero value pins the video (and thus every tile's content
-  /// fingerprint) regardless of `seed` — this is what lets fleet slots
-  /// (seed + k) share one tile cache: same content, different audiences.
+  /// nonzero value pins the video regardless of `seed` — this is what
+  /// lets fleet slots (seed + k) share one WorkloadBundle: same content,
+  /// different audiences.
   std::uint64_t content_seed = 0;
   double prediction_horizon_s = 0.1;
   /// Worker threads for the per-tick pipeline (per-user visibility, link
@@ -153,14 +153,6 @@ struct SessionConfig {
   /// and is not flushed here: call Telemetry::write_jsonl after run().
   obs::Telemetry* telemetry = nullptr;
 
-  /// Optional shared tile cache for the "shared" tiling policy (null = the
-  /// session builds its own). A fleet passes one cache to every slot so a
-  /// tile encoded by any session is stitched by all the others. The cache
-  /// must outlive the session. Tiles are pure functions of their key, so a
-  /// racing shared cache affects wall clock only — never SessionResult
-  /// (see core/stages/tiling_stage.h). Ignored when tiling is "off".
-  vv::TileCache* tile_cache = nullptr;
-
   /// Optional shared workload bundle (core/workload_bundle.h): the
   /// immutable setup artifacts — generated video, cell grid, VideoStore
   /// codec tables, occupancy precompute — built once and read by every
@@ -230,8 +222,8 @@ struct SessionResult {
   /// Tile assembly totals (all zero under the default "off" tiling policy).
   /// Deterministic first-touch accounting: under "shared", encoded_tiles
   /// counts distinct (frame, tier, cell) keys this session touched first,
-  /// stitched_tiles the repeats served from cache — regardless of thread
-  /// count or what other fleet slots did to the shared cache.
+  /// stitched_tiles the repeats — regardless of thread count or what
+  /// other fleet slots did.
   vv::TileReport tiles;
   /// Brownout accounting (all zero under the default "off" overload
   /// policy): per-level tick counts, shed totals, peak utilization, and

@@ -35,7 +35,7 @@ void OverloadStage::run(SessionState& state, TickContext& ctx) {
   load.cache_window_bytes = window_sum_;
 
   // Resource-pressure chaos inflates the logical costs; the budgets stay
-  // logical (never the real tile cache), so determinism is untouched.
+  // logical, so determinism is untouched.
   if (state.has_faults) {
     load.cpu_factor = state.injector.cpu_pressure_factor();
     load.mem_factor = state.injector.mem_pressure_factor();

@@ -66,7 +66,6 @@ SessionState::SessionState(SessionConfig c)
       health(c.user_count, fault::HealthMonitor(c.health)),
       has_faults(!c.fault_plan.empty()) {
   tel = config.telemetry;
-  video_seed = bundle->key().video_seed;
   if (tel != nullptr) {
     rss_evals = &tel->metrics().counter("mmwave.rss_evals");
     plan_evals = &tel->metrics().counter("grouping.plan_evals");

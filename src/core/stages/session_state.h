@@ -24,7 +24,7 @@
 #include "fault/injector.h"
 #include "mmwave/mcs.h"
 #include "obs/telemetry.h"
-#include "pointcloud/tile_cache.h"
+#include "pointcloud/tile_report.h"
 #include "pointcloud/video_store.h"
 #include "sim/event_queue.h"
 #include "sim/player.h"
@@ -118,14 +118,10 @@ struct SessionState {
   std::vector<double> recovery_samples;
 
   // Tiling-stage state. `tiles` is the deterministic logical report
-  // (first-touch accounting; see tiling_stage.h); the cache pointers and
-  // the seen-bitmap are lazily initialized on the stage's first tick.
+  // (first-touch accounting; see tiling_stage.h); the seen-bitmap is
+  // lazily sized on the shared policy's first tick.
   vv::TileReport tiles;
   std::vector<char> tile_seen;
-  std::uint64_t tile_content = 0;
-  std::uint64_t video_seed = 0;
-  vv::TileCache* tile_cache = nullptr;  // external (fleet-shared) or local
-  std::unique_ptr<vv::TileCache> local_tile_cache;
 
   // Overload control. `shed` is published by the overload stage each tick
   // (zero-initialized == shed nothing under the "off" policy, so every

@@ -1,8 +1,5 @@
 #include "core/stages/tiling_stage.h"
 
-#include <memory>
-#include <vector>
-
 #include "core/stages/session_state.h"
 #include "core/stages/tick_context.h"
 
@@ -13,37 +10,13 @@ void TilingStage::run(SessionState& state, TickContext& ctx) {
   obs::Telemetry* tel = state.tel;
   obs::Span span = ctx.span(obs::Stage::kTile);
   const vv::TileReport before = state.tiles;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t deferred = 0;
-  // kTileCorruption victim: the first tile this tick materialized, damaged
-  // after the loop so the *next* request for it exercises get()'s
-  // checksum-eviction path. Wall-clock/telemetry only — the logical
-  // encoded/stitched split never sees cache outcomes.
-  bool have_victim = false;
-  vv::TileKey victim;
 
   const std::size_t tier_count = state.store.tier_count();
   const std::size_t cell_count = state.grid.cell_count();
-  if (shared_ && state.tile_seen.empty()) {
-    // First tick: size the first-touch bitmap and resolve the cache — the
-    // fleet-shared one when the config carries it, else a session-local
-    // store (within-session sharing still amortizes repeats).
-    std::vector<std::size_t> tier_points;
-    tier_points.reserve(tier_count);
-    for (const vv::QualityTier& tier : state.store.tiers())
-      tier_points.push_back(tier.points_per_frame);
-    state.tile_content = vv::tile_content_fingerprint(
-        state.video_seed, state.config.master_points,
-        state.config.video_frames, state.config.cell_size_m, tier_points);
+  if (shared_ && state.tile_seen.empty())
     state.tile_seen.assign(state.config.video_frames * tier_count * cell_count,
                            0);
-    state.tile_cache = state.config.tile_cache;
-    if (state.tile_cache == nullptr) {
-      state.local_tile_cache = std::make_unique<vv::TileCache>();
-      state.tile_cache = state.local_tile_cache.get();
-    }
-  }
 
   for (std::size_t a = 0; a < state.coordinator.ap_count(); ++a) {
     if (!ctx.ap_plans[a].active) continue;
@@ -71,7 +44,7 @@ void TilingStage::run(SessionState& state, TickContext& ctx) {
             // Brownout deferral: a *new* encode for a faint cell is
             // non-critical work — push it to a calmer tick. The bitmap is
             // left clear so the first post-brownout request pays the
-            // encode; already-resident tiles keep stitching below.
+            // encode; already-encoded tiles keep stitching below.
             if (lod <= state.shed.defer_lod) {
               ++deferred;
               continue;
@@ -82,28 +55,6 @@ void TilingStage::run(SessionState& state, TickContext& ctx) {
           } else {
             ++state.tiles.stitched_tiles;
             state.tiles.stitched_bytes += bytes;
-          }
-          // Materialize: a resident tile — this session's earlier encode
-          // or another fleet slot's — is stitched at the cost of get()'s
-          // checksum validation; a miss (cold key, eviction, corruption)
-          // pays the full encode. Wall clock only: the logical
-          // encoded/stitched split above is already settled.
-          vv::TileKey key;
-          key.content = state.tile_content;
-          key.frame = static_cast<std::uint32_t>(frame);
-          key.cell = static_cast<std::uint32_t>(cell);
-          key.tier = static_cast<std::uint16_t>(tier);
-          if (!have_victim) {
-            victim = key;
-            have_victim = true;
-          }
-          const std::shared_ptr<const vv::Tile> tile =
-              state.tile_cache->get(key);
-          if (tile != nullptr) {
-            ++cache_hits;
-          } else {
-            ++cache_misses;
-            (void)state.tile_cache->put(vv::encode_tile(key, bytes));
           }
         }
       }
@@ -117,22 +68,6 @@ void TilingStage::run(SessionState& state, TickContext& ctx) {
     if (tel != nullptr)
       tel->metrics().counter("overload.deferred_tiles").add(deferred);
   }
-  if (state.has_faults && have_victim && state.tile_cache != nullptr &&
-      state.injector.tile_corrupt(ctx.tick) &&
-      state.tile_cache->corrupt(victim)) {
-    // Telemetry only: whether the victim is still resident can depend on
-    // other fleet slots' cache traffic, so this never feeds SessionResult.
-    if (tel != nullptr) {
-      tel->metrics().counter("tile.corruption_injected").add(1);
-      obs::Event e;
-      e.tick = ctx.tick32;
-      e.layer = obs::Layer::kFault;
-      e.type = obs::EventType::kTileCorrupt;
-      e.value = 1.0;
-      e.has_value = true;
-      tel->record_event(e);
-    }
-  }
   if (tel != nullptr && requests > 0) {
     obs::MetricRegistry& metrics = tel->metrics();
     metrics.counter("tile.requests").add(requests);
@@ -144,9 +79,6 @@ void TilingStage::run(SessionState& state, TickContext& ctx) {
         .add(state.tiles.encoded_bytes - before.encoded_bytes);
     metrics.counter("tile.stitched_bytes")
         .add(state.tiles.stitched_bytes - before.stitched_bytes);
-    if (cache_hits > 0) metrics.counter("tile.cache_hits").add(cache_hits);
-    if (cache_misses > 0)
-      metrics.counter("tile.cache_misses").add(cache_misses);
     metrics.gauge("tile.encode_bytes_per_user")
         .set(static_cast<double>(state.tiles.encoded_bytes) /
              static_cast<double>(state.user_count()));

@@ -3,23 +3,19 @@
 // Sits between Grouping (which fixes the tick's members and their tiers)
 // and Transport (which puts the assembled bitstreams on the air). For every
 // member of every scheduled group it walks the user's visible cells at its
-// granted tier and produces one tile per cell:
+// granted tier and counts one tile per cell. Both policies are pure
+// bookkeeping into SessionState::tiles; no payload bytes are produced:
 //
 //  * policy "off"  — the legacy encode-per-user model: every tile a user
-//    needs counts as an encode for that user. Pure accounting (no payloads
-//    are materialized), so the default pipeline keeps its cost profile.
+//    needs counts as an encode for that user.
 //  * policy "shared" — encode-once, serve-many: the first touch of a
-//    (content, frame, tier, cell) key this session *encodes* the tile
-//    (into the shared TileCache when one is attached, else into a
-//    session-local cache); every repeat — another user in the group, a
-//    later tick of the same looped frame — *stitches* the cached bitstream
-//    at ~1/4 the cost.
+//    (frame, tier, cell) key this session *encodes* the tile; every
+//    repeat — another user in the group, a later tick of the same looped
+//    frame — *stitches* the already-encoded tile.
 //
-// Determinism: the encoded/stitched split comes from a session-local
-// first-touch bitmap, never from cache probe outcomes, so SessionResult is
-// bit-identical at any worker_threads / parallel_sessions value even when
-// a fleet-shared cache is racing across slots (the cache changes wall
-// clock only — a hit skips the encode work, a miss or eviction redoes it).
+// Determinism: the encoded/stitched split comes from the session-local
+// first-touch bitmap SessionState::tile_seen, so SessionResult is
+// bit-identical at any worker_threads / parallel_sessions value.
 //
 // Only main-frame deliveries are assembled here; prefetch pulls the *next*
 // frame, which becomes this stage's main frame one tick later, so its

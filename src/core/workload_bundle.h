@@ -11,7 +11,7 @@
 // byte-identical tables. The WorkloadBundle hoists them into a single
 // reference-counted, frozen artifact set built once per fleet and read
 // concurrently by every slot — the same encode-once/serve-many
-// amortization the tile cache applies to the wire, applied to the setup
+// amortization shared tiling applies to the wire, applied to the setup
 // path. DESIGN.md §8 "Setup cost" breaks the store build down by phase.
 //
 // Ownership / copy-on-write rules:
@@ -55,8 +55,7 @@ struct SessionConfig;  // core/session.h
 /// ablation switches, policies) deliberately do not participate.
 struct WorkloadKey {
   /// The video's content seed: SessionConfig::content_seed when nonzero,
-  /// else derived from the session seed (seed ^ 0xc0ffee) — the same rule
-  /// the tile cache uses for content fingerprints.
+  /// else derived from the session seed (seed ^ 0xc0ffee).
   std::uint64_t video_seed = 0;
   std::uint64_t master_points = 0;
   std::uint64_t video_frames = 0;

@@ -21,7 +21,6 @@ const char* to_string(FaultKind kind) noexcept {
     case FaultKind::kBurstLoss: return "burst-loss";
     case FaultKind::kCpuPressure: return "cpu-pressure";
     case FaultKind::kMemPressure: return "mem-pressure";
-    case FaultKind::kTileCorruption: return "tile-corruption";
   }
   return "unknown";
 }
@@ -75,11 +74,6 @@ void FaultPlan::validate(std::size_t user_count, std::size_t ap_count) const {
           throw std::invalid_argument(
               where + "memory budget fraction must be in (0, 1]");
         break;
-      case FaultKind::kTileCorruption:
-        if (e.magnitude < 0.0 || e.magnitude > 1.0)
-          throw std::invalid_argument(
-              where + "corruption probability must be in [0, 1]");
-        break;
       case FaultKind::kUserLeave:
       case FaultKind::kBeamProbeFail:
       case FaultKind::kStuckSector:
@@ -114,8 +108,6 @@ std::string FaultPlan::summary() const {
       out << " p=" << (e.magnitude > 0.0 ? e.magnitude : 1.0);
     if (e.kind == FaultKind::kCpuPressure) out << " x" << e.magnitude;
     if (e.kind == FaultKind::kMemPressure) out << " frac=" << e.magnitude;
-    if (e.kind == FaultKind::kTileCorruption)
-      out << " p=" << (e.magnitude > 0.0 ? e.magnitude : 1.0);
     if (e.kind == FaultKind::kObstacleSpawn)
       out << " at (" << e.position.x << ", " << e.position.y << ")";
     out << "\n";
@@ -232,15 +224,6 @@ FaultPlan random_plan(const ChaosConfig& config) {
     e.t_s = start + mem_rng.uniform(0.0, std::max((end - start) * 0.5, 1e-3));
     e.duration_s = mem_rng.uniform(0.25, 0.5) * config.duration_s;
     e.magnitude = config.mem_pressure;
-    plan.add(e);
-  }
-  if (config.tile_corruption > 0.0) {
-    Rng tile_rng(config.seed ^ 0x7c0bULL);
-    FaultEvent e;
-    e.kind = FaultKind::kTileCorruption;
-    e.t_s = start + tile_rng.uniform(0.0, std::max(end - start, 1e-3));
-    e.duration_s = tile_rng.uniform(0.5, 1.5);
-    e.magnitude = std::min(config.tile_corruption, 1.0);
     plan.add(e);
   }
   return plan;

@@ -40,13 +40,9 @@ enum class FaultKind {
                    // governor's logical compute costs inflate by factor
                    // `magnitude` (>= 1); inert with overload control off
   kMemPressure,    // resource pressure: while active, the governor's
-                   // logical tile-cache budget shrinks to fraction
-                   // `magnitude` (in (0, 1]); inert with overload off
-  kTileCorruption, // cached tiles corrupt: each tick while active, the
-                   // tiling stage flips a byte in a cached tile with
-                   // probability `magnitude`, exercising the cache's
-                   // checksum-eviction path (wall-clock/telemetry only —
-                   // never perturbs SessionResult)
+                   // logical encode working-set budget shrinks to
+                   // fraction `magnitude` (in (0, 1]); inert with overload
+                   // off
 };
 
 [[nodiscard]] const char* to_string(FaultKind kind) noexcept;
@@ -137,12 +133,9 @@ struct ChaosConfig {
   /// RNG stream; plans with the knob off keep their exact legacy bytes.
   double cpu_pressure = 0.0;
   /// When in (0, 1), the plan carries kMemPressure windows shrinking the
-  /// governor's logical tile-cache budget to this fraction. Separate
-  /// RNG stream, same byte-stability guarantee.
+  /// governor's logical encode working-set budget to this fraction.
+  /// Separate RNG stream, same byte-stability guarantee.
   double mem_pressure = 0.0;
-  /// When > 0, the plan carries a kTileCorruption window flipping bytes
-  /// in cached tiles with this per-tick probability. Separate RNG stream.
-  double tile_corruption = 0.0;
 };
 
 /// Generates a random-but-deterministic plan: same ChaosConfig, same plan.

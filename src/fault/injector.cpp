@@ -88,7 +88,6 @@ void FaultInjector::rebuild_flags() {
   std::fill(burst_p_.begin(), burst_p_.end(), 0.0);
   cpu_factor_ = 1.0;
   mem_factor_ = 1.0;
-  tile_corrupt_p_ = 0.0;
   obstacles_.clear();
   for (const Active& a : active_) {
     const FaultEvent& e = a.event;
@@ -138,10 +137,6 @@ void FaultInjector::rebuild_flags() {
         if (e.magnitude > 0.0)
           mem_factor_ = std::min(mem_factor_, std::min(e.magnitude, 1.0));
         break;
-      case FaultKind::kTileCorruption:
-        tile_corrupt_p_ =
-            std::max(tile_corrupt_p_, e.magnitude > 0.0 ? e.magnitude : 1.0);
-        break;
       case FaultKind::kSessionCrash:
         break;  // never enters the active set (handled in advance())
     }
@@ -171,16 +166,6 @@ double FaultInjector::frame_loss_probability(std::size_t user) const {
 }
 double FaultInjector::burst_loss_probability(std::size_t user) const {
   return user < user_count_ ? burst_p_[user] : 0.0;
-}
-
-bool FaultInjector::tile_corrupt(std::size_t tick) const {
-  if (tile_corrupt_p_ <= 0.0) return false;
-  const std::uint64_t h =
-      mix(seed_ ^ 0x7c0b'71e5'c0ab'b1e5ULL ^
-          mix(static_cast<std::uint64_t>(tick) * 0x9e3779b97f4a7c15ULL));
-  const double u =
-      static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);  // [0, 1)
-  return u < tile_corrupt_p_;
 }
 
 bool FaultInjector::frame_lost(std::size_t user, std::size_t tick) const {

@@ -63,18 +63,11 @@ class FaultInjector {
   [[nodiscard]] double cpu_pressure_factor() const noexcept {
     return cpu_factor_;
   }
-  /// Logical tile-cache budget fraction from active kMemPressure faults
-  /// (min over active events; 1.0 when none).
+  /// Logical encode working-set budget fraction from active kMemPressure
+  /// faults (min over active events; 1.0 when none).
   [[nodiscard]] double mem_pressure_factor() const noexcept {
     return mem_factor_;
   }
-  /// Active kTileCorruption probability (max over active events).
-  [[nodiscard]] double tile_corrupt_probability() const noexcept {
-    return tile_corrupt_p_;
-  }
-  /// Deterministic per-tick draw: should the tiling stage corrupt one
-  /// cached tile this tick? False when no corruption fault is active.
-  [[nodiscard]] bool tile_corrupt(std::size_t tick) const;
   /// Obstacles spawned and still standing (room coordinates).
   [[nodiscard]] const std::vector<geo::BodyObstacle>& obstacles()
       const noexcept {
@@ -110,7 +103,6 @@ class FaultInjector {
   std::vector<double> burst_p_;
   double cpu_factor_ = 1.0;
   double mem_factor_ = 1.0;
-  double tile_corrupt_p_ = 0.0;
   std::vector<geo::BodyObstacle> obstacles_;
 };
 

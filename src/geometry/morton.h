@@ -1,6 +1,6 @@
 // 3D Morton (Z-order) codes. The point-cloud codec sorts quantized points in
 // Morton order so that delta coding sees spatially coherent (small) gaps —
-// the same trick octree coders such as Draco exploit.
+// the spatial locality that tree-based geometry coders such as Draco exploit.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +53,7 @@ struct MortonCoords {
 // Batched column forms for structure-of-arrays pipelines. The bodies are
 // pure shift/mask chains with no branches or cross-iteration state, so the
 // compiler vectorizes the loops; keeping them here (instead of at call
-// sites) gives the codec and octree coder one shared, tested kernel.
+// sites) gives the codec one shared, tested kernel.
 
 /// codes[i] = morton_encode(x[i], y[i], z[i]) for i in [0, n).
 inline void morton_encode_batch(const std::uint32_t* x, const std::uint32_t* y,

@@ -81,7 +81,6 @@ const char* to_string(EventType type) noexcept {
     case EventType::kAdmissionAdmitted: return "admission_admitted";
     case EventType::kAdmissionQueued: return "admission_queued";
     case EventType::kAdmissionDenied: return "admission_denied";
-    case EventType::kTileCorrupt: return "tile_corrupt";
   }
   return "unknown";
 }

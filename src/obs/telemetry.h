@@ -41,7 +41,7 @@ enum class Stage : std::uint8_t {
   kMitigate,  // proactive blockage mitigation planning
   kGroup,     // multicast grouping (per AP)
   kBeam,      // multicast beam design (per AP)
-  kTile,      // per-user frame assembly from cached tiles
+  kTile,      // per-user frame assembly from tiles (first-touch counts)
   kSchedule,  // MAC schedule + delivery accounting (per AP)
   kPlayer,    // player advance + health observation
 };
@@ -84,7 +84,6 @@ enum class EventType : std::uint8_t {
   kAdmissionAdmitted,   // user = fleet slot, value = wait ticks (0)
   kAdmissionQueued,     // user = fleet slot, value = wait ticks
   kAdmissionDenied,     // user = fleet slot
-  kTileCorrupt,         // value = corrupted-tile count this tick
 };
 [[nodiscard]] const char* to_string(EventType type) noexcept;
 

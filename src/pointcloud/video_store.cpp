@@ -41,9 +41,7 @@ void encode_frame_exact(const FrameSoA& frame, const CellGrid& grid,
     const CellId c = occupied[k];
     const auto indices = buckets.cell(c);
     const FrameSoA cell_frame = frame.gather(indices);
-    const auto blob = config.codec_kind == StoreCodec::kOctree
-                          ? octree_encode(cell_frame.to_aos(), config.octree)
-                          : encode(cell_frame, config.codec);
+    const auto blob = encode(cell_frame, config.codec);
     bytes_out[c] = static_cast<std::uint32_t>(blob.size());
     points_out[c] = static_cast<std::uint32_t>(indices.size());
   };

@@ -11,7 +11,6 @@
 
 #include "pointcloud/cell_grid.h"
 #include "pointcloud/codec.h"
-#include "pointcloud/octree_codec.h"
 #include "pointcloud/video_generator.h"
 
 namespace volcast::common {
@@ -30,18 +29,10 @@ struct QualityTier {
 /// The paper's three quality tiers.
 [[nodiscard]] std::vector<QualityTier> paper_quality_tiers();
 
-/// Which compression pipeline sizes the stored cells.
-enum class StoreCodec {
-  kMortonDelta,  // codec.h — Draco-role pipeline (default)
-  kOctree,       // octree_codec.h — GROOT/G-PCC-role pipeline
-};
-
 /// Store construction options.
 struct VideoStoreConfig {
   std::vector<QualityTier> tiers = paper_quality_tiers();
-  StoreCodec codec_kind = StoreCodec::kMortonDelta;
   CodecConfig codec{};
-  OctreeCodecConfig octree{};
   /// When true every cell of every frame is range-coded exactly (slow; for
   /// tests and the codec bench). When false, `sample_frames` frames are
   /// encoded exactly and a linear bytes-vs-points model fitted from them

@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "core/checkpoint.h"
 #include "pointcloud/codec.h"
-#include "pointcloud/octree_codec.h"
 #include "pointcloud/video_store.h"
 #include "trace/mobility.h"
 #include "trace/trace_io.h"
@@ -102,36 +101,6 @@ TEST(FuzzDecoders, MortonCodecRejectsHugeCountHeader) {
   EXPECT_THROW((void)vv::decode(blob), std::runtime_error);
 }
 
-TEST(FuzzDecoders, OctreeCodecSurvivesBitFlips) {
-  const auto blob = vv::octree_encode(sample_cloud());
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    const auto bad = corrupted(blob, seed, 3);
-    try {
-      const auto cloud = vv::octree_decode(bad);
-      EXPECT_LE(cloud.size(), 64u * 8u * bad.size() + 64u);
-    } catch (const std::runtime_error&) {
-    }
-  }
-}
-
-TEST(FuzzDecoders, OctreeCodecSurvivesTruncation) {
-  const auto blob = vv::octree_encode(sample_cloud());
-  for (std::size_t keep = 0; keep < blob.size(); keep += 53) {
-    const std::vector<std::uint8_t> cut(blob.begin(),
-                                        blob.begin() + static_cast<long>(keep));
-    try {
-      (void)vv::octree_decode(cut);
-    } catch (const std::runtime_error&) {
-    }
-  }
-}
-
-TEST(FuzzDecoders, OctreeCodecRejectsHugeVoxelCount) {
-  auto blob = vv::octree_encode(sample_cloud());
-  blob[4] = blob[5] = blob[6] = blob[7] = 0xff;
-  EXPECT_THROW((void)vv::octree_decode(blob), std::runtime_error);
-}
-
 TEST(FuzzDecoders, TraceReaderRejectsHugeCount) {
   EXPECT_THROW((void)trace::trace_from_string("VCTRACE 1 HM 30 4000000000\n"),
                std::runtime_error);
@@ -151,7 +120,6 @@ TEST(FuzzDecoders, EmptyAndTinyInputs) {
   for (std::size_t n : {0u, 1u, 4u, 16u, 57u}) {
     const std::vector<std::uint8_t> tiny(n, 0x5a);
     EXPECT_THROW((void)vv::decode(tiny), std::runtime_error);
-    EXPECT_THROW((void)vv::octree_decode(tiny), std::runtime_error);
   }
 }
 
@@ -162,20 +130,6 @@ TEST(FuzzDecoders, MortonCodecSurvivesInsertionsAndDeletions) {
                             with_deletions(blob, seed, 4)}) {
       try {
         const auto cloud = vv::decode(bad);
-        EXPECT_LE(cloud.size(), 64u * 8u * bad.size() + 64u);
-      } catch (const std::runtime_error&) {
-      }
-    }
-  }
-}
-
-TEST(FuzzDecoders, OctreeCodecSurvivesInsertionsAndDeletions) {
-  const auto blob = vv::octree_encode(sample_cloud());
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    for (const auto& bad : {with_insertions(blob, seed, 4),
-                            with_deletions(blob, seed, 4)}) {
-      try {
-        const auto cloud = vv::octree_decode(bad);
         EXPECT_LE(cloud.size(), 64u * 8u * bad.size() + 64u);
       } catch (const std::runtime_error&) {
       }

@@ -1,7 +1,7 @@
 // Overload control: governor watermark/hysteresis behavior, admission
 // planning, the brownout ladder's shed directives, determinism of shed
-// accounting at any parallelism, the overload-off equivalence guarantee,
-// and the tile-corruption -> checksum-eviction path.
+// accounting at any parallelism, and the overload-off equivalence
+// guarantee.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -13,7 +13,6 @@
 #include "core/overload/governor.h"
 #include "core/session.h"
 #include "fault/fault_plan.h"
-#include "pointcloud/tile_cache.h"
 #include "session_compare.h"
 
 namespace volcast::core {
@@ -368,58 +367,6 @@ TEST(OverloadFleet, AdmissionOffKeepsLegacyDispatch) {
   EXPECT_EQ(fleet.queued_slots, 0u);
   for (const SlotOutcome& o : fleet.outcomes)
     EXPECT_EQ(o.status, SlotStatus::kCompleted);
-}
-
-// ------------------------------------------------------- tile corruption
-
-TEST(TileCorruption, CorruptEntryIsEvictedOnNextGet) {
-  vv::TileCache cache;
-  const vv::TileKey key{0x1234, 7, 3, 1};
-  (void)cache.put(vv::encode_tile(key, 4096));
-  ASSERT_NE(cache.get(key), nullptr);
-
-  ASSERT_TRUE(cache.corrupt(key));
-  // The damaged payload no longer matches the stored checksum: the next
-  // get() must evict the entry and report the rejection, and the key must
-  // read as a miss from then on.
-  EXPECT_EQ(cache.get(key), nullptr);
-  EXPECT_EQ(cache.stats().corrupt_rejected.load(), 1u);
-  EXPECT_EQ(cache.get(key), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(TileCorruption, CorruptMissesWhenKeyNotResident) {
-  vv::TileCache cache;
-  EXPECT_FALSE(cache.corrupt(vv::TileKey{1, 2, 3, 4}));
-}
-
-TEST(TileCorruption, WorksOnFrozenCaches) {
-  vv::TileCache cache;
-  const vv::TileKey key{0x9999, 1, 1, 0};
-  (void)cache.put(vv::encode_tile(key, 1024));
-  cache.freeze();
-  EXPECT_TRUE(cache.corrupt(key));  // bit rot ignores the write latch
-  EXPECT_EQ(cache.get(key), nullptr);
-}
-
-TEST(TileCorruption, ChaosFaultFiresThroughTheSession) {
-  // A full-session tile-corruption window over a shared cache: the run
-  // must complete (corruption degrades to re-encoding, never garbage) and
-  // the cache must have rejected at least one corrupt entry.
-  SessionConfig config = small_session();
-  config.policy_overrides["tiling"] = "shared";
-  fault::FaultEvent corruption;
-  corruption.kind = fault::FaultKind::kTileCorruption;
-  corruption.t_s = 0.0;
-  corruption.duration_s = config.duration_s;
-  corruption.magnitude = 1.0;
-  config.fault_plan.add(corruption);
-
-  vv::TileCache cache;
-  config.tile_cache = &cache;
-  const SessionResult r = Session(config).run();
-  EXPECT_GT(r.tiles.requests, 0u);
-  EXPECT_GT(cache.stats().corrupt_rejected.load(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Property-based round-trip tests for the compression stack (ISSUE 3):
 // seeded randomized point clouds across extents, densities and degenerate
-// shapes through `codec`, `octree_codec` and `range_coder`. Each property
+// shapes through `codec` and `range_coder`. Each property
 // is a sweep over seeds, so failures reproduce exactly; ctest runs these
 // under the `property` label.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "common/rng.h"
 #include "pointcloud/codec.h"
-#include "pointcloud/octree_codec.h"
 #include "pointcloud/range_coder.h"
 
 namespace volcast::vv {
@@ -102,45 +101,6 @@ TEST(PropertyCodec, TruncationNeverCrashesAndHeaderCutsThrow) {
       try {
         const PointCloud cloud = decode(cut);
         EXPECT_LE(cloud.size(), 64u * 8u * (cut.size() + 8) + 64u);
-      } catch (const std::runtime_error&) {
-      }
-    }
-  }
-}
-
-TEST(PropertyOctree, RoundTripMatchesVoxelCount) {
-  for (std::uint64_t seed = 100; seed < 124; ++seed) {
-    const PointCloud cloud = random_cloud(seed);
-    const auto blob = octree_encode(cloud);
-    const PointCloud back = octree_decode(blob);
-    // One point per occupied voxel, and the header agrees.
-    EXPECT_EQ(back.size(), octree_voxel_count(blob)) << "seed " << seed;
-    EXPECT_LE(back.size(), std::max<std::size_t>(cloud.size(), 1))
-        << "seed " << seed;
-    if (!cloud.empty()) EXPECT_GE(back.size(), 1u) << "seed " << seed;
-  }
-}
-
-TEST(PropertyOctree, VoxelizedCloudIsAFixedPoint) {
-  // Decoded voxel centers re-encode to the same voxel set: voxelization is
-  // idempotent.
-  for (std::uint64_t seed = 100; seed < 116; ++seed) {
-    const PointCloud once = octree_decode(octree_encode(random_cloud(seed)));
-    const PointCloud twice = octree_decode(octree_encode(once));
-    ASSERT_EQ(once.size(), twice.size()) << "seed " << seed;
-  }
-}
-
-TEST(PropertyOctree, TruncationNeverCrashes) {
-  for (std::uint64_t seed = 100; seed < 112; ++seed) {
-    const auto blob = octree_encode(random_cloud(seed));
-    for (std::size_t keep = 0; keep < blob.size(); keep += 17) {
-      const std::vector<std::uint8_t> cut(
-          blob.begin(), blob.begin() + static_cast<long>(keep));
-      try {
-        const PointCloud cloud = octree_decode(cut);
-        EXPECT_LE(cloud.size(), 64u * 8u * (cut.size() + 8) + 64u)
-            << "seed " << seed;
       } catch (const std::runtime_error&) {
       }
     }

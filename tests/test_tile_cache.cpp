@@ -1,10 +1,9 @@
-// Content-addressed tile cache (pointcloud/tile_cache.h) and the tiling
-// stage built on it: encode determinism, insert-or-get dedup, FIFO
-// eviction under pressure, corrupt-tile rejection, and — the load-bearing
-// property — bit-identical SessionResult/FleetResult whether tiling is
-// off or shared, at any worker_threads / parallel_sessions value, with a
-// session-local, external, or fleet-shared cache.
-#include "pointcloud/tile_cache.h"
+// Tiling stage (core/stages/tiling_stage.h): first-touch tile accounting.
+// The load-bearing property is bit-identical SessionResult/FleetResult
+// whether tiling is off or shared, at any worker_threads /
+// parallel_sessions value; shared tiling must also cut encode bytes when
+// viewports overlap, and fleets must aggregate their slots' tile reports.
+#include "pointcloud/tile_report.h"
 
 #include <gtest/gtest.h>
 
@@ -19,108 +18,6 @@
 
 namespace volcast {
 namespace {
-
-vv::TileKey key_of(std::uint32_t frame, std::uint16_t tier,
-                   std::uint32_t cell) {
-  vv::TileKey key;
-  key.content = 0xfeedfacecafef00dULL;
-  key.frame = frame;
-  key.tier = tier;
-  key.cell = cell;
-  return key;
-}
-
-TEST(TileCache, EncodeIsDeterministicAndKeyed) {
-  const vv::Tile a = vv::encode_tile(key_of(3, 1, 7), 1000);
-  const vv::Tile b = vv::encode_tile(key_of(3, 1, 7), 1000);
-  ASSERT_EQ(a.payload.size(), 1000u);
-  EXPECT_EQ(a.payload, b.payload);
-  EXPECT_EQ(a.checksum, b.checksum);
-  EXPECT_TRUE(a.valid());
-  // Any key-field change produces a different bitstream.
-  EXPECT_NE(a.payload, vv::encode_tile(key_of(4, 1, 7), 1000).payload);
-  EXPECT_NE(a.payload, vv::encode_tile(key_of(3, 2, 7), 1000).payload);
-  EXPECT_NE(a.payload, vv::encode_tile(key_of(3, 1, 8), 1000).payload);
-  EXPECT_EQ(vv::stitch_tile(a), a.checksum);
-}
-
-TEST(TileCache, GetReturnsWhatPutStored) {
-  vv::TileCache cache;
-  EXPECT_EQ(cache.get(key_of(0, 0, 0)), nullptr);
-  EXPECT_EQ(cache.stats().misses.load(), 1u);
-
-  const vv::Tile tile = vv::encode_tile(key_of(0, 0, 0), 256);
-  (void)cache.put(tile);
-  const auto hit = cache.get(key_of(0, 0, 0));
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->payload, tile.payload);
-  EXPECT_EQ(cache.stats().hits.load(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.payload_bytes(), 256u);
-}
-
-TEST(TileCache, PutIsInsertOrGet) {
-  vv::TileCache cache;
-  const auto first = cache.put(vv::encode_tile(key_of(1, 0, 2), 128));
-  const auto second = cache.put(vv::encode_tile(key_of(1, 0, 2), 128));
-  // Two concurrent encoders produce identical bytes; first-in wins and the
-  // duplicate is dropped on the floor.
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.stats().insertions.load(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(TileCache, EvictsOldestFirstUnderPressure) {
-  vv::TileCache cache(1024);  // room for 4 x 256
-  for (std::uint32_t c = 0; c < 4; ++c)
-    (void)cache.put(vv::encode_tile(key_of(0, 0, c), 256));
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.stats().evictions.load(), 0u);
-
-  // A fifth insert evicts exactly the oldest entry (cell 0).
-  (void)cache.put(vv::encode_tile(key_of(0, 0, 4), 256));
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.payload_bytes(), 1024u);
-  EXPECT_EQ(cache.stats().evictions.load(), 1u);
-  EXPECT_EQ(cache.get(key_of(0, 0, 0)), nullptr);
-  EXPECT_NE(cache.get(key_of(0, 0, 1)), nullptr);
-  EXPECT_NE(cache.get(key_of(0, 0, 4)), nullptr);
-
-  // A tile larger than the whole cache is returned but never stored.
-  const auto huge = cache.put(vv::encode_tile(key_of(9, 0, 0), 2048));
-  ASSERT_NE(huge, nullptr);
-  EXPECT_EQ(cache.get(key_of(9, 0, 0)), nullptr);
-  EXPECT_EQ(cache.size(), 4u);
-}
-
-TEST(TileCache, RejectsAndEvictsCorruptTiles) {
-  vv::TileCache cache;
-  vv::Tile tile = vv::encode_tile(key_of(2, 1, 3), 64);
-  tile.payload[10] ^= 0xff;  // bit rot after checksum computation
-  (void)cache.put(std::move(tile));
-  ASSERT_EQ(cache.size(), 1u);
-
-  // The corrupt entry is never served: evicted, counted, reported a miss.
-  EXPECT_EQ(cache.get(key_of(2, 1, 3)), nullptr);
-  EXPECT_EQ(cache.stats().corrupt_rejected.load(), 1u);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.payload_bytes(), 0u);
-
-  // A fresh (valid) encode repopulates the slot.
-  (void)cache.put(vv::encode_tile(key_of(2, 1, 3), 64));
-  EXPECT_NE(cache.get(key_of(2, 1, 3)), nullptr);
-}
-
-TEST(TileCache, FreezeStopsStoresButKeepsServing) {
-  vv::TileCache cache;
-  (void)cache.put(vv::encode_tile(key_of(0, 0, 1), 32));
-  cache.freeze();
-  ASSERT_TRUE(cache.frozen());
-  (void)cache.put(vv::encode_tile(key_of(0, 0, 2), 32));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_NE(cache.get(key_of(0, 0, 1)), nullptr);
-  EXPECT_EQ(cache.get(key_of(0, 0, 2)), nullptr);
-}
 
 // --- tiling stage / session determinism ----------------------------------
 
@@ -171,42 +68,6 @@ TEST(TilingStage, ReportIsIdenticalAtAnyWorkerThreadCount) {
   core::expect_tiles_identical(a, b);
 }
 
-TEST(TilingStage, ExternalCacheMatchesSessionLocalCache) {
-  // The report comes from first-touch accounting, so a pre-warmed (or
-  // shared, or empty external) cache changes wall clock only.
-  vv::TileCache external;
-  core::SessionConfig with_cache = fast_config();
-  with_cache.tile_cache = &external;
-  const core::SessionResult ext =
-      run_with_tiling(std::move(with_cache), "shared");
-  const core::SessionResult local = run_with_tiling(fast_config(), "shared");
-  core::expect_identical(ext, local);
-  core::expect_tiles_identical(ext, local);
-  EXPECT_GT(external.size(), 0u);
-
-  // Re-running against the now-warm cache: all probes hit, same report.
-  const std::uint64_t misses_before = external.stats().misses.load();
-  core::SessionConfig rerun = fast_config();
-  rerun.tile_cache = &external;
-  const core::SessionResult warm = run_with_tiling(std::move(rerun), "shared");
-  core::expect_identical(warm, local);
-  core::expect_tiles_identical(warm, local);
-  EXPECT_EQ(external.stats().misses.load(), misses_before);
-}
-
-TEST(TilingStage, TinyCacheEvictionChangesNothingButWallClock) {
-  vv::TileCache tiny(4096);  // far below the working set: constant churn
-  core::SessionConfig with_tiny = fast_config();
-  with_tiny.tile_cache = &tiny;
-  const core::SessionResult pressured =
-      run_with_tiling(std::move(with_tiny), "shared");
-  const core::SessionResult unbounded = run_with_tiling(fast_config(), "shared");
-  core::expect_identical(pressured, unbounded);
-  core::expect_tiles_identical(pressured, unbounded);
-  EXPECT_GT(tiny.stats().evictions.load(), 0u);
-  EXPECT_LE(tiny.payload_bytes(), 4096u);
-}
-
 TEST(TilingStage, EightUsersTwoClustersEncodeAtLeastTwiceCheaper) {
   // The acceptance bar: 8 users whose viewports collapse into at most two
   // clusters must cut per-user encode cost >= 2x vs the per-user-encode
@@ -225,7 +86,7 @@ TEST(TilingStage, EightUsersTwoClustersEncodeAtLeastTwiceCheaper) {
             2.0 * static_cast<double>(shared.tiles.encoded_bytes));
 }
 
-// --- fleet-shared cache ---------------------------------------------------
+// --- fleet tiling --------------------------------------------------------
 
 core::FleetConfig fast_fleet(std::size_t sessions) {
   core::FleetConfig fc;
@@ -275,9 +136,9 @@ TEST(FleetTileCache, KillAndResumeWithSharedCacheIsBitIdentical) {
   killed.kill_after_slots = 3;
   EXPECT_THROW((void)core::run_fleet(killed), core::FleetKilled);
 
-  // The resumed run restores 3 slots verbatim and re-runs the rest against
-  // a *fresh* shared cache — still bit-identical to an uninterrupted run,
-  // because cache state never leaks into results.
+  // The resumed run restores 3 slots verbatim and re-runs the rest, each
+  // with fresh first-touch state — still bit-identical to an uninterrupted
+  // run.
   core::FleetConfig resumed = fast_fleet(6);
   resumed.resume_file = path;
   const core::FleetResult a = core::run_fleet(resumed);

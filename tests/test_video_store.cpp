@@ -127,21 +127,6 @@ TEST(VideoStore, AccessorsRangeCheck) {
                std::out_of_range);
 }
 
-TEST(VideoStore, OctreeBackendWorks) {
-  const VideoGenerator gen = small_generator();
-  const CellGrid grid(gen.content_bounds(), 0.5);
-  VideoStoreConfig sc = scaled_tiers(false);
-  sc.codec_kind = StoreCodec::kOctree;
-  const VideoStore store(gen, grid, sc);
-  EXPECT_GT(store.tier_bitrate_mbps(2), 0.0);
-  // Octree sizing stays within a factor of ~2.5 of the Morton pipeline.
-  const VideoStore morton(gen, grid, scaled_tiers(false));
-  const double ratio =
-      store.tier_bitrate_mbps(2) / morton.tier_bitrate_mbps(2);
-  EXPECT_GT(ratio, 0.3);
-  EXPECT_LT(ratio, 2.5);
-}
-
 TEST(VideoStore, PaperTiersAreDefault) {
   const auto tiers = paper_quality_tiers();
   ASSERT_EQ(tiers.size(), 3u);

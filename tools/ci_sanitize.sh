@@ -18,7 +18,7 @@ MODE="${VOLCAST_SANITIZE:-address;undefined}"
 
 if [[ "$MODE" == "thread" ]]; then
   BUILD_DIR="${1:-build-tsan}"
-  TEST_FILTER=(-R 'ThreadPool|SessionParallel|Session|JointPredictor|VideoStore|Telemetry|ObsMetrics|Fleet|Supervisor|Checkpoint|Transport|TileCache|TilingStage|WorkloadBundle|FrameSoA|Overload|LoadGovernor|Admission|TileCorruption')
+  TEST_FILTER=(-R 'ThreadPool|SessionParallel|Session|JointPredictor|VideoStore|Telemetry|ObsMetrics|Fleet|Supervisor|Checkpoint|Transport|TilingStage|WorkloadBundle|FrameSoA|Overload|LoadGovernor|Admission')
 else
   BUILD_DIR="${1:-build-asan}"
   TEST_FILTER=()

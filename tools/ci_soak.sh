@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Combined-fault soak: crash + burst-loss + CPU/memory pressure + tile
-# corruption, all active at once over a supervised fleet with admission
-# control and the overload governor enabled. Each fault path is tested
+# Combined-fault soak: crash + burst-loss + CPU/memory pressure, all
+# active at once over a supervised fleet with admission control and the
+# overload governor enabled. Each fault path is tested
 # alone elsewhere; this gate is for the *composition* — recovery machinery
 # stepping on another fault's state is exactly the bug class unit tests
 # miss.
@@ -40,8 +40,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 # Supervised fleet under every chaos knob at once: injected crashes are
 # retried, burst loss hammers the hybrid wire, pressure drives the
-# brownout governor, tile corruption exercises the cache's checksum
-# eviction, and admission control turns a burst of arrivals into
+# brownout governor, and admission control turns a burst of arrivals into
 # queue/deny decisions. Seeds vary so each round soaks a different plan.
 run_round() {
   local seed="$1"
@@ -55,8 +54,7 @@ run_round() {
     --policy=transport=hybrid \
     --chaos --chaos-intensity=1.5 \
     --chaos-crash=0.6 --chaos-burst-loss=0.8 \
-    --chaos-cpu-pressure=8 --chaos-mem-pressure=0.3 \
-    --chaos-tile-corruption=0.5
+    --chaos-cpu-pressure=8 --chaos-mem-pressure=0.3
 }
 
 ROUNDS="${VOLCAST_SOAK_ROUNDS:-3}"

@@ -191,15 +191,14 @@ int main(int argc, char** argv) {
                    "prediction, beam, adaptation, mitigation, grouping, "
                    "tiling, transport)");
   flags.add_switch("tile-cache",
-                   "encode-once/serve-many tile assembly (shorthand for "
-                   "--policy tiling=shared): the first touch of each "
-                   "(frame, tier, cell) tile encodes it, every repeat is "
-                   "stitched from cache; with --fleet all slots share one "
-                   "cache");
+                   "encode-once/serve-many tile accounting (shorthand for "
+                   "--policy tiling=shared): within each session the first "
+                   "touch of a (frame, tier, cell) tile counts as an "
+                   "encode, every repeat as a stitch");
   flags.add_number("content-seed", 0,
                    "pin the video content identity regardless of --seed "
                    "(0 = derive from --seed); lets fleet slots stream the "
-                   "same content and share tiles across the fleet cache");
+                   "same content and share one workload bundle");
   flags.add_switch("bundle",
                    "share one workload bundle (generated video, codec "
                    "tables, occupancy precompute) across all --fleet slots "
@@ -272,10 +271,6 @@ int main(int argc, char** argv) {
                    "add a memory-pressure window shrinking the overload "
                    "governor's logical cache budget to this fraction "
                    "((0, 1]; 0 = off)");
-  flags.add_number("chaos-tile-corruption", 0.0,
-                   "flip a byte in one cached tile per tick with this "
-                   "probability during the fault window (needs --tile-cache; "
-                   "exercises the checksum-eviction path)");
   flags.add_switch("overload",
                    "enable the overload governor: logical encode/airtime/"
                    "cache budgets drive a green/yellow/orange/red brownout "
@@ -311,8 +306,7 @@ int main(int argc, char** argv) {
   if (!flags.on("chaos")) {
     for (const char* f :
          {"chaos-seed", "chaos-intensity", "chaos-crash", "chaos-burst-loss",
-          "chaos-cpu-pressure", "chaos-mem-pressure",
-          "chaos-tile-corruption"}) {
+          "chaos-cpu-pressure", "chaos-mem-pressure"}) {
       if (flags.provided(f))
         return fail(std::string("--") + f +
                     " has no effect without --chaos; add --chaos to inject "
@@ -435,7 +429,6 @@ int main(int argc, char** argv) {
     chaos.burst_loss_probability = flags.num("chaos-burst-loss");
     chaos.cpu_pressure = flags.num("chaos-cpu-pressure");
     chaos.mem_pressure = flags.num("chaos-mem-pressure");
-    chaos.tile_corruption = flags.num("chaos-tile-corruption");
     config.fault_plan = fault::random_plan(chaos);
     std::printf("%s", config.fault_plan.summary().c_str());
   }

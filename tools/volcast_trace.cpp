@@ -141,9 +141,9 @@ int summarize(const std::string& path) {
   std::vector<std::pair<std::string, std::string>> counters;
   // Wire counters ("transport.*"), pulled out into their own section.
   std::map<std::string, unsigned long long> wire;
-  // Tile-cache counters ("tile.*"), same treatment, plus the per-user
-  // encode gauge.
-  std::map<std::string, unsigned long long> cache;
+  // Tile counters ("tile.*"), same treatment, plus the per-user encode
+  // gauge.
+  std::map<std::string, unsigned long long> tiles;
   // Overload-control counters ("overload.*", "fleet.admission.*") plus the
   // brownout level/utilization gauges (last value wins = end-of-run state).
   std::map<std::string, unsigned long long> overload;
@@ -185,7 +185,7 @@ int summarize(const std::string& path) {
           wire[name.substr(10)] =
               static_cast<unsigned long long>(record.uint("value"));
         if (name.rfind("tile.", 0) == 0)
-          cache[name.substr(5)] =
+          tiles[name.substr(5)] =
               static_cast<unsigned long long>(record.uint("value"));
         if (name.rfind("overload.", 0) == 0)
           overload[name.substr(9)] =
@@ -270,27 +270,19 @@ int summarize(const std::string& path) {
                 std::to_string(get("deadline_missed_tiles"))});
     std::printf("%s", wtable.render().c_str());
   }
-  if (!cache.empty()) {
-    // The tiling stage was on: hit rate, encode-vs-stitch split and the
-    // bytes stitching saved, straight from the log.
+  if (!tiles.empty()) {
+    // The tiling stage was on: the encode-vs-stitch split and the bytes
+    // stitching saved, straight from the log.
     const auto get = [&](const char* key) -> unsigned long long {
-      const auto it = cache.find(key);
-      return it != cache.end() ? it->second : 0ULL;
+      const auto it = tiles.find(key);
+      return it != tiles.end() ? it->second : 0ULL;
     };
-    const unsigned long long hits = get("cache_hits");
-    const unsigned long long misses = get("cache_misses");
-    std::printf("\ntile cache:\n");
+    std::printf("\ntiles:\n");
     AsciiTable ttable;
     ttable.header({"metric", "value"});
     ttable.row({"tiles assembled", std::to_string(get("requests"))});
     ttable.row({"tiles encoded", std::to_string(get("encoded_tiles"))});
     ttable.row({"tiles stitched", std::to_string(get("stitched_tiles"))});
-    ttable.row({"cache hit rate",
-                hits + misses > 0
-                    ? AsciiTable::num(static_cast<double>(hits) /
-                                          static_cast<double>(hits + misses),
-                                      3)
-                    : "-"});
     ttable.row({"encode MB",
                 AsciiTable::num(
                     static_cast<double>(get("encoded_bytes")) / 1e6, 2)});
