@@ -8,9 +8,9 @@
 // spatial reuse.
 //
 // `--json PATH` switches to the perf-trajectory mode used by
-// tools/ci_bench.sh: a serial-vs-parallel wall-clock sweep of the session
-// pipeline at 2/4/8/16 users, written as machine-readable JSON (the QoE
-// numbers are bit-identical across thread counts, so only time varies).
+// tools/ci_bench.sh: a 1-vs-8-worker wall-clock sweep of the session at
+// 2/4/8/16 users, written as machine-readable JSON (the QoE numbers are
+// bit-identical across thread counts, so only time varies).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -48,9 +48,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Serial-vs-parallel wall clock of the per-tick pipeline. Content is
-// scaled down so the sweep stays minutes even on small CI boxes; the
-// interesting number is the ratio, not the absolute time.
+// Set-up and run wall clock at 1 and 8 worker threads. The worker count
+// sizes only the video-store build, since ticks run serially, so the
+// *_setup_s columns move with it and run_speedup should read about 1.0.
+// Content is scaled down so the sweep stays minutes even on small CI
+// boxes.
 int run_json(const char* path) {
   constexpr std::size_t kParallelThreads = 8;
   std::FILE* out = std::fopen(path, "w");

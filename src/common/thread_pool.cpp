@@ -17,6 +17,11 @@ struct ThreadPool::Batch {
   std::size_t chunks = 0;
   std::atomic<std::size_t> next{0};          // chunk claim ticket
   std::size_t done = 0;                      // guarded by pool mu_
+  /// Workers currently inside execute() on this batch (guarded by pool
+  /// mu_). The caller owns the batch and keeps it alive until this drops
+  /// to zero, so no worker ever touches it, or the exceptions it holds,
+  /// after the caller returns.
+  std::size_t attached = 0;
   std::vector<std::exception_ptr> errors;    // one slot per chunk
   /// Lowest chunk index that has failed so far; chunks claimed behind it
   /// are cancelled (fail-fast) instead of run.
@@ -81,10 +86,10 @@ void ThreadPool::run_chunks(
     serial();
     return;
   }
-  auto batch = std::make_shared<Batch>();
-  batch->chunk_fn = &chunk_fn;
-  batch->chunks = chunks;
-  batch->errors.resize(chunks);
+  Batch batch;
+  batch.chunk_fn = &chunk_fn;
+  batch.chunks = chunks;
+  batch.errors.resize(chunks);
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (batch_ != nullptr) {
@@ -94,24 +99,26 @@ void ThreadPool::run_chunks(
       serial();
       return;
     }
-    batch_ = batch;
+    batch_ = &batch;
   }
   work_cv_.notify_all();
-  execute(*batch);  // the caller is one of the lanes
+  execute(batch);  // the caller is one of the lanes
   {
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return batch->done == batch->chunks; });
-    batch_.reset();
+    done_cv_.wait(lock, [&] {
+      return batch.done == batch.chunks && batch.attached == 0;
+    });
+    batch_ = nullptr;
   }
   // Deterministic error propagation: lowest chunk index wins.
-  for (std::exception_ptr& error : batch->errors)
+  for (std::exception_ptr& error : batch.errors)
     if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {
   tls_in_pool_worker = true;
   for (;;) {
-    std::shared_ptr<Batch> current;
+    Batch* current = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
@@ -122,8 +129,11 @@ void ThreadPool::worker_loop() {
       });
       if (stop_) return;
       current = batch_;
+      ++current->attached;
     }
     execute(*current);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--current->attached == 0) done_cv_.notify_all();
   }
 }
 

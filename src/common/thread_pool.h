@@ -1,13 +1,14 @@
 // Fixed-size worker pool with a deterministic parallel_for primitive.
 //
-// The per-frame scheduler must produce bit-identical results for any thread
-// count, so parallel_for makes only one guarantee interesting to callers:
-// fn(i) is invoked exactly once for every i in [0, n), with results expected
-// to land in pre-sized per-index slots. The index range is partitioned into
-// min(thread_count, n) contiguous chunks; which OS thread executes which
-// chunk is unspecified and must not matter. Order-dependent accumulation
-// (counters, running sums) belongs in per-index slots reduced serially after
-// the parallel region — never in shared floats or atomics.
+// The video-store build and the fleet runner must produce bit-identical
+// results for any thread count, so parallel_for makes only one guarantee
+// interesting to callers: fn(i) is invoked exactly once for every i in
+// [0, n), with results expected to land in pre-sized per-index slots.
+// The index range is partitioned into min(thread_count, n) contiguous
+// chunks; which OS thread executes which chunk is unspecified and must
+// not matter. Order-dependent accumulation (counters, running sums)
+// belongs in per-index slots reduced serially after the parallel region —
+// never in shared floats or atomics.
 //
 // Usage notes:
 //   * thread_count() == 1 (or n <= 1) runs inline on the caller — the serial
@@ -110,7 +111,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;   // workers wait for a batch
   std::condition_variable done_cv_;   // caller waits for completion
-  std::shared_ptr<Batch> batch_;      // active batch (guarded by mu_)
+  Batch* batch_ = nullptr;            // caller-owned active batch (mu_)
   bool stop_ = false;                 // guarded by mu_
 };
 

@@ -237,9 +237,9 @@ FleetResult run_fleet_impl(const FleetConfig& config) {
   {
     // Sessions are heavyweight (each precomputes its video store), so the
     // pool fans out whole sessions via per-slot task claiming; each writes
-    // only its own slot. Inner session parallelism multiplies with this —
-    // for large fleets prefer session.worker_threads = 1 and let the fleet
-    // dimension scale.
+    // only its own slot. Ticks run serially; session.worker_threads sizes
+    // only store builds: the shared bundle's, made above, or each slot's
+    // own when the content is not shared.
     common::ThreadPool pool(config.parallel_sessions);
     pool.parallel_tasks(config.sessions, run_slot);
   }

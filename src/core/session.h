@@ -80,11 +80,11 @@ struct SessionConfig {
   /// different audiences.
   std::uint64_t content_seed = 0;
   double prediction_horizon_s = 0.1;
-  /// Worker threads for the per-tick pipeline (per-user visibility, link
-  /// evaluation, per-group beam design) and the video-store precompute.
-  /// 0 = hardware concurrency, 1 = fully serial. The SessionResult is
-  /// bit-identical for every value: parallel stages write per-index slots
-  /// and all accumulation happens serially, in index order.
+  /// Worker threads for building the video store when the session builds
+  /// its own bundle (unused with a shared `bundle`). Ticks always run
+  /// serially. 0 = hardware concurrency, 1 = fully serial. The
+  /// SessionResult is bit-identical for every value, because the store
+  /// tables are.
   std::size_t worker_threads = 0;
   /// Client decode throughput in points/s. The paper's 550K tier is "the
   /// highest point density that can be decompressed by Draco at 30 FPS" —

@@ -27,10 +27,7 @@ void AdaptationStage::run(SessionState& state, TickContext& ctx) {
   std::vector<std::size_t> ap_active(state.coordinator.ap_count(), 0);
   for (std::size_t u = 0; u < n; ++u)
     if (ctx.unicast_rate[u] > 0.0) ++ap_active[state.assignment[u]];
-  // Per-user decisions over per-user state; the only shared tally
-  // (fallback tier drops) goes through slots reduced in user order.
-  std::vector<std::size_t> tier_drop_tally(n, 0);
-  state.pool.parallel_for(n, [&](std::size_t u) {
+  for (std::size_t u = 0; u < n; ++u) {
     AdaptationInput in;
     in.buffer_s = users[u].player.buffer_s();
     // The air interface is shared: a user can only count on its share of
@@ -43,7 +40,7 @@ void AdaptationStage::run(SessionState& state, TickContext& ctx) {
     in.current_tier = users[u].tier;
     in.blockage_forecast = users[u].blockage_forecast;
     // Cross-layer wire feedback: residual loss after FEC, written by the
-    // transport stage's serial delivery loop last tick (0 under the
+    // transport stage's delivery loop last tick (0 under the
     // goodput policy, so this is a no-op there).
     in.residual_loss = users[u].receiver.residual_loss;
     for (std::size_t q = 0; q < state.store.tier_count() && q < 3; ++q) {
@@ -62,18 +59,15 @@ void AdaptationStage::run(SessionState& state, TickContext& ctx) {
              in.demand_mbps[std::min<std::size_t>(users[u].tier, 2)] >
                  in.predicted_mbps) {
         --users[u].tier;
-        ++tier_drop_tally[u];
+        ++state.freport.fallback_tier_drops;
       }
     }
     if (decision.prefetch && users[u].prefetch_credit == 0)
       users[u].prefetch_credit = 2;
-  });
-  for (std::size_t drops : tier_drop_tally)
-    state.freport.fallback_tier_drops += drops;
-  // Brownout shed, applied serially after the parallel decisions so the
-  // ranking and the caps are identical at any worker_threads value. The
-  // priority order is fixed: far users first (yellow), everyone under the
-  // global cap (red). Distance ties break by user index.
+  }
+  // Brownout shed, applied after every user's decision. The priority order
+  // is fixed: far users first (yellow), everyone under the global cap
+  // (red). Distance ties break by user index.
   if (state.shed.any()) {
     std::size_t capped = 0;
     if (state.shed.far_user_count > 0 &&

@@ -60,21 +60,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
   auto& unicast_rate = ctx.unicast_rate;
   auto& unicast_rss = ctx.unicast_rss;
   const mmwave::SlsProcedure sls;
-  // Per-user counter deltas: parallel lanes touch only their own slot;
-  // the shared tallies are reduced serially, in user order, below.
-  struct LinkTally {
-    std::size_t probe_retries = 0;
-    std::size_t fallback_stock_beams = 0;
-    std::size_t fallback_reflection_beams = 0;
-    std::size_t sls_sweeps = 0;
-    std::size_t sls_outage_ticks = 0;
-    std::size_t reflection_switches = 0;
-  };
-  std::vector<LinkTally> link_tally(n);
-  state.pool.parallel_for(n, [&](std::size_t u) {
-    LinkTally& tally = link_tally[u];
-    // Telemetry events land in this lane's own slot (merged serially in
-    // user order below); counters are atomic and commutative.
+  for (std::size_t u = 0; u < n; ++u) {
     const auto push_event = [&](obs::Layer layer, obs::EventType type) {
       if (tel == nullptr) return;
       obs::Event e;
@@ -82,7 +68,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       e.layer = layer;
       e.type = type;
       e.user = static_cast<std::uint32_t>(u);
-      state.lane_events[u].push_back(e);
+      tel->record_event(e);
     };
     if (state.has_faults && (absent(u) || !ap_up[assignment[u]])) {
       // Churned out, or the serving AP is dark: no delivery path at all
@@ -90,7 +76,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       unicast_rss[u] = -200.0;
       unicast_rate[u] = 0.0;
       users[u].predictor.set_phy_state(0.0, false);
-      return;
+      continue;
     }
     const Testbed& tb = state.coordinator.ap(assignment[u]);
     std::vector<geo::BodyObstacle> others;
@@ -124,7 +110,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
           --st.probe_backoff_ticks;  // still backing off a failed probe
           use_custom = false;
         } else if (state.injector.probe_fail(u)) {
-          ++tally.probe_retries;
+          ++state.freport.probe_retries;
           push_event(obs::Layer::kMmwave, obs::EventType::kProbeRetry);
           st.probe_backoff_ticks = st.probe_backoff_next;
           st.probe_backoff_next = std::min(st.probe_backoff_next * 2, 16);
@@ -141,7 +127,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         // Fallback chain, step 1: the stock sector beam needs no probe.
         serving = tb.codebook().beam(
             tb.codebook().best_beam_toward(tb.ap(), ctx.room_pos[u]));
-        ++tally.fallback_stock_beams;
+        ++state.freport.fallback_stock_beams;
         push_event(obs::Layer::kMmwave, obs::EventType::kFallbackStockBeam);
         state.fault_fallback[u] = 1;
       }
@@ -153,12 +139,12 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         st.sls_remaining_ticks = std::max(
             1, static_cast<int>(
                    std::ceil(sls.outage_s(tb.codebook()) * config.fps)));
-        ++tally.sls_sweeps;
+        ++state.sls_sweeps;
         push_event(obs::Layer::kMmwave, obs::EventType::kSlsSweep);
       };
       if (st.sls_remaining_ticks > 0) {
         --st.sls_remaining_ticks;
-        ++tally.sls_outage_ticks;
+        ++state.sls_outage_ticks;
         if (st.sls_remaining_ticks == 0) {
           st.serving_awv = tb.codebook().beam(
               tb.codebook().best_beam_toward(tb.ap(), ctx.room_pos[u]));
@@ -166,14 +152,14 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         unicast_rss[u] = -200.0;
         unicast_rate[u] = 0.0;
         users[u].predictor.set_phy_state(0.0, users[u].blockage_forecast);
-        return;
+        continue;
       }
       if (st.serving_awv.empty()) {
         start_sweep();
         unicast_rss[u] = -200.0;
         unicast_rate[u] = 0.0;
         users[u].predictor.set_phy_state(0.0, users[u].blockage_forecast);
-        return;
+        continue;
       }
       const double serving_rss =
           mmwave::rss_dbm(tb.ap(), st.serving_awv, tb.channel(),
@@ -206,7 +192,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
           ctx.shadow[u];
       if (refl > rss) {
         rss = refl;
-        ++tally.reflection_switches;
+        ++state.reflection_switches;
         push_event(obs::Layer::kMmwave, obs::EventType::kReflectionSwitch);
       }
       --users[u].reflection_ticks;
@@ -226,7 +212,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
             ctx.shadow[u];
         if (refl_rss > rss) {
           rss = refl_rss;
-          ++tally.fallback_reflection_beams;
+          ++state.freport.fallback_reflection_beams;
           push_event(obs::Layer::kMmwave, obs::EventType::kFallbackReflection);
         }
       }
@@ -239,20 +225,6 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
     }
     users[u].predictor.set_phy_state(unicast_rate[u],
                                      users[u].blockage_forecast);
-  });
-  for (const LinkTally& tally : link_tally) {
-    state.freport.probe_retries += tally.probe_retries;
-    state.freport.fallback_stock_beams += tally.fallback_stock_beams;
-    state.freport.fallback_reflection_beams += tally.fallback_reflection_beams;
-    state.sls_sweeps += tally.sls_sweeps;
-    state.sls_outage_ticks += tally.sls_outage_ticks;
-    state.reflection_switches += tally.reflection_switches;
-  }
-  if (tel != nullptr) {
-    for (std::size_t u = 0; u < n; ++u) {
-      tel->append(state.lane_events[u]);
-      state.lane_events[u].clear();
-    }
   }
   link_span.add_cost(n * n);
   link_span.end();

@@ -83,16 +83,15 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
 
     obs::Span group_span = ctx.span(obs::Stage::kGroup, ap32);
     std::vector<UserState> states(members.size());
-    state.pool.parallel_for(members.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
       const std::size_t u = members[i];
-      UserState s;
+      UserState& s = states[i];
       s.user = u;
       s.visibility = &ctx.prediction.visibility[u];
       s.total_bits = visible_bits(ctx.prediction.visibility[u], state.store,
                                   frame, users[u].tier, state.shed.min_lod);
       s.unicast_rate_mbps = ctx.unicast_rate[u];
-      states[i] = s;
-    });
+    }
 
     // This AP's links toward every user, priced against the tick's body
     // list (users by index, then the injector's obstacles). Each candidate
@@ -202,26 +201,13 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
     } else {
       state.concurrent_beams[a].clear();
     }
-    // Multicast beam design is the heavy per-group step and each group's
-    // beam is independent: design into per-group slots in parallel, then
-    // apply counters and the AP's transmit beam serially in group order
-    // (the last multicast group's beam represents this AP next tick,
-    // exactly as in the serial loop).
-    std::vector<GroupBeam> group_beams(grouping.groups.size());
-    // Lanes only read the link table: fill every row they touch first.
-    for (const auto& group : grouping.groups)
-      if (group.size() >= 2)
-        for (std::size_t u : group) link_table().fill(u);
-    state.pool.parallel_for(grouping.groups.size(), [&](std::size_t g) {
-      const auto& group = grouping.groups[g];
-      if (group.size() < 2) return;
-      group_beams[g] = state.designers[a].design_multicast(
-          *links, group, outside_mask(group), {});
-    });
-    for (std::size_t g = 0; g < grouping.groups.size(); ++g) {
-      if (grouping.groups[g].size() < 2) continue;
-      beam_span.add_cost(grouping.groups[g].size());
-      GroupBeam& beam = group_beams[g];
+    // One beam per multicast group, in group order: the last multicast
+    // group's beam represents this AP next tick.
+    for (const auto& group : grouping.groups) {
+      if (group.size() < 2) continue;
+      beam_span.add_cost(group.size());
+      GroupBeam beam = state.designers[a].design_multicast(
+          link_table(), group, outside_mask(group), {});
       if (beam.custom) {
         ++state.custom_beam_uses;
       } else {

@@ -17,9 +17,7 @@ void PredictionStage::run(SessionState& state, TickContext& ctx) {
   ctx.bodies.resize(n);
   ctx.shadow.resize(n);
   const bool replaying = !config.replay_traces.empty();
-  // Mobility and shadowing advance per-user RNG streams — independent
-  // state, slot-indexed outputs, so users fan out across the pool.
-  state.pool.parallel_for(n, [&](std::size_t u) {
+  for (std::size_t u = 0; u < n; ++u) {
     if (replaying) {
       const auto& poses = config.replay_traces[u].poses;
       ctx.local_poses[u] = poses[ctx.tick % poses.size()];
@@ -30,7 +28,7 @@ void PredictionStage::run(SessionState& state, TickContext& ctx) {
     ctx.room_pos[u] = state.coordinator.ap(0).to_room(ctx.local_poses[u].position);
     ctx.bodies[u] = {ctx.room_pos[u], 0.25, 1.8};
     ctx.shadow[u] = state.users[u].shadowing.step(dt);
-  });
+  }
   state.joint.observe(ctx.t, ctx.local_poses);
   pose_span.add_cost(n);
   pose_span.end();

@@ -25,15 +25,14 @@ MultiApConfig SessionState::multi_ap_config(const SessionConfig& c) {
   return mc;
 }
 
-view::JointPredictorConfig SessionState::joint_config(
-    const SessionConfig& c, const Testbed& tb, common::ThreadPool* pool) {
+view::JointPredictorConfig SessionState::joint_config(const SessionConfig& c,
+                                                      const Testbed& tb) {
   view::JointPredictorConfig jc;
   jc.user_occlusion = c.enable_user_occlusion;
   jc.visibility.intrinsics = view::device_intrinsics(c.device);
   // The joint predictor works in content-local coordinates; express the
   // (primary) AP there.
   jc.ap_position = tb.config().ap_position - tb.config().content_floor;
-  jc.pool = pool;
   jc.metrics = c.telemetry != nullptr ? &c.telemetry->metrics() : nullptr;
   return jc;
 }
@@ -52,12 +51,11 @@ SessionState::SessionState(SessionConfig c)
       // SessionConfig::validate) short-circuits the whole setup path; the
       // legacy per-session path is simply a private bundle.
       bundle(c.bundle != nullptr ? c.bundle : WorkloadBundle::build(c)),
-      pool(c.worker_threads),
       generator(bundle->generator()),
       grid(bundle->grid()),
       store(bundle->store()),
       occupancy(bundle->occupancy()),
-      joint(c.user_count, joint_config(c, coordinator.ap(0), &pool)),
+      joint(c.user_count, joint_config(c, coordinator.ap(0))),
       mitigator(coordinator.ap(0),
                 designers_placeholder(),  // replaced below
                 MitigatorConfig{}),
@@ -116,7 +114,6 @@ void SessionState::begin_run() {
   backlog.assign(coordinator.ap_count(), 0.0);
   assignment.assign(n, 0);
   concurrent_beams.assign(coordinator.ap_count(), {});
-  lane_events.assign(tel != nullptr ? n : 0, {});
   prev_tier.assign(tel != nullptr ? n : 0, 0);
   ap_up.fill(true);
   prev_active.assign(coordinator.ap_count(), {});

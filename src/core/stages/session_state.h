@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "core/beam_designer.h"
 #include "core/blockage_mitigator.h"
 #include "core/multi_ap.h"
@@ -40,9 +39,6 @@ struct SessionState {
   // one built here; the reference members below alias into it, so stage
   // code reads them exactly as when the state owned the artifacts.
   std::shared_ptr<const WorkloadBundle> bundle;
-  // Declared before the joint predictor, which holds a pointer to it and
-  // uses it during its own construction.
-  common::ThreadPool pool;
   const vv::VideoGenerator& generator;
   const vv::CellGrid& grid;
   const vv::VideoStore& store;
@@ -83,7 +79,7 @@ struct SessionState {
     bool was_stuck = false;
     geo::Vec3 stuck_pos{};
     // Packet-wire receiver (sequence numbers, burst-chain state,
-    // residual-loss EWMA). Mutated only inside the serial delivery loop.
+    // residual-loss EWMA). Mutated only inside the delivery loop.
     transport::ReceiverState receiver;
   };
   std::vector<User> users;
@@ -113,7 +109,7 @@ struct SessionState {
   double scheduled_airtime = 0.0;
   // Packet-wire totals (zero under the goodput policy) and the NACK
   // recovery-latency samples the result finalizer turns into percentiles.
-  // Both are appended only from the serial delivery loop, in slot order.
+  // Both are appended only from the delivery loop, in slot order.
   transport::TransportReport twire;
   std::vector<double> recovery_samples;
 
@@ -146,9 +142,6 @@ struct SessionState {
   // Beams each AP transmitted with last tick: the interference the other
   // APs' users see this tick (beams persist across a frame interval).
   std::vector<mmwave::Awv> concurrent_beams;
-  // Per-user event slots for the parallel link lanes, merged serially in
-  // user order after each fan-out (same discipline as the counter tallies).
-  std::vector<obs::EventBuffer> lane_events;
   std::vector<std::size_t> prev_tier;
   std::array<bool, 4> ap_up{};
   std::vector<char> fault_fallback;
@@ -174,8 +167,7 @@ struct SessionState {
 
   static MultiApConfig multi_ap_config(const SessionConfig& c);
   static view::JointPredictorConfig joint_config(const SessionConfig& c,
-                                                 const Testbed& tb,
-                                                 common::ThreadPool* pool);
+                                                 const Testbed& tb);
 };
 
 /// Bits a user needs for `frame` at `tier` given its visibility map.

@@ -1,7 +1,6 @@
 #include "core/stages/transport_stage.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -79,9 +78,7 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
         const std::size_t tier = users[u].tier;
         // Packet wire: the scheduled bits become a packet train with
         // per-user loss from the shared transmission, FEC repair, and
-        // NACK rounds racing the frame deadline. Runs inside this serial
-        // member loop, so the per-user receiver state folds in slot order
-        // at any worker_threads value.
+        // NACK rounds racing the frame deadline.
         transport::TrainResult train;
         bool wire_ok = true;
         if (use_wire && bits > 0.0) {
@@ -154,8 +151,7 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
         }
         // The frame is playable only after the client decodes it. Under
         // brownout the governor's saliency floor sheds the faint cells
-        // from the decode workload too (counted here, in the serial
-        // delivery loop, so the tally is thread-count independent).
+        // from the decode workload too.
         double visible_points = 0.0;
         std::size_t shed_cells = 0;
         for (vv::CellId cell = 0; cell < state.grid.cell_count(); ++cell) {
@@ -259,13 +255,7 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
     // Viewport-prediction quality: what fraction of the cells each member
     // actually needs (at its true pose) did the prediction-driven fetch
     // miss?
-    // Ground-truth visibility per member is another full visibility
-    // computation: fan out into (needed, missed) slots, then fold into
-    // the per-user running sums serially, in member order.
-    std::vector<std::pair<std::size_t, std::size_t>> miss_tally(
-        members.size());
-    state.pool.parallel_for(members.size(), [&](std::size_t i) {
-      const std::size_t u = members[i];
+    for (const std::size_t u : members) {
       std::vector<geo::BodyObstacle> local_bodies;
       if (config.enable_user_occlusion) {
         for (std::size_t v = 0; v < n; ++v) {
@@ -283,14 +273,10 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
         ++needed;
         if (!ctx.prediction.visibility[u].visible(cell)) ++missed;
       }
-      miss_tally[i] = {needed, missed};
-    });
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const auto [needed, missed] = miss_tally[i];
       if (needed > 0) {
-        users[members[i]].miss_sum +=
+        users[u].miss_sum +=
             static_cast<double>(missed) / static_cast<double>(needed);
-        ++users[members[i]].miss_count;
+        ++users[u].miss_count;
       }
     }
   }

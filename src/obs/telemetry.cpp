@@ -108,10 +108,6 @@ void Telemetry::record_event(const Event& event) {
   ++event_count_;
 }
 
-void Telemetry::append(std::span<const Event> events) {
-  for (const Event& event : events) record_event(event);
-}
-
 std::vector<SpanRecord> Telemetry::spans() const {
   std::vector<SpanRecord> out;
   out.reserve(span_count_);

@@ -5,12 +5,10 @@
 //  * Disabled means a null `Telemetry*`: every hook degrades to one pointer
 //    test, no clock reads, no allocation. SessionResult is bit-identical
 //    with telemetry on or off.
-//  * Recording (record_span / record_event / append) is serial-only: the
-//    session loop records on the main thread, and parallel lanes collect
-//    into per-slot EventBuffers merged in index order afterwards — the same
-//    discipline the parallel pipeline uses for counters. Metric counters
-//    and histograms (obs/metrics.h) are the only primitives bumped from
-//    inside parallel regions.
+//  * Recording (record_span / record_event) is single-threaded: a session
+//    runs each tick serially and records in pipeline order. Metric
+//    counters and histograms (obs/metrics.h) are relaxed atomics and may
+//    be bumped from any thread.
 //  * Every record carries a deterministic logical cost (workload-derived,
 //    identical across machines and thread counts); wall time is an optional
 //    extra field, and the JSONL stream with wall capture off — or with the
@@ -20,7 +18,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -99,10 +96,6 @@ struct Event {
   bool has_value = false;
 };
 
-/// Per-slot event collector for parallel lanes; merged serially via
-/// Telemetry::append in index order.
-using EventBuffer = std::vector<Event>;
-
 /// One completed stage span.
 struct SpanRecord {
   std::uint32_t tick = 0;
@@ -147,11 +140,9 @@ class Telemetry {
 
   void begin_session(const SessionMeta& meta);
 
-  /// Serial-only recording (see file comment).
+  /// Single-threaded recording (see file comment).
   void record_span(const SpanRecord& span);
   void record_event(const Event& event);
-  /// Serial index-order merge of a parallel lane's buffer.
-  void append(std::span<const Event> events);
 
   [[nodiscard]] std::size_t span_count() const noexcept {
     return span_count_;

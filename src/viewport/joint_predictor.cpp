@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace volcast::view {
@@ -24,10 +23,8 @@ void JointViewportPredictor::observe(double t,
                                      std::span<const geo::Pose> poses) {
   if (poses.size() != predictors_.size())
     throw std::invalid_argument("JointViewportPredictor: pose count mismatch");
-  // Each predictor owns its state: independent per-user updates.
-  common::ThreadPool::run(config_.pool, poses.size(), [&](std::size_t u) {
+  for (std::size_t u = 0; u < poses.size(); ++u)
     predictors_[u]->observe(t, poses[u]);
-  });
   if (observations_ != nullptr) observations_->add(poses.size());
 }
 
@@ -80,22 +77,20 @@ JointPrediction JointViewportPredictor::predict(
   result.poses = predict_poses(horizon_s);
 
   // Per-user visibility is the hot part of every tick: each user's map
-  // depends only on the (already predicted) poses, so users fan out across
-  // the pool into pre-sized slots — bit-identical to the serial loop.
-  result.visibility.resize(result.poses.size());
-  common::ThreadPool::run(
-      config_.pool, result.poses.size(), [&](std::size_t u) {
-        std::vector<BodyObstacle> others;
-        if (config_.user_occlusion) {
-          for (std::size_t v = 0; v < result.poses.size(); ++v) {
-            if (v == u) continue;
-            others.push_back({result.poses[v].position, config_.body_radius_m,
-                              config_.body_height_m});
-          }
-        }
-        result.visibility[u] = compute_visibility(
-            grid, occupancy, result.poses[u], config_.visibility, others);
-      });
+  // depends only on the (already predicted) poses.
+  result.visibility.reserve(result.poses.size());
+  for (std::size_t u = 0; u < result.poses.size(); ++u) {
+    std::vector<BodyObstacle> others;
+    if (config_.user_occlusion) {
+      for (std::size_t v = 0; v < result.poses.size(); ++v) {
+        if (v == u) continue;
+        others.push_back({result.poses[v].position, config_.body_radius_m,
+                          config_.body_height_m});
+      }
+    }
+    result.visibility.push_back(compute_visibility(
+        grid, occupancy, result.poses[u], config_.visibility, others));
+  }
 
   result.blockages = forecast_blockages(result.poses);
   if (predictions_ != nullptr) predictions_->add(result.poses.size());

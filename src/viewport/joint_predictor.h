@@ -21,10 +21,6 @@
 #include "viewport/predictor.h"
 #include "viewport/visibility.h"
 
-namespace volcast::common {
-class ThreadPool;
-}  // namespace volcast::common
-
 namespace volcast::obs {
 class Counter;
 class MetricRegistry;
@@ -60,11 +56,6 @@ struct JointPredictorConfig {
   /// A forecast is emitted when a body comes within this XY clearance of a
   /// link's line of sight (first Fresnel zone scale at 60 GHz).
   double blockage_clearance_m = 0.35;
-  /// Optional worker pool: per-user predictor updates and visibility maps
-  /// run in parallel across users. Results are bit-identical to the serial
-  /// path (each user's outputs land in its own slot; no shared
-  /// accumulation). The pool must outlive the predictor.
-  common::ThreadPool* pool = nullptr;
   /// Optional telemetry: counters for observations / predictions /
   /// blockage forecasts land here (atomic bumps only — no effect on the
   /// predictions themselves). The registry must outlive the predictor.

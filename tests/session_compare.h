@@ -1,7 +1,7 @@
 // Shared bit-exact SessionResult comparison for determinism tests: the
-// parallel pipeline and the telemetry subsystem both promise bit-identical
-// outcomes (any thread count, telemetry on or off), so their tests assert
-// through the same comparator.
+// worker-thread contract and the telemetry subsystem both promise
+// bit-identical outcomes (any thread count, telemetry on or off), so their
+// tests assert through the same comparator.
 #pragma once
 
 #include <gtest/gtest.h>

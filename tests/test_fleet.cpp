@@ -1,5 +1,5 @@
-// Fleet runner: slot-indexed seeding, bit-identical results at any outer
-// or inner parallelism, and aggregate folding in slot order.
+// Fleet runner: slot-indexed seeding, bit-identical results at any fleet
+// or set-up parallelism, and aggregate folding in slot order.
 #include "core/fleet.h"
 
 #include <gtest/gtest.h>
@@ -81,7 +81,7 @@ TEST(Fleet, BitIdenticalAcrossInnerWorkerThreads) {
   fc.session.worker_threads = 1;
   const FleetResult one_lane = run_fleet(fc);
   fc.session.worker_threads = 4;
-  fc.parallel_sessions = 2;  // nested: outer fleet pool + inner tick pools
+  fc.parallel_sessions = 2;  // nested: fleet pool + per-session store builds
   expect_fleet_identical(one_lane, run_fleet(fc));
 }
 

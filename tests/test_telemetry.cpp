@@ -149,27 +149,6 @@ TEST(Telemetry, WallTimeCapturedWhenEnabled) {
   EXPECT_GE(tel.spans().front().wall_us, 0.0);
 }
 
-TEST(Telemetry, AppendMergesLaneBuffersInOrder) {
-  Telemetry tel({.capture_wall_time = false});
-  EventBuffer lane0, lane1;
-  Event a;
-  a.tick = 1;
-  a.type = EventType::kProbeRetry;
-  a.user = 0;
-  lane0.push_back(a);
-  Event b = a;
-  b.user = 1;
-  b.type = EventType::kSlsSweep;
-  lane1.push_back(b);
-  tel.append(lane0);
-  tel.append(lane1);
-  const auto events = tel.events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].user, 0u);
-  EXPECT_EQ(events[1].user, 1u);
-  EXPECT_EQ(events[1].type, EventType::kSlsSweep);
-}
-
 TEST(Telemetry, EnumNamesAreStableSchema) {
   // JSONL consumers key on these strings; renames are schema breaks.
   EXPECT_STREQ(to_string(Stage::kPose), "pose");

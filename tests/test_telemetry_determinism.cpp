@@ -1,6 +1,6 @@
 // The telemetry determinism contract (ISSUE 3 acceptance criteria):
 //  * SessionResult is bit-identical with telemetry enabled vs disabled, at
-//    any worker_threads value;
+//    any worker_threads value (it sizes the session's store build);
 //  * the JSONL stream is identical — byte-for-byte with wall capture off,
 //    modulo the wall_us fields with it on — for worker_threads in
 //    {1, 4, hardware} under the chaos fault plan.
@@ -86,8 +86,9 @@ std::string strip_wall(const std::string& jsonl) {
 }
 
 TEST(TelemetryDeterminism, JsonlIdenticalAcrossThreadCounts) {
-  // Wall capture off: the stream must be byte-identical for serial, a
-  // fixed pool, and hardware concurrency (worker_threads = 0).
+  // Wall capture off: the stream must be byte-identical whether the store
+  // is built serially, on 4 workers, or on hardware concurrency
+  // (worker_threads = 0).
   const TracedRun serial = run_traced(1, /*capture_wall=*/false);
   const TracedRun four = run_traced(4, /*capture_wall=*/false);
   const TracedRun hardware = run_traced(0, /*capture_wall=*/false);

@@ -125,6 +125,31 @@ TEST(ThreadPool, ParallelTasksRethrowsLowestFailedTask) {
   }
 }
 
+TEST(ThreadPool, RepeatedThrowingBatchesHandBackTheException) {
+  // The rethrown exception must stay the caller's alone once the batch
+  // returns: no worker may still hold the batch that owned it. Reading
+  // what() on every round is what a sanitizer build checks.
+  ThreadPool pool(4);
+  for (int round = 0; round < 100; ++round) {
+    try {
+      pool.parallel_for(64, [&](std::size_t i) {
+        if (i % 8 == 3) throw std::runtime_error("for@" + std::to_string(i));
+      });
+      FAIL() << "expected parallel_for to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "for@3");
+    }
+    try {
+      pool.parallel_tasks(16, [&](std::size_t i) {
+        if (i >= 5) throw std::runtime_error("task@" + std::to_string(i));
+      });
+      FAIL() << "expected parallel_tasks to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task@5");
+    }
+  }
+}
+
 TEST(ThreadPool, FailFastCancelsUnclaimedTasks) {
   // Task 0 (claimed in the very first wave) throws immediately; the other
   // tasks each burn a visible spin so the failure is recorded long before

@@ -5,10 +5,13 @@
 #
 # Modes, selected by the VOLCAST_SANITIZE environment variable:
 #   address;undefined   (default) full suite under ASan + UBSan
-#   thread              TSan over the concurrent paths: the thread pool and
-#                       every test that drives the parallel session pipeline
-#                       (the rest of the suite is serial — running it under
-#                       TSan costs hours and checks nothing concurrent)
+#   thread              TSan over the concurrent paths: the thread pool, the
+#                       video-store build, shared workload bundles and
+#                       fleets (ticks run serially, so the rest of the suite
+#                       checks nothing concurrent and would cost hours under
+#                       TSan), then the ThreadPool suite again, repeated
+#                       until it fails, up to 50 times, to catch a
+#                       returning teardown race
 #
 #   tools/ci_sanitize.sh [build-dir]      # default: build-asan / build-tsan
 set -euo pipefail
@@ -31,3 +34,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 cd "$BUILD_DIR"
 ctest --output-on-failure -j"$(nproc)" "${TEST_FILTER[@]}"
+if [[ "$MODE" == "thread" ]]; then
+  ctest --output-on-failure -j"$(nproc)" -R '^ThreadPool\.' \
+    --repeat until-fail:50
+fi

@@ -165,8 +165,9 @@ int main(int argc, char** argv) {
   flags.add_number("aps", 1, "number of coordinated APs (1-4)");
   flags.add_number("seed", 1, "experiment seed (bit-reproducible)");
   flags.add_number("threads", 0,
-                   "worker threads for the per-tick pipeline (0 = hardware "
-                   "concurrency, 1 = serial; result is bit-identical)");
+                   "worker threads for building the video store (0 = "
+                   "hardware concurrency, 1 = serial; result is "
+                   "bit-identical)");
   flags.add_number("spread", 2.0,
                    "audience arc around the content in radians "
                    "(6.28 = surround)");
