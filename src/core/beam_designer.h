@@ -42,9 +42,8 @@ struct BeamDesignerConfig {
   /// worst member by at least this margin.
   double min_improvement_db = 0.5;
   /// Optional telemetry sink: design counts and custom/stock/probe-reject
-  /// outcomes are recorded as counters (atomic bumps — design decisions are
-  /// unaffected). The registry must outlive the designer; safe to share a
-  /// designer across parallel lanes.
+  /// outcomes are recorded as counters (design decisions are unaffected).
+  /// The registry must outlive the designer.
   obs::MetricRegistry* metrics = nullptr;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 
 #include "viewport/similarity.h"
@@ -33,59 +35,124 @@ namespace {
 class Planner {
  public:
   Planner(std::span<const UserState> users, const GroupRateFn& group_rate,
+          const GroupRateBoundFn& rate_bound,
           const OverlapBitsFn& overlap_bits)
-      : users_(users), group_rate_(group_rate), overlap_bits_(overlap_bits) {}
+      : users_(users),
+        group_rate_(group_rate),
+        rate_bound_(rate_bound),
+        overlap_bits_(overlap_bits) {}
 
   /// The MAC plan for one candidate member set.
   mac::GroupPlan plan(std::span<const std::size_t> members) {
-    mac::GroupPlan plan;
-    plan.members.reserve(members.size());
-    if (members.size() > 1) {
-      const Priced& priced = price(members);
-      plan.group_overlap_bits = priced.overlap_bits;
-      plan.multicast_rate_mbps = priced.rate_mbps;
+    if (members.size() < 2) return make_plan(members, 0.0, 0.0);
+    Entry& e = entry(members);
+    if (e.priced) {
+      ++hits_;
+    } else {
+      price(e, members);
     }
-    for (std::size_t m : members) {
-      const UserState& u = users_[m];
-      plan.members.push_back({u.user, u.total_bits, plan.group_overlap_bits,
-                              u.unicast_rate_mbps});
-    }
-    return plan;
+    return make_plan(members, e.overlap_bits, e.rate_mbps);
   }
 
   double time(std::span<const std::size_t> members) {
     return plan(members).transmit_time_s();
   }
 
+  /// time(members) for a list of two or more, unless the list is unpriced
+  /// and `ruled_out(t_lb)` holds for a lower bound t_lb on its time: then
+  /// nothing is priced and nullopt is returned. The bound is the plan at
+  /// the bounding rate or the unicast plan, whichever is faster (a plan at
+  /// rate 0 falls back to unicast): plan time is monotone in the multicast
+  /// rate. It is 0 without a rate bound.
+  template <class RuledOut>
+  std::optional<double> time_unless(std::span<const std::size_t> members,
+                                    const RuledOut& ruled_out) {
+    Entry& e = entry(members);
+    if (e.priced) {
+      ++hits_;
+      return e.time_s;
+    }
+    if (!e.time_lb.has_value()) {
+      e.time_lb = 0.0;
+      if (rate_bound_) {
+        const mac::GroupPlan bound =
+            make_plan(members, e.overlap_bits, rate_bound_(members));
+        e.time_lb = std::min(bound.transmit_time_s(), bound.unicast_time_s());
+      }
+    }
+    if (ruled_out(*e.time_lb)) {
+      ++skips_;
+      return std::nullopt;
+    }
+    price(e, members);
+    if (e.time_s < *e.time_lb) throw_bound_broken(members, e);
+    return e.time_s;
+  }
+
   [[nodiscard]] std::size_t evals() const noexcept { return evals_; }
   [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
+  [[nodiscard]] std::size_t skips() const noexcept { return skips_; }
 
  private:
-  struct Priced {
-    double overlap_bits;
-    double rate_mbps;
+  struct Entry {
+    double overlap_bits = 0.0;
+    std::optional<double> time_lb;  // set on the first bounded lookup
+    bool priced = false;
+    double rate_mbps = 0.0;  // valid once priced
+    double time_s = 0.0;     // valid once priced
   };
 
-  const Priced& price(std::span<const std::size_t> members) {
+  mac::GroupPlan make_plan(std::span<const std::size_t> members,
+                           double overlap_bits, double rate_mbps) const {
+    mac::GroupPlan plan;
+    plan.members.reserve(members.size());
+    plan.group_overlap_bits = overlap_bits;
+    plan.multicast_rate_mbps = rate_mbps;
+    for (std::size_t m : members) {
+      const UserState& u = users_[m];
+      plan.members.push_back(
+          {u.user, u.total_bits, overlap_bits, u.unicast_rate_mbps});
+    }
+    return plan;
+  }
+
+  /// The list's cache entry, its overlap bits priced on first sight.
+  Entry& entry(std::span<const std::size_t> members) {
     std::vector<std::size_t> key(members.begin(), members.end());
     const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++hits_;
-      return it->second;
-    }
+    if (it != cache_.end()) return it->second;
+    Entry e;
+    e.overlap_bits = overlap_bits_(members);
+    return cache_.emplace(std::move(key), e).first->second;
+  }
+
+  void price(Entry& e, std::span<const std::size_t> members) {
     ++evals_;
-    Priced priced;
-    priced.overlap_bits = overlap_bits_(members);
-    priced.rate_mbps = group_rate_(members);
-    return cache_.emplace(std::move(key), priced).first->second;
+    e.rate_mbps = group_rate_(members);
+    e.time_s = make_plan(members, e.overlap_bits, e.rate_mbps)
+                   .transmit_time_s();
+    e.priced = true;
+  }
+
+  [[noreturn]] void throw_bound_broken(std::span<const std::size_t> members,
+                                       const Entry& e) const {
+    std::ostringstream what;
+    what << "form_groups: rate_bound under-reports for users {";
+    for (std::size_t i = 0; i < members.size(); ++i)
+      what << (i == 0 ? "" : ", ") << users_[members[i]].user;
+    what << "}: plan time " << e.time_s << " s is below its bound "
+         << *e.time_lb << " s";
+    throw std::logic_error(what.str());
   }
 
   std::span<const UserState> users_;
   const GroupRateFn& group_rate_;
+  const GroupRateBoundFn& rate_bound_;
   const OverlapBitsFn& overlap_bits_;
-  std::map<std::vector<std::size_t>, Priced> cache_;
+  std::map<std::vector<std::size_t>, Entry> cache_;
   std::size_t evals_ = 0;
   std::size_t hits_ = 0;
+  std::size_t skips_ = 0;
 };
 
 GroupingResult finalize(std::span<const UserState> users,
@@ -157,7 +224,17 @@ GroupingResult greedy(std::span<const UserState> users,
                          clusters[b].end());
         if (size_cap != 0 && candidate.size() > size_cap) continue;
         if (min_pairwise_iou(candidate) < config.min_iou) continue;
-        const double t_merged = planner.time(candidate);
+        // A candidate whose time is at least t_lb fails one of the two
+        // tests below when t_lb fails it: IEEE subtraction is monotone, so
+        // saving <= cluster_time[a] + cluster_time[b] - t_lb. Such a
+        // candidate is not priced at all.
+        const std::optional<double> priced =
+            planner.time_unless(candidate, [&](double t_lb) {
+              return t_lb > budget_s ||
+                     cluster_time[a] + cluster_time[b] - t_lb <= best_saving;
+            });
+        if (!priced.has_value()) continue;
+        const double t_merged = *priced;
         if (t_merged > budget_s) continue;  // paper's T_m(k) <= 1/F
         const double saving = cluster_time[a] + cluster_time[b] - t_merged;
         if (saving > best_saving) {
@@ -238,9 +315,10 @@ GroupingResult exhaustive(std::span<const UserState> users,
 GroupingResult form_groups(std::span<const UserState> users,
                            const GrouperConfig& config,
                            const GroupRateFn& group_rate,
-                           const OverlapBitsFn& overlap_bits) {
+                           const OverlapBitsFn& overlap_bits,
+                           const GroupRateBoundFn& rate_bound) {
   if (users.empty()) return {};
-  Planner planner(users, group_rate, overlap_bits);
+  Planner planner(users, group_rate, rate_bound, overlap_bits);
   GroupingResult result;
   switch (config.policy) {
     case GroupingPolicy::kUnicastOnly: {
@@ -261,6 +339,7 @@ GroupingResult form_groups(std::span<const UserState> users,
   }
   result.plan_evals = planner.evals();
   result.plan_hits = planner.hits();
+  result.plan_skips = planner.skips();
   return result;
 }
 

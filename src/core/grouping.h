@@ -43,6 +43,11 @@ struct UserState {
 using GroupRateFn =
     std::function<double(std::span<const std::size_t> members)>;
 
+/// Callback bounding GroupRateFn from above without designing a beam:
+/// for every member list it returns at least what group_rate would.
+using GroupRateBoundFn =
+    std::function<double(std::span<const std::size_t> members)>;
+
 /// Callback computing the overlapped bits S_m(k) for a member set.
 using OverlapBitsFn =
     std::function<double(std::span<const std::size_t> members)>;
@@ -61,22 +66,32 @@ struct GrouperConfig {
 struct GroupingResult {
   std::vector<std::vector<std::size_t>> groups;  // user ids per group
   mac::FrameSchedule schedule;
-  /// Search effort: multi-member candidate lists planned (one group_rate
-  /// and one overlap_bits call each) and plans served from the cache.
+  /// Search effort over multi-member candidate lists: lists priced (one
+  /// group_rate call each), plans served from the cache, and candidates
+  /// left unpriced because their rate bound ruled them out.
   std::size_t plan_evals = 0;
   std::size_t plan_hits = 0;
+  std::size_t plan_skips = 0;
 };
 
 /// Forms multicast groups over `users`.
-/// `group_rate` and `overlap_bits` are consulted for candidate groups of
-/// two or more members, each distinct ordered member list at most once per
-/// call: both must be pure functions of that list for the duration of the
-/// call. The list is passed in the order the search built it (it is not
-/// sorted), so order-sensitive callbacks see exactly what an uncached
-/// search would pass them.
-[[nodiscard]] GroupingResult form_groups(std::span<const UserState> users,
-                                         const GrouperConfig& config,
-                                         const GroupRateFn& group_rate,
-                                         const OverlapBitsFn& overlap_bits);
+/// `group_rate`, `rate_bound` and `overlap_bits` are consulted for
+/// candidate groups of two or more members, each distinct ordered member
+/// list at most once per call: all three must be pure functions of that
+/// list for the duration of the call. The list is passed in the order the
+/// search built it (it is not sorted), so order-sensitive callbacks see
+/// exactly what an uncached search would pass them.
+///
+/// `rate_bound` (optional) must never return less than `group_rate` for
+/// the same list. The greedy policies use it to bound a candidate's plan
+/// time from below and skip pricing candidates that bound proves could not
+/// be merged, so `group_rate` may never be called for such lists; the
+/// result is the one the search without the bound returns. Without it the
+/// bound is 0, which rules out less. Throws std::logic_error when a priced
+/// plan comes in below its bound (a `rate_bound` that under-reports).
+[[nodiscard]] GroupingResult form_groups(
+    std::span<const UserState> users, const GrouperConfig& config,
+    const GroupRateFn& group_rate, const OverlapBitsFn& overlap_bits,
+    const GroupRateBoundFn& rate_bound = {});
 
 }  // namespace volcast::core

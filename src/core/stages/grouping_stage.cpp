@@ -156,19 +156,43 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       }
       return state.mcs->goodput_mbps(min_rss);
     };
+    // group_rate_fn's rate under any beam is at most the goodput of the
+    // weakest member's beam-free RSS bound. Each member is priced against
+    // present_mask minus itself, which no group changes, so the bound is
+    // one number per user, built on first use. goodput_mbps is monotone
+    // in RSS.
+    std::vector<std::optional<double>> rss_bound(n);
+    std::vector<std::uint8_t> bound_mask = present_mask;
+    auto rate_bound_fn = [&](std::span<const std::size_t> idx) {
+      if (!config.enable_multicast) return 0.0;
+      double min_rss = 1e9;
+      for (std::size_t i : idx) {
+        const std::size_t u = members[i];
+        if (!rss_bound[u].has_value()) {
+          bound_mask[u] = 0;
+          rss_bound[u] =
+              link_table().rss_upper_bound(u, bound_mask) + ctx.shadow[u];
+          bound_mask[u] = present_mask[u];
+        }
+        min_rss = std::min(min_rss, *rss_bound[u]);
+      }
+      return state.mcs->goodput_mbps(min_rss);
+    };
 
     GrouperConfig gc;
     gc.policy = policy_;
     gc.target_fps = config.fps;
     gc.min_iou = config.grouping_min_iou;
     GroupingResult& grouping = ctx.ap_plans[a].grouping;
-    grouping = form_groups(states, gc, group_rate_fn, overlap_bits_fn);
+    grouping = form_groups(states, gc, group_rate_fn, overlap_bits_fn,
+                           rate_bound_fn);
     // Logical cost: candidate plans priced, each one group-beam design.
     group_span.add_cost(grouping.plan_evals);
     group_span.end();
     if (state.plan_evals != nullptr) {
       state.plan_evals->add(grouping.plan_evals);
       state.plan_hits->add(grouping.plan_hits);
+      state.plan_skips->add(grouping.plan_skips);
     }
     if (tel != nullptr) {
       for (std::size_t g = 0; g < grouping.groups.size(); ++g) {

@@ -68,6 +68,7 @@ SessionState::SessionState(SessionConfig c)
     rss_evals = &tel->metrics().counter("mmwave.rss_evals");
     plan_evals = &tel->metrics().counter("grouping.plan_evals");
     plan_hits = &tel->metrics().counter("grouping.plan_hits");
+    plan_skips = &tel->metrics().counter("grouping.plan_skips");
   }
   BeamDesignerConfig bd;
   bd.enable_custom_beams = c.enable_custom_beams;

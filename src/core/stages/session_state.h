@@ -131,6 +131,7 @@ struct SessionState {
   obs::Counter* rss_evals = nullptr;
   obs::Counter* plan_evals = nullptr;  // grouping.plan_evals
   obs::Counter* plan_hits = nullptr;   // grouping.plan_hits
+  obs::Counter* plan_skips = nullptr;  // grouping.plan_skips
 
   // Run-scoped state, initialized by begin_run() before the first tick.
   double dt = 0.0;

@@ -60,8 +60,6 @@ LinkTable::LinkTable(const PhasedArray& tx, const Channel& channel,
       bodies_(bodies),
       rows_(receivers.size()) {}
 
-void LinkTable::fill(std::size_t rx) { (void)row(rx); }
-
 const Steering& LinkTable::steering(std::size_t rx) { return row(rx).toward; }
 
 const Awv& LinkTable::steered(std::size_t rx) { return row(rx).steered; }
@@ -93,13 +91,13 @@ const LinkTable::Row& LinkTable::row(std::size_t rx) {
   return r;
 }
 
-double LinkTable::rss(const Awv& w, std::size_t rx,
-                      std::span<const std::uint8_t> body_mask,
-                      obs::Counter* evals) {
+template <class PathGain>
+double LinkTable::masked_rss(std::size_t rx,
+                             std::span<const std::uint8_t> body_mask,
+                             const PathGain& gain) {
   if (body_mask.size() != bodies_.size())
-    throw std::invalid_argument("LinkTable::rss: body mask size mismatch");
+    throw std::invalid_argument("LinkTable: body mask size mismatch");
   const Row& r = row(rx);
-  if (evals != nullptr) evals->add();
   double total_mw = 0.0;
   for (const PathTerm& term : r.paths) {
     // Channel::paths order: reflection losses, then each segment's body
@@ -112,10 +110,32 @@ double LinkTable::rss(const Awv& w, std::size_t rx,
         if (body_mask[r.losses[i].body] != 0) segment_db += r.losses[i].loss_db;
       extra_loss_db += segment_db;
     }
-    total_mw += path_power_mw(budget_, term.response.gain(w), term.fspl_db,
-                              extra_loss_db);
+    total_mw +=
+        path_power_mw(budget_, gain(term), term.fspl_db, extra_loss_db);
   }
   return total_to_dbm(total_mw);
+}
+
+double LinkTable::rss(const Awv& w, std::size_t rx,
+                      std::span<const std::uint8_t> body_mask,
+                      obs::Counter* evals) {
+  const double total_dbm = masked_rss(
+      rx, body_mask, [&](const PathTerm& term) { return term.response.gain(w); });
+  if (evals != nullptr) evals->add();
+  return total_dbm;
+}
+
+double LinkTable::rss_upper_bound(std::size_t rx,
+                                  std::span<const std::uint8_t> body_mask) {
+  constexpr double kGainPad = 1.0 + 1e-6;
+  constexpr double kPadDb = 1e-6;
+  return masked_rss(rx, body_mask,
+                    [](const PathTerm& term) {
+                      const auto n =
+                          static_cast<double>(term.response.phasors.size());
+                      return n * term.response.element_gain * kGainPad;
+                    }) +
+         kPadDb;
 }
 
 double best_beam_rss_dbm(const PhasedArray& tx, const Codebook& codebook,

@@ -34,8 +34,8 @@ struct LinkBudget {
 ///   P_tx + G_tx(path direction) - FSPL(length) - extra losses + G_rx.
 /// (Non-coherent summing models the wideband 802.11ad waveform, whose
 /// symbol bandwidth decorrelates path phases.)
-/// `evals`, when non-null, counts link-budget evaluations (telemetry; an
-/// atomic bump, safe from parallel lanes and free of RNG interaction).
+/// `evals`, when non-null, counts link-budget evaluations (telemetry only:
+/// an atomic bump that never feeds back into a result).
 [[nodiscard]] double rss_dbm(const PhasedArray& tx, const Awv& w,
                              const Channel& channel, const geo::Vec3& rx_pos,
                              std::span<const geo::BodyObstacle> bodies = {},
@@ -57,8 +57,7 @@ struct LinkBudget {
 /// zero adds nothing to a segment's sum).
 ///
 /// `receivers` and `bodies` are referenced, not copied; they must outlive
-/// the table. Filling a row mutates the table: call fill() for every
-/// receiver first when several threads read it.
+/// the table.
 class LinkTable {
  public:
   LinkTable(const PhasedArray& tx, const Channel& channel,
@@ -71,12 +70,9 @@ class LinkTable {
     return bodies_.size();
   }
 
-  /// Builds receiver `rx`'s row now (no-op when built). Throws
-  /// std::out_of_range for an unknown receiver.
-  void fill(std::size_t rx);
-
   /// The array's response toward receivers[rx] (from the array origin),
-  /// as Codebook::best_common_beam takes it.
+  /// as Codebook::best_common_beam takes it. Throws std::out_of_range for
+  /// an unknown receiver (as every per-receiver call does).
   [[nodiscard]] const Steering& steering(std::size_t rx);
 
   /// tx.steer_at(receivers[rx]).
@@ -88,6 +84,18 @@ class LinkTable {
   [[nodiscard]] double rss(const Awv& w, std::size_t rx,
                            std::span<const std::uint8_t> body_mask,
                            obs::Counter* evals = nullptr);
+
+  /// An upper bound on rss(w, rx, body_mask) over every power-normalized
+  /// AWV w (sum |w_i|^2 == 1), without a beam. Each path's array gain
+  /// |sum_i w_i p_i|^2 g_elem is at most N g_elem, N = element count
+  /// (Cauchy-Schwarz with |p_i| = 1), so the bound sums the same row with
+  /// the same masked segment losses as rss(), with every path's gain
+  /// replaced by N g_elem (1 + 1e-6), and adds 1e-6 dB to the total. The
+  /// pad, far above the rounding of log10/pow, keeps the bound from ever
+  /// falling below rss() for a beam that meets the bound with equality.
+  /// Throws like rss().
+  [[nodiscard]] double rss_upper_bound(std::size_t rx,
+                                       std::span<const std::uint8_t> body_mask);
 
  private:
   struct BodyLoss {
@@ -118,6 +126,11 @@ class LinkTable {
   std::vector<std::optional<Row>> rows_;
 
   const Row& row(std::size_t rx);
+  /// The link budget over receiver rx's paths and the masked bodies, each
+  /// path's transmit gain given by gain(path term): rss()'s one summation.
+  template <class PathGain>
+  double masked_rss(std::size_t rx, std::span<const std::uint8_t> body_mask,
+                    const PathGain& gain);
 };
 
 /// Convenience: RSS with the best codebook beam for this receiver (the

@@ -106,6 +106,13 @@ inline std::vector<GoldenCase> golden_matrix() {
     c.policy_overrides["transport"] = "hybrid";
     burst_chaos(c);
   });
+  // Dense audiences, where the greedy group search has many candidates
+  // and the rate-bound skip does most of its work.
+  add("crowd12", [](SessionConfig& c) { c.user_count = 12; });
+  add("crowd12_pairs", [](SessionConfig& c) {
+    c.user_count = 12;
+    c.grouping = GroupingPolicy::kPairsOnly;
+  });
   return cases;
 }
 

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "common/rng.h"
@@ -452,6 +453,110 @@ INSTANTIATE_TEST_SUITE_P(
         default: return std::string("Other");
       }
     });
+
+// ---- rate-bound skip ---------------------------------------------------
+
+/// An exact upper bound of CountingRate's rate for every order of the same
+/// list: the first member's index is at least the smallest one, and the
+/// later terms only subtract.
+GroupRateBoundFn counting_rate_bound(std::size_t* calls = nullptr) {
+  return [calls](std::span<const std::size_t> idx) {
+    if (calls != nullptr) ++*calls;
+    const double lowest =
+        static_cast<double>(*std::min_element(idx.begin(), idx.end()));
+    return 1400.0 - 35.0 * static_cast<double>(idx.size()) - 3.0 * lowest;
+  };
+}
+
+class RateBound : public ::testing::TestWithParam<GroupingPolicy> {};
+
+TEST_P(RateBound, SkipsCandidatesAndKeepsTheResult) {
+  const GroupingPolicy policy = GetParam();
+  std::size_t skips = 0;
+  std::size_t bounded_evals = 0;
+  std::size_t unbounded_evals = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const double min_iou : {0.0, 0.3}) {
+      RandomAudience audience(14, seed);
+      GrouperConfig config;
+      config.policy = policy;
+      config.min_iou = min_iou;
+      CountingRate bounded;
+      const GroupingResult got =
+          form_groups(audience.users, config, bounded.fn(),
+                      overlap_of(audience.maps), counting_rate_bound());
+      for (const auto& [members, n] : bounded.calls)
+        EXPECT_EQ(n, 1) << "seed " << seed << ": a member list was priced "
+                        << n << " times";
+      EXPECT_EQ(got.plan_evals, bounded.calls.size());
+
+      CountingRate unbounded;
+      const GroupingResult plain = form_groups(
+          audience.users, config, unbounded.fn(), overlap_of(audience.maps));
+      EXPECT_LE(got.plan_evals, plain.plan_evals)
+          << "seed " << seed << " min_iou " << min_iou;
+      // The bound only removes member lists from what is priced.
+      for (const auto& entry : bounded.calls)
+        EXPECT_EQ(unbounded.calls.count(entry.first), 1u);
+
+      CountingRate reference;
+      expect_same_result(got, reference_groups(audience.users, config,
+                                               reference.fn(),
+                                               overlap_of(audience.maps)));
+      skips += got.plan_skips;
+      bounded_evals += got.plan_evals;
+      unbounded_evals += plain.plan_evals;
+    }
+  }
+  EXPECT_GT(skips, 0u);
+  EXPECT_LT(bounded_evals, unbounded_evals);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, RateBound,
+    ::testing::Values(GroupingPolicy::kGreedyIoU, GroupingPolicy::kPairsOnly),
+    [](const ::testing::TestParamInfo<GroupingPolicy>& info) {
+      return info.param == GroupingPolicy::kGreedyIoU
+                 ? std::string("Greedy")
+                 : std::string("PairsOnly");
+    });
+
+TEST(RateBound, UnderReportingBoundThrows) {
+  // A bound at half the real rate puts the bound above the priced time of
+  // the first merge the search prices.
+  Fixture f({{0, 9}, {0, 9}});
+  GrouperConfig config;
+  const GroupRateBoundFn half = [](std::span<const std::size_t>) {
+    return 900.0;
+  };
+  EXPECT_THROW((void)form_groups(f.users, config, fixed_rate(1800),
+                                 f.overlap_fn(), half),
+               std::logic_error);
+  // The honest bound keeps the same merge.
+  const GroupRateBoundFn honest = [](std::span<const std::size_t>) {
+    return 1800.0;
+  };
+  const auto result =
+      form_groups(f.users, config, fixed_rate(1800), f.overlap_fn(), honest);
+  ASSERT_EQ(result.groups.size(), 1u);
+  EXPECT_EQ(result.plan_skips, 0u);
+}
+
+TEST(RateBound, UnusedByUnicastOnlyAndExhaustive) {
+  RandomAudience audience(6, 5);
+  for (const GroupingPolicy policy :
+       {GroupingPolicy::kUnicastOnly, GroupingPolicy::kExhaustive}) {
+    GrouperConfig config;
+    config.policy = policy;
+    std::size_t bound_calls = 0;
+    CountingRate counting;
+    const auto result =
+        form_groups(audience.users, config, counting.fn(),
+                    overlap_of(audience.maps), counting_rate_bound(&bound_calls));
+    EXPECT_EQ(bound_calls, 0u) << to_string(policy);
+    EXPECT_EQ(result.plan_skips, 0u) << to_string(policy);
+  }
+}
 
 TEST(PlanCache, UnicastOnlyPlansNothing) {
   RandomAudience audience(6, 3);

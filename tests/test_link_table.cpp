@@ -234,7 +234,7 @@ TEST(LinkTable, CountsEvaluationsAndValidatesArguments) {
   EXPECT_EQ(evals.value(), 2u);
   const std::vector<std::uint8_t> wrong_size;
   EXPECT_THROW((void)table.rss(w, 0, wrong_size), std::invalid_argument);
-  EXPECT_THROW(table.fill(1), std::out_of_range);
+  EXPECT_THROW((void)table.steering(1), std::out_of_range);
 }
 
 TEST(ArrayResponse, GainBitEqualToDirectArrayFactor) {
@@ -362,6 +362,153 @@ TEST(LinkTable, MulticastDesignMatchesDirectPricing) {
   // The sweep exercises both outcomes of the probe.
   EXPECT_GT(custom_picks, 0u);
   EXPECT_GT(stock_picks, 0u);
+}
+
+// ---- beam-free RSS bound -----------------------------------------------
+
+double awv_power(const Awv& w) {
+  double power = 0.0;
+  for (const Complex& c : w) power += std::norm(c);
+  return power;
+}
+
+/// Room with reflections up to `order`, or none at order 0.
+mmwave::Room room_of_order(int order) {
+  mmwave::Room room;
+  room.enable_reflections = order > 0;
+  room.max_reflection_order = std::max(order, 1);
+  return room;
+}
+
+class LinkTableBound : public ::testing::TestWithParam<int> {};
+
+TEST_P(LinkTableBound, NeverBelowRssOfAnyNormalizedBeam) {
+  Rng rng(static_cast<std::uint64_t>(2000 + GetParam()));
+  std::size_t checks = 0;
+  std::size_t reflection_beams = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    // The AP moves between trials, low mounts included, so bodies cross
+    // many segments; the designer's beams come from the same testbed.
+    core::TestbedConfig tc;
+    tc.room = room_of_order(GetParam());
+    tc.ap_position = {rng.uniform(1.0, 7.0), 0.1, rng.uniform(1.0, 2.6)};
+    tc.budget.tx_power_dbm = rng.uniform(0.0, 10.0);
+    tc.blockage.max_loss_db = rng.uniform(5.0, 30.0);
+    const core::Testbed tb(tc);
+    const core::BeamDesigner designer(tb);
+    const mmwave::PhasedArray& ap = tb.ap();
+    std::vector<geo::Vec3> receivers;
+    for (int r = 0; r < 6; ++r) receivers.push_back(random_point(rng, tc.room));
+    const auto bodies =
+        trial % 3 == 1 ? crowd(rng, tc.room)
+                       : random_bodies(rng, tc.room, ap.pose().position,
+                                       receivers);
+    mmwave::LinkTable table = designer.link_table(receivers, bodies);
+    for (std::size_t rx = 0; rx < receivers.size(); ++rx) {
+      std::vector<std::uint8_t> mask(bodies.size());
+      for (auto& bit : mask) bit = rng.chance(0.6) ? 1 : 0;
+      std::vector<Awv> beams(tb.codebook().beams().begin(),
+                             tb.codebook().beams().end());
+      for (std::size_t other = 0; other < receivers.size(); ++other)
+        beams.push_back(table.steered(other));
+      // A beam steered along one path meets that path's bound with
+      // equality: the pad alone keeps the bound above it.
+      for (const mmwave::TracedPath& traced :
+           tb.channel().trace(ap.pose().position, receivers[rx]))
+        beams.push_back(ap.steer(traced.path.tx_direction));
+      for (int k = 0; k < 3; ++k) {
+        const Awv pair[] = {ap.steer_at(random_point(rng, tc.room)),
+                            table.steered(rx)};
+        const double rss_mw[] = {rng.uniform(1e-9, 1e-5),
+                                 rng.uniform(1e-9, 1e-5)};
+        beams.push_back(mmwave::combine_awvs(pair, rss_mw));
+      }
+      const core::GroupBeam reflection =
+          designer.design_reflection(receivers[rx], masked(bodies, mask));
+      if (!reflection.awv.empty()) {
+        beams.push_back(reflection.awv);
+        ++reflection_beams;
+      }
+      for (int k = 0; k < 4; ++k) {
+        Awv w(ap.element_count());
+        for (Complex& c : w) c = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+        beams.push_back(mmwave::power_normalized(std::move(w)));
+      }
+      const double bound = table.rss_upper_bound(rx, mask);
+      for (const Awv& w : beams) {
+        EXPECT_GE(bound, table.rss(w, rx, mask)) << "trial " << trial;
+        ++checks;
+      }
+    }
+  }
+  EXPECT_GT(checks, 0u);
+  if (GetParam() > 0) EXPECT_GT(reflection_beams, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ReflectionOrder, LinkTableBound,
+                         ::testing::Values(0, 1, 2));
+
+TEST(LinkTableBound, ValidatesTheMask) {
+  const mmwave::PhasedArray ap(
+      {}, geo::Pose::look_at({4, 0.1, 2.6}, {4, 3, 1.2}), kMmWaveCarrierHz);
+  const mmwave::Channel channel(mmwave::Room{});
+  const std::vector<geo::Vec3> receivers = {{4, 3, 1.5}};
+  const std::vector<geo::BodyObstacle> bodies = {{{4, 1.5, 0}, 0.25, 1.8}};
+  mmwave::LinkTable table(ap, channel, {}, {}, receivers, bodies);
+  const std::vector<std::uint8_t> wrong_size;
+  EXPECT_THROW((void)table.rss_upper_bound(0, wrong_size),
+               std::invalid_argument);
+  const std::vector<std::uint8_t> mask = {1};
+  EXPECT_THROW((void)table.rss_upper_bound(1, mask), std::out_of_range);
+}
+
+TEST(BeamDesigner, EveryEmittedBeamIsPowerNormalized) {
+  // The RSS bound holds only for beams with sum |w_i|^2 == 1.
+  const core::Testbed tb;
+  Rng rng(33);
+  std::size_t custom_multicast = 0;
+  std::size_t reflections = 0;
+  for (const bool custom : {true, false}) {
+    core::BeamDesignerConfig config;
+    config.enable_custom_beams = custom;
+    const core::BeamDesigner designer(tb, config);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<geo::Vec3> users;
+      for (int u = 0; u < 6; ++u)
+        users.push_back(tb.to_room(geo::Vec3{rng.uniform(-2.5, 2.5),
+                                             rng.uniform(-2.0, 2.0), 1.5}));
+      std::vector<geo::BodyObstacle> bodies;
+      for (const geo::Vec3& p : users) bodies.push_back({p, 0.25, 1.8});
+      mmwave::LinkTable table = designer.link_table(users, bodies);
+      const auto size = static_cast<std::size_t>(rng.uniform_int(1, 4));
+      std::vector<std::size_t> group;
+      std::vector<std::size_t> others;
+      std::vector<std::uint8_t> mask(bodies.size(), 1);
+      for (std::size_t u = 0; u < users.size(); ++u) {
+        if (u < size) {
+          group.push_back(u);
+          mask[u] = 0;
+        } else {
+          others.push_back(u);
+        }
+      }
+      const core::GroupBeam multicast =
+          designer.design_multicast(table, group, mask, others);
+      custom_multicast += multicast.custom && group.size() > 1 ? 1 : 0;
+      const core::GroupBeam unicast =
+          designer.design_unicast(users[0], masked(bodies, mask));
+      const core::GroupBeam reflection =
+          designer.design_reflection(users[0], masked(bodies, mask));
+      for (const Awv* w : {&multicast.awv, &unicast.awv})
+        EXPECT_NEAR(awv_power(*w), 1.0, 1e-12) << "trial " << trial;
+      if (!reflection.awv.empty()) {
+        EXPECT_NEAR(awv_power(reflection.awv), 1.0, 1e-12);
+        ++reflections;
+      }
+    }
+  }
+  EXPECT_GT(custom_multicast, 0u);
+  EXPECT_GT(reflections, 0u);
 }
 
 TEST(LinkTable, DesignRejectsTableOfAnotherArray) {

@@ -340,13 +340,15 @@ int summarize(const std::string& path) {
   }
   if (grouping.count("grouping.plan_evals") != 0) {
     // Each plan evaluation prices one candidate group (one multicast beam
-    // design); hits are candidates the search revisited for free.
+    // design); hits are candidates the search revisited for free; skips
+    // are candidates whose rate bound ruled them out unpriced.
     const auto get = [&](const char* key) -> unsigned long long {
       const auto it = grouping.find(key);
       return it != grouping.end() ? it->second : 0ULL;
     };
     const unsigned long long evals = get("grouping.plan_evals");
     const unsigned long long hits = get("grouping.plan_hits");
+    const unsigned long long skips = get("grouping.plan_skips");
     const double per_tick = ticks > 0 ? 1.0 / static_cast<double>(ticks) : 0.0;
     std::printf("\ngrouping search:\n");
     AsciiTable gtable;
@@ -357,6 +359,13 @@ int summarize(const std::string& path) {
                 evals + hits > 0
                     ? AsciiTable::num(static_cast<double>(hits) /
                                           static_cast<double>(evals + hits),
+                                      3)
+                    : "-"});
+    gtable.row({"candidates skipped by bound", std::to_string(skips)});
+    gtable.row({"bound skip rate",
+                evals + skips > 0
+                    ? AsciiTable::num(static_cast<double>(skips) /
+                                          static_cast<double>(evals + skips),
                                       3)
                     : "-"});
     gtable.row({"plans evaluated per tick",
