@@ -1,13 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: codec
 // encode/decode, frustum culling, visibility computation, beam gain
-// evaluation (direct and from a link table), AWV synthesis and the grouping
-// search. These are the budgets that decide whether the cross-layer
-// scheduler can run per frame interval (33 ms at 30 FPS) on an edge server.
+// evaluation (direct and from a link table), reflection and stock multicast
+// beam design, AWV synthesis and the grouping search. These are the budgets
+// that decide whether the cross-layer scheduler can run per frame interval
+// (33 ms at 30 FPS) on an edge server.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
+#include "core/beam_designer.h"
 #include "core/grouping.h"
 #include "core/session.h"
 #include "core/testbed.h"
@@ -188,6 +193,41 @@ void BM_RssLinkTable(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RssLinkTable);
+
+void BM_DesignReflection(benchmark::State& state) {
+  // The mitigation designer's position overload: one one-shot table row
+  // (trace + per-path responses), then every bounce's steered beam priced
+  // as a masked sum over that row.
+  const core::Testbed testbed;
+  const core::BeamDesigner designer(testbed);
+  const geo::Vec3 user{4, 3, 1.5};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(designer.design_reflection(user));
+  }
+}
+BENCHMARK(BM_DesignReflection);
+
+void BM_DesignMulticastStock(benchmark::State& state) {
+  // A stock-sector multicast design over a tick link table whose rows (and
+  // their cached sector gains) already exist: the common-sector pick reads
+  // cached gains, the members are priced as masked sums.
+  const core::Testbed testbed;
+  core::BeamDesignerConfig config;
+  config.enable_custom_beams = false;
+  const core::BeamDesigner designer(testbed, config);
+  const geo::Vec3 users[] = {{3, 3, 1.5}, {4, 3.5, 1.5}, {5, 3, 1.5},
+                             {4, 4.5, 1.5}};
+  std::vector<geo::BodyObstacle> bodies;
+  for (const geo::Vec3& u : users) bodies.push_back({u, 0.25, 1.8});
+  mmwave::LinkTable table = designer.link_table(users, bodies);
+  const std::size_t group[] = {0, 1, 2};
+  const std::uint8_t outside[] = {0, 0, 0, 1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        designer.design_multicast(table, group, outside));
+  }
+}
+BENCHMARK(BM_DesignMulticastStock);
 
 void BM_CombineAwvs(benchmark::State& state) {
   const core::Testbed testbed;

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "common/units.h"
 #include "obs/metrics.h"
@@ -24,11 +25,11 @@ BeamDesigner::BeamDesigner(const Testbed& testbed, BeamDesignerConfig config)
   }
 }
 
-double BeamDesigner::rss(const mmwave::Awv& w, const geo::Vec3& position,
-                         std::span<const geo::BodyObstacle> bodies) const {
-  return mmwave::rss_dbm(testbed_->ap(), w, testbed_->channel(), position,
-                         bodies, testbed_->budget(), testbed_->blockage(),
-                         rss_evals_);
+void BeamDesigner::require_own_table(const mmwave::LinkTable& links,
+                                     const char* who) const {
+  if (&links.tx() != &testbed_->ap())
+    throw std::invalid_argument(std::string(who) +
+                                ": link table built for another array");
 }
 
 GroupBeam BeamDesigner::finish(
@@ -51,27 +52,36 @@ GroupBeam BeamDesigner::finish(
 GroupBeam BeamDesigner::design_unicast(
     const geo::Vec3& position,
     std::span<const geo::BodyObstacle> bodies) const {
-  const auto at_position = [&](const mmwave::Awv& w, std::size_t) {
-    return rss(w, position, bodies);
+  const geo::Vec3 receivers[] = {position};
+  mmwave::LinkTable links = link_table(receivers, bodies);
+  const std::vector<std::uint8_t> every_body(bodies.size(), 1);
+  return design_unicast(links, 0, every_body);
+}
+
+GroupBeam BeamDesigner::design_unicast(
+    mmwave::LinkTable& links, std::size_t rx,
+    std::span<const std::uint8_t> body_mask) const {
+  require_own_table(links, "design_unicast");
+  const auto at_rx = [&](const mmwave::Awv& w, std::size_t) {
+    return links.rss(w, rx, body_mask, rss_evals_);
   };
   if (unicast_designs_ != nullptr) unicast_designs_->add();
   if (config_.enable_custom_beams) {
     // Predicted-position steering: full aperture, no beam search.
     if (custom_selected_ != nullptr) custom_selected_->add();
-    return finish(testbed_->ap().steer_at(position), true, 1, at_position);
+    return finish(links.steered(rx), true, 1, at_rx);
   }
-  const std::size_t sector =
-      testbed_->codebook().best_beam_toward(testbed_->ap(), position);
+  const std::size_t sector = links.best_sector(rx);
   if (stock_selected_ != nullptr) stock_selected_->add();
-  return finish(testbed_->codebook().beam(sector), false, 1, at_position);
+  return finish(testbed_->codebook().beam(sector), false, 1, at_rx);
 }
 
 mmwave::LinkTable BeamDesigner::link_table(
     std::span<const geo::Vec3> receivers,
-    std::span<const geo::BodyObstacle> bodies) const {
+    std::span<const geo::BodyObstacle> bodies, obs::Counter* rows) const {
   return mmwave::LinkTable(testbed_->ap(), testbed_->channel(),
                            testbed_->budget(), testbed_->blockage(),
-                           receivers, bodies);
+                           receivers, bodies, &testbed_->codebook(), rows);
 }
 
 GroupBeam BeamDesigner::design_multicast(
@@ -95,19 +105,14 @@ GroupBeam BeamDesigner::design_multicast(
     std::span<const std::size_t> others) const {
   if (members.empty())
     throw std::invalid_argument("design_multicast: empty group");
-  if (&links.tx() != &testbed_->ap())
-    throw std::invalid_argument(
-        "design_multicast: link table built for another array");
+  require_own_table(links, "design_multicast");
   if (multicast_designs_ != nullptr) multicast_designs_->add();
   const auto member_rss = [&](const mmwave::Awv& w, std::size_t i) {
     return links.rss(w, members[i], body_mask, rss_evals_);
   };
 
   // Stock fallback: the best common sector of the default codebook.
-  std::vector<const mmwave::Steering*> toward;
-  toward.reserve(members.size());
-  for (std::size_t m : members) toward.push_back(&links.steering(m));
-  const std::size_t common = testbed_->codebook().best_common_beam(toward);
+  const std::size_t common = links.best_common_sector(members);
   GroupBeam stock = finish(testbed_->codebook().beam(common), false,
                            members.size(), member_rss);
   if (members.size() == 1 || !config_.enable_custom_beams) {
@@ -160,21 +165,28 @@ GroupBeam BeamDesigner::design_multicast(
 GroupBeam BeamDesigner::design_reflection(
     const geo::Vec3& position,
     std::span<const geo::BodyObstacle> bodies) const {
-  // Try a beam at every bounce point (ignoring bodies along the candidate
-  // paths — the whole point is to route around them) and keep the one with
-  // the best *achievable* RSS: the geometrically shortest bounce can sit
+  const geo::Vec3 receivers[] = {position};
+  mmwave::LinkTable links = link_table(receivers, bodies);
+  const std::vector<std::uint8_t> every_body(bodies.size(), 1);
+  return design_reflection(links, 0, every_body);
+}
+
+GroupBeam BeamDesigner::design_reflection(
+    mmwave::LinkTable& links, std::size_t rx,
+    std::span<const std::uint8_t> body_mask) const {
+  // Try a beam at every bounce (ignoring bodies along the candidate paths
+  // — the whole point is to route around them) and keep the one with the
+  // best *achievable* RSS: the geometrically shortest bounce can sit
   // behind the array's element pattern and be useless.
+  require_own_table(links, "design_reflection");
   if (reflection_designs_ != nullptr) reflection_designs_->add();
-  const auto paths = testbed_->channel().paths(
-      testbed_->ap().pose().position, position, {}, testbed_->blockage());
-  const auto at_position = [&](const mmwave::Awv& w, std::size_t) {
-    return rss(w, position, bodies);
+  const auto at_rx = [&](const mmwave::Awv& w, std::size_t) {
+    return links.rss(w, rx, body_mask, rss_evals_);
   };
   GroupBeam best{};
-  for (const mmwave::Path& path : paths) {
-    if (path.line_of_sight) continue;
-    GroupBeam candidate = finish(testbed_->ap().steer(path.tx_direction),
-                                 true, 1, at_position);
+  for (const mmwave::Steering* response : links.reflection_responses(rx)) {
+    GroupBeam candidate =
+        finish(mmwave::PhasedArray::steer(*response), true, 1, at_rx);
     if (best.awv.empty() ||
         candidate.min_member_rss_dbm > best.min_member_rss_dbm)
       best = std::move(candidate);

@@ -62,9 +62,21 @@ class BeamDesigner {
 
   /// Unicast beam + achievable goodput for one user at `position`.
   /// `bodies` are the other people in the room (ground-truth blockage).
+  /// Prices its link through a one-shot link_table() toward `position`.
   [[nodiscard]] GroupBeam design_unicast(
       const geo::Vec3& position,
       std::span<const geo::BodyObstacle> bodies = {}) const;
+
+  /// The same design toward receiver `rx` of a link table of this
+  /// designer's AP, shadowed by the bodies `body_mask` selects from the
+  /// table's body list: the steered beam is links.steered(rx), the stock
+  /// sector is picked from the row's cached sector gains. Bit-identical to
+  /// the overload above called with that receiver's position and the
+  /// masked bodies. Throws std::invalid_argument for a table built for
+  /// another array.
+  [[nodiscard]] GroupBeam design_unicast(
+      mmwave::LinkTable& links, std::size_t rx,
+      std::span<const std::uint8_t> body_mask) const;
 
   /// Multicast beam for `positions` (>= 1). `others` are non-member user
   /// positions used for spill probing. Prices its links through a one-shot
@@ -76,27 +88,42 @@ class BeamDesigner {
 
   /// The same design over a link table of this designer's AP: `members`
   /// and `others` index the table's receivers, and `body_mask` selects the
-  /// shadowing bodies from its body list. Bit-identical to the overload
-  /// above called with those receivers' positions and the masked bodies.
-  /// Throws std::invalid_argument for an empty group or a table built for
-  /// another array.
+  /// shadowing bodies from its body list. The stock common sector is
+  /// picked from the members' cached sector gains. Bit-identical to the
+  /// overload above called with those receivers' positions and the masked
+  /// bodies. Throws std::invalid_argument for an empty group or a table
+  /// built for another array.
   [[nodiscard]] GroupBeam design_multicast(
       mmwave::LinkTable& links, std::span<const std::size_t> members,
       std::span<const std::uint8_t> body_mask,
       std::span<const std::size_t> others = {}) const;
 
   /// A link table from this designer's AP toward `receivers`, with
-  /// `bodies` as the shadowing body list (both referenced, not copied).
+  /// `bodies` as the shadowing body list (both referenced, not copied) and
+  /// the AP's codebook bound for the sector picks. `rows`, when non-null,
+  /// counts the rows the table builds.
   [[nodiscard]] mmwave::LinkTable link_table(
       std::span<const geo::Vec3> receivers,
-      std::span<const geo::BodyObstacle> bodies) const;
+      std::span<const geo::BodyObstacle> bodies,
+      obs::Counter* rows = nullptr) const;
 
   /// A reflection beam for blockage mitigation: steers at the strongest
   /// non-line-of-sight bounce toward `position` (empty AWV when the room
-  /// offers no reflection).
+  /// offers no reflection). Prices its candidates through a one-shot
+  /// link_table() toward `position`.
   [[nodiscard]] GroupBeam design_reflection(
       const geo::Vec3& position,
       std::span<const geo::BodyObstacle> bodies = {}) const;
+
+  /// The same design toward receiver `rx` of a link table of this
+  /// designer's AP: each candidate is PhasedArray::steer of one traced
+  /// path's cached response, priced as a masked sum over the same row.
+  /// Bit-identical to the overload above called with that receiver's
+  /// position and the masked bodies. Throws std::invalid_argument for a
+  /// table built for another array.
+  [[nodiscard]] GroupBeam design_reflection(
+      mmwave::LinkTable& links, std::size_t rx,
+      std::span<const std::uint8_t> body_mask) const;
 
   [[nodiscard]] const BeamDesignerConfig& config() const noexcept {
     return config_;
@@ -114,8 +141,10 @@ class BeamDesigner {
   obs::Counter* probe_rejects_ = nullptr;
   obs::Counter* rss_evals_ = nullptr;
 
-  [[nodiscard]] double rss(const mmwave::Awv& w, const geo::Vec3& position,
-                           std::span<const geo::BodyObstacle> bodies) const;
+  /// Throws std::invalid_argument naming `who` unless `links` prices
+  /// this designer's AP.
+  void require_own_table(const mmwave::LinkTable& links,
+                         const char* who) const;
   /// Completes a GroupBeam from the weakest of `members` links, each priced
   /// by `member_rss(awv, i)`.
   [[nodiscard]] GroupBeam finish(

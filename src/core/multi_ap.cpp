@@ -1,10 +1,9 @@
 #include "core/multi_ap.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
-
-#include "mmwave/link.h"
 
 namespace volcast::core {
 
@@ -32,6 +31,17 @@ MultiApCoordinator::MultiApCoordinator(const TestbedConfig& base,
   }
 }
 
+std::vector<mmwave::LinkTable> MultiApCoordinator::tables_toward(
+    std::span<const geo::Vec3> receivers) const {
+  std::vector<mmwave::LinkTable> tables;
+  tables.reserve(aps_.size());
+  for (const auto& tb : aps_)
+    tables.emplace_back(tb->ap(), tb->channel(), tb->budget(), tb->blockage(),
+                        receivers, std::span<const geo::BodyObstacle>{},
+                        &tb->codebook());
+  return tables;
+}
+
 std::vector<std::size_t> MultiApCoordinator::assign_users(
     std::span<const geo::Vec3> positions) const {
   return assign_users(positions, {});
@@ -40,17 +50,27 @@ std::vector<std::size_t> MultiApCoordinator::assign_users(
 std::vector<std::size_t> MultiApCoordinator::assign_users(
     std::span<const geo::Vec3> positions,
     std::span<const bool> available) const {
+  std::vector<mmwave::LinkTable> tables = tables_toward(positions);
+  return assign_users(
+      positions.size(),
+      [&](std::size_t a) -> mmwave::LinkTable& { return tables[a]; },
+      available);
+}
+
+std::vector<std::size_t> MultiApCoordinator::assign_users(
+    std::size_t users, const ApLinks& links,
+    std::span<const bool> available) const {
   std::vector<std::size_t> assignment;
-  assignment.reserve(positions.size());
-  for (const geo::Vec3& pos : positions) {
+  assignment.reserve(users);
+  for (std::size_t u = 0; u < users; ++u) {
     std::size_t best_ap = 0;
     double best_rss = -std::numeric_limits<double>::infinity();
     for (std::size_t a = 0; a < aps_.size(); ++a) {
       if (a < available.size() && !available[a]) continue;
-      const Testbed& tb = *aps_[a];
-      const double rss = mmwave::best_beam_rss_dbm(
-          tb.ap(), tb.codebook(), tb.channel(), pos, {}, tb.budget(),
-          tb.blockage());
+      mmwave::LinkTable& table = links(a);
+      const std::vector<std::uint8_t> no_bodies(table.body_count(), 0);
+      const double rss = table.rss(
+          aps_[a]->codebook().beam(table.best_sector(u)), u, no_bodies);
       if (rss > best_rss) {
         best_rss = rss;
         best_ap = a;
@@ -64,14 +84,24 @@ std::vector<std::size_t> MultiApCoordinator::assign_users(
 double MultiApCoordinator::interference_factor(
     std::size_t victim_ap, const geo::Vec3& victim_pos, double victim_rss_dbm,
     std::span<const mmwave::Awv> concurrent_beams) const {
+  const geo::Vec3 receivers[] = {victim_pos};
+  std::vector<mmwave::LinkTable> tables = tables_toward(receivers);
+  return interference_factor(
+      victim_ap, 0, victim_rss_dbm, concurrent_beams,
+      [&](std::size_t a) -> mmwave::LinkTable& { return tables[a]; });
+}
+
+double MultiApCoordinator::interference_factor(
+    std::size_t victim_ap, std::size_t victim, double victim_rss_dbm,
+    std::span<const mmwave::Awv> concurrent_beams,
+    const ApLinks& links) const {
   double strongest_interference = -std::numeric_limits<double>::infinity();
   for (std::size_t a = 0; a < aps_.size() && a < concurrent_beams.size();
        ++a) {
     if (a == victim_ap || concurrent_beams[a].empty()) continue;
-    const Testbed& tb = *aps_[a];
-    const double leak =
-        mmwave::rss_dbm(tb.ap(), concurrent_beams[a], tb.channel(),
-                        victim_pos, {}, tb.budget(), tb.blockage());
+    mmwave::LinkTable& table = links(a);
+    const std::vector<std::uint8_t> no_bodies(table.body_count(), 0);
+    const double leak = table.rss(concurrent_beams[a], victim, no_bodies);
     strongest_interference = std::max(strongest_interference, leak);
   }
   if (strongest_interference ==

@@ -8,11 +8,13 @@
 // the signal-to-interference ratio is poor.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "core/testbed.h"
+#include "mmwave/link.h"
 
 namespace volcast::core {
 
@@ -24,6 +26,10 @@ struct MultiApConfig {
   /// SIR below this (but above outage) halves the victim's goodput.
   double degraded_sir_db = 10.0;
 };
+
+/// AP a's link table toward a fixed receiver list: a session's tick link
+/// state (tick_links), or one-shot tables toward the caller's positions.
+using ApLinks = std::function<mmwave::LinkTable&(std::size_t ap)>;
 
 /// Owns one Testbed per AP (same room, different wall mounts).
 class MultiApCoordinator {
@@ -51,6 +57,16 @@ class MultiApCoordinator {
       std::span<const geo::Vec3> positions,
       std::span<const bool> available) const;
 
+  /// The same assignment over per-AP link tables: `links(a)` is AP a's
+  /// table (its codebook bound, as BeamDesigner::link_table binds it),
+  /// whose receivers 0..users-1 are the users. Each user's best sector
+  /// comes from the table's cached sector gains and is priced with no
+  /// bodies (an all-zero mask). The overloads above are this one over
+  /// one-shot tables toward `positions`.
+  [[nodiscard]] std::vector<std::size_t> assign_users(
+      std::size_t users, const ApLinks& links,
+      std::span<const bool> available = {}) const;
+
   /// Goodput multiplier in [0, 1] for a victim at `victim_pos` served by
   /// `victim_ap` with signal `victim_rss_dbm`, while every other AP
   /// transmits with the given beams (indexed by AP; empty AWVs are idle).
@@ -59,9 +75,20 @@ class MultiApCoordinator {
       double victim_rss_dbm,
       std::span<const mmwave::Awv> concurrent_beams) const;
 
+  /// The same screening for receiver `victim` of the per-AP link tables
+  /// (see assign_users), each leak priced with no bodies.
+  [[nodiscard]] double interference_factor(
+      std::size_t victim_ap, std::size_t victim, double victim_rss_dbm,
+      std::span<const mmwave::Awv> concurrent_beams,
+      const ApLinks& links) const;
+
  private:
   MultiApConfig config_;
   std::vector<std::unique_ptr<Testbed>> aps_;
+
+  /// One-shot tables of every AP toward `receivers`, with no bodies.
+  [[nodiscard]] std::vector<mmwave::LinkTable> tables_toward(
+      std::span<const geo::Vec3> receivers) const;
 };
 
 }  // namespace volcast::core

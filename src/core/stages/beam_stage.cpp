@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -21,6 +23,9 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
   auto& assignment = state.assignment;
   const auto& ap_up = state.ap_up;
   const auto absent = [&](std::size_t u) { return state.absent(u); };
+  const ApLinks tick_tables = [&](std::size_t a) -> mmwave::LinkTable& {
+    return tick_links(state, ctx, a);
+  };
 
   // ---- AP assignment (refreshed every second, and immediately when an AP
   // goes dark or comes back) ----------------------------------------------
@@ -30,10 +35,10 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
     assign_span.add_cost(n * state.coordinator.ap_count());
     assignment = state.has_faults
                      ? state.coordinator.assign_users(
-                           ctx.room_pos,
+                           n, tick_tables,
                            std::span<const bool>(ap_up.data(),
                                                  state.coordinator.ap_count()))
-                     : state.coordinator.assign_users(ctx.room_pos);
+                     : state.coordinator.assign_users(n, tick_tables);
   }
 
   // Multicast membership tracking: the set of users each AP can serve.
@@ -54,7 +59,20 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
   }
 
   // ---- per-user unicast link state --------------------------------------
+  // Every RSS below is priced through the tick's link tables. The span's
+  // logical cost is the tables' work in this loop: rows built plus RSS
+  // evaluations.
   obs::Span link_span = ctx.span(obs::Stage::kLink);
+  const auto link_work = [&] {
+    std::uint64_t work = 0;
+    for (const std::optional<mmwave::LinkTable>& table : ctx.links)
+      if (table.has_value()) work += table->rows_built() + table->evaluations();
+    return work;
+  };
+  const std::uint64_t work_before = link_work();
+  // The bodies that shadow user u: every present user but u, and every
+  // obstacle (a mask over the tick body list).
+  std::vector<std::uint8_t> others;
   ctx.unicast_rate.assign(n, 0.0);
   ctx.unicast_rss.assign(n, -200.0);
   auto& unicast_rate = ctx.unicast_rate;
@@ -79,16 +97,15 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       continue;
     }
     const Testbed& tb = state.coordinator.ap(assignment[u]);
-    std::vector<geo::BodyObstacle> others;
-    for (std::size_t v = 0; v < n; ++v)
-      if (v != u && !absent(v)) others.push_back(ctx.bodies[v]);
-    for (const geo::BodyObstacle& o : state.injector.obstacles())
-      others.push_back(o);
+    mmwave::LinkTable& links = tick_links(state, ctx, assignment[u]);
+    others.assign(ctx.present_mask.begin(), ctx.present_mask.end());
+    others[u] = 0;
 
     mmwave::Awv serving;
     if (state.has_faults && state.injector.sector_stuck(u)) {
       // Stuck sector: the radio keeps riding the sweep result frozen at
-      // the moment the fault hit, however stale it gets.
+      // the moment the fault hit, however stale it gets. That position is
+      // no table receiver, so the sweep is redone from it.
       SessionState::User& st = users[u];
       if (!st.was_stuck) {
         st.was_stuck = true;
@@ -121,12 +138,11 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       }
       if (use_custom) {
         serving = state.designers[assignment[u]]
-                      .design_unicast(ctx.room_pos[u], others)
+                      .design_unicast(links, u, others)
                       .awv;
       } else {
         // Fallback chain, step 1: the stock sector beam needs no probe.
-        serving = tb.codebook().beam(
-            tb.codebook().best_beam_toward(tb.ap(), ctx.room_pos[u]));
+        serving = tb.codebook().beam(links.best_sector(u));
         ++state.freport.fallback_stock_beams;
         push_event(obs::Layer::kMmwave, obs::EventType::kFallbackStockBeam);
         state.fault_fallback[u] = 1;
@@ -146,8 +162,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         --st.sls_remaining_ticks;
         ++state.sls_outage_ticks;
         if (st.sls_remaining_ticks == 0) {
-          st.serving_awv = tb.codebook().beam(
-              tb.codebook().best_beam_toward(tb.ap(), ctx.room_pos[u]));
+          st.serving_awv = tb.codebook().beam(links.best_sector(u));
         }
         unicast_rss[u] = -200.0;
         unicast_rate[u] = 0.0;
@@ -162,12 +177,10 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         continue;
       }
       const double serving_rss =
-          mmwave::rss_dbm(tb.ap(), st.serving_awv, tb.channel(),
-                          ctx.room_pos[u], others, tb.budget(), tb.blockage(),
-                          state.rss_evals);
-      const double best_rss = mmwave::best_beam_rss_dbm(
-          tb.ap(), tb.codebook(), tb.channel(), ctx.room_pos[u], others,
-          tb.budget(), tb.blockage(), state.rss_evals);
+          links.rss(st.serving_awv, u, others, state.rss_evals);
+      const double best_rss = links.rss(
+          tb.codebook().beam(links.best_sector(u)), u, others,
+          state.rss_evals);
       // Re-train when the sector went stale — or when the link fell
       // below the usable floor, which a reactive device cannot tell
       // apart from misalignment. Sweeping into a body blockage is
@@ -178,17 +191,12 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       serving = st.serving_awv;  // stale or not, it carries this tick
     }
 
-    double rss = mmwave::rss_dbm(tb.ap(), serving, tb.channel(),
-                                 ctx.room_pos[u], others, tb.budget(),
-                                 tb.blockage(), state.rss_evals) +
-                 ctx.shadow[u];
+    double rss = links.rss(serving, u, others, state.rss_evals) + ctx.shadow[u];
     // Reflection override from an earlier mitigation action: use it when
     // it currently beats the (possibly blocked) line of sight.
     if (users[u].reflection_ticks > 0 && !users[u].reflection_awv.empty()) {
       const double refl =
-          mmwave::rss_dbm(tb.ap(), users[u].reflection_awv, tb.channel(),
-                          ctx.room_pos[u], others, tb.budget(), tb.blockage(),
-                          state.rss_evals) +
+          links.rss(users[u].reflection_awv, u, others, state.rss_evals) +
           ctx.shadow[u];
       if (refl > rss) {
         rss = refl;
@@ -202,13 +210,10 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       // sector, or a fault-spawned obstacle shadows the LoS) — try a
       // reflected path off the room surfaces.
       const GroupBeam refl_beam =
-          state.designers[assignment[u]].design_reflection(ctx.room_pos[u],
-                                                           others);
+          state.designers[assignment[u]].design_reflection(links, u, others);
       if (!refl_beam.awv.empty()) {
         const double refl_rss =
-            mmwave::rss_dbm(tb.ap(), refl_beam.awv, tb.channel(),
-                            ctx.room_pos[u], others, tb.budget(),
-                            tb.blockage(), state.rss_evals) +
+            links.rss(refl_beam.awv, u, others, state.rss_evals) +
             ctx.shadow[u];
         if (refl_rss > rss) {
           rss = refl_rss;
@@ -221,12 +226,12 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
     unicast_rate[u] = state.mcs->goodput_mbps(rss);
     if (state.coordinator.ap_count() > 1) {
       unicast_rate[u] *= state.coordinator.interference_factor(
-          assignment[u], ctx.room_pos[u], rss, state.concurrent_beams);
+          assignment[u], u, rss, state.concurrent_beams, tick_tables);
     }
     users[u].predictor.set_phy_state(unicast_rate[u],
                                      users[u].blockage_forecast);
   }
-  link_span.add_cost(n * n);
+  link_span.add_cost(link_work() - work_before);
   link_span.end();
 }
 

@@ -22,12 +22,6 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
   auto& users = state.users;
   const auto absent = [&](std::size_t u) { return state.absent(u); };
 
-  // The tick's body list: every user's capsule by user index, then the
-  // injector's obstacles.
-  std::vector<geo::BodyObstacle> bodies(ctx.bodies.begin(), ctx.bodies.end());
-  for (const geo::BodyObstacle& o : state.injector.obstacles())
-    bodies.push_back(o);
-
   ctx.ap_plans.assign(state.coordinator.ap_count(), {});
   for (std::size_t a = 0; a < state.coordinator.ap_count(); ++a) {
     const auto ap32 = static_cast<std::uint32_t>(a);
@@ -93,21 +87,10 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       s.unicast_rate_mbps = ctx.unicast_rate[u];
     }
 
-    // This AP's links toward every user, priced against the tick's body
-    // list (users by index, then the injector's obstacles). Each candidate
-    // group's body subsets are masks over that list. Built on first use:
-    // a unicast-only round never needs it.
-    std::optional<mmwave::LinkTable> links;
-    const auto link_table = [&]() -> mmwave::LinkTable& {
-      if (!links.has_value())
-        links.emplace(state.designers[a].link_table(ctx.room_pos, bodies));
-      return *links;
-    };
-    // 1 for every body that shadows this tick: present users and every
-    // obstacle.
-    std::vector<std::uint8_t> present_mask(bodies.size(), 1);
-    for (std::size_t u = 0; u < n; ++u)
-      if (absent(u)) present_mask[u] = 0;
+    // This AP's tick link table (see tick_links): each candidate group's
+    // body subsets are masks over the tick body list.
+    mmwave::LinkTable& links = tick_links(state, ctx, a);
+    const std::vector<std::uint8_t>& present_mask = ctx.present_mask;
     // The bodies that shadow a group's beam: present users outside the
     // group, and every obstacle.
     const auto outside_mask = [&](std::span<const std::size_t> group) {
@@ -133,7 +116,6 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
     };
     auto group_rate_fn = [&](std::span<const std::size_t> idx) {
       if (!config.enable_multicast) return 0.0;
-      mmwave::LinkTable& table = link_table();
       std::vector<std::size_t> group;
       group.reserve(idx.size());
       for (std::size_t i : idx) group.push_back(members[i]);
@@ -143,14 +125,14 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       for (std::size_t u = 0; u < n; ++u)
         if (outside[u] != 0) others.push_back(u);
       const GroupBeam beam =
-          state.designers[a].design_multicast(table, group, outside, others);
+          state.designers[a].design_multicast(links, group, outside, others);
       // Worst member RSS including that member's shadowing: every present
       // user but the member itself, and every obstacle.
       std::vector<std::uint8_t> mask = present_mask;
       double min_rss = 1e9;
       for (std::size_t u : group) {
         mask[u] = 0;
-        const double rss = table.rss(beam.awv, u, mask) + ctx.shadow[u];
+        const double rss = links.rss(beam.awv, u, mask) + ctx.shadow[u];
         mask[u] = present_mask[u];
         min_rss = std::min(min_rss, rss);
       }
@@ -171,7 +153,7 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
         if (!rss_bound[u].has_value()) {
           bound_mask[u] = 0;
           rss_bound[u] =
-              link_table().rss_upper_bound(u, bound_mask) + ctx.shadow[u];
+              links.rss_upper_bound(u, bound_mask) + ctx.shadow[u];
           bound_mask[u] = present_mask[u];
         }
         min_rss = std::min(min_rss, *rss_bound[u]);
@@ -219,8 +201,7 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
             return lhs.size() < rhs.size();
           });
       if (largest->size() == 1) {
-        state.concurrent_beams[a] = state.coordinator.ap(a).ap().steer_at(
-            ctx.room_pos[largest->front()]);
+        state.concurrent_beams[a] = links.steered(largest->front());
       }
     } else {
       state.concurrent_beams[a].clear();
@@ -231,7 +212,7 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       if (group.size() < 2) continue;
       beam_span.add_cost(group.size());
       GroupBeam beam = state.designers[a].design_multicast(
-          link_table(), group, outside_mask(group), {});
+          links, group, outside_mask(group), {});
       if (beam.custom) {
         ++state.custom_beam_uses;
       } else {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/units.h"
+#include "core/stages/tick_context.h"
 
 namespace volcast::core {
 
@@ -17,6 +19,33 @@ double visible_bits(const view::VisibilityMap& map, const vv::VideoStore& store,
               lod;
   }
   return bits;
+}
+
+mmwave::LinkTable& tick_links(SessionState& state, TickContext& ctx,
+                              std::size_t ap) {
+  if (ctx.links.empty()) {
+    ctx.link_bodies.assign(ctx.bodies.begin(), ctx.bodies.end());
+    for (const geo::BodyObstacle& o : state.injector.obstacles())
+      ctx.link_bodies.push_back(o);
+    ctx.present_mask.assign(ctx.link_bodies.size(), 1);
+    for (std::size_t u = 0; u < state.user_count(); ++u)
+      if (state.absent(u)) ctx.present_mask[u] = 0;
+    ctx.links.resize(state.coordinator.ap_count());
+  }
+  for (const std::optional<mmwave::LinkTable>& table : ctx.links)
+    if (table.has_value() &&
+        (table->receivers().size() != ctx.room_pos.size() ||
+         table->receivers().data() != ctx.room_pos.data() ||
+         table->bodies().size() != ctx.link_bodies.size() ||
+         table->bodies().data() != ctx.link_bodies.data()))
+      throw std::logic_error(
+          "tick_links: ctx.room_pos or the tick body list changed size or "
+          "moved after this tick's link tables were built");
+  std::optional<mmwave::LinkTable>& slot = ctx.links.at(ap);
+  if (!slot.has_value())
+    slot.emplace(state.designers.at(ap).link_table(
+        ctx.room_pos, ctx.link_bodies, state.link_rows));
+  return *slot;
 }
 
 MultiApConfig SessionState::multi_ap_config(const SessionConfig& c) {
@@ -66,6 +95,7 @@ SessionState::SessionState(SessionConfig c)
   tel = config.telemetry;
   if (tel != nullptr) {
     rss_evals = &tel->metrics().counter("mmwave.rss_evals");
+    link_rows = &tel->metrics().counter("mmwave.link_rows");
     plan_evals = &tel->metrics().counter("grouping.plan_evals");
     plan_hits = &tel->metrics().counter("grouping.plan_hits");
     plan_skips = &tel->metrics().counter("grouping.plan_skips");

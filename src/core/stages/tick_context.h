@@ -1,8 +1,8 @@
 // Per-tick data flowing through the staged pipeline.
 //
 // Each tick the driver (session.cpp) builds one TickContext and hands it
-// through the stages in order; every field below is produced by exactly
-// one stage and consumed by later ones:
+// through the stages in order; every field below but the link state is
+// produced by exactly one stage and consumed by later ones:
 //
 //   driver       -> tick / t / frame, fault availability flags
 //   Prediction   -> poses, body capsules, shadowing, joint prediction
@@ -11,15 +11,22 @@
 //   Mitigation   -> prefetch credit / reflection overrides (SessionState)
 //   Grouping     -> per-AP multicast plan (ApPlan)
 //   Transport    -> deliveries, app-layer throughput samples
+//
+// The link state (link_bodies, present_mask, links) belongs to no stage:
+// tick_links() builds it on the first use in the tick, whichever stage
+// that is (Beam, in every registered pipeline), and every later stage
+// reads the same tables. See DESIGN.md, "Tick link state".
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/grouping.h"
 #include "core/session.h"
 #include "geometry/obstacle.h"
 #include "geometry/pose.h"
+#include "mmwave/link.h"
 #include "obs/telemetry.h"
 #include "viewport/joint_predictor.h"
 
@@ -52,6 +59,16 @@ struct TickContext {
   std::vector<double> shadow;
   view::JointPrediction prediction;
 
+  // The tick link state, built by tick_links() on first use. Every AP's
+  // table prices its users (receivers ctx.room_pos) against link_bodies:
+  // every user's capsule by user index, then the injector's obstacles.
+  // present_mask has a 1 for every body that shadows this tick (present
+  // users and every obstacle). The tables hold spans into room_pos and
+  // link_bodies, so neither may change size or move once a table exists.
+  std::vector<geo::BodyObstacle> link_bodies;
+  std::vector<std::uint8_t> present_mask;
+  std::vector<std::optional<mmwave::LinkTable>> links;  // slot per AP
+
   // Products of the beam stage (slot per user).
   std::vector<double> unicast_rate;
   std::vector<double> unicast_rss;
@@ -72,5 +89,16 @@ struct TickContext {
     return obs::Span(tel, stage, tick32, ap);
   }
 };
+
+struct SessionState;
+
+/// AP `ap`'s link table for this tick. The first call in a tick fills
+/// ctx.link_bodies and ctx.present_mask from ctx.bodies and the fault
+/// injector; the first call per AP builds that AP's table (rows stay lazy)
+/// over ctx.room_pos and ctx.link_bodies. Throws std::logic_error when
+/// either vector changed size or moved after a table was built (the tables
+/// would reference freed or stale memory).
+[[nodiscard]] mmwave::LinkTable& tick_links(SessionState& state,
+                                            TickContext& ctx, std::size_t ap);
 
 }  // namespace volcast::core

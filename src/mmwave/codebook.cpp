@@ -1,5 +1,6 @@
 #include "mmwave/codebook.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -60,43 +61,49 @@ Codebook::Codebook(const PhasedArray& array, const CodebookConfig& config) {
   }
 }
 
+std::vector<double> Codebook::gains(const Steering& response) const {
+  std::vector<double> out;
+  out.reserve(beams_.size());
+  for (const Awv& beam : beams_) out.push_back(response.gain(beam));
+  return out;
+}
+
 std::size_t Codebook::best_beam_toward(const PhasedArray& array,
                                        const geo::Vec3& target) const {
-  const Steering response = array.steering(target - array.pose().position);
+  return best_sector(gains(array.steering(target - array.pose().position)));
+}
+
+std::size_t Codebook::best_common_beam(
+    const PhasedArray& array, std::span<const geo::Vec3> targets) const {
+  std::vector<std::vector<double>> rows;
+  rows.reserve(targets.size());
+  for (const geo::Vec3& t : targets)
+    rows.push_back(gains(array.steering(t - array.pose().position)));
+  const std::vector<std::span<const double>> views(rows.begin(), rows.end());
+  return best_common_sector(views, beams_.size());
+}
+
+std::size_t best_sector(std::span<const double> gains) noexcept {
   std::size_t best = 0;
   double best_gain = -1.0;
-  for (std::size_t i = 0; i < beams_.size(); ++i) {
-    const double g = response.gain(beams_[i]);
-    if (g > best_gain) {
-      best_gain = g;
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    if (gains[i] > best_gain) {
+      best_gain = gains[i];
       best = i;
     }
   }
   return best;
 }
 
-std::size_t Codebook::best_common_beam(
-    const PhasedArray& array, std::span<const geo::Vec3> targets) const {
-  std::vector<Steering> responses;
-  responses.reserve(targets.size());
-  for (const geo::Vec3& t : targets)
-    responses.push_back(array.steering(t - array.pose().position));
-  std::vector<const Steering*> views;
-  views.reserve(responses.size());
-  for (const Steering& s : responses) views.push_back(&s);
-  return best_common_beam(views);
-}
-
-std::size_t Codebook::best_common_beam(
-    std::span<const Steering* const> targets) const {
+std::size_t best_common_sector(
+    std::span<const std::span<const double>> targets,
+    std::size_t beam_count) {
   std::size_t best = 0;
   double best_min = -1.0;
-  for (std::size_t i = 0; i < beams_.size(); ++i) {
+  for (std::size_t i = 0; i < beam_count; ++i) {
     double min_gain = std::numeric_limits<double>::infinity();
-    for (const Steering* t : targets) {
-      const double g = t->gain(beams_[i]);
-      min_gain = std::min(min_gain, g);
-    }
+    for (const std::span<const double> t : targets)
+      min_gain = std::min(min_gain, t[i]);
     if (targets.empty()) min_gain = 0.0;
     if (min_gain > best_min) {
       best_min = min_gain;

@@ -53,13 +53,22 @@ class Codebook {
   [[nodiscard]] std::size_t best_common_beam(
       const PhasedArray& array, std::span<const geo::Vec3> targets) const;
 
-  /// The same selection over precomputed array responses toward each
-  /// target (PhasedArray::steering(target - array origin)).
-  [[nodiscard]] std::size_t best_common_beam(
-      std::span<const Steering* const> targets) const;
+  /// Every beam's gain toward one array response, in beam order.
+  [[nodiscard]] std::vector<double> gains(const Steering& response) const;
 
  private:
   std::vector<Awv> beams_;
 };
+
+/// best_beam_toward's rule over `gains` (beam i's gain at index i): the
+/// first index of the largest gain.
+[[nodiscard]] std::size_t best_sector(std::span<const double> gains) noexcept;
+
+/// best_common_beam's rule over per-target gain rows (`targets[t][i]` is
+/// beam i's gain toward target t, each row `beam_count` long): the first
+/// beam with the largest minimum gain over the targets; beam 0 for no
+/// targets.
+[[nodiscard]] std::size_t best_common_sector(
+    std::span<const std::span<const double>> targets, std::size_t beam_count);
 
 }  // namespace volcast::mmwave

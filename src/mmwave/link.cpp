@@ -51,22 +51,59 @@ double rss_dbm(const PhasedArray& tx, const Awv& w, const Channel& channel,
 LinkTable::LinkTable(const PhasedArray& tx, const Channel& channel,
                      const LinkBudget& budget, const BlockageModel& blockage,
                      std::span<const geo::Vec3> receivers,
-                     std::span<const geo::BodyObstacle> bodies)
+                     std::span<const geo::BodyObstacle> bodies,
+                     const Codebook* codebook, obs::Counter* rows)
     : tx_(&tx),
       channel_(&channel),
       budget_(budget),
       blockage_(blockage),
       receivers_(receivers),
       bodies_(bodies),
+      codebook_(codebook),
+      rows_counter_(rows),
       rows_(receivers.size()) {}
 
 const Steering& LinkTable::steering(std::size_t rx) { return row(rx).toward; }
 
 const Awv& LinkTable::steered(std::size_t rx) { return row(rx).steered; }
 
-const LinkTable::Row& LinkTable::row(std::size_t rx) {
+std::vector<const Steering*> LinkTable::reflection_responses(std::size_t rx) {
+  std::vector<const Steering*> out;
+  for (const PathTerm& term : row(rx).paths)
+    if (!term.line_of_sight) out.push_back(&term.response);
+  return out;
+}
+
+const Codebook& LinkTable::codebook() const {
+  if (codebook_ == nullptr)
+    throw std::logic_error("LinkTable: no codebook bound for sector gains");
+  return *codebook_;
+}
+
+std::span<const double> LinkTable::sector_gains(std::size_t rx) {
+  const Codebook& sectors = codebook();
+  Row& r = row(rx);
+  if (r.sector_gains.empty()) r.sector_gains = sectors.gains(r.toward);
+  return r.sector_gains;
+}
+
+std::size_t LinkTable::best_sector(std::size_t rx) {
+  return mmwave::best_sector(sector_gains(rx));
+}
+
+std::size_t LinkTable::best_common_sector(std::span<const std::size_t> rxs) {
+  const Codebook& sectors = codebook();
+  std::vector<std::span<const double>> targets;
+  targets.reserve(rxs.size());
+  for (std::size_t rx : rxs) targets.push_back(sector_gains(rx));
+  return mmwave::best_common_sector(targets, sectors.size());
+}
+
+LinkTable::Row& LinkTable::row(std::size_t rx) {
   std::optional<Row>& slot = rows_.at(rx);
   if (slot.has_value()) return *slot;
+  ++rows_built_;
+  if (rows_counter_ != nullptr) rows_counter_->add();
   const geo::Vec3& origin = tx_->pose().position;
   Row& r = slot.emplace();
   r.toward = tx_->steering(receivers_[rx] - origin);
@@ -74,6 +111,7 @@ const LinkTable::Row& LinkTable::row(std::size_t rx) {
   for (const TracedPath& traced : channel_->trace(origin, receivers_[rx])) {
     PathTerm term;
     term.response = tx_->steering(traced.path.tx_direction);
+    term.line_of_sight = traced.path.line_of_sight;
     term.fspl_db = channel_->fspl_db(traced.path.length_m);
     term.reflection_loss_db = traced.path.extra_loss_db;
     term.segments = traced.segment_count();
@@ -121,6 +159,7 @@ double LinkTable::rss(const Awv& w, std::size_t rx,
                       obs::Counter* evals) {
   const double total_dbm = masked_rss(
       rx, body_mask, [&](const PathTerm& term) { return term.response.gain(w); });
+  ++evaluations_;
   if (evals != nullptr) evals->add();
   return total_dbm;
 }

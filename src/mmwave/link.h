@@ -35,7 +35,9 @@ struct LinkBudget {
 /// (Non-coherent summing models the wideband 802.11ad waveform, whose
 /// symbol bandwidth decorrelates path phases.)
 /// `evals`, when non-null, counts link-budget evaluations (telemetry only:
-/// an atomic bump that never feeds back into a result).
+/// an atomic bump that never feeds back into a result). Sessions price
+/// every link through LinkTable; this direct trace is the reference the
+/// table is tested against.
 [[nodiscard]] double rss_dbm(const PhasedArray& tx, const Awv& w,
                              const Channel& channel, const geo::Vec3& rx_pos,
                              std::span<const geo::BodyObstacle> bodies = {},
@@ -45,7 +47,7 @@ struct LinkBudget {
 
 /// One transmitter's links toward a fixed set of receivers, for pricing
 /// many AWVs and many body subsets against the same geometry (one tick of
-/// multicast grouping).
+/// a session: see DESIGN.md, "Tick link state").
 ///
 /// Row r is built on the first use of receiver r. It holds Channel::trace's
 /// paths toward receivers[r] with their FSPL and reflection losses, each
@@ -56,27 +58,64 @@ struct LinkBudget {
 /// function, so the two agree bit for bit (a body whose loss is exactly
 /// zero adds nothing to a segment's sum).
 ///
-/// `receivers` and `bodies` are referenced, not copied; they must outlive
-/// the table.
+/// With a bound `codebook` (the transmitter's stock sectors), a row also
+/// caches, on first use, every sector's gain toward its receiver; the
+/// sector picks below select over those cached gains with Codebook's own
+/// rules, so they equal Codebook::best_beam_toward / best_common_beam.
+///
+/// `receivers`, `bodies` and `codebook` are referenced, not copied; they
+/// must outlive the table. `rows`, when non-null, counts rows built
+/// (telemetry only).
 class LinkTable {
  public:
   LinkTable(const PhasedArray& tx, const Channel& channel,
             const LinkBudget& budget, const BlockageModel& blockage,
             std::span<const geo::Vec3> receivers,
-            std::span<const geo::BodyObstacle> bodies);
+            std::span<const geo::BodyObstacle> bodies,
+            const Codebook* codebook = nullptr,
+            obs::Counter* rows = nullptr);
 
   [[nodiscard]] const PhasedArray& tx() const noexcept { return *tx_; }
+  [[nodiscard]] std::span<const geo::Vec3> receivers() const noexcept {
+    return receivers_;
+  }
+  [[nodiscard]] std::span<const geo::BodyObstacle> bodies() const noexcept {
+    return bodies_;
+  }
   [[nodiscard]] std::size_t body_count() const noexcept {
     return bodies_.size();
   }
+  /// Rows built so far, and rss() calls so far (the table's work).
+  [[nodiscard]] std::size_t rows_built() const noexcept { return rows_built_; }
+  [[nodiscard]] std::size_t evaluations() const noexcept {
+    return evaluations_;
+  }
 
-  /// The array's response toward receivers[rx] (from the array origin),
-  /// as Codebook::best_common_beam takes it. Throws std::out_of_range for
-  /// an unknown receiver (as every per-receiver call does).
+  /// The array's response toward receivers[rx] (from the array origin).
+  /// Throws std::out_of_range for an unknown receiver (as every
+  /// per-receiver call does).
   [[nodiscard]] const Steering& steering(std::size_t rx);
 
   /// tx.steer_at(receivers[rx]).
   [[nodiscard]] const Awv& steered(std::size_t rx);
+
+  /// The array's response along each non-line-of-sight path toward
+  /// receivers[rx], in Channel::trace order. PhasedArray::steer of one is
+  /// tx.steer(that path's tx_direction), bit for bit.
+  [[nodiscard]] std::vector<const Steering*> reflection_responses(
+      std::size_t rx);
+
+  /// Every codebook sector's gain toward receivers[rx], in beam order:
+  /// codebook.gains(steering(rx)), computed once per row. Throws
+  /// std::logic_error when the table has no codebook.
+  [[nodiscard]] std::span<const double> sector_gains(std::size_t rx);
+
+  /// codebook.best_beam_toward(tx, receivers[rx]).
+  [[nodiscard]] std::size_t best_sector(std::size_t rx);
+
+  /// codebook.best_common_beam(tx, the receivers listed in `rxs`).
+  [[nodiscard]] std::size_t best_common_sector(
+      std::span<const std::size_t> rxs);
 
   /// rss_dbm(tx, w, channel, receivers[rx], B, budget, blockage, evals)
   /// where B lists, in order, the bodies k with body_mask[k] != 0.
@@ -104,6 +143,7 @@ class LinkTable {
   };
   struct PathTerm {
     Steering response;
+    bool line_of_sight = true;
     double fspl_db = 0.0;
     double reflection_loss_db = 0.0;
     std::size_t segments = 0;
@@ -115,6 +155,7 @@ class LinkTable {
     Awv steered;
     std::vector<PathTerm> paths;
     std::vector<BodyLoss> losses;
+    std::vector<double> sector_gains;  // empty until first asked for
   };
 
   const PhasedArray* tx_;
@@ -123,9 +164,15 @@ class LinkTable {
   BlockageModel blockage_;
   std::span<const geo::Vec3> receivers_;
   std::span<const geo::BodyObstacle> bodies_;
+  const Codebook* codebook_;
+  obs::Counter* rows_counter_;
   std::vector<std::optional<Row>> rows_;
+  std::size_t rows_built_ = 0;
+  std::size_t evaluations_ = 0;
 
-  const Row& row(std::size_t rx);
+  Row& row(std::size_t rx);
+  /// The bound codebook; throws std::logic_error when there is none.
+  [[nodiscard]] const Codebook& codebook() const;
   /// The link budget over receiver rx's paths and the masked bodies, each
   /// path's transmit gain given by gain(path term): rss()'s one summation.
   template <class PathGain>
@@ -134,7 +181,7 @@ class LinkTable {
 };
 
 /// Convenience: RSS with the best codebook beam for this receiver (the
-/// unicast SLS outcome).
+/// unicast SLS outcome). A reference for tests and benches, like rss_dbm.
 [[nodiscard]] double best_beam_rss_dbm(
     const PhasedArray& tx, const Codebook& codebook, const Channel& channel,
     const geo::Vec3& rx_pos, std::span<const geo::BodyObstacle> bodies = {},

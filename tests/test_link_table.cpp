@@ -1,9 +1,11 @@
 // Bit-equality of the per-tick link table against the direct link budget.
 //
 // LinkTable::rss must return the very double rss_dbm returns for the same
-// receiver, AWV and masked body list, and the table-priced multicast design
-// must pick the same beam as the design priced with rss_dbm directly. Every
-// comparison is a memcmp of the doubles, not a tolerance.
+// receiver, AWV and masked body list, and every design priced through a
+// table (multicast, unicast, reflection, sector picks from cached gains,
+// multi-AP assignment and interference screening) must pick the same beam
+// as the design priced with rss_dbm directly. Every comparison is a memcmp
+// of the doubles, not a tolerance.
 #include "mmwave/link.h"
 
 #include <gtest/gtest.h>
@@ -13,11 +15,14 @@
 #include <cstring>
 #include <limits>
 #include <numbers>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/beam_designer.h"
+#include "core/multi_ap.h"
 #include "mmwave/beam_design.h"
 #include "obs/metrics.h"
 
@@ -520,6 +525,280 @@ TEST(LinkTable, DesignRejectsTableOfAnotherArray) {
   const std::size_t group[] = {0, 1};
   EXPECT_THROW((void)designer.design_multicast(table, group, {}, {}),
                std::invalid_argument);
+}
+
+// ---- sector-gain cache and the table overloads --------------------------
+
+/// design_unicast as it priced its link before the link table.
+core::GroupBeam reference_unicast(
+    const core::Testbed& tb, bool custom_beams, const geo::Vec3& position,
+    const std::vector<geo::BodyObstacle>& bodies) {
+  core::GroupBeam out;
+  out.custom = custom_beams;
+  out.awv = custom_beams
+                ? tb.ap().steer_at(position)
+                : tb.codebook().beam(
+                      tb.codebook().best_beam_toward(tb.ap(), position));
+  out.min_member_rss_dbm =
+      mmwave::rss_dbm(tb.ap(), out.awv, tb.channel(), position, bodies,
+                      tb.budget(), tb.blockage());
+  out.multicast_rate_mbps = tb.mcs().goodput_mbps(out.min_member_rss_dbm);
+  return out;
+}
+
+/// design_reflection as it was before the link table: Channel::paths, a
+/// beam steered along each bounce, each priced with rss_dbm.
+core::GroupBeam reference_reflection(
+    const core::Testbed& tb, const geo::Vec3& position,
+    const std::vector<geo::BodyObstacle>& bodies) {
+  core::GroupBeam best{};
+  for (const mmwave::Path& path : tb.channel().paths(
+           tb.ap().pose().position, position, {}, tb.blockage())) {
+    if (path.line_of_sight) continue;
+    core::GroupBeam candidate;
+    candidate.awv = tb.ap().steer(path.tx_direction);
+    candidate.custom = true;
+    candidate.min_member_rss_dbm =
+        mmwave::rss_dbm(tb.ap(), candidate.awv, tb.channel(), position,
+                        bodies, tb.budget(), tb.blockage());
+    candidate.multicast_rate_mbps =
+        tb.mcs().goodput_mbps(candidate.min_member_rss_dbm);
+    if (best.awv.empty() ||
+        candidate.min_member_rss_dbm > best.min_member_rss_dbm)
+      best = std::move(candidate);
+  }
+  return best;
+}
+
+void expect_same_beam(const core::GroupBeam& a, const core::GroupBeam& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.custom, b.custom) << where;
+  EXPECT_TRUE(same_bits(a.awv, b.awv)) << where;
+  EXPECT_TRUE(same_bits(a.min_member_rss_dbm, b.min_member_rss_dbm)) << where;
+  EXPECT_TRUE(same_bits(a.multicast_rate_mbps, b.multicast_rate_mbps))
+      << where;
+}
+
+class LinkTableDesigns : public ::testing::TestWithParam<int> {};
+
+TEST_P(LinkTableDesigns, SectorPicksAndTableOverloadsMatchDirectPricing) {
+  Rng rng(static_cast<std::uint64_t>(3000 + GetParam()));
+  std::size_t reflections = 0;
+  std::size_t common_picks = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    core::TestbedConfig tc;
+    tc.room = room_of_order(GetParam());
+    tc.ap_position = {rng.uniform(1.0, 7.0), 0.1, rng.uniform(1.0, 2.6)};
+    tc.blockage.max_loss_db = rng.uniform(5.0, 30.0);
+    const core::Testbed tb(tc);
+    const mmwave::PhasedArray& ap = tb.ap();
+    const mmwave::Codebook& codebook = tb.codebook();
+    std::vector<geo::Vec3> receivers;
+    for (int r = 0; r < 6; ++r) receivers.push_back(random_point(rng, tc.room));
+    const auto bodies =
+        trial % 3 == 1 ? crowd(rng, tc.room)
+                       : random_bodies(rng, tc.room, ap.pose().position,
+                                       receivers);
+    for (const bool custom : {true, false}) {
+      core::BeamDesignerConfig config;
+      config.enable_custom_beams = custom;
+      const core::BeamDesigner designer(tb, config);
+      mmwave::LinkTable table = designer.link_table(receivers, bodies);
+      for (std::size_t rx = 0; rx < receivers.size(); ++rx) {
+        const std::string where = "trial " + std::to_string(trial) + " rx " +
+                                  std::to_string(rx) +
+                                  (custom ? " custom" : " stock");
+        EXPECT_EQ(table.best_sector(rx),
+                  codebook.best_beam_toward(ap, receivers[rx]))
+            << where;
+        const std::span<const double> gains = table.sector_gains(rx);
+        ASSERT_EQ(gains.size(), codebook.size());
+        for (std::size_t i = 0; i < codebook.size(); ++i)
+          EXPECT_TRUE(same_bits(
+              gains[i],
+              ap.gain(codebook.beam(i), receivers[rx] - ap.pose().position)))
+              << where << " sector " << i;
+
+        std::vector<std::uint8_t> mask(bodies.size());
+        for (auto& bit : mask) bit = rng.chance(0.6) ? 1 : 0;
+        const auto shadowing = masked(bodies, mask);
+        const core::GroupBeam unicast =
+            designer.design_unicast(table, rx, mask);
+        expect_same_beam(unicast,
+                         reference_unicast(tb, custom, receivers[rx],
+                                           shadowing),
+                         where + " unicast vs rss_dbm");
+        expect_same_beam(unicast,
+                         designer.design_unicast(receivers[rx], shadowing),
+                         where + " unicast vs position overload");
+        const core::GroupBeam reflection =
+            designer.design_reflection(table, rx, mask);
+        expect_same_beam(reflection,
+                         reference_reflection(tb, receivers[rx], shadowing),
+                         where + " reflection vs rss_dbm");
+        expect_same_beam(reflection,
+                         designer.design_reflection(receivers[rx], shadowing),
+                         where + " reflection vs position overload");
+        if (!reflection.awv.empty()) ++reflections;
+      }
+      for (int pick = 0; pick < 6; ++pick) {
+        // Unsorted subsets, repeats allowed, sizes 0..4.
+        std::vector<std::size_t> rxs;
+        std::vector<geo::Vec3> targets;
+        const auto size = static_cast<std::size_t>(rng.uniform_int(0, 4));
+        for (std::size_t k = 0; k < size; ++k) {
+          rxs.push_back(static_cast<std::size_t>(rng.uniform_int(0, 5)));
+          targets.push_back(receivers[rxs.back()]);
+        }
+        EXPECT_EQ(table.best_common_sector(rxs),
+                  codebook.best_common_beam(ap, targets))
+            << "trial " << trial << " pick " << pick;
+        ++common_picks;
+      }
+    }
+  }
+  EXPECT_GT(common_picks, 0u);
+  if (GetParam() > 0) {
+    EXPECT_GT(reflections, 0u);
+  } else {
+    EXPECT_EQ(reflections, 0u);  // no bounce without reflections
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ReflectionOrder, LinkTableDesigns,
+                         ::testing::Values(0, 1, 2));
+
+TEST(LinkTable, SectorPicksNeedABoundCodebook) {
+  const mmwave::PhasedArray ap(
+      {}, geo::Pose::look_at({4, 0.1, 2.6}, {4, 3, 1.2}), kMmWaveCarrierHz);
+  const mmwave::Channel channel(mmwave::Room{});
+  const std::vector<geo::Vec3> receivers = {{4, 3, 1.5}};
+  mmwave::LinkTable table(ap, channel, {}, {}, receivers, {});
+  EXPECT_THROW((void)table.sector_gains(0), std::logic_error);
+  EXPECT_THROW((void)table.best_sector(0), std::logic_error);
+  EXPECT_THROW((void)table.best_common_sector({}), std::logic_error);
+}
+
+TEST(LinkTable, CountsRowsBuilt) {
+  const core::Testbed tb;
+  const core::BeamDesigner designer(tb);
+  const std::vector<geo::Vec3> receivers = {{3, 3, 1.5}, {5, 3, 1.5}};
+  obs::MetricRegistry metrics;
+  obs::Counter& rows = metrics.counter("mmwave.link_rows");
+  mmwave::LinkTable table = designer.link_table(receivers, {}, &rows);
+  EXPECT_EQ(table.rows_built(), 0u);
+  (void)table.steered(1);
+  (void)table.best_sector(1);
+  (void)table.rss(table.steered(1), 1, {});
+  EXPECT_EQ(table.rows_built(), 1u);
+  EXPECT_EQ(table.evaluations(), 1u);
+  (void)table.steering(0);
+  EXPECT_EQ(table.rows_built(), 2u);
+  EXPECT_EQ(rows.value(), 2u);
+}
+
+TEST(LinkTable, TableOverloadsRejectTableOfAnotherArray) {
+  const core::Testbed tb;
+  const core::Testbed other;
+  const core::BeamDesigner designer(tb);
+  const std::vector<geo::Vec3> users = {{3, 3, 1.5}};
+  mmwave::LinkTable table = core::BeamDesigner(other).link_table(users, {});
+  EXPECT_THROW((void)designer.design_unicast(table, 0, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)designer.design_reflection(table, 0, {}),
+               std::invalid_argument);
+}
+
+// ---- multi-AP screening over link tables --------------------------------
+
+TEST(MultiApTables, AssignmentAndInterferenceMatchRssDbm) {
+  Rng rng(41);
+  std::size_t outcomes[3] = {0, 0, 0};  // outage, degraded, clear
+  for (int trial = 0; trial < 12; ++trial) {
+    core::MultiApConfig mc;
+    mc.ap_count = static_cast<std::size_t>(rng.uniform_int(2, 4));
+    const core::MultiApCoordinator coord(core::TestbedConfig{}, mc);
+    const mmwave::Room& room = coord.ap(0).channel().room();
+    // A tick: user capsules by index, then one obstacle. Assignment and
+    // screening see no bodies whatever the table's body list holds.
+    std::vector<geo::Vec3> users;
+    for (int u = 0; u < 6; ++u) users.push_back(random_point(rng, room));
+    std::vector<geo::BodyObstacle> bodies;
+    for (const geo::Vec3& p : users) bodies.push_back({p, 0.25, 1.8});
+    bodies.push_back({random_point(rng, room), 0.3, 1.8});
+    std::vector<mmwave::LinkTable> tables;
+    for (std::size_t a = 0; a < coord.ap_count(); ++a)
+      tables.push_back(
+          core::BeamDesigner(coord.ap(a)).link_table(users, bodies));
+    const core::ApLinks links = [&](std::size_t a) -> mmwave::LinkTable& {
+      return tables[a];
+    };
+
+    std::vector<bool> up(coord.ap_count());
+    for (std::size_t a = 0; a < up.size(); ++a) up[a] = rng.chance(0.7);
+    const bool up_flags[4] = {up[0], up[1], up.size() > 2 && up[2],
+                              up.size() > 3 && up[3]};
+    const std::span<const bool> available(up_flags, coord.ap_count());
+    for (const bool with_availability : {false, true}) {
+      std::vector<std::size_t> reference;
+      for (const geo::Vec3& pos : users) {
+        std::size_t best_ap = 0;
+        double best_rss = -std::numeric_limits<double>::infinity();
+        for (std::size_t a = 0; a < coord.ap_count(); ++a) {
+          if (with_availability && !available[a]) continue;
+          const core::Testbed& tb = coord.ap(a);
+          const double rss = mmwave::best_beam_rss_dbm(
+              tb.ap(), tb.codebook(), tb.channel(), pos, {}, tb.budget(),
+              tb.blockage());
+          if (rss > best_rss) {
+            best_rss = rss;
+            best_ap = a;
+          }
+        }
+        reference.push_back(best_ap);
+      }
+      const std::span<const bool> flags =
+          with_availability ? available : std::span<const bool>{};
+      EXPECT_EQ(coord.assign_users(users.size(), links, flags), reference)
+          << "trial " << trial;
+      EXPECT_EQ(coord.assign_users(users, flags), reference)
+          << "trial " << trial;
+    }
+
+    // Every AP transmits toward some user; screen every user against it.
+    std::vector<mmwave::Awv> beams(coord.ap_count());
+    for (std::size_t a = 0; a < beams.size(); ++a)
+      if (rng.chance(0.85))
+        beams[a] = coord.ap(a).ap().steer_at(random_point(rng, room));
+    for (std::size_t u = 0; u < users.size(); ++u) {
+      const auto victim_ap =
+          static_cast<std::size_t>(rng.uniform_int(0, coord.ap_count() - 1));
+      double leak = -std::numeric_limits<double>::infinity();
+      for (std::size_t a = 0; a < coord.ap_count(); ++a) {
+        if (a == victim_ap || beams[a].empty()) continue;
+        const core::Testbed& tb = coord.ap(a);
+        leak = std::max(leak, mmwave::rss_dbm(tb.ap(), beams[a], tb.channel(),
+                                              users[u], {}, tb.budget(),
+                                              tb.blockage()));
+      }
+      // Land the victim's signal on either side of both SIR thresholds.
+      const double victim_rss =
+          std::isinf(leak) ? -60.0 : leak + rng.uniform(-2.0, 14.0);
+      const double sir = victim_rss - leak;
+      const double reference = std::isinf(leak)           ? 1.0
+                               : sir < mc.outage_sir_db   ? 0.0
+                               : sir < mc.degraded_sir_db ? 0.5
+                                                          : 1.0;
+      const double tabled =
+          coord.interference_factor(victim_ap, u, victim_rss, beams, links);
+      EXPECT_TRUE(same_bits(tabled, reference)) << "trial " << trial;
+      EXPECT_TRUE(same_bits(
+          coord.interference_factor(victim_ap, users[u], victim_rss, beams),
+          reference));
+      ++outcomes[tabled == 0.0 ? 0 : tabled == 0.5 ? 1 : 2];
+    }
+  }
+  for (const std::size_t count : outcomes) EXPECT_GT(count, 0u);
 }
 
 }  // namespace

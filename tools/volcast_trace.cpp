@@ -150,6 +150,9 @@ int summarize(const std::string& path) {
   // Grouping-search effort: plan-cache evaluations and hits, and the
   // multicast beam designs the evaluations ran.
   std::map<std::string, unsigned long long> grouping;
+  // Tick link state: rows the per-AP link tables built, and the RSS
+  // evaluations priced through them.
+  std::map<std::string, unsigned long long> link;
   double brownout_level = -1.0;
   double brownout_utilization = -1.0;
   double encode_bytes_per_user = -1.0;
@@ -194,6 +197,8 @@ int summarize(const std::string& path) {
             name == "beam.multicast_designs")
           grouping[name] =
               static_cast<unsigned long long>(record.uint("value"));
+        if (name == "mmwave.link_rows" || name == "mmwave.rss_evals")
+          link[name] = static_cast<unsigned long long>(record.uint("value"));
         if (name.rfind("fleet.admission.", 0) == 0)
           overload["admission " + name.substr(16)] =
               static_cast<unsigned long long>(record.uint("value"));
@@ -376,6 +381,27 @@ int summarize(const std::string& path) {
                         per_tick,
                     1)});
     std::printf("%s", gtable.render().c_str());
+  }
+  if (link.count("mmwave.link_rows") != 0) {
+    // Each row is one receiver's traced multipath toward one AP, built at
+    // most once a tick; every RSS after that is a masked sum over it.
+    const unsigned long long rows = link["mmwave.link_rows"];
+    const unsigned long long evals = link["mmwave.rss_evals"];
+    std::printf("\ntick link state:\n");
+    AsciiTable ltable;
+    ltable.header({"metric", "value"});
+    ltable.row({"rows built", std::to_string(rows)});
+    ltable.row({"rows built per tick",
+                ticks > 0 ? AsciiTable::num(static_cast<double>(rows) /
+                                                static_cast<double>(ticks),
+                                            1)
+                          : "-"});
+    ltable.row({"RSS evaluations per row",
+                rows > 0 ? AsciiTable::num(static_cast<double>(evals) /
+                                               static_cast<double>(rows),
+                                           1)
+                         : "-"});
+    std::printf("%s", ltable.render().c_str());
   }
   if (!counters.empty()) {
     std::printf("\ncounters:\n");
