@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: codec
 // encode/decode, frustum culling, visibility computation, beam gain
-// evaluation (direct and from a link table), reflection and stock multicast
-// beam design, AWV synthesis and the grouping search. These are the budgets
-// that decide whether the cross-layer scheduler can run per frame interval
-// (33 ms at 30 FPS) on an edge server.
+// evaluation (direct and from a link table), codebook sector sweeps,
+// reflection and stock multicast beam design, AWV synthesis and the
+// grouping search. These are the budgets that decide whether the
+// cross-layer scheduler can run per frame interval (33 ms at 30 FPS) on an
+// edge server.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -193,6 +194,35 @@ void BM_RssLinkTable(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RssLinkTable);
+
+void BM_RssLinkTableOrder2(benchmark::State& state) {
+  // BM_RssLinkTable at reflection order 2, where one row holds more paths
+  // than one lane block: every evaluation prices several blocks.
+  core::TestbedConfig config;
+  config.room.max_reflection_order = 2;
+  const core::Testbed testbed(config);
+  const mmwave::Awv beam = testbed.ap().steer_at({4, 3, 1.5});
+  const geo::Vec3 receivers[] = {{4, 3, 1.5}};
+  mmwave::LinkTable table(testbed.ap(), testbed.channel(), testbed.budget(),
+                          testbed.blockage(), receivers, {});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.rss(beam, 0, {}));
+  }
+}
+BENCHMARK(BM_RssLinkTableOrder2);
+
+void BM_CodebookGains(benchmark::State& state) {
+  // Every stock sector's gain toward one response: the sector-gain cache of
+  // a link table row, and each best_beam_toward / best_common_beam target.
+  const core::Testbed testbed;
+  const mmwave::PhasedArray& ap = testbed.ap();
+  const mmwave::Steering response =
+      ap.steering(geo::Vec3{4, 3, 1.5} - ap.pose().position);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(testbed.codebook().gains(response));
+  }
+}
+BENCHMARK(BM_CodebookGains);
 
 void BM_DesignReflection(benchmark::State& state) {
   // The mitigation designer's position overload: one one-shot table row

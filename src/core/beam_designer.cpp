@@ -184,9 +184,8 @@ GroupBeam BeamDesigner::design_reflection(
     return links.rss(w, rx, body_mask, rss_evals_);
   };
   GroupBeam best{};
-  for (const mmwave::Steering* response : links.reflection_responses(rx)) {
-    GroupBeam candidate =
-        finish(mmwave::PhasedArray::steer(*response), true, 1, at_rx);
+  for (mmwave::Awv& beam : links.reflection_beams(rx)) {
+    GroupBeam candidate = finish(std::move(beam), true, 1, at_rx);
     if (best.awv.empty() ||
         candidate.min_member_rss_dbm > best.min_member_rss_dbm)
       best = std::move(candidate);

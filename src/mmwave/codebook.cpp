@@ -30,7 +30,8 @@ Awv apply_subarray(Awv w, const ArrayGeometry& geometry, unsigned sub_ny,
 
 }  // namespace
 
-Codebook::Codebook(const PhasedArray& array, const CodebookConfig& config) {
+Codebook::Codebook(const PhasedArray& array, const CodebookConfig& config)
+    : lanes_(array.element_count()) {
   if (config.az_steps == 0 || config.el_steps == 0)
     throw std::invalid_argument("Codebook: zero grid steps");
   beams_.reserve(config.az_steps * config.el_steps);
@@ -57,14 +58,15 @@ Codebook::Codebook(const PhasedArray& array, const CodebookConfig& config) {
                               pose.left() * local.y + pose.up() * local.z;
       beams_.push_back(apply_subarray(array.steer(world), array.geometry(),
                                       config.subarray_ny, config.subarray_nz));
+      lanes_.push_back(beams_.back());
     }
   }
 }
 
 std::vector<double> Codebook::gains(const Steering& response) const {
-  std::vector<double> out;
-  out.reserve(beams_.size());
-  for (const Awv& beam : beams_) out.push_back(response.gain(beam));
+  std::vector<double> out(beams_.size());
+  array_gains(response.phasors, lanes_,
+              std::span<const double>(&response.element_gain, 1), out);
   return out;
 }
 

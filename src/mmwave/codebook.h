@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "mmwave/array_gains.h"
 #include "mmwave/phased_array.h"
 
 namespace volcast::mmwave {
@@ -53,11 +54,13 @@ class Codebook {
   [[nodiscard]] std::size_t best_common_beam(
       const PhasedArray& array, std::span<const geo::Vec3> targets) const;
 
-  /// Every beam's gain toward one array response, in beam order.
+  /// Every beam's gain toward one array response, in beam order:
+  /// response.gain(beam(i)) at index i, in one array_gains pass.
   [[nodiscard]] std::vector<double> gains(const Steering& response) const;
 
  private:
   std::vector<Awv> beams_;
+  LaneBlocks lanes_;  // beams_[i] is lane i
 };
 
 /// best_beam_toward's rule over `gains` (beam i's gain at index i): the

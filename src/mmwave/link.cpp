@@ -63,14 +63,26 @@ LinkTable::LinkTable(const PhasedArray& tx, const Channel& channel,
       rows_counter_(rows),
       rows_(receivers.size()) {}
 
-const Steering& LinkTable::steering(std::size_t rx) { return row(rx).toward; }
+const Steering& LinkTable::steering(std::size_t rx) {
+  Row& r = row(rx);
+  if (!r.toward)
+    r.toward = tx_->steering(receivers_[rx] - tx_->pose().position);
+  return *r.toward;
+}
 
-const Awv& LinkTable::steered(std::size_t rx) { return row(rx).steered; }
+const Awv& LinkTable::steered(std::size_t rx) {
+  Row& r = row(rx);
+  if (!r.steered) r.steered = PhasedArray::steer(steering(rx));
+  return *r.steered;
+}
 
-std::vector<const Steering*> LinkTable::reflection_responses(std::size_t rx) {
-  std::vector<const Steering*> out;
-  for (const PathTerm& term : row(rx).paths)
-    if (!term.line_of_sight) out.push_back(&term.response);
+std::vector<Awv> LinkTable::reflection_beams(std::size_t rx) {
+  const Row& r = row(rx);
+  std::vector<Awv> out;
+  for (std::size_t p = 0; p < r.paths.size(); ++p)
+    if (!r.paths[p].line_of_sight)
+      out.push_back(PhasedArray::steer(
+          Steering{r.responses.lane(p), r.element_gains[p]}));
   return out;
 }
 
@@ -83,7 +95,7 @@ const Codebook& LinkTable::codebook() const {
 std::span<const double> LinkTable::sector_gains(std::size_t rx) {
   const Codebook& sectors = codebook();
   Row& r = row(rx);
-  if (r.sector_gains.empty()) r.sector_gains = sectors.gains(r.toward);
+  if (r.sector_gains.empty()) r.sector_gains = sectors.gains(steering(rx));
   return r.sector_gains;
 }
 
@@ -106,11 +118,12 @@ LinkTable::Row& LinkTable::row(std::size_t rx) {
   if (rows_counter_ != nullptr) rows_counter_->add();
   const geo::Vec3& origin = tx_->pose().position;
   Row& r = slot.emplace();
-  r.toward = tx_->steering(receivers_[rx] - origin);
-  r.steered = PhasedArray::steer(r.toward);
+  r.responses = LaneBlocks(tx_->element_count());
   for (const TracedPath& traced : channel_->trace(origin, receivers_[rx])) {
+    const Steering response = tx_->steering(traced.path.tx_direction);
+    r.responses.push_back(response.phasors);
+    r.element_gains.push_back(response.element_gain);
     PathTerm term;
-    term.response = tx_->steering(traced.path.tx_direction);
     term.line_of_sight = traced.path.line_of_sight;
     term.fspl_db = channel_->fspl_db(traced.path.length_m);
     term.reflection_loss_db = traced.path.extra_loss_db;
@@ -129,15 +142,17 @@ LinkTable::Row& LinkTable::row(std::size_t rx) {
   return r;
 }
 
-template <class PathGain>
-double LinkTable::masked_rss(std::size_t rx,
-                             std::span<const std::uint8_t> body_mask,
-                             const PathGain& gain) {
+void LinkTable::check_mask(std::span<const std::uint8_t> body_mask) const {
   if (body_mask.size() != bodies_.size())
     throw std::invalid_argument("LinkTable: body mask size mismatch");
-  const Row& r = row(rx);
+}
+
+double LinkTable::masked_rss(const Row& r,
+                             std::span<const std::uint8_t> body_mask,
+                             std::span<const double> path_gains) const {
   double total_mw = 0.0;
-  for (const PathTerm& term : r.paths) {
+  for (std::size_t p = 0; p < r.paths.size(); ++p) {
+    const PathTerm& term = r.paths[p];
     // Channel::paths order: reflection losses, then each segment's body
     // losses summed from zero in body-list order.
     double extra_loss_db = term.reflection_loss_db;
@@ -149,7 +164,7 @@ double LinkTable::masked_rss(std::size_t rx,
       extra_loss_db += segment_db;
     }
     total_mw +=
-        path_power_mw(budget_, gain(term), term.fspl_db, extra_loss_db);
+        path_power_mw(budget_, path_gains[p], term.fspl_db, extra_loss_db);
   }
   return total_to_dbm(total_mw);
 }
@@ -157,8 +172,11 @@ double LinkTable::masked_rss(std::size_t rx,
 double LinkTable::rss(const Awv& w, std::size_t rx,
                       std::span<const std::uint8_t> body_mask,
                       obs::Counter* evals) {
-  const double total_dbm = masked_rss(
-      rx, body_mask, [&](const PathTerm& term) { return term.response.gain(w); });
+  check_mask(body_mask);
+  const Row& r = row(rx);
+  path_gains_.resize(r.paths.size());
+  array_gains(w, r.responses, r.element_gains, path_gains_);
+  const double total_dbm = masked_rss(r, body_mask, path_gains_);
   ++evaluations_;
   if (evals != nullptr) evals->add();
   return total_dbm;
@@ -168,13 +186,13 @@ double LinkTable::rss_upper_bound(std::size_t rx,
                                   std::span<const std::uint8_t> body_mask) {
   constexpr double kGainPad = 1.0 + 1e-6;
   constexpr double kPadDb = 1e-6;
-  return masked_rss(rx, body_mask,
-                    [](const PathTerm& term) {
-                      const auto n =
-                          static_cast<double>(term.response.phasors.size());
-                      return n * term.response.element_gain * kGainPad;
-                    }) +
-         kPadDb;
+  check_mask(body_mask);
+  const Row& r = row(rx);
+  const auto n = static_cast<double>(r.responses.elements());
+  path_gains_.clear();
+  for (const double element_gain : r.element_gains)
+    path_gains_.push_back(n * element_gain * kGainPad);
+  return masked_rss(r, body_mask, path_gains_) + kPadDb;
 }
 
 double best_beam_rss_dbm(const PhasedArray& tx, const Codebook& codebook,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "mmwave/array_gains.h"
 #include "mmwave/channel.h"
 #include "mmwave/codebook.h"
 #include "mmwave/mcs.h"
@@ -51,12 +52,15 @@ struct LinkBudget {
 ///
 /// Row r is built on the first use of receiver r. It holds Channel::trace's
 /// paths toward receivers[r] with their FSPL and reflection losses, each
-/// path's array response (PhasedArray::steering), and for each path
-/// segment the non-zero loss of every body in `bodies`, in list order.
-/// rss() then only sums: it adds the same terms in the same order as
-/// rss_dbm() over the masked bodies, through the same per-path term
-/// function, so the two agree bit for bit (a body whose loss is exactly
-/// zero adds nothing to a segment's sum).
+/// path's array response (PhasedArray::steering) as one lane of a
+/// LaneBlocks, and for each path segment the non-zero loss of every body
+/// in `bodies`, in list order. rss() prices every path's array gain in one
+/// array_gains pass and then only sums: it adds the same terms in the same
+/// order as rss_dbm() over the masked bodies, through the same per-path
+/// term function, so the two agree bit for bit (a body whose loss is
+/// exactly zero adds nothing to a segment's sum). The response toward the
+/// receiver itself, behind steering() and steered(), is computed on the
+/// first call to either.
 ///
 /// With a bound `codebook` (the transmitter's stock sectors), a row also
 /// caches, on first use, every sector's gain toward its receiver; the
@@ -99,11 +103,10 @@ class LinkTable {
   /// tx.steer_at(receivers[rx]).
   [[nodiscard]] const Awv& steered(std::size_t rx);
 
-  /// The array's response along each non-line-of-sight path toward
-  /// receivers[rx], in Channel::trace order. PhasedArray::steer of one is
-  /// tx.steer(that path's tx_direction), bit for bit.
-  [[nodiscard]] std::vector<const Steering*> reflection_responses(
-      std::size_t rx);
+  /// The conjugate-steered beam along each non-line-of-sight path toward
+  /// receivers[rx], in Channel::trace order: tx.steer(that path's
+  /// tx_direction), bit for bit.
+  [[nodiscard]] std::vector<Awv> reflection_beams(std::size_t rx);
 
   /// Every codebook sector's gain toward receivers[rx], in beam order:
   /// codebook.gains(steering(rx)), computed once per row. Throws
@@ -142,7 +145,6 @@ class LinkTable {
     double loss_db;
   };
   struct PathTerm {
-    Steering response;
     bool line_of_sight = true;
     double fspl_db = 0.0;
     double reflection_loss_db = 0.0;
@@ -151,9 +153,11 @@ class LinkTable {
     std::array<std::size_t, 4> loss_begin{};
   };
   struct Row {
-    Steering toward;
-    Awv steered;
+    std::optional<Steering> toward;  // both built on first use
+    std::optional<Awv> steered;
     std::vector<PathTerm> paths;
+    LaneBlocks responses;               // path p's array response is lane p
+    std::vector<double> element_gains;  // and its element gain entry p
     std::vector<BodyLoss> losses;
     std::vector<double> sector_gains;  // empty until first asked for
   };
@@ -169,15 +173,18 @@ class LinkTable {
   std::vector<std::optional<Row>> rows_;
   std::size_t rows_built_ = 0;
   std::size_t evaluations_ = 0;
+  std::vector<double> path_gains_;  // scratch: one row's per-path gains
 
   Row& row(std::size_t rx);
   /// The bound codebook; throws std::logic_error when there is none.
   [[nodiscard]] const Codebook& codebook() const;
-  /// The link budget over receiver rx's paths and the masked bodies, each
-  /// path's transmit gain given by gain(path term): rss()'s one summation.
-  template <class PathGain>
-  double masked_rss(std::size_t rx, std::span<const std::uint8_t> body_mask,
-                    const PathGain& gain);
+  /// Throws std::invalid_argument unless body_mask has body_count() entries.
+  void check_mask(std::span<const std::uint8_t> body_mask) const;
+  /// The link budget over row r's paths and the masked bodies, path p's
+  /// transmit gain being path_gains[p]: rss()'s one summation.
+  [[nodiscard]] double masked_rss(const Row& r,
+                                  std::span<const std::uint8_t> body_mask,
+                                  std::span<const double> path_gains) const;
 };
 
 /// Convenience: RSS with the best codebook beam for this receiver (the

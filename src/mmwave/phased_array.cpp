@@ -42,10 +42,12 @@ geo::Vec3 PhasedArray::to_local(const geo::Vec3& dir_world) const noexcept {
   return {u.dot(pose_.forward()), u.dot(pose_.left()), u.dot(pose_.up())};
 }
 
-// Steering::gain and PhasedArray::steering are the only places the array
-// factor is computed, for rss_dbm and LinkTable alike. They stay out of
-// line so that FMA contraction (VOLCAST_NATIVE) compiles each exactly once
-// and both callers see the same bits.
+// PhasedArray::steering is the only place a response is computed, and
+// Steering::gain the scalar array factor behind rss_dbm and
+// PhasedArray::gain; LinkTable and Codebook use its batched twin,
+// array_gains (array_gains.cpp). They stay out of line so that each is
+// compiled exactly once, and both files are compiled without FMA
+// contraction (CMakeLists.txt).
 [[gnu::noinline]] double Steering::gain(const Awv& w) const noexcept {
   if (w.size() != phasors.size()) return 0.0;
   Complex af{0.0, 0.0};

@@ -697,6 +697,70 @@ TEST(LinkTable, CountsRowsBuilt) {
   EXPECT_EQ(rows.value(), 2u);
 }
 
+TEST(LinkTable, ResponseTowardReceiverIsBuiltOnFirstUse) {
+  // A row priced only through rss() never computes the response toward its
+  // receiver; asked for later, it is the array's own, bit for bit, and
+  // asking builds no row.
+  core::TestbedConfig tc;
+  tc.room = room_of_order(2);
+  const core::Testbed tb(tc);
+  const mmwave::PhasedArray& ap = tb.ap();
+  const core::BeamDesigner designer(tb);
+  Rng rng(43);
+  std::vector<geo::Vec3> receivers;
+  for (int r = 0; r < 5; ++r)
+    receivers.push_back(random_point(rng, tb.channel().room()));
+  const std::vector<geo::BodyObstacle> bodies =
+      random_bodies(rng, tb.channel().room(), ap.pose().position, receivers);
+  mmwave::LinkTable table = designer.link_table(receivers, bodies);
+  const std::vector<std::uint8_t> mask(bodies.size(), 1);
+  for (std::size_t rx = 0; rx < receivers.size(); ++rx) {
+    (void)table.rss(tb.codebook().beam(rx), rx, mask);
+    (void)table.rss_upper_bound(rx, mask);
+  }
+  const std::size_t built = table.rows_built();
+  EXPECT_EQ(built, receivers.size());
+  for (std::size_t rx = 0; rx < receivers.size(); ++rx) {
+    const mmwave::Steering expected =
+        ap.steering(receivers[rx] - ap.pose().position);
+    const mmwave::Steering& toward = table.steering(rx);
+    EXPECT_TRUE(same_bits(toward.phasors, expected.phasors)) << rx;
+    EXPECT_TRUE(same_bits(toward.element_gain, expected.element_gain)) << rx;
+    EXPECT_TRUE(same_bits(table.steered(rx), ap.steer_at(receivers[rx])))
+        << rx;
+    EXPECT_EQ(table.best_sector(rx),
+              tb.codebook().best_beam_toward(ap, receivers[rx]))
+        << rx;
+  }
+  EXPECT_EQ(table.rows_built(), built);
+}
+
+TEST(LinkTable, ReflectionBeamsSteerAlongEachBounce) {
+  core::TestbedConfig tc;
+  tc.room = room_of_order(2);
+  const core::Testbed tb(tc);
+  const mmwave::PhasedArray& ap = tb.ap();
+  Rng rng(47);
+  std::vector<geo::Vec3> receivers;
+  for (int r = 0; r < 6; ++r)
+    receivers.push_back(random_point(rng, tb.channel().room()));
+  mmwave::LinkTable table = core::BeamDesigner(tb).link_table(receivers, {});
+  std::size_t multi_block_rows = 0;
+  for (std::size_t rx = 0; rx < receivers.size(); ++rx) {
+    std::vector<Awv> expected;
+    for (const mmwave::TracedPath& traced :
+         tb.channel().trace(ap.pose().position, receivers[rx]))
+      if (!traced.path.line_of_sight)
+        expected.push_back(ap.steer(traced.path.tx_direction));
+    const std::vector<Awv> got = table.reflection_beams(rx);
+    ASSERT_EQ(got.size(), expected.size()) << rx;
+    for (std::size_t b = 0; b < got.size(); ++b)
+      EXPECT_TRUE(same_bits(got[b], expected[b])) << rx << " bounce " << b;
+    if (got.size() >= mmwave::kLanes) ++multi_block_rows;
+  }
+  EXPECT_GT(multi_block_rows, 0u);
+}
+
 TEST(LinkTable, TableOverloadsRejectTableOfAnotherArray) {
   const core::Testbed tb;
   const core::Testbed other;
