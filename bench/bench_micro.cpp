@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: codec
-// encode/decode, frustum culling, visibility computation, beam gain
-// evaluation (direct and from a link table), codebook sector sweeps,
-// reflection and stock multicast beam design, AWV synthesis and the
-// grouping search. These are the budgets that decide whether the
-// cross-layer scheduler can run per frame interval (33 ms at 30 FPS) on an
-// edge server.
+// encode/decode and size-only encoding, the store and bundle builds,
+// frustum culling, visibility computation, beam gain evaluation (direct
+// and from a link table), codebook sector sweeps, reflection and stock
+// multicast beam design, AWV synthesis and the grouping search. These are
+// the budgets that decide whether the cross-layer scheduler can run per
+// frame interval (33 ms at 30 FPS) on an edge server.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -91,6 +91,40 @@ void BM_CodecDecode(benchmark::State& state) {
       static_cast<std::int64_t>(cloud.size()));
 }
 BENCHMARK(BM_CodecDecode)->Arg(10'000)->Arg(100'000);
+
+// One cell of the store's sample frame: the fullest 0.5 m cell of a
+// 100k-point frame, encoded to bytes and sized without them.
+const vv::FrameSoA& fullest_cell() {
+  static const vv::FrameSoA cell = [] {
+    const vv::FrameSoA frame = generator().frame_soa(0);
+    const vv::CellGrid grid(generator().content_bounds(), 0.5);
+    const vv::FlatAssignment buckets = grid.assign_flat(frame);
+    vv::CellId fullest = 0;
+    for (vv::CellId c = 0; c < grid.cell_count(); ++c)
+      if (buckets.cell(c).size() > buckets.cell(fullest).size()) fullest = c;
+    return frame.gather(buckets.cell(fullest));
+  }();
+  return cell;
+}
+
+void BM_EncodeCell(benchmark::State& state) {
+  const vv::FrameSoA& cell = fullest_cell();
+  for (auto _ : state) {
+    const auto blob = vv::encode(cell);
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cell.size()));
+}
+BENCHMARK(BM_EncodeCell);
+
+void BM_EncodedSize(benchmark::State& state) {
+  const vv::FrameSoA& cell = fullest_cell();
+  for (auto _ : state) benchmark::DoNotOptimize(vv::encoded_size(cell));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cell.size()));
+}
+BENCHMARK(BM_EncodedSize);
 
 // Set-up cost at the ledger's content size (120k points, 30 frames): the
 // store alone on one worker, then the whole bundle (generator, grid,

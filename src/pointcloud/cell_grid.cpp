@@ -5,6 +5,40 @@
 #include <stdexcept>
 
 namespace volcast::vv {
+namespace {
+
+/// One axis of locate(): the quotient clamped to [0, hi] in double, then
+/// truncated. std::max(0.0, q) keeps 0.0 for NaN and for -0.0. For every q
+/// whose int64 truncation is defined this equals truncating first and
+/// clamping the integer, and a clamped value fits an int32, whose packed
+/// conversion SSE2 has (the int64 one it lacks).
+inline std::uint32_t axis_cell(double q, double hi) noexcept {
+  return static_cast<std::uint32_t>(
+      static_cast<std::int32_t>(std::min(std::max(0.0, q), hi)));
+}
+
+/// The locate_columns() loop; `quotient(d)` is d / edge.
+template <typename Quotient>
+void locate_kernel(const double* __restrict x, const double* __restrict y,
+                   const double* __restrict z, std::size_t n,
+                   const geo::Vec3& lo, const geo::Vec3& hi, std::uint32_t nx,
+                   std::uint32_t ny, Quotient quotient,
+                   CellId* __restrict ids) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t ix = axis_cell(quotient(x[i] - lo.x), hi.x);
+    const std::uint32_t iy = axis_cell(quotient(y[i] - lo.y), hi.y);
+    const std::uint32_t iz = axis_cell(quotient(z[i] - lo.z), hi.z);
+    ids[i] = ix + nx * (iy + ny * iz);
+  }
+}
+
+/// True when `v` is a positive, finite power of two.
+bool power_of_two(double v) noexcept {
+  int exponent = 0;
+  return std::isfinite(v) && v > 0.0 && std::frexp(v, &exponent) == 0.5;
+}
+
+}  // namespace
 
 CellGrid::CellGrid(const geo::Aabb& content_bounds, double cell_size_m)
     : bounds_(content_bounds), cell_size_(cell_size_m) {
@@ -22,6 +56,8 @@ CellGrid::CellGrid(const geo::Aabb& content_bounds, double cell_size_m)
   nz_ = cells_along(extent.z);
   if (cell_count() > 16u * 1024u * 1024u)
     throw std::invalid_argument("CellGrid: too many cells");
+  if (power_of_two(cell_size_m) && power_of_two(1.0 / cell_size_m))
+    reciprocal_ = 1.0 / cell_size_m;
 }
 
 geo::Aabb CellGrid::cell_bounds(CellId id) const {
@@ -39,15 +75,28 @@ geo::Vec3 CellGrid::cell_center(CellId id) const {
 }
 
 CellId CellGrid::locate(const geo::Vec3& p) const noexcept {
-  auto clamp_axis = [this](double v, double lo, std::uint32_t n) {
-    const auto raw = static_cast<std::int64_t>((v - lo) / cell_size_);
-    return static_cast<std::uint32_t>(
-        std::clamp<std::int64_t>(raw, 0, static_cast<std::int64_t>(n) - 1));
+  auto along = [this](double v, double lo, std::uint32_t count) {
+    return axis_cell((v - lo) / cell_size_, count - 1.0);
   };
-  const std::uint32_t ix = clamp_axis(p.x, bounds_.lo.x, nx_);
-  const std::uint32_t iy = clamp_axis(p.y, bounds_.lo.y, ny_);
-  const std::uint32_t iz = clamp_axis(p.z, bounds_.lo.z, nz_);
+  const std::uint32_t ix = along(p.x, bounds_.lo.x, nx_);
+  const std::uint32_t iy = along(p.y, bounds_.lo.y, ny_);
+  const std::uint32_t iz = along(p.z, bounds_.lo.z, nz_);
   return ix + nx_ * (iy + ny_ * iz);
+}
+
+void CellGrid::locate_columns(const double* x, const double* y,
+                              const double* z, std::size_t n,
+                              CellId* ids) const noexcept {
+  const geo::Vec3 hi{nx_ - 1.0, ny_ - 1.0, nz_ - 1.0};
+  if (reciprocal_ > 0.0) {
+    const double r = reciprocal_;
+    locate_kernel(x, y, z, n, bounds_.lo, hi, nx_, ny_,
+                  [r](double d) { return d * r; }, ids);
+  } else {
+    const double edge = cell_size_;
+    locate_kernel(x, y, z, n, bounds_.lo, hi, nx_, ny_,
+                  [edge](double d) { return d / edge; }, ids);
+  }
 }
 
 std::vector<std::vector<std::uint32_t>> CellGrid::assign(
@@ -66,32 +115,9 @@ std::vector<std::uint32_t> CellGrid::occupancy(const PointCloud& cloud) const {
 }
 
 std::vector<CellId> CellGrid::locate_batch(const FrameSoA& frame) const {
-  const std::size_t n = frame.size();
-  // Same clamp math as locate(), but split per axis: each loop reads one
-  // contiguous double column and has no branches, so it vectorizes. The
-  // combine pass is pure integer arithmetic over three uint32 columns.
-  auto clamp_column = [this](std::span<const double> v, double lo,
-                             std::uint32_t count, std::uint32_t* out) {
-    // Division, not multiply-by-reciprocal: locate() divides, and the two
-    // can truncate to different cells right at a boundary. Exactness beats
-    // the cheaper multiply here.
-    const double cell = cell_size_;
-    const auto hi = static_cast<std::int64_t>(count) - 1;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      const auto raw = static_cast<std::int64_t>((v[i] - lo) / cell);
-      out[i] =
-          static_cast<std::uint32_t>(std::clamp<std::int64_t>(raw, 0, hi));
-    }
-  };
-  std::vector<std::uint32_t> ix(n);
-  std::vector<std::uint32_t> iy(n);
-  std::vector<std::uint32_t> iz(n);
-  clamp_column(frame.xs(), bounds_.lo.x, nx_, ix.data());
-  clamp_column(frame.ys(), bounds_.lo.y, ny_, iy.data());
-  clamp_column(frame.zs(), bounds_.lo.z, nz_, iz.data());
-  std::vector<CellId> ids(n);
-  for (std::size_t i = 0; i < n; ++i)
-    ids[i] = ix[i] + nx_ * (iy[i] + ny_ * iz[i]);
+  std::vector<CellId> ids(frame.size());
+  locate_columns(frame.xs().data(), frame.ys().data(), frame.zs().data(),
+                 ids.size(), ids.data());
   return ids;
 }
 

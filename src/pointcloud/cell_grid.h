@@ -65,8 +65,19 @@ class CellGrid {
   [[nodiscard]] geo::Vec3 cell_center(CellId id) const;
 
   /// Cell containing `p`; points on the outer boundary are clamped into the
-  /// closest edge cell so every content point maps somewhere.
+  /// closest edge cell so every content point maps somewhere (a NaN
+  /// coordinate maps to index 0 on its axis). The scalar reference: per
+  /// axis it divides by the cell edge, clamps the quotient to
+  /// [0, cells - 1] in double and truncates, which equals truncating to
+  /// int64 and clamping wherever that truncation is defined.
   [[nodiscard]] CellId locate(const geo::Vec3& p) const noexcept;
+
+  /// Column form of locate(): ids[i] = locate({x[i], y[i], z[i]}) for
+  /// every i < n, bit for bit. One loop that vectorizes: when the cell edge
+  /// is a power of two it multiplies by the edge's exact reciprocal (equal
+  /// to dividing), otherwise it divides.
+  void locate_columns(const double* x, const double* y, const double* z,
+                      std::size_t n, CellId* ids) const noexcept;
 
   /// Buckets every point of `cloud` by containing cell.
   /// Result has cell_count() entries; entry c lists indices into
@@ -78,9 +89,8 @@ class CellGrid {
   [[nodiscard]] std::vector<std::uint32_t> occupancy(
       const PointCloud& cloud) const;
 
-  /// SoA form of locate() over a whole frame: ids[i] = locate(position i).
-  /// Runs three per-axis clamp loops over the contiguous columns before the
-  /// index combine, instead of striding Point records.
+  /// SoA form of locate() over a whole frame: ids[i] = locate(position i),
+  /// through locate_columns().
   [[nodiscard]] std::vector<CellId> locate_batch(const FrameSoA& frame) const;
 
   /// Counting-sort bucketing of a SoA frame; same contents and per-cell
@@ -95,6 +105,9 @@ class CellGrid {
  private:
   geo::Aabb bounds_;
   double cell_size_;
+  /// 1 / cell_size_ when both are powers of two (so multiplying by it is
+  /// dividing by the edge, bit for bit), else 0.
+  double reciprocal_ = 0.0;
   std::uint32_t nx_ = 0;
   std::uint32_t ny_ = 0;
   std::uint32_t nz_ = 0;

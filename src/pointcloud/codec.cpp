@@ -33,7 +33,8 @@ struct UIntModels {
   std::array<BitModel, 2> payload;
 };
 
-void encode_uint(RangeEncoder& enc, UIntModels& m, std::uint64_t value) {
+template <typename Coder>
+void encode_uint(Coder& enc, UIntModels& m, std::uint64_t value) {
   // Branch-free bit-length: bit_width(v) == the loop-counted MSB position
   // (0 for v == 0, at most 64 == kMaxDeltaBits), without the
   // data-dependent shift loop the old counter paid per value.
@@ -115,48 +116,37 @@ void radix_sort_by_code(std::vector<Keyed>& keyed, unsigned key_bits) {
   }
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode(const FrameSoA& frame,
-                                 const CodecConfig& config) {
+/// Validates `config` and returns the per-axis bit depth encode() stores
+/// for `frame`.
+unsigned quant_bits_for(const FrameSoA& frame, const CodecConfig& config) {
   if (config.quant_bits == 0 || config.quant_bits > kMaxQuantBits)
     throw std::invalid_argument("codec: quant_bits out of range [1, 21]");
+  if (!(config.resolution_m > 0.0) || frame.empty())
+    return config.quant_bits;
+  const geo::Vec3 e = frame.bounds().extent();
+  const double span = std::max({e.x, e.y, e.z});
+  unsigned bits = 1;
+  while (bits < kMaxQuantBits &&
+         span / static_cast<double>((std::uint64_t{1} << bits) - 1) >
+             config.resolution_m)
+    ++bits;
+  return bits;
+}
 
+/// The payload half of the pipeline, over a non-empty frame: quantize,
+/// Morton-sort, then drive `coder` through every point's code delta and
+/// color deltas. encode() runs it with a RangeEncoder and encoded_size()
+/// with a RangeSizer, so both see the same bit sequence.
+template <typename Coder>
+void code_points(const FrameSoA& frame, const CodecConfig& config,
+                 unsigned quant_bits, Coder& coder) {
   const std::size_t n = frame.size();
   // O(1): FrameSoA maintains its box on push, so deriving the quantization
   // domain no longer rescans the frame.
   const geo::Aabb& bounds = frame.bounds();
-
-  unsigned quant_bits = config.quant_bits;
-  if (config.resolution_m > 0.0 && n > 0) {
-    const geo::Vec3 e = bounds.extent();
-    const double span = std::max({e.x, e.y, e.z});
-    unsigned bits = 1;
-    while (bits < kMaxQuantBits &&
-           span / static_cast<double>((std::uint64_t{1} << bits) - 1) >
-               config.resolution_m)
-      ++bits;
-    quant_bits = bits;
-  }
-
-  std::vector<std::uint8_t> out;
-  out.reserve(kCodecHeaderBytes + n * 3);
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
-  put_u32(out, static_cast<std::uint32_t>(n));
-  out.push_back(static_cast<std::uint8_t>(quant_bits));
-  out.push_back(config.encode_colors ? 1 : 0);
-  const geo::Aabb stored = n == 0 ? geo::Aabb{{0, 0, 0}, {0, 0, 0}} : bounds;
-  put_f64(out, stored.lo.x);
-  put_f64(out, stored.lo.y);
-  put_f64(out, stored.lo.z);
-  put_f64(out, stored.hi.x);
-  put_f64(out, stored.hi.y);
-  put_f64(out, stored.hi.z);
-  if (n == 0) return out;
-
   const double max_q =
       static_cast<double>((std::uint64_t{1} << quant_bits) - 1);
-  const geo::Vec3 extent = stored.extent();
+  const geo::Vec3 extent = bounds.extent();
 
   // Split per-axis quantization over the coordinate columns: each loop is
   // a straight-line round/clamp chain over one contiguous double array
@@ -183,9 +173,9 @@ std::vector<std::uint8_t> encode(const FrameSoA& frame,
     std::vector<std::uint32_t> qx(n);
     std::vector<std::uint32_t> qy(n);
     std::vector<std::uint32_t> qz(n);
-    quantize_column(frame.xs(), stored.lo.x, extent.x, qx.data());
-    quantize_column(frame.ys(), stored.lo.y, extent.y, qy.data());
-    quantize_column(frame.zs(), stored.lo.z, extent.z, qz.data());
+    quantize_column(frame.xs(), bounds.lo.x, extent.x, qx.data());
+    quantize_column(frame.ys(), bounds.lo.y, extent.y, qy.data());
+    quantize_column(frame.zs(), bounds.lo.z, extent.z, qz.data());
     std::vector<std::uint64_t> codes(n);
     geo::morton_encode_batch(qx.data(), qy.data(), qz.data(), codes.data(),
                              n);
@@ -193,14 +183,13 @@ std::vector<std::uint8_t> encode(const FrameSoA& frame,
   }
   radix_sort_by_code(keyed, 3 * quant_bits);
 
-  RangeEncoder enc;
   UIntModels delta_models;
   std::array<ColorModels, 3> color_models;
   std::uint64_t prev_code = 0;
   std::array<std::uint8_t, 3> prev_color{128, 128, 128};
   const std::span<const std::uint8_t> rgb = frame.rgb();
   for (const Keyed& k : keyed) {
-    encode_uint(enc, delta_models, k.code - prev_code);
+    encode_uint(coder, delta_models, k.code - prev_code);
     prev_code = k.code;
     if (config.encode_colors) {
       const std::uint8_t* c = rgb.data() + 3 * k.index;
@@ -209,16 +198,50 @@ std::vector<std::uint8_t> encode(const FrameSoA& frame,
         const std::int64_t diff =
             std::int64_t{c[chan]} - std::int64_t{prev_color[chan]};
         const bool is_zero = diff == 0;
-        enc.encode_bit(color_models[chan].zero, !is_zero);
+        coder.encode_bit(color_models[chan].zero, !is_zero);
         if (!is_zero)
-          encode_uint(enc, color_models[chan].magnitude, zigzag(diff) - 1);
+          encode_uint(coder, color_models[chan].magnitude, zigzag(diff) - 1);
         prev_color[chan] = c[chan];
       }
     }
   }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode(const FrameSoA& frame,
+                                 const CodecConfig& config) {
+  const unsigned quant_bits = quant_bits_for(frame, config);
+  const std::size_t n = frame.size();
+  std::vector<std::uint8_t> out;
+  out.reserve(kCodecHeaderBytes + n * 3);
+  out.insert(out.end(), kMagic.begin(), kMagic.end());
+  put_u32(out, static_cast<std::uint32_t>(n));
+  out.push_back(static_cast<std::uint8_t>(quant_bits));
+  out.push_back(config.encode_colors ? 1 : 0);
+  const geo::Aabb stored =
+      n == 0 ? geo::Aabb{{0, 0, 0}, {0, 0, 0}} : frame.bounds();
+  put_f64(out, stored.lo.x);
+  put_f64(out, stored.lo.y);
+  put_f64(out, stored.lo.z);
+  put_f64(out, stored.hi.x);
+  put_f64(out, stored.hi.y);
+  put_f64(out, stored.hi.z);
+  if (n == 0) return out;
+
+  RangeEncoder enc;
+  code_points(frame, config, quant_bits, enc);
   const std::vector<std::uint8_t> payload = enc.finish();
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
+}
+
+std::size_t encoded_size(const FrameSoA& frame, const CodecConfig& config) {
+  const unsigned quant_bits = quant_bits_for(frame, config);
+  if (frame.empty()) return kCodecHeaderBytes;
+  RangeSizer sizer;
+  code_points(frame, config, quant_bits, sizer);
+  return kCodecHeaderBytes + sizer.finish();
 }
 
 std::vector<std::uint8_t> encode(const PointCloud& cloud,

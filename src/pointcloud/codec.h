@@ -44,6 +44,12 @@ struct CodecConfig {
 [[nodiscard]] std::vector<std::uint8_t> encode(const FrameSoA& frame,
                                                const CodecConfig& config = {});
 
+/// encode(frame, config).size(), without producing the bytes: the same
+/// pipeline drives a range coder that only counts its output. The video
+/// store sizes its exactly encoded cells with this.
+[[nodiscard]] std::size_t encoded_size(const FrameSoA& frame,
+                                       const CodecConfig& config = {});
+
 /// AoS convenience overload; converts (exactly) and encodes. Byte-identical
 /// to encoding FrameSoA::from_aos(cloud).
 [[nodiscard]] std::vector<std::uint8_t> encode(const PointCloud& cloud,
@@ -57,7 +63,8 @@ struct CodecConfig {
 /// malformed header. Value-identical to decode_soa(data).to_aos().
 [[nodiscard]] PointCloud decode(std::span<const std::uint8_t> data);
 
-/// Upper-bound size of the fixed header, for capacity planning.
+/// Size of the fixed header every blob starts with (encoded_size() adds
+/// the payload to it).
 inline constexpr std::size_t kCodecHeaderBytes = 4 + 4 + 1 + 1 + 6 * 8;
 
 }  // namespace volcast::vv

@@ -104,6 +104,43 @@ class RangeEncoder {
   std::vector<std::uint8_t> output_;
 };
 
+/// RangeEncoder's size-only twin: the same calls, no bytes. Only range_
+/// decides when the encoder renormalizes, so the sizer keeps range_ and
+/// counts shift_low() calls. Each call emits exactly one byte in the end
+/// (a byte is cached, possibly behind a run of 0xff bytes, until a carry
+/// resolves it), and finish() adds five calls whose last always flushes,
+/// so finish() returns RangeEncoder::finish().size().
+class RangeSizer {
+ public:
+  void encode_bit(BitModel& model, bool bit) {
+    const std::uint32_t bound =
+        (range_ >> BitModel::kBits) * model.prob_zero();
+    range_ = bit ? range_ - bound : bound;
+    model.update(bit);
+    renormalize();
+  }
+
+  void encode_raw(std::uint64_t /*value*/, unsigned count) {
+    for (unsigned i = 0; i < count; ++i) {
+      range_ >>= 1;
+      renormalize();
+    }
+  }
+
+  [[nodiscard]] std::size_t finish() const noexcept { return shifts_ + 5; }
+
+ private:
+  void renormalize() {
+    while (range_ < kRangeTopValue) {
+      range_ <<= 8;
+      ++shifts_;
+    }
+  }
+
+  std::uint32_t range_ = 0xffffffffu;
+  std::size_t shifts_ = 0;
+};
+
 /// Decodes a byte stream produced by RangeEncoder. The caller must use the
 /// exact same sequence of models/raw widths as the encoder.
 class RangeDecoder {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <numbers>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "geometry/quat.h"
@@ -44,6 +46,27 @@ const std::array<PartSpec, 10> kParts{{
     {{0, -0.10, 0.48}, {0.01, 0, -0.23}, {0.06, 0.06, 0.24}, {0, 1, 0}, 0.60, 0.4, 1.0, 40, 40, 60},   // R shin
 }};
 
+/// Moves `n` samples of one body part to their frame positions: the
+/// part's swing about its pivot, then the body's yaw, then the bob (the
+/// PartPose formula). Each element runs Quat::rotate's operations in
+/// order, so the columns equal a per-point transform bit for bit; with
+/// the rotations hoisted and the columns restrict-qualified the loop
+/// vectorizes. Out of line, so every caller gets the one compiled body
+/// (DESIGN.md, "FMA contraction").
+[[gnu::noinline]] void transform_run(
+    const double* __restrict lx, const double* __restrict ly,
+    const double* __restrict lz, std::size_t n, Vec3 pivot, Quat part_rot,
+    Quat body_rot, double bob, double* __restrict x, double* __restrict y,
+    double* __restrict z) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec3 p =
+        body_rot.rotate(pivot + part_rot.rotate({lx[i], ly[i], lz[i]}));
+    x[i] = p.x;
+    y[i] = p.y;
+    z[i] = p.z + bob;
+  }
+}
+
 }  // namespace
 
 VideoGenerator::VideoGenerator(VideoConfig config) : config_(config) {
@@ -52,41 +75,62 @@ VideoGenerator::VideoGenerator(VideoConfig config) : config_(config) {
   double total_weight = 0.0;
   for (const PartSpec& part : kParts) total_weight += part.weight;
 
+  const std::size_t n = config_.points_per_frame;
+  local_x_.reserve(n);
+  local_y_.reserve(n);
+  local_z_.reserve(n);
+  rgb_.reserve(3 * n);
+  const auto add = [this](std::size_t part_id, const Vec3& local,
+                          std::uint8_t r, std::uint8_t g, std::uint8_t b) {
+    const std::size_t i = local_x_.size();
+    local_x_.push_back(local.x);
+    local_y_.push_back(local.y);
+    local_z_.push_back(local.z);
+    rgb_.push_back(r);
+    rgb_.push_back(g);
+    rgb_.push_back(b);
+    if (runs_.empty() || runs_.back().part != part_id)
+      runs_.push_back({part_id, i, i});
+    ++runs_.back().end;
+  };
+
   Rng rng(config_.seed);
-  samples_.reserve(config_.points_per_frame);
-  for (std::uint16_t part_id = 0; part_id < kParts.size(); ++part_id) {
+  const auto draw = [&](std::size_t part_id) {
     const PartSpec& part = kParts[part_id];
-    const auto budget = static_cast<std::size_t>(
-        std::round(static_cast<double>(config_.points_per_frame) *
-                   part.weight / total_weight));
-    for (std::size_t i = 0; i < budget && samples_.size() < config_.points_per_frame;
-         ++i) {
-      // Uniform direction on the unit sphere, scaled by the semi-axes and
-      // jittered slightly in depth so the shell has thickness.
-      Vec3 dir{rng.normal(), rng.normal(), rng.normal()};
-      dir = dir.normalized();
-      const double shell = 1.0 - 0.06 * rng.uniform();
-      PartSample s;
-      s.part = part_id;
-      s.local = part.offset + Vec3{dir.x * part.radii.x * shell,
-                                   dir.y * part.radii.y * shell,
-                                   dir.z * part.radii.z * shell};
-      auto shade = [&rng](std::uint8_t base) {
-        const double v = base + rng.normal(0.0, 4.0);
-        return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
-      };
-      s.r = shade(part.r);
-      s.g = shade(part.g);
-      s.b = shade(part.b);
-      samples_.push_back(s);
-    }
+    // Uniform direction on the unit sphere, scaled by the semi-axes and
+    // jittered slightly in depth so the shell has thickness.
+    Vec3 dir{rng.normal(), rng.normal(), rng.normal()};
+    dir = dir.normalized();
+    const double shell = 1.0 - 0.06 * rng.uniform();
+    const Vec3 local = part.offset + Vec3{dir.x * part.radii.x * shell,
+                                          dir.y * part.radii.y * shell,
+                                          dir.z * part.radii.z * shell};
+    auto shade = [&rng](std::uint8_t base) {
+      const double v = base + rng.normal(0.0, 4.0);
+      return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+    };
+    const std::uint8_t r = shade(part.r);
+    const std::uint8_t g = shade(part.g);
+    const std::uint8_t b = shade(part.b);
+    add(part_id, local, r, g, b);
+  };
+  for (std::size_t part_id = 0; part_id < kParts.size(); ++part_id) {
+    const auto budget = static_cast<std::size_t>(std::round(
+        static_cast<double>(n) * kParts[part_id].weight / total_weight));
+    for (std::size_t i = 0; i < budget && local_x_.size() < n; ++i)
+      draw(part_id);
   }
-  // Rounding may leave the budget a few points short; top up from the torso.
+  // A one-point budget rounds every part's share to zero; that point is a
+  // torso sample.
+  if (local_x_.empty() && n > 0) draw(0);
+  // Rounding may leave the budget a few points short; top up with copies
+  // of random earlier samples.
   Rng top_up = rng.fork();
-  while (samples_.size() < config_.points_per_frame) {
-    PartSample s = samples_[static_cast<std::size_t>(
-        top_up.uniform_int(0, static_cast<std::int64_t>(samples_.size()) - 1))];
-    samples_.push_back(s);
+  while (local_x_.size() < n) {
+    const auto j = static_cast<std::size_t>(top_up.uniform_int(
+        0, static_cast<std::int64_t>(local_x_.size()) - 1));
+    const Sample copy = sample(j);
+    add(copy.part, copy.local, rgb_[3 * j], rgb_[3 * j + 1], rgb_[3 * j + 2]);
   }
 }
 
@@ -99,51 +143,52 @@ FrameSoA VideoGenerator::frame_soa(std::size_t index) const {
   std::vector<double> y;
   std::vector<double> z;
   positions(index, x, y, z);
-  std::vector<std::uint8_t> rgb;
-  rgb.reserve(3 * samples_.size());
-  for (const PartSample& s : samples_) {
-    rgb.push_back(s.r);
-    rgb.push_back(s.g);
-    rgb.push_back(s.b);
-  }
   return FrameSoA::from_columns(std::move(x), std::move(y), std::move(z),
-                                std::move(rgb));
+                                rgb_);
 }
 
 void VideoGenerator::positions(std::size_t index, std::vector<double>& x,
                                std::vector<double>& y,
                                std::vector<double>& z) const {
+  const std::size_t n = local_x_.size();
+  x.resize(n);
+  y.resize(n);
+  z.resize(n);
+  for (const PartRun& run : runs_) {
+    const PartPose pose = part_pose(index, run.part);
+    const std::size_t b = run.begin;
+    transform_run(local_x_.data() + b, local_y_.data() + b,
+                  local_z_.data() + b, run.end - b, pose.pivot, pose.part_rot,
+                  pose.body_rot, pose.bob, x.data() + b, y.data() + b,
+                  z.data() + b);
+  }
+}
+
+VideoGenerator::Sample VideoGenerator::sample(std::size_t point) const {
+  if (point >= local_x_.size())
+    throw std::out_of_range("VideoGenerator::sample");
+  const auto run = std::upper_bound(
+      runs_.begin(), runs_.end(), point,
+      [](std::size_t p, const PartRun& r) { return p < r.begin; });
+  return {std::prev(run)->part,
+          {local_x_[point], local_y_[point], local_z_[point]}};
+}
+
+VideoGenerator::PartPose VideoGenerator::part_pose(std::size_t index,
+                                                   std::size_t part) const {
+  const PartSpec& spec = kParts.at(part);
   const std::size_t wrapped =
       config_.frame_count > 0 ? index % config_.frame_count : index;
   const double t = static_cast<double>(wrapped) / config_.fps;
   const double gait = 2.0 * kPi * config_.walk_rate_hz * t;
-
   // Whole-body motion: vertical bob and a slow yaw turn.
-  const double bob = 0.015 * std::sin(2.0 * gait);
   const double yaw =
       config_.yaw_amplitude_rad * std::sin(2.0 * kPi * 0.05 * t);
-  const Quat body_rot = Quat::from_axis_angle({0, 0, 1}, yaw);
-
-  std::array<Quat, kParts.size()> part_rot;
-  for (std::size_t p = 0; p < kParts.size(); ++p) {
-    const PartSpec& part = kParts[p];
-    const double angle = part.amplitude * std::sin(gait + part.phase);
-    part_rot[p] = Quat::from_axis_angle(part.swing_axis, angle);
-  }
-
-  const std::size_t n = samples_.size();
-  x.resize(n);
-  y.resize(n);
-  z.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const PartSample& s = samples_[i];
-    const PartSpec& part = kParts[s.part];
-    Vec3 p = part.pivot + part_rot[s.part].rotate(s.local);
-    p = body_rot.rotate(p);
-    x[i] = p.x;
-    y[i] = p.y;
-    z[i] = p.z + bob;
-  }
+  return {spec.pivot,
+          Quat::from_axis_angle(spec.swing_axis,
+                                spec.amplitude * std::sin(gait + spec.phase)),
+          Quat::from_axis_angle({0, 0, 1}, yaw),
+          0.015 * std::sin(2.0 * gait)};
 }
 
 geo::Aabb VideoGenerator::content_bounds() const noexcept {
@@ -157,10 +202,10 @@ geo::Vec3 VideoGenerator::content_center() const noexcept {
 }
 
 ThinFilter::ThinFilter(double fraction) noexcept
-    : keep_all_(fraction >= 1.0),
-      threshold_(fraction > 0.0 && fraction < 1.0
-                     ? static_cast<std::uint32_t>(fraction * 4294967296.0)
-                     : 0) {}
+    : bound_(fraction >= 1.0 ? std::uint64_t{1} << 32
+             : fraction > 0.0
+                 ? static_cast<std::uint32_t>(fraction * 4294967296.0)
+                 : 0) {}
 
 PointCloud thin(const PointCloud& cloud, double fraction) {
   if (fraction >= 1.0) return cloud;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "geometry/aabb.h"
+#include "geometry/quat.h"
 #include "pointcloud/point_cloud.h"
 
 namespace volcast::vv {
@@ -33,9 +34,10 @@ struct VideoConfig {
 /// (config, i): the same index always yields the same cloud, so streaming
 /// components can regenerate frames instead of buffering them.
 ///
-/// Thread safety: the generator holds only its (const) config, so frame()
-/// and every other member may be called concurrently without locking —
-/// sessions sharing one core::WorkloadBundle do exactly that.
+/// Thread safety: the generator holds its config and the per-point
+/// samples, both fixed at construction, so frame() and every other member
+/// may be called concurrently without locking — sessions sharing one
+/// core::WorkloadBundle do exactly that.
 class VideoGenerator {
  public:
   explicit VideoGenerator(VideoConfig config);
@@ -54,8 +56,31 @@ class VideoGenerator {
   /// positions. The only copy of the per-point transform: frame_soa() and
   /// the store's modeled frames both read it, so their coordinates are the
   /// same doubles under any floating-point contraction the build allows.
+  /// Each run of one body part goes through one column kernel with the
+  /// part's rotation and the body's rotation hoisted.
   void positions(std::size_t index, std::vector<double>& x,
                  std::vector<double>& y, std::vector<double>& z) const;
+
+  /// A point's body part and its offset from the part's pivot (already
+  /// scaled); the same in every frame. Throws std::out_of_range for a
+  /// point at or past points_per_frame.
+  struct Sample {
+    std::size_t part = 0;
+    geo::Vec3 local{};
+  };
+  [[nodiscard]] Sample sample(std::size_t point) const;
+
+  /// Rigid motion of body part `part` in frame `index`: a point at offset
+  /// `local` sits at body_rot.rotate(pivot + part_rot.rotate(local)), raised
+  /// by `bob` along z. positions() applies exactly this, point by point.
+  /// Throws std::out_of_range for an unknown part (the figure has 10).
+  struct PartPose {
+    geo::Vec3 pivot{};
+    geo::Quat part_rot{};
+    geo::Quat body_rot{};
+    double bob = 0.0;
+  };
+  [[nodiscard]] PartPose part_pose(std::size_t index, std::size_t part) const;
 
   /// Analytic bound that contains the figure in every frame; used to build
   /// the stable CellGrid.
@@ -65,31 +90,42 @@ class VideoGenerator {
   [[nodiscard]] geo::Vec3 content_center() const noexcept;
 
  private:
-  struct PartSample {
-    std::uint16_t part = 0;
-    geo::Vec3 local{};       // offset from the part pivot, already scaled
-    std::uint8_t r = 0, g = 0, b = 0;
+  /// A maximal range [begin, end) of samples on one body part. Samples are
+  /// laid out part by part; only the short top-up tail mixes parts.
+  struct PartRun {
+    std::size_t part = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
 
   VideoConfig config_;
-  std::vector<PartSample> samples_;  // one entry per output point
+  // One entry per output point: the offset from its part's pivot (already
+  // scaled) and its packed r, g, b.
+  std::vector<double> local_x_;
+  std::vector<double> local_y_;
+  std::vector<double> local_z_;
+  std::vector<std::uint8_t> rgb_;
+  std::vector<PartRun> runs_;
 };
 
 /// The index test behind thin(): keeps(i) is true exactly for the points
 /// thin(cloud, fraction) keeps. A Knuth multiplicative hash of the index
-/// against a threshold, so it is order-free and stable under re-runs, and
-/// a smaller fraction keeps a subset of what a larger one keeps.
+/// against a bound, so it is order-free and stable under re-runs, and a
+/// smaller fraction keeps a subset of what a larger one keeps.
 class ThinFilter {
  public:
   explicit ThinFilter(double fraction) noexcept;
 
   [[nodiscard]] bool keeps(std::uint32_t index) const noexcept {
-    return keep_all_ || index * 2654435761u < threshold_;
+    return std::uint32_t{index * 2654435761u} < bound_;
   }
 
+  /// keeps(i) is hash(i) < bound(); 2^32 keeps every index. A filter keeps
+  /// a subset of what any filter with a bound at least as large keeps.
+  [[nodiscard]] std::uint64_t bound() const noexcept { return bound_; }
+
  private:
-  bool keep_all_;
-  std::uint32_t threshold_;
+  std::uint64_t bound_;
 };
 
 /// Deterministically thins a cloud to ~`fraction` of its points, uniformly

@@ -19,38 +19,37 @@ std::vector<QualityTier> paper_quality_tiers() {
 
 namespace {
 
-/// Encodes each occupied cell of `frame` exactly into its per-cell byte
-/// and point slots. SoA path: one counting-sort bucketing (no per-cell
-/// vectors), then a contiguous gather per occupied cell. Gather order
-/// equals the old assign()+add loop, so the per-cell blobs are
-/// byte-identical. With a pool, cells are claimed one at a time by the
-/// pool's lanes; each writes only its own slots, so the tables do not
-/// depend on the lane count.
-void encode_frame_exact(const FrameSoA& frame, const CellGrid& grid,
-                        const VideoStoreConfig& config,
-                        std::vector<std::uint32_t>& bytes_out,
-                        std::vector<std::uint32_t>& points_out,
-                        common::ThreadPool* pool) {
-  const FlatAssignment buckets = grid.assign_flat(frame);
-  bytes_out.assign(grid.cell_count(), 0);
-  points_out.assign(grid.cell_count(), 0);
-  std::vector<CellId> occupied;
-  for (CellId c = 0; c < grid.cell_count(); ++c)
-    if (!buckets.cell(c).empty()) occupied.push_back(c);
-  const auto encode_cell = [&](std::size_t k) {
-    const CellId c = occupied[k];
-    const auto indices = buckets.cell(c);
-    const FrameSoA cell_frame = frame.gather(indices);
-    const auto blob = encode(cell_frame, config.codec);
-    bytes_out[c] = static_cast<std::uint32_t>(blob.size());
-    points_out[c] = static_cast<std::uint32_t>(indices.size());
-  };
-  if (pool != nullptr) {
-    pool->parallel_tasks(occupied.size(), encode_cell);
-  } else {
-    for (std::size_t k = 0; k < occupied.size(); ++k) encode_cell(k);
-  }
+/// The blob's tier limit, which also keeps a point's tier class (how many
+/// tiers keep it) within one byte.
+constexpr std::size_t kMaxTiers = 64;
+
+/// The points of one cell at one tier: the cell's master indices (in
+/// ascending order) whose tier class is at least `min_class`. That is
+/// gather() of the cell's bucket in thin(master, fraction), in the same
+/// order, so the bounds and the encoded bytes are the same.
+FrameSoA tier_cell(const FrameSoA& master,
+                   std::span<const std::uint32_t> indices,
+                   const std::vector<std::uint8_t>& classes,
+                   std::uint8_t min_class) {
+  FrameSoA out;
+  out.reserve(indices.size());
+  const std::span<const std::uint8_t> rgb = master.rgb();
+  for (const std::uint32_t i : indices)
+    if (classes[i] >= min_class)
+      out.push_back(master.position(i), rgb[3 * i], rgb[3 * i + 1],
+                    rgb[3 * i + 2]);
+  return out;
 }
+
+/// A modeled frame's working buffers, reused across the frames of one
+/// pool lane.
+struct ModeledScratch {
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> z;
+  std::vector<CellId> ids;
+  std::vector<std::uint32_t> hist;  // [class][cell]
+};
 
 }  // namespace
 
@@ -59,6 +58,8 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
     : config_(std::move(config)), grid_(&grid), fps_(generator.config().fps) {
   if (config_.tiers.empty())
     throw std::invalid_argument("VideoStore: no quality tiers");
+  if (config_.tiers.size() > kMaxTiers)
+    throw std::invalid_argument("VideoStore: more than 64 quality tiers");
   const std::size_t master_points = generator.config().points_per_frame;
   for (const QualityTier& tier : config_.tiers) {
     if (tier.points_per_frame == 0 || tier.points_per_frame > master_points)
@@ -68,15 +69,28 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
 
   const std::size_t n_frames = generator.config().frame_count;
   const std::size_t n_tiers = config_.tiers.size();
+  const std::size_t n_cells = grid.cell_count();
   frames_.resize(n_frames);
 
+  // Tier classes. A tier keeps point i when hash(i) < its filter's bound,
+  // so the tiers keeping a point are those whose bound exceeds its hash.
+  // A point's class is how many tiers keep it, and tier q keeps exactly
+  // the points of class >= min_class[q], the number of tiers whose bound
+  // is at least q's: if q keeps i, so does every such tier; if q does
+  // not, only tiers with a strictly larger bound can. This holds for any
+  // tier order and for duplicate fractions.
   std::vector<ThinFilter> filters;
-  std::vector<double> fractions;
-  for (const QualityTier& tier : config_.tiers) {
-    fractions.push_back(static_cast<double>(tier.points_per_frame) /
-                        static_cast<double>(master_points));
-    filters.emplace_back(fractions.back());
-  }
+  for (const QualityTier& tier : config_.tiers)
+    filters.emplace_back(static_cast<double>(tier.points_per_frame) /
+                         static_cast<double>(master_points));
+  std::vector<std::uint8_t> min_class(n_tiers, 0);
+  for (std::size_t q = 0; q < n_tiers; ++q)
+    for (const ThinFilter& other : filters)
+      if (other.bound() >= filters[q].bound()) ++min_class[q];
+  std::vector<std::uint8_t> classes(master_points, 0);
+  for (std::uint32_t i = 0; i < master_points; ++i)
+    for (const ThinFilter& filter : filters)
+      if (filter.keeps(i)) ++classes[i];
 
   // Per-tier linear size model fitted from exactly encoded sample frames.
   std::vector<LinearFit> fits(n_tiers);
@@ -89,47 +103,71 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
   // fills only its own slot of frames_, so frames precompute in parallel
   // with bit-identical tables. Only the size-model fit couples frames: the
   // sample frames run serially first (their (points, bytes) pairs feed the
-  // fit in frame order, then cell order), then the modeled remainder fans
-  // out.
+  // fit in frame, tier, cell order), then the modeled remainder fans out.
   //
-  // An exact frame generates the master frame, thins it once per tier,
-  // buckets each tier by cell and encodes every occupied cell.
+  // An exact frame generates the master frame and buckets it by cell
+  // once. Each (tier, cell) pair then takes the cell's points of a class
+  // the tier keeps and sizes their encoding. With a cell pool the pairs
+  // are claimed one at a time by the pool's lanes, each writing only its
+  // own slots.
   const auto build_exact_frame = [&](std::size_t f,
                                      common::ThreadPool* cell_pool) {
     const FrameSoA master = generator.frame_soa(f);
+    const FlatAssignment buckets = grid.assign_flat(master);
     FrameSizes& sizes = frames_[f];
-    sizes.bytes.resize(n_tiers);
-    sizes.points.resize(n_tiers);
-    for (std::size_t q = 0; q < n_tiers; ++q)
-      encode_frame_exact(thin(master, fractions[q]), grid, config_,
-                         sizes.bytes[q], sizes.points[q], cell_pool);
-  };
-  // A modeled frame needs only per-cell point counts, so it makes one pass
-  // over the master positions and counts each point into every tier that
-  // keeps it. That equals occupancy(thin(master, fraction)) per tier:
-  // thinning tests the point index alone, and locate() is the per-point
-  // form of the locate_batch() that occupancy() runs. Bytes come from the
-  // fit.
-  const auto build_modeled_frame = [&](std::size_t f) {
-    std::vector<double> x;
-    std::vector<double> y;
-    std::vector<double> z;
-    generator.positions(f, x, y, z);
-    FrameSizes& sizes = frames_[f];
-    sizes.points.assign(n_tiers,
-                        std::vector<std::uint32_t>(grid.cell_count(), 0));
-    std::vector<std::uint32_t*> rows(n_tiers);
-    for (std::size_t q = 0; q < n_tiers; ++q) rows[q] = sizes.points[q].data();
-    for (std::uint32_t i = 0; i < x.size(); ++i) {
-      const CellId id = grid.locate({x[i], y[i], z[i]});
-      for (std::size_t q = 0; q < n_tiers; ++q)
-        if (filters[q].keeps(i)) ++rows[q][id];
+    sizes.bytes.assign(n_tiers, std::vector<std::uint32_t>(n_cells, 0));
+    sizes.points.assign(n_tiers, std::vector<std::uint32_t>(n_cells, 0));
+    std::vector<CellId> occupied;
+    for (CellId c = 0; c < n_cells; ++c)
+      if (!buckets.cell(c).empty()) occupied.push_back(c);
+    const auto size_cell = [&](std::size_t k) {
+      const std::size_t q = k / occupied.size();
+      const CellId c = occupied[k % occupied.size()];
+      const FrameSoA cell =
+          tier_cell(master, buckets.cell(c), classes, min_class[q]);
+      if (cell.empty()) return;
+      sizes.bytes[q][c] =
+          static_cast<std::uint32_t>(encoded_size(cell, config_.codec));
+      sizes.points[q][c] = static_cast<std::uint32_t>(cell.size());
+    };
+    const std::size_t pairs = n_tiers * occupied.size();
+    if (cell_pool != nullptr) {
+      cell_pool->parallel_tasks(pairs, size_cell);
+    } else {
+      for (std::size_t k = 0; k < pairs; ++k) size_cell(k);
     }
-    sizes.bytes.assign(n_tiers,
-                       std::vector<std::uint32_t>(grid.cell_count(), 0));
+  };
+  // A modeled frame needs only per-cell point counts: one pass over the
+  // master positions builds a [class][cell] histogram, and a suffix sum
+  // over classes turns row k into the count of points of class >= k, which
+  // is tier q's row at k = min_class[q]. Exact integer arithmetic, so it
+  // equals occupancy(thin(master, fraction)) per tier. Bytes come from the
+  // fit.
+  const std::size_t n_classes = n_tiers + 1;
+  const auto build_modeled_frame = [&](std::size_t f,
+                                       ModeledScratch& scratch) {
+    generator.positions(f, scratch.x, scratch.y, scratch.z);
+    const std::size_t n = scratch.x.size();
+    scratch.ids.resize(n);
+    grid.locate_columns(scratch.x.data(), scratch.y.data(), scratch.z.data(),
+                        n, scratch.ids.data());
+    std::vector<std::uint32_t>& hist = scratch.hist;
+    hist.assign(n_classes * n_cells, 0);
+    for (std::size_t i = 0; i < n; ++i)
+      ++hist[classes[i] * n_cells + scratch.ids[i]];
+    for (std::size_t k = n_classes - 1; k-- > 0;)
+      for (std::size_t c = 0; c < n_cells; ++c)
+        hist[k * n_cells + c] += hist[(k + 1) * n_cells + c];
+
+    FrameSizes& sizes = frames_[f];
+    sizes.points.resize(n_tiers);
+    sizes.bytes.assign(n_tiers, std::vector<std::uint32_t>(n_cells, 0));
     const auto floor_bytes = static_cast<double>(kCodecHeaderBytes);
     for (std::size_t q = 0; q < n_tiers; ++q) {
-      for (CellId c = 0; c < grid.cell_count(); ++c) {
+      const auto row = hist.begin() +
+                       static_cast<std::ptrdiff_t>(min_class[q] * n_cells);
+      sizes.points[q].assign(row, row + static_cast<std::ptrdiff_t>(n_cells));
+      for (CellId c = 0; c < n_cells; ++c) {
         const std::uint32_t count = sizes.points[q][c];
         if (count == 0) continue;
         const double predicted = fits[q].at(static_cast<double>(count));
@@ -144,32 +182,39 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
     common::ThreadPool::run(config_.pool, n_frames, [&](std::size_t f) {
       build_exact_frame(f, nullptr);
     });
-  } else {
-    // The serial sample frames spread their cells over the pool instead.
-    common::ThreadPool* cell_pool =
-        config_.pool != nullptr && config_.pool->thread_count() > 1
-            ? config_.pool
-            : nullptr;
-    std::vector<std::vector<double>> model_points(n_tiers);
-    std::vector<std::vector<double>> model_bytes(n_tiers);
-    for (std::size_t f = 0; f < sample_count; ++f) {
-      build_exact_frame(f, cell_pool);
-      for (std::size_t q = 0; q < n_tiers; ++q) {
-        const FrameSizes& sizes = frames_[f];
-        for (CellId c = 0; c < grid.cell_count(); ++c) {
-          if (sizes.points[q][c] == 0) continue;
-          model_points[q].push_back(static_cast<double>(sizes.points[q][c]));
-          model_bytes[q].push_back(static_cast<double>(sizes.bytes[q][c]));
-        }
+    return;
+  }
+  // The serial sample frames spread their (tier, cell) pairs over the pool
+  // instead.
+  common::ThreadPool* cell_pool =
+      config_.pool != nullptr && config_.pool->thread_count() > 1
+          ? config_.pool
+          : nullptr;
+  std::vector<std::vector<double>> model_points(n_tiers);
+  std::vector<std::vector<double>> model_bytes(n_tiers);
+  for (std::size_t f = 0; f < sample_count; ++f) {
+    build_exact_frame(f, cell_pool);
+    const FrameSizes& sizes = frames_[f];
+    for (std::size_t q = 0; q < n_tiers; ++q) {
+      for (CellId c = 0; c < n_cells; ++c) {
+        if (sizes.points[q][c] == 0) continue;
+        model_points[q].push_back(static_cast<double>(sizes.points[q][c]));
+        model_bytes[q].push_back(static_cast<double>(sizes.bytes[q][c]));
       }
     }
-    for (std::size_t q = 0; q < n_tiers; ++q)
-      fits[q] = fit_line(model_points[q], model_bytes[q]);
-    common::ThreadPool::run(config_.pool, n_frames - sample_count,
-                            [&](std::size_t i) {
-                              build_modeled_frame(sample_count + i);
-                            });
   }
+  for (std::size_t q = 0; q < n_tiers; ++q)
+    fits[q] = fit_line(model_points[q], model_bytes[q]);
+  // Each lane owns one scratch set and a contiguous chunk of frames.
+  const std::size_t modeled = n_frames - sample_count;
+  const std::size_t lanes = std::min(
+      config_.pool != nullptr ? config_.pool->thread_count() : 1, modeled);
+  common::ThreadPool::run(config_.pool, lanes, [&](std::size_t lane) {
+    ModeledScratch scratch;
+    const std::size_t lo = sample_count + modeled * lane / lanes;
+    const std::size_t hi = sample_count + modeled * (lane + 1) / lanes;
+    for (std::size_t f = lo; f < hi; ++f) build_modeled_frame(f, scratch);
+  });
 }
 
 std::size_t VideoStore::cell_bytes(std::size_t frame, std::size_t tier,
@@ -219,7 +264,6 @@ namespace {
 
 constexpr std::uint8_t kStoreMagic[4] = {'V', 'S', 'T', 'R'};
 constexpr std::uint32_t kStoreVersion = 1;
-constexpr std::size_t kMaxTiers = 64;
 constexpr std::size_t kMaxFrames = 1u << 20;
 constexpr std::size_t kMaxNameLen = 256;
 

@@ -40,10 +40,10 @@ struct VideoStoreConfig {
   bool exact = false;
   std::size_t sample_frames = 2;
   /// Optional worker pool: independent frames are precomputed in parallel,
-  /// and with more than one worker the serial sample frames encode their
-  /// cells in parallel (bit-identical tables — each frame and each cell
-  /// fills its own slot; the size model is still fitted from the sample
-  /// frames in frame, then cell, order). The pool must outlive
+  /// and with more than one worker the serial sample frames size their
+  /// (tier, cell) pairs in parallel (bit-identical tables — each frame and
+  /// each pair fills its own slot; the size model is still fitted from the
+  /// sample frames in frame, tier, cell order). The pool must outlive
   /// construction.
   common::ThreadPool* pool = nullptr;
 };
@@ -61,10 +61,11 @@ struct VideoStoreConfig {
 class VideoStore {
  public:
   /// Builds the store: the sample frames (every frame when `exact`) are
-  /// generated, thinned per tier and encoded cell by cell; the other
-  /// frames only count each tier's points per cell.
-  /// Throws std::invalid_argument for an empty tier list or tiers exceeding
-  /// the generator's points_per_frame.
+  /// generated, bucketed by cell once and sized cell by cell per tier; the
+  /// other frames only count each tier's points per cell.
+  /// Throws std::invalid_argument for an empty tier list, more than 64
+  /// tiers (what serialize() can hold) or tiers exceeding the generator's
+  /// points_per_frame.
   VideoStore(const VideoGenerator& generator, const CellGrid& grid,
              VideoStoreConfig config = {});
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -10,6 +15,93 @@ namespace volcast::vv {
 namespace {
 
 const geo::Aabb kUnitBox({0, 0, 0}, {1, 1, 1});
+
+/// locate()'s contract written out with int64 truncation, for quotients
+/// that fit an int64.
+CellId int64_locate(const CellGrid& grid, const geo::Vec3& p) {
+  const geo::Vec3 lo = grid.bounds().lo;
+  auto axis = [&grid](double v, double origin, std::uint32_t count) {
+    const auto raw =
+        static_cast<std::int64_t>((v - origin) / grid.cell_size_m());
+    return static_cast<std::uint32_t>(std::clamp<std::int64_t>(
+        raw, 0, static_cast<std::int64_t>(count) - 1));
+  };
+  return axis(p.x, lo.x, grid.nx()) +
+         grid.nx() * (axis(p.y, lo.y, grid.ny()) +
+                      grid.ny() * axis(p.z, lo.z, grid.nz()));
+}
+
+/// Coordinates where rounding and clamping decide the cell along one axis
+/// of `grid`: exact multiples of the edge, +-0, one ulp either side of
+/// every cell boundary and of the bounds, and far-out values.
+std::vector<double> edge_values(const CellGrid& grid, double lo,
+                                std::uint32_t count) {
+  std::vector<double> v{0.0, -0.0, 1e12, -1e12, 1e300, -1e300, 1e-300};
+  const double edge = grid.cell_size_m();
+  for (std::uint32_t k = 0; k <= count + 1; ++k) {
+    for (const double b : {lo + k * edge, k * edge, lo + (k + 0.5) * edge}) {
+      v.push_back(b);
+      v.push_back(std::nextafter(b, -1e308));
+      v.push_back(std::nextafter(b, 1e308));
+    }
+  }
+  return v;
+}
+
+TEST(CellGridLocate, ColumnsEqualScalarLocateAtEveryEdge) {
+  const geo::Aabb boxes[] = {kUnitBox,
+                             {{-0.8, -0.8, 0.0}, {0.8, 0.8, 2.0}},
+                             {{-1.3, 0.1, -0.7}, {0.9, 1.25, 1.0}}};
+  // Powers of two multiply by the reciprocal; the others divide.
+  for (const double edge : {0.125, 0.25, 0.5, 1.0, 0.1, 0.3, 0.7}) {
+    for (const geo::Aabb& box : boxes) {
+      SCOPED_TRACE("edge " + std::to_string(edge));
+      const CellGrid grid(box, edge);
+      const std::vector<double> xs = edge_values(grid, box.lo.x, grid.nx());
+      const std::vector<double> ys = edge_values(grid, box.lo.y, grid.ny());
+      const std::vector<double> zs = edge_values(grid, box.lo.z, grid.nz());
+      // Every x against a cycling y and z, so each value meets the
+      // vectorized body and, at the odd tail, the scalar epilogue.
+      std::vector<double> x;
+      std::vector<double> y;
+      std::vector<double> z;
+      for (std::size_t i = 0; i < xs.size() * 3 + 1; ++i) {
+        x.push_back(xs[i % xs.size()]);
+        y.push_back(ys[(i * 7) % ys.size()]);
+        z.push_back(zs[(i * 13) % zs.size()]);
+      }
+      std::vector<CellId> ids(x.size(), 0xdeadbeef);
+      grid.locate_columns(x.data(), y.data(), z.data(), x.size(), ids.data());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const geo::Vec3 p{x[i], y[i], z[i]};
+        ASSERT_EQ(ids[i], grid.locate(p)) << p.x << " " << p.y << " " << p.z;
+        ASSERT_LT(ids[i], grid.cell_count());
+        CellId one = 0;
+        grid.locate_columns(&p.x, &p.y, &p.z, 1, &one);
+        ASSERT_EQ(one, ids[i]);
+        if (std::abs(p.x) < 1e15 && std::abs(p.y) < 1e15 &&
+            std::abs(p.z) < 1e15)
+          ASSERT_EQ(ids[i], int64_locate(grid, p))
+              << p.x << " " << p.y << " " << p.z;
+      }
+    }
+  }
+}
+
+TEST(CellGridLocate, NonFiniteCoordinatesClampIntoTheGrid) {
+  const CellGrid grid(kUnitBox, 0.25);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(grid.locate({inf, inf, inf}), grid.cell_count() - 1);
+  EXPECT_EQ(grid.locate({-inf, -inf, -inf}), 0u);
+  EXPECT_EQ(grid.locate({nan, nan, nan}), 0u);
+  const double x[] = {inf, -inf, nan};
+  CellId ids[3];
+  grid.locate_columns(x, x, x, 3, ids);
+  EXPECT_EQ(ids[0], grid.cell_count() - 1);
+  EXPECT_EQ(ids[1], 0u);
+  EXPECT_EQ(ids[2], 0u);
+}
 
 TEST(CellGrid, RejectsBadArguments) {
   EXPECT_THROW(CellGrid(kUnitBox, 0.0), std::invalid_argument);

@@ -180,12 +180,82 @@ TEST(Codec, DuplicatePointsPreserved) {
   EXPECT_EQ(decode(encode(cloud)).size(), 64u);
 }
 
+/// `n` points drawn from `distinct` random sites with random colors, so
+/// many points share a quantized position and the coder sees long runs of
+/// zero code deltas next to busy color streams.
+FrameSoA tie_heavy_frame(std::size_t n, std::size_t distinct,
+                         std::uint64_t seed) {
+  volcast::Rng rng(seed);
+  const PointCloud sites = random_cloud(distinct, seed + 1);
+  FrameSoA frame;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(distinct) - 1));
+    frame.push_back(sites.points()[pick].position,
+                    static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                    static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                    static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+  }
+  return frame;
+}
+
+TEST(Codec, EncodedSizeEqualsEncodeSizeAtEveryQuantBits) {
+  std::uint64_t seed = 5;
+  for (unsigned bits = 1; bits <= 21; ++bits) {
+    for (bool colors : {true, false}) {
+      CodecConfig config;
+      config.resolution_m = 0.0;
+      config.quant_bits = bits;
+      config.encode_colors = colors;
+      for (std::size_t n : {0u, 1u, 2u, 57u, 1'500u}) {
+        for (std::size_t distinct : {std::size_t{1}, std::size_t{5}, n + 1}) {
+          const FrameSoA frame = tie_heavy_frame(n, distinct, seed++);
+          ASSERT_EQ(encoded_size(frame, config), encode(frame, config).size())
+              << bits << " bits, colors " << colors << ", " << n
+              << " points, " << distinct << " sites";
+        }
+      }
+    }
+  }
+}
+
+TEST(Codec, EncodedSizeOfEmptyAndOnePointFramesAndRealContent) {
+  EXPECT_EQ(encoded_size(FrameSoA{}), encode(FrameSoA{}).size());
+  EXPECT_EQ(encoded_size(FrameSoA{}), kCodecHeaderBytes);
+  FrameSoA one;
+  one.push_back({0.1, -0.2, 1.3}, 200, 7, 0);
+  EXPECT_EQ(encoded_size(one), encode(one).size());
+  VideoConfig vc;
+  vc.points_per_frame = 6'000;
+  vc.frame_count = 1;
+  const FrameSoA frame = VideoGenerator(vc).frame_soa(0);
+  for (double resolution : {0.0005, 0.0012, 0.01}) {
+    CodecConfig config;
+    config.resolution_m = resolution;
+    EXPECT_EQ(encoded_size(frame, config), encode(frame, config).size())
+        << resolution;
+  }
+  CodecConfig bad;
+  bad.quant_bits = 22;
+  bad.resolution_m = 0.0;
+  EXPECT_THROW((void)encoded_size(one, bad), std::invalid_argument);
+}
+
 class CodecSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CodecSizeSweep, RoundTripsAtAnySize) {
   const PointCloud cloud = random_cloud(GetParam(), 42 + GetParam());
   const PointCloud back = decode(encode(cloud));
   EXPECT_EQ(back.size(), cloud.size());
+}
+
+TEST_P(CodecSizeSweep, EncodedSizeEqualsEncodeSize) {
+  const FrameSoA frame =
+      FrameSoA::from_aos(random_cloud(GetParam(), 42 + GetParam()));
+  CodecConfig no_colors;
+  no_colors.encode_colors = false;
+  for (const CodecConfig& config : {CodecConfig{}, no_colors})
+    EXPECT_EQ(encoded_size(frame, config), encode(frame, config).size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CodecSizeSweep,

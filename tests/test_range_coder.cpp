@@ -105,6 +105,41 @@ TEST(RangeCoder, EmptyStreamFinishes) {
   EXPECT_GE(data.size(), 1u);  // flush bytes only
 }
 
+TEST(RangeCoder, SizerCountsTheEncodersBytes) {
+  // Same calls into a RangeEncoder and a RangeSizer: empty streams, carry
+  // runs of near-certain bits, mixed model and raw bits of every width.
+  volcast::Rng rng(17);
+  for (int trial = 0; trial < 60; ++trial) {
+    RangeEncoder enc;
+    RangeSizer sizer;
+    BitModel enc_hot;
+    BitModel size_hot;
+    BitModel enc_model;
+    BitModel size_model;
+    const int calls =
+        trial == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 3000));
+    const double bias = rng.uniform(0.0, 1.0);
+    for (int i = 0; i < calls; ++i) {
+      const auto kind = rng.uniform_int(0, 2);
+      if (kind == 0) {
+        const bool bit = rng.chance(bias);
+        enc.encode_bit(enc_model, bit);
+        sizer.encode_bit(size_model, bit);
+      } else if (kind == 1) {
+        const bool bit = !rng.chance(0.01);
+        enc.encode_bit(enc_hot, bit);
+        sizer.encode_bit(size_hot, bit);
+      } else {
+        const auto width = static_cast<unsigned>(rng.uniform_int(0, 64));
+        const std::uint64_t value = rng.next_u64();
+        enc.encode_raw(value, width);
+        sizer.encode_raw(value, width);
+      }
+    }
+    EXPECT_EQ(sizer.finish(), enc.finish().size()) << "trial " << trial;
+  }
+}
+
 TEST(BitModel, AdaptsTowardObservedBit) {
   BitModel m;
   const auto before = m.prob_zero();

@@ -30,6 +30,9 @@ TEST(VideoStore, RejectsBadTiers) {
   EXPECT_THROW(VideoStore(gen, grid, sc), std::invalid_argument);
   sc.tiers = {{"zero", 0}};
   EXPECT_THROW(VideoStore(gen, grid, sc), std::invalid_argument);
+  // The blob format holds at most 64 tiers.
+  sc.tiers.assign(65, {"t", 1'000});
+  EXPECT_THROW(VideoStore(gen, grid, sc), std::invalid_argument);
 }
 
 TEST(VideoStore, DimensionsMatchConfig) {

@@ -1,11 +1,15 @@
 // Equivalence wall for the store build. Each fast path is checked against
 // a plain reference written here:
-//  * modeled frames, counted in one pass over the master positions, equal
-//    occupancy(thin(master, fraction)) per tier, and the whole serialized
-//    store equals a reference blob at every pool size;
+//  * modeled frames, counted by tier class over the master positions,
+//    equal occupancy(thin(master, fraction)) per tier, and the whole
+//    serialized store equals a reference blob (thin, assign, encode every
+//    tier of every sample frame) for power-of-two and other cell edges,
+//    unsorted and duplicate tier ladders, 0 to 2 sample frames, exact
+//    stores, and pools of 1, 2 and 4 workers;
 //  * the radix-sorted encoder equals an encoder that sorts (code, index)
 //    pairs with a comparator, byte for byte, on tie-heavy clouds;
-//  * VideoGenerator::positions() equals frame_soa()'s columns bit for bit;
+//  * VideoGenerator::positions() equals a per-point Quat::rotate of each
+//    sample by its part's pose, bit for bit;
 //  * the bundle's occupancy is the store's top-tier row, not a copy.
 // Suite names start with VideoStore so the TSan run selects them.
 #include <gtest/gtest.h>
@@ -49,7 +53,12 @@ ReferenceTables reference_tables(const VideoGenerator& gen,
                                  const VideoStoreConfig& config) {
   const std::size_t n_frames = gen.config().frame_count;
   const std::size_t n_tiers = config.tiers.size();
-  const std::size_t samples = std::min(config.sample_frames, n_frames);
+  // The store encodes at least one sample frame, and every frame when
+  // exact (then no size model is fitted).
+  const std::size_t samples =
+      config.exact ? n_frames
+                   : std::min(std::max<std::size_t>(config.sample_frames, 1),
+                              n_frames);
   const auto master_points =
       static_cast<double>(gen.config().points_per_frame);
   ReferenceTables ref;
@@ -129,6 +138,8 @@ struct BuildCase {
   std::size_t master_points;
   std::vector<std::size_t> tier_points;
   std::size_t sample_frames;
+  double cell_m = 0.5;
+  bool exact = false;
 };
 
 VideoStoreConfig case_config(const BuildCase& bc) {
@@ -137,7 +148,17 @@ VideoStoreConfig case_config(const BuildCase& bc) {
   for (std::size_t p : bc.tier_points)
     sc.tiers.push_back({"t" + std::to_string(p), p});
   sc.sample_frames = bc.sample_frames;
+  sc.exact = bc.exact;
   return sc;
+}
+
+std::string case_name(const BuildCase& bc) {
+  std::string name = "seed " + std::to_string(bc.seed) + ", master " +
+                     std::to_string(bc.master_points) + ", cell " +
+                     std::to_string(bc.cell_m) + ", samples " +
+                     std::to_string(bc.sample_frames) + ", tiers";
+  for (std::size_t p : bc.tier_points) name += " " + std::to_string(p);
+  return bc.exact ? name + ", exact" : name;
 }
 
 std::vector<BuildCase> build_cases() {
@@ -157,22 +178,35 @@ std::vector<BuildCase> build_cases() {
   cases.push_back({7, 5'001, {1, 5'001}, 1});
   // A four-tier ladder below the master, two sample frames.
   cases.push_back({13, 9'999, {1'000, 3'333, 6'000, 9'998}, 2});
+  // Cell edges: 0.25 m is a power of two (located by multiplying with its
+  // reciprocal), 0.3 m and 0.7 m are not (located by dividing).
+  cases.push_back({21, 4'000, {2'400, 3'127, 4'000}, 1, 0.25});
+  cases.push_back({22, 4'000, {2'400, 3'127, 4'000}, 2, 0.3});
+  cases.push_back({23, 4'000, {2'400, 3'127, 4'000}, 0, 0.7});
+  // Unsorted ladders and duplicate fractions: tier classes follow the
+  // filters' bounds, not the tier order.
+  cases.push_back({24, 3'000, {3'000, 900, 2'100}, 1, 0.3});
+  cases.push_back({25, 3'000, {1'800, 600, 1'800, 3'000, 600}, 2, 0.25});
+  cases.push_back({26, 2'500, {2'500, 2'500, 1'000}, 0, 0.7});
+  // Every frame exact: no size model, frames spread over the pool.
+  cases.push_back({27, 2'000, {600, 2'000, 1'300}, 0, 0.3, true});
+  // A one-point video.
+  cases.push_back({28, 1, {1}, 1, 0.25});
   return cases;
 }
 
 TEST(VideoStoreFusedBuild, ModeledFramesEqualThinThenOccupancy) {
   for (const BuildCase& bc : build_cases()) {
-    SCOPED_TRACE("seed " + std::to_string(bc.seed) + ", master " +
-                 std::to_string(bc.master_points));
+    SCOPED_TRACE(case_name(bc));
     VideoConfig vc;
     vc.points_per_frame = bc.master_points;
     vc.frame_count = 5;
     vc.seed = bc.seed;
     const VideoGenerator gen(vc);
-    const CellGrid grid(gen.content_bounds(), 0.5);
+    const CellGrid grid(gen.content_bounds(), bc.cell_m);
     const VideoStoreConfig sc = case_config(bc);
     const VideoStore store(gen, grid, sc);
-    for (std::size_t f = bc.sample_frames; f < vc.frame_count; ++f) {
+    for (std::size_t f = 0; f < vc.frame_count; ++f) {
       const FrameSoA master = gen.frame_soa(f);
       for (std::size_t q = 0; q < sc.tiers.size(); ++q) {
         const double fraction =
@@ -190,14 +224,13 @@ TEST(VideoStoreFusedBuild, ModeledFramesEqualThinThenOccupancy) {
 
 TEST(VideoStoreFusedBuild, SerializedStoreEqualsReferenceAtAnyPoolSize) {
   for (const BuildCase& bc : build_cases()) {
-    SCOPED_TRACE("seed " + std::to_string(bc.seed) + ", master " +
-                 std::to_string(bc.master_points));
+    SCOPED_TRACE(case_name(bc));
     VideoConfig vc;
     vc.points_per_frame = bc.master_points;
     vc.frame_count = 4;
     vc.seed = bc.seed;
     const VideoGenerator gen(vc);
-    const CellGrid grid(gen.content_bounds(), 0.5);
+    const CellGrid grid(gen.content_bounds(), bc.cell_m);
     VideoStoreConfig sc = case_config(bc);
     const std::vector<std::uint8_t> expected = reference_blob(
         reference_tables(gen, grid, sc), sc, vc.fps, grid.cell_count());
@@ -348,26 +381,58 @@ TEST(VideoStoreEncoder, RealContentEncodesEqualComparatorSort) {
 
 // ---------------------------------------------------------------------------
 
-TEST(VideoStorePositions, EqualFrameSoAColumnsBitForBit) {
-  VideoConfig vc;
-  vc.points_per_frame = 3'000;
-  vc.frame_count = 4;
-  vc.seed = 99;
-  const VideoGenerator gen(vc);
-  // Stale, oversized columns: positions() must resize, not append.
-  std::vector<double> x(5'000, 1.0);
-  std::vector<double> y(7, 2.0);
-  std::vector<double> z;
-  for (std::size_t f : {0u, 1u, 3u, 6u}) {  // 6 wraps to frame 2
-    gen.positions(f, x, y, z);
-    const FrameSoA frame = gen.frame_soa(f);
-    ASSERT_EQ(x.size(), frame.size());
-    ASSERT_EQ(y.size(), frame.size());
-    ASSERT_EQ(z.size(), frame.size());
-    EXPECT_EQ(std::memcmp(x.data(), frame.xs().data(), x.size() * 8), 0);
-    EXPECT_EQ(std::memcmp(y.data(), frame.ys().data(), y.size() * 8), 0);
-    EXPECT_EQ(std::memcmp(z.data(), frame.zs().data(), z.size() * 8), 0);
+TEST(VideoStorePositions, EqualPerPointRotateOfEachSample) {
+  // Small budgets round per part, and some leave a top-up tail of copies
+  // that mixes parts (5, 17 and 39 points); 1 point is a lone torso sample.
+  bool tail_mixes_parts = false;
+  for (std::size_t points : {1u, 5u, 7u, 11u, 17u, 39u, 3'000u}) {
+    SCOPED_TRACE(std::to_string(points) + " points");
+    VideoConfig vc;
+    vc.points_per_frame = points;
+    vc.frame_count = 4;
+    vc.seed = 99 + points;
+    const VideoGenerator gen(vc);
+    for (std::size_t i = 1; i < points; ++i)
+      tail_mixes_parts |= gen.sample(i).part < gen.sample(i - 1).part;
+    // Stale, oversized columns: positions() must resize, not append.
+    std::vector<double> x(5'000, 1.0);
+    std::vector<double> y(7, 2.0);
+    std::vector<double> z;
+    for (std::size_t f : {0u, 1u, 3u, 6u}) {  // 6 wraps to frame 2
+      gen.positions(f, x, y, z);
+      ASSERT_EQ(x.size(), points);
+      ASSERT_EQ(y.size(), points);
+      ASSERT_EQ(z.size(), points);
+      for (std::size_t i = 0; i < points; ++i) {
+        const VideoGenerator::Sample s = gen.sample(i);
+        const VideoGenerator::PartPose pose = gen.part_pose(f, s.part);
+        const geo::Vec3 p =
+            pose.body_rot.rotate(pose.pivot + pose.part_rot.rotate(s.local));
+        const double expected[3] = {p.x, p.y, p.z + pose.bob};
+        const double actual[3] = {x[i], y[i], z[i]};
+        ASSERT_EQ(std::memcmp(actual, expected, sizeof actual), 0)
+            << "frame " << f << ", point " << i;
+      }
+      const FrameSoA frame = gen.frame_soa(f);
+      EXPECT_EQ(std::memcmp(x.data(), frame.xs().data(), x.size() * 8), 0);
+      EXPECT_EQ(std::memcmp(z.data(), frame.zs().data(), z.size() * 8), 0);
+    }
   }
+  EXPECT_TRUE(tail_mixes_parts);
+}
+
+TEST(VideoStorePositions, PosesFollowTheGaitAndWrapModuloFrameCount) {
+  VideoConfig vc;
+  vc.points_per_frame = 100;
+  vc.frame_count = 30;
+  const VideoGenerator gen(vc);
+  const VideoGenerator::PartPose a = gen.part_pose(3, 2);
+  const VideoGenerator::PartPose wrapped = gen.part_pose(33, 2);
+  EXPECT_EQ(std::memcmp(&a, &wrapped, sizeof a), 0);
+  // Arms swing: the upper-arm rotation differs between frames 3 and 10.
+  EXPECT_NE(a.part_rot.w, gen.part_pose(10, 2).part_rot.w);
+  EXPECT_THROW((void)gen.part_pose(0, 10), std::out_of_range);
+  EXPECT_THROW((void)gen.sample(100), std::out_of_range);
 }
 
 TEST(VideoStoreOccupancy, BundleServesTheStoreTopTierRows) {
