@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: codec
-// encode/decode and size-only encoding, the store and bundle builds,
-// frustum culling, visibility computation, beam gain evaluation (direct
-// and from a link table), codebook sector sweeps, reflection and stock
-// multicast beam design, AWV synthesis and the grouping search. These are
-// the budgets that decide whether the cross-layer scheduler can run per
-// frame interval (33 ms at 30 FPS) on an edge server.
+// encode/decode and size-only encoding, the store and bundle builds, the
+// store's modeled frames, frustum culling, visibility computation, beam
+// gain evaluation (direct and from a link table), codebook sector sweeps,
+// reflection and stock multicast beam design, AWV synthesis and the
+// grouping search. These are the budgets that decide whether the
+// cross-layer scheduler can run per frame interval (33 ms at 30 FPS) on an
+// edge server.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "mmwave/beam_design.h"
 #include "mmwave/link.h"
 #include "pointcloud/codec.h"
+#include "pointcloud/sample_leaves.h"
 #include "pointcloud/video_generator.h"
 #include "pointcloud/video_store.h"
 #include "viewport/similarity.h"
@@ -149,6 +151,37 @@ void BM_VideoStoreBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VideoStoreBuild)->Unit(benchmark::kMillisecond);
+
+// The store's modeled frames at the same content: build the leaves of the
+// generator's samples, then count frames 1..29 per (tier class, cell).
+void BM_ModeledFrames(benchmark::State& state) {
+  vv::VideoConfig vc;
+  vc.points_per_frame = 120'000;
+  vc.frame_count = 30;
+  const vv::VideoGenerator gen(vc);
+  const vv::CellGrid grid(gen.content_bounds(), 0.5);
+  // Tier classes of the bundle's ladder (how many tiers keep each point).
+  const double scale = 120'000.0 / 550'000.0;
+  const std::vector<vv::ThinFilter> filters{
+      vv::ThinFilter(330'000 * scale / 120'000.0),
+      vv::ThinFilter(430'000 * scale / 120'000.0), vv::ThinFilter(1.0)};
+  std::vector<std::uint8_t> classes(vc.points_per_frame, 0);
+  for (std::uint32_t i = 0; i < classes.size(); ++i)
+    for (const vv::ThinFilter& filter : filters)
+      classes[i] = static_cast<std::uint8_t>(classes[i] + filter.keeps(i));
+  vv::SampleLeaves::Scratch scratch;
+  std::vector<std::uint32_t> hist;
+  for (auto _ : state) {
+    const vv::SampleLeaves leaves(gen, grid.cell_size_m() / 16.0, classes,
+                                  filters.size() + 1);
+    for (std::size_t f = 1; f < vc.frame_count; ++f) {
+      hist.assign((filters.size() + 1) * grid.cell_count(), 0);
+      leaves.count(f, grid, scratch, hist);
+    }
+    benchmark::DoNotOptimize(hist.data());
+  }
+}
+BENCHMARK(BM_ModeledFrames)->Unit(benchmark::kMillisecond);
 
 void BM_WorkloadBundleBuild(benchmark::State& state) {
   core::SessionConfig config;

@@ -3,7 +3,7 @@
 //
 // Per-session setup (generating the video, precomputing the codec size
 // tables, deriving the per-frame occupancy that drives visibility) costs
-// ~0.1-0.16 s with 120k-point, 30-frame content — which dwarfs run time for
+// ~0.07-0.11 s with 120k-point, 30-frame content — which dwarfs run time for
 // short sessions and scales fleet serial time linearly with slot count. But
 // all of those artifacts are pure functions of the *workload identity*
 // (video seed, point budget, frame count, fps, cell size), not of the

@@ -148,24 +148,6 @@ void code_points(const FrameSoA& frame, const CodecConfig& config,
       static_cast<double>((std::uint64_t{1} << quant_bits) - 1);
   const geo::Vec3 extent = bounds.extent();
 
-  // Split per-axis quantization over the coordinate columns: each loop is
-  // a straight-line round/clamp chain over one contiguous double array
-  // (round + min/max map to vector instructions), where the AoS form
-  // strided through 27-byte Point records quantizing three interleaved
-  // axes at once.
-  auto quantize_column = [max_q](std::span<const double> v, double lo,
-                                 double len, std::uint32_t* q) {
-    const std::size_t count = v.size();
-    if (len <= 0.0) {
-      std::fill(q, q + count, std::uint32_t{0});
-      return;
-    }
-    const double inv_len = max_q / len;
-    for (std::size_t i = 0; i < count; ++i) {
-      const double qq = std::round((v[i] - lo) * inv_len);
-      q[i] = static_cast<std::uint32_t>(std::clamp(qq, 0.0, max_q));
-    }
-  };
   std::vector<Keyed> keyed(n);
   {
     // Scoped so the columns and codes are freed before the sort allocates
@@ -173,9 +155,13 @@ void code_points(const FrameSoA& frame, const CodecConfig& config,
     std::vector<std::uint32_t> qx(n);
     std::vector<std::uint32_t> qy(n);
     std::vector<std::uint32_t> qz(n);
-    quantize_column(frame.xs(), bounds.lo.x, extent.x, qx.data());
-    quantize_column(frame.ys(), bounds.lo.y, extent.y, qy.data());
-    quantize_column(frame.zs(), bounds.lo.z, extent.z, qz.data());
+    // One vectorized pass per axis column.
+    detail::quantize_column(frame.xs(), bounds.lo.x, extent.x, max_q,
+                            qx.data());
+    detail::quantize_column(frame.ys(), bounds.lo.y, extent.y, max_q,
+                            qy.data());
+    detail::quantize_column(frame.zs(), bounds.lo.z, extent.z, max_q,
+                            qz.data());
     std::vector<std::uint64_t> codes(n);
     geo::morton_encode_batch(qx.data(), qy.data(), qz.data(), codes.data(),
                              n);
@@ -208,6 +194,28 @@ void code_points(const FrameSoA& frame, const CodecConfig& config,
 }
 
 }  // namespace
+
+namespace detail {
+
+void quantize_column(std::span<const double> v, double lo, double len,
+                     double max_q, std::uint32_t* q) noexcept {
+  const std::size_t count = v.size();
+  if (len <= 0.0) {
+    std::fill(q, q + count, std::uint32_t{0});
+    return;
+  }
+  const double inv_len = max_q / len;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double x = std::min(std::max(0.0, (v[i] - lo) * inv_len), max_q);
+    const auto t = static_cast<std::int32_t>(x);
+    // x - t is x's exact fraction, so 2 (x - t) truncates to 1 exactly
+    // when x - t >= 0.5: the round-half-up step with no compare.
+    q[i] = static_cast<std::uint32_t>(
+        t + static_cast<std::int32_t>((x - t) * 2.0));
+  }
+}
+
+}  // namespace detail
 
 std::vector<std::uint8_t> encode(const FrameSoA& frame,
                                  const CodecConfig& config) {

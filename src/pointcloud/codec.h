@@ -63,6 +63,21 @@ struct CodecConfig {
 /// malformed header. Value-identical to decode_soa(data).to_aos().
 [[nodiscard]] PointCloud decode(std::span<const std::uint8_t> data);
 
+namespace detail {
+
+/// The encoder's quantizer for one coordinate column: with
+/// x = (v[i] - lo) * (max_q / len), q[i] = clamp(round(x), 0, max_q) for
+/// every finite x (a NaN x gives 0), and every q[i] is 0 when len <= 0.
+/// `max_q` is a whole number below 2^31. It clamps x to [0, max_q] first,
+/// as CellGrid::locate does, then rounds half away from zero: with
+/// t = trunc(x) as int32, it adds (x - t >= 0.5), computed as
+/// trunc(2 (x - t)), which is exact for x >= 0. Unlike std::round, a libm
+/// call on SSE2, every step has a packed form, so the loop vectorizes.
+void quantize_column(std::span<const double> v, double lo, double len,
+                     double max_q, std::uint32_t* q) noexcept;
+
+}  // namespace detail
+
 /// Size of the fixed header every blob starts with (encoded_size() adds
 /// the payload to it).
 inline constexpr std::size_t kCodecHeaderBytes = 4 + 4 + 1 + 1 + 6 * 8;

@@ -5,6 +5,7 @@
 // the paper's 235-364 Mbps bitrates imply.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -21,13 +22,20 @@ class BitModel {
 
   [[nodiscard]] std::uint32_t prob_zero() const noexcept { return p0_; }
 
-  void update(bool bit) noexcept {
-    if (bit) {
-      p0_ -= p0_ >> kAdaptShift;
-    } else {
-      p0_ += (kOne - p0_) >> kAdaptShift;
-    }
+  void update(bool bit) noexcept { p0_ = next_prob(p0_, bit); }
+
+  /// The update rule: a one moves p0 down by p0 >> 5, a zero moves it up
+  /// by (kOne - p0) >> 5, both selected by a mask instead of a branch
+  /// (coded bits are unpredictable). From the initial kOne / 2, p0 stays
+  /// in [kMinProb, kMaxProb]: the step is 0 exactly at the two ends.
+  [[nodiscard]] static constexpr std::uint32_t next_prob(std::uint32_t p0,
+                                                         bool bit) noexcept {
+    const std::uint32_t one = 0u - static_cast<std::uint32_t>(bit);
+    return p0 - ((p0 >> kAdaptShift) & one) +
+           (((kOne - p0) >> kAdaptShift) & ~one);
   }
+  static constexpr std::uint32_t kMinProb = (1u << kAdaptShift) - 1;
+  static constexpr std::uint32_t kMaxProb = kOne - kMinProb;
 
  private:
   std::uint32_t p0_ = kOne / 2;
@@ -104,39 +112,56 @@ class RangeEncoder {
   std::vector<std::uint8_t> output_;
 };
 
+/// The range after `count` raw bits are coded from a renormalized `range`
+/// (at least kRangeTopValue), and how many byte shifts that takes: the
+/// per-bit loop (halve, then shift by 8 while below kRangeTopValue) in
+/// closed form. With w = bit_width(range) in [25, 32], the first shift
+/// comes after w - 24 halvings and leaves a 32-bit range whose low byte is
+/// zero; from there every 8 halvings shift once more and restore it.
+struct RawRenorm {
+  std::uint32_t range;
+  unsigned shifts;
+};
+[[nodiscard]] constexpr RawRenorm raw_renorm(std::uint32_t range,
+                                             unsigned count) noexcept {
+  const auto first = static_cast<unsigned>(std::bit_width(range)) - 24;
+  if (count < first) return {range >> count, 0};
+  const unsigned rest = count - first;
+  return {((range >> first) << 8) >> (rest % 8), 1 + rest / 8};
+}
+
 /// RangeEncoder's size-only twin: the same calls, no bytes. Only range_
 /// decides when the encoder renormalizes, so the sizer keeps range_ and
 /// counts shift_low() calls. Each call emits exactly one byte in the end
 /// (a byte is cached, possibly behind a run of 0xff bytes, until a carry
 /// resolves it), and finish() adds five calls whose last always flushes,
 /// so finish() returns RangeEncoder::finish().size().
+///
+/// One shift always renormalizes an adaptive bit: p0 stays in
+/// [kMinProb, kMaxProb], so from a range r >= 2^24 either branch leaves at
+/// least (r >> 12) * 31 >= 2^16.9, and one 8-bit shift restores
+/// r >= 2^24. Raw bits go through raw_renorm().
 class RangeSizer {
  public:
   void encode_bit(BitModel& model, bool bit) {
     const std::uint32_t bound =
         (range_ >> BitModel::kBits) * model.prob_zero();
-    range_ = bit ? range_ - bound : bound;
+    const std::uint32_t r = bit ? range_ - bound : bound;
     model.update(bit);
-    renormalize();
+    const bool shift = r < kRangeTopValue;
+    range_ = shift ? r << 8 : r;
+    shifts_ += shift;
   }
 
   void encode_raw(std::uint64_t /*value*/, unsigned count) {
-    for (unsigned i = 0; i < count; ++i) {
-      range_ >>= 1;
-      renormalize();
-    }
+    const RawRenorm next = raw_renorm(range_, count);
+    range_ = next.range;
+    shifts_ += next.shifts;
   }
 
   [[nodiscard]] std::size_t finish() const noexcept { return shifts_ + 5; }
 
  private:
-  void renormalize() {
-    while (range_ < kRangeTopValue) {
-      range_ <<= 8;
-      ++shifts_;
-    }
-  }
-
   std::uint32_t range_ = 0xffffffffu;
   std::size_t shifts_ = 0;
 };

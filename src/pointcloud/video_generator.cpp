@@ -51,8 +51,8 @@ const std::array<PartSpec, 10> kParts{{
 /// PartPose formula). Each element runs Quat::rotate's operations in
 /// order, so the columns equal a per-point transform bit for bit; with
 /// the rotations hoisted and the columns restrict-qualified the loop
-/// vectorizes. Out of line, so every caller gets the one compiled body
-/// (DESIGN.md, "FMA contraction").
+/// vectorizes. Out of line, so every caller of place() gets the one
+/// compiled body (DESIGN.md, "FMA contraction").
 [[gnu::noinline]] void transform_run(
     const double* __restrict lx, const double* __restrict ly,
     const double* __restrict lz, std::size_t n, Vec3 pivot, Quat part_rot,
@@ -155,13 +155,18 @@ void VideoGenerator::positions(std::size_t index, std::vector<double>& x,
   y.resize(n);
   z.resize(n);
   for (const PartRun& run : runs_) {
-    const PartPose pose = part_pose(index, run.part);
     const std::size_t b = run.begin;
-    transform_run(local_x_.data() + b, local_y_.data() + b,
-                  local_z_.data() + b, run.end - b, pose.pivot, pose.part_rot,
-                  pose.body_rot, pose.bob, x.data() + b, y.data() + b,
-                  z.data() + b);
+    place(part_pose(index, run.part), local_x_.data() + b,
+          local_y_.data() + b, local_z_.data() + b, run.end - b, x.data() + b,
+          y.data() + b, z.data() + b);
   }
+}
+
+void VideoGenerator::place(const PartPose& pose, const double* lx,
+                           const double* ly, const double* lz, std::size_t n,
+                           double* x, double* y, double* z) noexcept {
+  transform_run(lx, ly, lz, n, pose.pivot, pose.part_rot, pose.body_rot,
+                pose.bob, x, y, z);
 }
 
 VideoGenerator::Sample VideoGenerator::sample(std::size_t point) const {

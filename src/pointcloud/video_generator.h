@@ -53,11 +53,8 @@ class VideoGenerator {
   [[nodiscard]] FrameSoA frame_soa(std::size_t index) const;
 
   /// Fills x/y/z (resized to points_per_frame) with frame `index`'s point
-  /// positions. The only copy of the per-point transform: frame_soa() and
-  /// the store's modeled frames both read it, so their coordinates are the
-  /// same doubles under any floating-point contraction the build allows.
-  /// Each run of one body part goes through one column kernel with the
-  /// part's rotation and the body's rotation hoisted.
+  /// positions: each run of one body part goes through place() with the
+  /// part's pose.
   void positions(std::size_t index, std::vector<double>& x,
                  std::vector<double>& y, std::vector<double>& z) const;
 
@@ -82,6 +79,39 @@ class VideoGenerator {
   };
   [[nodiscard]] PartPose part_pose(std::size_t index, std::size_t part) const;
 
+  /// Moves `n` offsets (lx/ly/lz) of one body part to their positions
+  /// (x/y/z) under `pose`, the PartPose formula point by point. The only
+  /// copy of the per-point transform: positions(), frame_soa() and the
+  /// store's leaves all go through it, so equal offsets under equal poses
+  /// give the same doubles wherever they sit in a column. The columns must
+  /// not overlap.
+  static void place(const PartPose& pose, const double* lx, const double* ly,
+                    const double* lz, std::size_t n, double* x, double* y,
+                    double* z) noexcept;
+
+  /// A maximal range [begin, end) of samples on one body part. Samples are
+  /// laid out part by part; only the short top-up tail mixes parts.
+  struct PartRun {
+    std::size_t part = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  /// The part runs in sample order; together they cover every sample.
+  [[nodiscard]] const std::vector<PartRun>& runs() const noexcept {
+    return runs_;
+  }
+  /// The samples' offsets as columns, one entry per point (sample(i).local
+  /// is {local_x()[i], local_y()[i], local_z()[i]}).
+  [[nodiscard]] const std::vector<double>& local_x() const noexcept {
+    return local_x_;
+  }
+  [[nodiscard]] const std::vector<double>& local_y() const noexcept {
+    return local_y_;
+  }
+  [[nodiscard]] const std::vector<double>& local_z() const noexcept {
+    return local_z_;
+  }
+
   /// Analytic bound that contains the figure in every frame; used to build
   /// the stable CellGrid.
   [[nodiscard]] geo::Aabb content_bounds() const noexcept;
@@ -90,14 +120,6 @@ class VideoGenerator {
   [[nodiscard]] geo::Vec3 content_center() const noexcept;
 
  private:
-  /// A maximal range [begin, end) of samples on one body part. Samples are
-  /// laid out part by part; only the short top-up tail mixes parts.
-  struct PartRun {
-    std::size_t part = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
   VideoConfig config_;
   // One entry per output point: the offset from its part's pivot (already
   // scaled) and its packed r, g, b.

@@ -10,6 +10,7 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
+#include "pointcloud/sample_leaves.h"
 
 namespace volcast::vv {
 
@@ -40,16 +41,6 @@ FrameSoA tier_cell(const FrameSoA& master,
                     rgb[3 * i + 2]);
   return out;
 }
-
-/// A modeled frame's working buffers, reused across the frames of one
-/// pool lane.
-struct ModeledScratch {
-  std::vector<double> x;
-  std::vector<double> y;
-  std::vector<double> z;
-  std::vector<CellId> ids;
-  std::vector<std::uint32_t> hist;  // [class][cell]
-};
 
 }  // namespace
 
@@ -137,24 +128,18 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
       for (std::size_t k = 0; k < pairs; ++k) size_cell(k);
     }
   };
-  // A modeled frame needs only per-cell point counts: one pass over the
-  // master positions builds a [class][cell] histogram, and a suffix sum
-  // over classes turns row k into the count of points of class >= k, which
-  // is tier q's row at k = min_class[q]. Exact integer arithmetic, so it
-  // equals occupancy(thin(master, fraction)) per tier. Bytes come from the
-  // fit.
+  // A modeled frame needs only per-cell point counts: the leaves fill a
+  // [class][cell] histogram, and a suffix sum over classes turns row k
+  // into the count of points of class >= k, which is tier q's row at
+  // k = min_class[q]. Exact integer arithmetic, so it equals
+  // occupancy(thin(master, fraction)) per tier. Bytes come from the fit.
   const std::size_t n_classes = n_tiers + 1;
   const auto build_modeled_frame = [&](std::size_t f,
-                                       ModeledScratch& scratch) {
-    generator.positions(f, scratch.x, scratch.y, scratch.z);
-    const std::size_t n = scratch.x.size();
-    scratch.ids.resize(n);
-    grid.locate_columns(scratch.x.data(), scratch.y.data(), scratch.z.data(),
-                        n, scratch.ids.data());
-    std::vector<std::uint32_t>& hist = scratch.hist;
+                                       const SampleLeaves& leaves,
+                                       SampleLeaves::Scratch& scratch,
+                                       std::vector<std::uint32_t>& hist) {
     hist.assign(n_classes * n_cells, 0);
-    for (std::size_t i = 0; i < n; ++i)
-      ++hist[classes[i] * n_cells + scratch.ids[i]];
+    leaves.count(f, grid, scratch, hist);
     for (std::size_t k = n_classes - 1; k-- > 0;)
       for (std::size_t c = 0; c < n_cells; ++c)
         hist[k * n_cells + c] += hist[(k + 1) * n_cells + c];
@@ -205,15 +190,22 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
   }
   for (std::size_t q = 0; q < n_tiers; ++q)
     fits[q] = fit_line(model_points[q], model_bytes[q]);
-  // Each lane owns one scratch set and a contiguous chunk of frames.
   const std::size_t modeled = n_frames - sample_count;
+  if (modeled == 0) return;
+  // Leaves are built after the sample frames, whose buffers are gone by
+  // then, so they do not add to the build's peak memory. Each lane owns
+  // one scratch set and a contiguous chunk of frames.
+  const SampleLeaves leaves(generator, grid.cell_size_m() / 16.0, classes,
+                            n_classes);
   const std::size_t lanes = std::min(
       config_.pool != nullptr ? config_.pool->thread_count() : 1, modeled);
   common::ThreadPool::run(config_.pool, lanes, [&](std::size_t lane) {
-    ModeledScratch scratch;
+    SampleLeaves::Scratch scratch;
+    std::vector<std::uint32_t> hist;
     const std::size_t lo = sample_count + modeled * lane / lanes;
     const std::size_t hi = sample_count + modeled * (lane + 1) / lanes;
-    for (std::size_t f = lo; f < hi; ++f) build_modeled_frame(f, scratch);
+    for (std::size_t f = lo; f < hi; ++f)
+      build_modeled_frame(f, leaves, scratch, hist);
   });
 }
 

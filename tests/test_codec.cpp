@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "pointcloud/video_generator.h"
@@ -239,6 +242,77 @@ TEST(Codec, EncodedSizeOfEmptyAndOnePointFramesAndRealContent) {
   bad.quant_bits = 22;
   bad.resolution_m = 0.0;
   EXPECT_THROW((void)encoded_size(one, bad), std::invalid_argument);
+}
+
+/// The quantizer's contract: std::round, clamped to [0, max_q].
+std::uint32_t clamped_round(double x, double max_q) {
+  return static_cast<std::uint32_t>(std::clamp(std::round(x), 0.0, max_q));
+}
+
+TEST(CodecQuantize, ColumnEqualsClampedRoundAtTiesAndBounds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (unsigned bits : {1u, 2u, 11u, 21u}) {
+    const auto max_q = static_cast<double>((std::uint64_t{1} << bits) - 1);
+    std::vector<double> xs{0.0,
+                           -0.0,
+                           0.49999999999999994,
+                           std::nextafter(0.0, 1.0),
+                           -std::nextafter(0.0, 1.0),
+                           -0.5,
+                           -1.0,
+                           -1e300,
+                           -kInf,
+                           max_q,
+                           std::nextafter(max_q, 0.0),
+                           std::nextafter(max_q, kInf),
+                           max_q + 0.5,
+                           max_q + 1.0,
+                           2.0 * max_q + 7.0,
+                           1e300,
+                           kInf};
+    // Ties k + 0.5 for a ladder of k up to max_q - 1, and one ulp either
+    // side of each.
+    std::vector<double> ks{max_q - 1.0};
+    for (double k = 0.0; k < max_q - 1.0; k = std::floor(k * 1.7) + 1.0)
+      ks.push_back(k);
+    for (const double k : ks) {
+      const double tie = k + 0.5;
+      xs.insert(xs.end(), {tie, std::nextafter(tie, 0.0),
+                           std::nextafter(tie, kInf), k, k + 1.0});
+    }
+    // Scale 1: with lo = 0 and len = max_q the quantizer sees x = v.
+    std::vector<std::uint32_t> q(xs.size(), 0xdeadbeefu);
+    detail::quantize_column(xs, 0.0, max_q, max_q, q.data());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      EXPECT_EQ(q[i], clamped_round(xs[i], max_q))
+          << bits << " bits, x = " << xs[i];
+  }
+  // A NaN coordinate quantizes to 0, and an empty extent to 0 everywhere.
+  const std::vector<double> nan{std::nan("")};
+  std::uint32_t out = 7;
+  detail::quantize_column(nan, 0.0, 3.0, 3.0, &out);
+  EXPECT_EQ(out, 0u);
+  const std::vector<double> flat{1.5, 2.5};
+  std::vector<std::uint32_t> zeros(2, 9);
+  detail::quantize_column(flat, 1.5, 0.0, 2047.0, zeros.data());
+  EXPECT_EQ(zeros, (std::vector<std::uint32_t>{0, 0}));
+}
+
+TEST(CodecQuantize, ColumnEqualsClampedRoundOnRandomScales) {
+  volcast::Rng rng(53);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto bits = static_cast<unsigned>(rng.uniform_int(1, 21));
+    const auto max_q = static_cast<double>((std::uint64_t{1} << bits) - 1);
+    const double lo = rng.uniform(-3.0, 3.0);
+    const double len = rng.uniform(1e-6, 4.0);
+    std::vector<double> v(257);
+    for (double& x : v) x = lo + rng.uniform(-0.1, 1.1) * len;
+    std::vector<std::uint32_t> q(v.size());
+    detail::quantize_column(v, lo, len, max_q, q.data());
+    for (std::size_t i = 0; i < v.size(); ++i)
+      ASSERT_EQ(q[i], clamped_round((v[i] - lo) * (max_q / len), max_q))
+          << "trial " << trial << ", v = " << v[i];
+  }
 }
 
 class CodecSizeSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "common/rng.h"
@@ -138,6 +140,137 @@ TEST(RangeCoder, SizerCountsTheEncodersBytes) {
     }
     EXPECT_EQ(sizer.finish(), enc.finish().size()) << "trial " << trial;
   }
+}
+
+/// The renormalizing sizer as a loop: RangeSizer's reference. Copyable,
+/// so a test can read finish() after every call.
+class LoopSizer {
+ public:
+  void encode_bit(BitModel& model, bool bit) {
+    const std::uint32_t bound =
+        (range_ >> BitModel::kBits) * model.prob_zero();
+    if (bit) {
+      range_ -= bound;
+    } else {
+      range_ = bound;
+    }
+    model.update(bit);
+    renormalize();
+  }
+  void encode_raw(unsigned count) {
+    for (unsigned i = 0; i < count; ++i) {
+      range_ >>= 1;
+      renormalize();
+    }
+  }
+  [[nodiscard]] std::size_t finish() const { return shifts_ + 5; }
+
+ private:
+  void renormalize() {
+    while (range_ < kRangeTopValue) {
+      range_ <<= 8;
+      ++shifts_;
+    }
+  }
+  std::uint32_t range_ = 0xffffffffu;
+  std::size_t shifts_ = 0;
+};
+
+TEST(RangeSizer, RawRenormEqualsThePerBitLoop) {
+  volcast::Rng rng(29);
+  for (unsigned width = 25; width <= 32; ++width) {
+    const std::uint32_t lowest = 1u << (width - 1);
+    const std::uint32_t highest =
+        width == 32 ? 0xffffffffu : (1u << width) - 1;
+    std::vector<std::uint32_t> ranges{lowest, lowest + 1, highest,
+                                      highest - 1, lowest | 0xffu,
+                                      lowest | (lowest >> 1)};
+    for (int k = 0; k < 6; ++k)
+      ranges.push_back(lowest | static_cast<std::uint32_t>(
+                                    rng.next_u64() & (lowest - 1)));
+    for (const std::uint32_t start : ranges) {
+      ASSERT_EQ(std::bit_width(start), static_cast<int>(width));
+      for (unsigned count = 0; count <= 64; ++count) {
+        std::uint32_t range = start;
+        unsigned shifts = 0;
+        for (unsigned i = 0; i < count; ++i) {
+          range >>= 1;
+          while (range < kRangeTopValue) {
+            range <<= 8;
+            ++shifts;
+          }
+        }
+        const RawRenorm closed = raw_renorm(start, count);
+        EXPECT_EQ(closed.range, range) << start << " after " << count;
+        EXPECT_EQ(closed.shifts, shifts) << start << " after " << count;
+      }
+    }
+  }
+}
+
+TEST(RangeSizer, EqualsLoopRenormalizingReferenceAfterEveryCall) {
+  volcast::Rng rng(31);
+  for (const double bias : {0.0, 0.001, 0.02, 0.3, 0.5, 0.9, 0.999, 1.0}) {
+    RangeSizer sizer;
+    LoopSizer reference;
+    std::vector<BitModel> models(3);
+    std::vector<BitModel> reference_models(3);
+    for (int i = 0; i < 100'000; ++i) {
+      if (rng.chance(0.1)) {
+        const auto count = static_cast<unsigned>(rng.uniform_int(0, 64));
+        sizer.encode_raw(rng.next_u64(), count);
+        reference.encode_raw(count);
+      } else {
+        const auto m = static_cast<std::size_t>(i % 3);
+        const bool bit = rng.chance(bias);
+        sizer.encode_bit(models[m], bit);
+        reference.encode_bit(reference_models[m], bit);
+      }
+      ASSERT_EQ(sizer.finish(), reference.finish())
+          << "bias " << bias << ", call " << i;
+    }
+  }
+}
+
+TEST(BitModel, MaskedUpdateEqualsTheBranchyRule) {
+  for (std::uint32_t p0 = BitModel::kMinProb; p0 <= BitModel::kMaxProb;
+       ++p0) {
+    const std::uint32_t after_one = p0 - (p0 >> BitModel::kAdaptShift);
+    const std::uint32_t after_zero =
+        p0 + ((BitModel::kOne - p0) >> BitModel::kAdaptShift);
+    EXPECT_EQ(BitModel::next_prob(p0, true), after_one) << p0;
+    EXPECT_EQ(BitModel::next_prob(p0, false), after_zero) << p0;
+    for (const std::uint32_t next : {after_one, after_zero}) {
+      EXPECT_GE(next, BitModel::kMinProb) << p0;
+      EXPECT_LE(next, BitModel::kMaxProb) << p0;
+    }
+  }
+  EXPECT_EQ(BitModel::kMinProb, 31u);
+  EXPECT_EQ(BitModel::kMaxProb, 4065u);
+  // The ends are fixed points.
+  EXPECT_EQ(BitModel::next_prob(BitModel::kMinProb, true),
+            BitModel::kMinProb);
+  EXPECT_EQ(BitModel::next_prob(BitModel::kMaxProb, false),
+            BitModel::kMaxProb);
+}
+
+TEST(BitModel, ProbabilityStaysInRangeOnLongStreams) {
+  volcast::Rng rng(37);
+  std::uint32_t lowest = BitModel::kOne;
+  std::uint32_t highest = 0;
+  for (const double bias : {0.0, 0.001, 0.05, 0.5, 0.95, 0.999, 1.0}) {
+    BitModel model;
+    for (int i = 0; i < 200'000; ++i) {
+      model.update(rng.chance(bias));
+      ASSERT_GE(model.prob_zero(), BitModel::kMinProb) << bias;
+      ASSERT_LE(model.prob_zero(), BitModel::kMaxProb) << bias;
+      lowest = std::min(lowest, model.prob_zero());
+      highest = std::max(highest, model.prob_zero());
+    }
+  }
+  // Runs of ones and of zeros drive it to both ends.
+  EXPECT_EQ(lowest, BitModel::kMinProb);
+  EXPECT_EQ(highest, BitModel::kMaxProb);
 }
 
 TEST(BitModel, AdaptsTowardObservedBit) {

@@ -1,13 +1,17 @@
 // Equivalence wall for the store build. Each fast path is checked against
 // a plain reference written here:
-//  * modeled frames, counted by tier class over the master positions,
-//    equal occupancy(thin(master, fraction)) per tier, and the whole
+//  * modeled frames, counted by tier class leaf by leaf, equal
+//    occupancy(thin(master, fraction)) per tier at five cell edges and on
+//    a grid smaller than the content, and the whole
 //    serialized store equals a reference blob (thin, assign, encode every
 //    tier of every sample frame) for power-of-two and other cell edges,
 //    unsorted and duplicate tier ladders, 0 to 2 sample frames, exact
 //    stores, and pools of 1, 2 and 4 workers;
 //  * the radix-sorted encoder equals an encoder that sorts (code, index)
 //    pairs with a comparator, byte for byte, on tie-heavy clouds;
+//  * the leaves partition the samples, their radii are inflated past
+//    every member, moved members stay inside the moved corners, and their
+//    counts equal locating every sample;
 //  * VideoGenerator::positions() equals a per-point Quat::rotate of each
 //    sample by its part's pose, bit for bit;
 //  * the bundle's occupancy is the store's top-tier row, not a copy.
@@ -18,6 +22,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,6 +35,7 @@
 #include "geometry/morton.h"
 #include "pointcloud/codec.h"
 #include "pointcloud/range_coder.h"
+#include "pointcloud/sample_leaves.h"
 #include "pointcloud/video_store.h"
 
 namespace volcast::vv {
@@ -195,6 +201,38 @@ std::vector<BuildCase> build_cases() {
   return cases;
 }
 
+/// Grids for the modeled-frame and leaf tests: the content bounds at cell
+/// edges of 0.25 (a power of two), 0.3, 0.5, 0.7 and 1.0 m, and a box
+/// smaller than the content, so points clamp into its edge cells.
+std::vector<CellGrid> leaf_grids(const VideoGenerator& gen) {
+  std::vector<CellGrid> grids;
+  for (double edge : {0.25, 0.3, 0.5, 0.7, 1.0})
+    grids.emplace_back(gen.content_bounds(), edge);
+  grids.emplace_back(geo::Aabb{{-0.3, -0.2, 0.6}, {0.3, 0.25, 1.5}}, 0.3);
+  return grids;
+}
+
+/// Every row of `store` equals occupancy(thin(master, fraction)).
+void expect_rows_equal_thin_then_occupancy(const VideoGenerator& gen,
+                                           const CellGrid& grid,
+                                           const VideoStoreConfig& sc,
+                                           const VideoStore& store) {
+  const auto master_points =
+      static_cast<double>(gen.config().points_per_frame);
+  for (std::size_t f = 0; f < gen.config().frame_count; ++f) {
+    const FrameSoA master = gen.frame_soa(f);
+    for (std::size_t q = 0; q < sc.tiers.size(); ++q) {
+      const double fraction =
+          static_cast<double>(sc.tiers[q].points_per_frame) / master_points;
+      const auto expected = grid.occupancy(thin(master, fraction));
+      const auto row = store.tier_points(f, q);
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), expected.begin(),
+                             expected.end()))
+          << "frame " << f << " tier " << q;
+    }
+  }
+}
+
 TEST(VideoStoreFusedBuild, ModeledFramesEqualThinThenOccupancy) {
   for (const BuildCase& bc : build_cases()) {
     SCOPED_TRACE(case_name(bc));
@@ -206,17 +244,35 @@ TEST(VideoStoreFusedBuild, ModeledFramesEqualThinThenOccupancy) {
     const CellGrid grid(gen.content_bounds(), bc.cell_m);
     const VideoStoreConfig sc = case_config(bc);
     const VideoStore store(gen, grid, sc);
-    for (std::size_t f = 0; f < vc.frame_count; ++f) {
-      const FrameSoA master = gen.frame_soa(f);
-      for (std::size_t q = 0; q < sc.tiers.size(); ++q) {
-        const double fraction =
-            static_cast<double>(sc.tiers[q].points_per_frame) /
-            static_cast<double>(bc.master_points);
-        const auto expected = grid.occupancy(thin(master, fraction));
-        const auto row = store.tier_points(f, q);
-        ASSERT_TRUE(std::equal(row.begin(), row.end(), expected.begin(),
-                               expected.end()))
-            << "frame " << f << " tier " << q;
+    expect_rows_equal_thin_then_occupancy(gen, grid, sc, store);
+  }
+  // Every leaf grid, tiny and large videos, a ladder topped by the master
+  // and one below it (points no tier keeps), on pools of 1, 2 and 4.
+  for (std::size_t points : {1u, 7u, 11u, 3'000u}) {
+    VideoConfig vc;
+    vc.points_per_frame = points;
+    vc.frame_count = 6;
+    vc.seed = 40 + points;
+    const VideoGenerator gen(vc);
+    const auto share = [points](std::size_t of_550) {
+      return std::max<std::size_t>(1, points * of_550 / 550);
+    };
+    for (const std::vector<std::size_t>& ladder :
+         {std::vector<std::size_t>{share(330), share(430), points},
+          std::vector<std::size_t>{share(330), share(500)}}) {
+      BuildCase bc{vc.seed, points, ladder, 1};
+      VideoStoreConfig sc = case_config(bc);
+      for (const CellGrid& grid : leaf_grids(gen)) {
+        for (std::size_t threads : {1u, 2u, 4u}) {
+          SCOPED_TRACE(case_name(bc) + ", grid edge " +
+                       std::to_string(grid.cell_size_m()) + " with " +
+                       std::to_string(grid.cell_count()) + " cells, " +
+                       std::to_string(threads) + " workers");
+          common::ThreadPool pool(threads);
+          sc.pool = &pool;
+          const VideoStore store(gen, grid, sc);
+          expect_rows_equal_thin_then_occupancy(gen, grid, sc, store);
+        }
       }
     }
   }
@@ -377,6 +433,141 @@ TEST(VideoStoreEncoder, RealContentEncodesEqualComparatorSort) {
     EXPECT_EQ(encode(frame, config), comparator_encode(frame, quant_bits))
         << "quant_bits " << quant_bits;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Leaves: the modeled frames' counts, leaf by leaf.
+
+/// Test classes: sample i has class i % 4.
+std::vector<std::uint8_t> test_classes(std::size_t points) {
+  std::vector<std::uint8_t> classes(points);
+  for (std::size_t i = 0; i < points; ++i)
+    classes[i] = static_cast<std::uint8_t>(i % 4);
+  return classes;
+}
+
+TEST(VideoStoreLeaves, PartitionTheSamplesWithInflatedRadii) {
+  using Member = std::array<double, 5>;  // part, x, y, z, class
+  for (std::size_t points : {1u, 7u, 11u, 3'000u}) {
+    VideoConfig vc;
+    vc.points_per_frame = points;
+    vc.frame_count = 2;
+    vc.seed = 60 + points;
+    const VideoGenerator gen(vc);
+    const std::vector<std::uint8_t> classes = test_classes(points);
+    std::vector<Member> samples;
+    for (std::size_t i = 0; i < points; ++i) {
+      const VideoGenerator::Sample s = gen.sample(i);
+      samples.push_back({static_cast<double>(s.part), s.local.x, s.local.y,
+                         s.local.z, static_cast<double>(classes[i])});
+    }
+    std::sort(samples.begin(), samples.end());
+    // 1e-7 m is far finer than any run allows, so runs coarsen it.
+    for (double edge : {0.25 / 16, 0.5 / 16, 1.0 / 16, 1e-7}) {
+      SCOPED_TRACE(std::to_string(points) + " points, edge " +
+                   std::to_string(edge));
+      const SampleLeaves leaves(gen, edge, classes, 4);
+      ASSERT_LE(leaves.size(), points);
+      std::vector<Member> members;
+      for (std::size_t l = 0; l < leaves.size(); ++l) {
+        const SampleLeaves::Leaf leaf = leaves.leaf(l);
+        ASSERT_FALSE(leaf.x.empty()) << "leaf " << l;
+        std::array<std::uint32_t, 4> counts{};
+        for (std::size_t m = 0; m < leaf.x.size(); ++m) {
+          members.push_back({static_cast<double>(leaf.part), leaf.x[m],
+                             leaf.y[m], leaf.z[m],
+                             static_cast<double>(leaf.classes[m])});
+          ++counts[leaf.classes[m]];
+          const double d =
+              (geo::Vec3{leaf.x[m], leaf.y[m], leaf.z[m]} - leaf.centre)
+                  .norm();
+          ASSERT_GE(leaf.radius, d * (1.0 + 1e-9) + 1e-9)
+              << "leaf " << l << ", member " << m;
+        }
+        ASSERT_TRUE(std::equal(counts.begin(), counts.end(),
+                               leaf.class_counts.begin(),
+                               leaf.class_counts.end()))
+            << "leaf " << l;
+      }
+      std::sort(members.begin(), members.end());
+      EXPECT_EQ(members, samples);
+      EXPECT_THROW((void)leaves.leaf(leaves.size()), std::out_of_range);
+    }
+  }
+  VideoConfig vc;
+  vc.points_per_frame = 10;
+  const VideoGenerator gen(vc);
+  EXPECT_THROW(SampleLeaves(gen, 0.0, test_classes(10), 4),
+               std::invalid_argument);
+  EXPECT_THROW(SampleLeaves(gen, 0.01, test_classes(9), 4),
+               std::invalid_argument);
+}
+
+TEST(VideoStoreLeaves, MovedMembersStayInsideTheCorners) {
+  VideoConfig vc;
+  vc.points_per_frame = 3'000;
+  vc.frame_count = 30;
+  const VideoGenerator gen(vc);
+  const SampleLeaves leaves(gen, 0.3 / 16, test_classes(3'000), 4);
+  for (std::size_t f : {0u, 3u, 11u, 29u}) {
+    for (std::size_t l = 0; l < leaves.size(); ++l) {
+      const SampleLeaves::Leaf leaf = leaves.leaf(l);
+      const VideoGenerator::PartPose pose = gen.part_pose(f, leaf.part);
+      double c[3];
+      VideoGenerator::place(pose, &leaf.centre.x, &leaf.centre.y,
+                            &leaf.centre.z, 1, &c[0], &c[1], &c[2]);
+      const std::size_t n = leaf.x.size();
+      std::vector<double> x(n), y(n), z(n);
+      VideoGenerator::place(pose, leaf.x.data(), leaf.y.data(), leaf.z.data(),
+                            n, x.data(), y.data(), z.data());
+      // The margin is about 1e-9 m; rounding moves a point by ~1e-15 m.
+      for (std::size_t m = 0; m < n; ++m) {
+        const double moved[3] = {x[m], y[m], z[m]};
+        for (int a = 0; a < 3; ++a) {
+          ASSERT_LE(moved[a], c[a] + leaf.radius - 5e-10)
+              << "frame " << f << ", leaf " << l << ", member " << m;
+          ASSERT_GE(moved[a], c[a] - leaf.radius + 5e-10)
+              << "frame " << f << ", leaf " << l << ", member " << m;
+        }
+      }
+    }
+  }
+}
+
+TEST(VideoStoreLeaves, CountsEqualLocatingEverySample) {
+  std::size_t whole = 0;
+  std::size_t split = 0;
+  for (std::size_t points : {1u, 7u, 11u, 3'000u}) {
+    VideoConfig vc;
+    vc.points_per_frame = points;
+    vc.frame_count = 5;
+    vc.seed = 80 + points;
+    const VideoGenerator gen(vc);
+    const std::vector<std::uint8_t> classes = test_classes(points);
+    SampleLeaves::Scratch scratch;  // reused across grids and frames
+    for (const CellGrid& grid : leaf_grids(gen)) {
+      const std::size_t cells = grid.cell_count();
+      const SampleLeaves leaves(gen, grid.cell_size_m() / 16, classes, 4);
+      for (std::size_t f = 0; f < vc.frame_count + 2; ++f) {  // wraps
+        SCOPED_TRACE(std::to_string(points) + " points, edge " +
+                     std::to_string(grid.cell_size_m()) + ", " +
+                     std::to_string(cells) + " cells, frame " +
+                     std::to_string(f));
+        std::vector<std::uint32_t> expected(4 * cells, 0);
+        const FrameSoA frame = gen.frame_soa(f);
+        for (std::uint32_t i = 0; i < points; ++i)
+          ++expected[classes[i] * cells + grid.locate(frame.position(i))];
+        std::vector<std::uint32_t> hist(4 * cells, 0);
+        leaves.count(f, grid, scratch, hist);
+        ASSERT_EQ(hist, expected);
+        for (std::size_t l = 0; l < leaves.size(); ++l)
+          ++(scratch.lo_ids[l] == scratch.hi_ids[l] ? whole : split);
+      }
+    }
+  }
+  // Both paths ran: leaves counted whole and leaves located per member.
+  EXPECT_GT(whole, 0u);
+  EXPECT_GT(split, 0u);
 }
 
 // ---------------------------------------------------------------------------
