@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -50,15 +49,6 @@ GroupBeam BeamDesigner::finish(
 }
 
 GroupBeam BeamDesigner::design_unicast(
-    const geo::Vec3& position,
-    std::span<const geo::BodyObstacle> bodies) const {
-  const geo::Vec3 receivers[] = {position};
-  mmwave::LinkTable links = link_table(receivers, bodies);
-  const std::vector<std::uint8_t> every_body(bodies.size(), 1);
-  return design_unicast(links, 0, every_body);
-}
-
-GroupBeam BeamDesigner::design_unicast(
     mmwave::LinkTable& links, std::size_t rx,
     std::span<const std::uint8_t> body_mask) const {
   require_own_table(links, "design_unicast");
@@ -82,21 +72,6 @@ mmwave::LinkTable BeamDesigner::link_table(
   return mmwave::LinkTable(testbed_->ap(), testbed_->channel(),
                            testbed_->budget(), testbed_->blockage(),
                            receivers, bodies, &testbed_->codebook(), rows);
-}
-
-GroupBeam BeamDesigner::design_multicast(
-    std::span<const geo::Vec3> positions,
-    std::span<const geo::BodyObstacle> bodies,
-    std::span<const geo::Vec3> others) const {
-  std::vector<geo::Vec3> receivers(positions.begin(), positions.end());
-  receivers.insert(receivers.end(), others.begin(), others.end());
-  mmwave::LinkTable links = link_table(receivers, bodies);
-  std::vector<std::size_t> members(positions.size());
-  std::iota(members.begin(), members.end(), std::size_t{0});
-  std::vector<std::size_t> other_ids(others.size());
-  std::iota(other_ids.begin(), other_ids.end(), positions.size());
-  const std::vector<std::uint8_t> every_body(bodies.size(), 1);
-  return design_multicast(links, members, every_body, other_ids);
 }
 
 GroupBeam BeamDesigner::design_multicast(

@@ -9,6 +9,11 @@
 // beam from the members' individual beams, probe it (Section 5: reflections
 // can make a new beam interfere), and fall back to the best stock common
 // sector when that already serves everyone well or the probe fails.
+//
+// Every design prices its links through a link table of the designer's AP:
+// a session's tick table (tick_links), or link_table() toward the caller's
+// receivers. design_reflection alone keeps a position overload, for the
+// blockage mitigator.
 #pragma once
 
 #include <cstdint>
@@ -60,39 +65,23 @@ class BeamDesigner {
  public:
   BeamDesigner(const Testbed& testbed, BeamDesignerConfig config = {});
 
-  /// Unicast beam + achievable goodput for one user at `position`.
-  /// `bodies` are the other people in the room (ground-truth blockage).
-  /// Prices its link through a one-shot link_table() toward `position`.
-  [[nodiscard]] GroupBeam design_unicast(
-      const geo::Vec3& position,
-      std::span<const geo::BodyObstacle> bodies = {}) const;
-
-  /// The same design toward receiver `rx` of a link table of this
-  /// designer's AP, shadowed by the bodies `body_mask` selects from the
-  /// table's body list: the steered beam is links.steered(rx), the stock
-  /// sector is picked from the row's cached sector gains. Bit-identical to
-  /// the overload above called with that receiver's position and the
-  /// masked bodies. Throws std::invalid_argument for a table built for
+  /// Unicast beam + achievable goodput toward receiver `rx` of a link
+  /// table of this designer's AP, shadowed by the bodies `body_mask`
+  /// selects from the table's body list: the steered beam is
+  /// links.steered(rx), the stock sector is picked from the row's cached
+  /// sector gains. Throws std::invalid_argument for a table built for
   /// another array.
   [[nodiscard]] GroupBeam design_unicast(
       mmwave::LinkTable& links, std::size_t rx,
       std::span<const std::uint8_t> body_mask) const;
 
-  /// Multicast beam for `positions` (>= 1). `others` are non-member user
-  /// positions used for spill probing. Prices its links through a one-shot
-  /// link_table() over positions then others.
-  [[nodiscard]] GroupBeam design_multicast(
-      std::span<const geo::Vec3> positions,
-      std::span<const geo::BodyObstacle> bodies = {},
-      std::span<const geo::Vec3> others = {}) const;
-
-  /// The same design over a link table of this designer's AP: `members`
-  /// and `others` index the table's receivers, and `body_mask` selects the
-  /// shadowing bodies from its body list. The stock common sector is
-  /// picked from the members' cached sector gains. Bit-identical to the
-  /// overload above called with those receivers' positions and the masked
-  /// bodies. Throws std::invalid_argument for an empty group or a table
-  /// built for another array.
+  /// Multicast beam over a link table of this designer's AP: `members`
+  /// (>= 1) and `others` index the table's receivers, and `body_mask`
+  /// selects the shadowing bodies from its body list. `others` are the
+  /// non-members the custom beam is spill-probed against. The stock common
+  /// sector is picked from the members' cached sector gains. Throws
+  /// std::invalid_argument for an empty group or a table built for another
+  /// array.
   [[nodiscard]] GroupBeam design_multicast(
       mmwave::LinkTable& links, std::span<const std::size_t> members,
       std::span<const std::uint8_t> body_mask,
@@ -117,10 +106,9 @@ class BeamDesigner {
 
   /// The same design toward receiver `rx` of a link table of this
   /// designer's AP: each candidate is PhasedArray::steer of one traced
-  /// path's cached response, priced as a masked sum over the same row.
-  /// Bit-identical to the overload above called with that receiver's
-  /// position and the masked bodies. Throws std::invalid_argument for a
-  /// table built for another array.
+  /// path's cached response, priced as a masked sum over the same row (the
+  /// overload above is this one over its one-shot table). Throws
+  /// std::invalid_argument for a table built for another array.
   [[nodiscard]] GroupBeam design_reflection(
       mmwave::LinkTable& links, std::size_t rx,
       std::span<const std::uint8_t> body_mask) const;

@@ -13,6 +13,7 @@ namespace volcast::core {
 
 namespace {
 
+using common::append_bytes;
 using common::get_u32;
 using common::get_u64;
 using common::put_f64;
@@ -68,7 +69,7 @@ class Reader {
 
 void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
+  append_bytes(out, s.data(), s.size());
 }
 
 // --- SessionResult <-> bytes ----------------------------------------------
@@ -415,7 +416,7 @@ std::vector<std::uint8_t> serialize_checkpoint(
     std::vector<std::uint8_t> body;
     put_session_result(body, rec.result);
     put_u32(out, static_cast<std::uint32_t>(body.size()));
-    out.insert(out.end(), body.begin(), body.end());
+    append_bytes(out, body.data(), body.size());
   }
   put_u64(out, checkpoint_checksum(out));
   return out;

@@ -82,6 +82,13 @@ struct GroupingResult {
 /// search built it (it is not sorted), so order-sensitive callbacks see
 /// exactly what an uncached search would pass them.
 ///
+/// Every returned group of two or more members was priced by `group_rate`
+/// during the call, as exactly the list it is returned as: each group is
+/// sorted by index and planned before it is returned, which prices it
+/// unless the search already had. Its ids are users[i].user for that list,
+/// in that order. So state a caller keeps per priced list (a group's beam)
+/// can be read back for every returned group.
+///
 /// `rate_bound` (optional) must never return less than `group_rate` for
 /// the same list. The greedy policies use it to bound a candidate's plan
 /// time from below and skip pricing candidates that bound proves could not

@@ -31,32 +31,6 @@ MultiApCoordinator::MultiApCoordinator(const TestbedConfig& base,
   }
 }
 
-std::vector<mmwave::LinkTable> MultiApCoordinator::tables_toward(
-    std::span<const geo::Vec3> receivers) const {
-  std::vector<mmwave::LinkTable> tables;
-  tables.reserve(aps_.size());
-  for (const auto& tb : aps_)
-    tables.emplace_back(tb->ap(), tb->channel(), tb->budget(), tb->blockage(),
-                        receivers, std::span<const geo::BodyObstacle>{},
-                        &tb->codebook());
-  return tables;
-}
-
-std::vector<std::size_t> MultiApCoordinator::assign_users(
-    std::span<const geo::Vec3> positions) const {
-  return assign_users(positions, {});
-}
-
-std::vector<std::size_t> MultiApCoordinator::assign_users(
-    std::span<const geo::Vec3> positions,
-    std::span<const bool> available) const {
-  std::vector<mmwave::LinkTable> tables = tables_toward(positions);
-  return assign_users(
-      positions.size(),
-      [&](std::size_t a) -> mmwave::LinkTable& { return tables[a]; },
-      available);
-}
-
 std::vector<std::size_t> MultiApCoordinator::assign_users(
     std::size_t users, const ApLinks& links,
     std::span<const bool> available) const {
@@ -79,16 +53,6 @@ std::vector<std::size_t> MultiApCoordinator::assign_users(
     assignment.push_back(best_ap);
   }
   return assignment;
-}
-
-double MultiApCoordinator::interference_factor(
-    std::size_t victim_ap, const geo::Vec3& victim_pos, double victim_rss_dbm,
-    std::span<const mmwave::Awv> concurrent_beams) const {
-  const geo::Vec3 receivers[] = {victim_pos};
-  std::vector<mmwave::LinkTable> tables = tables_toward(receivers);
-  return interference_factor(
-      victim_ap, 0, victim_rss_dbm, concurrent_beams,
-      [&](std::size_t a) -> mmwave::LinkTable& { return tables[a]; });
 }
 
 double MultiApCoordinator::interference_factor(

@@ -28,7 +28,8 @@ struct MultiApConfig {
 };
 
 /// AP a's link table toward a fixed receiver list: a session's tick link
-/// state (tick_links), or one-shot tables toward the caller's positions.
+/// state (tick_links), or per-AP BeamDesigner::link_table()s toward the
+/// caller's positions.
 using ApLinks = std::function<mmwave::LinkTable&(std::size_t ap)>;
 
 /// Owns one Testbed per AP (same room, different wall mounts).
@@ -45,38 +46,25 @@ class MultiApCoordinator {
   }
   [[nodiscard]] const MultiApConfig& config() const noexcept { return config_; }
 
-  /// Assigns each user position to the AP with the strongest unicast RSS.
-  [[nodiscard]] std::vector<std::size_t> assign_users(
-      std::span<const geo::Vec3> positions) const;
-
-  /// Availability-aware assignment: only APs with `available[a]` true are
-  /// candidates (fault tolerance — an AP in outage serves nobody). When no
-  /// AP is available every user keeps index 0; callers must treat a down
-  /// AP's users as unserved.
-  [[nodiscard]] std::vector<std::size_t> assign_users(
-      std::span<const geo::Vec3> positions,
-      std::span<const bool> available) const;
-
-  /// The same assignment over per-AP link tables: `links(a)` is AP a's
-  /// table (its codebook bound, as BeamDesigner::link_table binds it),
-  /// whose receivers 0..users-1 are the users. Each user's best sector
-  /// comes from the table's cached sector gains and is priced with no
-  /// bodies (an all-zero mask). The overloads above are this one over
-  /// one-shot tables toward `positions`.
+  /// Assigns each of `users` users to the AP with the strongest unicast
+  /// RSS. `links(a)` is AP a's table (its codebook bound, as
+  /// BeamDesigner::link_table binds it), whose receivers 0..users-1 are
+  /// the users. Each user's best sector comes from the table's cached
+  /// sector gains and is priced with no bodies (an all-zero mask).
+  ///
+  /// APs with `available[a]` false are no candidates (fault tolerance: an
+  /// AP in outage serves nobody); APs past the end of `available` are. When
+  /// no AP is available every user keeps index 0; callers must treat a
+  /// down AP's users as unserved.
   [[nodiscard]] std::vector<std::size_t> assign_users(
       std::size_t users, const ApLinks& links,
-      std::span<const bool> available = {}) const;
+      std::span<const bool> available) const;
 
-  /// Goodput multiplier in [0, 1] for a victim at `victim_pos` served by
-  /// `victim_ap` with signal `victim_rss_dbm`, while every other AP
-  /// transmits with the given beams (indexed by AP; empty AWVs are idle).
-  [[nodiscard]] double interference_factor(
-      std::size_t victim_ap, const geo::Vec3& victim_pos,
-      double victim_rss_dbm,
-      std::span<const mmwave::Awv> concurrent_beams) const;
-
-  /// The same screening for receiver `victim` of the per-AP link tables
-  /// (see assign_users), each leak priced with no bodies.
+  /// Goodput multiplier in [0, 1] for receiver `victim` of the per-AP link
+  /// tables (see assign_users), served by `victim_ap` with signal
+  /// `victim_rss_dbm`, while every other AP transmits with the given beams
+  /// (indexed by AP; empty AWVs are idle). Each leak is priced with no
+  /// bodies.
   [[nodiscard]] double interference_factor(
       std::size_t victim_ap, std::size_t victim, double victim_rss_dbm,
       std::span<const mmwave::Awv> concurrent_beams,
@@ -85,10 +73,6 @@ class MultiApCoordinator {
  private:
   MultiApConfig config_;
   std::vector<std::unique_ptr<Testbed>> aps_;
-
-  /// One-shot tables of every AP toward `receivers`, with no bodies.
-  [[nodiscard]] std::vector<mmwave::LinkTable> tables_toward(
-      std::span<const geo::Vec3> receivers) const;
 };
 
 }  // namespace volcast::core

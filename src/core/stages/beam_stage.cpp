@@ -33,12 +33,9 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       (ctx.tick % 30 == 0 || ctx.availability_changed)) {
     obs::Span assign_span = ctx.span(obs::Stage::kAssign);
     assign_span.add_cost(n * state.coordinator.ap_count());
-    assignment = state.has_faults
-                     ? state.coordinator.assign_users(
-                           n, tick_tables,
-                           std::span<const bool>(ap_up.data(),
-                                                 state.coordinator.ap_count()))
-                     : state.coordinator.assign_users(n, tick_tables);
+    assignment = state.coordinator.assign_users(
+        n, tick_tables,
+        std::span<const bool>(ap_up.data(), state.coordinator.ap_count()));
   }
 
   // Multicast membership tracking: the set of users each AP can serve.

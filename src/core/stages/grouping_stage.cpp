@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/stages/session_state.h"
@@ -91,13 +93,9 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
     // body subsets are masks over the tick body list.
     mmwave::LinkTable& links = tick_links(state, ctx, a);
     const std::vector<std::uint8_t>& present_mask = ctx.present_mask;
-    // The bodies that shadow a group's beam: present users outside the
-    // group, and every obstacle.
-    const auto outside_mask = [&](std::span<const std::size_t> group) {
-      std::vector<std::uint8_t> mask = present_mask;
-      for (std::size_t u : group) mask[u] = 0;
-      return mask;
-    };
+    // The beam that priced each candidate group, keyed by its ordered user
+    // list: the beam a returned group is sent on (see form_groups).
+    std::map<std::vector<std::size_t>, GroupBeam> priced_beams;
 
     auto group_tier = [&](std::span<const std::size_t> idx) {
       std::size_t tier = 0;
@@ -119,12 +117,14 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       std::vector<std::size_t> group;
       group.reserve(idx.size());
       for (std::size_t i : idx) group.push_back(members[i]);
-      // The beam is spill-probed against the present users outside.
-      const std::vector<std::uint8_t> outside = outside_mask(group);
+      // The beam is shadowed by the present users outside the group and
+      // every obstacle, and spill-probed against those users.
+      std::vector<std::uint8_t> outside = present_mask;
+      for (std::size_t u : group) outside[u] = 0;
       std::vector<std::size_t> others;
       for (std::size_t u = 0; u < n; ++u)
         if (outside[u] != 0) others.push_back(u);
-      const GroupBeam beam =
+      GroupBeam beam =
           state.designers[a].design_multicast(links, group, outside, others);
       // Worst member RSS including that member's shadowing: every present
       // user but the member itself, and every obstacle.
@@ -136,6 +136,7 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
         mask[u] = present_mask[u];
         min_rss = std::min(min_rss, rss);
       }
+      priced_beams.emplace(std::move(group), std::move(beam));
       return state.mcs->goodput_mbps(min_rss);
     };
     // group_rate_fn's rate under any beam is at most the goodput of the
@@ -192,27 +193,31 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
 
     obs::Span beam_span = ctx.span(obs::Stage::kBeam, ap32);
     // Beam bookkeeping for the result counters and for next tick's
-    // cross-AP interference screening (largest group's beam represents
-    // this AP's transmission; unicast fallback below).
+    // cross-AP interference screening: the last multicast group's beam
+    // represents this AP, else the largest group's first member's steered
+    // beam. Without multicast a returned group priced at rate 0 and is
+    // served by unicast, so it has no group beam.
     if (!grouping.groups.empty()) {
       const auto largest = std::max_element(
           grouping.groups.begin(), grouping.groups.end(),
           [](const auto& lhs, const auto& rhs) {
             return lhs.size() < rhs.size();
           });
-      if (largest->size() == 1) {
+      if (largest->size() == 1 || !config.enable_multicast) {
         state.concurrent_beams[a] = links.steered(largest->front());
       }
     } else {
       state.concurrent_beams[a].clear();
     }
-    // One beam per multicast group, in group order: the last multicast
-    // group's beam represents this AP next tick.
+    // One beam per multicast group, in group order: the one that priced it.
     for (const auto& group : grouping.groups) {
-      if (group.size() < 2) continue;
+      if (group.size() < 2 || !config.enable_multicast) continue;
+      const auto priced = priced_beams.find(group);
+      if (priced == priced_beams.end())
+        throw std::logic_error(
+            "GroupingStage: a multicast group was never priced");
       beam_span.add_cost(group.size());
-      GroupBeam beam = state.designers[a].design_multicast(
-          links, group, outside_mask(group), {});
+      GroupBeam& beam = priced->second;
       if (beam.custom) {
         ++state.custom_beam_uses;
       } else {

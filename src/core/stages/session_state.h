@@ -59,11 +59,11 @@ struct SessionState {
     std::size_t prefetch_credit = 0;
     std::size_t frames_ahead = 0;
     int reflection_ticks = 0;
-    mmwave::Awv reflection_awv;
+    mmwave::Awv reflection_awv{};
     double delivered_bits = 0.0;
     bool blockage_forecast = false;
     // Reactive (SLS) beam tracking state.
-    mmwave::Awv serving_awv;
+    mmwave::Awv serving_awv{};
     int sls_remaining_ticks = 0;
     // Viewport prediction quality accounting.
     double miss_sum = 0.0;
@@ -71,7 +71,7 @@ struct SessionState {
     // The decoder is a serial resource: completion time of the last frame.
     double decode_free_at = 0.0;
     // Motion-to-photon accounting (pose -> playable).
-    RunningStats m2p;
+    RunningStats m2p{};
     // Fault-recovery state: exponential backoff after failed beam probes,
     // and the frozen position of a stuck sector.
     int probe_backoff_ticks = 0;
@@ -80,7 +80,7 @@ struct SessionState {
     geo::Vec3 stuck_pos{};
     // Packet-wire receiver (sequence numbers, burst-chain state,
     // residual-loss EWMA). Mutated only inside the delivery loop.
-    transport::ReceiverState receiver;
+    transport::ReceiverState receiver{};
   };
   std::vector<User> users;
 

@@ -223,7 +223,7 @@ std::vector<std::uint8_t> encode(const FrameSoA& frame,
   const std::size_t n = frame.size();
   std::vector<std::uint8_t> out;
   out.reserve(kCodecHeaderBytes + n * 3);
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
+  common::append_bytes(out, kMagic.data(), kMagic.size());
   put_u32(out, static_cast<std::uint32_t>(n));
   out.push_back(static_cast<std::uint8_t>(quant_bits));
   out.push_back(config.encode_colors ? 1 : 0);
@@ -240,7 +240,7 @@ std::vector<std::uint8_t> encode(const FrameSoA& frame,
   RangeEncoder enc;
   code_points(frame, config, quant_bits, enc);
   const std::vector<std::uint8_t> payload = enc.finish();
-  out.insert(out.end(), payload.begin(), payload.end());
+  common::append_bytes(out, payload.data(), payload.size());
   return out;
 }
 

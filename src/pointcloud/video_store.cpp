@@ -309,7 +309,7 @@ class Reader {
 
 std::vector<std::uint8_t> VideoStore::serialize() const {
   std::vector<std::uint8_t> out;
-  for (std::uint8_t b : kStoreMagic) out.push_back(b);
+  common::append_bytes(out, kStoreMagic, sizeof kStoreMagic);
   put_u32(out, kStoreVersion);
   common::put_f64(out, fps_);
   put_u32(out, static_cast<std::uint32_t>(config_.tiers.size()));
@@ -317,7 +317,7 @@ std::vector<std::uint8_t> VideoStore::serialize() const {
   put_u64(out, grid_ != nullptr ? grid_->cell_count() : 0);
   for (const QualityTier& tier : config_.tiers) {
     put_u32(out, static_cast<std::uint32_t>(tier.name.size()));
-    out.insert(out.end(), tier.name.begin(), tier.name.end());
+    common::append_bytes(out, tier.name.data(), tier.name.size());
     put_u64(out, tier.points_per_frame);
   }
   for (const FrameSizes& frame : frames_) {

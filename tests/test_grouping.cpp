@@ -401,6 +401,27 @@ OverlapBitsFn overlap_of(const std::vector<VisibilityMap>& maps) {
   };
 }
 
+/// form_groups' contract: every returned group of two or more members was
+/// priced during the call, as exactly the list it is returned as.
+void expect_groups_priced(const GroupingResult& got,
+                          std::span<const UserState> users,
+                          const CountingRate& rate, std::uint64_t seed) {
+  for (const auto& group : got.groups) {
+    if (group.size() < 2) continue;
+    std::vector<std::size_t> idx;
+    for (const std::size_t id : group) {
+      const auto it =
+          std::find_if(users.begin(), users.end(),
+                       [id](const UserState& u) { return u.user == id; });
+      ASSERT_NE(it, users.end());
+      idx.push_back(static_cast<std::size_t>(it - users.begin()));
+    }
+    EXPECT_EQ(rate.calls.count(idx), 1u)
+        << "seed " << seed << ": a returned group of " << group.size()
+        << " was never priced in its returned order";
+  }
+}
+
 class PlanCache : public ::testing::TestWithParam<GroupingPolicy> {};
 
 TEST_P(PlanCache, EachOrderedMemberListEvaluatedOnceAndResultUnchanged) {
@@ -423,6 +444,7 @@ TEST_P(PlanCache, EachOrderedMemberListEvaluatedOnceAndResultUnchanged) {
       EXPECT_EQ(n, 1) << "seed " << seed << ": a member list of size "
                       << members.size() << " was planned " << n << " times";
     EXPECT_EQ(got.plan_evals, counting.calls.size());
+    expect_groups_priced(got, audience.users, counting, seed);
 
     CountingRate uncached;
     const GroupingResult want = reference_groups(
@@ -489,6 +511,7 @@ TEST_P(RateBound, SkipsCandidatesAndKeepsTheResult) {
         EXPECT_EQ(n, 1) << "seed " << seed << ": a member list was priced "
                         << n << " times";
       EXPECT_EQ(got.plan_evals, bounded.calls.size());
+      expect_groups_priced(got, audience.users, bounded, seed);
 
       CountingRate unbounded;
       const GroupingResult plain = form_groups(

@@ -110,19 +110,20 @@ TEST(Integration, GroupedScheduleBeatsUnicastAirtime) {
   Pipeline p;
   const auto maps = p.maps_at(0);
 
-  std::vector<core::UserState> users(maps.size());
+  // One link table toward every user, as a session tick prices them.
   std::vector<geo::Vec3> positions;
-  for (std::size_t u = 0; u < maps.size(); ++u) {
+  for (std::size_t u = 0; u < maps.size(); ++u)
     positions.push_back(p.testbed.to_room(p.study.trace(u).poses[0].position));
-    const auto beam = p.designer.design_unicast(positions[u]);
+  mmwave::LinkTable links = p.designer.link_table(positions, {});
+  std::vector<core::UserState> users(maps.size());
+  for (std::size_t u = 0; u < maps.size(); ++u) {
+    const auto beam = p.designer.design_unicast(links, u, {});
     users[u] = {u, &maps[u], p.visible_bits(maps[u], 0, 1),
                 beam.multicast_rate_mbps};
   }
 
   auto group_rate = [&](std::span<const std::size_t> idx) {
-    std::vector<geo::Vec3> group_positions;
-    for (auto i : idx) group_positions.push_back(positions[i]);
-    return p.designer.design_multicast(group_positions).multicast_rate_mbps;
+    return p.designer.design_multicast(links, idx, {}).multicast_rate_mbps;
   };
   auto overlap_bits = [&](std::span<const std::size_t> idx) {
     std::vector<view::VisibilityMap> group_maps;
@@ -169,10 +170,13 @@ TEST(Integration, BeamRatesSupportMeasuredDemands) {
   // deliverable within a frame interval at the rates the radio produces.
   Pipeline p;
   const auto maps = p.maps_at(0);
+  std::vector<geo::Vec3> positions;
+  for (std::size_t u = 0; u < maps.size(); ++u)
+    positions.push_back(p.testbed.to_room(p.study.trace(u).poses[0].position));
+  mmwave::LinkTable links = p.designer.link_table(positions, {});
   double total_airtime = 0.0;
   for (std::size_t u = 0; u < maps.size(); ++u) {
-    const auto beam = p.designer.design_unicast(
-        p.testbed.to_room(p.study.trace(u).poses[0].position));
+    const auto beam = p.designer.design_unicast(links, u, {});
     ASSERT_GT(beam.multicast_rate_mbps, 0.0);
     total_airtime +=
         tx_time_s(p.visible_bits(maps[u], 0, 1), beam.multicast_rate_mbps);

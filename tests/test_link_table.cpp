@@ -501,9 +501,9 @@ TEST(BeamDesigner, EveryEmittedBeamIsPowerNormalized) {
           designer.design_multicast(table, group, mask, others);
       custom_multicast += multicast.custom && group.size() > 1 ? 1 : 0;
       const core::GroupBeam unicast =
-          designer.design_unicast(users[0], masked(bodies, mask));
+          designer.design_unicast(table, 0, mask);
       const core::GroupBeam reflection =
-          designer.design_reflection(users[0], masked(bodies, mask));
+          designer.design_reflection(table, 0, mask);
       for (const Awv* w : {&multicast.awv, &unicast.awv})
         EXPECT_NEAR(awv_power(*w), 1.0, 1e-12) << "trial " << trial;
       if (!reflection.awv.empty()) {
@@ -628,9 +628,6 @@ TEST_P(LinkTableDesigns, SectorPicksAndTableOverloadsMatchDirectPricing) {
                          reference_unicast(tb, custom, receivers[rx],
                                            shadowing),
                          where + " unicast vs rss_dbm");
-        expect_same_beam(unicast,
-                         designer.design_unicast(receivers[rx], shadowing),
-                         where + " unicast vs position overload");
         const core::GroupBeam reflection =
             designer.design_reflection(table, rx, mask);
         expect_same_beam(reflection,
@@ -825,8 +822,6 @@ TEST(MultiApTables, AssignmentAndInterferenceMatchRssDbm) {
           with_availability ? available : std::span<const bool>{};
       EXPECT_EQ(coord.assign_users(users.size(), links, flags), reference)
           << "trial " << trial;
-      EXPECT_EQ(coord.assign_users(users, flags), reference)
-          << "trial " << trial;
     }
 
     // Every AP transmits toward some user; screen every user against it.
@@ -856,9 +851,6 @@ TEST(MultiApTables, AssignmentAndInterferenceMatchRssDbm) {
       const double tabled =
           coord.interference_factor(victim_ap, u, victim_rss, beams, links);
       EXPECT_TRUE(same_bits(tabled, reference)) << "trial " << trial;
-      EXPECT_TRUE(same_bits(
-          coord.interference_factor(victim_ap, users[u], victim_rss, beams),
-          reference));
       ++outcomes[tabled == 0.0 ? 0 : tabled == 0.5 ? 1 : 2];
     }
   }

@@ -15,6 +15,7 @@
 #include "mac/schedule.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "ap_tables.h"
 #include "session_compare.h"
 
 namespace volcast {
@@ -115,7 +116,8 @@ TEST(MultiApEdges, AssignWithNoPositionsIsEmpty) {
   core::MultiApConfig config;
   config.ap_count = 2;
   const core::MultiApCoordinator coord(core::TestbedConfig{}, config);
-  EXPECT_TRUE(coord.assign_users({}).empty());
+  auto tables = core::ap_tables(coord, {});
+  EXPECT_TRUE(coord.assign_users(0, core::ap_links(tables), {}).empty());
 }
 
 TEST(MultiApEdges, AllApsDownAssignsEveryoneToZero) {
@@ -124,7 +126,9 @@ TEST(MultiApEdges, AllApsDownAssignsEveryoneToZero) {
   const core::MultiApCoordinator coord(core::TestbedConfig{}, config);
   const std::vector<geo::Vec3> positions{{4.0, 1.2, 1.5}, {4.0, 4.8, 1.5}};
   const std::array<bool, 2> down{false, false};
-  const auto assignment = coord.assign_users(positions, down);
+  auto tables = core::ap_tables(coord, positions);
+  const auto assignment =
+      coord.assign_users(positions.size(), core::ap_links(tables), down);
   ASSERT_EQ(assignment.size(), 2u);
   for (const std::size_t a : assignment) EXPECT_EQ(a, 0u);
 }
@@ -135,7 +139,9 @@ TEST(MultiApEdges, SingleAvailableApTakesAllUsers) {
   const core::MultiApCoordinator coord(core::TestbedConfig{}, config);
   const std::vector<geo::Vec3> positions{{4.0, 1.2, 1.5}, {4.0, 4.8, 1.5}};
   const std::array<bool, 2> only_back{false, true};
-  for (const std::size_t a : coord.assign_users(positions, only_back))
+  auto tables = core::ap_tables(coord, positions);
+  for (const std::size_t a :
+       coord.assign_users(positions.size(), core::ap_links(tables), only_back))
     EXPECT_EQ(a, 1u);
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
+#include "ap_tables.h"
+
 namespace volcast::core {
 namespace {
 
@@ -38,7 +43,9 @@ TEST(MultiAp, AssignsUsersToNearestStrongAp) {
       {4.0, 1.2, 1.5},  // near the front wall
       {4.0, 4.8, 1.5},  // near the back wall
   };
-  const auto assignment = coord.assign_users(positions);
+  auto tables = ap_tables(coord, positions);
+  const auto assignment =
+      coord.assign_users(positions.size(), ap_links(tables), {});
   ASSERT_EQ(assignment.size(), 2u);
   EXPECT_EQ(assignment[0], 0u);
   EXPECT_EQ(assignment[1], 1u);
@@ -47,14 +54,18 @@ TEST(MultiAp, AssignsUsersToNearestStrongAp) {
 TEST(MultiAp, SingleApAssignsEverythingToZero) {
   const auto coord = make(1);
   const std::vector<geo::Vec3> positions{{1, 1, 1.5}, {7, 5, 1.5}};
-  for (auto a : coord.assign_users(positions)) EXPECT_EQ(a, 0u);
+  auto tables = ap_tables(coord, positions);
+  for (auto a : coord.assign_users(positions.size(), ap_links(tables), {}))
+    EXPECT_EQ(a, 0u);
 }
 
 TEST(MultiAp, NoConcurrentBeamsNoInterference) {
   const auto coord = make(2);
   const std::vector<mmwave::Awv> idle(2);
+  const geo::Vec3 victim{4.0, 1.0, 1.5};
+  auto tables = ap_tables(coord, std::span(&victim, 1));
   EXPECT_DOUBLE_EQ(
-      coord.interference_factor(0, {4.0, 1.0, 1.5}, -55.0, idle), 1.0);
+      coord.interference_factor(0, 0, -55.0, idle, ap_links(tables)), 1.0);
 }
 
 TEST(MultiAp, StrongInterferenceDegradesOrKills) {
@@ -64,8 +75,9 @@ TEST(MultiAp, StrongInterferenceDegradesOrKills) {
   std::vector<mmwave::Awv> beams(2);
   beams[1] = coord.ap(1).ap().steer_at(victim);
   // Weak desired signal vs a beam pointed right at you: factor < 1.
+  auto tables = ap_tables(coord, std::span(&victim, 1));
   const double factor =
-      coord.interference_factor(0, victim, -60.0, beams);
+      coord.interference_factor(0, 0, -60.0, beams, ap_links(tables));
   EXPECT_LT(factor, 1.0);
 }
 
@@ -76,8 +88,9 @@ TEST(MultiAp, DirectionalityGivesSpatialReuse) {
   const geo::Vec3 victim{4.0, 1.0, 1.5};
   std::vector<mmwave::Awv> beams(2);
   beams[1] = coord.ap(1).ap().steer_at({4.0, 5.0, 1.5});
+  auto tables = ap_tables(coord, std::span(&victim, 1));
   const double factor =
-      coord.interference_factor(0, victim, -50.0, beams);
+      coord.interference_factor(0, 0, -50.0, beams, ap_links(tables));
   EXPECT_DOUBLE_EQ(factor, 1.0);
 }
 
@@ -86,7 +99,9 @@ TEST(MultiAp, VictimApBeamIgnored) {
   const geo::Vec3 victim{4.0, 1.0, 1.5};
   std::vector<mmwave::Awv> beams(2);
   beams[0] = coord.ap(0).ap().steer_at(victim);  // its own serving beam
-  EXPECT_DOUBLE_EQ(coord.interference_factor(0, victim, -50.0, beams), 1.0);
+  auto tables = ap_tables(coord, std::span(&victim, 1));
+  EXPECT_DOUBLE_EQ(
+      coord.interference_factor(0, 0, -50.0, beams, ap_links(tables)), 1.0);
 }
 
 }  // namespace

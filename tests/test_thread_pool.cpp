@@ -161,8 +161,7 @@ TEST(ThreadPool, FailFastCancelsUnclaimedTasks) {
   try {
     pool.parallel_tasks(n, [&](std::size_t i) {
       if (i == 0) throw std::runtime_error("die-first");
-      for (volatile int spin = 0; spin < 20'000; ++spin) {
-      }
+      for (volatile int spin = 0; spin < 20'000;) spin = spin + 1;
       executed.fetch_add(1, std::memory_order_relaxed);
     });
     FAIL() << "expected parallel_tasks to rethrow";

@@ -1,0 +1,124 @@
+#!/usr/bin/env bash
+# Function census: lists every src/ function that a realistic drive of the
+# tree never calls. Candidates for deletion, for a test helper, or for a
+# run that should reach them.
+#
+# Builds an instrumented tree (--coverage, -O0 so no function is inlined
+# away from its own counters) with the stage-ledger target injected through
+# bench/ledger/targets.cmake, then drives it twice:
+#   1. the program as it is run: the ledger's --smoke pass on every
+#      workload (untraced and traced), examples/quickstart, and volcast_sim
+#      with telemetry, with two APs and under chaos;
+#   2. the whole ctest suite (a failing test is reported; the census goes
+#      on).
+# It lists the src/ functions neither drive calls, then those only the
+# tests call. A function counts as called when any translation unit that
+# emits it called it (inline and template functions are emitted per
+# unit). Functions no unit emits (never odr-used) are invisible to gcov.
+#
+#   tools/ci_census.sh [build-dir]     # default: build-census
+#
+# Uses raw gcov (JSON output) and a python3 merge, like ci_coverage.sh's
+# fallback, so it runs on a bare toolchain image. Prints both lists by
+# file, then a summary line; exits 0 once the drives ran.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+ROOT="$PWD"
+BUILD_DIR="${1:-build-census}"
+
+# The ledger refuses non-Release builds, so this is a Release build type
+# with the optimizer off.
+cmake -B "$BUILD_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS_RELEASE="-O0 -DNDEBUG" \
+  -DCMAKE_CXX_FLAGS="--coverage" \
+  -DCMAKE_EXE_LINKER_FLAGS="--coverage" \
+  -DCMAKE_PROJECT_volcast_INCLUDE="$ROOT/bench/ledger/targets.cmake" \
+  >/dev/null
+cmake --build "$BUILD_DIR" -j"$(nproc)"
+BUILD_DIR="$(cd "$BUILD_DIR" && pwd)"
+
+DRIVE="$BUILD_DIR/census-drive"
+GCOV_DIR="$BUILD_DIR/census-gcov"
+rm -rf "$DRIVE" "$GCOV_DIR"
+mkdir -p "$DRIVE" "$GCOV_DIR/program" "$GCOV_DIR/tests"
+
+# gcov_reports DIR: one JSON report per translation unit that ran, into
+# DIR (-p keeps the names distinct), then zeroes the counts for the next
+# drive.
+gcov_reports() {
+  find "$BUILD_DIR" -name '*.gcda' -print0 |
+    (cd "$1" && xargs -0 -r -n 64 gcov --json-format -p >/dev/null 2>&1)
+  find "$BUILD_DIR" -name '*.gcda' -delete
+}
+
+# Zero out counts from previous runs so the census reflects these drives.
+find "$BUILD_DIR" -name '*.gcda' -delete
+
+# Drive 1: the program as it is run.
+for workload in crowd16 surround_wire unicast_short; do
+  "$BUILD_DIR/volcast_ledger" --smoke --workload="$workload" --trace=1 \
+    --out="$DRIVE/ledger" >/dev/null
+done
+"$BUILD_DIR/examples/quickstart" >/dev/null
+SIM="$BUILD_DIR/tools/volcast_sim"
+"$SIM" --users=6 --duration=2 --points=30000 \
+  --telemetry="$DRIVE/telemetry.jsonl" >/dev/null
+"$SIM" --users=8 --aps=2 --spread=6.28 --duration=2 --points=30000 >/dev/null
+"$SIM" --users=6 --aps=2 --chaos --duration=2 --points=30000 >/dev/null
+gcov_reports "$GCOV_DIR/program"
+
+# Drive 2: the whole test suite.
+(cd "$BUILD_DIR" && ctest -j"$(nproc)" --no-tests=error >"$DRIVE/ctest.log" 2>&1) ||
+  echo "ci_census: ctest reported failures (see $DRIVE/ctest.log)" >&2
+gcov_reports "$GCOV_DIR/tests"
+
+GCOV_DIR="$GCOV_DIR" SRC="$ROOT/src/" python3 - <<'PYEOF'
+import glob, gzip, json, os, sys
+
+gcov_dir = os.environ["GCOV_DIR"]
+src = os.environ["SRC"]
+
+def calls(drive):
+    """(file, start line, name) -> called in any unit, over src/ functions."""
+    called = {}
+    for report in glob.glob(os.path.join(gcov_dir, drive, "*.gcov.json.gz")):
+        with gzip.open(report, "rt") as f:
+            data = json.load(f)
+        cwd = data.get("current_working_directory", "")
+        for entry in data.get("files", []):
+            path = os.path.normpath(os.path.join(cwd, entry["file"]))
+            if not path.startswith(src):
+                continue
+            rel = "src/" + path[len(src):]
+            for fn in entry.get("functions", []):
+                key = (rel, fn["start_line"],
+                       fn.get("demangled_name") or fn["name"])
+                called[key] = (called.get(key, False)
+                               or fn["execution_count"] > 0)
+    return called
+
+program = calls("program")
+tests = calls("tests")
+every = set(program) | set(tests)
+if not every:
+    sys.exit("ci_census: no src/ functions in the gcov output")
+
+def report(title, keys):
+    print(title)
+    current = None
+    for rel, line, name in sorted(keys):
+        if rel != current:
+            print(f"  {rel}")
+            current = rel
+        print(f"    {line:5d}  {name}")
+
+never = [k for k in every if not program.get(k) and not tests.get(k)]
+test_only = [k for k in every if not program.get(k) and tests.get(k)]
+report("never called:", never)
+report("called only by tests:", test_only)
+print(f"ci_census: {len(every)} src/ functions; "
+      f"{len(every) - len(never) - len(test_only)} called by the program, "
+      f"{len(test_only)} only by tests, {len(never)} never")
+PYEOF

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Builds the tree with VOLCAST_NATIVE=ON (-march=native: host SIMD, and FMA
-# instructions on hosts that have them) and runs the whole test suite.
+# Builds every target with VOLCAST_NATIVE=ON (-march=native: host SIMD, and
+# FMA instructions on hosts that have them) and VOLCAST_WERROR=ON (a
+# warning in the src/ libraries fails the build), then runs the whole test
+# suite.
 # The build never contracts a * b + c into an FMA (-ffp-contract=off for
 # every target, CMakeLists.txt), so host-tuned codegen must give the same
 # bits as the portable build: the library's bit-equality suites and the
@@ -13,7 +15,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-native}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DVOLCAST_NATIVE=ON \
-  -DVOLCAST_BUILD_BENCH=OFF >/dev/null
+  -DVOLCAST_WERROR=ON -DVOLCAST_BUILD_BENCH=ON >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 cd "$BUILD_DIR"
