@@ -6,7 +6,8 @@ set(VOLCAST_BENCH_OUTPUT_DIR ${CMAKE_BINARY_DIR}/bench)
 
 function(volcast_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
-  target_link_libraries(${name} PRIVATE volcast::volcast)
+  target_link_libraries(${name} PRIVATE volcast::volcast
+                                        volcast_program_warnings)
   target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR}/src)
   # Bench binaries don't link volcast_warnings, so the host-tuning flag has
   # to be applied here for VOLCAST_NATIVE to cover the harness code too.

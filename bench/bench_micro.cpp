@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: codec
-// encode/decode and size-only encoding, the store and bundle builds, the
-// store's modeled frames, frustum culling, visibility computation, beam
-// gain evaluation (direct and from a link table), codebook sector sweeps,
-// reflection and stock multicast beam design, AWV synthesis and the
-// grouping search. These are the budgets that decide whether the
+// encode/decode and size-only encoding, the generator's sampling, the
+// store and bundle builds, the store's modeled frames, frustum culling,
+// visibility computation, beam gain evaluation (direct and from a link
+// table), codebook sector sweeps, reflection and stock multicast beam
+// design, AWV synthesis and the grouping search. These are the budgets that decide whether the
 // cross-layer scheduler can run per frame interval (33 ms at 30 FPS) on an
 // edge server.
 #include <benchmark/benchmark.h>
@@ -128,16 +128,32 @@ void BM_EncodedSize(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodedSize);
 
-// Set-up cost at the ledger's content size (120k points, 30 frames): the
-// store alone on one worker, then the whole bundle (generator, grid,
-// store) on 1 and 2 workers.
+// Set-up cost at the ledger's content size (120k points, 30 frames) on 1,
+// 2 and 4 workers: the generator's sampling, the store alone, then the
+// whole bundle (pool start-up, generator, grid, store).
+void BM_VideoGenerator(benchmark::State& state) {
+  vv::VideoConfig vc;
+  vc.points_per_frame = 120'000;
+  vc.frame_count = 30;
+  common::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const vv::VideoGenerator gen(vc, &pool);
+    benchmark::DoNotOptimize(gen.local_x().data());
+  }
+}
+BENCHMARK(BM_VideoGenerator)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_VideoStoreBuild(benchmark::State& state) {
   vv::VideoConfig vc;
   vc.points_per_frame = 120'000;
   vc.frame_count = 30;
   const vv::VideoGenerator gen(vc);
   const vv::CellGrid grid(gen.content_bounds(), 0.5);
-  common::ThreadPool pool(1);
+  common::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   vv::VideoStoreConfig sc;
   const double scale = 120'000.0 / 550'000.0;  // the bundle's tier ladder
   sc.tiers = {{"low", static_cast<std::size_t>(330'000 * scale)},
@@ -150,7 +166,11 @@ void BM_VideoStoreBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(store.frame_bytes(0, 0));
   }
 }
-BENCHMARK(BM_VideoStoreBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VideoStoreBuild)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 // The store's modeled frames at the same content: build the leaves of the
 // generator's samples, then count frames 1..29 per (tier class, cell).
@@ -193,7 +213,11 @@ void BM_WorkloadBundleBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(bundle->store().frame_bytes(0, 0));
   }
 }
-BENCHMARK(BM_WorkloadBundleBuild)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorkloadBundleBuild)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FrustumCulling(benchmark::State& state) {
   const vv::CellGrid grid(generator().content_bounds(), 0.25);

@@ -139,8 +139,12 @@ int run(const char* json_path) {
       prev_brownout = c.brownout_ticks;
 
       static const char* kLevels[] = {"green", "yellow", "orange", "red"};
-      table.row({std::to_string(c.users),
-                 c.factor > 1.0 ? "x" + AsciiTable::num(c.factor, 0) : "-",
+      // Appended rather than "x" + num(...), where GCC 12 warns of an
+      // overlapping copy (-Wrestrict) inside the inlined concatenation.
+      const std::string scale =
+          c.factor > 1.0 ? std::string("x").append(AsciiTable::num(c.factor, 0))
+                         : "-";
+      table.row({std::to_string(c.users), scale,
                  AsciiTable::num(c.mean_fps, 1),
                  AsciiTable::num(c.stall_s, 2),
                  AsciiTable::num(c.mean_tier, 2),

@@ -26,8 +26,7 @@ namespace {
 
 /// Mean fraction of the stream a ViVo client actually fetches, measured
 /// over the user-study traces with the full visibility pipeline.
-double measure_vivo_fetch_fraction(const vv::VideoGenerator& generator,
-                                   const vv::CellGrid& grid,
+double measure_vivo_fetch_fraction(const vv::CellGrid& grid,
                                    const vv::VideoStore& store,
                                    std::size_t tier) {
   const trace::UserStudy study;
@@ -79,7 +78,7 @@ int main() {
   for (std::size_t q = 0; q < store.tier_count(); ++q) {
     bitrate[q] = store.tier_bitrate_mbps(q);
     vivo_fraction[q] =
-        measure_vivo_fetch_fraction(generator, grid, store, q);
+        measure_vivo_fetch_fraction(grid, store, q);
   }
 
   std::printf("encoded tier bitrates (Mbps):");

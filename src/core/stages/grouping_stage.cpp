@@ -216,7 +216,8 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       if (priced == priced_beams.end())
         throw std::logic_error(
             "GroupingStage: a multicast group was never priced");
-      beam_span.add_cost(group.size());
+      // Logical cost: one priced-beam lookup per multicast group.
+      beam_span.add_cost(1);
       GroupBeam& beam = priced->second;
       if (beam.custom) {
         ++state.custom_beam_uses;

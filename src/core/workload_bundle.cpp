@@ -98,13 +98,14 @@ void WorkloadBundle::build_artifacts(std::size_t worker_threads) {
   mutate_guard("build_artifacts()");
   g_builds.fetch_add(1, std::memory_order_relaxed);
 
-  auto generator = std::make_unique<vv::VideoGenerator>(video_config(key_));
+  // A bundle-local pool for the generator's sampling and the store
+  // precompute: both are bit-identical at any thread count, so sharing
+  // them across sessions with different worker_threads settings is sound.
+  common::ThreadPool pool(worker_threads);
+  auto generator =
+      std::make_unique<vv::VideoGenerator>(video_config(key_), &pool);
   auto grid = std::make_unique<vv::CellGrid>(generator->content_bounds(),
                                              key_.cell_size_m);
-  // A bundle-local pool for the store precompute: the size tables are
-  // bit-identical at any thread count, so sharing them across sessions
-  // with different worker_threads settings is sound.
-  common::ThreadPool pool(worker_threads);
   auto store = std::make_unique<vv::VideoStore>(*generator, *grid,
                                                store_config(key_, &pool));
 

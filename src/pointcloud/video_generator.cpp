@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "geometry/quat.h"
 
 namespace volcast::vv {
@@ -67,70 +68,131 @@ const std::array<PartSpec, 10> kParts{{
   }
 }
 
+/// Skips one Box-Muller pair the way Rng::normal() draws it.
+void skip_normal_pair(Rng& rng) noexcept {
+  while (rng.uniform() <= 0.0) {
+  }
+  static_cast<void>(rng.uniform());
+}
+
 }  // namespace
 
-VideoGenerator::VideoGenerator(VideoConfig config) : config_(config) {
+VideoGenerator::DrawnPoint VideoGenerator::draw_point(Rng& rng,
+                                                      std::size_t part_id) {
+  const PartSpec& part = kParts.at(part_id);
+  // Uniform direction on the unit sphere, scaled by the semi-axes and
+  // jittered slightly in depth so the shell has thickness.
+  Vec3 dir{rng.normal(), rng.normal(), rng.normal()};
+  dir = dir.normalized();
+  const double shell = 1.0 - 0.06 * rng.uniform();
+  const Vec3 local = part.offset + Vec3{dir.x * part.radii.x * shell,
+                                        dir.y * part.radii.y * shell,
+                                        dir.z * part.radii.z * shell};
+  auto shade = [&rng](std::uint8_t base) {
+    const double v = base + rng.normal(0.0, 4.0);
+    return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+  };
+  const std::uint8_t r = shade(part.r);
+  const std::uint8_t g = shade(part.g);
+  const std::uint8_t b = shade(part.b);
+  return {local, r, g, b};
+}
+
+void VideoGenerator::skip_point(Rng& rng) noexcept {
+  // dir.x and dir.y, then dir.z with the cached normal that shades red.
+  skip_normal_pair(rng);
+  skip_normal_pair(rng);
+  static_cast<void>(rng.uniform());  // shell
+  skip_normal_pair(rng);             // green and blue
+}
+
+VideoGenerator::VideoGenerator(VideoConfig config, common::ThreadPool* pool)
+    : config_(config) {
   // Sample each part's shell once; frames reuse the samples under rigid
   // transforms, giving the temporal coherence a real capture has.
   double total_weight = 0.0;
   for (const PartSpec& part : kParts) total_weight += part.weight;
 
+  // Rows before draws: each part draws round(n * weight / total) points,
+  // cut off where the budget runs out, so the budgets fix every drawn
+  // point's row and part before anything is drawn.
   const std::size_t n = config_.points_per_frame;
-  local_x_.reserve(n);
-  local_y_.reserve(n);
-  local_z_.reserve(n);
-  rgb_.reserve(3 * n);
-  const auto add = [this](std::size_t part_id, const Vec3& local,
-                          std::uint8_t r, std::uint8_t g, std::uint8_t b) {
-    const std::size_t i = local_x_.size();
-    local_x_.push_back(local.x);
-    local_y_.push_back(local.y);
-    local_z_.push_back(local.z);
-    rgb_.push_back(r);
-    rgb_.push_back(g);
-    rgb_.push_back(b);
-    if (runs_.empty() || runs_.back().part != part_id)
-      runs_.push_back({part_id, i, i});
-    ++runs_.back().end;
-  };
-
-  Rng rng(config_.seed);
-  const auto draw = [&](std::size_t part_id) {
-    const PartSpec& part = kParts[part_id];
-    // Uniform direction on the unit sphere, scaled by the semi-axes and
-    // jittered slightly in depth so the shell has thickness.
-    Vec3 dir{rng.normal(), rng.normal(), rng.normal()};
-    dir = dir.normalized();
-    const double shell = 1.0 - 0.06 * rng.uniform();
-    const Vec3 local = part.offset + Vec3{dir.x * part.radii.x * shell,
-                                          dir.y * part.radii.y * shell,
-                                          dir.z * part.radii.z * shell};
-    auto shade = [&rng](std::uint8_t base) {
-      const double v = base + rng.normal(0.0, 4.0);
-      return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
-    };
-    const std::uint8_t r = shade(part.r);
-    const std::uint8_t g = shade(part.g);
-    const std::uint8_t b = shade(part.b);
-    add(part_id, local, r, g, b);
-  };
+  std::size_t drawn = 0;
   for (std::size_t part_id = 0; part_id < kParts.size(); ++part_id) {
     const auto budget = static_cast<std::size_t>(std::round(
         static_cast<double>(n) * kParts[part_id].weight / total_weight));
-    for (std::size_t i = 0; i < budget && local_x_.size() < n; ++i)
-      draw(part_id);
+    const std::size_t count = std::min(budget, n - drawn);
+    if (count > 0) runs_.push_back({part_id, drawn, drawn + count});
+    drawn += count;
   }
   // A one-point budget rounds every part's share to zero; that point is a
   // torso sample.
-  if (local_x_.empty() && n > 0) draw(0);
+  if (drawn == 0 && n > 0) {
+    runs_.push_back({0, 0, 1});
+    drawn = 1;
+  }
+  local_x_.resize(n);
+  local_y_.resize(n);
+  local_z_.resize(n);
+  rgb_.resize(3 * n);
+  const auto draw_rows = [this](Rng& rng, std::size_t lo, std::size_t hi) {
+    for (const PartRun& run : runs_) {
+      for (std::size_t i = std::max(lo, run.begin); i < std::min(hi, run.end);
+           ++i) {
+        const DrawnPoint p = draw_point(rng, run.part);
+        local_x_[i] = p.local.x;
+        local_y_[i] = p.local.y;
+        local_z_[i] = p.local.z;
+        rgb_[3 * i] = p.r;
+        rgb_[3 * i + 1] = p.g;
+        rgb_[3 * i + 2] = p.b;
+      }
+    }
+  };
+
+  Rng rng(config_.seed);
+  const std::size_t lanes =
+      std::min(pool != nullptr ? pool->thread_count() : 1, drawn);
+  if (lanes <= 1) {
+    draw_rows(rng, 0, drawn);
+  } else {
+    // Checkpoints: one serial pass skips the first lanes - 1 slices and
+    // copies the Rng at each slice start. A draw starts and ends with no
+    // cached normal, so each copy is the serial loop's state at that
+    // row, and each lane then draws its slice as the serial loop would.
+    const auto slice_begin = [drawn, lanes](std::size_t lane) {
+      return drawn * lane / lanes;
+    };
+    std::vector<Rng> starts;
+    starts.reserve(lanes);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      starts.push_back(rng);
+      if (lane + 1 < lanes)
+        for (std::size_t i = slice_begin(lane); i < slice_begin(lane + 1); ++i)
+          skip_point(rng);
+    }
+    pool->parallel_for(lanes, [&](std::size_t lane) {
+      // A lane-local copy: the lanes' Rngs would share cache lines.
+      Rng lane_rng = starts[lane];
+      draw_rows(lane_rng, slice_begin(lane), slice_begin(lane + 1));
+      starts[lane] = lane_rng;
+    });
+    rng = starts.back();  // where the serial loop ends
+  }
   // Rounding may leave the budget a few points short; top up with copies
   // of random earlier samples.
   Rng top_up = rng.fork();
-  while (local_x_.size() < n) {
-    const auto j = static_cast<std::size_t>(top_up.uniform_int(
-        0, static_cast<std::int64_t>(local_x_.size()) - 1));
-    const Sample copy = sample(j);
-    add(copy.part, copy.local, rgb_[3 * j], rgb_[3 * j + 1], rgb_[3 * j + 2]);
+  for (std::size_t i = drawn; i < n; ++i) {
+    const auto j = static_cast<std::size_t>(
+        top_up.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    const std::size_t part = sample(j).part;
+    local_x_[i] = local_x_[j];
+    local_y_[i] = local_y_[j];
+    local_z_[i] = local_z_[j];
+    std::copy_n(rgb_.begin() + static_cast<std::ptrdiff_t>(3 * j), 3,
+                rgb_.begin() + static_cast<std::ptrdiff_t>(3 * i));
+    if (runs_.back().part != part) runs_.push_back({part, i, i});
+    ++runs_.back().end;
   }
 }
 

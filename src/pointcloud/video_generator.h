@@ -15,6 +15,14 @@
 #include "geometry/quat.h"
 #include "pointcloud/point_cloud.h"
 
+namespace volcast {
+class Rng;  // common/rng.h
+}  // namespace volcast
+
+namespace volcast::common {
+class ThreadPool;  // common/thread_pool.h
+}  // namespace volcast::common
+
 namespace volcast::vv {
 
 /// Generator parameters.
@@ -40,7 +48,14 @@ struct VideoConfig {
 /// core::WorkloadBundle do exactly that.
 class VideoGenerator {
  public:
-  explicit VideoGenerator(VideoConfig config);
+  /// Samples every body part's shell once. With a pool the drawn points
+  /// are split into one contiguous slice per lane, each drawn from a copy
+  /// of the Rng taken at the slice's start (skip_point() walks the Rng
+  /// there), so the samples are bit-identical at any pool size; a
+  /// one-lane pool or none draws in order, with no extra pass. The pool
+  /// is used only during construction.
+  explicit VideoGenerator(VideoConfig config,
+                          common::ThreadPool* pool = nullptr);
 
   [[nodiscard]] const VideoConfig& config() const noexcept { return config_; }
 
@@ -95,6 +110,7 @@ class VideoGenerator {
     std::size_t part = 0;
     std::size_t begin = 0;
     std::size_t end = 0;
+    bool operator==(const PartRun&) const = default;
   };
   /// The part runs in sample order; together they cover every sample.
   [[nodiscard]] const std::vector<PartRun>& runs() const noexcept {
@@ -111,6 +127,27 @@ class VideoGenerator {
   [[nodiscard]] const std::vector<double>& local_z() const noexcept {
     return local_z_;
   }
+
+  /// One point drawn on a body part's shell: its offset from the part's
+  /// pivot and its colour.
+  struct DrawnPoint {
+    geo::Vec3 local{};
+    std::uint8_t r = 0;
+    std::uint8_t g = 0;
+    std::uint8_t b = 0;
+  };
+  /// Draws one point of body part `part` from `rng`: three normals give a
+  /// direction, one uniform the depth within the shell, three more
+  /// normals the colour jitter. Throws std::out_of_range for an unknown
+  /// part.
+  static DrawnPoint draw_point(Rng& rng, std::size_t part);
+  /// Advances `rng` exactly as one draw_point() does, for any part,
+  /// without computing the point: three Box-Muller pairs (u1 redrawn
+  /// while it is 0, then u2) with the shell uniform after the second.
+  /// Six normals are three whole pairs, so a draw that starts with no
+  /// cached normal leaves none, and `rng` ends in the state draw_point()
+  /// leaves.
+  static void skip_point(Rng& rng) noexcept;
 
   /// Analytic bound that contains the figure in every frame; used to build
   /// the stable CellGrid.

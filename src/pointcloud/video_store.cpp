@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/endian.h"
@@ -83,6 +84,8 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
     for (const ThinFilter& filter : filters)
       if (filter.keeps(i)) ++classes[i];
 
+  const std::size_t n_classes = n_tiers + 1;
+
   // Per-tier linear size model fitted from exactly encoded sample frames.
   std::vector<LinearFit> fits(n_tiers);
   const std::size_t sample_count =
@@ -123,7 +126,29 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
     };
     const std::size_t pairs = n_tiers * occupied.size();
     if (cell_pool != nullptr) {
-      cell_pool->parallel_tasks(pairs, size_cell);
+      // The lanes claim the pairs largest first (ties by index), so the
+      // big cells of the top tier start early instead of forming the
+      // tail. Each pair writes only its own slots, so the order does not
+      // change the table.
+      std::vector<std::uint32_t> class_counts(n_classes);
+      std::vector<std::uint32_t> pair_points(pairs);
+      for (std::size_t k = 0; k < occupied.size(); ++k) {
+        std::fill(class_counts.begin(), class_counts.end(), 0);
+        for (const std::uint32_t i : buckets.cell(occupied[k]))
+          ++class_counts[classes[i]];
+        for (std::size_t q = 0; q < n_tiers; ++q)
+          pair_points[q * occupied.size() + k] = std::accumulate(
+              class_counts.begin() + min_class[q], class_counts.end(),
+              std::uint32_t{0});
+      }
+      std::vector<std::size_t> order(pairs);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return pair_points[a] > pair_points[b];
+                       });
+      cell_pool->parallel_tasks(
+          pairs, [&](std::size_t k) { size_cell(order[k]); });
     } else {
       for (std::size_t k = 0; k < pairs; ++k) size_cell(k);
     }
@@ -133,7 +158,6 @@ VideoStore::VideoStore(const VideoGenerator& generator, const CellGrid& grid,
   // into the count of points of class >= k, which is tier q's row at
   // k = min_class[q]. Exact integer arithmetic, so it equals
   // occupancy(thin(master, fraction)) per tier. Bytes come from the fit.
-  const std::size_t n_classes = n_tiers + 1;
   const auto build_modeled_frame = [&](std::size_t f,
                                        const SampleLeaves& leaves,
                                        SampleLeaves::Scratch& scratch,

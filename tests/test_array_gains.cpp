@@ -233,7 +233,9 @@ TEST(ArrayGains, LanesKeepTheirValuesAndPadWithZeros) {
   const std::span<const double> second =
       lanes.data().subspan(ap.element_count() * 2 * mmwave::kLanes);
   for (std::size_t i = 0; i < second.size(); ++i)
-    if (i % mmwave::kLanes != 0) EXPECT_TRUE(same_bits(second[i], 0.0)) << i;
+    if (i % mmwave::kLanes != 0) {
+      EXPECT_TRUE(same_bits(second[i], 0.0)) << i;
+    }
 }
 
 TEST(ArrayGains, CodebookGainsEqualEachBeamsGain) {

@@ -80,9 +80,10 @@ TEST(CellGridLocate, ColumnsEqualScalarLocateAtEveryEdge) {
         grid.locate_columns(&p.x, &p.y, &p.z, 1, &one);
         ASSERT_EQ(one, ids[i]);
         if (std::abs(p.x) < 1e15 && std::abs(p.y) < 1e15 &&
-            std::abs(p.z) < 1e15)
+            std::abs(p.z) < 1e15) {
           ASSERT_EQ(ids[i], int64_locate(grid, p))
               << p.x << " " << p.y << " " << p.z;
+        }
       }
     }
   }

@@ -157,10 +157,12 @@ TEST(Channel, DoubleBouncesCarryTwoReflectionLosses) {
   room.max_reflection_order = 2;
   const Channel ch(room);
   for (const Path& p : ch.paths({1, 1, 2.0}, {6, 4, 1.5})) {
-    if (p.bounces == 2)
+    if (p.bounces == 2) {
       EXPECT_GE(p.extra_loss_db, 2.0 * room.reflection_loss_db - 1e-9);
-    if (p.bounces == 1)
+    }
+    if (p.bounces == 1) {
       EXPECT_GE(p.extra_loss_db, room.reflection_loss_db - 1e-9);
+    }
   }
 }
 

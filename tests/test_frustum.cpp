@@ -115,7 +115,9 @@ TEST_P(FrustumFovSweep, WiderFovSeesSupersetOfPoints) {
   const Frustum fw(camera_at_origin(), wide);
   for (double y = -3.0; y <= 3.0; y += 0.37) {
     const Vec3 p{2.0, y, 0.0};
-    if (fn.contains(p)) EXPECT_TRUE(fw.contains(p));
+    if (fn.contains(p)) {
+      EXPECT_TRUE(fw.contains(p));
+    }
   }
 }
 

@@ -77,7 +77,9 @@ TEST_P(MulticastOffOverride, GroupsServedByUnicastCountNoBeam) {
   EXPECT_EQ(t.result.custom_beam_uses, 0u);
   EXPECT_EQ(t.result.stock_beam_uses, 0u);
   EXPECT_EQ(t.multicast_designs, 0u);
-  if (GetParam() == "exhaustive") EXPECT_GT(t.multicast_groups, 0u);
+  if (GetParam() == "exhaustive") {
+    EXPECT_GT(t.multicast_groups, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, MulticastOffOverride,

@@ -447,7 +447,9 @@ TEST_P(LinkTableBound, NeverBelowRssOfAnyNormalizedBeam) {
     }
   }
   EXPECT_GT(checks, 0u);
-  if (GetParam() > 0) EXPECT_GT(reflection_beams, 0u);
+  if (GetParam() > 0) {
+    EXPECT_GT(reflection_beams, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ReflectionOrder, LinkTableBound,

@@ -42,8 +42,9 @@ TEST_P(SessionMatrix, InvariantsHoldUnderEveryPolicyCombination) {
   // Shares and sizes are well-formed.
   EXPECT_GE(r.multicast_bit_share, 0.0);
   EXPECT_LE(r.multicast_bit_share, 1.0);
-  if (config.grouping == GroupingPolicy::kUnicastOnly)
+  if (config.grouping == GroupingPolicy::kUnicastOnly) {
     EXPECT_DOUBLE_EQ(r.multicast_bit_share, 0.0);
+  }
   EXPECT_GE(r.mean_group_size, 1.0 - 1e-9);
 
   // Per-user QoE fields are sane.

@@ -115,7 +115,9 @@ TEST(SetOps, IntersectionSubsetOfUnion) {
   const auto inter = intersection(maps);
   const auto uni = union_of(maps);
   for (vv::CellId c = 0; c < 30; ++c) {
-    if (inter.visible(c)) EXPECT_TRUE(uni.visible(c));
+    if (inter.visible(c)) {
+      EXPECT_TRUE(uni.visible(c));
+    }
   }
   // |I| / |U| must equal group_iou.
   EXPECT_DOUBLE_EQ(

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/thread_pool.h"
+
 namespace volcast::vv {
 namespace {
 
@@ -91,6 +100,110 @@ TEST(VideoGenerator, HumanlikeVerticalExtent) {
   const auto bounds = gen.frame(0).bounds();
   EXPECT_GT(bounds.hi.z - bounds.lo.z, 1.4);  // roughly person-sized
   EXPECT_LT(bounds.hi.z - bounds.lo.z, 2.0);
+}
+
+/// FNV-1a64 over the sample columns, the colours and the part runs.
+std::uint64_t samples_hash(const VideoGenerator& gen) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const std::size_t n = gen.config().points_per_frame;
+  mix(gen.local_x().data(), 8 * n);
+  mix(gen.local_y().data(), 8 * n);
+  mix(gen.local_z().data(), 8 * n);
+  const FrameSoA frame = gen.frame_soa(0);
+  mix(frame.rgb().data(), frame.rgb().size());
+  for (const VideoGenerator::PartRun& run : gen.runs()) {
+    const std::uint64_t fields[3] = {run.part, run.begin, run.end};
+    mix(fields, sizeof fields);
+  }
+  return h;
+}
+
+VideoConfig sampling_config(std::uint64_t seed, std::size_t points) {
+  VideoConfig c;
+  c.points_per_frame = points;
+  c.frame_count = 30;
+  c.seed = seed;
+  return c;
+}
+
+TEST(VideoGenerator, SerialDrawMatchesPinnedHashes) {
+  // The samples of the serial draw, hashed when points were still drawn
+  // one push_back at a time: drawing into pre-sized rows must not move a
+  // single bit. Tiny budgets cover the one-point fallback (1) and the
+  // top-up with copies (2, 3, 5).
+  struct Pinned {
+    std::uint64_t seed;
+    std::size_t points;
+    std::uint64_t hash;
+  };
+  const Pinned pinned[] = {
+      {1, 1, 0xc80abbb3933af582ULL},      {1, 2, 0x8c4a992adae3ca8fULL},
+      {1, 3, 0xa338ef6c983b1058ULL},      {1, 5, 0x337299df9f5e9fbaULL},
+      {1, 1000, 0xa71e99a87985df88ULL},   {1, 120000, 0xada3b40d13c758deULL},
+      {7, 5, 0xa345bb4e1b63fd1fULL},      {7, 1000, 0x7c6de96ec3fbdf13ULL},
+      {7, 120000, 0x611a2062583d1f69ULL}, {11, 1, 0x7be83e9833cac27fULL},
+      {11, 5, 0x2eba8ba2c4b48bf2ULL},     {11, 120000, 0xb263cec21e9e81afULL},
+  };
+  for (const Pinned& p : pinned) {
+    EXPECT_EQ(samples_hash(VideoGenerator(sampling_config(p.seed, p.points))),
+              p.hash)
+        << "seed " << p.seed << ", " << p.points << " points";
+  }
+}
+
+TEST(VideoGenerator, PooledDrawEqualsSerialDrawAtAnyPoolSize) {
+  // Pools of up to 7 lanes, on budgets with more lanes than points, with
+  // the one-point fallback, with top-up copies and at the ledger's size.
+  for (const std::uint64_t seed : {1u, 7u, 11u}) {
+    for (const std::size_t points : {1u, 2u, 3u, 5u, 1000u, 120000u}) {
+      const VideoGenerator serial(sampling_config(seed, points));
+      const FrameSoA serial_frame = serial.frame_soa(0);
+      for (const std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                     std::to_string(points) + " points, " +
+                     std::to_string(threads) + " lanes");
+        common::ThreadPool pool(threads);
+        const VideoGenerator pooled(sampling_config(seed, points), &pool);
+        EXPECT_EQ(pooled.local_x(), serial.local_x());
+        EXPECT_EQ(pooled.local_y(), serial.local_y());
+        EXPECT_EQ(pooled.local_z(), serial.local_z());
+        EXPECT_EQ(pooled.runs(), serial.runs());
+        const FrameSoA frame = pooled.frame_soa(0);
+        EXPECT_TRUE(std::ranges::equal(frame.rgb(), serial_frame.rgb()));
+      }
+    }
+  }
+}
+
+TEST(VideoGenerator, SkipPointLeavesTheRngWhereDrawPointDoes) {
+  for (const std::uint64_t seed : {3u, 1234u}) {
+    Rng drawn(seed);
+    Rng skipped(seed);
+    for (std::size_t k = 1; k <= 300; ++k) {
+      static_cast<void>(VideoGenerator::draw_point(drawn, k % 10));
+      VideoGenerator::skip_point(skipped);
+      // Copies, so the walk goes on: equal raw outputs, and the next
+      // normal() is drawn fresh by both (neither holds a cached one).
+      Rng a = drawn;
+      Rng b = skipped;
+      ASSERT_EQ(a.normal(), b.normal()) << "after " << k << " points";
+      ASSERT_EQ(a.normal(), b.normal()) << "after " << k << " points";
+      ASSERT_EQ(a.next_u64(), b.next_u64()) << "after " << k << " points";
+    }
+  }
+}
+
+TEST(VideoGenerator, DrawPointRejectsAnUnknownPart) {
+  Rng rng(1);
+  EXPECT_THROW(static_cast<void>(VideoGenerator::draw_point(rng, 10)),
+               std::out_of_range);
 }
 
 TEST(Thin, FractionOneIsIdentity) {

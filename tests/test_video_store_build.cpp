@@ -6,7 +6,9 @@
 //    serialized store equals a reference blob (thin, assign, encode every
 //    tier of every sample frame) for power-of-two and other cell edges,
 //    unsorted and duplicate tier ladders, 0 to 2 sample frames, exact
-//    stores, and pools of 1, 2 and 4 workers;
+//    stores, and pools of 1, 2 and 4 workers (whose lanes size the
+//    sample frame's cells largest first), and the ledger-shaped bundle
+//    store hashes as pinned from a serial build;
 //  * the radix-sorted encoder equals an encoder that sorts (code, index)
 //    pairs with a comparator, byte for byte, on tie-heavy clouds;
 //  * the leaves partition the samples, their radii are inflated past
@@ -151,8 +153,13 @@ struct BuildCase {
 VideoStoreConfig case_config(const BuildCase& bc) {
   VideoStoreConfig sc;
   sc.tiers.clear();
-  for (std::size_t p : bc.tier_points)
-    sc.tiers.push_back({"t" + std::to_string(p), p});
+  for (std::size_t p : bc.tier_points) {
+    // Appended rather than "t" + to_string(p), where GCC 12 warns of an
+    // overlapping copy (-Wrestrict) inside the inlined concatenation.
+    std::string name = "t";
+    name += std::to_string(p);
+    sc.tiers.push_back({std::move(name), p});
+  }
   sc.sample_frames = bc.sample_frames;
   sc.exact = bc.exact;
   return sc;
@@ -295,6 +302,38 @@ TEST(VideoStoreFusedBuild, SerializedStoreEqualsReferenceAtAnyPoolSize) {
       sc.pool = &pool;
       const VideoStore store(gen, grid, sc);
       EXPECT_EQ(store.serialize(), expected) << threads << " worker threads";
+    }
+  }
+}
+
+TEST(VideoStoreFusedBuild, BundleStoreMatchesPinnedHashesAtAnyPoolSize) {
+  // The ledger's content (120k points, 30 frames, 0.5 m cells, one sample
+  // frame) built through WorkloadBundle, whose pool also draws the
+  // generator's samples and sizes the sample frame's cells largest
+  // first. The FNV-1a64 of serialize() was pinned from a serial build
+  // with cells sized in index order; worker_threads 0 is every core.
+  struct Pinned {
+    std::uint64_t content_seed;
+    std::uint64_t hash;
+  };
+  for (const Pinned& p : {Pinned{1, 0x7218988de7ff18b1ULL},
+                          Pinned{7, 0xc6e5cf68f57e26efULL},
+                          Pinned{11, 0x73264652a2775a48ULL}}) {
+    for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+      core::SessionConfig c;
+      c.master_points = 120'000;
+      c.video_frames = 30;
+      c.content_seed = p.content_seed;
+      c.worker_threads = threads;
+      const std::vector<std::uint8_t> blob =
+          core::WorkloadBundle::build(c)->store().serialize();
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      for (const std::uint8_t b : blob) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+      }
+      EXPECT_EQ(h, p.hash) << "content seed " << p.content_seed << ", "
+                           << threads << " worker threads";
     }
   }
 }

@@ -76,7 +76,9 @@ TEST(ComputeVisibility, EmptyCellsNeverVisible) {
   const auto map =
       compute_visibility(scene.grid, scene.occupancy, pose, {});
   for (CellId c = 0; c < scene.grid.cell_count(); ++c) {
-    if (c != 5) EXPECT_FALSE(map.visible(c));
+    if (c != 5) {
+      EXPECT_FALSE(map.visible(c));
+    }
   }
 }
 
@@ -100,8 +102,11 @@ TEST(ComputeVisibility, OcclusionHidesBackCells) {
       compute_visibility(scene.grid, scene.occupancy, pose, without);
   EXPECT_LT(occluded.visible_count(), all.visible_count());
   // Occlusion culling only removes cells, never adds.
-  for (CellId c = 0; c < scene.grid.cell_count(); ++c)
-    if (occluded.visible(c)) EXPECT_TRUE(all.visible(c));
+  for (CellId c = 0; c < scene.grid.cell_count(); ++c) {
+    if (occluded.visible(c)) {
+      EXPECT_TRUE(all.visible(c));
+    }
+  }
 }
 
 TEST(ComputeVisibility, DistanceLodReducesFarDensity) {
@@ -138,7 +143,9 @@ TEST(ComputeVisibility, LodNeverBelowFloor) {
       scene.grid, scene.occupancy,
       viewer_at({15.0, 0.0, 1.0}, {0.0, 0.0, 1.0}), opt);
   for (CellId c = 0; c < scene.grid.cell_count(); ++c) {
-    if (map.visible(c)) EXPECT_GE(map.lod(c), 0.25);
+    if (map.visible(c)) {
+      EXPECT_GE(map.lod(c), 0.25);
+    }
   }
 }
 

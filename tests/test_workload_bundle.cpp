@@ -127,7 +127,9 @@ TEST(WorkloadBundle, SessionRejectsAMismatchedBundle) {
 }
 
 TEST(WorkloadBundle, BundledSessionIsBitIdenticalToLegacy) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  // worker_threads 0 is every core; the bundle's pool draws the
+  // generator's samples and sizes the store on all of its lanes.
+  for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
     SessionConfig legacy = small_config();
     legacy.worker_threads = threads;
     Session a(legacy);

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Builds every target with VOLCAST_NATIVE=ON (-march=native: host SIMD, and
 # FMA instructions on hosts that have them) and VOLCAST_WERROR=ON (a
-# warning in the src/ libraries fails the build), then runs the whole test
-# suite.
+# warning in any target fails the build), then runs the whole test suite.
 # The build never contracts a * b + c into an FMA (-ffp-contract=off for
 # every target, CMakeLists.txt), so host-tuned codegen must give the same
 # bits as the portable build: the library's bit-equality suites and the

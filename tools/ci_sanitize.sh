@@ -6,12 +6,12 @@
 # Modes, selected by the VOLCAST_SANITIZE environment variable:
 #   address;undefined   (default) full suite under ASan + UBSan
 #   thread              TSan over the concurrent paths: the thread pool, the
-#                       video-store build, shared workload bundles and
-#                       fleets (ticks run serially, so the rest of the suite
-#                       checks nothing concurrent and would cost hours under
-#                       TSan), then the ThreadPool suite again, repeated
-#                       until it fails, up to 50 times, to catch a
-#                       returning teardown race
+#                       generator's sampling, the video-store build, shared
+#                       workload bundles and fleets (ticks run serially, so
+#                       the rest of the suite checks nothing concurrent and
+#                       would cost hours under TSan), then the ThreadPool
+#                       suite again, repeated until it fails, up to 50
+#                       times, to catch a returning teardown race
 #
 #   tools/ci_sanitize.sh [build-dir]      # default: build-asan / build-tsan
 set -euo pipefail
@@ -21,7 +21,7 @@ MODE="${VOLCAST_SANITIZE:-address;undefined}"
 
 if [[ "$MODE" == "thread" ]]; then
   BUILD_DIR="${1:-build-tsan}"
-  TEST_FILTER=(-R 'ThreadPool|SessionParallel|Session|JointPredictor|VideoStore|Telemetry|ObsMetrics|Fleet|Supervisor|Checkpoint|Transport|TilingStage|WorkloadBundle|FrameSoA|Overload|LoadGovernor|Admission')
+  TEST_FILTER=(-R 'ThreadPool|SessionParallel|Session|JointPredictor|VideoGenerator|VideoStore|Telemetry|ObsMetrics|Fleet|Supervisor|Checkpoint|Transport|TilingStage|WorkloadBundle|FrameSoA|Overload|LoadGovernor|Admission')
 else
   BUILD_DIR="${1:-build-asan}"
   TEST_FILTER=()
