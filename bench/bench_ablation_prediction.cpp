@@ -128,7 +128,7 @@ int main() {
   for (std::size_t f = 0; f < 300; f += 10) {
     joint_with.observe(static_cast<double>(f) / 30.0, history[f]);
     joint_without.observe(static_cast<double>(f) / 30.0, history[f]);
-    const auto occupancy = grid.occupancy(generator.frame(f % 30));
+    const auto occupancy = grid.occupancy(generator.frame_soa(f % 30));
     const auto pw = joint_with.predict(0.1, grid, occupancy);
     const auto pwo = joint_without.predict(0.1, grid, occupancy);
     for (std::size_t u = 0; u < n_users; ++u) {

@@ -30,7 +30,7 @@ struct Fig2Setup {
 std::vector<view::VisibilityMap> frame_maps(
     const Fig2Setup& s, const vv::CellGrid& grid, std::size_t frame,
     const std::vector<std::size_t>& users) {
-  const auto occupancy = grid.occupancy(s.generator.frame(frame));
+  const auto occupancy = grid.occupancy(s.generator.frame_soa(frame));
   std::vector<view::VisibilityMap> maps;
   maps.reserve(users.size());
   for (std::size_t u : users) {

@@ -43,26 +43,6 @@ const vv::VideoGenerator& generator() {
 }
 
 void BM_CodecEncode(benchmark::State& state) {
-  const auto cloud = vv::thin(generator().frame(0),
-                              static_cast<double>(state.range(0)) / 100'000.0);
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const auto blob = vv::encode(cloud);
-    bytes = blob.size();
-    benchmark::DoNotOptimize(blob.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(cloud.size()));
-  state.counters["bits/pt"] =
-      8.0 * static_cast<double>(bytes) / static_cast<double>(cloud.size());
-}
-BENCHMARK(BM_CodecEncode)->Arg(10'000)->Arg(50'000)->Arg(100'000);
-
-void BM_CodecEncodeSoA(benchmark::State& state) {
-  // The SoA-native path: no AoS conversion, the encoder reads the columns
-  // the generator produced. The delta vs BM_CodecEncode is the conversion
-  // tax the store's build pipeline no longer pays.
   const auto frame =
       vv::thin(generator().frame_soa(0),
                static_cast<double>(state.range(0)) / 100'000.0);
@@ -78,19 +58,20 @@ void BM_CodecEncodeSoA(benchmark::State& state) {
   state.counters["bits/pt"] =
       8.0 * static_cast<double>(bytes) / static_cast<double>(frame.size());
 }
-BENCHMARK(BM_CodecEncodeSoA)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_CodecEncode)->Arg(10'000)->Arg(50'000)->Arg(100'000);
 
 void BM_CodecDecode(benchmark::State& state) {
-  const auto cloud = vv::thin(generator().frame(0),
-                              static_cast<double>(state.range(0)) / 100'000.0);
-  const auto blob = vv::encode(cloud);
+  const auto frame =
+      vv::thin(generator().frame_soa(0),
+               static_cast<double>(state.range(0)) / 100'000.0);
+  const auto blob = vv::encode(frame);
   for (auto _ : state) {
-    const auto back = vv::decode(blob);
-    benchmark::DoNotOptimize(back.points().data());
+    const auto back = vv::decode_soa(blob);
+    benchmark::DoNotOptimize(back.xs().data());
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(cloud.size()));
+      static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_CodecDecode)->Arg(10'000)->Arg(100'000);
 
@@ -238,7 +219,7 @@ BENCHMARK(BM_FrustumCulling);
 void BM_ComputeVisibility(benchmark::State& state) {
   const vv::CellGrid grid(generator().content_bounds(),
                           state.range(0) / 100.0);
-  const auto occupancy = grid.occupancy(generator().frame(0));
+  const auto occupancy = grid.occupancy(generator().frame_soa(0));
   const geo::Pose pose = geo::Pose::look_at({2.5, 0, 1.5}, {0, 0, 1.1});
   for (auto _ : state) {
     const auto map = view::compute_visibility(grid, occupancy, pose, {});

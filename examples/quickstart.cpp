@@ -24,7 +24,7 @@ int main() {
   video.points_per_frame = 100'000;  // scale down for a quick demo
   video.frame_count = 30;
   const vv::VideoGenerator generator(video);
-  const vv::PointCloud frame = generator.frame(0);
+  const vv::FrameSoA frame = generator.frame_soa(0);
   const auto blob = vv::encode(frame);
   std::printf("frame 0: %zu points, %zu raw bytes -> %zu encoded (%.1f "
               "bits/point)\n",

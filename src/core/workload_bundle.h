@@ -105,8 +105,7 @@ class OccupancyTable {
 /// The immutable artifact set. Typical use is the one-liner
 /// WorkloadBundle::build(config); the two-phase constructor + install_video
 /// / build_artifacts + freeze path exists for callers that bring their own
-/// artifacts (e.g. a VideoStore deserialized from disk) and for the
-/// immutability-guard tests.
+/// artifacts and for the immutability-guard tests.
 class WorkloadBundle {
  public:
   explicit WorkloadBundle(WorkloadKey key) : key_(key) {}

@@ -99,21 +99,6 @@ void CellGrid::locate_columns(const double* x, const double* y,
   }
 }
 
-std::vector<std::vector<std::uint32_t>> CellGrid::assign(
-    const PointCloud& cloud) const {
-  std::vector<std::vector<std::uint32_t>> buckets(cell_count());
-  const auto& pts = cloud.points();
-  for (std::uint32_t i = 0; i < pts.size(); ++i)
-    buckets[locate(pts[i].position)].push_back(i);
-  return buckets;
-}
-
-std::vector<std::uint32_t> CellGrid::occupancy(const PointCloud& cloud) const {
-  std::vector<std::uint32_t> counts(cell_count(), 0);
-  for (const Point& p : cloud.points()) ++counts[locate(p.position)];
-  return counts;
-}
-
 std::vector<CellId> CellGrid::locate_batch(const FrameSoA& frame) const {
   std::vector<CellId> ids(frame.size());
   locate_columns(frame.xs().data(), frame.ys().data(), frame.zs().data(),
@@ -125,8 +110,7 @@ FlatAssignment CellGrid::assign_flat(const FrameSoA& frame) const {
   const std::vector<CellId> ids = locate_batch(frame);
   FlatAssignment out;
   // Counting sort: histogram, exclusive prefix sum, then a stable placement
-  // pass in ascending point order — which reproduces assign()'s ascending
-  // within-cell order exactly.
+  // pass in ascending point order, so each cell lists its points ascending.
   out.offsets.assign(cell_count() + 1, 0);
   for (const CellId id : ids) ++out.offsets[id + 1];
   for (std::size_t c = 1; c < out.offsets.size(); ++c)

@@ -15,11 +15,9 @@ namespace volcast::vv {
 /// Index of a cell within a CellGrid (linear, row-major x-fastest).
 using CellId = std::uint32_t;
 
-/// CSR-style point bucketing: one flat index array plus per-cell offsets.
-/// Equivalent to assign()'s vector-of-vectors (same indices, same ascending
-/// order within each cell) but built with a counting sort over contiguous
-/// arrays — no per-cell allocations, and the store's per-cell gather reads
-/// one contiguous slice.
+/// CSR-style point bucketing: one flat index array plus per-cell offsets,
+/// built with a counting sort over contiguous arrays — no per-cell
+/// allocations, and the store's per-cell gather reads one contiguous slice.
 struct FlatAssignment {
   /// offsets.size() == cell_count() + 1; cell c's indices live at
   /// indices[offsets[c] .. offsets[c + 1]).
@@ -79,26 +77,16 @@ class CellGrid {
   void locate_columns(const double* x, const double* y, const double* z,
                       std::size_t n, CellId* ids) const noexcept;
 
-  /// Buckets every point of `cloud` by containing cell.
-  /// Result has cell_count() entries; entry c lists indices into
-  /// cloud.points().
-  [[nodiscard]] std::vector<std::vector<std::uint32_t>> assign(
-      const PointCloud& cloud) const;
-
-  /// Per-cell point counts only (cheaper than assign()).
-  [[nodiscard]] std::vector<std::uint32_t> occupancy(
-      const PointCloud& cloud) const;
-
-  /// SoA form of locate() over a whole frame: ids[i] = locate(position i),
+  /// locate() over a whole frame: ids[i] = locate(frame.position(i)),
   /// through locate_columns().
   [[nodiscard]] std::vector<CellId> locate_batch(const FrameSoA& frame) const;
 
-  /// Counting-sort bucketing of a SoA frame; same contents and per-cell
-  /// order as assign() on the equivalent AoS cloud.
+  /// Buckets every point of `frame` by containing cell: cell c lists the
+  /// indices i with locate(frame.position(i)) == c, ascending.
   [[nodiscard]] FlatAssignment assign_flat(const FrameSoA& frame) const;
 
-  /// Per-cell point counts of a SoA frame; identical to occupancy() on the
-  /// equivalent AoS cloud.
+  /// Per-cell point counts of `frame` (cheaper than assign_flat()); entry
+  /// c counts the points that locate() puts in cell c.
   [[nodiscard]] std::vector<std::uint32_t> occupancy(
       const FrameSoA& frame) const;
 

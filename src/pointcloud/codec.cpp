@@ -252,13 +252,6 @@ std::size_t encoded_size(const FrameSoA& frame, const CodecConfig& config) {
   return kCodecHeaderBytes + sizer.finish();
 }
 
-std::vector<std::uint8_t> encode(const PointCloud& cloud,
-                                 const CodecConfig& config) {
-  // The conversion is exact (same doubles, same bytes, same order), so this
-  // wrapper is byte-identical to the pre-SoA AoS encoder.
-  return encode(FrameSoA::from_aos(cloud), config);
-}
-
 FrameSoA decode_soa(std::span<const std::uint8_t> data) {
   if (data.size() < kCodecHeaderBytes ||
       !std::equal(kMagic.begin(), kMagic.end(), data.begin()))
@@ -339,10 +332,6 @@ FrameSoA decode_soa(std::span<const std::uint8_t> data) {
 
   return FrameSoA::from_columns(std::move(x), std::move(y), std::move(z),
                                 std::move(rgb));
-}
-
-PointCloud decode(std::span<const std::uint8_t> data) {
-  return decode_soa(data).to_aos();
 }
 
 }  // namespace volcast::vv

@@ -6,9 +6,9 @@
 //
 // Properties the streaming system relies on:
 //  * each encoded blob is self-contained (a cell can be decoded alone),
-//  * decode(encode(x)) reproduces the quantized cloud exactly (lossless in
-//    the quantized domain; position error is bounded by half a quantization
-//    step),
+//  * decode_soa(encode(x)) reproduces the quantized frame exactly (lossless
+//    in the quantized domain; position error is bounded by half a
+//    quantization step),
 //  * the compressed rate lands in the ~20-25 bits/point regime that the
 //    paper's 235-364 Mbps bitrates imply for 330K-550K point frames.
 #pragma once
@@ -38,9 +38,8 @@ struct CodecConfig {
 };
 
 /// Encodes a frame into a self-contained blob. Empty frames are valid.
-/// Throws std::invalid_argument for out-of-range quant_bits. This SoA
-/// overload is the primary pipeline: per-axis quantization, Morton batching
-/// and varint length counting all run over contiguous columns.
+/// Throws std::invalid_argument for out-of-range quant_bits. Per-axis
+/// quantization and Morton batching run over contiguous columns.
 [[nodiscard]] std::vector<std::uint8_t> encode(const FrameSoA& frame,
                                                const CodecConfig& config = {});
 
@@ -50,18 +49,10 @@ struct CodecConfig {
 [[nodiscard]] std::size_t encoded_size(const FrameSoA& frame,
                                        const CodecConfig& config = {});
 
-/// AoS convenience overload; converts (exactly) and encodes. Byte-identical
-/// to encoding FrameSoA::from_aos(cloud).
-[[nodiscard]] std::vector<std::uint8_t> encode(const PointCloud& cloud,
-                                               const CodecConfig& config = {});
-
-/// Decodes a blob produced by encode() into SoA columns. Throws
+/// Decodes a blob produced by encode() into frame columns; the codec's
+/// round-trip reference (the store only sizes blobs). Throws
 /// std::runtime_error on a malformed header.
 [[nodiscard]] FrameSoA decode_soa(std::span<const std::uint8_t> data);
-
-/// Decodes a blob produced by encode(). Throws std::runtime_error on a
-/// malformed header. Value-identical to decode_soa(data).to_aos().
-[[nodiscard]] PointCloud decode(std::span<const std::uint8_t> data);
 
 namespace detail {
 

@@ -1,19 +1,12 @@
-// Point-cloud containers: the volumetric video frame representations.
+// The volumetric video frame: one structure-of-arrays (SoA) layout, with
+// separate contiguous coordinate columns plus a packed RGB byte column. The
+// hot paths (per-axis codec quantization, Morton batching, occupancy
+// bucketing) iterate one column at a time, so they stream cache lines of
+// useful data only and autovectorize.
 //
-// Two layouts of the same frame:
-//  * PointCloud — array-of-structs (AoS), one Point record per sample. The
-//    natural unit for call sites that pass single points around.
-//  * FrameSoA  — structure-of-arrays (SoA), separate contiguous coordinate
-//    columns plus a packed RGB byte column. The hot paths (per-axis codec
-//    quantization, Morton batching, occupancy bucketing, visibility ray
-//    batches) iterate one column at a time, so they stream cache lines of
-//    useful data only and autovectorize.
-//
-// Exactness contract: AoS <-> SoA conversion is value-preserving in both
-// directions — the columns store the same doubles geo::Vec3 holds (not
-// narrowed floats) and the same RGB bytes, so every pipeline built on either
-// layout is bit-identical to the other. The refactor-equivalence goldens
-// rely on this.
+// The columns store full doubles (not narrowed floats), so a frame carries
+// exactly the positions the generator computed; the codec's byte hashes and
+// the session goldens pin everything built on it.
 #pragma once
 
 #include <cstdint>
@@ -26,76 +19,6 @@
 
 namespace volcast::vv {
 
-/// One colored point of a volumetric frame.
-struct Point {
-  geo::Vec3 position{};
-  std::uint8_t r = 0;
-  std::uint8_t g = 0;
-  std::uint8_t b = 0;
-
-  bool operator==(const Point& o) const noexcept = default;
-};
-
-/// A single frame of volumetric video: an unordered set of colored points.
-class PointCloud {
- public:
-  PointCloud() = default;
-  explicit PointCloud(std::vector<Point> points)
-      : points_(std::move(points)), bounds_fresh_(false) {}
-
-  [[nodiscard]] const std::vector<Point>& points() const noexcept {
-    return points_;
-  }
-  [[nodiscard]] std::vector<Point>& points() noexcept {
-    // The caller may mutate through this reference at any later time, so the
-    // cached bounds can no longer be trusted.
-    bounds_fresh_ = false;
-    return points_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return points_.empty(); }
-
-  void add(const Point& p) {
-    if (bounds_fresh_) bounds_.expand(p.position);
-    points_.push_back(p);
-  }
-  void reserve(std::size_t n) { points_.reserve(n); }
-  void clear() noexcept {
-    points_.clear();
-    bounds_ = geo::Aabb{};
-    bounds_fresh_ = true;
-  }
-
-  /// Tight bounding box of all points (invalid Aabb when empty). Cached:
-  /// maintained incrementally by add()/clear() and recomputed lazily after
-  /// the mutable points() accessor was taken, so the visibility and codec
-  /// paths never pay a per-call O(n) scan. Incremental expand and the lazy
-  /// rescan visit points in the same order with the same min/max ops, so
-  /// the cached box is bit-identical to a fresh scan. The lazy refresh
-  /// writes the cache, so a cloud mutated through points() must not have
-  /// bounds() raced from other threads (immutable clouds are safe to
-  /// share).
-  [[nodiscard]] geo::Aabb bounds() const noexcept {
-    if (!bounds_fresh_) {
-      bounds_ = geo::Aabb{};
-      for (const Point& p : points_) bounds_.expand(p.position);
-      bounds_fresh_ = true;
-    }
-    return bounds_;
-  }
-
-  /// Uncompressed wire size in bytes (3 x float32 position + RGB), the
-  /// baseline the codec's compression ratio is measured against.
-  [[nodiscard]] std::size_t raw_size_bytes() const noexcept {
-    return points_.size() * (3 * sizeof(float) + 3);
-  }
-
- private:
-  std::vector<Point> points_;
-  mutable geo::Aabb bounds_;
-  mutable bool bounds_fresh_ = true;  // empty cloud: invalid box, like a scan
-};
-
 /// Structure-of-arrays frame: x/y/z coordinate columns plus a packed
 /// 3-bytes-per-point RGB column. Append-only; the bounding box is
 /// maintained on every push, so bounds() is O(1) at every call site.
@@ -103,36 +26,15 @@ class FrameSoA {
  public:
   FrameSoA() = default;
 
-  /// Exact AoS -> SoA conversion (same doubles, same bytes, same order).
-  [[nodiscard]] static FrameSoA from_aos(const PointCloud& cloud) {
-    FrameSoA out;
-    out.reserve(cloud.size());
-    for (const Point& p : cloud.points())
-      out.push_back(p.position, p.r, p.g, p.b);
-    return out;
-  }
-
   /// Adopts pre-filled columns (positions as parallel vectors, colors
   /// packed r,g,b per point); the decode path fills columns with batched
   /// per-axis loops and hands them over here. Bounds are computed with the
-  /// same ordered expand scan from_aos performs. Throws std::invalid_argument
-  /// on mismatched column lengths.
+  /// same ordered expand sequence push_back performs. Throws
+  /// std::invalid_argument on mismatched column lengths.
   [[nodiscard]] static FrameSoA from_columns(std::vector<double> x,
                                              std::vector<double> y,
                                              std::vector<double> z,
                                              std::vector<std::uint8_t> rgb);
-
-  /// Exact SoA -> AoS conversion; from_aos(to_aos()) round-trips bit-equal.
-  [[nodiscard]] PointCloud to_aos() const {
-    PointCloud out;
-    out.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i)
-      out.add({{x_[i], y_[i], z_[i]},
-               rgb_[3 * i],
-               rgb_[3 * i + 1],
-               rgb_[3 * i + 2]});
-    return out;
-  }
 
   [[nodiscard]] std::size_t size() const noexcept { return x_.size(); }
   [[nodiscard]] bool empty() const noexcept { return x_.empty(); }
@@ -153,14 +55,6 @@ class FrameSoA {
     rgb_.push_back(r);
     rgb_.push_back(g);
     rgb_.push_back(b);
-  }
-
-  void clear() noexcept {
-    x_.clear();
-    y_.clear();
-    z_.clear();
-    rgb_.clear();
-    bounds_ = geo::Aabb{};
   }
 
   /// Sub-frame of the given point indices, in index order — how the store
@@ -189,10 +83,11 @@ class FrameSoA {
 
   /// Tight bounding box of all points (invalid Aabb when empty). O(1):
   /// maintained on push_back with the same expand sequence a scan performs,
-  /// so it is bit-identical to PointCloud::bounds() of the same points.
+  /// so it is bit-identical to a fresh scan of the same points.
   [[nodiscard]] const geo::Aabb& bounds() const noexcept { return bounds_; }
 
-  /// Uncompressed wire size in bytes (matches PointCloud::raw_size_bytes).
+  /// Uncompressed wire size in bytes (3 x float32 position + RGB), the
+  /// baseline the codec's compression ratio is measured against.
   [[nodiscard]] std::size_t raw_size_bytes() const noexcept {
     return size() * (3 * sizeof(float) + 3);
   }

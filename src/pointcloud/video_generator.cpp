@@ -196,10 +196,6 @@ VideoGenerator::VideoGenerator(VideoConfig config, common::ThreadPool* pool)
   }
 }
 
-PointCloud VideoGenerator::frame(std::size_t index) const {
-  return frame_soa(index).to_aos();
-}
-
 FrameSoA VideoGenerator::frame_soa(std::size_t index) const {
   std::vector<double> x;
   std::vector<double> y;
@@ -273,19 +269,6 @@ ThinFilter::ThinFilter(double fraction) noexcept
              : fraction > 0.0
                  ? static_cast<std::uint32_t>(fraction * 4294967296.0)
                  : 0) {}
-
-PointCloud thin(const PointCloud& cloud, double fraction) {
-  if (fraction >= 1.0) return cloud;
-  PointCloud out;
-  if (fraction <= 0.0) return out;
-  const ThinFilter filter(fraction);
-  out.reserve(static_cast<std::size_t>(
-      fraction * static_cast<double>(cloud.size())));
-  const auto& pts = cloud.points();
-  for (std::uint32_t i = 0; i < pts.size(); ++i)
-    if (filter.keeps(i)) out.add(pts[i]);
-  return out;
-}
 
 FrameSoA thin(const FrameSoA& frame, double fraction) {
   if (fraction >= 1.0) return frame;

@@ -38,12 +38,12 @@ struct VideoConfig {
   double yaw_amplitude_rad = 0.5;
 };
 
-/// Deterministic articulated-figure video. `frame(i)` is a pure function of
-/// (config, i): the same index always yields the same cloud, so streaming
-/// components can regenerate frames instead of buffering them.
+/// Deterministic articulated-figure video. `frame_soa(i)` is a pure
+/// function of (config, i): the same index always yields the same frame, so
+/// streaming components can regenerate frames instead of buffering them.
 ///
 /// Thread safety: the generator holds its config and the per-point
-/// samples, both fixed at construction, so frame() and every other member
+/// samples, both fixed at construction, so frame_soa() and every other member
 /// may be called concurrently without locking — sessions sharing one
 /// core::WorkloadBundle do exactly that.
 class VideoGenerator {
@@ -59,12 +59,8 @@ class VideoGenerator {
 
   [[nodiscard]] const VideoConfig& config() const noexcept { return config_; }
 
-  /// Generates frame `index` (wraps modulo frame_count for looping playback).
-  /// Equal to frame_soa(index).to_aos().
-  [[nodiscard]] PointCloud frame(std::size_t index) const;
-
-  /// SoA form of frame(): positions() plus the color column, in the same
-  /// point order. The store's exactly encoded frames consume this layout.
+  /// Generates frame `index` (wraps modulo frame_count for looping
+  /// playback): positions() plus the color column, in the same point order.
   [[nodiscard]] FrameSoA frame_soa(std::size_t index) const;
 
   /// Fills x/y/z (resized to points_per_frame) with frame `index`'s point
@@ -168,7 +164,7 @@ class VideoGenerator {
 };
 
 /// The index test behind thin(): keeps(i) is true exactly for the points
-/// thin(cloud, fraction) keeps. A Knuth multiplicative hash of the index
+/// thin(frame, fraction) keeps. A Knuth multiplicative hash of the index
 /// against a bound, so it is order-free and stable under re-runs, and a
 /// smaller fraction keeps a subset of what a larger one keeps.
 class ThinFilter {
@@ -187,14 +183,11 @@ class ThinFilter {
   std::uint64_t bound_;
 };
 
-/// Deterministically thins a cloud to ~`fraction` of its points, uniformly
-/// across the cloud (hash-based, stable under re-runs). Used to derive the
-/// 430K / 330K quality tiers from the 550K master, and for distance-based
-/// level-of-detail.
-[[nodiscard]] PointCloud thin(const PointCloud& cloud, double fraction);
-
-/// SoA overload; keeps exactly the points the AoS form keeps (the hash is a
-/// function of the index alone).
+/// Deterministically thins a frame to ~`fraction` of its points, uniformly
+/// across the frame and in their order (ThinFilter: a hash of the index
+/// alone, stable under re-runs). The 430K / 330K quality tiers are this
+/// thinning of the 550K master; the store applies the filter to its
+/// buckets directly.
 [[nodiscard]] FrameSoA thin(const FrameSoA& frame, double fraction);
 
 }  // namespace volcast::vv

@@ -1,9 +1,6 @@
 #include "pointcloud/video_store.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -21,7 +18,7 @@ std::vector<QualityTier> paper_quality_tiers() {
 
 namespace {
 
-/// The blob's tier limit, which also keeps a point's tier class (how many
+/// The store's tier limit, which keeps a point's tier class (how many
 /// tiers keep it) within one byte.
 constexpr std::size_t kMaxTiers = 64;
 
@@ -280,8 +277,6 @@ namespace {
 
 constexpr std::uint8_t kStoreMagic[4] = {'V', 'S', 'T', 'R'};
 constexpr std::uint32_t kStoreVersion = 1;
-constexpr std::size_t kMaxFrames = 1u << 20;
-constexpr std::size_t kMaxNameLen = 256;
 
 std::uint64_t fnv1a(std::span<const std::uint8_t> data) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -295,40 +290,6 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> data) noexcept {
 using common::put_u32;
 using common::put_u64;
 
-/// Bounds-checked little-endian reader; every decode failure throws.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  std::uint32_t u32() {
-    need(4);
-    const std::uint32_t v = common::get_u32(data_, pos_);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    const std::uint64_t v = common::get_u64(data_, pos_);
-    pos_ += 8;
-    return v;
-  }
-  std::string str(std::size_t len) {
-    need(len);
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-
- private:
-  void need(std::size_t bytes) const {
-    if (pos_ + bytes > data_.size())
-      throw std::runtime_error("VideoStore: truncated blob");
-  }
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::vector<std::uint8_t> VideoStore::serialize() const {
@@ -338,7 +299,7 @@ std::vector<std::uint8_t> VideoStore::serialize() const {
   common::put_f64(out, fps_);
   put_u32(out, static_cast<std::uint32_t>(config_.tiers.size()));
   put_u32(out, static_cast<std::uint32_t>(frames_.size()));
-  put_u64(out, grid_ != nullptr ? grid_->cell_count() : 0);
+  put_u64(out, grid_->cell_count());
   for (const QualityTier& tier : config_.tiers) {
     put_u32(out, static_cast<std::uint32_t>(tier.name.size()));
     common::append_bytes(out, tier.name.data(), tier.name.size());
@@ -352,62 +313,6 @@ std::vector<std::uint8_t> VideoStore::serialize() const {
   }
   put_u64(out, fnv1a(out));
   return out;
-}
-
-VideoStore VideoStore::deserialize(const CellGrid& grid,
-                                   std::span<const std::uint8_t> blob) {
-  if (blob.size() < sizeof kStoreMagic + 8)
-    throw std::runtime_error("VideoStore: blob too small");
-  Reader checksum_reader(blob.subspan(blob.size() - 8));
-  const std::uint64_t expected = checksum_reader.u64();
-  if (fnv1a(blob.subspan(0, blob.size() - 8)) != expected)
-    throw std::runtime_error("VideoStore: checksum mismatch");
-
-  Reader in(blob.subspan(0, blob.size() - 8));
-  if (std::memcmp(in.str(4).data(), kStoreMagic, 4) != 0)
-    throw std::runtime_error("VideoStore: bad magic");
-  if (in.u32() != kStoreVersion)
-    throw std::runtime_error("VideoStore: unsupported version");
-  VideoStore store;
-  const double fps = std::bit_cast<double>(in.u64());
-  if (!(fps > 0.0) || !std::isfinite(fps))
-    throw std::runtime_error("VideoStore: invalid fps");
-  store.fps_ = fps;
-  const std::size_t n_tiers = in.u32();
-  const std::size_t n_frames = in.u32();
-  const std::uint64_t n_cells = in.u64();
-  if (n_tiers == 0 || n_tiers > kMaxTiers)
-    throw std::runtime_error("VideoStore: tier count out of range");
-  if (n_frames > kMaxFrames)
-    throw std::runtime_error("VideoStore: frame count out of range");
-  if (n_cells != grid.cell_count())
-    throw std::runtime_error("VideoStore: cell count does not match grid");
-  store.config_.tiers.clear();
-  for (std::size_t q = 0; q < n_tiers; ++q) {
-    const std::size_t name_len = in.u32();
-    if (name_len > kMaxNameLen)
-      throw std::runtime_error("VideoStore: tier name too long");
-    QualityTier tier;
-    tier.name = in.str(name_len);
-    tier.points_per_frame = in.u64();
-    store.config_.tiers.push_back(std::move(tier));
-  }
-  store.grid_ = &grid;
-  store.frames_.resize(n_frames);
-  for (FrameSizes& frame : store.frames_) {
-    frame.bytes.resize(n_tiers);
-    frame.points.resize(n_tiers);
-    for (std::size_t q = 0; q < n_tiers; ++q) {
-      frame.bytes[q].resize(n_cells);
-      for (std::uint64_t c = 0; c < n_cells; ++c) frame.bytes[q][c] = in.u32();
-      frame.points[q].resize(n_cells);
-      for (std::uint64_t c = 0; c < n_cells; ++c)
-        frame.points[q][c] = in.u32();
-    }
-  }
-  if (in.pos() != blob.size() - 8)
-    throw std::runtime_error("VideoStore: trailing bytes in blob");
-  return store;
 }
 
 }  // namespace volcast::vv

@@ -50,7 +50,7 @@ struct VideoStoreConfig {
 
 /// Precomputed per-frame/per-tier/per-cell sizes of a generated video.
 ///
-/// Thread safety: once constructed (or deserialized), a VideoStore is
+/// Thread safety: once constructed, a VideoStore is
 /// immutable — every public member function is const and reads only state
 /// written during construction. Any number of threads may query one store
 /// concurrently without synchronization. This is what lets a shared
@@ -64,8 +64,7 @@ class VideoStore {
   /// generated, bucketed by cell once and sized cell by cell per tier; the
   /// other frames only count each tier's points per cell.
   /// Throws std::invalid_argument for an empty tier list, more than 64
-  /// tiers (what serialize() can hold) or tiers exceeding the generator's
-  /// points_per_frame.
+  /// tiers or tiers exceeding the generator's points_per_frame.
   VideoStore(const VideoGenerator& generator, const CellGrid& grid,
              VideoStoreConfig config = {});
 
@@ -100,17 +99,10 @@ class VideoStore {
   /// Mean encoded bits per point at a tier (codec efficiency metric).
   [[nodiscard]] double tier_bits_per_point(std::size_t tier) const;
 
-  /// Serializes the precomputed size tables into a compact checksummed
-  /// binary blob ("VSTR"), so a server can persist the store instead of
-  /// re-encoding the video on every start.
+  /// The store's fingerprint: fps, tiers and every size table as one
+  /// binary blob ("VSTR") ending in its FNV-1a checksum. Two stores have
+  /// equal blobs exactly when their tables are equal.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
-
-  /// Rebuilds a store from serialize() output. The blob must describe the
-  /// same cell grid (`grid.cell_count()` cells). Throws std::runtime_error
-  /// on malformed, truncated or corrupted input — never crashes or
-  /// over-allocates.
-  [[nodiscard]] static VideoStore deserialize(
-      const CellGrid& grid, std::span<const std::uint8_t> blob);
 
  private:
   struct FrameSizes {
@@ -118,8 +110,6 @@ class VideoStore {
     std::vector<std::vector<std::uint32_t>> bytes;
     std::vector<std::vector<std::uint32_t>> points;
   };
-
-  VideoStore() = default;  // deserialize() fills the tables directly
 
   VideoStoreConfig config_;
   const CellGrid* grid_ = nullptr;

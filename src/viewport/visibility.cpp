@@ -20,13 +20,6 @@ geo::CameraIntrinsics device_intrinsics(trace::DeviceType device) noexcept {
   return intr;
 }
 
-std::vector<vv::CellId> VisibilityMap::visible_cells() const {
-  std::vector<vv::CellId> out;
-  for (vv::CellId c = 0; c < lod_.size(); ++c)
-    if (lod_[c] > 0.0f) out.push_back(c);
-  return out;
-}
-
 namespace {
 
 /// Truncation floor for the DDA entry coordinate: exact for x >= 0, and a
@@ -367,15 +360,6 @@ VisibilityMap compute_visibility(const vv::CellGrid& grid,
     map.set(cand_id[i], lod);
   }
   return map;
-}
-
-double fetch_bytes(const VisibilityMap& map, const FetchSizer& sizer) {
-  double total = 0.0;
-  for (vv::CellId c = 0; c < map.cell_count(); ++c) {
-    const double lod = map.lod(c);
-    if (lod > 0.0) total += sizer.cell_bytes(c) * lod;
-  }
-  return total;
 }
 
 }  // namespace volcast::view

@@ -66,9 +66,6 @@ class VisibilityMap {
     return visible_;
   }
 
-  /// Ids of all visible cells, ascending.
-  [[nodiscard]] std::vector<vv::CellId> visible_cells() const;
-
  private:
   std::vector<float> lod_;
   std::size_t visible_ = 0;
@@ -111,20 +108,5 @@ struct VisibilityOptions {
     const vv::CellGrid& grid, std::span<const std::uint32_t> occupancy,
     const geo::Pose& pose, const VisibilityOptions& options = {},
     std::span<const BodyObstacle> others = {});
-
-/// Total bytes a viewer needs for `frame` at `tier`, given its visibility
-/// map: sum over visible cells of encoded size scaled by LoD density.
-/// (Fractional-density cells are modelled as thinned re-encodes, which our
-/// near-constant bits/point codec justifies.)
-[[nodiscard]] double fetch_bytes(const VisibilityMap& map,
-                                 const class FetchSizer& sizer);
-
-/// Callback-free sizing adapter so viewport code does not depend on
-/// VideoStore: cell -> encoded bytes at full density.
-class FetchSizer {
- public:
-  virtual ~FetchSizer() = default;
-  [[nodiscard]] virtual double cell_bytes(vv::CellId cell) const = 0;
-};
 
 }  // namespace volcast::view

@@ -160,37 +160,41 @@ TEST(CellGrid, LocateClampsOutOfBoundsPoints) {
 
 TEST(CellGrid, AssignPartitionsAllPoints) {
   const CellGrid grid(kUnitBox, 0.5);
-  PointCloud cloud;
+  FrameSoA frame;
   for (int i = 0; i < 100; ++i) {
     const double v = i / 100.0;
-    cloud.add({{v, 1.0 - v, 0.5}, 0, 0, 0});
+    frame.push_back({v, 1.0 - v, 0.5}, 0, 0, 0);
   }
-  const auto buckets = grid.assign(cloud);
+  const FlatAssignment buckets = grid.assign_flat(frame);
   std::size_t total = 0;
-  for (const auto& b : buckets) total += b.size();
-  EXPECT_EQ(total, cloud.size());
-  // Indices must be valid and unique.
-  std::vector<bool> seen(cloud.size(), false);
-  for (const auto& b : buckets) {
-    for (auto i : b) {
-      ASSERT_LT(i, cloud.size());
+  for (CellId c = 0; c < grid.cell_count(); ++c)
+    total += buckets.cell(c).size();
+  EXPECT_EQ(total, frame.size());
+  // Indices must be valid and unique, each in its point's cell.
+  std::vector<bool> seen(frame.size(), false);
+  for (CellId c = 0; c < grid.cell_count(); ++c) {
+    for (auto i : buckets.cell(c)) {
+      ASSERT_LT(i, frame.size());
       EXPECT_FALSE(seen[i]);
       seen[i] = true;
+      EXPECT_EQ(grid.locate(frame.position(i)), c);
     }
   }
 }
 
 TEST(CellGrid, OccupancyMatchesAssign) {
   const CellGrid grid(kUnitBox, 0.34);
-  PointCloud cloud;
+  FrameSoA frame;
   volcast::Rng rng(5);
-  for (int i = 0; i < 500; ++i)
-    cloud.add({{rng.uniform(), rng.uniform(), rng.uniform()}, 0, 0, 0});
-  const auto buckets = grid.assign(cloud);
-  const auto counts = grid.occupancy(cloud);
-  ASSERT_EQ(buckets.size(), counts.size());
-  for (std::size_t c = 0; c < counts.size(); ++c)
-    EXPECT_EQ(counts[c], buckets[c].size());
+  for (int i = 0; i < 500; ++i) {
+    const geo::Vec3 p{rng.uniform(), rng.uniform(), rng.uniform()};
+    frame.push_back(p, 0, 0, 0);
+  }
+  const FlatAssignment buckets = grid.assign_flat(frame);
+  const auto counts = grid.occupancy(frame);
+  ASSERT_EQ(buckets.offsets.size(), counts.size() + 1);
+  for (CellId c = 0; c < counts.size(); ++c)
+    EXPECT_EQ(counts[c], buckets.cell(c).size());
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 500u);
 }
 

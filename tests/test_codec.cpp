@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -16,77 +17,93 @@
 namespace volcast::vv {
 namespace {
 
-PointCloud random_cloud(std::size_t n, std::uint64_t seed) {
+/// `n` points uniform in [-1, 1] x [-1, 1] x [0, 2], each with a uniform
+/// random colour.
+FrameSoA random_frame(std::size_t n, std::uint64_t seed) {
   volcast::Rng rng(seed);
-  PointCloud cloud;
+  FrameSoA frame;
   for (std::size_t i = 0; i < n; ++i) {
-    cloud.add({{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 2)},
-               static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
-               static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
-               static_cast<std::uint8_t>(rng.uniform_int(0, 255))});
+    const geo::Vec3 p{rng.uniform(-1, 1), rng.uniform(-1, 1),
+                      rng.uniform(0, 2)};
+    const auto r = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const auto g = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const auto b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    frame.push_back(p, r, g, b);
   }
-  return cloud;
+  return frame;
+}
+
+/// FNV-1a64 of a blob.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& blob) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : blob) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// Multiset of quantized (position, color) tuples, for order-free
 /// comparison after decode.
 std::multiset<std::tuple<long, long, long, int, int, int>> quantized_multiset(
-    const PointCloud& cloud, double step) {
+    const FrameSoA& frame, double step) {
   std::multiset<std::tuple<long, long, long, int, int, int>> out;
-  for (const Point& p : cloud.points()) {
-    out.insert({std::lround(p.position.x / step),
-                std::lround(p.position.y / step),
-                std::lround(p.position.z / step), p.r, p.g, p.b});
+  const std::span<const std::uint8_t> rgb = frame.rgb();
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    const geo::Vec3 p = frame.position(i);
+    out.insert({std::lround(p.x / step), std::lround(p.y / step),
+                std::lround(p.z / step), rgb[3 * i], rgb[3 * i + 1],
+                rgb[3 * i + 2]});
   }
   return out;
 }
 
 TEST(Codec, EmptyCloudRoundTrips) {
-  const PointCloud empty;
+  const FrameSoA empty;
   const auto blob = encode(empty);
   EXPECT_EQ(blob.size(), kCodecHeaderBytes);
-  const PointCloud back = decode(blob);
+  const FrameSoA back = decode_soa(blob);
   EXPECT_TRUE(back.empty());
 }
 
 TEST(Codec, SinglePointRoundTrips) {
-  PointCloud cloud;
-  cloud.add({{0.5, -0.25, 1.0}, 10, 20, 30});
-  const PointCloud back = decode(encode(cloud));
+  FrameSoA frame;
+  frame.push_back({0.5, -0.25, 1.0}, 10, 20, 30);
+  const FrameSoA back = decode_soa(encode(frame));
   ASSERT_EQ(back.size(), 1u);
-  EXPECT_NEAR(back.points()[0].position.x, 0.5, 1e-9);
-  EXPECT_EQ(back.points()[0].r, 10);
-  EXPECT_EQ(back.points()[0].g, 20);
-  EXPECT_EQ(back.points()[0].b, 30);
+  EXPECT_NEAR(back.xs()[0], 0.5, 1e-9);
+  EXPECT_EQ(back.rgb()[0], 10);
+  EXPECT_EQ(back.rgb()[1], 20);
+  EXPECT_EQ(back.rgb()[2], 30);
 }
 
 TEST(Codec, PreservesPointCount) {
-  const PointCloud cloud = random_cloud(5000, 1);
-  EXPECT_EQ(decode(encode(cloud)).size(), 5000u);
+  const FrameSoA frame = random_frame(5000, 1);
+  EXPECT_EQ(decode_soa(encode(frame)).size(), 5000u);
 }
 
 TEST(Codec, PositionErrorBoundedByResolution) {
-  const PointCloud cloud = random_cloud(2000, 2);
+  const FrameSoA frame = random_frame(2000, 2);
   CodecConfig config;
   config.resolution_m = 0.002;
-  const PointCloud back = decode(encode(cloud, config));
+  const FrameSoA back = decode_soa(encode(frame, config));
   // Match nearest by sorting both multisets in a canonical order is
   // overkill; instead verify every decoded point is within the resolution
-  // of the cloud bounds and colors survive exactly (delta coding is
+  // of the frame bounds and colors survive exactly (delta coding is
   // lossless).
-  const auto bounds = cloud.bounds().padded(0.002);
-  for (const Point& p : back.points()) {
-    EXPECT_TRUE(bounds.contains(p.position));
+  const auto bounds = frame.bounds().padded(0.002);
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_TRUE(bounds.contains(back.position(i)));
   }
 }
 
 TEST(Codec, LosslessInQuantizedDomain) {
-  // Encoding an already-quantized cloud is exactly lossless: decode ->
+  // Encoding an already-quantized frame is exactly lossless: decode ->
   // re-encode -> decode must be a fixed point.
-  const PointCloud cloud = random_cloud(3000, 3);
-  const PointCloud once = decode(encode(cloud));
+  const FrameSoA frame = random_frame(3000, 3);
+  const FrameSoA once = decode_soa(encode(frame));
   const auto blob2 = encode(once);
-  const PointCloud twice = decode(blob2);
+  const FrameSoA twice = decode_soa(blob2);
   ASSERT_EQ(once.size(), twice.size());
   const auto a = quantized_multiset(once, 1e-6);
   const auto b = quantized_multiset(twice, 1e-6);
@@ -94,34 +111,34 @@ TEST(Codec, LosslessInQuantizedDomain) {
 }
 
 TEST(Codec, ColorsSurviveExactly) {
-  PointCloud cloud;
+  FrameSoA frame;
   volcast::Rng rng(4);
   std::multiset<std::tuple<int, int, int>> colors_in;
   for (int i = 0; i < 1000; ++i) {
     const auto r = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     const auto g = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     const auto b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    cloud.add({{rng.uniform(), rng.uniform(), rng.uniform()}, r, g, b});
+    const geo::Vec3 p{rng.uniform(), rng.uniform(), rng.uniform()};
+    frame.push_back(p, r, g, b);
     colors_in.insert({r, g, b});
   }
-  const PointCloud back = decode(encode(cloud));
+  const FrameSoA back = decode_soa(encode(frame));
   std::multiset<std::tuple<int, int, int>> colors_out;
-  for (const Point& p : back.points()) colors_out.insert({p.r, p.g, p.b});
+  const std::span<const std::uint8_t> rgb = back.rgb();
+  for (std::size_t i = 0; i < back.size(); ++i)
+    colors_out.insert({rgb[3 * i], rgb[3 * i + 1], rgb[3 * i + 2]});
   EXPECT_EQ(colors_in, colors_out);
 }
 
 TEST(Codec, NoColorModeReconstructsGrey) {
-  PointCloud cloud;
-  cloud.add({{0, 0, 0}, 200, 10, 99});
-  cloud.add({{1, 1, 1}, 5, 5, 5});
+  FrameSoA frame;
+  frame.push_back({0, 0, 0}, 200, 10, 99);
+  frame.push_back({1, 1, 1}, 5, 5, 5);
   CodecConfig config;
   config.encode_colors = false;
-  const PointCloud back = decode(encode(cloud, config));
-  for (const Point& p : back.points()) {
-    EXPECT_EQ(p.r, 128);
-    EXPECT_EQ(p.g, 128);
-    EXPECT_EQ(p.b, 128);
-  }
+  const FrameSoA back = decode_soa(encode(frame, config));
+  ASSERT_EQ(back.size(), 2u);
+  for (const std::uint8_t c : back.rgb()) EXPECT_EQ(c, 128);
 }
 
 TEST(Codec, CompressesWellBelowRaw) {
@@ -129,9 +146,9 @@ TEST(Codec, CompressesWellBelowRaw) {
   vc.points_per_frame = 50'000;
   vc.frame_count = 2;
   const VideoGenerator gen(vc);
-  const PointCloud cloud = gen.frame(0);
-  const auto blob = encode(cloud);
-  EXPECT_LT(blob.size(), cloud.raw_size_bytes() / 3);
+  const FrameSoA frame = gen.frame_soa(0);
+  const auto blob = encode(frame);
+  EXPECT_LT(blob.size(), frame.raw_size_bytes() / 3);
 }
 
 TEST(Codec, RealisticContentHitsPaperBitrateRegime) {
@@ -141,46 +158,80 @@ TEST(Codec, RealisticContentHitsPaperBitrateRegime) {
   vc.points_per_frame = 100'000;
   vc.frame_count = 2;
   const VideoGenerator gen(vc);
-  const PointCloud cloud = gen.frame(0);
-  const auto blob = encode(cloud);
+  const FrameSoA frame = gen.frame_soa(0);
+  const auto blob = encode(frame);
   const double bits_per_point =
       8.0 * static_cast<double>(blob.size()) /
-      static_cast<double>(cloud.size());
+      static_cast<double>(frame.size());
   EXPECT_GT(bits_per_point, 15.0);
   EXPECT_LT(bits_per_point, 32.0);
+}
+
+TEST(Codec, EncodeBytesMatchPinnedHashes) {
+  // The encoder's output, hashed while an array-of-structs encoder still
+  // had to match it byte for byte: generator frames with and without
+  // colour, a random frame and the empty frame. Any change to the bytes
+  // (quantizer, Morton order, models, range coder, header) shows here.
+  VideoConfig vc;
+  vc.points_per_frame = 20'000;
+  vc.frame_count = 30;
+  vc.seed = 3;
+  const VideoGenerator gen(vc);
+  CodecConfig no_colors;
+  no_colors.encode_colors = false;
+  struct Pinned {
+    std::size_t frame;
+    bool colors;
+    std::uint64_t hash;
+  };
+  for (const Pinned& p : {Pinned{0, true, 0x205f81bcc252c043ULL},
+                          Pinned{0, false, 0x38eae7b2a839a2ecULL},
+                          Pinned{11, true, 0x80f1136a71e67ad0ULL},
+                          Pinned{11, false, 0x742c4209cd9d40adULL},
+                          Pinned{29, true, 0xae240436517cf014ULL},
+                          Pinned{29, false, 0xf9560a76a000e7e3ULL}}) {
+    const FrameSoA frame = gen.frame_soa(p.frame);
+    EXPECT_EQ(fnv1a(encode(frame, p.colors ? CodecConfig{} : no_colors)),
+              p.hash)
+        << "frame " << p.frame << (p.colors ? ", colour" : ", no colour");
+  }
+  EXPECT_EQ(fnv1a(encode(random_frame(5'000, 1))), 0x09b94010267a291dULL);
+  EXPECT_EQ(fnv1a(encode(FrameSoA{})), 0x82a03ec4db1f30b3ULL);
 }
 
 TEST(Codec, InvalidQuantBitsThrows) {
   CodecConfig config;
   config.resolution_m = 0.0;
   config.quant_bits = 0;
-  EXPECT_THROW((void)encode(PointCloud{}, config), std::invalid_argument);
+  EXPECT_THROW((void)encode(FrameSoA{}, config), std::invalid_argument);
   config.quant_bits = 22;
-  EXPECT_THROW((void)encode(PointCloud{}, config), std::invalid_argument);
+  EXPECT_THROW((void)encode(FrameSoA{}, config), std::invalid_argument);
 }
 
 TEST(Codec, MalformedHeaderThrows) {
   std::vector<std::uint8_t> junk(kCodecHeaderBytes, 0xab);
-  EXPECT_THROW((void)decode(junk), std::runtime_error);
-  EXPECT_THROW((void)decode(std::vector<std::uint8_t>{1, 2, 3}),
+  EXPECT_THROW((void)decode_soa(junk), std::runtime_error);
+  EXPECT_THROW((void)decode_soa(std::vector<std::uint8_t>{1, 2, 3}),
                std::runtime_error);
 }
 
 TEST(Codec, DegeneratePlanarCloudRoundTrips) {
   // All points in a plane (zero extent along z).
-  PointCloud cloud;
+  FrameSoA frame;
   volcast::Rng rng(6);
-  for (int i = 0; i < 500; ++i)
-    cloud.add({{rng.uniform(), rng.uniform(), 0.7}, 1, 2, 3});
-  const PointCloud back = decode(encode(cloud));
+  for (int i = 0; i < 500; ++i) {
+    const geo::Vec3 p{rng.uniform(), rng.uniform(), 0.7};
+    frame.push_back(p, 1, 2, 3);
+  }
+  const FrameSoA back = decode_soa(encode(frame));
   ASSERT_EQ(back.size(), 500u);
-  for (const Point& p : back.points()) EXPECT_NEAR(p.position.z, 0.7, 1e-9);
+  for (const double z : back.zs()) EXPECT_NEAR(z, 0.7, 1e-9);
 }
 
 TEST(Codec, DuplicatePointsPreserved) {
-  PointCloud cloud;
-  for (int i = 0; i < 64; ++i) cloud.add({{0.25, 0.25, 0.25}, 9, 9, 9});
-  EXPECT_EQ(decode(encode(cloud)).size(), 64u);
+  FrameSoA frame;
+  for (int i = 0; i < 64; ++i) frame.push_back({0.25, 0.25, 0.25}, 9, 9, 9);
+  EXPECT_EQ(decode_soa(encode(frame)).size(), 64u);
 }
 
 /// `n` points drawn from `distinct` random sites with random colors, so
@@ -189,12 +240,12 @@ TEST(Codec, DuplicatePointsPreserved) {
 FrameSoA tie_heavy_frame(std::size_t n, std::size_t distinct,
                          std::uint64_t seed) {
   volcast::Rng rng(seed);
-  const PointCloud sites = random_cloud(distinct, seed + 1);
+  const FrameSoA sites = random_frame(distinct, seed + 1);
   FrameSoA frame;
   for (std::size_t i = 0; i < n; ++i) {
     const auto pick = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(distinct) - 1));
-    frame.push_back(sites.points()[pick].position,
+    frame.push_back(sites.position(pick),
                     static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
                     static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
                     static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
@@ -318,14 +369,13 @@ TEST(CodecQuantize, ColumnEqualsClampedRoundOnRandomScales) {
 class CodecSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CodecSizeSweep, RoundTripsAtAnySize) {
-  const PointCloud cloud = random_cloud(GetParam(), 42 + GetParam());
-  const PointCloud back = decode(encode(cloud));
-  EXPECT_EQ(back.size(), cloud.size());
+  const FrameSoA frame = random_frame(GetParam(), 42 + GetParam());
+  const FrameSoA back = decode_soa(encode(frame));
+  EXPECT_EQ(back.size(), frame.size());
 }
 
 TEST_P(CodecSizeSweep, EncodedSizeEqualsEncodeSize) {
-  const FrameSoA frame =
-      FrameSoA::from_aos(random_cloud(GetParam(), 42 + GetParam()));
+  const FrameSoA frame = random_frame(GetParam(), 42 + GetParam());
   CodecConfig no_colors;
   no_colors.encode_colors = false;
   for (const CodecConfig& config : {CodecConfig{}, no_colors})
@@ -338,12 +388,12 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CodecSizeSweep,
 class CodecResolutionSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(CodecResolutionSweep, FinerResolutionCostsMoreBits) {
-  const PointCloud cloud = random_cloud(5000, 11);
+  const FrameSoA frame = random_frame(5000, 11);
   CodecConfig coarse;
   coarse.resolution_m = GetParam() * 2.0;
   CodecConfig fine;
   fine.resolution_m = GetParam();
-  EXPECT_LE(encode(cloud, coarse).size(), encode(cloud, fine).size());
+  EXPECT_LE(encode(frame, coarse).size(), encode(frame, fine).size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Resolutions, CodecResolutionSweep,

@@ -1,9 +1,8 @@
-// SoA-refactor equivalence suite. The FrameSoA layout exists purely for
-// speed — every test here pins the exactness contract that makes the
-// refactor safe: AoS <-> SoA conversion is value-preserving, every SoA
-// pipeline (codec, cell grid, generator, store, session) produces output
-// bit-identical to its AoS predecessor, and the invariance holds at every
-// thread count (worker_threads 1/4, parallel_sessions 1/8).
+// Frame layout suite: FrameSoA holds pushed points exactly, adopts columns
+// and gathers sub-frames bit for bit, the cell grid's column bucketing
+// equals a per-point locate(), and sessions built on it reproduce the
+// committed goldens at every thread count (worker_threads 1/4,
+// parallel_sessions 1/8).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,9 +16,7 @@
 #include "common/rng.h"
 #include "core/fleet.h"
 #include "pointcloud/cell_grid.h"
-#include "pointcloud/codec.h"
 #include "pointcloud/point_cloud.h"
-#include "pointcloud/video_generator.h"
 #include "session_compare.h"
 #include "session_golden.h"
 
@@ -30,24 +27,23 @@
 namespace volcast::vv {
 namespace {
 
-PointCloud random_cloud(std::size_t n, std::uint64_t seed) {
+FrameSoA random_frame(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
-  PointCloud cloud;
-  cloud.reserve(n);
+  FrameSoA frame;
+  frame.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Point p;
-    p.position = {rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
-                  rng.uniform(-10.0, 10.0)};
-    p.r = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    p.g = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    p.b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    cloud.add(p);
+    const geo::Vec3 p{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
+                      rng.uniform(-10.0, 10.0)};
+    const auto r = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const auto g = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const auto b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    frame.push_back(p, r, g, b);
   }
-  return cloud;
+  return frame;
 }
 
 /// Bit-level double equality: NaN-safe and distinguishes -0.0 from 0.0,
-/// which is exactly the strength of guarantee the refactor claims.
+/// which is exactly the strength of guarantee these tests claim.
 ::testing::AssertionResult bits_equal(double a, double b) {
   if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b))
     return ::testing::AssertionSuccess();
@@ -55,56 +51,79 @@ PointCloud random_cloud(std::size_t n, std::uint64_t seed) {
          << a << " and " << b << " differ in bits";
 }
 
+/// Copies every column of `frame` into a new frame through from_columns.
+FrameSoA adopt_columns(const FrameSoA& frame) {
+  return FrameSoA::from_columns({frame.xs().begin(), frame.xs().end()},
+                                {frame.ys().begin(), frame.ys().end()},
+                                {frame.zs().begin(), frame.zs().end()},
+                                {frame.rgb().begin(), frame.rgb().end()});
+}
+
 TEST(FrameSoARoundTrip, ExactAcrossSizesSweep) {
   for (const std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{17},
                               std::size_t{256}, std::size_t{1000},
                               std::size_t{4096}}) {
-    const PointCloud cloud = random_cloud(n, 0xABCD00 + n);
-    const FrameSoA frame = FrameSoA::from_aos(cloud);
-    ASSERT_EQ(frame.size(), cloud.size());
-
-    // SoA -> AoS reproduces every point exactly, in order.
-    const PointCloud back = frame.to_aos();
-    ASSERT_EQ(back.size(), cloud.size());
+    SCOPED_TRACE(std::to_string(n) + " points");
+    // The same draws as random_frame, kept so every column can be checked
+    // against what was pushed.
+    Rng rng(0xABCD00 + n);
+    std::vector<geo::Vec3> positions;
+    std::vector<std::uint8_t> colours;
+    FrameSoA frame;
+    frame.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(bits_equal(back.points()[i].position.x,
-                             cloud.points()[i].position.x));
-      EXPECT_TRUE(bits_equal(back.points()[i].position.y,
-                             cloud.points()[i].position.y));
-      EXPECT_TRUE(bits_equal(back.points()[i].position.z,
-                             cloud.points()[i].position.z));
-      EXPECT_EQ(back.points()[i].r, cloud.points()[i].r);
-      EXPECT_EQ(back.points()[i].g, cloud.points()[i].g);
-      EXPECT_EQ(back.points()[i].b, cloud.points()[i].b);
+      const geo::Vec3 p{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
+                        rng.uniform(-10.0, 10.0)};
+      const auto r = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      const auto g = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      const auto b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      frame.push_back(p, r, g, b);
+      positions.push_back(p);
+      colours.insert(colours.end(), {r, g, b});
+    }
+    ASSERT_EQ(frame.size(), n);
+
+    // The columns hold every pushed point exactly, in order.
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(bits_equal(frame.xs()[i], positions[i].x));
+      EXPECT_TRUE(bits_equal(frame.ys()[i], positions[i].y));
+      EXPECT_TRUE(bits_equal(frame.zs()[i], positions[i].z));
+      EXPECT_EQ(frame.rgb()[3 * i], colours[3 * i]);
+      EXPECT_EQ(frame.rgb()[3 * i + 1], colours[3 * i + 1]);
+      EXPECT_EQ(frame.rgb()[3 * i + 2], colours[3 * i + 2]);
     }
 
-    // AoS -> SoA -> AoS -> SoA is a fixed point.
-    EXPECT_TRUE(FrameSoA::from_aos(back) == frame);
+    // Columns -> frame -> columns is a fixed point.
+    EXPECT_TRUE(adopt_columns(adopt_columns(frame)) == frame);
 
-    // Cached bounds equal a fresh AoS scan, bit for bit.
-    const geo::Aabb aos_bounds = cloud.bounds();
-    EXPECT_TRUE(bits_equal(frame.bounds().lo.x, aos_bounds.lo.x));
-    EXPECT_TRUE(bits_equal(frame.bounds().lo.y, aos_bounds.lo.y));
-    EXPECT_TRUE(bits_equal(frame.bounds().lo.z, aos_bounds.lo.z));
-    EXPECT_TRUE(bits_equal(frame.bounds().hi.x, aos_bounds.hi.x));
-    EXPECT_TRUE(bits_equal(frame.bounds().hi.y, aos_bounds.hi.y));
-    EXPECT_TRUE(bits_equal(frame.bounds().hi.z, aos_bounds.hi.z));
-    EXPECT_EQ(frame.raw_size_bytes(), cloud.raw_size_bytes());
+    // Cached bounds equal a fresh scan of the positions, bit for bit.
+    geo::Aabb scan;
+    for (const geo::Vec3& p : positions) scan.expand(p);
+    EXPECT_TRUE(bits_equal(frame.bounds().lo.x, scan.lo.x));
+    EXPECT_TRUE(bits_equal(frame.bounds().lo.y, scan.lo.y));
+    EXPECT_TRUE(bits_equal(frame.bounds().lo.z, scan.lo.z));
+    EXPECT_TRUE(bits_equal(frame.bounds().hi.x, scan.hi.x));
+    EXPECT_TRUE(bits_equal(frame.bounds().hi.y, scan.hi.y));
+    EXPECT_TRUE(bits_equal(frame.bounds().hi.z, scan.hi.z));
+    EXPECT_EQ(frame.raw_size_bytes(), 15 * n);
   }
 }
 
 TEST(FrameSoARoundTrip, EmptyFrame) {
-  const FrameSoA frame = FrameSoA::from_aos(PointCloud{});
+  const FrameSoA frame;
   EXPECT_TRUE(frame.empty());
   EXPECT_EQ(frame.size(), 0u);
-  EXPECT_TRUE(frame.to_aos().empty());
+  EXPECT_EQ(frame.raw_size_bytes(), 0u);
   EXPECT_FALSE(frame.bounds().valid());
+  const FrameSoA adopted = adopt_columns(frame);
+  EXPECT_TRUE(adopted.empty());
+  EXPECT_TRUE(adopted == frame);
+  EXPECT_FALSE(adopted.bounds().valid());
 }
 
 TEST(FrameSoARoundTrip, SinglePointFrame) {
-  PointCloud cloud;
-  cloud.add({{-1.5, 0.0, 2.25}, 7, 8, 9});
-  const FrameSoA frame = FrameSoA::from_aos(cloud);
+  FrameSoA frame;
+  frame.push_back({-1.5, 0.0, 2.25}, 7, 8, 9);
   ASSERT_EQ(frame.size(), 1u);
   EXPECT_TRUE(bits_equal(frame.xs()[0], -1.5));
   EXPECT_TRUE(bits_equal(frame.ys()[0], 0.0));
@@ -112,19 +131,15 @@ TEST(FrameSoARoundTrip, SinglePointFrame) {
   EXPECT_EQ(frame.rgb()[0], 7);
   EXPECT_EQ(frame.rgb()[1], 8);
   EXPECT_EQ(frame.rgb()[2], 9);
-  EXPECT_TRUE(frame.to_aos().points()[0] == cloud.points()[0]);
+  EXPECT_TRUE(adopt_columns(frame) == frame);
   // A single point is its own bounding box.
   EXPECT_TRUE(bits_equal(frame.bounds().lo.x, frame.bounds().hi.x));
+  EXPECT_TRUE(bits_equal(frame.bounds().lo.z, frame.bounds().hi.z));
 }
 
 TEST(FrameSoAColumns, FromColumnsMatchesPushBack) {
-  const PointCloud cloud = random_cloud(137, 42);
-  const FrameSoA pushed = FrameSoA::from_aos(cloud);
-  FrameSoA adopted = FrameSoA::from_columns(
-      {pushed.xs().begin(), pushed.xs().end()},
-      {pushed.ys().begin(), pushed.ys().end()},
-      {pushed.zs().begin(), pushed.zs().end()},
-      {pushed.rgb().begin(), pushed.rgb().end()});
+  const FrameSoA pushed = random_frame(137, 42);
+  const FrameSoA adopted = adopt_columns(pushed);
   EXPECT_TRUE(adopted == pushed);
   EXPECT_TRUE(bits_equal(adopted.bounds().lo.x, pushed.bounds().lo.x));
   EXPECT_TRUE(bits_equal(adopted.bounds().hi.z, pushed.bounds().hi.z));
@@ -140,68 +155,42 @@ TEST(FrameSoAColumns, FromColumnsRejectsMismatchedLengths) {
 }
 
 TEST(FrameSoAColumns, GatherMatchesIndexedCopy) {
-  const PointCloud cloud = random_cloud(64, 99);
-  const FrameSoA frame = FrameSoA::from_aos(cloud);
+  const FrameSoA frame = random_frame(64, 99);
   const std::vector<std::uint32_t> indices{3, 3, 0, 63, 17};
   const FrameSoA sub = frame.gather(indices);
   ASSERT_EQ(sub.size(), indices.size());
   for (std::size_t k = 0; k < indices.size(); ++k) {
-    const Point& want = cloud.points()[indices[k]];
-    EXPECT_TRUE(bits_equal(sub.xs()[k], want.position.x));
-    EXPECT_TRUE(bits_equal(sub.ys()[k], want.position.y));
-    EXPECT_TRUE(bits_equal(sub.zs()[k], want.position.z));
-    EXPECT_EQ(sub.rgb()[3 * k], want.r);
-  }
-}
-
-TEST(FrameSoACodec, SoAEncodeIsByteIdenticalToAoS) {
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{500}, std::size_t{5000}}) {
-    const PointCloud cloud = random_cloud(n, 0xC0DEC + n);
-    const auto aos_blob = encode(cloud);
-    const auto soa_blob = encode(FrameSoA::from_aos(cloud));
-    EXPECT_EQ(aos_blob, soa_blob) << "n=" << n;
-
-    // Both decode paths agree value-for-value.
-    const PointCloud via_aos = decode(aos_blob);
-    const PointCloud via_soa = decode_soa(aos_blob).to_aos();
-    ASSERT_EQ(via_aos.size(), via_soa.size());
-    for (std::size_t i = 0; i < via_aos.size(); ++i)
-      EXPECT_TRUE(via_aos.points()[i] == via_soa.points()[i]);
+    const std::uint32_t i = indices[k];
+    EXPECT_TRUE(bits_equal(sub.xs()[k], frame.xs()[i]));
+    EXPECT_TRUE(bits_equal(sub.ys()[k], frame.ys()[i]));
+    EXPECT_TRUE(bits_equal(sub.zs()[k], frame.zs()[i]));
+    EXPECT_EQ(sub.rgb()[3 * k], frame.rgb()[3 * i]);
   }
 }
 
 TEST(FrameSoACellGrid, AssignFlatMatchesAssign) {
-  const PointCloud cloud = random_cloud(2000, 0x6121D);
-  const FrameSoA frame = FrameSoA::from_aos(cloud);
-  const CellGrid grid(cloud.bounds(), 1.0);
-  const auto buckets = grid.assign(cloud);
-  const FlatAssignment flat = grid.assign_flat(frame);
-  ASSERT_EQ(flat.offsets.size(), grid.cell_count() + 1);
-  EXPECT_EQ(flat.indices.size(), cloud.size());
-  for (CellId c = 0; c < grid.cell_count(); ++c) {
-    const auto span = flat.cell(c);
-    ASSERT_EQ(span.size(), buckets[c].size()) << "cell " << c;
-    for (std::size_t k = 0; k < span.size(); ++k)
-      EXPECT_EQ(span[k], buckets[c][k]) << "cell " << c;
-  }
-  EXPECT_EQ(grid.occupancy(frame), grid.occupancy(cloud));
-}
-
-TEST(FrameSoAGenerator, FrameSoAMatchesAoSFrameAndThin) {
-  VideoConfig vc;
-  vc.points_per_frame = 10'000;
-  vc.frame_count = 6;
-  const VideoGenerator gen(vc);
-  for (const std::size_t f : {std::size_t{0}, std::size_t{3}}) {
-    const PointCloud aos = gen.frame(f);
-    const FrameSoA soa = gen.frame_soa(f);
-    ASSERT_EQ(aos.size(), soa.size());
-    EXPECT_TRUE(FrameSoA::from_aos(aos) == soa);
-
-    const PointCloud thin_aos = thin(aos, 0.6);
-    const FrameSoA thin_soa = thin(soa, 0.6);
-    EXPECT_TRUE(FrameSoA::from_aos(thin_aos) == thin_soa);
+  // The reference bucketing: the scalar locate() of every point, appended
+  // in point order.
+  const FrameSoA frame = random_frame(2000, 0x6121D);
+  // 1 m is a power of two (located by multiplying), 0.7 m is not.
+  for (const double edge : {1.0, 0.7}) {
+    SCOPED_TRACE("edge " + std::to_string(edge));
+    const CellGrid grid(frame.bounds(), edge);
+    std::vector<std::vector<std::uint32_t>> buckets(grid.cell_count());
+    for (std::uint32_t i = 0; i < frame.size(); ++i)
+      buckets[grid.locate(frame.position(i))].push_back(i);
+    const FlatAssignment flat = grid.assign_flat(frame);
+    ASSERT_EQ(flat.offsets.size(), grid.cell_count() + 1);
+    EXPECT_EQ(flat.indices.size(), frame.size());
+    const std::vector<std::uint32_t> counts = grid.occupancy(frame);
+    ASSERT_EQ(counts.size(), grid.cell_count());
+    for (CellId c = 0; c < grid.cell_count(); ++c) {
+      const auto span = flat.cell(c);
+      ASSERT_EQ(span.size(), buckets[c].size()) << "cell " << c;
+      for (std::size_t k = 0; k < span.size(); ++k)
+        EXPECT_EQ(span[k], buckets[c][k]) << "cell " << c;
+      EXPECT_EQ(counts[c], buckets[c].size()) << "cell " << c;
+    }
   }
 }
 

@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "core/checkpoint.h"
 #include "pointcloud/codec.h"
-#include "pointcloud/video_store.h"
 #include "trace/mobility.h"
 #include "trace/trace_io.h"
 #include "transport/packet.h"
@@ -18,12 +17,14 @@
 namespace volcast {
 namespace {
 
-vv::PointCloud sample_cloud() {
+vv::FrameSoA sample_cloud() {
   Rng rng(5);
-  vv::PointCloud cloud;
+  vv::FrameSoA cloud;
   for (int i = 0; i < 2000; ++i) {
-    cloud.add({{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 2)},
-               static_cast<std::uint8_t>(rng.uniform_int(0, 255)), 10, 20});
+    const geo::Vec3 p{rng.uniform(-1, 1), rng.uniform(-1, 1),
+                      rng.uniform(0, 2)};
+    cloud.push_back(p, static_cast<std::uint8_t>(rng.uniform_int(0, 255)), 10,
+                    20);
   }
   return cloud;
 }
@@ -72,7 +73,7 @@ TEST(FuzzDecoders, MortonCodecSurvivesBitFlips) {
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const auto bad = corrupted(blob, seed, 3);
     try {
-      const auto cloud = vv::decode(bad);
+      const auto cloud = vv::decode_soa(bad);
       // Garbage is fine; unbounded output is not.
       EXPECT_LE(cloud.size(), 64u * 8u * bad.size() + 64u);
     } catch (const std::runtime_error&) {
@@ -87,7 +88,7 @@ TEST(FuzzDecoders, MortonCodecSurvivesTruncation) {
     const std::vector<std::uint8_t> cut(blob.begin(),
                                         blob.begin() + static_cast<long>(keep));
     try {
-      const auto cloud = vv::decode(cut);
+      const auto cloud = vv::decode_soa(cut);
       EXPECT_LE(cloud.size(), 64u * 8u * (cut.size() + 8) + 64u);
     } catch (const std::runtime_error&) {
     }
@@ -98,7 +99,7 @@ TEST(FuzzDecoders, MortonCodecRejectsHugeCountHeader) {
   auto blob = vv::encode(sample_cloud());
   // Overwrite the count field (bytes 4..7, little endian) with 2^32 - 1.
   blob[4] = blob[5] = blob[6] = blob[7] = 0xff;
-  EXPECT_THROW((void)vv::decode(blob), std::runtime_error);
+  EXPECT_THROW((void)vv::decode_soa(blob), std::runtime_error);
 }
 
 TEST(FuzzDecoders, TraceReaderRejectsHugeCount) {
@@ -119,7 +120,7 @@ TEST(FuzzDecoders, TraceReaderSurvivesGarbageBodies) {
 TEST(FuzzDecoders, EmptyAndTinyInputs) {
   for (std::size_t n : {0u, 1u, 4u, 16u, 57u}) {
     const std::vector<std::uint8_t> tiny(n, 0x5a);
-    EXPECT_THROW((void)vv::decode(tiny), std::runtime_error);
+    EXPECT_THROW((void)vv::decode_soa(tiny), std::runtime_error);
   }
 }
 
@@ -129,97 +130,12 @@ TEST(FuzzDecoders, MortonCodecSurvivesInsertionsAndDeletions) {
     for (const auto& bad : {with_insertions(blob, seed, 4),
                             with_deletions(blob, seed, 4)}) {
       try {
-        const auto cloud = vv::decode(bad);
+        const auto cloud = vv::decode_soa(bad);
         EXPECT_LE(cloud.size(), 64u * 8u * bad.size() + 64u);
       } catch (const std::runtime_error&) {
       }
     }
   }
-}
-
-// --- video store blob ------------------------------------------------------
-
-struct StoreFixture {
-  vv::VideoGenerator generator;
-  vv::CellGrid grid;
-  vv::VideoStore store;
-
-  static vv::VideoGenerator make_generator() {
-    vv::VideoConfig c;
-    c.points_per_frame = 20'000;
-    c.frame_count = 4;
-    return vv::VideoGenerator(c);
-  }
-  static vv::VideoStoreConfig tiers() {
-    vv::VideoStoreConfig sc;
-    sc.tiers = {{"low", 12'000}, {"high", 20'000}};
-    return sc;
-  }
-  StoreFixture()
-      : generator(make_generator()),
-        grid(generator.content_bounds(), 0.5),
-        store(generator, grid, tiers()) {}
-};
-
-TEST(FuzzDecoders, VideoStoreRoundTrips) {
-  const StoreFixture fx;
-  const auto blob = fx.store.serialize();
-  const vv::VideoStore copy = vv::VideoStore::deserialize(fx.grid, blob);
-  ASSERT_EQ(copy.frame_count(), fx.store.frame_count());
-  ASSERT_EQ(copy.tier_count(), fx.store.tier_count());
-  EXPECT_DOUBLE_EQ(copy.fps(), fx.store.fps());
-  for (std::size_t q = 0; q < fx.store.tier_count(); ++q) {
-    EXPECT_EQ(copy.tiers()[q].name, fx.store.tiers()[q].name);
-    EXPECT_EQ(copy.tiers()[q].points_per_frame,
-              fx.store.tiers()[q].points_per_frame);
-  }
-  for (std::size_t f = 0; f < fx.store.frame_count(); ++f) {
-    for (std::size_t q = 0; q < fx.store.tier_count(); ++q) {
-      for (vv::CellId c = 0; c < fx.grid.cell_count(); ++c) {
-        ASSERT_EQ(copy.cell_bytes(f, q, c), fx.store.cell_bytes(f, q, c));
-        ASSERT_EQ(copy.cell_points(f, q, c), fx.store.cell_points(f, q, c));
-      }
-    }
-  }
-}
-
-TEST(FuzzDecoders, VideoStoreDetectsBitFlips) {
-  const StoreFixture fx;
-  const auto blob = fx.store.serialize();
-  // The blob is checksummed, so every bit flip must be detected.
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    EXPECT_THROW((void)vv::VideoStore::deserialize(
-                     fx.grid, corrupted(blob, seed, 1)),
-                 std::runtime_error);
-  }
-}
-
-TEST(FuzzDecoders, VideoStoreDetectsInsertionsDeletionsTruncation) {
-  const StoreFixture fx;
-  const auto blob = fx.store.serialize();
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    EXPECT_THROW((void)vv::VideoStore::deserialize(
-                     fx.grid, with_insertions(blob, seed, 3)),
-                 std::runtime_error);
-    EXPECT_THROW((void)vv::VideoStore::deserialize(
-                     fx.grid, with_deletions(blob, seed, 3)),
-                 std::runtime_error);
-  }
-  for (std::size_t keep = 0; keep < blob.size(); keep += 31) {
-    const std::vector<std::uint8_t> cut(
-        blob.begin(), blob.begin() + static_cast<long>(keep));
-    EXPECT_THROW((void)vv::VideoStore::deserialize(fx.grid, cut),
-                 std::runtime_error);
-  }
-}
-
-TEST(FuzzDecoders, VideoStoreRejectsMismatchedGrid) {
-  const StoreFixture fx;
-  const auto blob = fx.store.serialize();
-  const vv::CellGrid other(fx.generator.content_bounds(), 0.25);
-  ASSERT_NE(other.cell_count(), fx.grid.cell_count());
-  EXPECT_THROW((void)vv::VideoStore::deserialize(other, blob),
-               std::runtime_error);
 }
 
 // --- fleet checkpoints -----------------------------------------------------

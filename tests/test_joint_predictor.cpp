@@ -80,7 +80,7 @@ TEST(JointPredictor, PredictProducesOcclusionAwareVisibility) {
   vc.frame_count = 2;
   const vv::VideoGenerator gen(vc);
   const vv::CellGrid grid(gen.content_bounds(), 0.5);
-  const auto occupancy = grid.occupancy(gen.frame(0));
+  const auto occupancy = grid.occupancy(gen.frame_soa(0));
 
   JointPredictorConfig with = test_config();
   JointPredictorConfig without = test_config();
@@ -109,7 +109,7 @@ TEST(JointPredictor, BlockagesIncludedInPredict) {
   vc.frame_count = 2;
   const vv::VideoGenerator gen(vc);
   const vv::CellGrid grid(gen.content_bounds(), 0.5);
-  const auto occupancy = grid.occupancy(gen.frame(0));
+  const auto occupancy = grid.occupancy(gen.frame_soa(0));
 
   JointViewportPredictor jp(2, test_config());
   jp.observe(0.0, poses_line(0.0));

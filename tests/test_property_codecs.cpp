@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -22,52 +23,62 @@ namespace {
 /// Random cloud with a seed-dependent shape: extent spans sub-millimetre
 /// figurines to warehouse scale, density from sparse to clumped, plus the
 /// degenerate axes (planes, lines, a single repeated position).
-PointCloud random_cloud(std::uint64_t seed) {
+FrameSoA random_cloud(std::uint64_t seed) {
   volcast::Rng rng(seed);
   const double extent = std::pow(10.0, rng.uniform(-2.0, 2.0));
   const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 1500));
   const int shape = static_cast<int>(rng.uniform_int(0, 3));
-  PointCloud cloud;
+  FrameSoA cloud;
   for (std::size_t i = 0; i < n; ++i) {
     geo::Vec3 p{rng.uniform(-extent, extent), rng.uniform(-extent, extent),
                 rng.uniform(0.0, extent)};
     if (shape == 1) p.z = 0.25 * extent;              // plane
     if (shape == 2) p.y = p.z = 0.0;                  // line
     if (shape == 3) p = {extent, -extent, extent};    // all duplicates
-    cloud.add({p, static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
-               static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
-               static_cast<std::uint8_t>(rng.uniform_int(0, 255))});
+    const auto r = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const auto g = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const auto b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    cloud.push_back(p, r, g, b);
   }
   return cloud;
 }
 
 std::multiset<std::tuple<long, long, long, int, int, int>> quantized_multiset(
-    const PointCloud& cloud, double step) {
+    const FrameSoA& cloud, double step) {
   std::multiset<std::tuple<long, long, long, int, int, int>> out;
-  for (const Point& p : cloud.points()) {
-    out.insert({std::lround(p.position.x / step),
-                std::lround(p.position.y / step),
-                std::lround(p.position.z / step), p.r, p.g, p.b});
+  const std::span<const std::uint8_t> rgb = cloud.rgb();
+  for (std::size_t i = 0; i < cloud.size(); ++i) {
+    const geo::Vec3 p = cloud.position(i);
+    out.insert({std::lround(p.x / step), std::lround(p.y / step),
+                std::lround(p.z / step), rgb[3 * i], rgb[3 * i + 1],
+                rgb[3 * i + 2]});
   }
+  return out;
+}
+
+/// Multiset of a cloud's (r, g, b) colors.
+std::multiset<std::tuple<int, int, int>> color_multiset(
+    const FrameSoA& cloud) {
+  std::multiset<std::tuple<int, int, int>> out;
+  const std::span<const std::uint8_t> rgb = cloud.rgb();
+  for (std::size_t i = 0; i < cloud.size(); ++i)
+    out.insert({rgb[3 * i], rgb[3 * i + 1], rgb[3 * i + 2]});
   return out;
 }
 
 TEST(PropertyCodec, RoundTripPreservesCountColorsAndBounds) {
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    const PointCloud cloud = random_cloud(seed);
+    const FrameSoA cloud = random_cloud(seed);
     const auto blob = encode(cloud);
-    const PointCloud back = decode(blob);
+    const FrameSoA back = decode_soa(blob);
     ASSERT_EQ(back.size(), cloud.size()) << "seed " << seed;
     if (cloud.empty()) continue;
     // Colors are delta-coded losslessly; the multiset must survive.
-    std::multiset<std::tuple<int, int, int>> in, out;
-    for (const Point& p : cloud.points()) in.insert({p.r, p.g, p.b});
-    for (const Point& p : back.points()) out.insert({p.r, p.g, p.b});
-    EXPECT_EQ(in, out) << "seed " << seed;
+    EXPECT_EQ(color_multiset(cloud), color_multiset(back)) << "seed " << seed;
     // Positions stay inside the (slightly padded) source bounds.
     const auto bounds = cloud.bounds().padded(0.01);
-    for (const Point& p : back.points())
-      ASSERT_TRUE(bounds.contains(p.position)) << "seed " << seed;
+    for (std::size_t i = 0; i < back.size(); ++i)
+      ASSERT_TRUE(bounds.contains(back.position(i))) << "seed " << seed;
   }
 }
 
@@ -75,8 +86,8 @@ TEST(PropertyCodec, DecodeEncodeIsAFixedPoint) {
   // Once quantized, the codec is exactly lossless: decode -> encode ->
   // decode reproduces the identical quantized multiset.
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const PointCloud once = decode(encode(random_cloud(seed)));
-    const PointCloud twice = decode(encode(once));
+    const FrameSoA once = decode_soa(encode(random_cloud(seed)));
+    const FrameSoA twice = decode_soa(encode(once));
     ASSERT_EQ(once.size(), twice.size()) << "seed " << seed;
     EXPECT_EQ(quantized_multiset(once, 1e-7), quantized_multiset(twice, 1e-7))
         << "seed " << seed;
@@ -91,7 +102,8 @@ TEST(PropertyCodec, TruncationNeverCrashesAndHeaderCutsThrow) {
          keep += 5) {
       const std::vector<std::uint8_t> cut(
           blob.begin(), blob.begin() + static_cast<long>(keep));
-      EXPECT_THROW((void)decode(cut), std::runtime_error) << "seed " << seed;
+      EXPECT_THROW((void)decode_soa(cut), std::runtime_error)
+          << "seed " << seed;
     }
     // Cutting the payload must throw or return bounded garbage.
     for (std::size_t keep = kCodecHeaderBytes; keep < blob.size();
@@ -99,7 +111,7 @@ TEST(PropertyCodec, TruncationNeverCrashesAndHeaderCutsThrow) {
       const std::vector<std::uint8_t> cut(
           blob.begin(), blob.begin() + static_cast<long>(keep));
       try {
-        const PointCloud cloud = decode(cut);
+        const FrameSoA cloud = decode_soa(cut);
         EXPECT_LE(cloud.size(), 64u * 8u * (cut.size() + 8) + 64u);
       } catch (const std::runtime_error&) {
       }

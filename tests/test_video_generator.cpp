@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,31 +23,39 @@ VideoConfig small_config() {
   return c;
 }
 
+/// Point i of `frame` as (x, y, z, r, g, b), for whole-point comparisons.
+std::array<double, 6> point_at(const FrameSoA& frame, std::size_t i) {
+  const std::span<const std::uint8_t> rgb = frame.rgb();
+  return {frame.xs()[i], frame.ys()[i], frame.zs()[i],
+          static_cast<double>(rgb[3 * i]), static_cast<double>(rgb[3 * i + 1]),
+          static_cast<double>(rgb[3 * i + 2])};
+}
+
 TEST(VideoGenerator, ExactPointBudget) {
   const VideoGenerator gen(small_config());
-  EXPECT_EQ(gen.frame(0).size(), 10'000u);
-  EXPECT_EQ(gen.frame(7).size(), 10'000u);
+  EXPECT_EQ(gen.frame_soa(0).size(), 10'000u);
+  EXPECT_EQ(gen.frame_soa(7).size(), 10'000u);
 }
 
 TEST(VideoGenerator, DeterministicPerIndex) {
   const VideoGenerator a(small_config());
   const VideoGenerator b(small_config());
-  const auto fa = a.frame(5);
-  const auto fb = b.frame(5);
+  const FrameSoA fa = a.frame_soa(5);
+  const FrameSoA fb = b.frame_soa(5);
   ASSERT_EQ(fa.size(), fb.size());
   for (std::size_t i = 0; i < fa.size(); i += 500)
-    EXPECT_EQ(fa.points()[i], fb.points()[i]);
+    EXPECT_EQ(point_at(fa, i), point_at(fb, i));
 }
 
 TEST(VideoGenerator, SeedChangesSampling) {
   VideoConfig c1 = small_config();
   VideoConfig c2 = small_config();
   c2.seed = 999;
-  const auto f1 = VideoGenerator(c1).frame(0);
-  const auto f2 = VideoGenerator(c2).frame(0);
+  const FrameSoA f1 = VideoGenerator(c1).frame_soa(0);
+  const FrameSoA f2 = VideoGenerator(c2).frame_soa(0);
   int differing = 0;
   for (std::size_t i = 0; i < f1.size(); i += 100)
-    if (!(f1.points()[i] == f2.points()[i])) ++differing;
+    if (point_at(f1, i) != point_at(f2, i)) ++differing;
   EXPECT_GT(differing, 50);
 }
 
@@ -53,41 +63,39 @@ TEST(VideoGenerator, FramesStayInsideContentBounds) {
   const VideoGenerator gen(small_config());
   const auto bounds = gen.content_bounds();
   for (std::size_t f = 0; f < 30; f += 5) {
-    // Bind the frame: ranging over a temporary's member dangles (the
-    // temporary dies before the loop body runs).
-    const PointCloud frame = gen.frame(f);
-    for (const Point& p : frame.points())
-      EXPECT_TRUE(bounds.contains(p.position));
+    const FrameSoA frame = gen.frame_soa(f);
+    for (std::size_t i = 0; i < frame.size(); ++i)
+      EXPECT_TRUE(bounds.contains(frame.position(i)));
   }
 }
 
 TEST(VideoGenerator, AnimationMovesPoints) {
   const VideoGenerator gen(small_config());
-  const auto f0 = gen.frame(0);
-  const auto f10 = gen.frame(10);
+  const FrameSoA f0 = gen.frame_soa(0);
+  const FrameSoA f10 = gen.frame_soa(10);
   double total_motion = 0.0;
   for (std::size_t i = 0; i < f0.size(); i += 50)
-    total_motion += f0.points()[i].position.distance(f10.points()[i].position);
+    total_motion += f0.position(i).distance(f10.position(i));
   EXPECT_GT(total_motion, 1.0);  // limbs swing
 }
 
 TEST(VideoGenerator, TemporalCoherenceBetweenAdjacentFrames) {
   const VideoGenerator gen(small_config());
-  const auto f0 = gen.frame(0);
-  const auto f1 = gen.frame(1);
+  const FrameSoA f0 = gen.frame_soa(0);
+  const FrameSoA f1 = gen.frame_soa(1);
   for (std::size_t i = 0; i < f0.size(); i += 111) {
-    EXPECT_LT(f0.points()[i].position.distance(f1.points()[i].position), 0.15)
+    EXPECT_LT(f0.position(i).distance(f1.position(i)), 0.15)
         << "point " << i << " teleported between adjacent frames";
   }
 }
 
 TEST(VideoGenerator, LoopsModuloFrameCount) {
   const VideoGenerator gen(small_config());
-  const auto f2 = gen.frame(2);
-  const auto f32 = gen.frame(32);  // 32 % 30 == 2
+  const FrameSoA f2 = gen.frame_soa(2);
+  const FrameSoA f32 = gen.frame_soa(32);  // 32 % 30 == 2
   ASSERT_EQ(f2.size(), f32.size());
   for (std::size_t i = 0; i < f2.size(); i += 1000)
-    EXPECT_EQ(f2.points()[i], f32.points()[i]);
+    EXPECT_EQ(point_at(f2, i), point_at(f32, i));
 }
 
 TEST(VideoGenerator, ContentCenterInsideBounds) {
@@ -97,7 +105,7 @@ TEST(VideoGenerator, ContentCenterInsideBounds) {
 
 TEST(VideoGenerator, HumanlikeVerticalExtent) {
   const VideoGenerator gen(small_config());
-  const auto bounds = gen.frame(0).bounds();
+  const auto bounds = gen.frame_soa(0).bounds();
   EXPECT_GT(bounds.hi.z - bounds.lo.z, 1.4);  // roughly person-sized
   EXPECT_LT(bounds.hi.z - bounds.lo.z, 2.0);
 }
@@ -208,20 +216,20 @@ TEST(VideoGenerator, DrawPointRejectsAnUnknownPart) {
 
 TEST(Thin, FractionOneIsIdentity) {
   const VideoGenerator gen(small_config());
-  const auto cloud = gen.frame(0);
-  EXPECT_EQ(thin(cloud, 1.0).size(), cloud.size());
-  EXPECT_EQ(thin(cloud, 2.0).size(), cloud.size());
+  const FrameSoA cloud = gen.frame_soa(0);
+  EXPECT_TRUE(thin(cloud, 1.0) == cloud);
+  EXPECT_TRUE(thin(cloud, 2.0) == cloud);
 }
 
 TEST(Thin, FractionZeroIsEmpty) {
   const VideoGenerator gen(small_config());
-  EXPECT_TRUE(thin(gen.frame(0), 0.0).empty());
-  EXPECT_TRUE(thin(gen.frame(0), -1.0).empty());
+  EXPECT_TRUE(thin(gen.frame_soa(0), 0.0).empty());
+  EXPECT_TRUE(thin(gen.frame_soa(0), -1.0).empty());
 }
 
 TEST(Thin, ApproximatesRequestedFraction) {
   const VideoGenerator gen(small_config());
-  const auto cloud = gen.frame(0);
+  const FrameSoA cloud = gen.frame_soa(0);
   for (double f : {0.25, 0.5, 0.6, 0.78}) {
     const auto thinned = thin(cloud, f);
     const double actual =
@@ -234,19 +242,36 @@ TEST(Thin, DeterministicAndNested) {
   // Thinning is index-hash based: thinning to 0.3 keeps a subset of the
   // points kept at 0.6 (nested levels of detail).
   const VideoGenerator gen(small_config());
-  const auto cloud = gen.frame(0);
-  const auto t1 = thin(cloud, 0.6);
-  const auto t2 = thin(cloud, 0.6);
+  const FrameSoA cloud = gen.frame_soa(0);
+  const FrameSoA t1 = thin(cloud, 0.6);
+  const FrameSoA t2 = thin(cloud, 0.6);
   ASSERT_EQ(t1.size(), t2.size());
   for (std::size_t i = 0; i < t1.size(); i += 97)
-    EXPECT_EQ(t1.points()[i], t2.points()[i]);
+    EXPECT_EQ(point_at(t1, i), point_at(t2, i));
+}
+
+TEST(Thin, KeepsTheFilteredPointsInOrder) {
+  // thin() is the ThinFilter index test applied in point order: the kept
+  // points are exactly those whose index passes, with unchanged bits.
+  const VideoGenerator gen(small_config());
+  const FrameSoA cloud = gen.frame_soa(3);
+  for (double fraction : {0.05, 0.6, 0.999}) {
+    const ThinFilter filter(fraction);
+    FrameSoA expected;
+    const std::span<const std::uint8_t> rgb = cloud.rgb();
+    for (std::uint32_t i = 0; i < cloud.size(); ++i)
+      if (filter.keeps(i))
+        expected.push_back(cloud.position(i), rgb[3 * i], rgb[3 * i + 1],
+                           rgb[3 * i + 2]);
+    EXPECT_TRUE(thin(cloud, fraction) == expected) << "fraction " << fraction;
+  }
 }
 
 TEST(Thin, PreservesSpatialCoverage) {
   // The thinned cloud must still span the figure (uniform thinning).
   const VideoGenerator gen(small_config());
-  const auto cloud = gen.frame(0);
-  const auto thinned = thin(cloud, 0.3);
+  const FrameSoA cloud = gen.frame_soa(0);
+  const FrameSoA thinned = thin(cloud, 0.3);
   const auto full_bounds = cloud.bounds();
   const auto thin_bounds = thinned.bounds();
   EXPECT_LT(full_bounds.hi.z - thin_bounds.hi.z, 0.1);

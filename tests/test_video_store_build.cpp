@@ -3,8 +3,9 @@
 //  * modeled frames, counted by tier class leaf by leaf, equal
 //    occupancy(thin(master, fraction)) per tier at five cell edges and on
 //    a grid smaller than the content, and the whole
-//    serialized store equals a reference blob (thin, assign, encode every
-//    tier of every sample frame) for power-of-two and other cell edges,
+//    serialized store equals a reference blob (thin, bucket by scalar
+//    locate(), gather and encode every tier of every sample frame) for
+//    power-of-two and other cell edges,
 //    unsorted and duplicate tier ladders, 0 to 2 sample frames, exact
 //    stores, and pools of 1, 2 and 4 workers (whose lanes size the
 //    sample frame's cells largest first), and the ledger-shaped bundle
@@ -44,8 +45,9 @@ namespace volcast::vv {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference store: thin, bucket and encode every tier of every frame with
-// the plain AoS calls, fit the size model, and serialize the tables in the
+// Reference store: thin every tier of every frame, bucket its points one
+// by one with the scalar CellGrid::locate(), gather and encode each cell of
+// the sample frames, fit the size model, and serialize the tables in the
 // VSTR layout.
 
 // [frame][tier][cell]
@@ -75,20 +77,24 @@ ReferenceTables reference_tables(const VideoGenerator& gen,
   std::vector<std::vector<double>> fit_x(n_tiers);
   std::vector<std::vector<double>> fit_y(n_tiers);
   for (std::size_t f = 0; f < n_frames; ++f) {
-    const PointCloud master = gen.frame(f);
+    const FrameSoA master = gen.frame_soa(f);
     for (std::size_t q = 0; q < n_tiers; ++q) {
       const double fraction =
           static_cast<double>(config.tiers[q].points_per_frame) /
           master_points;
-      const PointCloud cloud = thin(master, fraction);
-      ref.points[f].push_back(grid.occupancy(cloud));
+      const FrameSoA frame = thin(master, fraction);
+      std::vector<std::vector<std::uint32_t>> buckets(grid.cell_count());
+      for (std::uint32_t i = 0; i < frame.size(); ++i)
+        buckets[grid.locate(frame.position(i))].push_back(i);
+      std::vector<std::uint32_t> points(grid.cell_count(), 0);
+      for (CellId c = 0; c < grid.cell_count(); ++c)
+        points[c] = static_cast<std::uint32_t>(buckets[c].size());
+      ref.points[f].push_back(std::move(points));
       std::vector<std::uint32_t> bytes(grid.cell_count(), 0);
       if (f < samples) {
-        const auto buckets = grid.assign(cloud);
         for (CellId c = 0; c < grid.cell_count(); ++c) {
           if (buckets[c].empty()) continue;
-          PointCloud cell;
-          for (std::uint32_t i : buckets[c]) cell.add(cloud.points()[i]);
+          const FrameSoA cell = frame.gather(buckets[c]);
           bytes[c] = static_cast<std::uint32_t>(encode(cell).size());
           fit_x[q].push_back(static_cast<double>(buckets[c].size()));
           fit_y[q].push_back(static_cast<double>(bytes[c]));

@@ -39,11 +39,17 @@ TEST(VisibilityMap, VisibleCellsAscending) {
   map.set(7);
   map.set(2);
   map.set(4);
-  const auto cells = map.visible_cells();
-  ASSERT_EQ(cells.size(), 3u);
-  EXPECT_EQ(cells[0], 2u);
-  EXPECT_EQ(cells[1], 4u);
-  EXPECT_EQ(cells[2], 7u);
+  map.set(4, 0.5);  // re-setting a visible cell does not count it twice
+  EXPECT_EQ(map.visible_count(), 3u);
+  for (CellId c = 0; c < map.cell_count(); ++c) {
+    const double want = c == 2 || c == 7 ? 1.0 : c == 4 ? 0.5 : 0.0;
+    EXPECT_DOUBLE_EQ(map.lod(c), want) << "cell " << c;
+  }
+  map.set(7, 0.0);  // a zero density hides the cell
+  map.reset(2);
+  map.reset(2);
+  EXPECT_EQ(map.visible_count(), 1u);
+  EXPECT_TRUE(map.visible(4));
 }
 
 TEST(VisibilityMap, OutOfRangeThrows) {
@@ -178,17 +184,6 @@ TEST(ComputeVisibility, ViewportCullingOffSeesAllOccupied) {
   EXPECT_EQ(map.visible_count(), scene.grid.cell_count());
 }
 
-TEST(FetchBytes, SumsVisibleCellsWeightedByLod) {
-  class FixedSizer : public FetchSizer {
-   public:
-    [[nodiscard]] double cell_bytes(vv::CellId) const override { return 100.0; }
-  };
-  VisibilityMap map(4);
-  map.set(0, 1.0);
-  map.set(2, 0.5);
-  EXPECT_DOUBLE_EQ(fetch_bytes(map, FixedSizer{}), 150.0);
-}
-
 TEST(DeviceIntrinsics, HeadsetNarrowerThanPhone) {
   const auto hm = device_intrinsics(trace::DeviceType::kHeadset);
   const auto ph = device_intrinsics(trace::DeviceType::kSmartphone);
@@ -203,7 +198,7 @@ TEST(ComputeVisibility, RealContentVisibleFraction) {
   vc.frame_count = 2;
   const vv::VideoGenerator gen(vc);
   const CellGrid grid(gen.content_bounds(), 0.25);
-  const auto occupancy = grid.occupancy(gen.frame(0));
+  const auto occupancy = grid.occupancy(gen.frame_soa(0));
   std::size_t occupied = 0;
   for (auto n : occupancy)
     if (n > 0) ++occupied;

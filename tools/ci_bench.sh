@@ -161,13 +161,20 @@ else:
     with open("BENCH_micro.json") as f:
         cur = json.load(f)
     # Median cpu_time: cpu_time ignores preemption on a shared box,
-    # the median ignores the odd slow repetition.
+    # the median ignores the odd slow repetition. cpu_time is the main
+    # thread's alone, so the set-up benches that run on a 2- or 4-lane pool
+    # gate on real_time instead: work moved to the other lanes shows there.
+    pooled = {f"{family}/{lanes}"
+              for family in ("BM_VideoGenerator", "BM_VideoStoreBuild",
+                             "BM_WorkloadBundleBuild")
+              for lanes in (2, 4)}
     def medians(doc):
         out = {}
         for b in doc.get("benchmarks", []):
             if b.get("aggregate_name") == "median":
-                out[b.get("run_name", b["name"])] = \
-                    b.get("cpu_time", b.get("real_time", 0.0))
+                name = b.get("run_name", b["name"])
+                key = "real_time" if name in pooled else "cpu_time"
+                out[name] = b.get(key, b.get("real_time", 0.0))
         return out
     ref = medians(base)
     for name, t in medians(cur).items():

@@ -75,7 +75,7 @@ void print_iou(const trace::UserStudy& study) {
   std::vector<std::vector<double>> mean_iou(n, std::vector<double>(n, 0.0));
   int samples = 0;
   for (std::size_t f = 0; f < study.trace(0).size(); f += 15) {
-    const auto occupancy = grid.occupancy(generator.frame(f % 30));
+    const auto occupancy = grid.occupancy(generator.frame_soa(f % 30));
     std::vector<view::VisibilityMap> maps;
     maps.reserve(n);
     for (std::size_t u = 0; u < n; ++u) {
