@@ -82,17 +82,11 @@ void SessionConfig::validate() const {
   } catch (const std::invalid_argument& bad) {
     throw std::invalid_argument(std::string("SessionConfig: ") + bad.what());
   }
-  if (bundle != nullptr) {
-    if (!bundle->frozen())
-      throw std::invalid_argument(
-          "SessionConfig: bundle must be frozen before sessions can share "
-          "it (call WorkloadBundle::freeze or use WorkloadBundle::build)");
-    if (!(bundle->key() == WorkloadKey::from(*this)))
-      throw std::invalid_argument(
-          "SessionConfig: bundle workload identity does not match this "
-          "config (video seed, master_points, video_frames, fps and "
-          "cell_size_m must all agree)");
-  }
+  if (bundle != nullptr && !(bundle->key() == WorkloadKey::from(*this)))
+    throw std::invalid_argument(
+        "SessionConfig: bundle workload identity does not match this "
+        "config (video seed, master_points, video_frames, fps and "
+        "cell_size_m must all agree)");
 }
 
 struct Session::Impl {

@@ -155,12 +155,13 @@ struct SessionConfig {
 
   /// Optional shared workload bundle (core/workload_bundle.h): the
   /// immutable setup artifacts — generated video, cell grid, VideoStore
-  /// codec tables, occupancy precompute — built once and read by every
-  /// session that shares it. Null (the default) makes the session build a
-  /// private bundle, which is the legacy per-session setup path,
-  /// bit-identical in every result. validate() rejects a bundle that is
-  /// not frozen or whose WorkloadKey does not match this config; run_fleet
-  /// fills this in automatically when content_seed pins the content.
+  /// codec tables, occupancy precompute — built complete by
+  /// WorkloadBundle::build and read by every session that shares it. Null
+  /// (the default) makes the session build a private bundle, which is the
+  /// legacy per-session setup path, bit-identical in every result.
+  /// validate() rejects a bundle whose WorkloadKey does not match this
+  /// config; run_fleet fills this in automatically when content_seed pins
+  /// the content.
   std::shared_ptr<const WorkloadBundle> bundle;
 
   TestbedConfig testbed{};

@@ -66,11 +66,15 @@ view::JointPredictorConfig SessionState::joint_config(const SessionConfig& c,
   return jc;
 }
 
-const BeamDesigner& SessionState::designers_placeholder() {
-  static const TestbedConfig config{};
-  static const Testbed testbed(config);
-  static const BeamDesigner designer(testbed);
-  return designer;
+std::vector<BeamDesigner> SessionState::make_designers(
+    const SessionConfig& c, const MultiApCoordinator& coordinator) {
+  BeamDesignerConfig bd;
+  bd.enable_custom_beams = c.enable_custom_beams;
+  bd.metrics = c.telemetry != nullptr ? &c.telemetry->metrics() : nullptr;
+  std::vector<BeamDesigner> designers;
+  for (std::size_t a = 0; a < coordinator.ap_count(); ++a)
+    designers.emplace_back(coordinator.ap(a), bd);
+  return designers;
 }
 
 SessionState::SessionState(SessionConfig c)
@@ -85,9 +89,8 @@ SessionState::SessionState(SessionConfig c)
       store(bundle->store()),
       occupancy(bundle->occupancy()),
       joint(c.user_count, joint_config(c, coordinator.ap(0))),
-      mitigator(coordinator.ap(0),
-                designers_placeholder(),  // replaced below
-                MitigatorConfig{}),
+      designers(make_designers(c, coordinator)),
+      mitigator(coordinator.ap(0), designers.front(), MitigatorConfig{}),
       injector(c.fault_plan, c.user_count,
                std::max<std::size_t>(c.ap_count, 1), c.seed ^ 0xfa17ULL),
       health(c.user_count, fault::HealthMonitor(c.health)),
@@ -100,13 +103,6 @@ SessionState::SessionState(SessionConfig c)
     plan_hits = &tel->metrics().counter("grouping.plan_hits");
     plan_skips = &tel->metrics().counter("grouping.plan_skips");
   }
-  BeamDesignerConfig bd;
-  bd.enable_custom_beams = c.enable_custom_beams;
-  bd.metrics = tel != nullptr ? &tel->metrics() : nullptr;
-  for (std::size_t a = 0; a < coordinator.ap_count(); ++a)
-    designers.emplace_back(coordinator.ap(a), bd);
-  mitigator = BlockageMitigator(coordinator.ap(0), designers.front(),
-                                MitigatorConfig{});
 
   Rng seeder(c.seed);
   const geo::Vec3 center = generator.content_center();

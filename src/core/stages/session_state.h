@@ -163,10 +163,10 @@ struct SessionState {
   }
 
  private:
-  // The mitigator needs a designer reference at construction; a static
-  // placeholder satisfies the constructor before the real one is assigned.
-  static const BeamDesigner& designers_placeholder();
-
+  // One designer per AP; built in the initializer list, before the
+  // mitigator that holds a reference to the first.
+  static std::vector<BeamDesigner> make_designers(
+      const SessionConfig& c, const MultiApCoordinator& coordinator);
   static MultiApConfig multi_ap_config(const SessionConfig& c);
   static view::JointPredictorConfig joint_config(const SessionConfig& c,
                                                  const Testbed& tb);

@@ -1,9 +1,7 @@
 #include "core/workload_bundle.h"
 
+#include <atomic>
 #include <bit>
-#include <stdexcept>
-#include <string>
-#include <utility>
 
 #include "common/thread_pool.h"
 #include "core/session.h"
@@ -79,91 +77,24 @@ std::uint64_t workload_bundle_hash(const SessionConfig& config) {
   return WorkloadKey::from(config).hash();
 }
 
-void WorkloadBundle::mutate_guard(const char* what) const {
-  if (frozen())
-    throw std::logic_error(std::string("WorkloadBundle: ") + what +
-                           " after freeze() — the bundle is immutable once "
-                           "sessions can share it");
-}
-
-const void* WorkloadBundle::built_guard(const void* artifact,
-                                        const char* what) const {
-  if (artifact == nullptr)
-    throw std::logic_error(std::string("WorkloadBundle: ") + what +
-                           " accessed before the bundle was built");
-  return artifact;
-}
-
-void WorkloadBundle::build_artifacts(std::size_t worker_threads) {
-  mutate_guard("build_artifacts()");
-  g_builds.fetch_add(1, std::memory_order_relaxed);
-
-  // A bundle-local pool for the generator's sampling and the store
-  // precompute: both are bit-identical at any thread count, so sharing
-  // them across sessions with different worker_threads settings is sound.
-  common::ThreadPool pool(worker_threads);
-  auto generator =
-      std::make_unique<vv::VideoGenerator>(video_config(key_), &pool);
-  auto grid = std::make_unique<vv::CellGrid>(generator->content_bounds(),
-                                             key_.cell_size_m);
-  auto store = std::make_unique<vv::VideoStore>(*generator, *grid,
-                                               store_config(key_, &pool));
-
-  generator_ = std::move(generator);
-  grid_ = std::move(grid);
-  store_ = std::move(store);
-}
-
-void WorkloadBundle::install_video(std::unique_ptr<vv::VideoGenerator> generator,
-                                   std::unique_ptr<vv::CellGrid> grid,
-                                   std::unique_ptr<vv::VideoStore> store) {
-  mutate_guard("install_video()");
-  if (generator == nullptr || grid == nullptr || store == nullptr)
-    throw std::invalid_argument(
-        "WorkloadBundle::install_video: all artifacts must be non-null");
-  generator_ = std::move(generator);
-  grid_ = std::move(grid);
-  store_ = std::move(store);
-}
-
-void WorkloadBundle::freeze() {
-  mutate_guard("freeze()");
-  if (generator_ == nullptr || grid_ == nullptr || store_ == nullptr)
-    throw std::logic_error(
-        "WorkloadBundle::freeze: artifacts missing — build_artifacts() or "
-        "install them before freezing");
-  frozen_.store(true, std::memory_order_release);
-}
+WorkloadBundle::WorkloadBundle(WorkloadKey key, common::ThreadPool& pool)
+    : key_(key),
+      generator_(std::make_unique<vv::VideoGenerator>(video_config(key_),
+                                                      &pool)),
+      grid_(std::make_unique<vv::CellGrid>(generator_->content_bounds(),
+                                           key_.cell_size_m)),
+      store_(std::make_unique<vv::VideoStore>(*generator_, *grid_,
+                                              store_config(key_, &pool))) {}
 
 std::shared_ptr<const WorkloadBundle> WorkloadBundle::build(
     const SessionConfig& config) {
-  auto bundle = std::make_shared<WorkloadBundle>(WorkloadKey::from(config));
-  bundle->build_artifacts(config.worker_threads);
-  bundle->freeze();
-  return bundle;
-}
-
-const vv::VideoGenerator& WorkloadBundle::generator() const {
-  return *static_cast<const vv::VideoGenerator*>(
-      built_guard(generator_.get(), "generator"));
-}
-
-const vv::CellGrid& WorkloadBundle::grid() const {
-  return *static_cast<const vv::CellGrid*>(built_guard(grid_.get(), "grid"));
-}
-
-const vv::VideoStore& WorkloadBundle::store() const {
-  return *static_cast<const vv::VideoStore*>(
-      built_guard(store_.get(), "store"));
-}
-
-OccupancyTable WorkloadBundle::occupancy() const {
-  return OccupancyTable(store());
-}
-
-std::span<const std::uint32_t> WorkloadBundle::occupancy(
-    std::size_t frame) const {
-  return occupancy()[frame];
+  g_builds.fetch_add(1, std::memory_order_relaxed);
+  // A bundle-local pool for the generator's sampling and the store
+  // precompute: both are bit-identical at any thread count, so sharing
+  // them across sessions with different worker_threads settings is sound.
+  common::ThreadPool pool(config.worker_threads);
+  return std::shared_ptr<const WorkloadBundle>(
+      new WorkloadBundle(WorkloadKey::from(config), pool));
 }
 
 std::uint64_t WorkloadBundle::builds_total() noexcept {

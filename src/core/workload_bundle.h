@@ -9,16 +9,17 @@
 // (video seed, point budget, frame count, fps, cell size), not of the
 // audience: every fleet slot streaming the same content recomputes
 // byte-identical tables. The WorkloadBundle hoists them into a single
-// reference-counted, frozen artifact set built once per fleet and read
+// reference-counted, read-only artifact set built once per fleet and read
 // concurrently by every slot — the same encode-once/serve-many
 // amortization shared tiling applies to the wire, applied to the setup
 // path. DESIGN.md §8 "Setup cost" breaks the store build down by phase.
 //
 // Ownership / copy-on-write rules:
-//  * The bundle is built (or installed) while unfrozen, then freeze()d.
-//    After freeze every mutator throws std::logic_error; only const
-//    accessors remain — shared reads are race-free by construction, and
-//    the TSan suite pins that (tests/test_workload_bundle.cpp).
+//  * WorkloadBundle::build is the only way to obtain a bundle, and it
+//    returns it complete behind shared_ptr<const WorkloadBundle>. The
+//    bundle has no mutators, so shared reads are race-free by
+//    construction; the TSan suite pins that
+//    (tests/test_workload_bundle.cpp).
 //  * Artifacts are heap-allocated so their addresses survive handoff; the
 //    VideoStore's interior CellGrid pointer stays valid for the bundle's
 //    whole lifetime.
@@ -33,7 +34,6 @@
 //    run rejects a checkpoint taken against different shared content.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -42,6 +42,10 @@
 #include "pointcloud/cell_grid.h"
 #include "pointcloud/video_generator.h"
 #include "pointcloud/video_store.h"
+
+namespace volcast::common {
+class ThreadPool;  // common/thread_pool.h
+}  // namespace volcast::common
 
 namespace volcast::core {
 
@@ -102,72 +106,54 @@ class OccupancyTable {
   const vv::VideoStore* store_;
 };
 
-/// The immutable artifact set. Typical use is the one-liner
-/// WorkloadBundle::build(config); the two-phase constructor + install_video
-/// / build_artifacts + freeze path exists for callers that bring their own
-/// artifacts and for the immutability-guard tests.
+/// The immutable artifact set, built complete by build().
 class WorkloadBundle {
  public:
-  explicit WorkloadBundle(WorkloadKey key) : key_(key) {}
-
   WorkloadBundle(const WorkloadBundle&) = delete;
   WorkloadBundle& operator=(const WorkloadBundle&) = delete;
 
-  /// Builds video + store from the key, in one call: exactly
-  /// the tables SessionState used to build per session, bit-identical at
-  /// any worker thread count. Throws std::logic_error once frozen.
-  void build_artifacts(std::size_t worker_threads = 1);
-
-  /// Installs externally built artifacts (the store must have been built
-  /// against *grid). Throws std::logic_error once frozen.
-  void install_video(std::unique_ptr<vv::VideoGenerator> generator,
-                     std::unique_ptr<vv::CellGrid> grid,
-                     std::unique_ptr<vv::VideoStore> store);
-
-  /// Seals the bundle: mutators throw from now on, const accessors are
-  /// free-threaded. Throws std::logic_error when artifacts are missing —
-  /// a frozen bundle is always complete.
-  void freeze();
-
-  /// Builds and freezes a bundle for `config` (worker_threads taken from
-  /// the config). The standard entry point: run_fleet and SessionState
-  /// both funnel through here, which is what the build counter counts.
+  /// Builds the video, grid and store for `config` on a bundle-local pool
+  /// of config.worker_threads lanes: exactly the tables SessionState used
+  /// to build per session, bit-identical at any worker count. The only
+  /// entry point: run_fleet and SessionState both funnel through here,
+  /// which is what the build counter counts.
   [[nodiscard]] static std::shared_ptr<const WorkloadBundle> build(
       const SessionConfig& config);
 
-  [[nodiscard]] bool frozen() const noexcept {
-    return frozen_.load(std::memory_order_acquire);
-  }
   [[nodiscard]] const WorkloadKey& key() const noexcept { return key_; }
   /// == key().hash(); the checkpoint-v4 bundle hash.
   [[nodiscard]] std::uint64_t hash() const noexcept { return key_.hash(); }
 
-  // Const accessors: throw std::logic_error while the artifact is missing
-  // (an unbuilt bundle), never after freeze().
-  [[nodiscard]] const vv::VideoGenerator& generator() const;
-  [[nodiscard]] const vv::CellGrid& grid() const;
-  [[nodiscard]] const vv::VideoStore& store() const;
+  [[nodiscard]] const vv::VideoGenerator& generator() const noexcept {
+    return *generator_;
+  }
+  [[nodiscard]] const vv::CellGrid& grid() const noexcept { return *grid_; }
+  [[nodiscard]] const vv::VideoStore& store() const noexcept {
+    return *store_;
+  }
   /// Per-frame top-tier occupancy (visibility input), served from the
   /// store's point table.
-  [[nodiscard]] OccupancyTable occupancy() const;
+  [[nodiscard]] OccupancyTable occupancy() const noexcept {
+    return OccupancyTable(*store_);
+  }
   /// Top-tier occupancy row of one video frame.
   [[nodiscard]] std::span<const std::uint32_t> occupancy(
-      std::size_t frame) const;
+      std::size_t frame) const {
+    return occupancy()[frame];
+  }
 
-  /// Process-lifetime count of build_artifacts() calls — the "peak bundle
-  /// builds == 1" observability hook the fleet tests assert through.
+  /// Process-lifetime count of build() calls — the "peak bundle builds
+  /// == 1" observability hook the fleet tests assert through.
   [[nodiscard]] static std::uint64_t builds_total() noexcept;
 
  private:
-  void mutate_guard(const char* what) const;
-  const void* built_guard(const void* artifact, const char* what) const;
+  WorkloadBundle(WorkloadKey key, common::ThreadPool& pool);
 
   WorkloadKey key_;
-  std::atomic<bool> frozen_{false};
   // Heap-allocated for address stability: the store points at the grid.
-  std::unique_ptr<vv::VideoGenerator> generator_;
-  std::unique_ptr<vv::CellGrid> grid_;
-  std::unique_ptr<vv::VideoStore> store_;
+  std::unique_ptr<const vv::VideoGenerator> generator_;
+  std::unique_ptr<const vv::CellGrid> grid_;
+  std::unique_ptr<const vv::VideoStore> store_;
 };
 
 }  // namespace volcast::core

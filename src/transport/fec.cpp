@@ -1,7 +1,5 @@
 #include "transport/fec.h"
 
-#include <algorithm>
-
 namespace volcast::transport::fec {
 
 namespace {
@@ -21,23 +19,6 @@ std::vector<std::vector<std::uint8_t>> make_parity(
   for (std::size_t i = 0; i < data.size(); ++i)
     xor_into(parity[i % static_cast<std::size_t>(r)], data[i]);
   return parity;
-}
-
-bool recoverable(const std::vector<bool>& data_arrived,
-                 const std::vector<bool>& parity_arrived) {
-  const std::size_t r = parity_arrived.size();
-  // No parity: recoverable only when nothing was lost.
-  if (r == 0)
-    return std::all_of(data_arrived.begin(), data_arrived.end(),
-                       [](bool b) { return b; });
-  std::vector<int> stripe_losses(r, 0);
-  for (std::size_t i = 0; i < data_arrived.size(); ++i)
-    if (!data_arrived[i]) ++stripe_losses[i % r];
-  for (std::size_t j = 0; j < r; ++j) {
-    if (stripe_losses[j] > 1) return false;
-    if (stripe_losses[j] == 1 && !parity_arrived[j]) return false;
-  }
-  return true;
 }
 
 int count_recoverable(const std::vector<bool>& data_arrived,

@@ -10,24 +10,19 @@
 // recoverable events at a fixed `r/k` overhead.
 //
 // Two layers of API:
-//  - `recoverable()` / `count_recoverable()` answer the *erasure pattern*
-//    question from booleans alone — this is what the simulated wire uses,
-//    because the sim never materialises payload bytes per packet.
-//  - `make_parity()` / `recover()` operate on real byte payloads and are
-//    exercised by the unit tests to pin the algebra (parity really is the
-//    stripe XOR, recovery really reproduces the lost payload).
+//  - `count_recoverable()` answers the *erasure pattern* question from
+//    arrival booleans alone. This is what the simulated wire uses: the sim
+//    models each packet as delivered or lost and never builds payloads.
+//  - `make_parity()` / `recover()` operate on real byte payloads. They are
+//    the reference the erasure counter is tested against: a lost data
+//    packet counts as recoverable exactly when `recover()` rebuilds it
+//    byte for byte from `make_parity()` (tests/test_transport.cpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace volcast::transport::fec {
-
-/// Parameters of one FEC group.
-struct GroupParams {
-  int k = 0;  // data packets in the group
-  int r = 0;  // parity packets in the group
-};
 
 /// Builds the `r` parity payloads for a group of `k` data payloads.
 /// Shorter data packets are zero-padded to the longest stripe member, so
@@ -36,16 +31,10 @@ struct GroupParams {
     const std::vector<std::vector<std::uint8_t>>& data, int r);
 
 /// Given per-packet arrival booleans (`data_arrived.size() == k`,
-/// `parity_arrived.size() == r`), returns true iff every lost data packet
-/// can be reconstructed: each stripe lost at most one data packet and that
-/// stripe's parity arrived.
-[[nodiscard]] bool recoverable(const std::vector<bool>& data_arrived,
-                               const std::vector<bool>& parity_arrived);
-
-/// Number of lost data packets that the parity can reconstruct under the
-/// stripe rule (each stripe repairs at most one loss, and only when its
-/// parity arrived). Lost packets in over-subscribed or parity-less stripes
-/// are not counted.
+/// `parity_arrived.size() == r`), returns the number of lost data packets
+/// that the parity can reconstruct under the stripe rule (each stripe
+/// repairs at most one loss, and only when its parity arrived). Lost
+/// packets in over-subscribed or parity-less stripes are not counted.
 [[nodiscard]] int count_recoverable(const std::vector<bool>& data_arrived,
                                     const std::vector<bool>& parity_arrived);
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "transport/fec.h"
-#include "transport/packet.h"
 
 namespace volcast::transport {
 
@@ -130,7 +129,7 @@ TrainResult transmit_train(const TransportConfig& config,
   const int k = config.fec_group_data;
   const int r = use_fec ? config.fec_group_parity : 0;
   const double header_bits_per_packet =
-      static_cast<double>(PacketHeader::kWireSize) * 8.0;
+      static_cast<double>(kHeaderWireSize) * 8.0;
   const int round_budget =
       use_nack ? std::min(config.nack_rounds,
                           static_cast<int>(params.deadline_ms /

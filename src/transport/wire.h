@@ -38,6 +38,15 @@ enum class TransportPolicy : std::uint8_t {
 
 [[nodiscard]] const char* to_string(TransportPolicy policy) noexcept;
 
+/// Bytes of header each packet carries on the air: magic 2, version 1,
+/// flags 1, seq 4, tick 4, frame 2, tile 2, FEC group 4, index/k/r 3,
+/// reserved 1, payload length 2 and checksum 2.
+inline constexpr std::size_t kHeaderWireSize = 28;
+
+/// Largest payload one packet may carry (jumbo-frame ceiling); the bound
+/// TransportConfig::validate puts on mtu_bytes.
+inline constexpr std::size_t kMaxPayloadBytes = 9000;
+
 /// Wire + recovery knobs (defaults follow common mmWave WLAN practice:
 /// ~1.4 KB MTU, 8+2 FEC groups ≈ 25% overhead, 2 NACK rounds at a 4 ms
 /// in-room RTT inside the 33 ms frame budget).

@@ -12,7 +12,6 @@
 #include "pointcloud/codec.h"
 #include "trace/mobility.h"
 #include "trace/trace_io.h"
-#include "transport/packet.h"
 
 namespace volcast {
 namespace {
@@ -242,104 +241,6 @@ TEST(FuzzDecoders, TraceSurvivesByteCorruptionSweeps) {
       } catch (const std::runtime_error&) {
         // Clean rejection is the expected common case.
       }
-    }
-  }
-}
-
-// ---------------------------------------------------- transport packets
-// The packet parser is the trust boundary of the receive path: whatever
-// the wire delivers, parse_packet must either return a packet or throw
-// transport::WireError — never crash, over-allocate or read out of bounds.
-
-std::vector<std::uint8_t> sample_packet_bytes() {
-  transport::PacketHeader h;
-  h.seq = 4242;
-  h.tick = 17;
-  h.frame = 3;
-  h.tile = 1;
-  h.flags = transport::kFlagLastInTile;
-  h.fec_group = 1;
-  h.fec_index = 2;
-  h.fec_k = 8;
-  h.fec_r = 2;
-  std::vector<std::uint8_t> payload(1400);
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    payload[i] = static_cast<std::uint8_t>((i * 13 + 5) & 0xFF);
-  h.payload_len = static_cast<std::uint16_t>(payload.size());
-  return transport::serialize_packet(h, payload);
-}
-
-TEST(FuzzDecoders, PacketParserSurvivesBitFlips) {
-  const auto bytes = sample_packet_bytes();
-  std::size_t rejected = 0;
-  for (std::uint64_t seed = 0; seed < 400; ++seed) {
-    const auto bad = corrupted(bytes, seed, 1 + static_cast<int>(seed % 4));
-    try {
-      const transport::Packet p = transport::parse_packet(bad);
-      // A flip that survives the checksum must still honour the length
-      // contract — the payload can never exceed the buffer handed in.
-      EXPECT_LE(p.payload.size(), bad.size());
-    } catch (const transport::WireError&) {
-      ++rejected;
-    }
-  }
-  // The checksum must actually bite: almost every corruption is caught.
-  EXPECT_GT(rejected, 390u);
-}
-
-TEST(FuzzDecoders, PacketParserSurvivesTruncation) {
-  const auto bytes = sample_packet_bytes();
-  // Every prefix, including the empty buffer and mid-header cuts.
-  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    const std::vector<std::uint8_t> cut(
-        bytes.begin(), bytes.begin() + static_cast<long>(keep));
-    EXPECT_THROW((void)transport::parse_packet(cut), transport::WireError)
-        << "kept " << keep << " bytes";
-  }
-}
-
-TEST(FuzzDecoders, PacketParserSurvivesInsertionsAndDeletions) {
-  const auto bytes = sample_packet_bytes();
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    try {
-      (void)transport::parse_packet(with_insertions(bytes, seed, 3));
-    } catch (const transport::WireError&) {
-    }
-    try {
-      (void)transport::parse_packet(with_deletions(bytes, seed, 3));
-    } catch (const transport::WireError&) {
-    }
-  }
-}
-
-TEST(FuzzDecoders, PacketParserRejectsLengthFieldLies) {
-  const auto bytes = sample_packet_bytes();
-  // Sweep the 16-bit payload_len field (bytes 24..25) over hostile values:
-  // zero, off-by-one both ways, and huge claims past the buffer and past
-  // the jumbo ceiling. All must throw — the parser sizes its allocation
-  // from the buffer, not the attacker's field.
-  const std::uint16_t real_len = 1400;
-  for (const std::uint32_t lie :
-       {0u, 1u, static_cast<std::uint32_t>(real_len - 1),
-        static_cast<std::uint32_t>(real_len + 1), 9000u, 0xFFFFu}) {
-    auto bad = bytes;
-    bad[24] = static_cast<std::uint8_t>(lie & 0xFF);
-    bad[25] = static_cast<std::uint8_t>(lie >> 8);
-    EXPECT_THROW((void)transport::parse_packet(bad), transport::WireError)
-        << "payload_len lie " << lie;
-  }
-}
-
-TEST(FuzzDecoders, PacketParserSurvivesRandomGarbage) {
-  Rng rng(77);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<std::uint8_t> junk(
-        static_cast<std::size_t>(rng.uniform_int(0, 2000)));
-    for (auto& b : junk)
-      b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    try {
-      (void)transport::parse_packet(junk);
-    } catch (const transport::WireError&) {
     }
   }
 }

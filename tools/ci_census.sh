@@ -6,9 +6,15 @@
 # Builds an instrumented tree (--coverage, -O0 so no function is inlined
 # away from its own counters) with the stage-ledger target injected through
 # bench/ledger/targets.cmake, then drives it twice:
-#   1. the program as it is run: the ledger's --smoke pass on every
-#      workload (untraced and traced), examples/quickstart, and volcast_sim
-#      with telemetry, with two APs and under chaos;
+#   1. every shipped entry point, as it is run: the ledger's --smoke pass
+#      on every workload (untraced and traced); the paper, ablation and
+#      system benches with no arguments (bench_micro is left out: it
+#      times library kernels, including test references, rather than
+#      using them); every example; volcast_sim with telemetry, with two
+#      APs, under chaos and replaying traces volcast_trace exported;
+#      volcast_trace summarizing the telemetry the drive wrote; and
+#      tools/smoke_fleet_resume.sh (fleet checkpoint, kill and resume).
+#      Its wall time is printed;
 #   2. the whole ctest suite (a failing test is reported; the census goes
 #      on).
 # It lists the src/ functions neither drive calls, then those only the
@@ -56,17 +62,35 @@ gcov_reports() {
 # Zero out counts from previous runs so the census reflects these drives.
 find "$BUILD_DIR" -name '*.gcda' -delete
 
-# Drive 1: the program as it is run.
+# Drive 1: every shipped entry point, as it is run.
+DRIVE_START=$SECONDS
 for workload in crowd16 surround_wire unicast_short; do
   "$BUILD_DIR/volcast_ledger" --smoke --workload="$workload" --trace=1 \
     --out="$DRIVE/ledger" >/dev/null
 done
-"$BUILD_DIR/examples/quickstart" >/dev/null
+for bench in bench_table1 bench_fig2_viewport_similarity \
+    bench_fig3b_default_codebook bench_fig3d_custom_beams \
+    bench_fig3e_multicast_throughput bench_ablation_beam_tracking \
+    bench_ablation_prediction bench_ablation_grouping \
+    bench_ablation_rate_adaptation bench_system_scaling bench_fleet \
+    bench_tile_cache bench_transport bench_overload; do
+  "$BUILD_DIR/bench/$bench" >/dev/null
+done
+for example in quickstart classroom sports_bar telepresence beam_explorer; do
+  "$BUILD_DIR/examples/$example" >/dev/null
+done
 SIM="$BUILD_DIR/tools/volcast_sim"
+TRACE="$BUILD_DIR/tools/volcast_trace"
 "$SIM" --users=6 --duration=2 --points=30000 \
   --telemetry="$DRIVE/telemetry.jsonl" >/dev/null
 "$SIM" --users=8 --aps=2 --spread=6.28 --duration=2 --points=30000 >/dev/null
 "$SIM" --users=6 --aps=2 --chaos --duration=2 --points=30000 >/dev/null
+"$TRACE" --export="$DRIVE/traces" --users=4 --samples=120 >/dev/null
+"$SIM" --users=4 --replay="$DRIVE/traces" --duration=2 --points=30000 \
+  >/dev/null
+"$TRACE" summarize "$DRIVE/telemetry.jsonl" >/dev/null
+tools/smoke_fleet_resume.sh "$SIM" >/dev/null
+echo "ci_census: program drive took $((SECONDS - DRIVE_START)) s"
 gcov_reports "$GCOV_DIR/program"
 
 # Drive 2: the whole test suite.
