@@ -137,7 +137,7 @@ int run(const char* json_path) {
       // run (< 2%).
       FleetConfig supervised = fleet_config(sessions, 1);
       supervised.supervision.max_retries = 2;
-      supervised.supervision.tick_budget = 1'000'000;
+      supervised.session.tick_budget = 1'000'000;
       t0 = std::chrono::steady_clock::now();
       const FleetResult rs = run_fleet(supervised);
       const double sup = seconds_since(t0);

@@ -64,7 +64,6 @@ double percentile(std::vector<double> v, double q) {
 }
 
 SweepResult sweep(TransportPolicy policy) {
-  const TransportConfig config;
   SweepResult out;
   constexpr int kReps = 3;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -78,7 +77,7 @@ SweepResult sweep(TransportPolicy policy) {
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint32_t tick = 0; tick < kTrains; ++tick) {
       const TrainParams p = train_params(tick);
-      const TrainResult r = transmit_train(config, policy, p, lanes[p.user]);
+      const TrainResult r = transmit_train(policy, p, lanes[p.user]);
       report.add(r);
       if (r.recovery_ms > 0.0) recovery.push_back(r.recovery_ms);
       frame_bits += p.frame_bits;

@@ -287,9 +287,7 @@ std::uint64_t fleet_fingerprint(const FleetConfig& config) {
   // resume-time error message.
   h.u64(workload_bundle_hash(s));
   h.u64(config.sessions);
-  h.f64(config.supported_fps_threshold);
   h.u64(config.supervision.max_retries);
-  h.u64(config.supervision.tick_budget);
   h.u64(s.user_count);
   h.u64(static_cast<std::uint64_t>(s.device));
   h.f64(s.duration_s);
@@ -315,11 +313,8 @@ std::uint64_t fleet_fingerprint(const FleetConfig& config) {
   h.u64(static_cast<std::uint64_t>(s.adaptation));
   h.u64(static_cast<std::uint64_t>(s.estimator));
   h.u64(s.ap_count);
-  h.f64(s.max_backlog_s);
   h.f64(s.mac_overheads.per_transmission_s);
   h.f64(s.mac_overheads.per_beam_switch_s);
-  h.f64(s.health.degraded_rate_mbps);
-  h.u64(s.health.recovery_ticks);
   h.f64(s.testbed.shadowing_sigma_db);
   h.f64(s.testbed.shadowing_coherence_s);
   h.f64(s.testbed.content_floor.x);
@@ -337,34 +332,12 @@ std::uint64_t fleet_fingerprint(const FleetConfig& config) {
   // checkpoint taken with different knobs must not resume.
   h.b(s.overload.enabled);
   h.f64(s.overload.encode_budget_bytes);
-  h.f64(s.overload.airtime_budget);
-  h.f64(s.overload.cache_budget_bytes);
-  h.u64(s.overload.cache_window_ticks);
-  h.f64(s.overload.yellow_watermark);
-  h.f64(s.overload.orange_watermark);
-  h.f64(s.overload.red_watermark);
-  h.f64(s.overload.recover_margin);
   h.u64(s.overload.recover_ticks);
-  h.f64(s.overload.far_fraction);
-  h.u64(s.overload.far_tier_cap);
-  h.f64(s.overload.min_lod);
-  h.f64(s.overload.defer_lod);
-  h.u64(s.overload.red_tier_cap);
   h.b(config.admission.enabled);
   h.u64(config.admission.capacity);
   h.u64(config.admission.queue_limit);
-  h.u64(config.admission.hold_ticks);
   h.u64(config.admission.arrival_spacing_ticks);
   h.u64(config.admission.arrival_burst);
-  h.u64(s.transport.mtu_bytes);
-  h.u64(s.transport.tile_bytes);
-  h.u64(static_cast<std::uint64_t>(s.transport.fec_group_data));
-  h.u64(static_cast<std::uint64_t>(s.transport.fec_group_parity));
-  h.u64(static_cast<std::uint64_t>(s.transport.nack_rounds));
-  h.f64(s.transport.nack_rtt_ms);
-  h.f64(s.transport.target_per);
-  h.f64(s.transport.burst_enter);
-  h.f64(s.transport.burst_exit);
   h.u64(s.fault_plan.size());
   for (const fault::FaultEvent& e : s.fault_plan.events()) {
     h.f64(e.t_s);

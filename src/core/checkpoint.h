@@ -50,7 +50,10 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x504b4356u;  // "VCKP"
 //     the admission outcome + wait ticks (SlotStatus::kDenied became a
 //     valid status); the fingerprint now covers the overload and fleet
 //     admission configs.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+// v6: the fingerprint no longer covers the governor tuning, packet-wire,
+//     health, backlog, supported-FPS and admission hold values (now
+//     constants) and hashes the session tick_budget once.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// Typed rejection of an unusable checkpoint (corrupt, truncated, foreign
 /// version, or produced by a different fleet configuration).

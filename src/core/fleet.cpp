@@ -19,9 +19,6 @@ namespace volcast::core {
 void FleetConfig::validate() const {
   if (sessions == 0)
     throw std::invalid_argument("FleetConfig: sessions must be > 0");
-  if (!(supported_fps_threshold >= 0.0))
-    throw std::invalid_argument(
-        "FleetConfig: supported_fps_threshold must be >= 0");
   if (session.telemetry != nullptr)
     throw std::invalid_argument(
         "FleetConfig: the session template cannot carry a telemetry sink "
@@ -60,8 +57,6 @@ SlotOutcome run_supervised_slot(const FleetConfig& config, std::size_t slot,
     try {
       SessionConfig sc = config.session;
       sc.seed = seed;
-      if (config.supervision.tick_budget != 0)
-        sc.tick_budget = config.supervision.tick_budget;
       // The shared bundle survives retries untouched: a retry only redraws
       // the *session* seed, and with content_seed pinned the workload
       // identity — and therefore the bundle key — is seed-independent. The
@@ -144,10 +139,8 @@ FleetResult run_fleet_impl(const FleetConfig& config) {
   // and never bump the kill-after counter (they did not *run*).
   std::vector<overload::AdmissionDecision> admission;
   if (config.admission.enabled) {
-    std::uint64_t hold = config.admission.hold_ticks;
-    if (hold == 0)
-      hold = static_cast<std::uint64_t>(
-          std::llround(config.session.duration_s * config.session.fps));
+    const auto hold = static_cast<std::uint64_t>(
+        std::llround(config.session.duration_s * config.session.fps));
     admission =
         overload::plan_admission(config.admission, config.sessions, hold);
     for (std::size_t k = 0; k < config.sessions; ++k) {
@@ -155,7 +148,6 @@ FleetResult run_fleet_impl(const FleetConfig& config) {
       if (config.telemetry != nullptr) {
         obs::Event e;
         e.tick = static_cast<std::uint32_t>(d.arrival_tick);
-        e.layer = obs::Layer::kOverload;
         e.user = static_cast<std::uint32_t>(k);  // fleet slot, not a user
         switch (d.outcome) {
           case overload::AdmissionOutcome::kAdmitted:
@@ -265,7 +257,7 @@ FleetResult run_fleet_impl(const FleetConfig& config) {
     if (outcome.attempts > 1) ++result.retried_slots;
     for (const sim::UserQoe& q : result.sessions[k].qoe.users) {
       ++result.total_users;
-      if (q.displayed_fps >= config.supported_fps_threshold)
+      if (q.displayed_fps >= kSupportedFpsThreshold)
         ++result.supported_users;
       fps_stats.add(q.displayed_fps);
       stall_stats.add(q.stall_ratio);
@@ -304,10 +296,10 @@ FleetResult run_fleet(const FleetConfig& config) {
   // slot's workload identity is the same, so one shared WorkloadBundle
   // replaces per-slot setup (video generation, codec precompute,
   // occupancy). With content_seed == 0 each slot streams its own video
-  // (seed + k) and nothing is shareable — the legacy path stays. The
+  // (seed + k) and nothing is shareable, so each slot builds its own. The
   // bundle changes wall clock only, never results, so it is not part of
   // the checkpoint fingerprint and resumed runs stay compatible either way.
-  if (effective.share_bundle && effective.session.bundle == nullptr &&
+  if (effective.session.bundle == nullptr &&
       effective.session.content_seed != 0)
     effective.session.bundle = WorkloadBundle::build(effective.session);
   return run_fleet_impl(effective);

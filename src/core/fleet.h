@@ -26,32 +26,28 @@
 
 namespace volcast::core {
 
+/// A user counts as "supported" when its displayed FPS reaches this floor
+/// (the paper's bar for smooth 30 FPS playback).
+inline constexpr double kSupportedFpsThreshold = 29.5;
+
 struct FleetConfig {
   /// Per-session template. Slot k runs it with `seed + k`; everything else
-  /// (users, duration, ablation switches, policy overrides) is shared.
-  /// Leave `telemetry` and `tick_observer` null/empty — per-slot sinks
-  /// cannot be shared across concurrent sessions.
+  /// (users, duration, ablation switches, policy overrides, the logical
+  /// tick_budget deadline) is shared. When the template pins the content
+  /// (content_seed != 0) and carries no bundle, run_fleet builds one
+  /// WorkloadBundle that every slot reads instead of rebuilding its own
+  /// setup; results are bit-identical either way. Leave `telemetry` and
+  /// `tick_observer` null/empty — per-slot sinks cannot be shared across
+  /// concurrent sessions.
   SessionConfig session;
   /// Number of sessions in the fleet.
   std::size_t sessions = 1;
   /// Sessions simulated concurrently: 0 = hardware concurrency, 1 = fully
   /// serial. Outer parallelism only changes wall time, never results.
   std::size_t parallel_sessions = 0;
-  /// A user counts as "supported" when its displayed FPS reaches this
-  /// floor (the paper's bar for smooth 30 FPS playback).
-  double supported_fps_threshold = 29.5;
-  /// Build one shared WorkloadBundle for the whole fleet when the template
-  /// pins the content (content_seed != 0) and doesn't already carry a
-  /// bundle: every slot then reads the same immutable artifact set instead
-  /// of rebuilding its own ~0.3 s of setup. Results are bit-identical
-  /// either way (the bundle holds only pure functions of the workload
-  /// identity), so this knob — like parallel_sessions — is excluded from
-  /// the checkpoint fingerprint; set it false to force the legacy
-  /// per-slot setup path, e.g. for A/B determinism tests.
-  bool share_bundle = true;
 
-  /// Retry / deadline policy (defaults disable both; failures are still
-  /// caught and recorded rather than aborting the fleet).
+  /// Retry policy (the default disables it; failures are still caught and
+  /// recorded rather than aborting the fleet).
   SupervisorConfig supervision;
   /// Admission control over the logical arrival schedule (disabled by
   /// default — every slot runs, the legacy behavior). With it enabled,

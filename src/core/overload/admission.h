@@ -38,9 +38,6 @@ struct AdmissionConfig {
   /// Slots allowed to wait for a free capacity unit; arrivals beyond
   /// capacity + queue are denied.
   std::size_t queue_limit = 2;
-  /// Logical ticks an admitted session occupies its capacity unit
-  /// (0 = derive duration_s * fps from the session template).
-  std::uint64_t hold_ticks = 0;
   /// Arrival schedule: group g arrives at tick g * spacing. 0 = everything
   /// arrives at tick 0 (the worst-case thundering herd).
   std::uint64_t arrival_spacing_ticks = 0;

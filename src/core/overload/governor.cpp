@@ -21,49 +21,25 @@ void OverloadConfig::validate() const {
   if (!(encode_budget_bytes > 0.0))
     throw std::invalid_argument(
         "OverloadConfig: encode_budget_bytes must be > 0");
-  if (!(airtime_budget > 0.0))
-    throw std::invalid_argument("OverloadConfig: airtime_budget must be > 0");
-  if (!(cache_budget_bytes > 0.0))
-    throw std::invalid_argument(
-        "OverloadConfig: cache_budget_bytes must be > 0");
-  if (cache_window_ticks == 0)
-    throw std::invalid_argument(
-        "OverloadConfig: cache_window_ticks must be > 0");
-  if (!(yellow_watermark > 0.0))
-    throw std::invalid_argument(
-        "OverloadConfig: yellow_watermark must be > 0");
-  if (!(orange_watermark >= yellow_watermark))
-    throw std::invalid_argument(
-        "OverloadConfig: watermarks must be ordered yellow <= orange <= red");
-  if (!(red_watermark >= orange_watermark))
-    throw std::invalid_argument(
-        "OverloadConfig: watermarks must be ordered yellow <= orange <= red");
-  if (!(recover_margin >= 0.0))
-    throw std::invalid_argument(
-        "OverloadConfig: recover_margin must be >= 0");
   if (recover_ticks == 0)
     throw std::invalid_argument("OverloadConfig: recover_ticks must be > 0");
-  if (!(far_fraction >= 0.0 && far_fraction <= 1.0))
-    throw std::invalid_argument(
-        "OverloadConfig: far_fraction must be in [0, 1]");
-  if (!(min_lod >= 0.0 && min_lod < 1.0))
-    throw std::invalid_argument("OverloadConfig: min_lod must be in [0, 1)");
-  if (!(defer_lod >= min_lod && defer_lod < 1.0))
-    throw std::invalid_argument(
-        "OverloadConfig: defer_lod must be in [min_lod, 1)");
 }
 
-LoadGovernor::LoadGovernor(const OverloadConfig& config) : config_(config) {}
+namespace {
 
-double LoadGovernor::entry_watermark(BrownoutLevel level) const noexcept {
+double entry_watermark(BrownoutLevel level) noexcept {
   switch (level) {
-    case BrownoutLevel::kYellow: return config_.yellow_watermark;
-    case BrownoutLevel::kOrange: return config_.orange_watermark;
-    case BrownoutLevel::kRed: return config_.red_watermark;
+    case BrownoutLevel::kYellow: return kYellowWatermark;
+    case BrownoutLevel::kOrange: return kOrangeWatermark;
+    case BrownoutLevel::kRed: return kRedWatermark;
     case BrownoutLevel::kGreen: break;
   }
   return 0.0;
 }
+
+}  // namespace
+
+LoadGovernor::LoadGovernor(const OverloadConfig& config) : config_(config) {}
 
 double LoadGovernor::observe(const TickLoad& load) {
   const double cpu = std::max(load.cpu_factor, 1.0);
@@ -73,17 +49,17 @@ double LoadGovernor::observe(const TickLoad& load) {
   const double encode_util =
       load.encode_bytes * cpu / config_.encode_budget_bytes;
   const double airtime_util =
-      load.airtime_s * cpu / (config_.airtime_budget * interval);
+      load.airtime_s * cpu / (kAirtimeBudget * interval);
   const double cache_util =
-      load.cache_window_bytes / (config_.cache_budget_bytes * mem);
+      load.cache_window_bytes / (kCacheBudgetBytes * mem);
   utilization_ = std::max({encode_util, airtime_util, cache_util});
 
   BrownoutLevel target = BrownoutLevel::kGreen;
-  if (utilization_ >= config_.red_watermark) {
+  if (utilization_ >= kRedWatermark) {
     target = BrownoutLevel::kRed;
-  } else if (utilization_ >= config_.orange_watermark) {
+  } else if (utilization_ >= kOrangeWatermark) {
     target = BrownoutLevel::kOrange;
-  } else if (utilization_ >= config_.yellow_watermark) {
+  } else if (utilization_ >= kYellowWatermark) {
     target = BrownoutLevel::kYellow;
   }
 
@@ -97,7 +73,7 @@ double LoadGovernor::observe(const TickLoad& load) {
     // De-escalation is hysteretic: one level per calm streak, and only
     // when utilization sits clearly below the current level's entry
     // watermark — a load hovering at the boundary must not flap.
-    if (utilization_ < entry_watermark(level_) - config_.recover_margin) {
+    if (utilization_ < entry_watermark(level_) - kRecoverMargin) {
       if (++calm_ticks_ >= config_.recover_ticks) {
         level_ = static_cast<BrownoutLevel>(
             static_cast<std::uint8_t>(level_) - 1);
@@ -121,15 +97,15 @@ ShedDirectives LoadGovernor::directives(std::size_t user_count) const {
   // red caps everyone. Higher levels always include the lower levels'
   // sheds, so degradation is monotone in the level.
   shed.far_user_count = static_cast<std::size_t>(std::ceil(
-      config_.far_fraction * static_cast<double>(user_count)));
+      kFarFraction * static_cast<double>(user_count)));
   shed.far_user_count = std::min(shed.far_user_count, user_count);
-  shed.far_tier_cap = config_.far_tier_cap;
+  shed.far_tier_cap = kFarTierCap;
   if (level_ >= BrownoutLevel::kOrange) {
-    shed.min_lod = config_.min_lod;
-    shed.defer_lod = config_.defer_lod;
+    shed.min_lod = kMinLod;
+    shed.defer_lod = kDeferLod;
   }
   if (level_ >= BrownoutLevel::kRed)
-    shed.global_tier_cap = config_.red_tier_cap;
+    shed.global_tier_cap = kRedTierCap;
   return shed;
 }
 

@@ -40,55 +40,65 @@ enum class BrownoutLevel : std::uint8_t {
 inline constexpr std::size_t kNoTierCap =
     std::numeric_limits<std::size_t>::max();
 
-/// Governor knobs: logical budgets, watermarks on the max-utilization, and
-/// the shed parameters each level applies. Defaults are sized for the
-/// reduced default content scale (120K points) so `--overload` visibly
-/// engages under pressure chaos without starving an unloaded session.
+// --- fixed governor tuning -------------------------------------------------
+// Sized for the reduced default content scale (120K points) so `--overload`
+// visibly engages under pressure chaos without starving an unloaded
+// session.
+
+/// Scheduled-airtime budget per tick as a fraction of the frame interval
+/// (1.0 = the full interval; above it the air queue is structurally
+/// behind).
+inline constexpr double kAirtimeBudget = 1.0;
+/// Logical encode working-set budget: the sum of encode bytes over the
+/// sliding window below is held against it, standing in for the memory a
+/// server would hold encoded tiles in. kMemPressure shrinks this budget.
+/// No physical cache backs it; tiling is first-touch accounting.
+inline constexpr double kCacheBudgetBytes = 48.0e6;
+/// Sliding window (ticks) for the cache working-set sum.
+inline constexpr std::size_t kCacheWindowTicks = 30;
+/// Utilization at or above which the level escalates to yellow / orange /
+/// red. Escalation is immediate and can jump levels.
+inline constexpr double kYellowWatermark = 0.70;
+inline constexpr double kOrangeWatermark = 0.90;
+inline constexpr double kRedWatermark = 1.10;
+/// De-escalation is hysteretic: one level down only after
+/// OverloadConfig::recover_ticks consecutive ticks with utilization below
+/// the current level's entry watermark minus this margin.
+inline constexpr double kRecoverMargin = 0.10;
+/// Yellow: the farthest ceil(kFarFraction * users) users (ranked by
+/// distance from the content center) are capped at kFarTierCap.
+inline constexpr double kFarFraction = 0.5;
+inline constexpr std::size_t kFarTierCap = 1;
+/// Orange: cells whose LOD is at or below kMinLod are skipped in the
+/// demand/assembly paths (low-saliency shed), and first-touch tile encodes
+/// at or below kDeferLod are deferred to a later tick.
+inline constexpr double kMinLod = 0.05;
+inline constexpr double kDeferLod = 0.15;
+/// Red: every user is capped at this tier.
+inline constexpr std::size_t kRedTierCap = 0;
+
+static_assert(kAirtimeBudget > 0.0 && kCacheBudgetBytes > 0.0 &&
+              kCacheWindowTicks > 0);
+static_assert(0.0 < kYellowWatermark && kYellowWatermark <= kOrangeWatermark &&
+              kOrangeWatermark <= kRedWatermark,
+              "watermarks must be ordered yellow <= orange <= red");
+static_assert(kRecoverMargin >= 0.0);
+static_assert(kFarFraction >= 0.0 && kFarFraction <= 1.0);
+static_assert(0.0 <= kMinLod && kMinLod <= kDeferLod && kDeferLod < 1.0,
+              "LOD floors must satisfy 0 <= min_lod <= defer_lod < 1");
+
+/// The governor knobs a program sets: the master switch, the encode budget
+/// (`volcast_sim --overload-encode-budget`) and the recovery streak
+/// (`bench_overload`).
 struct OverloadConfig {
   /// Master switch consulted by default_policy(kOverload): false keeps the
   /// "off" no-op stage and the session byte-identical to a build without
   /// the overload subsystem.
   bool enabled = false;
-
-  // --- logical budgets ----------------------------------------------------
   /// Tile-encode bytes the encode lane can absorb per tick.
   double encode_budget_bytes = 4.0e6;
-  /// Scheduled-airtime budget per tick as a fraction of the frame interval
-  /// (1.0 = the full interval; above it the air queue is structurally
-  /// behind).
-  double airtime_budget = 1.0;
-  /// Logical encode working-set budget: the sum of encode bytes over the
-  /// sliding window below is held against it, standing in for the memory
-  /// a server would hold encoded tiles in. kMemPressure shrinks this
-  /// budget. No physical cache backs it; tiling is first-touch accounting.
-  double cache_budget_bytes = 48.0e6;
-  /// Sliding window (ticks) for the cache working-set sum.
-  std::size_t cache_window_ticks = 30;
-
-  // --- watermarks + hysteresis -------------------------------------------
-  /// Utilization at or above which the level escalates to yellow / orange /
-  /// red. Escalation is immediate and can jump levels.
-  double yellow_watermark = 0.70;
-  double orange_watermark = 0.90;
-  double red_watermark = 1.10;
-  /// De-escalation is hysteretic: one level down only after
-  /// `recover_ticks` consecutive ticks with utilization below the current
-  /// level's entry watermark minus this margin.
-  double recover_margin = 0.10;
+  /// Consecutive calm ticks before the level steps down one rung.
   std::size_t recover_ticks = 8;
-
-  // --- shed knobs ---------------------------------------------------------
-  /// Yellow: the farthest ceil(far_fraction * users) users (ranked by
-  /// distance from the content center) are capped at `far_tier_cap`.
-  double far_fraction = 0.5;
-  std::size_t far_tier_cap = 1;
-  /// Orange: cells whose LOD is at or below this floor are skipped in the
-  /// demand/assembly paths (low-saliency shed), and first-touch tile
-  /// encodes at or below `defer_lod` are deferred to a later tick.
-  double min_lod = 0.05;
-  double defer_lod = 0.15;
-  /// Red: every user is capped at this tier.
-  std::size_t red_tier_cap = 0;
 
   /// Throws std::invalid_argument naming the violated rule.
   void validate() const;
@@ -173,8 +183,6 @@ class LoadGovernor {
   [[nodiscard]] ShedDirectives directives(std::size_t user_count) const;
 
  private:
-  [[nodiscard]] double entry_watermark(BrownoutLevel level) const noexcept;
-
   OverloadConfig config_;
   BrownoutLevel level_ = BrownoutLevel::kGreen;
   double utilization_ = 0.0;

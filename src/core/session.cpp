@@ -46,8 +46,6 @@ void SessionConfig::validate() const {
   if (!(decode_points_per_second >= 0.0))
     throw std::invalid_argument(
         "SessionConfig: decode_points_per_second must be >= 0");
-  if (!(max_backlog_s >= 0.0))
-    throw std::invalid_argument("SessionConfig: max_backlog_s must be >= 0");
   if (!replay_traces.empty()) {
     if (replay_traces.size() < user_count)
       throw std::invalid_argument(
@@ -72,11 +70,6 @@ void SessionConfig::validate() const {
     }
   }
   fault_plan.validate(user_count, ap_count);
-  try {
-    transport.validate();
-  } catch (const std::invalid_argument& bad) {
-    throw std::invalid_argument(std::string("SessionConfig: ") + bad.what());
-  }
   try {
     overload.validate();
   } catch (const std::invalid_argument& bad) {
@@ -142,7 +135,6 @@ SessionResult Session::Impl::run() {
       if (state.tel != nullptr && fired > 0) {
         obs::Event e;
         e.tick = ctx.tick32;
-        e.layer = obs::Layer::kFault;
         e.type = obs::EventType::kFaultInjected;
         e.value = static_cast<double>(fired);
         e.has_value = true;
@@ -155,7 +147,6 @@ SessionResult Session::Impl::run() {
           if (state.tel != nullptr) {
             obs::Event e;
             e.tick = ctx.tick32;
-            e.layer = obs::Layer::kFault;
             e.type = up ? obs::EventType::kApUp : obs::EventType::kApDown;
             e.ap = static_cast<std::uint32_t>(a);
             state.tel->record_event(e);

@@ -57,6 +57,10 @@ struct TickSample {
   bool blockage_forecast = false;
 };
 
+/// Air-queue backlog (seconds) beyond which a tick's fetches are dropped
+/// (frames skipped) instead of queued.
+inline constexpr double kMaxBacklogS = 0.25;
+
 /// Full session configuration.
 struct SessionConfig {
   std::size_t user_count = 4;
@@ -167,9 +171,6 @@ struct SessionConfig {
   TestbedConfig testbed{};
   /// Per-burst MAC costs applied to every scheduled transmission.
   mac::MacOverheads mac_overheads{};
-  /// Air-queue backlog beyond which a tick's fetches are dropped (frames
-  /// skipped) instead of queued.
-  double max_backlog_s = 0.25;
 
   /// Logical deadline for the whole run, in ticks (0 = unlimited). When
   /// the tick loop would start tick `tick_budget`, run() aborts with
@@ -178,19 +179,10 @@ struct SessionConfig {
   /// budget: values at or above duration_s * fps change nothing.
   std::size_t tick_budget = 0;
 
-  /// Packet-wire knobs (MTU, FEC group shape, NACK budget); consulted only
-  /// when the transport policy is fec/nack/hybrid — the default "mac"
-  /// policy never packetizes and ignores these entirely. See
-  /// transport/wire.h.
-  transport::TransportConfig transport{};
-
   /// Timed fault events injected into the run (empty = no faults; the
   /// session then behaves bit-identically to a build without the fault
   /// subsystem). See fault/fault_plan.h.
   fault::FaultPlan fault_plan;
-  /// Thresholds of the per-user health state machine (only consulted when
-  /// the plan is non-empty).
-  fault::HealthConfig health{};
 
   /// Checks the whole configuration up front; throws std::invalid_argument
   /// with one clear message per violated rule. Session's constructor calls

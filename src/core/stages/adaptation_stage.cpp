@@ -104,7 +104,6 @@ void AdaptationStage::run(SessionState& state, TickContext& ctx) {
         tel->metrics().counter("overload.tier_caps").add(capped);
         obs::Event e;
         e.tick = ctx.tick32;
-        e.layer = obs::Layer::kOverload;
         e.type = obs::EventType::kOverloadShed;
         e.value = static_cast<double>(capped);
         e.has_value = true;
@@ -117,7 +116,6 @@ void AdaptationStage::run(SessionState& state, TickContext& ctx) {
       if (users[u].tier == state.prev_tier[u]) continue;
       obs::Event e;
       e.tick = ctx.tick32;
-      e.layer = obs::Layer::kRate;
       e.type = obs::EventType::kTierChange;
       e.user = static_cast<std::uint32_t>(u);
       e.value = static_cast<double>(users[u].tier);

@@ -76,11 +76,10 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
   auto& unicast_rss = ctx.unicast_rss;
   const mmwave::SlsProcedure sls;
   for (std::size_t u = 0; u < n; ++u) {
-    const auto push_event = [&](obs::Layer layer, obs::EventType type) {
+    const auto push_event = [&](obs::EventType type) {
       if (tel == nullptr) return;
       obs::Event e;
       e.tick = tick32;
-      e.layer = layer;
       e.type = type;
       e.user = static_cast<std::uint32_t>(u);
       tel->record_event(e);
@@ -125,7 +124,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
           use_custom = false;
         } else if (state.injector.probe_fail(u)) {
           ++state.freport.probe_retries;
-          push_event(obs::Layer::kMmwave, obs::EventType::kProbeRetry);
+          push_event(obs::EventType::kProbeRetry);
           st.probe_backoff_ticks = st.probe_backoff_next;
           st.probe_backoff_next = std::min(st.probe_backoff_next * 2, 16);
           use_custom = false;
@@ -141,7 +140,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         // Fallback chain, step 1: the stock sector beam needs no probe.
         serving = tb.codebook().beam(links.best_sector(u));
         ++state.freport.fallback_stock_beams;
-        push_event(obs::Layer::kMmwave, obs::EventType::kFallbackStockBeam);
+        push_event(obs::EventType::kFallbackStockBeam);
         state.fault_fallback[u] = 1;
       }
     } else {
@@ -153,7 +152,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
             1, static_cast<int>(
                    std::ceil(sls.outage_s(tb.codebook()) * config.fps)));
         ++state.sls_sweeps;
-        push_event(obs::Layer::kMmwave, obs::EventType::kSlsSweep);
+        push_event(obs::EventType::kSlsSweep);
       };
       if (st.sls_remaining_ticks > 0) {
         --st.sls_remaining_ticks;
@@ -198,7 +197,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       if (refl > rss) {
         rss = refl;
         ++state.reflection_switches;
-        push_event(obs::Layer::kMmwave, obs::EventType::kReflectionSwitch);
+        push_event(obs::EventType::kReflectionSwitch);
       }
       --users[u].reflection_ticks;
     }
@@ -215,7 +214,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         if (refl_rss > rss) {
           rss = refl_rss;
           ++state.freport.fallback_reflection_beams;
-          push_event(obs::Layer::kMmwave, obs::EventType::kFallbackReflection);
+          push_event(obs::EventType::kFallbackReflection);
         }
       }
     }

@@ -49,7 +49,6 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
         if (tel != nullptr) {
           obs::Event e;
           e.tick = tick32;
-          e.layer = obs::Layer::kMmwave;
           e.type = obs::EventType::kOutage;
           e.user = static_cast<std::uint32_t>(u);
           e.ap = ap32;
@@ -61,14 +60,13 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
     }
     if (members.empty()) continue;
 
-    if (state.backlog[a] > config.max_backlog_s) {
+    if (state.backlog[a] > kMaxBacklogS) {
       // Air queue over budget: skip this round entirely (frame drop);
       // the buffers and the adapter absorb it.
       ++state.dropped_ticks;
       if (tel != nullptr) {
         obs::Event e;
         e.tick = tick32;
-        e.layer = obs::Layer::kMac;
         e.type = obs::EventType::kDroppedTick;
         e.ap = ap32;
         tel->record_event(e);
@@ -181,7 +179,6 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       for (std::size_t g = 0; g < grouping.groups.size(); ++g) {
         obs::Event e;
         e.tick = tick32;
-        e.layer = obs::Layer::kGrouping;
         e.type = obs::EventType::kGroupFormed;
         e.group = static_cast<std::uint32_t>(g);
         e.ap = ap32;

@@ -22,16 +22,9 @@ void OverloadStage::run(SessionState& state, TickContext& ctx) {
   prev_encode_bytes_ = encode_bytes;
   prev_airtime_s_ = airtime_s;
 
-  const std::size_t window_ticks =
-      std::max<std::size_t>(state.config.overload.cache_window_ticks, 1);
-  if (window_.size() != window_ticks) {
-    window_.assign(window_ticks, 0.0);
-    window_at_ = 0;
-    window_sum_ = 0.0;
-  }
   window_sum_ += load.encode_bytes - window_[window_at_];
   window_[window_at_] = load.encode_bytes;
-  window_at_ = (window_at_ + 1) % window_ticks;
+  window_at_ = (window_at_ + 1) % window_.size();
   load.cache_window_bytes = window_sum_;
 
   // Resource-pressure chaos inflates the logical costs; the budgets stay
@@ -67,7 +60,6 @@ void OverloadStage::run(SessionState& state, TickContext& ctx) {
     if (level != before) {
       obs::Event e;
       e.tick = ctx.tick32;
-      e.layer = obs::Layer::kOverload;
       e.type = obs::EventType::kBrownoutShift;
       e.value = static_cast<double>(level);
       e.has_value = true;

@@ -19,8 +19,8 @@
 // deterministic analogue of a real controller's sampling latency).
 #pragma once
 
+#include <array>
 #include <string_view>
-#include <vector>
 
 #include "core/overload/governor.h"
 #include "core/stages/stage.h"
@@ -53,7 +53,7 @@ class OverloadStage final : public Stage {
   double prev_airtime_s_ = 0.0;
   // Sliding window over per-tick encode bytes for the logical cache
   // working-set (ring buffer + running sum).
-  std::vector<double> window_;
+  std::array<double, overload::kCacheWindowTicks> window_{};
   std::size_t window_at_ = 0;
   double window_sum_ = 0.0;
 };

@@ -60,7 +60,7 @@ class PolicyRegistry {
 [[nodiscard]] std::string default_policy(StageKind kind,
                                          const SessionConfig& c);
 
-/// Assembles the six-stage pipeline, execution order fixed: defaults from
+/// Assembles the eight-stage pipeline, execution order fixed: defaults from
 /// the ablation switches, then SessionConfig::policy_overrides applied on
 /// top. Throws std::invalid_argument on an unknown slot or policy name.
 [[nodiscard]] std::vector<std::unique_ptr<Stage>> build_pipeline(

@@ -93,7 +93,7 @@ SessionState::SessionState(SessionConfig c)
       mitigator(coordinator.ap(0), designers.front(), MitigatorConfig{}),
       injector(c.fault_plan, c.user_count,
                std::max<std::size_t>(c.ap_count, 1), c.seed ^ 0xfa17ULL),
-      health(c.user_count, fault::HealthMonitor(c.health)),
+      health(c.user_count),
       has_faults(!c.fault_plan.empty()) {
   tel = config.telemetry;
   if (tel != nullptr) {

@@ -85,7 +85,7 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
           transport::TrainParams tp;
           tp.frame_bits = bits;
           tp.per = per_model.multicast_residual_per(
-              *state.mcs, ctx.unicast_rss[u], config.transport.target_per);
+              *state.mcs, ctx.unicast_rss[u], transport::kTargetPer);
           tp.burst_loss =
               state.has_faults ? state.injector.burst_loss_probability(u)
                                : 0.0;
@@ -95,8 +95,7 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
           tp.user = u;
           tp.tick = tick32;
           tp.frame = static_cast<std::uint16_t>(frame);
-          train = transport::transmit_train(config.transport, policy_, tp,
-                                            users[u].receiver);
+          train = transport::transmit_train(policy_, tp, users[u].receiver);
           state.twire.add(train);
           if (train.recovery_ms > 0.0)
             state.recovery_samples.push_back(train.recovery_ms);
@@ -130,7 +129,6 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
             const auto record = [&](obs::EventType type, double value) {
               obs::Event e;
               e.tick = tick32;
-              e.layer = obs::Layer::kMac;
               e.type = type;
               e.user = u32;
               e.ap = ap32;
@@ -210,14 +208,13 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
     // queue is healthy.
     for (std::size_t u : members) {
       if (users[u].prefetch_credit == 0 ||
-          state.backlog[a] > config.max_backlog_s * 0.5)
+          state.backlog[a] > kMaxBacklogS * 0.5)
         continue;
       --users[u].prefetch_credit;
       ++users[u].frames_ahead;
       if (tel != nullptr) {
         obs::Event e;
         e.tick = tick32;
-        e.layer = obs::Layer::kSession;
         e.type = obs::EventType::kPrefetch;
         e.user = static_cast<std::uint32_t>(u);
         e.ap = ap32;

@@ -70,19 +70,16 @@ struct SlotOutcome {
   std::uint64_t admission_wait_ticks = 0;
 };
 
-/// Fleet supervision knobs. The zero-initialized default disables both
-/// retry and deadline, and run_fleet then behaves exactly like an
-/// unsupervised fold over healthy slots (failures are still caught and
-/// recorded instead of aborting the fleet).
+/// Fleet supervision knobs. The zero-initialized default disables retry,
+/// and run_fleet then behaves exactly like an unsupervised fold over
+/// healthy slots (failures are still caught and recorded instead of
+/// aborting the fleet). The per-session deadline is the template's
+/// SessionConfig::tick_budget, which every slot inherits.
 struct SupervisorConfig {
   /// Retries after the first failed attempt (0 = first failure is final).
   /// Deadline overruns are never retried: the tick budget is structural,
   /// so a rerun would deterministically overrun again.
   std::size_t max_retries = 0;
-  /// Logical per-session deadline in ticks (0 = unlimited). Forwarded to
-  /// SessionConfig::tick_budget for every slot; a session whose tick count
-  /// would exceed it aborts mid-run with DeadlineExceeded.
-  std::size_t tick_budget = 0;
 };
 
 /// Thrown by Session::run when SessionConfig::tick_budget is exhausted.

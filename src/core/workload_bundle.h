@@ -92,10 +92,6 @@ class OccupancyTable {
   explicit OccupancyTable(const vv::VideoStore& store) noexcept
       : store_(&store) {}
 
-  /// Number of video frames.
-  [[nodiscard]] std::size_t size() const noexcept {
-    return store_->frame_count();
-  }
   /// Top-tier point count of every cell of one frame, indexed by CellId.
   [[nodiscard]] std::span<const std::uint32_t> operator[](
       std::size_t frame) const {
@@ -135,11 +131,6 @@ class WorkloadBundle {
   /// store's point table.
   [[nodiscard]] OccupancyTable occupancy() const noexcept {
     return OccupancyTable(*store_);
-  }
-  /// Top-tier occupancy row of one video frame.
-  [[nodiscard]] std::span<const std::uint32_t> occupancy(
-      std::size_t frame) const {
-    return occupancy()[frame];
   }
 
   /// Process-lifetime count of build() calls — the "peak bundle builds

@@ -14,8 +14,6 @@ const char* to_string(HealthState state) noexcept {
   return "unknown";
 }
 
-HealthMonitor::HealthMonitor(HealthConfig config) : config_(config) {}
-
 void HealthMonitor::enter(HealthState next) {
   if (next == state_) return;
   state_ = next;
@@ -25,7 +23,7 @@ void HealthMonitor::enter(HealthState next) {
 HealthState HealthMonitor::observe(double t, bool delivering,
                                    double rate_mbps, bool impaired) {
   const bool good =
-      delivering && !impaired && rate_mbps >= config_.degraded_rate_mbps;
+      delivering && !impaired && rate_mbps >= kDegradedRateMbps;
   if (!delivering) {
     if (episode_start_ < 0.0) episode_start_ = t;
     good_ticks_ = 0;
@@ -41,7 +39,7 @@ HealthState HealthMonitor::observe(double t, bool delivering,
   // Good tick.
   if (state_ == HealthState::kHealthy) return state_;
   enter(HealthState::kRecovering);
-  if (++good_ticks_ >= config_.recovery_ticks) {
+  if (++good_ticks_ >= kRecoveryTicks) {
     if (episode_start_ >= 0.0) {
       recovery_times_.push_back(t - episode_start_);
       episode_start_ = -1.0;

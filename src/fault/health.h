@@ -22,20 +22,15 @@ enum class HealthState { kHealthy, kDegraded, kOutage, kRecovering };
 
 [[nodiscard]] const char* to_string(HealthState state) noexcept;
 
-/// Health-machine thresholds.
-struct HealthConfig {
-  /// Link rates below this (Mbps) count as degraded service.
-  double degraded_rate_mbps = 50.0;
-  /// Consecutive good ticks required to leave kRecovering.
-  std::size_t recovery_ticks = 3;
-};
+/// Link rates below this (Mbps) count as degraded service.
+inline constexpr double kDegradedRateMbps = 50.0;
+/// Consecutive good ticks required to leave kRecovering.
+inline constexpr std::size_t kRecoveryTicks = 3;
 
 /// One user's health machine. Purely observational: it never changes the
 /// session's behaviour, only classifies it.
 class HealthMonitor {
  public:
-  explicit HealthMonitor(HealthConfig config = {});
-
   /// Feeds one tick. `delivering` = the user has a usable delivery path
   /// this tick (assigned AP up, present, nonzero rate); `impaired` = a
   /// non-outage fault is actively disturbing the user.
@@ -54,7 +49,6 @@ class HealthMonitor {
  private:
   void enter(HealthState next);
 
-  HealthConfig config_;
   HealthState state_ = HealthState::kHealthy;
   std::size_t transitions_ = 0;
   std::size_t good_ticks_ = 0;

@@ -46,12 +46,10 @@ const char* to_string(Stage stage) noexcept {
 const char* to_string(Layer layer) noexcept {
   switch (layer) {
     case Layer::kSession: return "session";
-    case Layer::kViewport: return "viewport";
     case Layer::kGrouping: return "grouping";
     case Layer::kMmwave: return "mmwave";
     case Layer::kMac: return "mac";
     case Layer::kRate: return "rate";
-    case Layer::kPlayer: return "player";
     case Layer::kFault: return "fault";
     case Layer::kOverload: return "overload";
   }
@@ -83,6 +81,40 @@ const char* to_string(EventType type) noexcept {
     case EventType::kAdmissionDenied: return "admission_denied";
   }
   return "unknown";
+}
+
+Layer layer_of(EventType type) noexcept {
+  switch (type) {
+    case EventType::kFaultInjected:
+    case EventType::kApDown:
+    case EventType::kApUp:
+      return Layer::kFault;
+    case EventType::kProbeRetry:
+    case EventType::kFallbackStockBeam:
+    case EventType::kFallbackReflection:
+    case EventType::kSlsSweep:
+    case EventType::kReflectionSwitch:
+    case EventType::kOutage:
+      return Layer::kMmwave;
+    case EventType::kTierChange:
+      return Layer::kRate;
+    case EventType::kPrefetch:
+      return Layer::kSession;
+    case EventType::kGroupFormed:
+      return Layer::kGrouping;
+    case EventType::kDroppedTick:
+    case EventType::kFecRecovery:
+    case EventType::kRetransmit:
+    case EventType::kDeadlineMiss:
+      return Layer::kMac;
+    case EventType::kBrownoutShift:
+    case EventType::kOverloadShed:
+    case EventType::kAdmissionAdmitted:
+    case EventType::kAdmissionQueued:
+    case EventType::kAdmissionDenied:
+      return Layer::kOverload;
+  }
+  return Layer::kSession;
 }
 
 Telemetry::Telemetry(TelemetryOptions options) : options_(options) {}
@@ -162,7 +194,7 @@ void Telemetry::write_jsonl(std::ostream& out) const {
       line = "{\"record\":\"event\",\"tick\":";
       line += std::to_string(event.tick);
       line += ",\"layer\":\"";
-      line += to_string(event.layer);
+      line += to_string(layer_of(event.type));
       line += "\",\"type\":\"";
       line += to_string(event.type);
       line += '"';

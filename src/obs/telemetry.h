@@ -47,12 +47,10 @@ enum class Stage : std::uint8_t {
 /// Which layer of the cross-layer stack an event belongs to.
 enum class Layer : std::uint8_t {
   kSession,
-  kViewport,
   kGrouping,
   kMmwave,
   kMac,
   kRate,
-  kPlayer,
   kFault,
   kOverload,
 };
@@ -83,11 +81,13 @@ enum class EventType : std::uint8_t {
   kAdmissionDenied,     // user = fleet slot
 };
 [[nodiscard]] const char* to_string(EventType type) noexcept;
+/// The layer every event of `type` belongs to (written to JSONL as
+/// "layer").
+[[nodiscard]] Layer layer_of(EventType type) noexcept;
 
 /// One discrete cross-layer happening at a tick.
 struct Event {
   std::uint32_t tick = 0;
-  Layer layer = Layer::kSession;
   EventType type = EventType::kFaultInjected;
   std::uint32_t user = kNoId;
   std::uint32_t group = kNoId;

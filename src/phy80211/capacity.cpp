@@ -53,10 +53,6 @@ double CapacityModel::per_user_goodput_mbps(WlanStandard standard,
   return total_goodput_mbps(standard, users) / static_cast<double>(users);
 }
 
-std::size_t CapacityModel::calibrated_users(WlanStandard standard) noexcept {
-  return table_for(standard).size();
-}
-
 double max_achievable_fps(double goodput_mbps, double bitrate_mbps,
                           double native_fps, double decode_cap_fps) noexcept {
   if (bitrate_mbps <= 0.0 || native_fps <= 0.0) return 0.0;

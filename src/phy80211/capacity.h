@@ -37,10 +37,6 @@ class CapacityModel {
   /// calibrated range.
   [[nodiscard]] static double per_user_goodput_mbps(WlanStandard standard,
                                                     std::size_t users) noexcept;
-
-  /// Largest user count backed by a paper measurement (3 for ac, 7 for ad).
-  [[nodiscard]] static std::size_t calibrated_users(
-      WlanStandard standard) noexcept;
 };
 
 /// Maximum achievable frame rate for a stream of `bitrate_mbps` (encoded at

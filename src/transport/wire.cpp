@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include "transport/fec.h"
@@ -34,15 +33,14 @@ constexpr std::uint64_t kSaltLoss = 0x2b0f'48a1'c93d'7e65ULL;
 
 /// One packet on the wire: advances the Gilbert–Elliott chain, draws the
 /// loss, burns one sequence number. Returns true when the packet arrived.
-bool send_packet(const TransportConfig& config, const TrainParams& params,
-                 ReceiverState& rx) {
+bool send_packet(const TrainParams& params, ReceiverState& rx) {
   const std::uint32_t seq = rx.next_seq++;
   if (params.burst_loss > 0.0) {
     const double t = uniform(params.seed, params.user, seq, kSaltChain);
     if (rx.burst_bad) {
-      if (t < config.burst_exit) rx.burst_bad = false;
+      if (t < kBurstExit) rx.burst_bad = false;
     } else {
-      if (t < config.burst_enter) rx.burst_bad = true;
+      if (t < kBurstEnter) rx.burst_bad = true;
     }
   } else {
     rx.burst_bad = false;
@@ -65,30 +63,6 @@ const char* to_string(TransportPolicy policy) noexcept {
   return "?";
 }
 
-void TransportConfig::validate() const {
-  if (mtu_bytes == 0 || mtu_bytes > kMaxPayloadBytes)
-    throw std::invalid_argument("transport: mtu_bytes must be in (0, 9000]");
-  if (tile_bytes < mtu_bytes)
-    throw std::invalid_argument(
-        "transport: tile_bytes must be at least one MTU");
-  if (fec_group_data < 1 || fec_group_data > 255)
-    throw std::invalid_argument(
-        "transport: fec_group_data must be in [1, 255]");
-  if (fec_group_parity < 0 || fec_group_parity > fec_group_data)
-    throw std::invalid_argument(
-        "transport: fec_group_parity must be in [0, fec_group_data]");
-  if (nack_rounds < 0)
-    throw std::invalid_argument("transport: nack_rounds must be >= 0");
-  if (nack_rtt_ms <= 0.0)
-    throw std::invalid_argument("transport: nack_rtt_ms must be positive");
-  if (target_per < 0.0 || target_per >= 1.0)
-    throw std::invalid_argument("transport: target_per must be in [0, 1)");
-  if (burst_enter < 0.0 || burst_enter > 1.0 || burst_exit <= 0.0 ||
-      burst_exit > 1.0)
-    throw std::invalid_argument(
-        "transport: burst_enter in [0,1], burst_exit in (0,1]");
-}
-
 void TransportReport::add(const TrainResult& train) noexcept {
   const double prior = static_cast<double>(trains);
   ++trains;
@@ -106,18 +80,16 @@ void TransportReport::add(const TrainResult& train) noexcept {
       static_cast<double>(trains);
 }
 
-std::vector<bool> wire_loss_sequence(const TransportConfig& config,
-                                     const TrainParams& params,
+std::vector<bool> wire_loss_sequence(const TrainParams& params,
                                      std::size_t count) {
   ReceiverState rx;
   std::vector<bool> lost(count);
   for (std::size_t i = 0; i < count; ++i)
-    lost[i] = !send_packet(config, params, rx);
+    lost[i] = !send_packet(params, rx);
   return lost;
 }
 
-TrainResult transmit_train(const TransportConfig& config,
-                           TransportPolicy policy, const TrainParams& params,
+TrainResult transmit_train(TransportPolicy policy, const TrainParams& params,
                            ReceiverState& rx) {
   TrainResult out;
   if (params.frame_bits <= 0.0) return out;
@@ -126,14 +98,13 @@ TrainResult transmit_train(const TransportConfig& config,
                        policy == TransportPolicy::kHybrid;
   const bool use_nack = policy == TransportPolicy::kNack ||
                         policy == TransportPolicy::kHybrid;
-  const int k = config.fec_group_data;
-  const int r = use_fec ? config.fec_group_parity : 0;
+  const int k = kFecGroupData;
+  const int r = use_fec ? kFecGroupParity : 0;
   const double header_bits_per_packet =
       static_cast<double>(kHeaderWireSize) * 8.0;
   const int round_budget =
-      use_nack ? std::min(config.nack_rounds,
-                          static_cast<int>(params.deadline_ms /
-                                           config.nack_rtt_ms))
+      use_nack ? std::min(kNackRounds,
+                          static_cast<int>(params.deadline_ms / kNackRttMs))
                : 0;
 
   const std::uint64_t frame_bytes = static_cast<std::uint64_t>(
@@ -143,11 +114,11 @@ TrainResult transmit_train(const TransportConfig& config,
 
   while (remaining > 0) {
     const std::uint64_t tile_bytes =
-        std::min<std::uint64_t>(remaining, config.tile_bytes);
+        std::min<std::uint64_t>(remaining, kTileBytes);
     remaining -= tile_bytes;
     ++out.tiles;
     const int n = static_cast<int>(
-        (tile_bytes + config.mtu_bytes - 1) / config.mtu_bytes);
+        (tile_bytes + kMtuBytes - 1) / kMtuBytes);
 
     // First transmission, group by group: data packets then the group's
     // parity, exactly the order the packets occupy the train.
@@ -159,7 +130,7 @@ TrainResult transmit_train(const TransportConfig& config,
       const int hi = std::min(n, lo + k);
       std::vector<bool> group_data(static_cast<std::size_t>(hi - lo));
       for (int i = lo; i < hi; ++i) {
-        const bool ok = send_packet(config, params, rx);
+        const bool ok = send_packet(params, rx);
         ++out.data_packets;
         out.header_bits += header_bits_per_packet;
         data_arrived[static_cast<std::size_t>(i)] = ok;
@@ -171,9 +142,9 @@ TrainResult transmit_train(const TransportConfig& config,
       }
       std::vector<bool> group_parity(static_cast<std::size_t>(r));
       for (int j = 0; j < r; ++j) {
-        const bool ok = send_packet(config, params, rx);
+        const bool ok = send_packet(params, rx);
         ++out.parity_packets;
-        out.parity_bits += static_cast<double>(config.mtu_bytes) * 8.0;
+        out.parity_bits += static_cast<double>(kMtuBytes) * 8.0;
         out.header_bits += header_bits_per_packet;
         group_parity[static_cast<std::size_t>(j)] = ok;
         if (!ok) ++out.lost_packets;
@@ -211,10 +182,10 @@ TrainResult transmit_train(const TransportConfig& config,
       ++out.nacks;
       for (std::size_t i = 0; i < data_arrived.size() && missing > 0; ++i) {
         if (data_arrived[i]) continue;
-        const bool ok = send_packet(config, params, rx);
+        const bool ok = send_packet(params, rx);
         ++out.retransmitted_packets;
         out.retransmit_bits +=
-            static_cast<double>(config.mtu_bytes) * 8.0 +
+            static_cast<double>(kMtuBytes) * 8.0 +
             header_bits_per_packet;
         if (ok) {
           data_arrived[i] = true;
@@ -224,8 +195,7 @@ TrainResult transmit_train(const TransportConfig& config,
     }
     if (rounds_used > 0)
       out.recovery_ms = std::max(
-          out.recovery_ms, static_cast<double>(rounds_used) *
-                               config.nack_rtt_ms);
+          out.recovery_ms, static_cast<double>(rounds_used) * kNackRttMs);
     if (missing == 0) {
       ++out.nack_recovered_tiles;
     } else {

@@ -43,33 +43,35 @@ enum class TransportPolicy : std::uint8_t {
 /// reserved 1, payload length 2 and checksum 2.
 inline constexpr std::size_t kHeaderWireSize = 28;
 
-/// Largest payload one packet may carry (jumbo-frame ceiling); the bound
-/// TransportConfig::validate puts on mtu_bytes.
-inline constexpr std::size_t kMaxPayloadBytes = 9000;
+// --- wire + recovery constants ---------------------------------------------
+// Common mmWave WLAN practice: ~1.4 KB MTU, 8+2 FEC groups ≈ 25% overhead,
+// 2 NACK rounds at a 4 ms in-room RTT inside the 33 ms frame budget.
 
-/// Wire + recovery knobs (defaults follow common mmWave WLAN practice:
-/// ~1.4 KB MTU, 8+2 FEC groups ≈ 25% overhead, 2 NACK rounds at a 4 ms
-/// in-room RTT inside the 33 ms frame budget).
-struct TransportConfig {
-  std::size_t mtu_bytes = 1400;    // payload bytes per data packet
-  std::size_t tile_bytes = 32768;  // tile segmentation unit (bytes)
-  int fec_group_data = 8;          // data packets per FEC group (k)
-  int fec_group_parity = 2;        // parity packets per FEC group (r)
-  int nack_rounds = 2;             // max retransmission rounds per train
-  double nack_rtt_ms = 4.0;        // logical cost of one NACK round-trip
-  /// Residual PER target of the multicast MCS choice: the wire's base
-  /// per-packet loss probability comes from the PER of the *selected*
-  /// backed-off MCS, which sits at or below this target.
-  double target_per = 0.01;
-  /// Gilbert–Elliott chain: probability of entering the bad (bursty)
-  /// state per packet, and of leaving it per packet. The bad-state loss
-  /// probability itself comes from the active kBurstLoss fault magnitude.
-  double burst_enter = 0.02;
-  double burst_exit = 0.2;
+inline constexpr std::size_t kMtuBytes = 1400;    // payload bytes per packet
+inline constexpr std::size_t kTileBytes = 32768;  // tile segmentation unit
+inline constexpr int kFecGroupData = 8;    // data packets per FEC group (k)
+inline constexpr int kFecGroupParity = 2;  // parity packets per group (r)
+inline constexpr int kNackRounds = 2;      // max retransmission rounds/train
+inline constexpr double kNackRttMs = 4.0;  // logical cost of one NACK round
+/// Residual PER target of the multicast MCS choice: the wire's base
+/// per-packet loss probability comes from the PER of the *selected*
+/// backed-off MCS, which sits at or below this target.
+inline constexpr double kTargetPer = 0.01;
+/// Gilbert–Elliott chain: probability of entering the bad (bursty) state
+/// per packet, and of leaving it per packet. The bad-state loss probability
+/// itself comes from the active kBurstLoss fault magnitude.
+inline constexpr double kBurstEnter = 0.02;
+inline constexpr double kBurstExit = 0.2;
 
-  /// Throws std::invalid_argument on nonsensical values.
-  void validate() const;
-};
+static_assert(kMtuBytes > 0 && kTileBytes >= kMtuBytes,
+              "a tile must hold at least one MTU");
+static_assert(kFecGroupData >= 1 && kFecGroupData <= 255);
+static_assert(kFecGroupParity >= 0 && kFecGroupParity <= kFecGroupData,
+              "parity packets per group must not exceed data packets");
+static_assert(kNackRounds >= 0 && kNackRttMs > 0.0);
+static_assert(kTargetPer >= 0.0 && kTargetPer < 1.0);
+static_assert(kBurstEnter >= 0.0 && kBurstEnter <= 1.0 && kBurstExit > 0.0 &&
+              kBurstExit <= 1.0);
 
 /// Per-user receiver state. Mutated only inside the serial delivery loop,
 /// folded in user-slot order.
@@ -145,8 +147,7 @@ struct TransportReport {
 /// draws, FEC repair, NACK rounds within the deadline. Advances `rx`
 /// (sequence numbers, burst-chain state, residual-loss EWMA).
 /// kGoodput never reaches the wire, so `policy` here is kFec/kNack/kHybrid.
-[[nodiscard]] TrainResult transmit_train(const TransportConfig& config,
-                                         TransportPolicy policy,
+[[nodiscard]] TrainResult transmit_train(TransportPolicy policy,
                                          const TrainParams& params,
                                          ReceiverState& rx);
 
@@ -155,9 +156,8 @@ struct TransportReport {
 /// NACK) and returns one bool per packet, true = lost. With per = 0 and
 /// burst_loss = 1 the sequence is exactly the chain's bad-state indicator,
 /// which is what lets tests check the empirical burst-length distribution
-/// against the configured model.
-[[nodiscard]] std::vector<bool> wire_loss_sequence(
-    const TransportConfig& config, const TrainParams& params,
-    std::size_t count);
+/// against the model.
+[[nodiscard]] std::vector<bool> wire_loss_sequence(const TrainParams& params,
+                                                 std::size_t count);
 
 }  // namespace volcast::transport

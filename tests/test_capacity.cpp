@@ -46,11 +46,6 @@ TEST(Capacity, ExtrapolationDecaysGently) {
   EXPECT_GE(at20, at7 * 0.6);  // floor
 }
 
-TEST(Capacity, CalibratedRanges) {
-  EXPECT_EQ(CapacityModel::calibrated_users(WlanStandard::k80211ac), 3u);
-  EXPECT_EQ(CapacityModel::calibrated_users(WlanStandard::k80211ad), 7u);
-}
-
 TEST(Capacity, AdAlwaysBeatsAc) {
   for (std::size_t n = 1; n <= 10; ++n) {
     EXPECT_GT(CapacityModel::total_goodput_mbps(WlanStandard::k80211ad, n),

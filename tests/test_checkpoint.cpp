@@ -257,13 +257,16 @@ TEST(Checkpoint, FingerprintCoversWorkloadButNotParallelism) {
   diff.supervision.max_retries = 1;
   EXPECT_NE(fp, fleet_fingerprint(diff));
   diff = base;
-  diff.supervision.tick_budget = 10;
+  diff.session.tick_budget = 10;
   EXPECT_NE(fp, fleet_fingerprint(diff));
   diff = base;
   diff.session.overload.enabled = true;
   EXPECT_NE(fp, fleet_fingerprint(diff));
   diff = base;
-  diff.session.overload.red_watermark = 1.5;
+  diff.session.overload.recover_ticks = 4;
+  EXPECT_NE(fp, fleet_fingerprint(diff));
+  diff = base;
+  diff.session.overload.encode_budget_bytes = 2.0e6;
   EXPECT_NE(fp, fleet_fingerprint(diff));
   diff = base;
   diff.admission.enabled = true;

@@ -220,19 +220,20 @@ TEST(FaultInjector, NoLossDrawWithoutActiveFault) {
 }
 
 TEST(HealthMonitor, EpisodeMeasuresTimeToRecover) {
-  HealthConfig config;
-  config.recovery_ticks = 2;
-  HealthMonitor monitor(config);
+  static_assert(kRecoveryTicks == 3);
+  HealthMonitor monitor;
   EXPECT_EQ(monitor.state(), HealthState::kHealthy);
   // t=0: outage opens an episode.
   EXPECT_EQ(monitor.observe(0.0, false, 0.0, false), HealthState::kOutage);
   EXPECT_EQ(monitor.observe(0.1, false, 0.0, false), HealthState::kOutage);
-  // Good ticks: recovering, then healthy after 2 consecutive.
+  // Good ticks: recovering, then healthy after 3 consecutive.
   EXPECT_EQ(monitor.observe(0.2, true, 100.0, false),
             HealthState::kRecovering);
-  EXPECT_EQ(monitor.observe(0.3, true, 100.0, false), HealthState::kHealthy);
+  EXPECT_EQ(monitor.observe(0.3, true, 100.0, false),
+            HealthState::kRecovering);
+  EXPECT_EQ(monitor.observe(0.4, true, 100.0, false), HealthState::kHealthy);
   ASSERT_EQ(monitor.recovery_times().size(), 1u);
-  EXPECT_NEAR(monitor.recovery_times()[0], 0.3, 1e-12);
+  EXPECT_NEAR(monitor.recovery_times()[0], 0.4, 1e-12);
   EXPECT_GT(monitor.transitions(), 0u);
 }
 
@@ -244,9 +245,7 @@ TEST(HealthMonitor, LowRateOrImpairmentDegrades) {
 }
 
 TEST(HealthMonitor, RelapseDuringRecoveryKeepsEpisodeOpen) {
-  HealthConfig config;
-  config.recovery_ticks = 3;
-  HealthMonitor monitor(config);
+  HealthMonitor monitor;
   monitor.observe(0.0, false, 0.0, false);   // outage
   monitor.observe(0.1, true, 100.0, false);  // recovering
   monitor.observe(0.2, false, 0.0, false);   // relapse

@@ -71,10 +71,9 @@ TEST(LoadGovernorTest, CpuPressureInflatesTheLogicalCost) {
 }
 
 TEST(LoadGovernorTest, MemPressureShrinksTheCacheBudget) {
-  OverloadConfig config;
-  LoadGovernor governor{config};
+  LoadGovernor governor{OverloadConfig{}};
   TickLoad load;
-  load.cache_window_bytes = 0.5 * config.cache_budget_bytes;
+  load.cache_window_bytes = 0.5 * overload::kCacheBudgetBytes;
   load.mem_factor = 0.25;  // budget quarters: ratio becomes 2.0
   governor.observe(load);
   EXPECT_EQ(governor.level(), BrownoutLevel::kRed);
@@ -109,14 +108,13 @@ TEST(LoadGovernorTest, RecoveryIsHystereticOneLevelPerCalmStreak) {
 }
 
 TEST(LoadGovernorTest, ShedDirectivesFollowTheLadder) {
-  OverloadConfig config;
-  LoadGovernor governor{config};
+  LoadGovernor governor{OverloadConfig{}};
 
   governor.observe(load_at(0.75));  // yellow
   ASSERT_EQ(governor.level(), BrownoutLevel::kYellow);
   ShedDirectives yellow = governor.directives(4);
   EXPECT_EQ(yellow.far_user_count, 2u);  // ceil(0.5 * 4)
-  EXPECT_EQ(yellow.far_tier_cap, config.far_tier_cap);
+  EXPECT_EQ(yellow.far_tier_cap, overload::kFarTierCap);
   EXPECT_EQ(yellow.min_lod, 0.0);
   EXPECT_EQ(yellow.global_tier_cap, overload::kNoTierCap);
 
@@ -130,7 +128,7 @@ TEST(LoadGovernorTest, ShedDirectivesFollowTheLadder) {
   governor.observe(load_at(1.5));  // red
   ASSERT_EQ(governor.level(), BrownoutLevel::kRed);
   ShedDirectives red = governor.directives(4);
-  EXPECT_EQ(red.global_tier_cap, config.red_tier_cap);
+  EXPECT_EQ(red.global_tier_cap, overload::kRedTierCap);
   EXPECT_GT(red.min_lod, 0.0);
 }
 
@@ -142,15 +140,8 @@ TEST(OverloadConfigValidate, RejectsNonsense) {
     EXPECT_THROW(config.validate(), std::invalid_argument);
   };
   expect_throws([](OverloadConfig& c) { c.encode_budget_bytes = 0.0; });
-  expect_throws([](OverloadConfig& c) { c.airtime_budget = -1.0; });
-  expect_throws([](OverloadConfig& c) { c.cache_budget_bytes = 0.0; });
-  expect_throws([](OverloadConfig& c) {
-    c.yellow_watermark = 0.95;  // above orange: ladder out of order
-  });
-  expect_throws([](OverloadConfig& c) { c.red_watermark = 0.5; });
-  expect_throws([](OverloadConfig& c) { c.recover_margin = -0.1; });
-  expect_throws([](OverloadConfig& c) { c.far_fraction = 1.5; });
-  expect_throws([](OverloadConfig& c) { c.min_lod = 0.5; c.defer_lod = 0.2; });
+  expect_throws([](OverloadConfig& c) { c.encode_budget_bytes = -1.0; });
+  expect_throws([](OverloadConfig& c) { c.recover_ticks = 0; });
   EXPECT_NO_THROW(OverloadConfig{}.validate());
 }
 

@@ -231,9 +231,6 @@ TEST(SessionConfigValidate, RejectsNegativeRates) {
   c = fast_config();
   c.decode_points_per_second = -1.0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
-  c = fast_config();
-  c.max_backlog_s = -0.1;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
 TEST(SessionConfigValidate, RejectsEmptyReplayTrace) {

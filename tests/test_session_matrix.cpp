@@ -56,7 +56,7 @@ TEST_P(SessionMatrix, InvariantsHoldUnderEveryPolicyCombination) {
     EXPECT_GE(u.viewport_miss_ratio, 0.0);
     EXPECT_LE(u.viewport_miss_ratio, 1.0);
     EXPECT_GE(u.mean_m2p_latency_s, 0.0);
-    EXPECT_LE(u.mean_m2p_latency_s, config.max_backlog_s + 0.1);
+    EXPECT_LE(u.mean_m2p_latency_s, kMaxBacklogS + 0.1);
     EXPECT_LE(u.mean_m2p_latency_s, u.max_m2p_latency_s + 1e-12);
   }
   EXPECT_GT(r.qoe.fairness_index(), 0.3);

@@ -198,7 +198,7 @@ TEST(Supervisor, RetryScheduleIsBitIdenticalAcrossParallelism) {
 
 TEST(Supervisor, DeadlineExceededIsRecordedAndNeverRetried) {
   FleetConfig fc = tiny_fleet(2);
-  fc.supervision.tick_budget = 5;  // sessions want 0.5 s * 30 fps = 15 ticks
+  fc.session.tick_budget = 5;  // sessions want 0.5 s * 30 fps = 15 ticks
   fc.supervision.max_retries = 3;  // must not apply: the budget is structural
   const FleetResult fleet = run_fleet(fc);
   for (const SlotOutcome& o : fleet.outcomes) {
@@ -213,7 +213,7 @@ TEST(Supervisor, DeadlineExceededIsRecordedAndNeverRetried) {
 TEST(Supervisor, GenerousTickBudgetChangesNothing) {
   const FleetResult plain = run_fleet(tiny_fleet(2));
   FleetConfig fc = tiny_fleet(2);
-  fc.supervision.tick_budget = 100'000;
+  fc.session.tick_budget = 100'000;
   expect_fleet_identical(plain, run_fleet(fc));
 }
 

@@ -160,6 +160,22 @@ TEST(Telemetry, EnumNamesAreStableSchema) {
   EXPECT_STREQ(to_string(EventType::kTierChange), "tier_change");
 }
 
+TEST(Telemetry, EventLayerFollowsFromItsType) {
+  // One layer per event type: the JSONL "layer" field is derived, so a
+  // recording site cannot file an event under the wrong layer.
+  EXPECT_EQ(layer_of(EventType::kFaultInjected), Layer::kFault);
+  EXPECT_EQ(layer_of(EventType::kApDown), Layer::kFault);
+  EXPECT_EQ(layer_of(EventType::kProbeRetry), Layer::kMmwave);
+  EXPECT_EQ(layer_of(EventType::kOutage), Layer::kMmwave);
+  EXPECT_EQ(layer_of(EventType::kTierChange), Layer::kRate);
+  EXPECT_EQ(layer_of(EventType::kPrefetch), Layer::kSession);
+  EXPECT_EQ(layer_of(EventType::kGroupFormed), Layer::kGrouping);
+  EXPECT_EQ(layer_of(EventType::kDroppedTick), Layer::kMac);
+  EXPECT_EQ(layer_of(EventType::kRetransmit), Layer::kMac);
+  EXPECT_EQ(layer_of(EventType::kBrownoutShift), Layer::kOverload);
+  EXPECT_EQ(layer_of(EventType::kAdmissionDenied), Layer::kOverload);
+}
+
 // --- JSONL round trip ------------------------------------------------------
 
 Telemetry sample_log(bool wall) {
@@ -177,7 +193,6 @@ Telemetry sample_log(bool wall) {
   }
   Event e;
   e.tick = 0;
-  e.layer = Layer::kRate;
   e.type = EventType::kTierChange;
   e.user = 2;
   e.value = 1.0;

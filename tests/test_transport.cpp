@@ -146,17 +146,6 @@ TEST(TransportFec, CountRecoverableMatchesByteRecovery) {
 
 // ------------------------------------------------------------------- wire
 
-TransportConfig wire_config() {
-  TransportConfig c;
-  c.mtu_bytes = 1400;
-  c.tile_bytes = 32768;
-  c.fec_group_data = 8;
-  c.fec_group_parity = 2;
-  c.nack_rounds = 2;
-  c.nack_rtt_ms = 4.0;
-  return c;
-}
-
 TrainParams lossy_params(std::uint32_t tick) {
   TrainParams p;
   p.frame_bits = 1.5e6;  // ~6 tiles of ~24 data packets each
@@ -170,33 +159,12 @@ TrainParams lossy_params(std::uint32_t tick) {
   return p;
 }
 
-TEST(TransportWire, ConfigValidateRejectsNonsense) {
-  auto expect_bad = [](auto mutate) {
-    TransportConfig c;
-    mutate(c);
-    EXPECT_THROW(c.validate(), std::invalid_argument);
-  };
-  expect_bad([](TransportConfig& c) { c.mtu_bytes = 0; });
-  expect_bad([](TransportConfig& c) { c.mtu_bytes = 9001; });
-  expect_bad([](TransportConfig& c) { c.tile_bytes = 100; });
-  expect_bad([](TransportConfig& c) { c.fec_group_data = 0; });
-  expect_bad([](TransportConfig& c) { c.fec_group_parity = 9; });
-  expect_bad([](TransportConfig& c) { c.nack_rounds = -1; });
-  expect_bad([](TransportConfig& c) { c.nack_rtt_ms = 0.0; });
-  expect_bad([](TransportConfig& c) { c.target_per = 1.0; });
-  expect_bad([](TransportConfig& c) { c.burst_exit = 0.0; });
-  EXPECT_NO_THROW(TransportConfig{}.validate());
-}
-
 TEST(TransportWire, TrainIsDeterministic) {
-  const TransportConfig config = wire_config();
   ReceiverState rx_a, rx_b;
   for (std::uint32_t tick = 0; tick < 20; ++tick) {
     const TrainParams p = lossy_params(tick);
-    const TrainResult a =
-        transmit_train(config, TransportPolicy::kHybrid, p, rx_a);
-    const TrainResult b =
-        transmit_train(config, TransportPolicy::kHybrid, p, rx_b);
+    const TrainResult a = transmit_train(TransportPolicy::kHybrid, p, rx_a);
+    const TrainResult b = transmit_train(TransportPolicy::kHybrid, p, rx_b);
     EXPECT_EQ(a.lost_packets, b.lost_packets);
     EXPECT_EQ(a.failed_tiles, b.failed_tiles);
     EXPECT_EQ(a.retransmitted_packets, b.retransmitted_packets);
@@ -208,13 +176,11 @@ TEST(TransportWire, TrainIsDeterministic) {
 }
 
 TEST(TransportWire, LosslessWireDeliversEverything) {
-  const TransportConfig config = wire_config();
   TrainParams p = lossy_params(0);
   p.per = 0.0;
   p.burst_loss = 0.0;
   ReceiverState rx;
-  const TrainResult r =
-      transmit_train(config, TransportPolicy::kHybrid, p, rx);
+  const TrainResult r = transmit_train(TransportPolicy::kHybrid, p, rx);
   EXPECT_GT(r.tiles, 0u);
   EXPECT_EQ(r.lost_packets, 0u);
   EXPECT_EQ(r.failed_tiles, 0u);
@@ -229,7 +195,6 @@ TEST(TransportWire, TotalLossNeverHangsAndFailsEveryTile) {
   // Worst case the chaos flag can produce: every packet (and every
   // retransmission) is lost. The train must terminate with all tiles
   // failed — the concealment path's job — not loop or crash.
-  const TransportConfig config = wire_config();
   TrainParams p = lossy_params(0);
   p.per = 1.0;
   p.burst_loss = 1.0;
@@ -237,20 +202,42 @@ TEST(TransportWire, TotalLossNeverHangsAndFailsEveryTile) {
        {TransportPolicy::kFec, TransportPolicy::kNack,
         TransportPolicy::kHybrid}) {
     ReceiverState rx;
-    const TrainResult r = transmit_train(config, policy, p, rx);
+    const TrainResult r = transmit_train(policy, p, rx);
     EXPECT_EQ(r.failed_tiles, r.tiles) << to_string(policy);
     EXPECT_FALSE(r.frame_ok()) << to_string(policy);
     EXPECT_BITEQ(r.residual_loss, 1.0);
   }
 }
 
+TEST(TransportWire, ExtremeLossTrainsComplete) {
+  // The heaviest loss a session's chaos plan can put on the wire: a 90%
+  // base loss with the burst chain at full bad-state loss. Every policy
+  // must finish the train, count its losses and fail what it could not
+  // rebuild in time.
+  TrainParams p = lossy_params(0);
+  p.per = 0.9;
+  p.burst_loss = 1.0;
+  for (const TransportPolicy policy :
+       {TransportPolicy::kFec, TransportPolicy::kNack,
+        TransportPolicy::kHybrid}) {
+    ReceiverState rx;
+    const TrainResult r = transmit_train(policy, p, rx);
+    EXPECT_GT(r.tiles, 0u) << to_string(policy);
+    EXPECT_GT(r.lost_packets, 0u) << to_string(policy);
+    EXPECT_GT(r.failed_tiles, 0u) << to_string(policy);
+    EXPECT_LE(r.failed_tiles, r.tiles) << to_string(policy);
+    EXPECT_GT(r.residual_loss, 0.5) << to_string(policy);
+    EXPECT_EQ(rx.next_seq,
+              r.data_packets + r.parity_packets + r.retransmitted_packets)
+        << to_string(policy);
+  }
+}
+
 TEST(TransportWire, ZeroDeadlineDisablesNack) {
-  const TransportConfig config = wire_config();
   TrainParams p = lossy_params(3);
   p.deadline_ms = 0.0;  // transfer ate the whole frame budget
   ReceiverState rx;
-  const TrainResult r =
-      transmit_train(config, TransportPolicy::kNack, p, rx);
+  const TrainResult r = transmit_train(TransportPolicy::kNack, p, rx);
   EXPECT_EQ(r.retransmitted_packets, 0u);
   EXPECT_EQ(r.nack_recovered_tiles, 0u);
   EXPECT_BITEQ(r.recovery_ms, 0.0);
@@ -263,18 +250,16 @@ TEST(TransportWire, ZeroDeadlineDisablesNack) {
 // >= NACK holds statistically over the sweep (parity shifts later seq
 // draws, so individual trains may differ either way).
 TEST(TransportWire, HybridRecoversAtLeastAsManyTilesAsAblations) {
-  const TransportConfig config = wire_config();
   std::uint64_t fec_failed = 0, nack_failed = 0, hybrid_failed = 0;
   std::uint64_t tiles = 0;
   for (std::uint32_t tick = 0; tick < 300; ++tick) {
     const TrainParams p = lossy_params(tick);
     ReceiverState rx_fec, rx_nack, rx_hybrid;
-    const TrainResult fec_r =
-        transmit_train(config, TransportPolicy::kFec, p, rx_fec);
+    const TrainResult fec_r = transmit_train(TransportPolicy::kFec, p, rx_fec);
     const TrainResult nack_r =
-        transmit_train(config, TransportPolicy::kNack, p, rx_nack);
+        transmit_train(TransportPolicy::kNack, p, rx_nack);
     const TrainResult hybrid_r =
-        transmit_train(config, TransportPolicy::kHybrid, p, rx_hybrid);
+        transmit_train(TransportPolicy::kHybrid, p, rx_hybrid);
     // Structural, so it must hold per train, not just in aggregate.
     EXPECT_LE(hybrid_r.failed_tiles, fec_r.failed_tiles) << "tick " << tick;
     fec_failed += fec_r.failed_tiles;
@@ -290,17 +275,16 @@ TEST(TransportWire, HybridRecoversAtLeastAsManyTilesAsAblations) {
 }
 
 TEST(TransportWire, ResidualLossEwmaTracksLoss) {
-  const TransportConfig config = wire_config();
   ReceiverState rx;
   TrainParams clean = lossy_params(0);
   clean.per = 0.0;
   clean.burst_loss = 0.0;
-  (void)transmit_train(config, TransportPolicy::kFec, clean, rx);
+  (void)transmit_train(TransportPolicy::kFec, clean, rx);
   EXPECT_BITEQ(rx.residual_loss, 0.0);
 
   TrainParams lossy = lossy_params(1);
   lossy.per = 0.3;
-  (void)transmit_train(config, TransportPolicy::kFec, lossy, rx);
+  (void)transmit_train(TransportPolicy::kFec, lossy, rx);
   EXPECT_GT(rx.residual_loss, 0.0);
   const double after_loss = rx.residual_loss;
 
@@ -308,7 +292,7 @@ TEST(TransportWire, ResidualLossEwmaTracksLoss) {
   TrainParams clean2 = lossy_params(2);
   clean2.per = 0.0;
   clean2.burst_loss = 0.0;
-  (void)transmit_train(config, TransportPolicy::kFec, clean2, rx);
+  (void)transmit_train(TransportPolicy::kFec, clean2, rx);
   EXPECT_LT(rx.residual_loss, after_loss);
 }
 
@@ -370,9 +354,6 @@ TEST(TransportSession, ExtremeLossConfigsComplete) {
   for (const char* policy : {"fec", "nack", "hybrid"}) {
     core::SessionConfig c = wire_session_config(policy);
     c.duration_s = 1.0;
-    c.transport.target_per = 0.9;
-    c.transport.burst_enter = 1.0;
-    c.transport.burst_exit = 0.01;
     fault::ChaosConfig chaos;
     chaos.seed = c.seed;
     chaos.duration_s = c.duration_s;
@@ -409,9 +390,6 @@ TEST(TransportFleet, WireFleetBitIdenticalAcrossParallelism) {
 // fraction should match the stationary bad-state probability
 // enter / (enter + exit).
 TEST(TransportBurstChain, EmpiricalBurstStatisticsMatchTheModel) {
-  TransportConfig config;
-  config.burst_enter = 0.02;
-  config.burst_exit = 0.2;
   TrainParams params;
   params.per = 0.0;
   params.burst_loss = 1.0;
@@ -420,7 +398,7 @@ TEST(TransportBurstChain, EmpiricalBurstStatisticsMatchTheModel) {
 
   constexpr std::size_t kPackets = 400'000;
   const std::vector<bool> lost =
-      wire_loss_sequence(config, params, kPackets);
+      wire_loss_sequence(params, kPackets);
   ASSERT_EQ(lost.size(), kPackets);
 
   std::size_t lost_total = 0;
@@ -440,7 +418,7 @@ TEST(TransportBurstChain, EmpiricalBurstStatisticsMatchTheModel) {
   // Stationary bad fraction: 0.02 / 0.22 = 0.0909...
   const double bad_fraction =
       static_cast<double>(lost_total) / static_cast<double>(kPackets);
-  EXPECT_NEAR(bad_fraction, 0.02 / 0.22, 0.01);
+  EXPECT_NEAR(bad_fraction, kBurstEnter / (kBurstEnter + kBurstExit), 0.01);
 
   // Mean burst length 1/exit = 5 (geometric dwell time in the bad state).
   ASSERT_GT(burst_lengths.size(), 1000u);
@@ -452,7 +430,7 @@ TEST(TransportBurstChain, EmpiricalBurstStatisticsMatchTheModel) {
   }
   const double mean_burst =
       sum / static_cast<double>(burst_lengths.size());
-  EXPECT_NEAR(mean_burst, 1.0 / config.burst_exit, 0.4);
+  EXPECT_NEAR(mean_burst, 1.0 / kBurstExit, 0.4);
 
   // Geometric shape, not just the mean: P(L >= 5) = (1 - exit)^4 = 0.4096.
   const double tail = static_cast<double>(at_least_5) /
@@ -461,23 +439,21 @@ TEST(TransportBurstChain, EmpiricalBurstStatisticsMatchTheModel) {
 }
 
 TEST(TransportBurstChain, ChainOffMeansNoLossesAtZeroPer) {
-  TransportConfig config;
   TrainParams params;
   params.per = 0.0;
   params.burst_loss = 0.0;
   params.seed = 7;
-  for (const bool l : wire_loss_sequence(config, params, 10'000))
+  for (const bool l : wire_loss_sequence(params, 10'000))
     EXPECT_FALSE(l);
 }
 
 TEST(TransportBurstChain, LossSequenceIsDeterministic) {
-  TransportConfig config;
   TrainParams params;
   params.per = 0.1;
   params.burst_loss = 0.9;
   params.seed = 99;
-  EXPECT_EQ(wire_loss_sequence(config, params, 5'000),
-            wire_loss_sequence(config, params, 5'000));
+  EXPECT_EQ(wire_loss_sequence(params, 5'000),
+            wire_loss_sequence(params, 5'000));
 }
 
 }  // namespace

@@ -111,17 +111,23 @@ TEST(WorkloadBundle, FleetSharedBundleBitIdenticalAtAnyParallelism) {
   fc.session.content_seed = 4242;  // shareable: all slots, one video
   fc.sessions = 8;
 
-  fc.share_bundle = false;
-  fc.parallel_sessions = 1;
-  const FleetResult legacy = run_fleet(fc);
-
-  for (const std::size_t parallel : {std::size_t{1}, std::size_t{8}}) {
-    fc.parallel_sessions = parallel;
-    fc.share_bundle = true;
-    expect_fleet_identical(legacy, run_fleet(fc));
-    fc.share_bundle = false;
-    expect_fleet_identical(legacy, run_fleet(fc));
+  // Reference: slot k run as Session(seed + k), building its own bundle.
+  std::vector<SessionResult> own;
+  for (std::size_t k = 0; k < fc.sessions; ++k) {
+    SessionConfig sc = fc.session;
+    sc.seed += k;
+    own.push_back(Session(std::move(sc)).run());
   }
+
+  fc.parallel_sessions = 1;
+  const FleetResult serial = run_fleet(fc);
+  ASSERT_EQ(serial.sessions.size(), fc.sessions);
+  for (std::size_t k = 0; k < fc.sessions; ++k) {
+    expect_identical(own[k], serial.sessions[k]);
+    expect_tiles_identical(own[k], serial.sessions[k]);
+  }
+  fc.parallel_sessions = 8;
+  expect_fleet_identical(serial, run_fleet(fc));
 }
 
 TEST(WorkloadBundle, FleetWithPinnedContentBuildsExactlyOnce) {
@@ -138,7 +144,7 @@ TEST(WorkloadBundle, FleetWithPinnedContentBuildsExactlyOnce) {
 
 TEST(WorkloadBundle, UnpinnedFleetFallsBackToPerSlotBuilds) {
   // content_seed == 0: slot k streams video (seed + k) ^ 0xc0ffee — nothing
-  // is shareable and every slot must build privately, share_bundle or not.
+  // is shareable and every slot must build privately.
   FleetConfig fc;
   fc.session = small_config();
   fc.sessions = 3;

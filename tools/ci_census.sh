@@ -11,7 +11,8 @@
 #      system benches with no arguments (bench_micro is left out: it
 #      times library kernels, including test references, rather than
 #      using them); every example; volcast_sim with telemetry, with two
-#      APs, under chaos and replaying traces volcast_trace exported;
+#      APs, under chaos, as a crash-prone fleet whose slots retry and
+#      quarantine, and replaying traces volcast_trace exported;
 #      volcast_trace summarizing the telemetry the drive wrote; and
 #      tools/smoke_fleet_resume.sh (fleet checkpoint, kill and resume).
 #      Its wall time is printed;
@@ -85,6 +86,9 @@ TRACE="$BUILD_DIR/tools/volcast_trace"
   --telemetry="$DRIVE/telemetry.jsonl" >/dev/null
 "$SIM" --users=8 --aps=2 --spread=6.28 --duration=2 --points=30000 >/dev/null
 "$SIM" --users=6 --aps=2 --chaos --duration=2 --points=30000 >/dev/null
+"$SIM" --fleet=4 --fleet-parallel=1 --chaos --chaos-crash=0.5 \
+  --fleet-retries=1 --users=2 --duration=1 --points=30000 --frames=20 \
+  --threads=1 --seed=11 >/dev/null
 "$TRACE" --export="$DRIVE/traces" --users=4 --samples=120 >/dev/null
 "$SIM" --users=4 --replay="$DRIVE/traces" --duration=2 --points=30000 \
   >/dev/null

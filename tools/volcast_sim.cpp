@@ -452,7 +452,7 @@ int main(int argc, char** argv) {
     fc.sessions = fleet_size;
     fc.parallel_sessions = flags.size("fleet-parallel");
     fc.supervision.max_retries = flags.size("fleet-retries");
-    fc.supervision.tick_budget = flags.size("fleet-tick-budget");
+    fc.session.tick_budget = flags.size("fleet-tick-budget");
     fc.checkpoint_file = flags.str("fleet-checkpoint");
     fc.resume_file = flags.str("fleet-resume");
     fc.kill_after_slots = flags.size("fleet-kill-after");
@@ -503,7 +503,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(config.content_seed));
     std::printf("supported users %zu / %zu (>= %.1f fps)\n",
                 fleet.supported_users, fleet.total_users,
-                fc.supported_fps_threshold);
+                kSupportedFpsThreshold);
     std::printf("displayed fps: mean %.1f | p5 %.1f | p50 %.1f | p95 %.1f\n",
                 fleet.mean_displayed_fps, fleet.p5_displayed_fps,
                 fleet.p50_displayed_fps, fleet.p95_displayed_fps);
