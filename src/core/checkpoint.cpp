@@ -7,6 +7,8 @@
 #include <fstream>
 
 #include "common/endian.h"
+#include "common/fnv.h"
+#include "core/result_fields.h"
 #include "core/workload_bundle.h"
 
 namespace volcast::core {
@@ -73,208 +75,76 @@ void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
 }
 
 // --- SessionResult <-> bytes ----------------------------------------------
-// Doubles are stored as raw bit patterns: restore must be bit-exact, not
-// merely round-trip-close.
+// One visitor each way over the field list (core/result_fields.h). Doubles
+// are stored as raw bit patterns: restore must be bit-exact, not merely
+// round-trip-close. Every scalar takes 8 bytes except the one byte-wide
+// field, the brownout level.
 
-void put_session_result(std::vector<std::uint8_t>& out,
-                        const SessionResult& r) {
-  put_f64(out, r.qoe.duration_s);
-  put_u32(out, static_cast<std::uint32_t>(r.qoe.users.size()));
-  for (const sim::UserQoe& u : r.qoe.users) {
-    put_u64(out, static_cast<std::uint64_t>(u.user));
-    put_f64(out, u.displayed_fps);
-    put_f64(out, u.stall_time_s);
-    put_f64(out, u.stall_ratio);
-    put_f64(out, u.mean_quality_tier);
-    put_u64(out, static_cast<std::uint64_t>(u.quality_switches));
-    put_f64(out, u.mean_goodput_mbps);
-    put_f64(out, u.viewport_miss_ratio);
-    put_f64(out, u.mean_m2p_latency_s);
-    put_f64(out, u.max_m2p_latency_s);
-  }
-  put_f64(out, r.multicast_bit_share);
-  put_f64(out, r.mean_group_size);
-  put_u64(out, static_cast<std::uint64_t>(r.custom_beam_uses));
-  put_u64(out, static_cast<std::uint64_t>(r.stock_beam_uses));
-  put_u64(out, static_cast<std::uint64_t>(r.blockage_forecasts));
-  put_u64(out, static_cast<std::uint64_t>(r.reflection_switches));
-  put_u64(out, static_cast<std::uint64_t>(r.dropped_ticks));
-  put_u64(out, static_cast<std::uint64_t>(r.outage_user_ticks));
-  put_u64(out, static_cast<std::uint64_t>(r.sls_sweeps));
-  put_u64(out, static_cast<std::uint64_t>(r.sls_outage_ticks));
-  put_f64(out, r.mean_airtime_utilization);
-  const fault::FaultReport& f = r.faults;
-  put_u64(out, static_cast<std::uint64_t>(f.faults_injected));
-  put_u64(out, static_cast<std::uint64_t>(f.recoveries));
-  put_f64(out, f.mean_time_to_recover_s);
-  put_f64(out, f.max_time_to_recover_s);
-  put_f64(out, f.fault_rebuffer_s);
-  put_u64(out, static_cast<std::uint64_t>(f.group_reformations));
-  put_u64(out, static_cast<std::uint64_t>(f.concealed_frames));
-  put_u64(out, static_cast<std::uint64_t>(f.skipped_frames));
-  put_u64(out, static_cast<std::uint64_t>(f.probe_retries));
-  put_u64(out, static_cast<std::uint64_t>(f.fallback_stock_beams));
-  put_u64(out, static_cast<std::uint64_t>(f.fallback_reflection_beams));
-  put_u64(out, static_cast<std::uint64_t>(f.fallback_tier_drops));
-  put_u64(out, static_cast<std::uint64_t>(f.degraded_user_ticks));
-  put_u64(out, static_cast<std::uint64_t>(f.unhealthy_user_ticks));
-  put_u64(out, static_cast<std::uint64_t>(f.health_transitions));
-  const transport::TransportReport& w = r.transport;
-  put_u64(out, w.trains);
-  put_u64(out, w.tiles);
-  put_u64(out, w.data_packets);
-  put_u64(out, w.parity_packets);
-  put_u64(out, w.lost_packets);
-  put_u64(out, w.retransmitted_packets);
-  put_u64(out, w.nacks);
-  put_u64(out, w.fec_recovered_tiles);
-  put_u64(out, w.nack_recovered_tiles);
-  put_u64(out, w.deadline_missed_tiles);
-  put_f64(out, w.residual_loss_mean);
-  put_f64(out, w.recovery_ms_p50);
-  put_f64(out, w.recovery_ms_p99);
-  put_f64(out, w.recovery_ms_max);
-  const vv::TileReport& t = r.tiles;
-  put_u64(out, t.requests);
-  put_u64(out, t.encoded_tiles);
-  put_u64(out, t.stitched_tiles);
-  put_u64(out, t.encoded_bytes);
-  put_u64(out, t.stitched_bytes);
-  const overload::OverloadReport& o = r.overload;
-  put_u64(out, o.green_ticks);
-  put_u64(out, o.yellow_ticks);
-  put_u64(out, o.orange_ticks);
-  put_u64(out, o.red_ticks);
-  put_u64(out, o.transitions);
-  put_u64(out, o.tier_capped_user_ticks);
-  put_u64(out, o.cells_shed);
-  put_u64(out, o.deferred_tiles);
-  put_f64(out, o.peak_utilization);
-  out.push_back(o.final_level);
-}
+struct Encode {
+  std::vector<std::uint8_t>& out;
 
-SessionResult read_session_result(Reader& in) {
-  SessionResult r;
-  r.qoe.duration_s = in.f64();
-  const std::uint32_t users = in.u32();
-  // Each user row is 10 fixed fields of 8 bytes: reject an absurd count
-  // before reserving anything.
-  if (static_cast<std::uint64_t>(users) * 80 > in.remaining())
-    throw CheckpointError("checkpoint: user count exceeds payload size");
-  r.qoe.users.reserve(users);
-  for (std::uint32_t i = 0; i < users; ++i) {
-    sim::UserQoe u;
-    u.user = static_cast<std::size_t>(in.u64());
-    u.displayed_fps = in.f64();
-    u.stall_time_s = in.f64();
-    u.stall_ratio = in.f64();
-    u.mean_quality_tier = in.f64();
-    u.quality_switches = static_cast<std::size_t>(in.u64());
-    u.mean_goodput_mbps = in.f64();
-    u.viewport_miss_ratio = in.f64();
-    u.mean_m2p_latency_s = in.f64();
-    u.max_m2p_latency_s = in.f64();
-    r.qoe.users.push_back(u);
+  template <class T>
+  void operator()(const char*, const T& v) const {
+    if constexpr (kIsUserRows<T>) {
+      put_u32(out, static_cast<std::uint32_t>(v.size()));
+      for (const sim::UserQoe& row : v) visit_user_fields(row, *this);
+    } else if constexpr (std::is_same_v<T, double>) {
+      put_f64(out, v);
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      out.push_back(v);
+    } else {
+      put_u64(out, static_cast<std::uint64_t>(v));
+    }
   }
-  r.multicast_bit_share = in.f64();
-  r.mean_group_size = in.f64();
-  r.custom_beam_uses = static_cast<std::size_t>(in.u64());
-  r.stock_beam_uses = static_cast<std::size_t>(in.u64());
-  r.blockage_forecasts = static_cast<std::size_t>(in.u64());
-  r.reflection_switches = static_cast<std::size_t>(in.u64());
-  r.dropped_ticks = static_cast<std::size_t>(in.u64());
-  r.outage_user_ticks = static_cast<std::size_t>(in.u64());
-  r.sls_sweeps = static_cast<std::size_t>(in.u64());
-  r.sls_outage_ticks = static_cast<std::size_t>(in.u64());
-  r.mean_airtime_utilization = in.f64();
-  fault::FaultReport& f = r.faults;
-  f.faults_injected = static_cast<std::size_t>(in.u64());
-  f.recoveries = static_cast<std::size_t>(in.u64());
-  f.mean_time_to_recover_s = in.f64();
-  f.max_time_to_recover_s = in.f64();
-  f.fault_rebuffer_s = in.f64();
-  f.group_reformations = static_cast<std::size_t>(in.u64());
-  f.concealed_frames = static_cast<std::size_t>(in.u64());
-  f.skipped_frames = static_cast<std::size_t>(in.u64());
-  f.probe_retries = static_cast<std::size_t>(in.u64());
-  f.fallback_stock_beams = static_cast<std::size_t>(in.u64());
-  f.fallback_reflection_beams = static_cast<std::size_t>(in.u64());
-  f.fallback_tier_drops = static_cast<std::size_t>(in.u64());
-  f.degraded_user_ticks = static_cast<std::size_t>(in.u64());
-  f.unhealthy_user_ticks = static_cast<std::size_t>(in.u64());
-  f.health_transitions = static_cast<std::size_t>(in.u64());
-  transport::TransportReport& w = r.transport;
-  w.trains = in.u64();
-  w.tiles = in.u64();
-  w.data_packets = in.u64();
-  w.parity_packets = in.u64();
-  w.lost_packets = in.u64();
-  w.retransmitted_packets = in.u64();
-  w.nacks = in.u64();
-  w.fec_recovered_tiles = in.u64();
-  w.nack_recovered_tiles = in.u64();
-  w.deadline_missed_tiles = in.u64();
-  w.residual_loss_mean = in.f64();
-  w.recovery_ms_p50 = in.f64();
-  w.recovery_ms_p99 = in.f64();
-  w.recovery_ms_max = in.f64();
-  vv::TileReport& t = r.tiles;
-  t.requests = in.u64();
-  t.encoded_tiles = in.u64();
-  t.stitched_tiles = in.u64();
-  t.encoded_bytes = in.u64();
-  t.stitched_bytes = in.u64();
-  overload::OverloadReport& o = r.overload;
-  o.green_ticks = in.u64();
-  o.yellow_ticks = in.u64();
-  o.orange_ticks = in.u64();
-  o.red_ticks = in.u64();
-  o.transitions = in.u64();
-  o.tier_capped_user_ticks = in.u64();
-  o.cells_shed = in.u64();
-  o.deferred_tiles = in.u64();
-  o.peak_utilization = in.f64();
-  o.final_level = in.u8();
-  if (o.final_level > 3)
-    throw CheckpointError("checkpoint: invalid brownout level");
-  return r;
-}
+};
+
+struct Decode {
+  Reader& in;
+
+  template <class T>
+  void operator()(const char*, T& v) const {
+    if constexpr (kIsUserRows<T>) {
+      // Every row encodes to the same size as a blank one: reject an
+      // absurd count before reserving anything.
+      const sim::UserQoe blank{};
+      std::vector<std::uint8_t> row_bytes;
+      visit_user_fields(blank, Encode{row_bytes});
+      const std::uint32_t users = in.u32();
+      if (static_cast<std::uint64_t>(users) * row_bytes.size() >
+          in.remaining())
+        throw CheckpointError("checkpoint: user count exceeds payload size");
+      v.resize(users);
+      for (sim::UserQoe& row : v) visit_user_fields(row, *this);
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = in.f64();
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      v = in.u8();  // the brownout level
+      if (v > static_cast<std::uint8_t>(overload::BrownoutLevel::kRed))
+        throw CheckpointError("checkpoint: invalid brownout level");
+    } else {
+      v = static_cast<T>(in.u64());
+    }
+  }
+};
 
 // --- fingerprint ----------------------------------------------------------
 
-/// Incremental FNV-1a over the canonical little-endian encoding of the
-/// fields fed to it.
-class Hasher {
- public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+/// FNV-1a over the fleet fingerprint's field encoding: integers as u64,
+/// doubles as their bit pattern, strings length-prefixed.
+struct Hasher : common::Fnv1a {
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void b(bool v) { byte(v ? 1 : 0); }
   void str(const std::string& s) {
     u64(s.size());
     for (char c : s) byte(static_cast<std::uint8_t>(c));
   }
-  [[nodiscard]] std::uint64_t digest() const noexcept { return h_; }
-
- private:
-  void byte(std::uint8_t v) noexcept {
-    h_ ^= v;
-    h_ *= 0x100000001b3ULL;
-  }
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
 }  // namespace
 
 std::uint64_t checkpoint_checksum(
     std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : data) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return common::fnv1a(data);
 }
 
 std::uint64_t fleet_fingerprint(const FleetConfig& config) {
@@ -387,7 +257,7 @@ std::vector<std::uint8_t> serialize_checkpoint(
     put_u64(out, rec.outcome.admission_wait_ticks);
     put_str(out, rec.outcome.message);
     std::vector<std::uint8_t> body;
-    put_session_result(body, rec.result);
+    visit_fields(rec.result, Encode{body});
     put_u32(out, static_cast<std::uint32_t>(body.size()));
     append_bytes(out, body.data(), body.size());
   }
@@ -454,7 +324,7 @@ FleetCheckpoint deserialize_checkpoint(std::span<const std::uint8_t> blob) {
     if (result_len > in.remaining())
       throw CheckpointError("checkpoint: result length exceeds payload");
     const std::size_t before = in.remaining();
-    rec.result = read_session_result(in);
+    visit_fields(rec.result, Decode{in});
     if (before - in.remaining() != result_len)
       throw CheckpointError("checkpoint: result length field disagrees "
                             "with its body");

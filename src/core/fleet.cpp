@@ -12,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/workload_bundle.h"
-#include "obs/telemetry.h"
 
 namespace volcast::core {
 
@@ -145,29 +144,6 @@ FleetResult run_fleet_impl(const FleetConfig& config) {
         overload::plan_admission(config.admission, config.sessions, hold);
     for (std::size_t k = 0; k < config.sessions; ++k) {
       const overload::AdmissionDecision& d = admission[k];
-      if (config.telemetry != nullptr) {
-        obs::Event e;
-        e.tick = static_cast<std::uint32_t>(d.arrival_tick);
-        e.user = static_cast<std::uint32_t>(k);  // fleet slot, not a user
-        switch (d.outcome) {
-          case overload::AdmissionOutcome::kAdmitted:
-            e.type = obs::EventType::kAdmissionAdmitted;
-            break;
-          case overload::AdmissionOutcome::kQueued:
-            e.type = obs::EventType::kAdmissionQueued;
-            break;
-          case overload::AdmissionOutcome::kDenied:
-            e.type = obs::EventType::kAdmissionDenied;
-            break;
-        }
-        e.value = static_cast<double>(d.wait_ticks);
-        e.has_value = d.outcome == overload::AdmissionOutcome::kQueued;
-        config.telemetry->record_event(e);
-        config.telemetry->metrics()
-            .counter(std::string("fleet.admission.") +
-                     overload::to_string(d.outcome))
-            .add(1);
-      }
       if (d.outcome != overload::AdmissionOutcome::kDenied) continue;
       if (finished[k]) continue;  // restored verbatim from the checkpoint
       SlotOutcome& o = result.outcomes[k];

@@ -56,12 +56,6 @@ struct FleetConfig {
   /// running. Pure data, so the FleetResult stays bit-identical at any
   /// parallel_sessions value and across checkpoint/resume splits.
   overload::AdmissionConfig admission;
-  /// Optional *fleet-level* telemetry sink, distinct from the per-session
-  /// sink the template must not carry: run_fleet uses it strictly from
-  /// serial sections (the admission pre-pass and the aggregate fold), so
-  /// admit/queue/deny events and fleet counters flow through src/obs
-  /// without violating the serial-recording rule.
-  obs::Telemetry* telemetry = nullptr;
   /// When non-empty, rewrite this file after every finished slot with all
   /// finished slots so far (atomic replace; see core/checkpoint.h).
   std::string checkpoint_file;

@@ -5,15 +5,6 @@
 
 namespace volcast::core::overload {
 
-const char* to_string(AdmissionOutcome outcome) noexcept {
-  switch (outcome) {
-    case AdmissionOutcome::kAdmitted: return "admitted";
-    case AdmissionOutcome::kQueued: return "queued";
-    case AdmissionOutcome::kDenied: return "denied";
-  }
-  return "?";
-}
-
 void AdmissionConfig::validate() const {
   if (!enabled) return;
   if (capacity == 0)

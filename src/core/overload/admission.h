@@ -26,8 +26,6 @@ enum class AdmissionOutcome : std::uint8_t {
   kDenied = 2,    // queue full at arrival; the slot never runs
 };
 
-[[nodiscard]] const char* to_string(AdmissionOutcome outcome) noexcept;
-
 /// Admission knobs. Disabled (the default) keeps run_fleet's legacy
 /// dispatch-everything behavior byte-for-byte.
 struct AdmissionConfig {

@@ -3,24 +3,12 @@
 #include <atomic>
 #include <bit>
 
+#include "common/fnv.h"
 #include "common/thread_pool.h"
 #include "core/session.h"
 
 namespace volcast::core {
 namespace {
-
-// FNV-1a64 over little-endian bytes — the same construction the checkpoint
-// fingerprint uses, kept separate so the bundle hash is stable on its own.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::atomic<std::uint64_t> g_builds{0};
 
@@ -64,13 +52,13 @@ WorkloadKey WorkloadKey::from(const SessionConfig& config) {
 }
 
 std::uint64_t WorkloadKey::hash() const noexcept {
-  std::uint64_t h = kFnvOffset;
-  h = fnv_u64(h, video_seed);
-  h = fnv_u64(h, master_points);
-  h = fnv_u64(h, video_frames);
-  h = fnv_u64(h, std::bit_cast<std::uint64_t>(fps));
-  h = fnv_u64(h, std::bit_cast<std::uint64_t>(cell_size_m));
-  return h;
+  common::Fnv1a h;
+  h.u64(video_seed);
+  h.u64(master_points);
+  h.u64(video_frames);
+  h.u64(std::bit_cast<std::uint64_t>(fps));
+  h.u64(std::bit_cast<std::uint64_t>(cell_size_m));
+  return h.digest();
 }
 
 std::uint64_t workload_bundle_hash(const SessionConfig& config) {

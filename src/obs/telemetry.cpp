@@ -76,9 +76,6 @@ const char* to_string(EventType type) noexcept {
     case EventType::kDeadlineMiss: return "deadline_miss";
     case EventType::kBrownoutShift: return "brownout_shift";
     case EventType::kOverloadShed: return "overload_shed";
-    case EventType::kAdmissionAdmitted: return "admission_admitted";
-    case EventType::kAdmissionQueued: return "admission_queued";
-    case EventType::kAdmissionDenied: return "admission_denied";
   }
   return "unknown";
 }
@@ -109,9 +106,6 @@ Layer layer_of(EventType type) noexcept {
       return Layer::kMac;
     case EventType::kBrownoutShift:
     case EventType::kOverloadShed:
-    case EventType::kAdmissionAdmitted:
-    case EventType::kAdmissionQueued:
-    case EventType::kAdmissionDenied:
       return Layer::kOverload;
   }
   return Layer::kSession;

@@ -76,9 +76,6 @@ enum class EventType : std::uint8_t {
   kDeadlineMiss,        // user, value = tiles past the frame deadline
   kBrownoutShift,       // value = new brownout level (0 green .. 3 red)
   kOverloadShed,        // value = work units shed this tick
-  kAdmissionAdmitted,   // user = fleet slot, value = wait ticks (0)
-  kAdmissionQueued,     // user = fleet slot, value = wait ticks
-  kAdmissionDenied,     // user = fleet slot
 };
 [[nodiscard]] const char* to_string(EventType type) noexcept;
 /// The layer every event of `type` belongs to (written to JSONL as

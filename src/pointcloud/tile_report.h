@@ -19,6 +19,8 @@ struct TileReport {
   std::uint64_t stitched_tiles = 0;  // repeats served from encoded output
   std::uint64_t encoded_bytes = 0;   // bytes the session had to encode
   std::uint64_t stitched_bytes = 0;  // encode bytes saved by stitching
+
+  bool operator==(const TileReport&) const = default;
 };
 
 }  // namespace volcast::vv

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/endian.h"
+#include "common/fnv.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
@@ -278,15 +279,6 @@ namespace {
 constexpr std::uint8_t kStoreMagic[4] = {'V', 'S', 'T', 'R'};
 constexpr std::uint32_t kStoreVersion = 1;
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 using common::put_u32;
 using common::put_u64;
 
@@ -311,7 +303,7 @@ std::vector<std::uint8_t> VideoStore::serialize() const {
       for (std::uint32_t p : frame.points.at(q)) put_u32(out, p);
     }
   }
-  put_u64(out, fnv1a(out));
+  put_u64(out, common::fnv1a(out));
   return out;
 }
 

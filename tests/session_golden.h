@@ -1,9 +1,10 @@
-// Shared fixture for the refactor-equivalence golden suite: the ablation ×
-// fault configuration matrix plus a bit-exact text serialization of
-// SessionResult. The committed golden file (tests/golden/) was generated
-// from the pre-refactor monolithic session loop by gen_session_goldens;
-// the staged pipeline must reproduce every byte of it. Regenerate only
-// when session behavior changes intentionally:
+// Shared fixture for the session golden suite: the ablation × fault
+// configuration matrix plus a bit-exact text serialization of
+// SessionResult. The committed golden file (tests/golden/) pins every
+// SessionResult field of every case, one line each, as listed in
+// core/result_fields.h; the session must reproduce every byte of it.
+// Regenerate only when session behavior, or the field list, changes
+// intentionally:
 //
 //   build/tests/gen_session_goldens > tests/golden/session_results.golden
 #pragma once
@@ -12,8 +13,10 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/result_fields.h"
 #include "core/session.h"
 #include "fault/fault_plan.h"
 
@@ -124,85 +127,31 @@ inline std::string golden_bits(double v) {
   return out.str();
 }
 
-/// One line per field; every field of SessionResult (including the fault
-/// report) participates.
+/// One `name.key = value` line per SessionResult field, in the order of
+/// core/result_fields.h: doubles as raw bits, integers in decimal, and the
+/// per-user rows as `name.user<i>.<key>` after `name.qoe.users`.
 inline std::string serialize_result(const std::string& name,
                                     const SessionResult& r) {
   std::ostringstream out;
-  auto field = [&](const char* key, const std::string& value) {
-    out << name << '.' << key << " = " << value << '\n';
+  auto line = [&](const std::string& key, const auto& v) {
+    out << name << '.' << key << " = ";
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>, double>)
+      out << golden_bits(v);
+    else
+      out << static_cast<std::uint64_t>(v);
+    out << '\n';
   };
-  auto dbl = [&](const char* key, double v) { field(key, golden_bits(v)); };
-  auto num = [&](const char* key, std::size_t v) {
-    field(key, std::to_string(v));
-  };
-
-  dbl("qoe.duration_s", r.qoe.duration_s);
-  num("qoe.users", r.qoe.users.size());
-  for (std::size_t u = 0; u < r.qoe.users.size(); ++u) {
-    const auto& q = r.qoe.users[u];
-    const std::string prefix = "user" + std::to_string(u) + ".";
-    auto udbl = [&](const char* key, double v) {
-      field((prefix + key).c_str(), golden_bits(v));
-    };
-    udbl("displayed_fps", q.displayed_fps);
-    udbl("stall_time_s", q.stall_time_s);
-    udbl("stall_ratio", q.stall_ratio);
-    udbl("mean_quality_tier", q.mean_quality_tier);
-    field((prefix + "quality_switches").c_str(),
-          std::to_string(q.quality_switches));
-    udbl("mean_goodput_mbps", q.mean_goodput_mbps);
-    udbl("viewport_miss_ratio", q.viewport_miss_ratio);
-    udbl("mean_m2p_latency_s", q.mean_m2p_latency_s);
-    udbl("max_m2p_latency_s", q.max_m2p_latency_s);
-  }
-  dbl("multicast_bit_share", r.multicast_bit_share);
-  dbl("mean_group_size", r.mean_group_size);
-  num("custom_beam_uses", r.custom_beam_uses);
-  num("stock_beam_uses", r.stock_beam_uses);
-  num("blockage_forecasts", r.blockage_forecasts);
-  num("reflection_switches", r.reflection_switches);
-  num("dropped_ticks", r.dropped_ticks);
-  num("outage_user_ticks", r.outage_user_ticks);
-  num("sls_sweeps", r.sls_sweeps);
-  num("sls_outage_ticks", r.sls_outage_ticks);
-  dbl("mean_airtime_utilization", r.mean_airtime_utilization);
-  num("faults.faults_injected", r.faults.faults_injected);
-  num("faults.recoveries", r.faults.recoveries);
-  dbl("faults.mean_time_to_recover_s", r.faults.mean_time_to_recover_s);
-  dbl("faults.max_time_to_recover_s", r.faults.max_time_to_recover_s);
-  dbl("faults.fault_rebuffer_s", r.faults.fault_rebuffer_s);
-  num("faults.group_reformations", r.faults.group_reformations);
-  num("faults.concealed_frames", r.faults.concealed_frames);
-  num("faults.skipped_frames", r.faults.skipped_frames);
-  num("faults.probe_retries", r.faults.probe_retries);
-  num("faults.fallback_stock_beams", r.faults.fallback_stock_beams);
-  num("faults.fallback_reflection_beams", r.faults.fallback_reflection_beams);
-  num("faults.fallback_tier_drops", r.faults.fallback_tier_drops);
-  num("faults.degraded_user_ticks", r.faults.degraded_user_ticks);
-  num("faults.unhealthy_user_ticks", r.faults.unhealthy_user_ticks);
-  num("faults.health_transitions", r.faults.health_transitions);
-  num("transport.trains", static_cast<std::size_t>(r.transport.trains));
-  num("transport.tiles", static_cast<std::size_t>(r.transport.tiles));
-  num("transport.data_packets",
-      static_cast<std::size_t>(r.transport.data_packets));
-  num("transport.parity_packets",
-      static_cast<std::size_t>(r.transport.parity_packets));
-  num("transport.lost_packets",
-      static_cast<std::size_t>(r.transport.lost_packets));
-  num("transport.retransmitted_packets",
-      static_cast<std::size_t>(r.transport.retransmitted_packets));
-  num("transport.nacks", static_cast<std::size_t>(r.transport.nacks));
-  num("transport.fec_recovered_tiles",
-      static_cast<std::size_t>(r.transport.fec_recovered_tiles));
-  num("transport.nack_recovered_tiles",
-      static_cast<std::size_t>(r.transport.nack_recovered_tiles));
-  num("transport.deadline_missed_tiles",
-      static_cast<std::size_t>(r.transport.deadline_missed_tiles));
-  dbl("transport.residual_loss_mean", r.transport.residual_loss_mean);
-  dbl("transport.recovery_ms_p50", r.transport.recovery_ms_p50);
-  dbl("transport.recovery_ms_p99", r.transport.recovery_ms_p99);
-  dbl("transport.recovery_ms_max", r.transport.recovery_ms_max);
+  visit_fields(r, [&](const char* key, const auto& v) {
+    if constexpr (kIsUserRows<decltype(v)>) {
+      line(key, v.size());
+      for (std::size_t u = 0; u < v.size(); ++u)
+        visit_user_fields(v[u], [&](const char* field, const auto& x) {
+          line("user" + std::to_string(u) + "." + field, x);
+        });
+    } else {
+      line(key, v);
+    }
+  });
   return out.str();
 }
 

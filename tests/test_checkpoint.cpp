@@ -8,9 +8,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/endian.h"
+#include "common/fnv.h"
+#include "core/result_fields.h"
 #include "core/workload_bundle.h"
 #include "fault/fault_plan.h"
 #include "session_compare.h"
@@ -30,61 +33,38 @@ FleetConfig tiny_fleet(std::size_t sessions) {
   return fc;
 }
 
-/// An irregular SessionResult exercising every serialized field.
+/// A SessionResult with two user rows whose every field holds a distinct
+/// non-zero value, the FNV-1a hash of its golden key and `salt`. The value
+/// belongs to the field, not to its place in core/result_fields.h, so
+/// moving a field in the list moves its bytes in the record. The brownout
+/// level takes 1..3, its valid non-zero range.
 SessionResult sample_result(std::uint64_t salt) {
   SessionResult r;
-  r.qoe.duration_s = 0.5 + static_cast<double>(salt);
-  sim::UserQoe u;
-  u.user = salt;
-  u.displayed_fps = 29.972 + static_cast<double>(salt) * 0.125;
-  u.stall_time_s = 0.0625;
-  u.stall_ratio = 0.125;
-  u.mean_quality_tier = 1.5;
-  u.quality_switches = 3 + salt;
-  u.mean_goodput_mbps = 431.73;
-  u.viewport_miss_ratio = 0.031;
-  u.mean_m2p_latency_s = 0.021;
-  u.max_m2p_latency_s = 0.055;
-  r.qoe.users.push_back(u);
-  u.user = salt + 100;
-  u.displayed_fps = -0.0;  // sign bit must survive the round trip
-  r.qoe.users.push_back(u);
-  r.multicast_bit_share = 0.625;
-  r.mean_group_size = 1.75;
-  r.custom_beam_uses = 11 + salt;
-  r.stock_beam_uses = 5;
-  r.blockage_forecasts = 2;
-  r.reflection_switches = 1;
-  r.dropped_ticks = 4;
-  r.outage_user_ticks = 9;
-  r.sls_sweeps = 6;
-  r.sls_outage_ticks = 3;
-  r.mean_airtime_utilization = 0.4375;
-  r.faults.faults_injected = 2;
-  r.faults.recoveries = 1;
-  r.faults.mean_time_to_recover_s = 0.75;
-  r.faults.max_time_to_recover_s = 1.25;
-  r.faults.fault_rebuffer_s = 0.21;
-  r.faults.group_reformations = 1;
-  r.faults.concealed_frames = 7;
-  r.faults.skipped_frames = 2;
-  r.faults.probe_retries = 3;
-  r.faults.fallback_stock_beams = 1;
-  r.faults.fallback_reflection_beams = 1;
-  r.faults.fallback_tier_drops = 2;
-  r.faults.degraded_user_ticks = 13;
-  r.faults.unhealthy_user_ticks = 4;
-  r.faults.health_transitions = 5;
-  r.overload.green_ticks = 40 + salt;
-  r.overload.yellow_ticks = 12;
-  r.overload.orange_ticks = 5;
-  r.overload.red_ticks = 2;
-  r.overload.transitions = 6;
-  r.overload.tier_capped_user_ticks = 31;
-  r.overload.cells_shed = 450;
-  r.overload.deferred_tiles = 17;
-  r.overload.peak_utilization = 1.3125;
-  r.overload.final_level = 1;
+  r.qoe.users.resize(2);
+  auto fill = [salt](const std::string& key, auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    common::Fnv1a h;
+    for (char c : key) h.byte(static_cast<std::uint8_t>(c));
+    h.u64(salt);
+    const std::uint64_t k = h.digest();
+    if constexpr (std::is_same_v<T, double>)
+      v = static_cast<double>(k >> 12) + 0.5;
+    else if constexpr (std::is_same_v<T, std::uint8_t>)
+      v = static_cast<std::uint8_t>(1 + k % 3);
+    else
+      v = static_cast<T>(k);
+  };
+  visit_fields(r, [&](const char* key, auto& v) {
+    if constexpr (kIsUserRows<decltype(v)>) {
+      for (std::size_t u = 0; u < v.size(); ++u)
+        visit_user_fields(v[u], [&](const char* field, auto& x) {
+          fill("user" + std::to_string(u) + "." + field, x);
+        });
+    } else {
+      fill(key, v);
+    }
+  });
+  r.qoe.users[1].displayed_fps = -0.0;  // the sign bit must survive
   return r;
 }
 
@@ -141,6 +121,15 @@ TEST(Checkpoint, SerializeDeserializeRoundTripsBitExactly) {
     expect_outcome_identical(back.records[i].outcome, ckpt.records[i].outcome);
     expect_identical(back.records[i].result, ckpt.records[i].result);
   }
+}
+
+TEST(Checkpoint, V6LayoutIsPinned) {
+  // The checksum of the sample checkpoint's bytes, as the layout wrote
+  // them before the codec walked the field list: reordering, resizing or
+  // dropping a field changes it, and must come with a version bump.
+  static_assert(kCheckpointVersion == 6);
+  EXPECT_EQ(checkpoint_checksum(serialize_checkpoint(sample_checkpoint())),
+            0xd93bff67e52f80feULL);
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsThroughAFile) {

@@ -11,11 +11,14 @@
 #include <tuple>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "pointcloud/video_generator.h"
 
 namespace volcast::vv {
 namespace {
+
+using common::fnv1a;
 
 /// `n` points uniform in [-1, 1] x [-1, 1] x [0, 2], each with a uniform
 /// random colour.
@@ -31,16 +34,6 @@ FrameSoA random_frame(std::size_t n, std::uint64_t seed) {
     frame.push_back(p, r, g, b);
   }
   return frame;
-}
-
-/// FNV-1a64 of a blob.
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& blob) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : blob) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 /// Multiset of quantized (position, color) tuples, for order-free

@@ -200,7 +200,7 @@ TEST(FrameSoACellGrid, AssignFlatMatchesAssign) {
 namespace volcast::core {
 namespace {
 
-/// name -> serialized block of the committed pre-refactor golden file.
+/// name -> serialized block of the committed session golden file.
 std::map<std::string, std::string> load_goldens() {
   const std::string path =
       std::string(VOLCAST_GOLDEN_DIR) + "/session_results.golden";
@@ -220,7 +220,7 @@ TEST(FrameSoASession, SoABuiltSessionMatchesPreRefactorGolden) {
   // Spot-check of the bit-equality bar at both worker thread counts: the
   // full ablation matrix runs in the dedicated equivalence suite; here the
   // default and chaos cases prove the SoA-built store/visibility pipeline
-  // reproduces the pre-refactor bytes.
+  // reproduces the golden bytes.
   const auto goldens = load_goldens();
   ASSERT_FALSE(goldens.empty());
   for (const GoldenCase& c : golden_matrix()) {

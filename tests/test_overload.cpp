@@ -241,7 +241,6 @@ TEST(OverloadSession, OffConfigMatchesABuildWithoutOverload) {
   const SessionResult a = Session(small_session()).run();
   const SessionResult b = Session(off).run();
   expect_identical(a, b);
-  expect_tiles_identical(a, b);
   EXPECT_EQ(b.overload.green_ticks, 0u);  // governor never ran
 }
 
@@ -267,7 +266,6 @@ TEST(OverloadSession, ShedAccountingBitIdenticalAcrossThreadCounts) {
   const SessionResult serial = run_with(1);
   const SessionResult parallel = run_with(4);
   expect_identical(serial, parallel);
-  expect_tiles_identical(serial, parallel);
 }
 
 TEST(OverloadSession, PressureChaosDrivesTheGovernorDeterministically) {

@@ -1,8 +1,8 @@
-// Refactor-equivalence suite: the staged pipeline must reproduce the
-// pre-refactor monolithic session loop bit for bit. The golden file was
-// generated from the monolith (tests/gen_session_goldens.cpp) across the
-// ablation × fault matrix; every case is checked at two thread counts, so
-// the suite simultaneously pins the worker_threads invariance.
+// Session golden suite: the golden file pins every SessionResult field
+// (one line each, as listed in core/result_fields.h) of every case of the
+// ablation × fault matrix, written by tests/gen_session_goldens.cpp. Every
+// case is checked at two thread counts, so the suite also pins the
+// worker_threads invariance.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -69,7 +69,7 @@ TEST_P(RefactorEquivalence, MatchesPreRefactorGoldens) {
 TEST_P(RefactorEquivalence, MatchesGoldensWithOneSharedBundle) {
   // The whole ablation matrix keeps the same workload identity (seed 7,
   // 30k points, 20 frames), so ONE shared bundle must serve every case —
-  // and reproduce the pre-refactor golden file byte for byte, proving the
+  // and reproduce the golden file byte for byte, proving the
   // shared-setup path changes wall clock only, never results.
   const std::size_t threads = GetParam();
   const auto goldens = load_goldens();

@@ -173,7 +173,7 @@ TEST(Telemetry, EventLayerFollowsFromItsType) {
   EXPECT_EQ(layer_of(EventType::kDroppedTick), Layer::kMac);
   EXPECT_EQ(layer_of(EventType::kRetransmit), Layer::kMac);
   EXPECT_EQ(layer_of(EventType::kBrownoutShift), Layer::kOverload);
-  EXPECT_EQ(layer_of(EventType::kAdmissionDenied), Layer::kOverload);
+  EXPECT_EQ(layer_of(EventType::kOverloadShed), Layer::kOverload);
 }
 
 // --- JSONL round trip ------------------------------------------------------

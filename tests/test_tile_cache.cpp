@@ -39,13 +39,21 @@ core::SessionResult run_with_tiling(core::SessionConfig config,
   return session.run();
 }
 
+/// Compares every field but the tile report, which legitimately differs
+/// between tiling policies.
+void expect_identical_but_tiles(const core::SessionResult& off,
+                                core::SessionResult shared) {
+  shared.tiles = off.tiles;
+  core::expect_identical(off, shared);
+}
+
 TEST(TilingStage, SharedMatchesOffOnEverySimulationField) {
   // Tile assembly is a server-side accounting layer: switching it from
   // per-user encode to encode-once/serve-many must not move a single QoE
   // or link-layer bit.
   const core::SessionResult off = run_with_tiling(fast_config(), "off");
   const core::SessionResult shared = run_with_tiling(fast_config(), "shared");
-  core::expect_identical(off, shared);
+  expect_identical_but_tiles(off, shared);
 
   // Same tiles assembled either way; shared turns repeats into stitches.
   EXPECT_EQ(off.tiles.requests, shared.tiles.requests);
@@ -65,7 +73,6 @@ TEST(TilingStage, ReportIsIdenticalAtAnyWorkerThreadCount) {
   const core::SessionResult a = run_with_tiling(std::move(serial), "shared");
   const core::SessionResult b = run_with_tiling(std::move(parallel), "shared");
   core::expect_identical(a, b);
-  core::expect_tiles_identical(a, b);
 }
 
 TEST(TilingStage, EightUsersTwoClustersEncodeAtLeastTwiceCheaper) {
@@ -80,7 +87,7 @@ TEST(TilingStage, EightUsersTwoClustersEncodeAtLeastTwiceCheaper) {
   config.audience_spread_rad = 1.5;
   const core::SessionResult off = run_with_tiling(config, "off");
   const core::SessionResult shared = run_with_tiling(config, "shared");
-  core::expect_identical(off, shared);
+  expect_identical_but_tiles(off, shared);
   ASSERT_GT(off.tiles.encoded_bytes, 0u);
   EXPECT_GE(static_cast<double>(off.tiles.encoded_bytes),
             2.0 * static_cast<double>(shared.tiles.encoded_bytes));

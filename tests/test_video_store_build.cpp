@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/endian.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -333,13 +334,9 @@ TEST(VideoStoreFusedBuild, BundleStoreMatchesPinnedHashesAtAnyPoolSize) {
       c.worker_threads = threads;
       const std::vector<std::uint8_t> blob =
           core::WorkloadBundle::build(c)->store().serialize();
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      for (const std::uint8_t b : blob) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-      }
-      EXPECT_EQ(h, p.hash) << "content seed " << p.content_seed << ", "
-                           << threads << " worker threads";
+      EXPECT_EQ(common::fnv1a(blob), p.hash)
+          << "content seed " << p.content_seed << ", " << threads
+          << " worker threads";
     }
   }
 }

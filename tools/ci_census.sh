@@ -12,7 +12,9 @@
 #      times library kernels, including test references, rather than
 #      using them); every example; volcast_sim with telemetry, with two
 #      APs, under chaos, as a crash-prone fleet whose slots retry and
-#      quarantine, and replaying traces volcast_trace exported;
+#      quarantine, as an admission-controlled fleet that queues and
+#      denies slots (the example.fleet_admission command line), and
+#      replaying traces volcast_trace exported;
 #      volcast_trace summarizing the telemetry the drive wrote; and
 #      tools/smoke_fleet_resume.sh (fleet checkpoint, kill and resume).
 #      Its wall time is printed;
@@ -89,6 +91,9 @@ TRACE="$BUILD_DIR/tools/volcast_trace"
 "$SIM" --fleet=4 --fleet-parallel=1 --chaos --chaos-crash=0.5 \
   --fleet-retries=1 --users=2 --duration=1 --points=30000 --frames=20 \
   --threads=1 --seed=11 >/dev/null
+"$SIM" --fleet=6 --fleet-admission=2 --fleet-admission-queue=1 \
+  --fleet-arrival-spacing=3 --fleet-parallel=1 --users=2 --duration=1 \
+  --points=30000 --frames=20 --threads=1 >/dev/null
 "$TRACE" --export="$DRIVE/traces" --users=4 --samples=120 >/dev/null
 "$SIM" --users=4 --replay="$DRIVE/traces" --duration=2 --points=30000 \
   >/dev/null

@@ -144,8 +144,8 @@ int summarize(const std::string& path) {
   // Tile counters ("tile.*"), same treatment, plus the per-user encode
   // gauge.
   std::map<std::string, unsigned long long> tiles;
-  // Overload-control counters ("overload.*", "fleet.admission.*") plus the
-  // brownout level/utilization gauges (last value wins = end-of-run state).
+  // Overload-control counters ("overload.*") plus the brownout
+  // level/utilization gauges (last value wins = end-of-run state).
   std::map<std::string, unsigned long long> overload;
   // Grouping-search effort: plan-cache evaluations and hits, and the
   // multicast beam designs the evaluations ran.
@@ -199,9 +199,6 @@ int summarize(const std::string& path) {
               static_cast<unsigned long long>(record.uint("value"));
         if (name == "mmwave.link_rows" || name == "mmwave.rss_evals")
           link[name] = static_cast<unsigned long long>(record.uint("value"));
-        if (name.rfind("fleet.admission.", 0) == 0)
-          overload["admission " + name.substr(16)] =
-              static_cast<unsigned long long>(record.uint("value"));
       } else if (kind == "gauge") {
         const std::string name = record.str("name");
         counters.emplace_back(name, record.raw("value"));
@@ -300,9 +297,8 @@ int summarize(const std::string& path) {
     std::printf("%s", ttable.render().c_str());
   }
   if (!overload.empty() || brownout_level >= 0.0) {
-    // Overload control was on (--overload or fleet admission): how often
-    // the governor browned out, what each shed lever dropped, and (for
-    // fleets) the admission split.
+    // Overload control was on (--overload): how often the governor browned
+    // out and what each shed lever dropped.
     const auto get = [&](const char* key) -> unsigned long long {
       const auto it = overload.find(key);
       return it != overload.end() ? it->second : 0ULL;
@@ -333,14 +329,6 @@ int summarize(const std::string& path) {
     otable.row({"cells shed", std::to_string(get("cells_shed"))});
     otable.row({"tile encodes deferred",
                 std::to_string(get("deferred_tiles"))});
-    if (overload.count("admission admitted") ||
-        overload.count("admission queued") ||
-        overload.count("admission denied")) {
-      otable.row({"slots admitted",
-                  std::to_string(get("admission admitted"))});
-      otable.row({"slots queued", std::to_string(get("admission queued"))});
-      otable.row({"slots denied", std::to_string(get("admission denied"))});
-    }
     std::printf("%s", otable.render().c_str());
   }
   if (grouping.count("grouping.plan_evals") != 0) {
