@@ -116,6 +116,15 @@ inline std::vector<GoldenCase> golden_matrix() {
     c.user_count = 12;
     c.grouping = GroupingPolicy::kPairsOnly;
   });
+  // Brownout and shared tiling: an encode budget small enough that the
+  // governor leaves green, so the overload and stitched-tile counters
+  // carry values the golden pins.
+  add("brownout_shared", [](SessionConfig& c) {
+    c.user_count = 4;
+    c.policy_overrides["tiling"] = "shared";
+    c.overload.enabled = true;
+    c.overload.encode_budget_bytes = 8.0e4;
+  });
   return cases;
 }
 

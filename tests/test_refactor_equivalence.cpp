@@ -5,6 +5,7 @@
 // worker_threads invariance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -89,6 +90,26 @@ TEST_P(RefactorEquivalence, MatchesGoldensWithOneSharedBundle) {
     ASSERT_NE(it, goldens.end()) << "no golden block for case " << c.name;
     EXPECT_EQ(got, it->second) << "case " << c.name;
   }
+}
+
+TEST(GoldenMatrix, BrownoutCaseRunsTheGovernorAndStitchesTiles) {
+  // The golden pins the overload and stitched-tile keys of every case; this
+  // one must give them values the brownout and stitching code computed.
+  const auto matrix = golden_matrix();
+  const auto it = std::find_if(matrix.begin(), matrix.end(),
+                               [](const GoldenCase& g) {
+                                 return g.name == "brownout_shared";
+                               });
+  ASSERT_NE(it, matrix.end());
+  const SessionResult r = Session(it->config).run();
+  EXPECT_GT(r.overload.yellow_ticks, 0u);
+  EXPECT_GT(r.overload.orange_ticks, 0u);
+  EXPECT_GT(r.overload.red_ticks, 0u);
+  EXPECT_GT(r.overload.transitions, 0u);
+  EXPECT_GT(r.overload.tier_capped_user_ticks, 0u);
+  EXPECT_GT(r.overload.peak_utilization, 1.0);
+  EXPECT_GT(r.tiles.stitched_tiles, 0u);
+  EXPECT_GT(r.tiles.stitched_bytes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, RefactorEquivalence,
