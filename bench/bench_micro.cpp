@@ -331,6 +331,57 @@ void BM_DesignMulticastStock(benchmark::State& state) {
 }
 BENCHMARK(BM_DesignMulticastStock);
 
+/// A crowd of 16 standing users on a grid, and the link table of the
+/// default testbed toward them with their bodies as the body list.
+struct CrowdTable {
+  core::Testbed testbed;
+  core::BeamDesigner designer{testbed};
+  std::vector<geo::Vec3> users;
+  std::vector<geo::BodyObstacle> bodies;
+
+  CrowdTable() {
+    for (int i = 0; i < 16; ++i) {
+      users.push_back({1.5 + 0.7 * (i % 8), 2.5 + 1.2 * (i / 8), 1.5});
+      bodies.push_back({users.back(), 0.25, 1.8});
+    }
+  }
+  mmwave::LinkTable table() const { return designer.link_table(users, bodies); }
+};
+
+void BM_LinkRowBuild(benchmark::State& state) {
+  // One tick-table row with 16 bodies: the trace, every path's response
+  // written into its lane, the body scan behind SegmentReach, and the
+  // response toward the receiver (a copy of the line-of-sight lane when
+  // the two directions agree bit for bit).
+  const CrowdTable crowd;
+  for (auto _ : state) {
+    mmwave::LinkTable table = crowd.table();
+    benchmark::DoNotOptimize(table.steering(5).element_gain);
+  }
+}
+BENCHMARK(BM_LinkRowBuild);
+
+void BM_SpillProbe(benchmark::State& state) {
+  // design_multicast's spill probe of a two-user custom beam at a third
+  // user, against max_spill_dbm: Arg 0 compares the exact rss(), Arg 1
+  // asks rss_above(), which decides it in linear power.
+  const CrowdTable crowd;
+  mmwave::LinkTable table = crowd.table();
+  const mmwave::Awv beams[] = {table.steered(2), table.steered(3)};
+  const double rss_mw[] = {1e-6, 2e-6};
+  const mmwave::Awv custom = mmwave::combine_awvs(beams, rss_mw);
+  std::vector<std::uint8_t> outside(crowd.bodies.size(), 1);
+  outside[2] = outside[3] = 0;
+  const double threshold = core::BeamDesignerConfig{}.max_spill_dbm;
+  const bool decided = state.range(0) == 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        decided ? table.rss_above(custom, 10, outside, threshold)
+                : table.rss(custom, 10, outside) > threshold);
+  }
+}
+BENCHMARK(BM_SpillProbe)->Arg(0)->Arg(1);
+
 void BM_CombineAwvs(benchmark::State& state) {
   const core::Testbed testbed;
   std::vector<mmwave::Awv> beams;

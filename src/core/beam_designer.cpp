@@ -31,47 +31,58 @@ void BeamDesigner::require_own_table(const mmwave::LinkTable& links,
                                 ": link table built for another array");
 }
 
-GroupBeam BeamDesigner::finish(
-    mmwave::Awv awv, bool custom, std::size_t members,
-    const std::function<double(const mmwave::Awv&, std::size_t)>& member_rss)
-    const {
-  GroupBeam out;
-  out.awv = std::move(awv);
-  out.custom = custom;
-  out.min_member_rss_dbm = std::numeric_limits<double>::infinity();
+template <typename MemberRss>
+void BeamDesigner::finish(GroupBeam& beam, std::size_t members,
+                          MemberRss&& member_rss) const {
+  beam.min_member_rss_dbm = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < members; ++i)
-    out.min_member_rss_dbm =
-        std::min(out.min_member_rss_dbm, member_rss(out.awv, i));
-  if (members == 0) out.min_member_rss_dbm = -200.0;
-  out.multicast_rate_mbps =
-      testbed_->mcs().goodput_mbps(out.min_member_rss_dbm);
-  return out;
+    beam.min_member_rss_dbm = std::min(beam.min_member_rss_dbm, member_rss(i));
+  if (members == 0) beam.min_member_rss_dbm = -200.0;
+  beam.multicast_rate_mbps =
+      testbed_->mcs().goodput_mbps(beam.min_member_rss_dbm);
+}
+
+GroupBeam BeamDesigner::stock_beam(
+    mmwave::LinkTable& links, std::size_t sector,
+    std::span<const std::size_t> members,
+    std::span<const std::uint8_t> body_mask) const {
+  GroupBeam beam;
+  beam.awv = testbed_->codebook().beam(sector);
+  beam.priced_as = sector;
+  finish(beam, members.size(), [&](std::size_t i) {
+    return links.sector_rss(sector, members[i], body_mask, rss_evals_);
+  });
+  return beam;
 }
 
 GroupBeam BeamDesigner::design_unicast(
     mmwave::LinkTable& links, std::size_t rx,
     std::span<const std::uint8_t> body_mask) const {
   require_own_table(links, "design_unicast");
-  const auto at_rx = [&](const mmwave::Awv& w, std::size_t) {
-    return links.rss(w, rx, body_mask, rss_evals_);
-  };
   if (unicast_designs_ != nullptr) unicast_designs_->add();
   if (config_.enable_custom_beams) {
     // Predicted-position steering: full aperture, no beam search.
     if (custom_selected_ != nullptr) custom_selected_->add();
-    return finish(links.steered(rx), true, 1, at_rx);
+    GroupBeam steered;
+    steered.awv = links.steered(rx);
+    steered.custom = true;
+    finish(steered, 1, [&](std::size_t) {
+      return links.steered_rss(rx, body_mask, rss_evals_);
+    });
+    return steered;
   }
-  const std::size_t sector = links.best_sector(rx);
   if (stock_selected_ != nullptr) stock_selected_->add();
-  return finish(testbed_->codebook().beam(sector), false, 1, at_rx);
+  const std::size_t members[] = {rx};
+  return stock_beam(links, links.best_sector(rx), members, body_mask);
 }
 
 mmwave::LinkTable BeamDesigner::link_table(
     std::span<const geo::Vec3> receivers,
-    std::span<const geo::BodyObstacle> bodies, obs::Counter* rows) const {
+    std::span<const geo::BodyObstacle> bodies,
+    mmwave::LinkCounters counters) const {
   return mmwave::LinkTable(testbed_->ap(), testbed_->channel(),
                            testbed_->budget(), testbed_->blockage(),
-                           receivers, bodies, &testbed_->codebook(), rows);
+                           receivers, bodies, &testbed_->codebook(), counters);
 }
 
 GroupBeam BeamDesigner::design_multicast(
@@ -82,14 +93,10 @@ GroupBeam BeamDesigner::design_multicast(
     throw std::invalid_argument("design_multicast: empty group");
   require_own_table(links, "design_multicast");
   if (multicast_designs_ != nullptr) multicast_designs_->add();
-  const auto member_rss = [&](const mmwave::Awv& w, std::size_t i) {
-    return links.rss(w, members[i], body_mask, rss_evals_);
-  };
 
   // Stock fallback: the best common sector of the default codebook.
-  const std::size_t common = links.best_common_sector(members);
-  GroupBeam stock = finish(testbed_->codebook().beam(common), false,
-                           members.size(), member_rss);
+  GroupBeam stock = stock_beam(links, links.best_common_sector(members),
+                               members, body_mask);
   if (members.size() == 1 || !config_.enable_custom_beams) {
     if (stock_selected_ != nullptr) stock_selected_->add();
     return stock;
@@ -108,17 +115,23 @@ GroupBeam BeamDesigner::design_multicast(
   std::vector<double> rss_mw;
   beams.reserve(members.size());
   rss_mw.reserve(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    mmwave::Awv individual = links.steered(members[i]);
-    const double own_rss = member_rss(individual, i);
-    beams.push_back(std::move(individual));
+  for (const std::size_t member : members) {
+    beams.push_back(links.steered(member));
+    const double own_rss = links.steered_rss(member, body_mask, rss_evals_);
     rss_mw.push_back(std::max(dbm_to_mw(own_rss), 1e-15));
   }
-  GroupBeam custom = finish(mmwave::combine_awvs(beams, rss_mw), true,
-                            members.size(), member_rss);
+  GroupBeam custom;
+  custom.awv = mmwave::combine_awvs(beams, rss_mw);
+  custom.custom = true;
+  custom.priced_as = links.name_beam();
+  finish(custom, members.size(), [&](std::size_t i) {
+    return links.named_rss(*custom.priced_as, custom.awv, members[i],
+                           body_mask, rss_evals_);
+  });
 
   // Probe before use (Section 5): the custom beam must actually improve the
-  // weakest member and must not blast a non-member.
+  // weakest member and must not blast a non-member. The spill probe only
+  // compares, so it is decided in linear power where it can be.
   if (custom.min_member_rss_dbm <
       stock.min_member_rss_dbm + config_.min_improvement_db) {
     if (probe_rejects_ != nullptr) probe_rejects_->add();
@@ -126,8 +139,8 @@ GroupBeam BeamDesigner::design_multicast(
     return stock;
   }
   for (std::size_t other : others) {
-    if (links.rss(custom.awv, other, body_mask, rss_evals_) >
-        config_.max_spill_dbm) {
+    if (links.rss_above(custom.awv, other, body_mask, config_.max_spill_dbm,
+                        rss_evals_)) {
       if (probe_rejects_ != nullptr) probe_rejects_->add();
       if (stock_selected_ != nullptr) stock_selected_->add();
       return stock;
@@ -155,12 +168,14 @@ GroupBeam BeamDesigner::design_reflection(
   // behind the array's element pattern and be useless.
   require_own_table(links, "design_reflection");
   if (reflection_designs_ != nullptr) reflection_designs_->add();
-  const auto at_rx = [&](const mmwave::Awv& w, std::size_t) {
-    return links.rss(w, rx, body_mask, rss_evals_);
-  };
   GroupBeam best{};
   for (mmwave::Awv& beam : links.reflection_beams(rx)) {
-    GroupBeam candidate = finish(std::move(beam), true, 1, at_rx);
+    GroupBeam candidate;
+    candidate.awv = std::move(beam);
+    candidate.custom = true;
+    finish(candidate, 1, [&](std::size_t) {
+      return links.rss(candidate.awv, rx, body_mask, rss_evals_);
+    });
     if (best.awv.empty() ||
         candidate.min_member_rss_dbm > best.min_member_rss_dbm)
       best = std::move(candidate);

@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -56,6 +56,14 @@ struct BeamDesignerConfig {
 struct GroupBeam {
   mmwave::Awv awv;            // the beam to transmit with
   bool custom = false;        // synthesized vs stock sector
+  /// The name the designing link table memoized this beam's member prices
+  /// under (LinkTable::named_rss), so that a later price of it in that
+  /// table can be reused: the sector index for a stock beam, a
+  /// LinkTable::name_beam() name for a synthesized multicast beam. Empty
+  /// for a steered unicast beam and a reflection beam.
+  std::optional<std::size_t> priced_as;
+  /// The weakest member's RSS under the design's body mask, priced by the
+  /// design's link table.
   double min_member_rss_dbm = -200.0;
   double multicast_rate_mbps = 0.0;  // lowest common MCS PHY rate * MAC eff
 };
@@ -89,12 +97,11 @@ class BeamDesigner {
 
   /// A link table from this designer's AP toward `receivers`, with
   /// `bodies` as the shadowing body list (both referenced, not copied) and
-  /// the AP's codebook bound for the sector picks. `rows`, when non-null,
-  /// counts the rows the table builds.
+  /// the AP's codebook bound for the sector picks, bumping `counters`.
   [[nodiscard]] mmwave::LinkTable link_table(
       std::span<const geo::Vec3> receivers,
       std::span<const geo::BodyObstacle> bodies,
-      obs::Counter* rows = nullptr) const;
+      mmwave::LinkCounters counters = {}) const;
 
   /// A reflection beam for blockage mitigation: steers at the strongest
   /// non-line-of-sight bounce toward `position` (empty AWV when the room
@@ -133,12 +140,17 @@ class BeamDesigner {
   /// this designer's AP.
   void require_own_table(const mmwave::LinkTable& links,
                          const char* who) const;
-  /// Completes a GroupBeam from the weakest of `members` links, each priced
-  /// by `member_rss(awv, i)`.
-  [[nodiscard]] GroupBeam finish(
-      mmwave::Awv awv, bool custom, std::size_t members,
-      const std::function<double(const mmwave::Awv&, std::size_t)>&
-          member_rss) const;
+  /// Completes `beam` (awv, custom and priced_as set) from the weakest of
+  /// `members` links, link i priced by `member_rss(i)`.
+  template <typename MemberRss>
+  void finish(GroupBeam& beam, std::size_t members,
+              MemberRss&& member_rss) const;
+  /// The stock beam of sector `sector`, priced over `members` through the
+  /// row memos of `links`.
+  [[nodiscard]] GroupBeam stock_beam(
+      mmwave::LinkTable& links, std::size_t sector,
+      std::span<const std::size_t> members,
+      std::span<const std::uint8_t> body_mask) const;
 };
 
 }  // namespace volcast::core

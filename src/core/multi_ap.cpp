@@ -43,8 +43,8 @@ std::vector<std::size_t> MultiApCoordinator::assign_users(
       if (a < available.size() && !available[a]) continue;
       mmwave::LinkTable& table = links(a);
       const std::vector<std::uint8_t> no_bodies(table.body_count(), 0);
-      const double rss = table.rss(
-          aps_[a]->codebook().beam(table.best_sector(u)), u, no_bodies);
+      const double rss =
+          table.sector_rss(table.best_sector(u), u, no_bodies);
       if (rss > best_rss) {
         best_rss = rss;
         best_ap = a;

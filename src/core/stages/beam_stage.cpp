@@ -98,6 +98,9 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
     others[u] = 0;
 
     mmwave::Awv serving;
+    // The serving beam's RSS when its design already priced it under
+    // `others` (design_unicast's weakest, and only, member).
+    std::optional<double> designed_rss;
     if (state.has_faults && state.injector.sector_stuck(u)) {
       // Stuck sector: the radio keeps riding the sweep result frozen at
       // the moment the fault hit, however stale it gets. That position is
@@ -133,9 +136,10 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         }
       }
       if (use_custom) {
-        serving = state.designers[assignment[u]]
-                      .design_unicast(links, u, others)
-                      .awv;
+        GroupBeam designed =
+            state.designers[assignment[u]].design_unicast(links, u, others);
+        serving = std::move(designed.awv);
+        designed_rss = designed.min_member_rss_dbm;
       } else {
         // Fallback chain, step 1: the stock sector beam needs no probe.
         serving = tb.codebook().beam(links.best_sector(u));
@@ -174,9 +178,8 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       }
       const double serving_rss =
           links.rss(st.serving_awv, u, others, state.rss_evals);
-      const double best_rss = links.rss(
-          tb.codebook().beam(links.best_sector(u)), u, others,
-          state.rss_evals);
+      const double best_rss =
+          links.sector_rss(links.best_sector(u), u, others, state.rss_evals);
       // Re-train when the sector went stale — or when the link fell
       // below the usable floor, which a reactive device cannot tell
       // apart from misalignment. Sweeping into a body blockage is
@@ -187,7 +190,9 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       serving = st.serving_awv;  // stale or not, it carries this tick
     }
 
-    double rss = links.rss(serving, u, others, state.rss_evals) + ctx.shadow[u];
+    double rss = (designed_rss ? *designed_rss
+                              : links.rss(serving, u, others, state.rss_evals)) +
+                 ctx.shadow[u];
     // Reflection override from an earlier mitigation action: use it when
     // it currently beats the (possibly blocked) line of sight.
     if (users[u].reflection_ticks > 0 && !users[u].reflection_awv.empty()) {

@@ -110,6 +110,10 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       return visible_bits(inter, state.store, frame, group_tier(idx),
                           state.shed.min_lod);
     };
+    // Scratch masks and lists of group_rate_fn, refilled on every call.
+    std::vector<std::uint8_t> outside;
+    std::vector<std::size_t> others;
+    std::vector<std::uint8_t> member_mask = present_mask;
     auto group_rate_fn = [&](std::span<const std::size_t> idx) {
       if (!config.enable_multicast) return 0.0;
       std::vector<std::size_t> group;
@@ -117,21 +121,24 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       for (std::size_t i : idx) group.push_back(members[i]);
       // The beam is shadowed by the present users outside the group and
       // every obstacle, and spill-probed against those users.
-      std::vector<std::uint8_t> outside = present_mask;
+      outside.assign(present_mask.begin(), present_mask.end());
       for (std::size_t u : group) outside[u] = 0;
-      std::vector<std::size_t> others;
+      others.clear();
       for (std::size_t u = 0; u < n; ++u)
         if (outside[u] != 0) others.push_back(u);
       GroupBeam beam =
           state.designers[a].design_multicast(links, group, outside, others);
       // Worst member RSS including that member's shadowing: every present
-      // user but the member itself, and every obstacle.
-      std::vector<std::uint8_t> mask = present_mask;
+      // user but the member itself, and every obstacle. The design's own
+      // price is reused where the member's row sees the same bodies under
+      // both masks.
       double min_rss = 1e9;
       for (std::size_t u : group) {
-        mask[u] = 0;
-        const double rss = links.rss(beam.awv, u, mask) + ctx.shadow[u];
-        mask[u] = present_mask[u];
+        member_mask[u] = 0;
+        const double rss =
+            links.named_rss(beam.priced_as.value(), beam.awv, u, member_mask) +
+            ctx.shadow[u];
+        member_mask[u] = present_mask[u];
         min_rss = std::min(min_rss, rss);
       }
       priced_beams.emplace(std::move(group), std::move(beam));

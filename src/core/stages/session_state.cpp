@@ -44,7 +44,7 @@ mmwave::LinkTable& tick_links(SessionState& state, TickContext& ctx,
   std::optional<mmwave::LinkTable>& slot = ctx.links.at(ap);
   if (!slot.has_value())
     slot.emplace(state.designers.at(ap).link_table(
-        ctx.room_pos, ctx.link_bodies, state.link_rows));
+        ctx.room_pos, ctx.link_bodies, state.link_counters));
   return *slot;
 }
 
@@ -98,7 +98,9 @@ SessionState::SessionState(SessionConfig c)
   tel = config.telemetry;
   if (tel != nullptr) {
     rss_evals = &tel->metrics().counter("mmwave.rss_evals");
-    link_rows = &tel->metrics().counter("mmwave.link_rows");
+    link_counters = {&tel->metrics().counter("mmwave.link_rows"),
+                     &tel->metrics().counter("mmwave.rss_reused"),
+                     &tel->metrics().counter("mmwave.rss_screened")};
     plan_evals = &tel->metrics().counter("grouping.plan_evals");
     plan_hits = &tel->metrics().counter("grouping.plan_hits");
     plan_skips = &tel->metrics().counter("grouping.plan_skips");

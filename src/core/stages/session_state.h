@@ -129,7 +129,9 @@ struct SessionState {
   // Telemetry (null = disabled; every hook is one pointer test).
   obs::Telemetry* tel = nullptr;
   obs::Counter* rss_evals = nullptr;
-  obs::Counter* link_rows = nullptr;  // rows of the tick link tables
+  // The tick link tables' rows built, prices reused and probes screened
+  // (mmwave.link_rows, mmwave.rss_reused, mmwave.rss_screened).
+  mmwave::LinkCounters link_counters;
   obs::Counter* plan_evals = nullptr;  // grouping.plan_evals
   obs::Counter* plan_hits = nullptr;   // grouping.plan_hits
   obs::Counter* plan_skips = nullptr;  // grouping.plan_skips

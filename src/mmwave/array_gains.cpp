@@ -22,15 +22,20 @@ static_assert(kLanes % 2 == 0);
 void LaneBlocks::push_back(std::span<const Complex> values) {
   if (values.size() != elements_)
     throw std::invalid_argument("LaneBlocks: lane length mismatch");
+  const PhasorSink lane = push_lane();
+  for (std::size_t i = 0; i < elements_; ++i) {
+    lane.re[i * lane.stride] = values[i].real();
+    lane.im[i * lane.stride] = values[i].imag();
+  }
+}
+
+PhasorSink LaneBlocks::push_lane() {
   if (lanes_ % kLanes == 0)
     data_.resize(data_.size() + elements_ * kBlockStride);
   double* block = data_.data() + lanes_ / kLanes * elements_ * kBlockStride;
   const std::size_t slot = lanes_ % kLanes;
-  for (std::size_t i = 0; i < elements_; ++i) {
-    block[i * kBlockStride + slot] = values[i].real();
-    block[i * kBlockStride + kLanes + slot] = values[i].imag();
-  }
   ++lanes_;
+  return {block + slot, block + kLanes + slot, kBlockStride};
 }
 
 std::vector<Complex> LaneBlocks::lane(std::size_t lane) const {

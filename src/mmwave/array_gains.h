@@ -34,6 +34,10 @@ class LaneBlocks {
   /// it has elements() entries.
   void push_back(std::span<const Complex> values);
 
+  /// Appends a zero lane and returns where its elements are written (see
+  /// PhasedArray::response). The sink stays valid until the next append.
+  [[nodiscard]] PhasorSink push_lane();
+
   [[nodiscard]] std::size_t elements() const noexcept { return elements_; }
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
   /// Lane `lane`'s vector, as pushed. Throws std::out_of_range for a lane

@@ -30,6 +30,42 @@ double BlockageModel::segment_loss_db(
   return total;
 }
 
+namespace {
+
+bool within(double v, double limit) noexcept { return std::abs(v) <= limit; }
+
+}  // namespace
+
+SegmentReach::SegmentReach(const geo::Vec3& a, const geo::Vec3& b,
+                           double clearance_m) noexcept
+    : active_(within(a.x, kCoordLimitM) && within(a.y, kCoordLimitM) &&
+              within(b.x, kCoordLimitM) && within(b.y, kCoordLimitM) &&
+              clearance_m >= 0.0 && clearance_m <= kCoordLimitM),
+      ax_(a.x),
+      ay_(a.y),
+      abx_(b.x - a.x),
+      aby_(b.y - a.y) {
+  const double reach = clearance_m + kSlackM;
+  lo_x_ = std::min(a.x, b.x) - reach;
+  hi_x_ = std::max(a.x, b.x) + reach;
+  lo_y_ = std::min(a.y, b.y) - reach;
+  hi_y_ = std::max(a.y, b.y) + reach;
+  reach_len_sq_ = reach * reach * (abx_ * abx_ + aby_ * aby_);
+}
+
+bool SegmentReach::out_of_reach(const geo::Vec3& center) const noexcept {
+  if (!active_ || !within(center.x, kCoordLimitM) ||
+      !within(center.y, kCoordLimitM))
+    return false;
+  if (center.x < lo_x_ || center.x > hi_x_ || center.y < lo_y_ ||
+      center.y > hi_y_)
+    return true;
+  // The distance to the line bounds the distance to the segment from
+  // below. A zero-length segment has reach_len_sq_ == 0 and never passes.
+  const double cross = abx_ * (center.y - ay_) - aby_ * (center.x - ax_);
+  return cross * cross > reach_len_sq_;
+}
+
 Channel::Channel(const Room& room, double carrier_hz)
     : room_(room), carrier_hz_(carrier_hz) {}
 

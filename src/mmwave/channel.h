@@ -74,6 +74,36 @@ struct BlockageModel {
       std::span<const geo::BodyObstacle> bodies) const noexcept;
 };
 
+/// A conservative screen in front of BlockageModel::segment_loss_db for one
+/// segment a->b: out_of_reach(center) is true only when a body whose axis
+/// stands at `center` lies provably farther than `clearance_m` from the
+/// segment in XY, where segment_loss_db returns exactly 0. It tests the
+/// segment's XY bounding box grown by the reach, then the distance to the
+/// segment's XY line, the reach being clearance_m + kSlackM.
+///
+/// The slack covers rounding. Every difference and product here and in
+/// geo::segment_body_clearance is correctly rounded, so within the guard
+/// (|x|, |y| <= kCoordLimitM for a, b and center, 0 <= clearance_m <=
+/// kCoordLimitM) each computed distance is off by at most about 1e-11 m,
+/// a hundredth of the slack. Outside the guard, and for a NaN anywhere,
+/// nothing is out of reach and every body is priced exactly.
+class SegmentReach {
+ public:
+  static constexpr double kSlackM = 1e-9;
+  static constexpr double kCoordLimitM = 1e4;
+
+  SegmentReach(const geo::Vec3& a, const geo::Vec3& b,
+               double clearance_m) noexcept;
+
+  [[nodiscard]] bool out_of_reach(const geo::Vec3& center) const noexcept;
+
+ private:
+  bool active_;
+  double ax_, ay_, abx_, aby_;
+  double lo_x_, hi_x_, lo_y_, hi_y_;
+  double reach_len_sq_;  // (reach * |ab|)^2 in XY
+};
+
 /// Deterministic multipath channel in a room.
 class Channel {
  public:

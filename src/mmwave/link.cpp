@@ -1,6 +1,7 @@
 #include "mmwave/link.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -25,9 +26,18 @@ namespace {
   return dbm_to_mw(rx_dbm);
 }
 
+/// The RSS of an empty (or underflowed) power sum.
+constexpr double kFloorDbm = -200.0;
+
 double total_to_dbm(double total_mw) noexcept {
-  if (total_mw <= 0.0) return -200.0;
+  if (total_mw <= 0.0) return kFloorDbm;
   return mw_to_dbm(total_mw);
+}
+
+bool same_bits(const geo::Vec3& a, const geo::Vec3& b) noexcept {
+  return std::bit_cast<std::uint64_t>(a.x) == std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y) &&
+         std::bit_cast<std::uint64_t>(a.z) == std::bit_cast<std::uint64_t>(b.z);
 }
 
 }  // namespace
@@ -52,7 +62,7 @@ LinkTable::LinkTable(const PhasedArray& tx, const Channel& channel,
                      const LinkBudget& budget, const BlockageModel& blockage,
                      std::span<const geo::Vec3> receivers,
                      std::span<const geo::BodyObstacle> bodies,
-                     const Codebook* codebook, obs::Counter* rows)
+                     const Codebook* codebook, LinkCounters counters)
     : tx_(&tx),
       channel_(&channel),
       budget_(budget),
@@ -60,13 +70,21 @@ LinkTable::LinkTable(const PhasedArray& tx, const Channel& channel,
       receivers_(receivers),
       bodies_(bodies),
       codebook_(codebook),
-      rows_counter_(rows),
+      counters_(counters),
       rows_(receivers.size()) {}
 
 const Steering& LinkTable::steering(std::size_t rx) {
   Row& r = row(rx);
-  if (!r.toward)
-    r.toward = tx_->steering(receivers_[rx] - tx_->pose().position);
+  if (!r.toward) {
+    const geo::Vec3 local =
+        tx_->local_direction(receivers_[rx] - tx_->pose().position);
+    // A response is a function of its array-frame direction alone.
+    if (!r.paths.empty() && r.paths.front().line_of_sight &&
+        same_bits(local, r.los_local))
+      r.toward = Steering{r.responses.lane(0), r.element_gains.front()};
+    else
+      r.toward = tx_->response(local);
+  }
   return *r.toward;
 }
 
@@ -115,14 +133,18 @@ LinkTable::Row& LinkTable::row(std::size_t rx) {
   std::optional<Row>& slot = rows_.at(rx);
   if (slot.has_value()) return *slot;
   ++rows_built_;
-  if (rows_counter_ != nullptr) rows_counter_->add();
+  if (counters_.rows != nullptr) counters_.rows->add();
   const geo::Vec3& origin = tx_->pose().position;
   Row& r = slot.emplace();
   r.responses = LaneBlocks(tx_->element_count());
-  for (const TracedPath& traced : channel_->trace(origin, receivers_[rx])) {
-    const Steering response = tx_->steering(traced.path.tx_direction);
-    r.responses.push_back(response.phasors);
-    r.element_gains.push_back(response.element_gain);
+  const std::vector<TracedPath> traced_paths =
+      channel_->trace(origin, receivers_[rx]);
+  r.paths.reserve(traced_paths.size());
+  r.element_gains.reserve(traced_paths.size());
+  for (const TracedPath& traced : traced_paths) {
+    const geo::Vec3 local = tx_->local_direction(traced.path.tx_direction);
+    if (r.paths.empty()) r.los_local = local;  // trace puts the LoS first
+    r.element_gains.push_back(tx_->response(local, r.responses.push_lane()));
     PathTerm term;
     term.line_of_sight = traced.path.line_of_sight;
     term.fspl_db = channel_->fspl_db(traced.path.length_m);
@@ -130,15 +152,24 @@ LinkTable::Row& LinkTable::row(std::size_t rx) {
     term.segments = traced.segment_count();
     for (std::size_t s = 0; s < term.segments; ++s) {
       term.loss_begin[s] = r.losses.size();
+      const geo::Vec3& a = traced.vertices[s];
+      const geo::Vec3& b = traced.vertices[s + 1];
+      const SegmentReach reach(a, b, blockage_.clearance_m);
       for (std::size_t k = 0; k < bodies_.size(); ++k) {
-        const double loss = blockage_.segment_loss_db(
-            traced.vertices[s], traced.vertices[s + 1], bodies_[k]);
-        if (loss != 0.0) r.losses.push_back({k, loss});
+        if (reach.out_of_reach(bodies_[k].position)) continue;
+        const double loss = blockage_.segment_loss_db(a, b, bodies_[k]);
+        if (loss != 0.0) {
+          r.losses.push_back({k, loss});
+          r.loss_bodies.push_back(k);
+        }
       }
     }
     term.loss_begin[term.segments] = r.losses.size();
     r.paths.push_back(std::move(term));
   }
+  std::sort(r.loss_bodies.begin(), r.loss_bodies.end());
+  r.loss_bodies.erase(std::unique(r.loss_bodies.begin(), r.loss_bodies.end()),
+                      r.loss_bodies.end());
   return r;
 }
 
@@ -147,26 +178,53 @@ void LinkTable::check_mask(std::span<const std::uint8_t> body_mask) const {
     throw std::invalid_argument("LinkTable: body mask size mismatch");
 }
 
+std::optional<std::uint64_t> LinkTable::visible_key(
+    const Row& r, std::span<const std::uint8_t> body_mask) noexcept {
+  if (r.loss_bodies.size() > 64) return std::nullopt;
+  std::uint64_t key = 0;
+  for (std::size_t j = 0; j < r.loss_bodies.size(); ++j)
+    if (body_mask[r.loss_bodies[j]] != 0) key |= std::uint64_t{1} << j;
+  return key;
+}
+
+double LinkTable::extra_loss_db(
+    const Row& r, const PathTerm& term,
+    std::span<const std::uint8_t> body_mask) noexcept {
+  // Channel::paths order: reflection losses, then each segment's body
+  // losses summed from zero in body-list order.
+  double extra_loss_db = term.reflection_loss_db;
+  for (std::size_t s = 0; s < term.segments; ++s) {
+    double segment_db = 0.0;
+    for (std::size_t i = term.loss_begin[s]; i < term.loss_begin[s + 1]; ++i)
+      if (body_mask[r.losses[i].body] != 0) segment_db += r.losses[i].loss_db;
+    extra_loss_db += segment_db;
+  }
+  return extra_loss_db;
+}
+
 double LinkTable::masked_rss(const Row& r,
                              std::span<const std::uint8_t> body_mask,
                              std::span<const double> path_gains) const {
   double total_mw = 0.0;
   for (std::size_t p = 0; p < r.paths.size(); ++p) {
     const PathTerm& term = r.paths[p];
-    // Channel::paths order: reflection losses, then each segment's body
-    // losses summed from zero in body-list order.
-    double extra_loss_db = term.reflection_loss_db;
-    for (std::size_t s = 0; s < term.segments; ++s) {
-      double segment_db = 0.0;
-      for (std::size_t i = term.loss_begin[s]; i < term.loss_begin[s + 1];
-           ++i)
-        if (body_mask[r.losses[i].body] != 0) segment_db += r.losses[i].loss_db;
-      extra_loss_db += segment_db;
-    }
-    total_mw +=
-        path_power_mw(budget_, path_gains[p], term.fspl_db, extra_loss_db);
+    total_mw += path_power_mw(budget_, path_gains[p], term.fspl_db,
+                              extra_loss_db(r, term, body_mask));
   }
   return total_to_dbm(total_mw);
+}
+
+double LinkTable::evaluate(const Row& r,
+                           std::span<const std::uint8_t> body_mask,
+                           obs::Counter* evals) {
+  ++evaluations_;
+  if (evals != nullptr) evals->add();
+  return masked_rss(r, body_mask, path_gains_);
+}
+
+void LinkTable::fill_gains(const Row& r, const Awv& w) {
+  path_gains_.resize(r.paths.size());
+  array_gains(w, r.responses, r.element_gains, path_gains_);
 }
 
 double LinkTable::rss(const Awv& w, std::size_t rx,
@@ -174,12 +232,106 @@ double LinkTable::rss(const Awv& w, std::size_t rx,
                       obs::Counter* evals) {
   check_mask(body_mask);
   const Row& r = row(rx);
-  path_gains_.resize(r.paths.size());
-  array_gains(w, r.responses, r.element_gains, path_gains_);
-  const double total_dbm = masked_rss(r, body_mask, path_gains_);
-  ++evaluations_;
-  if (evals != nullptr) evals->add();
-  return total_dbm;
+  fill_gains(r, w);
+  return evaluate(r, body_mask, evals);
+}
+
+std::size_t LinkTable::name_beam() noexcept {
+  return kSteeredBeam - 1 - named_beams_++;
+}
+
+double LinkTable::named_rss(std::size_t name, const Awv& w, std::size_t rx,
+                            std::span<const std::uint8_t> body_mask,
+                            obs::Counter* evals) {
+  check_mask(body_mask);
+  Row& r = row(rx);
+  const std::optional<std::uint64_t> visible = visible_key(r, body_mask);
+  if (!visible) return rss(w, rx, body_mask, evals);
+  for (const Price& price : r.prices)
+    if (price.beam == name && price.visible == *visible) {
+      if (counters_.reused != nullptr) counters_.reused->add();
+      return price.rss_dbm;
+    }
+  const double rss_dbm = rss(w, rx, body_mask, evals);
+  r.prices.push_back({name, *visible, rss_dbm});
+  return rss_dbm;
+}
+
+double LinkTable::sector_rss(std::size_t sector, std::size_t rx,
+                             std::span<const std::uint8_t> body_mask,
+                             obs::Counter* evals) {
+  return named_rss(sector, codebook().beam(sector), rx, body_mask, evals);
+}
+
+double LinkTable::steered_rss(std::size_t rx,
+                              std::span<const std::uint8_t> body_mask,
+                              obs::Counter* evals) {
+  return named_rss(kSteeredBeam, steered(rx), rx, body_mask, evals);
+}
+
+const LinkTable::PathBudgets& LinkTable::path_budgets(
+    Row& r, std::uint64_t visible, std::span<const std::uint8_t> body_mask) {
+  for (const PathBudgets& set : r.budget_sets)
+    if (set.visible == visible) return set;
+  const auto n = static_cast<double>(r.responses.elements());
+  PathBudgets set{visible, r.budgets_mw.size(), 0.0, 0.0};
+  for (std::size_t p = 0; p < r.paths.size(); ++p) {
+    const PathTerm& term = r.paths[p];
+    const double k = path_power_mw(budget_, 1.0, term.fspl_db,
+                                   extra_loss_db(r, term, body_mask));
+    r.budgets_mw.push_back(k);
+    set.full_gain_mw += n * r.element_gains[p] * k;
+    set.unit_mw += k;
+  }
+  r.budget_sets.push_back(set);
+  return r.budget_sets.back();
+}
+
+std::optional<bool> LinkTable::screen(Row& r, const Awv& w,
+                                      std::span<const std::uint8_t> body_mask,
+                                      double threshold_dbm) {
+  constexpr double kPad = 1e-9;
+  constexpr double kBoundPad = 1.0 + 1e-6;
+  const std::optional<std::uint64_t> visible = visible_key(r, body_mask);
+  // At or above the floor, total_to_dbm's -200 dBm for an empty sum stays
+  // below the threshold, as a zero sum in mW does.
+  if (!visible || !(threshold_dbm >= kFloorDbm)) return std::nullopt;
+  if (threshold_dbm != threshold_dbm_) {
+    threshold_dbm_ = threshold_dbm;
+    threshold_mw_ = dbm_to_mw(threshold_dbm);
+  }
+  if (!std::isfinite(threshold_mw_)) return std::nullopt;
+  const double below_mw = threshold_mw_ * (1.0 - kPad);
+  const double above_mw = threshold_mw_ * (1.0 + kPad);
+  const PathBudgets& set = path_budgets(r, *visible, body_mask);
+  double power = 0.0;
+  for (const Complex& c : w) power += std::norm(c);
+  if ((power * kBoundPad * set.full_gain_mw + 1e-12 * set.unit_mw) *
+          kBoundPad <
+      below_mw)
+    return false;
+  fill_gains(r, w);
+  const double* budgets_mw = r.budgets_mw.data() + set.first;
+  double total_mw = 0.0;
+  for (std::size_t p = 0; p < r.paths.size(); ++p)
+    total_mw += std::max(path_gains_[p], 1e-12) * budgets_mw[p];
+  if (total_mw > above_mw) return true;
+  if (total_mw < below_mw) return false;
+  return std::nullopt;
+}
+
+bool LinkTable::rss_above(const Awv& w, std::size_t rx,
+                          std::span<const std::uint8_t> body_mask,
+                          double threshold_dbm, obs::Counter* evals) {
+  check_mask(body_mask);
+  Row& r = row(rx);
+  if (const std::optional<bool> decided =
+          screen(r, w, body_mask, threshold_dbm)) {
+    if (counters_.screened != nullptr) counters_.screened->add();
+    return *decided;
+  }
+  fill_gains(r, w);
+  return evaluate(r, body_mask, evals) > threshold_dbm;
 }
 
 double LinkTable::rss_upper_bound(std::size_t rx,

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -46,21 +47,38 @@ struct LinkBudget {
                              const BlockageModel& blockage = {},
                              obs::Counter* evals = nullptr);
 
+/// Telemetry counters a LinkTable bumps (each may be null; telemetry only,
+/// never read back into a result).
+struct LinkCounters {
+  obs::Counter* rows = nullptr;      // rows built
+  obs::Counter* reused = nullptr;    // prices answered from a row's memo
+  obs::Counter* screened = nullptr;  // rss_above() decided without rss()
+};
+
 /// One transmitter's links toward a fixed set of receivers, for pricing
 /// many AWVs and many body subsets against the same geometry (one tick of
 /// a session: see DESIGN.md, "Tick link state").
 ///
 /// Row r is built on the first use of receiver r. It holds Channel::trace's
 /// paths toward receivers[r] with their FSPL and reflection losses, each
-/// path's array response (PhasedArray::steering) as one lane of a
+/// path's array response (PhasedArray::response) written as one lane of a
 /// LaneBlocks, and for each path segment the non-zero loss of every body
-/// in `bodies`, in list order. rss() prices every path's array gain in one
-/// array_gains pass and then only sums: it adds the same terms in the same
-/// order as rss_dbm() over the masked bodies, through the same per-path
-/// term function, so the two agree bit for bit (a body whose loss is
-/// exactly zero adds nothing to a segment's sum). The response toward the
-/// receiver itself, behind steering() and steered(), is computed on the
-/// first call to either.
+/// in `bodies`, in list order; SegmentReach skips the bodies whose loss is
+/// provably zero. rss() prices every path's array gain in one array_gains
+/// pass and then only sums: it adds the same terms in the same order as
+/// rss_dbm() over the masked bodies, through the same per-path term
+/// function, so the two agree bit for bit (a body whose loss is exactly
+/// zero adds nothing to a segment's sum). The response toward the receiver
+/// itself, behind steering() and steered(), is computed on the first call
+/// to either, or copied from the line-of-sight lane when its array-frame
+/// direction is that lane's bit for bit.
+///
+/// rss() depends on the body mask only through the bodies in the row's
+/// loss list, its "visible" bodies. sector_rss(), steered_rss() and
+/// named_rss() name their beam by identity, never by its weights, so a row
+/// remembers their prices per (beam name, visible-body set) and answers a
+/// repeat from that memo: the same double rss() would return, since it is
+/// the double rss() returned.
 ///
 /// With a bound `codebook` (the transmitter's stock sectors), a row also
 /// caches, on first use, every sector's gain toward its receiver; the
@@ -68,16 +86,14 @@ struct LinkBudget {
 /// rules, so they equal Codebook::best_beam_toward / best_common_beam.
 ///
 /// `receivers`, `bodies` and `codebook` are referenced, not copied; they
-/// must outlive the table. `rows`, when non-null, counts rows built
-/// (telemetry only).
+/// must outlive the table.
 class LinkTable {
  public:
   LinkTable(const PhasedArray& tx, const Channel& channel,
             const LinkBudget& budget, const BlockageModel& blockage,
             std::span<const geo::Vec3> receivers,
             std::span<const geo::BodyObstacle> bodies,
-            const Codebook* codebook = nullptr,
-            obs::Counter* rows = nullptr);
+            const Codebook* codebook = nullptr, LinkCounters counters = {});
 
   [[nodiscard]] const PhasedArray& tx() const noexcept { return *tx_; }
   [[nodiscard]] std::span<const geo::Vec3> receivers() const noexcept {
@@ -89,7 +105,9 @@ class LinkTable {
   [[nodiscard]] std::size_t body_count() const noexcept {
     return bodies_.size();
   }
-  /// Rows built so far, and rss() calls so far (the table's work).
+  /// Rows built so far, and exact link-budget sums so far (every rss(),
+  /// a memo miss included, and every rss_above() fallback): the table's
+  /// work. A reused price or a screened threshold test is not counted.
   [[nodiscard]] std::size_t rows_built() const noexcept { return rows_built_; }
   [[nodiscard]] std::size_t evaluations() const noexcept {
     return evaluations_;
@@ -127,6 +145,51 @@ class LinkTable {
                            std::span<const std::uint8_t> body_mask,
                            obs::Counter* evals = nullptr);
 
+  /// rss(codebook sector `sector`, rx, body_mask, evals), reused from the
+  /// row's memo when this sector was priced before under the same visible
+  /// bodies (`evals` counts exact sums only). Throws std::logic_error
+  /// without a codebook, and like rss() and Codebook::beam otherwise.
+  [[nodiscard]] double sector_rss(std::size_t sector, std::size_t rx,
+                                  std::span<const std::uint8_t> body_mask,
+                                  obs::Counter* evals = nullptr);
+
+  /// rss(steered(rx), rx, body_mask, evals), reused like sector_rss().
+  [[nodiscard]] double steered_rss(std::size_t rx,
+                                   std::span<const std::uint8_t> body_mask,
+                                   obs::Counter* evals = nullptr);
+
+  /// A fresh name for a beam the caller synthesized, for named_rss().
+  [[nodiscard]] std::size_t name_beam() noexcept;
+
+  /// rss(w, rx, body_mask, evals), reused like sector_rss() per (`name`,
+  /// visible-body set). `name` is either a sector index, `w` being that
+  /// sector's beam (then this is sector_rss()), or came from this table's
+  /// name_beam(), every call with it passing the same `w`.
+  [[nodiscard]] double named_rss(std::size_t name, const Awv& w,
+                                 std::size_t rx,
+                                 std::span<const std::uint8_t> body_mask,
+                                 obs::Counter* evals = nullptr);
+
+  /// rss(w, rx, body_mask, evals) > threshold_dbm, for callers that only
+  /// compare. In linear power the test is S > T, S being the sum over
+  /// paths of max(g_p, 1e-12) * K_p, K_p path p's link budget in mW at unit
+  /// gain (cached per row and visible-body set) and g_p its array gain.
+  /// Two screens decide it, each with the threshold padded by a relative
+  /// 1e-9 on both sides:
+  ///  - first, without the gains, below when the bound sum over paths of
+  ///    (|w|^2 N g_elem,p + 1e-12) K_p, padded by 1e-6 (rss_upper_bound's
+  ///    Cauchy-Schwarz bound, scaled by the beam's power |w|^2), is below;
+  ///  - then S itself from one array_gains pass, as rss() runs it.
+  /// Only a sum inside the pad, or a threshold below the -200 dBm floor or
+  /// NaN, falls back to rss(). The pad is far above the rounding that
+  /// separates the linear sum from rss()'s dB terms (about 1e-13 for dB
+  /// terms below 1e3 in magnitude), so outside it both sides of the
+  /// comparison agree. `evals` counts the fallbacks. Throws like rss().
+  [[nodiscard]] bool rss_above(const Awv& w, std::size_t rx,
+                               std::span<const std::uint8_t> body_mask,
+                               double threshold_dbm,
+                               obs::Counter* evals = nullptr);
+
   /// An upper bound on rss(w, rx, body_mask) over every power-normalized
   /// AWV w (sum |w_i|^2 == 1), without a beam. Each path's array gain
   /// |sum_i w_i p_i|^2 g_elem is at most N g_elem, N = element count
@@ -152,15 +215,42 @@ class LinkTable {
     // Segment s owns Row::losses[loss_begin[s], loss_begin[s + 1]).
     std::array<std::size_t, 4> loss_begin{};
   };
+  /// One memoized price: the beam named `beam` (a sector index,
+  /// kSteeredBeam, or a name_beam() name) under the visible-body set
+  /// `visible`.
+  struct Price {
+    std::size_t beam;
+    std::uint64_t visible;
+    double rss_dbm;
+  };
+  /// One visible-body set's per-path K_p, at Row::budgets_mw[first ..],
+  /// with the sums rss_above()'s beam-free screen needs: sum of
+  /// N g_elem,p K_p and sum of K_p.
+  struct PathBudgets {
+    std::uint64_t visible;
+    std::size_t first;
+    double full_gain_mw;
+    double unit_mw;
+  };
   struct Row {
     std::optional<Steering> toward;  // both built on first use
     std::optional<Awv> steered;
     std::vector<PathTerm> paths;
     LaneBlocks responses;               // path p's array response is lane p
     std::vector<double> element_gains;  // and its element gain entry p
+    geo::Vec3 los_local{};  // the line-of-sight path's array-frame direction
     std::vector<BodyLoss> losses;
+    // The distinct bodies of `losses`, ascending: bit j of a visible-body
+    // key is body_mask[loss_bodies[j]] != 0.
+    std::vector<std::size_t> loss_bodies;
+    std::vector<Price> prices;
+    std::vector<PathBudgets> budget_sets;
+    std::vector<double> budgets_mw;
     std::vector<double> sector_gains;  // empty until first asked for
   };
+  // Beam names: sectors count up from 0, the row's steered beam is the
+  // largest name, and name_beam() counts down below it.
+  static constexpr std::size_t kSteeredBeam = static_cast<std::size_t>(-1);
 
   const PhasedArray* tx_;
   const Channel* channel_;
@@ -169,22 +259,49 @@ class LinkTable {
   std::span<const geo::Vec3> receivers_;
   std::span<const geo::BodyObstacle> bodies_;
   const Codebook* codebook_;
-  obs::Counter* rows_counter_;
+  LinkCounters counters_;
   std::vector<std::optional<Row>> rows_;
   std::size_t rows_built_ = 0;
   std::size_t evaluations_ = 0;
+  std::size_t named_beams_ = 0;
   std::vector<double> path_gains_;  // scratch: one row's per-path gains
+  // rss_above()'s last threshold and its value in mW.
+  double threshold_dbm_ = std::numeric_limits<double>::quiet_NaN();
+  double threshold_mw_ = 0.0;
 
   Row& row(std::size_t rx);
   /// The bound codebook; throws std::logic_error when there is none.
   [[nodiscard]] const Codebook& codebook() const;
   /// Throws std::invalid_argument unless body_mask has body_count() entries.
   void check_mask(std::span<const std::uint8_t> body_mask) const;
+  /// The visible-body key of `body_mask` for row r; empty when the row has
+  /// more distinct loss bodies than a key has bits (no memo then).
+  [[nodiscard]] static std::optional<std::uint64_t> visible_key(
+      const Row& r, std::span<const std::uint8_t> body_mask) noexcept;
+  /// Path term `term`'s reflection and masked body losses, in
+  /// Channel::paths order.
+  [[nodiscard]] static double extra_loss_db(
+      const Row& r, const PathTerm& term,
+      std::span<const std::uint8_t> body_mask) noexcept;
   /// The link budget over row r's paths and the masked bodies, path p's
   /// transmit gain being path_gains[p]: rss()'s one summation.
   [[nodiscard]] double masked_rss(const Row& r,
                                   std::span<const std::uint8_t> body_mask,
                                   std::span<const double> path_gains) const;
+  /// Fills path_gains_ with every path gain of row r under `w`.
+  void fill_gains(const Row& r, const Awv& w);
+  /// rss() of the gains in path_gains_ (filled for row r): the one exact
+  /// evaluation, counted.
+  double evaluate(const Row& r, std::span<const std::uint8_t> body_mask,
+                  obs::Counter* evals);
+  /// rss_above()'s two screens: the decision, or empty when neither
+  /// decides and rss() must.
+  [[nodiscard]] std::optional<bool> screen(
+      Row& r, const Awv& w, std::span<const std::uint8_t> body_mask,
+      double threshold_dbm);
+  /// Row r's K_p for visible-body set `visible`, built on first use.
+  [[nodiscard]] const PathBudgets& path_budgets(
+      Row& r, std::uint64_t visible, std::span<const std::uint8_t> body_mask);
 };
 
 /// Convenience: RSS with the best codebook beam for this receiver (the

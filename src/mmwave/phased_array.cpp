@@ -37,12 +37,13 @@ PhasedArray::PhasedArray(const ArrayGeometry& geometry, const geo::Pose& pose,
            z0 + d * static_cast<double>(iz)});
 }
 
-geo::Vec3 PhasedArray::to_local(const geo::Vec3& dir_world) const noexcept {
+geo::Vec3 PhasedArray::local_direction(
+    const geo::Vec3& dir_world) const noexcept {
   const geo::Vec3 u = dir_world.normalized();
   return {u.dot(pose_.forward()), u.dot(pose_.left()), u.dot(pose_.up())};
 }
 
-// PhasedArray::steering is the only place a response is computed, and
+// PhasedArray::response is the only place a response is computed, and
 // Steering::gain the scalar array factor behind rss_dbm and
 // PhasedArray::gain; LinkTable and Codebook use its batched twin,
 // array_gains (array_gains.cpp). They stay out of line so that each is
@@ -55,18 +56,29 @@ geo::Vec3 PhasedArray::to_local(const geo::Vec3& dir_world) const noexcept {
   return std::norm(af) * element_gain;
 }
 
-[[gnu::noinline]] Steering PhasedArray::steering(
-    const geo::Vec3& dir_world) const {
-  const geo::Vec3 local = to_local(dir_world);
+[[gnu::noinline]] double PhasedArray::response(
+    const geo::Vec3& local, PhasorSink out) const noexcept {
   const double k = 2.0 * std::numbers::pi / wavelength_m_;
-  Steering s;
-  s.phasors.reserve(elements_local_.size());
-  for (const geo::Vec3& e : elements_local_) {
-    const double phase = k * e.dot(local);
-    s.phasors.emplace_back(std::cos(phase), std::sin(phase));
+  for (std::size_t i = 0; i < elements_local_.size(); ++i) {
+    const double phase = k * elements_local_[i].dot(local);
+    out.re[i * out.stride] = std::cos(phase);
+    out.im[i * out.stride] = std::sin(phase);
   }
-  s.element_gain = element_gain(local.x);
+  return element_gain(local.x);
+}
+
+Steering PhasedArray::response(const geo::Vec3& local) const {
+  Steering s;
+  s.phasors.resize(elements_local_.size());
+  // The standard lets an array of std::complex<double> be read and written
+  // as an array of doubles, each real part followed by its imaginary part.
+  double* parts = reinterpret_cast<double*>(s.phasors.data());
+  s.element_gain = response(local, {parts, parts + 1, 2});
   return s;
+}
+
+Steering PhasedArray::steering(const geo::Vec3& dir_world) const {
+  return response(local_direction(dir_world));
 }
 
 Awv PhasedArray::steer(const Steering& response) {

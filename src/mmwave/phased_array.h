@@ -39,6 +39,15 @@ struct Steering {
   [[nodiscard]] double gain(const Awv& w) const noexcept;
 };
 
+/// Where PhasedArray::response writes a response's phasors: element i's
+/// real part to re[i * stride] and its imaginary part to im[i * stride]
+/// (a Steering's phasors, or one lane of a LaneBlocks).
+struct PhasorSink {
+  double* re;
+  double* im;
+  std::size_t stride;
+};
+
 /// Element layout of the array.
 struct ArrayGeometry {
   unsigned ny = 8;  ///< elements along local y (the 8 patch columns)
@@ -76,8 +85,24 @@ class PhasedArray {
   [[nodiscard]] Awv steer_at(const geo::Vec3& target_world) const;
 
   /// The array's response toward world direction `dir` (need not be
-  /// normalized). gain() and steer() are both built on it.
+  /// normalized). gain() and steer() are both built on it. Equals
+  /// response(local_direction(dir)).
   [[nodiscard]] Steering steering(const geo::Vec3& dir_world) const;
+
+  /// World direction `dir` (need not be normalized) as a unit vector in the
+  /// array frame: x along boresight, y and z along the element plane. A
+  /// response is a function of this vector alone, so two directions whose
+  /// local vectors are equal bit for bit have the same response.
+  [[nodiscard]] geo::Vec3 local_direction(
+      const geo::Vec3& dir_world) const noexcept;
+
+  /// The response toward array-frame direction `local`.
+  [[nodiscard]] Steering response(const geo::Vec3& local) const;
+
+  /// Writes the response toward `local` into `out` (element_count()
+  /// phasors) and returns its element gain: the one place a response is
+  /// computed.
+  double response(const geo::Vec3& local, PhasorSink out) const noexcept;
 
   /// Linear transmit power gain of AWV `w` toward world direction `dir`:
   /// |array factor|^2 scaled by the single-element pattern. For a
@@ -97,9 +122,6 @@ class PhasedArray {
   geo::Pose pose_;
   double wavelength_m_;
   std::vector<geo::Vec3> elements_local_;  // metres, local frame
-
-  /// World direction -> (local direction, cos(theta) from boresight).
-  [[nodiscard]] geo::Vec3 to_local(const geo::Vec3& dir_world) const noexcept;
 };
 
 }  // namespace volcast::mmwave

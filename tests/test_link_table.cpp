@@ -684,7 +684,7 @@ TEST(LinkTable, CountsRowsBuilt) {
   const std::vector<geo::Vec3> receivers = {{3, 3, 1.5}, {5, 3, 1.5}};
   obs::MetricRegistry metrics;
   obs::Counter& rows = metrics.counter("mmwave.link_rows");
-  mmwave::LinkTable table = designer.link_table(receivers, {}, &rows);
+  mmwave::LinkTable table = designer.link_table(receivers, {}, {&rows});
   EXPECT_EQ(table.rows_built(), 0u);
   (void)table.steered(1);
   (void)table.best_sector(1);

@@ -92,7 +92,7 @@ class RowProbe final : public Stage {
     Tick tick;
     for (const std::optional<mmwave::LinkTable>& table : ctx.links)
       if (table.has_value()) tick.table_rows += table->rows_built();
-    const std::uint64_t counted = state.link_rows->value();
+    const std::uint64_t counted = state.link_counters.rows->value();
     tick.counted_rows = counted - counted_before_;
     counted_before_ = counted;
     ticks_->push_back(tick);

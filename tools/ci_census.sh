@@ -21,9 +21,11 @@
 #   2. the whole ctest suite (a failing test is reported; the census goes
 #      on).
 # It lists the src/ functions neither drive calls, then those only the
-# tests call. A function counts as called when any translation unit that
-# emits it called it (inline and template functions are emitted per
-# unit). Functions no unit emits (never odr-used) are invisible to gcov.
+# tests call. A function is counted once per definition, keyed by its file
+# and start line: every instance of a template is the same code. It counts
+# as called when any translation unit that emits it called any of its
+# instances (inline and template functions are emitted per unit).
+# Functions no unit emits (never odr-used) are invisible to gcov.
 #
 #   tools/ci_census.sh [build-dir]     # default: build-census
 #
@@ -113,8 +115,10 @@ import glob, gzip, json, os, sys
 gcov_dir = os.environ["GCOV_DIR"]
 src = os.environ["SRC"]
 
+names = {}  # (file, start line) -> the names its instances carry
+
 def calls(drive):
-    """(file, start line, name) -> called in any unit, over src/ functions."""
+    """(file, start line) -> called in any unit, over src/ functions."""
     called = {}
     for report in glob.glob(os.path.join(gcov_dir, drive, "*.gcov.json.gz")):
         with gzip.open(report, "rt") as f:
@@ -126,8 +130,9 @@ def calls(drive):
                 continue
             rel = "src/" + path[len(src):]
             for fn in entry.get("functions", []):
-                key = (rel, fn["start_line"],
-                       fn.get("demangled_name") or fn["name"])
+                key = (rel, fn["start_line"])
+                names.setdefault(key, set()).add(
+                    fn.get("demangled_name") or fn["name"])
                 called[key] = (called.get(key, False)
                                or fn["execution_count"] > 0)
     return called
@@ -141,11 +146,14 @@ if not every:
 def report(title, keys):
     print(title)
     current = None
-    for rel, line, name in sorted(keys):
+    for rel, line in sorted(keys):
         if rel != current:
             print(f"  {rel}")
             current = rel
-        print(f"    {line:5d}  {name}")
+        instances = sorted(names[(rel, line)], key=lambda n: (len(n), n))
+        more = (f"  (+{len(instances) - 1} more instances)"
+                if len(instances) > 1 else "")
+        print(f"    {line:5d}  {instances[0]}{more}")
 
 never = [k for k in every if not program.get(k) and not tests.get(k)]
 test_only = [k for k in every if not program.get(k) and tests.get(k)]

@@ -197,7 +197,7 @@ int summarize(const std::string& path) {
             name == "beam.multicast_designs")
           grouping[name] =
               static_cast<unsigned long long>(record.uint("value"));
-        if (name == "mmwave.link_rows" || name == "mmwave.rss_evals")
+        if (name.rfind("mmwave.", 0) == 0)
           link[name] = static_cast<unsigned long long>(record.uint("value"));
       } else if (kind == "gauge") {
         const std::string name = record.str("name");
@@ -372,9 +372,20 @@ int summarize(const std::string& path) {
   }
   if (link.count("mmwave.link_rows") != 0) {
     // Each row is one receiver's traced multipath toward one AP, built at
-    // most once a tick; every RSS after that is a masked sum over it.
+    // most once a tick; every RSS after that is a masked sum over it, a
+    // price reused from the row's memo, or a threshold test screened in
+    // linear power.
     const unsigned long long rows = link["mmwave.link_rows"];
     const unsigned long long evals = link["mmwave.rss_evals"];
+    const unsigned long long reused = link["mmwave.rss_reused"];
+    const unsigned long long screened = link["mmwave.rss_screened"];
+    const unsigned long long priced = evals + reused + screened;
+    const auto rate = [&](unsigned long long part) {
+      return priced > 0 ? AsciiTable::num(static_cast<double>(part) /
+                                              static_cast<double>(priced),
+                                          3)
+                        : std::string("-");
+    };
     std::printf("\ntick link state:\n");
     AsciiTable ltable;
     ltable.header({"metric", "value"});
@@ -389,6 +400,10 @@ int summarize(const std::string& path) {
                                                static_cast<double>(rows),
                                            1)
                          : "-"});
+    ltable.row({"prices reused", std::to_string(reused)});
+    ltable.row({"reuse rate", rate(reused)});
+    ltable.row({"probes screened", std::to_string(screened)});
+    ltable.row({"screen rate", rate(screened)});
     std::printf("%s", ltable.render().c_str());
   }
   if (!counters.empty()) {
