@@ -361,6 +361,19 @@ void BM_LinkRowBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkRowBuild);
 
+void BM_LinkRowRebuild(benchmark::State& state) {
+  // BM_LinkRowBuild's row in one table rebound every iteration, as a
+  // session rebinds its tick tables: the row is rebuilt into the storage
+  // the previous build grew, so only the first iteration allocates.
+  const CrowdTable crowd;
+  mmwave::LinkTable table = crowd.table();
+  for (auto _ : state) {
+    table.rebind(crowd.users, crowd.bodies);
+    benchmark::DoNotOptimize(table.steering(5).element_gain);
+  }
+}
+BENCHMARK(BM_LinkRowRebuild);
+
 void BM_SpillProbe(benchmark::State& state) {
   // design_multicast's spill probe of a two-user custom beam at a third
   // user, against max_spill_dbm: Arg 0 compares the exact rss(), Arg 1

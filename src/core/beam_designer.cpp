@@ -42,38 +42,45 @@ void BeamDesigner::finish(GroupBeam& beam, std::size_t members,
       testbed_->mcs().goodput_mbps(beam.min_member_rss_dbm);
 }
 
-GroupBeam BeamDesigner::stock_beam(
-    mmwave::LinkTable& links, std::size_t sector,
-    std::span<const std::size_t> members,
-    std::span<const std::uint8_t> body_mask) const {
-  GroupBeam beam;
-  beam.awv = testbed_->codebook().beam(sector);
-  beam.priced_as = sector;
-  finish(beam, members.size(), [&](std::size_t i) {
+void BeamDesigner::stock_beam(mmwave::LinkTable& links, std::size_t sector,
+                              std::span<const std::size_t> members,
+                              std::span<const std::uint8_t> body_mask,
+                              GroupBeam& out) const {
+  out.awv = testbed_->codebook().beam(sector);
+  out.custom = false;
+  out.priced_as = sector;
+  finish(out, members.size(), [&](std::size_t i) {
     return links.sector_rss(sector, members[i], body_mask, rss_evals_);
   });
-  return beam;
 }
 
 GroupBeam BeamDesigner::design_unicast(
     mmwave::LinkTable& links, std::size_t rx,
     std::span<const std::uint8_t> body_mask) const {
+  GroupBeam beam;
+  design_unicast(links, rx, body_mask, beam);
+  return beam;
+}
+
+void BeamDesigner::design_unicast(mmwave::LinkTable& links, std::size_t rx,
+                                  std::span<const std::uint8_t> body_mask,
+                                  GroupBeam& out) const {
   require_own_table(links, "design_unicast");
   if (unicast_designs_ != nullptr) unicast_designs_->add();
   if (config_.enable_custom_beams) {
     // Predicted-position steering: full aperture, no beam search.
     if (custom_selected_ != nullptr) custom_selected_->add();
-    GroupBeam steered;
-    steered.awv = links.steered(rx);
-    steered.custom = true;
-    finish(steered, 1, [&](std::size_t) {
+    out.awv = links.steered(rx);
+    out.custom = true;
+    out.priced_as.reset();
+    finish(out, 1, [&](std::size_t) {
       return links.steered_rss(rx, body_mask, rss_evals_);
     });
-    return steered;
+    return;
   }
   if (stock_selected_ != nullptr) stock_selected_->add();
   const std::size_t members[] = {rx};
-  return stock_beam(links, links.best_sector(rx), members, body_mask);
+  stock_beam(links, links.best_sector(rx), members, body_mask, out);
 }
 
 mmwave::LinkTable BeamDesigner::link_table(
@@ -89,74 +96,98 @@ GroupBeam BeamDesigner::design_multicast(
     mmwave::LinkTable& links, std::span<const std::size_t> members,
     std::span<const std::uint8_t> body_mask,
     std::span<const std::size_t> others) const {
+  GroupBeam beam;
+  design_multicast(links, members, body_mask, others, beam);
+  return beam;
+}
+
+void BeamDesigner::design_multicast(mmwave::LinkTable& links,
+                                    std::span<const std::size_t> members,
+                                    std::span<const std::uint8_t> body_mask,
+                                    std::span<const std::size_t> others,
+                                    GroupBeam& out) const {
   if (members.empty())
     throw std::invalid_argument("design_multicast: empty group");
   require_own_table(links, "design_multicast");
   if (multicast_designs_ != nullptr) multicast_designs_->add();
 
-  // Stock fallback: the best common sector of the default codebook.
-  GroupBeam stock = stock_beam(links, links.best_common_sector(members),
-                               members, body_mask);
-  if (members.size() == 1 || !config_.enable_custom_beams) {
+  // Stock fallback: the best common sector of the default codebook, priced
+  // now and written into `out` only when it is the design.
+  const std::size_t sector = links.best_common_sector(members);
+  GroupBeam stock;
+  finish(stock, members.size(), [&](std::size_t i) {
+    return links.sector_rss(sector, members[i], body_mask, rss_evals_);
+  });
+  const auto select_stock = [&] {
     if (stock_selected_ != nullptr) stock_selected_->add();
-    return stock;
+    out.awv = testbed_->codebook().beam(sector);
+    out.custom = false;
+    out.priced_as = sector;
+    out.min_member_rss_dbm = stock.min_member_rss_dbm;
+    out.multicast_rate_mbps = stock.multicast_rate_mbps;
+  };
+  if (members.size() == 1 || !config_.enable_custom_beams) {
+    select_stock();
+    return;
   }
 
   // Fast path from the paper: if every member already has high RSS under
   // the stock common beam, keep it.
   if (stock.min_member_rss_dbm >= config_.default_beam_good_dbm) {
-    if (stock_selected_ != nullptr) stock_selected_->add();
-    return stock;
+    select_stock();
+    return;
   }
 
   // Synthesize the multi-lobe beam from per-member steered beams weighted
   // by measured per-member RSS (linear).
-  std::vector<mmwave::Awv> beams;
-  std::vector<double> rss_mw;
-  beams.reserve(members.size());
-  rss_mw.reserve(members.size());
+  std::vector<const mmwave::Awv*>& beams = scratch_.member_beams;
+  std::vector<double>& rss_mw = scratch_.member_rss_mw;
+  beams.clear();
+  rss_mw.clear();
   for (const std::size_t member : members) {
-    beams.push_back(links.steered(member));
+    beams.push_back(&links.steered(member));
     const double own_rss = links.steered_rss(member, body_mask, rss_evals_);
     rss_mw.push_back(std::max(dbm_to_mw(own_rss), 1e-15));
   }
-  GroupBeam custom;
-  custom.awv = mmwave::combine_awvs(beams, rss_mw);
-  custom.custom = true;
-  custom.priced_as = links.name_beam();
-  finish(custom, members.size(), [&](std::size_t i) {
-    return links.named_rss(*custom.priced_as, custom.awv, members[i],
-                           body_mask, rss_evals_);
+  mmwave::combine_awvs(beams, rss_mw, out.awv);
+  out.custom = true;
+  out.priced_as = links.name_beam();
+  finish(out, members.size(), [&](std::size_t i) {
+    return links.named_rss(*out.priced_as, out.awv, members[i], body_mask,
+                           rss_evals_);
   });
 
   // Probe before use (Section 5): the custom beam must actually improve the
   // weakest member and must not blast a non-member. The spill probe only
   // compares, so it is decided in linear power where it can be.
-  if (custom.min_member_rss_dbm <
+  if (out.min_member_rss_dbm <
       stock.min_member_rss_dbm + config_.min_improvement_db) {
     if (probe_rejects_ != nullptr) probe_rejects_->add();
-    if (stock_selected_ != nullptr) stock_selected_->add();
-    return stock;
+    select_stock();
+    return;
   }
   for (std::size_t other : others) {
-    if (links.rss_above(custom.awv, other, body_mask, config_.max_spill_dbm,
+    if (links.rss_above(out.awv, other, body_mask, config_.max_spill_dbm,
                         rss_evals_)) {
       if (probe_rejects_ != nullptr) probe_rejects_->add();
-      if (stock_selected_ != nullptr) stock_selected_->add();
-      return stock;
+      select_stock();
+      return;
     }
   }
   if (custom_selected_ != nullptr) custom_selected_->add();
-  return custom;
 }
 
 GroupBeam BeamDesigner::design_reflection(
     const geo::Vec3& position,
     std::span<const geo::BodyObstacle> bodies) const {
-  const geo::Vec3 receivers[] = {position};
-  mmwave::LinkTable links = link_table(receivers, bodies);
-  const std::vector<std::uint8_t> every_body(bodies.size(), 1);
-  return design_reflection(links, 0, every_body);
+  scratch_.receiver[0] = position;
+  if (scratch_.reflection_table.has_value())
+    scratch_.reflection_table->rebind(scratch_.receiver, bodies);
+  else
+    scratch_.reflection_table.emplace(link_table(scratch_.receiver, bodies));
+  scratch_.every_body.assign(bodies.size(), 1);
+  return design_reflection(*scratch_.reflection_table, 0,
+                           scratch_.every_body);
 }
 
 GroupBeam BeamDesigner::design_reflection(
@@ -169,17 +200,21 @@ GroupBeam BeamDesigner::design_reflection(
   require_own_table(links, "design_reflection");
   if (reflection_designs_ != nullptr) reflection_designs_->add();
   GroupBeam best{};
-  for (mmwave::Awv& beam : links.reflection_beams(rx)) {
+  const std::span<const mmwave::Awv> beams = links.reflection_beams(rx);
+  std::optional<std::size_t> best_beam;
+  for (std::size_t b = 0; b < beams.size(); ++b) {
     GroupBeam candidate;
-    candidate.awv = std::move(beam);
     candidate.custom = true;
     finish(candidate, 1, [&](std::size_t) {
-      return links.rss(candidate.awv, rx, body_mask, rss_evals_);
+      return links.rss(beams[b], rx, body_mask, rss_evals_);
     });
-    if (best.awv.empty() ||
-        candidate.min_member_rss_dbm > best.min_member_rss_dbm)
-      best = std::move(candidate);
+    if (!best_beam.has_value() ||
+        candidate.min_member_rss_dbm > best.min_member_rss_dbm) {
+      best = candidate;
+      best_beam = b;
+    }
   }
+  if (best_beam.has_value()) best.awv = beams[*best_beam];
   return best;
 }
 

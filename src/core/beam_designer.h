@@ -16,6 +16,7 @@
 // blockage mitigator.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -68,7 +69,9 @@ struct GroupBeam {
   double multicast_rate_mbps = 0.0;  // lowest common MCS PHY rate * MAC eff
 };
 
-/// Stateless designer bound to a testbed.
+/// Designer bound to a testbed. Its designs depend on their arguments
+/// alone; the designer only keeps scratch storage that its designs reuse,
+/// so one designer must not design from two threads at once.
 class BeamDesigner {
  public:
   BeamDesigner(const Testbed& testbed, BeamDesignerConfig config = {});
@@ -83,6 +86,11 @@ class BeamDesigner {
       mmwave::LinkTable& links, std::size_t rx,
       std::span<const std::uint8_t> body_mask) const;
 
+  /// design_unicast() written into `out`, reusing the storage of its AWV.
+  void design_unicast(mmwave::LinkTable& links, std::size_t rx,
+                      std::span<const std::uint8_t> body_mask,
+                      GroupBeam& out) const;
+
   /// Multicast beam over a link table of this designer's AP: `members`
   /// (>= 1) and `others` index the table's receivers, and `body_mask`
   /// selects the shadowing bodies from its body list. `others` are the
@@ -95,6 +103,15 @@ class BeamDesigner {
       std::span<const std::uint8_t> body_mask,
       std::span<const std::size_t> others = {}) const;
 
+  /// design_multicast() written into `out`, reusing the storage of its
+  /// AWV. The members' steered beams are combined where the table keeps
+  /// them, not copied.
+  void design_multicast(mmwave::LinkTable& links,
+                        std::span<const std::size_t> members,
+                        std::span<const std::uint8_t> body_mask,
+                        std::span<const std::size_t> others,
+                        GroupBeam& out) const;
+
   /// A link table from this designer's AP toward `receivers`, with
   /// `bodies` as the shadowing body list (both referenced, not copied) and
   /// the AP's codebook bound for the sector picks, bumping `counters`.
@@ -105,8 +122,9 @@ class BeamDesigner {
 
   /// A reflection beam for blockage mitigation: steers at the strongest
   /// non-line-of-sight bounce toward `position` (empty AWV when the room
-  /// offers no reflection). Prices its candidates through a one-shot
-  /// link_table() toward `position`.
+  /// offers no reflection). Prices its candidates through the designer's
+  /// one scratch link_table(), rebound to `position` and `bodies` on every
+  /// call.
   [[nodiscard]] GroupBeam design_reflection(
       const geo::Vec3& position,
       std::span<const geo::BodyObstacle> bodies = {}) const;
@@ -136,6 +154,19 @@ class BeamDesigner {
   obs::Counter* probe_rejects_ = nullptr;
   obs::Counter* rss_evals_ = nullptr;
 
+  /// Storage the designs reuse from call to call.
+  struct Scratch {
+    // design_multicast: the members' steered beams and own RSS in mW.
+    std::vector<const mmwave::Awv*> member_beams;
+    std::vector<double> member_rss_mw;
+    // design_reflection(position, bodies): the one receiver, the
+    // every-body mask and the table, rebound per call.
+    std::array<geo::Vec3, 1> receiver{};
+    std::vector<std::uint8_t> every_body;
+    std::optional<mmwave::LinkTable> reflection_table;
+  };
+  mutable Scratch scratch_;
+
   /// Throws std::invalid_argument naming `who` unless `links` prices
   /// this designer's AP.
   void require_own_table(const mmwave::LinkTable& links,
@@ -146,11 +177,11 @@ class BeamDesigner {
   void finish(GroupBeam& beam, std::size_t members,
               MemberRss&& member_rss) const;
   /// The stock beam of sector `sector`, priced over `members` through the
-  /// row memos of `links`.
-  [[nodiscard]] GroupBeam stock_beam(
-      mmwave::LinkTable& links, std::size_t sector,
-      std::span<const std::size_t> members,
-      std::span<const std::uint8_t> body_mask) const;
+  /// row memos of `links`, written into `out`.
+  void stock_beam(mmwave::LinkTable& links, std::size_t sector,
+                  std::span<const std::size_t> members,
+                  std::span<const std::uint8_t> body_mask,
+                  GroupBeam& out) const;
 };
 
 }  // namespace volcast::core

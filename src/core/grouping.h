@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -74,6 +75,26 @@ struct GroupingResult {
   std::size_t plan_skips = 0;
 };
 
+/// Storage form_groups reuses from one call to the next: its plan cache and
+/// the greedy search's buffers. A default-constructed workspace holds
+/// nothing and allocates nothing; the first call grows it. No result
+/// depends on what an earlier call left in it.
+class GroupingWorkspace {
+ public:
+  struct Storage;  // defined in grouping.cpp
+
+  GroupingWorkspace() noexcept;
+  ~GroupingWorkspace();
+  GroupingWorkspace(GroupingWorkspace&&) noexcept;
+  GroupingWorkspace& operator=(GroupingWorkspace&&) noexcept;
+
+  /// The storage, created on first use.
+  [[nodiscard]] Storage& storage();
+
+ private:
+  std::unique_ptr<Storage> storage_;
+};
+
 /// Forms multicast groups over `users`.
 /// `group_rate`, `rate_bound` and `overlap_bits` are consulted for
 /// candidate groups of two or more members, each distinct ordered member
@@ -96,9 +117,14 @@ struct GroupingResult {
 /// result is the one the search without the bound returns. Without it the
 /// bound is 0, which rules out less. Throws std::logic_error when a priced
 /// plan comes in below its bound (a `rate_bound` that under-reports).
+///
+/// `workspace` (optional) lends the call its storage, so that a caller
+/// grouping every frame stops allocating for the search once the
+/// workspace has grown; without it the call uses storage of its own.
 [[nodiscard]] GroupingResult form_groups(
     std::span<const UserState> users, const GrouperConfig& config,
     const GroupRateFn& group_rate, const OverlapBitsFn& overlap_bits,
-    const GroupRateBoundFn& rate_bound = {});
+    const GroupRateBoundFn& rate_bound = {},
+    GroupingWorkspace* workspace = nullptr);
 
 }  // namespace volcast::core

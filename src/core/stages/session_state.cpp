@@ -30,10 +30,10 @@ mmwave::LinkTable& tick_links(SessionState& state, TickContext& ctx,
     ctx.present_mask.assign(ctx.link_bodies.size(), 1);
     for (std::size_t u = 0; u < state.user_count(); ++u)
       if (state.absent(u)) ctx.present_mask[u] = 0;
-    ctx.links.resize(state.coordinator.ap_count());
+    ctx.links.assign(state.coordinator.ap_count(), nullptr);
   }
-  for (const std::optional<mmwave::LinkTable>& table : ctx.links)
-    if (table.has_value() &&
+  for (const mmwave::LinkTable* table : ctx.links)
+    if (table != nullptr &&
         (table->receivers().size() != ctx.room_pos.size() ||
          table->receivers().data() != ctx.room_pos.data() ||
          table->bodies().size() != ctx.link_bodies.size() ||
@@ -41,10 +41,15 @@ mmwave::LinkTable& tick_links(SessionState& state, TickContext& ctx,
       throw std::logic_error(
           "tick_links: ctx.room_pos or the tick body list changed size or "
           "moved after this tick's link tables were built");
-  std::optional<mmwave::LinkTable>& slot = ctx.links.at(ap);
-  if (!slot.has_value())
-    slot.emplace(state.designers.at(ap).link_table(
-        ctx.room_pos, ctx.link_bodies, state.link_counters));
+  mmwave::LinkTable*& slot = ctx.links.at(ap);
+  if (slot == nullptr) {
+    if (state.link_tables.empty())
+      for (const BeamDesigner& designer : state.designers)
+        state.link_tables.push_back(designer.link_table(
+            ctx.room_pos, ctx.link_bodies, state.link_counters));
+    slot = &state.link_tables[ap];
+    slot->rebind(ctx.room_pos, ctx.link_bodies);
+  }
   return *slot;
 }
 

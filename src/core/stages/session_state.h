@@ -12,11 +12,13 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/stats.h"
 #include "core/beam_designer.h"
 #include "core/blockage_mitigator.h"
+#include "core/grouping.h"
 #include "core/multi_ap.h"
 #include "core/session.h"
 #include "core/workload_bundle.h"
@@ -135,6 +137,36 @@ struct SessionState {
   obs::Counter* plan_evals = nullptr;  // grouping.plan_evals
   obs::Counter* plan_hits = nullptr;   // grouping.plan_hits
   obs::Counter* plan_skips = nullptr;  // grouping.plan_skips
+
+  // Storage the ticks reuse, grown on first use (never here, so that it
+  // does not count as set-up). What a tick leaves in it never reaches the
+  // next tick's results.
+  // One link table per AP, rebound to each tick's receivers and bodies by
+  // tick_links().
+  std::vector<mmwave::LinkTable> link_tables;
+  // The Beam stage's unicast design of the user it is pricing.
+  GroupBeam unicast_design;
+  // The grouping stage's per-AP-round buffers (grouping_stage.cpp).
+  struct GroupingScratch {
+    /// A candidate group's ordered user list and the beam that priced it.
+    struct PricedBeam {
+      std::vector<std::size_t> group;
+      GroupBeam beam;
+    };
+    GroupingWorkspace search;
+    std::vector<UserState> states;
+    // A round's candidates fill priced[0, k) in pricing order; the
+    // entries past k are storage kept from busier rounds.
+    std::vector<PricedBeam> priced;
+    std::vector<std::uint8_t> outside;
+    std::vector<std::size_t> others;
+    std::vector<std::uint8_t> member_mask;
+    std::vector<std::optional<double>> rss_bound;
+    std::vector<std::uint8_t> bound_mask;
+    std::vector<const view::VisibilityMap*> maps;
+    view::VisibilityMap overlap;
+  };
+  GroupingScratch grouping_scratch;
 
   // Run-scoped state, initialized by begin_run() before the first tick.
   double dt = 0.0;

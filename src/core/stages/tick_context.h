@@ -15,11 +15,12 @@
 // The link state (link_bodies, present_mask, links) belongs to no stage:
 // tick_links() builds it on the first use in the tick, whichever stage
 // that is (Beam, in every registered pipeline), and every later stage
-// reads the same tables. See DESIGN.md, "Tick link state".
+// reads the same tables. The tables themselves live in SessionState and
+// outlive the tick; `links` only marks the ones bound to this tick's
+// receivers and bodies. See DESIGN.md, "Tick link state".
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/grouping.h"
@@ -64,10 +65,12 @@ struct TickContext {
   // every user's capsule by user index, then the injector's obstacles.
   // present_mask has a 1 for every body that shadows this tick (present
   // users and every obstacle). The tables hold spans into room_pos and
-  // link_bodies, so neither may change size or move once a table exists.
+  // link_bodies, so neither may change size or move once a table is bound.
   std::vector<geo::BodyObstacle> link_bodies;
   std::vector<std::uint8_t> present_mask;
-  std::vector<std::optional<mmwave::LinkTable>> links;  // slot per AP
+  // Slot per AP: that AP's table in SessionState::link_tables once this
+  // tick bound it, else null.
+  std::vector<mmwave::LinkTable*> links;
 
   // Products of the beam stage (slot per user).
   std::vector<double> unicast_rate;
@@ -94,10 +97,12 @@ struct SessionState;
 
 /// AP `ap`'s link table for this tick. The first call in a tick fills
 /// ctx.link_bodies and ctx.present_mask from ctx.bodies and the fault
-/// injector; the first call per AP builds that AP's table (rows stay lazy)
-/// over ctx.room_pos and ctx.link_bodies. Throws std::logic_error when
-/// either vector changed size or moved after a table was built (the tables
-/// would reference freed or stale memory).
+/// injector; the first call per AP binds that AP's table in
+/// state.link_tables (built on the session's first tick, rebound with
+/// LinkTable::rebind after that; rows stay lazy) to ctx.room_pos and
+/// ctx.link_bodies. Throws std::logic_error when either vector changed
+/// size or moved after a table was bound (the tables would reference freed
+/// or stale memory), std::out_of_range for an AP the session lacks.
 [[nodiscard]] mmwave::LinkTable& tick_links(SessionState& state,
                                             TickContext& ctx, std::size_t ap);
 

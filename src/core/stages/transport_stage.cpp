@@ -252,8 +252,10 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
     // Viewport-prediction quality: what fraction of the cells each member
     // actually needs (at its true pose) did the prediction-driven fetch
     // miss?
+    std::vector<geo::BodyObstacle> local_bodies;  // refilled per member
+    local_bodies.reserve(n);
     for (const std::size_t u : members) {
-      std::vector<geo::BodyObstacle> local_bodies;
+      local_bodies.clear();
       if (config.enable_user_occlusion) {
         for (std::size_t v = 0; v < n; ++v) {
           if (v == u) continue;

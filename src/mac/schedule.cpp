@@ -10,39 +10,20 @@ namespace volcast::mac {
 
 double GroupPlan::transmit_time_s(const MacOverheads& overheads) const
     noexcept {
-  if (members.empty()) return 0.0;
-  if (members.size() == 1 || multicast_rate_mbps <= 0.0 ||
-      group_overlap_bits <= 0.0)
-    return unicast_time_s(overheads);
-  // One multicast burst plus one residual unicast burst per member with a
-  // residual to deliver.
-  double t = tx_time_s(group_overlap_bits, multicast_rate_mbps) +
-             overheads.per_burst_s();
-  for (const UserDemand& m : members) {
-    const double residual = std::max(m.total_bits - group_overlap_bits, 0.0);
-    if (m.unicast_rate_mbps > 0.0) {
-      if (residual > 0.0)
-        t += tx_time_s(residual, m.unicast_rate_mbps) +
-             overheads.per_burst_s();
-    } else if (residual > 0.0) {
-      return 1e9;  // undeliverable residual: infeasible plan
-    }
-  }
-  return t;
+  return mac::transmit_time_s(
+      members.size(), [this](std::size_t i) -> const UserDemand& {
+        return members[i];
+      },
+      group_overlap_bits, multicast_rate_mbps, overheads);
 }
 
 double GroupPlan::unicast_time_s(const MacOverheads& overheads) const
     noexcept {
-  double t = 0.0;
-  for (const UserDemand& m : members) {
-    if (m.unicast_rate_mbps > 0.0) {
-      t += tx_time_s(m.total_bits, m.unicast_rate_mbps) +
-           overheads.per_burst_s();
-    } else if (m.total_bits > 0.0) {
-      return 1e9;
-    }
-  }
-  return t;
+  return mac::unicast_time_s(
+      members.size(), [this](std::size_t i) -> const UserDemand& {
+        return members[i];
+      },
+      overheads);
 }
 
 double FrameSchedule::airtime_s(const MacOverheads& overheads) const

@@ -9,8 +9,11 @@
 // T_m(k) <= 1/F for the target frame rate F.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
+
+#include "common/units.h"
 
 namespace volcast::obs {
 class MetricRegistry;
@@ -38,6 +41,54 @@ struct MacOverheads {
     return per_transmission_s + per_beam_switch_s;
   }
 };
+
+/// GroupPlan::unicast_time_s over `count` members, member i's demand
+/// being demand(i) (anything with total_bits and unicast_rate_mbps): the
+/// plan's own arithmetic, for callers that time member lists without
+/// building a plan.
+template <class Demand>
+[[nodiscard]] double unicast_time_s(std::size_t count, const Demand& demand,
+                                    const MacOverheads& overheads) noexcept {
+  double t = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& m = demand(i);
+    if (m.unicast_rate_mbps > 0.0) {
+      t += tx_time_s(m.total_bits, m.unicast_rate_mbps) +
+           overheads.per_burst_s();
+    } else if (m.total_bits > 0.0) {
+      return 1e9;
+    }
+  }
+  return t;
+}
+
+/// GroupPlan::transmit_time_s over `count` members (see unicast_time_s
+/// above) with the group's overlap bits and multicast rate.
+template <class Demand>
+[[nodiscard]] double transmit_time_s(std::size_t count, const Demand& demand,
+                                     double group_overlap_bits,
+                                     double multicast_rate_mbps,
+                                     const MacOverheads& overheads) noexcept {
+  if (count == 0) return 0.0;
+  if (count == 1 || multicast_rate_mbps <= 0.0 || group_overlap_bits <= 0.0)
+    return unicast_time_s(count, demand, overheads);
+  // One multicast burst plus one residual unicast burst per member with a
+  // residual to deliver.
+  double t = tx_time_s(group_overlap_bits, multicast_rate_mbps) +
+             overheads.per_burst_s();
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& m = demand(i);
+    const double residual = std::max(m.total_bits - group_overlap_bits, 0.0);
+    if (m.unicast_rate_mbps > 0.0) {
+      if (residual > 0.0)
+        t += tx_time_s(residual, m.unicast_rate_mbps) +
+             overheads.per_burst_s();
+    } else if (residual > 0.0) {
+      return 1e9;  // undeliverable residual: infeasible plan
+    }
+  }
+  return t;
+}
 
 /// A multicast group's planned transmission.
 struct GroupPlan {

@@ -19,6 +19,12 @@ static_assert(kLanes % 2 == 0);
 
 }  // namespace
 
+void LaneBlocks::reset(std::size_t elements) noexcept {
+  elements_ = elements;
+  lanes_ = 0;
+  data_.clear();
+}
+
 void LaneBlocks::push_back(std::span<const Complex> values) {
   if (values.size() != elements_)
     throw std::invalid_argument("LaneBlocks: lane length mismatch");
@@ -39,16 +45,20 @@ PhasorSink LaneBlocks::push_lane() {
 }
 
 std::vector<Complex> LaneBlocks::lane(std::size_t lane) const {
+  std::vector<Complex> out;
+  this->lane(lane, out);
+  return out;
+}
+
+void LaneBlocks::lane(std::size_t lane, std::vector<Complex>& out) const {
   if (lane >= lanes_) throw std::out_of_range("LaneBlocks: no such lane");
   const double* block =
       data_.data() + lane / kLanes * elements_ * kBlockStride;
   const std::size_t slot = lane % kLanes;
-  std::vector<Complex> out;
-  out.reserve(elements_);
+  out.clear();
   for (std::size_t i = 0; i < elements_; ++i)
     out.emplace_back(block[i * kBlockStride + slot],
                      block[i * kBlockStride + kLanes + slot]);
-  return out;
 }
 
 // The batched twin of Steering::gain. Each lane keeps its own accumulator

@@ -30,6 +30,10 @@ class LaneBlocks {
   /// An empty set of vectors with `elements` entries each.
   explicit LaneBlocks(std::size_t elements) noexcept : elements_(elements) {}
 
+  /// Drops every lane and sets the vector length to `elements`, keeping
+  /// the block storage for the lanes pushed next.
+  void reset(std::size_t elements) noexcept;
+
   /// Appends `values` as the next lane. Throws std::invalid_argument unless
   /// it has elements() entries.
   void push_back(std::span<const Complex> values);
@@ -43,6 +47,8 @@ class LaneBlocks {
   /// Lane `lane`'s vector, as pushed. Throws std::out_of_range for a lane
   /// that does not exist.
   [[nodiscard]] std::vector<Complex> lane(std::size_t lane) const;
+  /// lane(lane) written into `out`, reusing its storage.
+  void lane(std::size_t lane, std::vector<Complex>& out) const;
   /// The blocks: ceil(lanes() / kLanes) * elements() * 2 * kLanes doubles.
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }
 

@@ -26,6 +26,11 @@ namespace volcast::mmwave {
 [[nodiscard]] Awv combine_awvs(std::span<const Awv> beams,
                                std::span<const double> rss_mw);
 
+/// combine_awvs() over beams held elsewhere, written into `out` (reusing
+/// its storage): the same arithmetic, the same bits.
+void combine_awvs(std::span<const Awv* const> beams,
+                  std::span<const double> rss_mw, Awv& out);
+
 /// Equal-weight combination (the ablation baseline: what you get without
 /// the RSS balancing term).
 [[nodiscard]] Awv combine_awvs_equal(std::span<const Awv> beams);

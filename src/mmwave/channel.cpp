@@ -94,6 +94,13 @@ std::vector<Path> Channel::paths(const geo::Vec3& tx, const geo::Vec3& rx,
 std::vector<TracedPath> Channel::trace(const geo::Vec3& tx,
                                        const geo::Vec3& rx) const {
   std::vector<TracedPath> out;
+  trace(tx, rx, out);
+  return out;
+}
+
+void Channel::trace(const geo::Vec3& tx, const geo::Vec3& rx,
+                    std::vector<TracedPath>& out) const {
+  out.clear();
 
   // Line of sight.
   {
@@ -105,7 +112,7 @@ std::vector<TracedPath> Channel::trace(const geo::Vec3& tx,
     los.vertices = {tx, rx};
     out.push_back(los);
   }
-  if (!room_.enable_reflections) return out;
+  if (!room_.enable_reflections) return;
 
   // Reflections via the image method: mirror the receiver across bounding
   // planes, shoot at the image, unfold the bounce points.
@@ -190,7 +197,6 @@ std::vector<TracedPath> Channel::trace(const geo::Vec3& tx,
       }
     }
   }
-  return out;
 }
 
 }  // namespace volcast::mmwave

@@ -124,6 +124,10 @@ class Channel {
   [[nodiscard]] std::vector<TracedPath> trace(const geo::Vec3& tx,
                                               const geo::Vec3& rx) const;
 
+  /// trace(tx, rx) written into `out` (cleared first), reusing its storage.
+  void trace(const geo::Vec3& tx, const geo::Vec3& rx,
+             std::vector<TracedPath>& out) const;
+
   /// Free-space path loss at the carrier for `distance_m` (positive dB).
   [[nodiscard]] double fspl_db(double distance_m) const noexcept;
 

@@ -65,9 +65,13 @@ Codebook::Codebook(const PhasedArray& array, const CodebookConfig& config)
 
 std::vector<double> Codebook::gains(const Steering& response) const {
   std::vector<double> out(beams_.size());
+  gains(response, out);
+  return out;
+}
+
+void Codebook::gains(const Steering& response, std::span<double> out) const {
   array_gains(response.phasors, lanes_,
               std::span<const double>(&response.element_gain, 1), out);
-  return out;
 }
 
 std::size_t Codebook::best_beam_toward(const PhasedArray& array,

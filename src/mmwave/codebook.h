@@ -58,6 +58,10 @@ class Codebook {
   /// response.gain(beam(i)) at index i, in one array_gains pass.
   [[nodiscard]] std::vector<double> gains(const Steering& response) const;
 
+  /// gains(response) written into `out`, which must have size() entries
+  /// (std::invalid_argument otherwise).
+  void gains(const Steering& response, std::span<double> out) const;
+
  private:
   std::vector<Awv> beams_;
   LaneBlocks lanes_;  // beams_[i] is lane i

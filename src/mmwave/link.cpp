@@ -73,35 +73,55 @@ LinkTable::LinkTable(const PhasedArray& tx, const Channel& channel,
       counters_(counters),
       rows_(receivers.size()) {}
 
+void LinkTable::rebind(std::span<const geo::Vec3> receivers,
+                       std::span<const geo::BodyObstacle> bodies) {
+  receivers_ = receivers;
+  bodies_ = bodies;
+  rows_.resize(receivers.size());
+  for (Row& r : rows_) r.built = false;
+  rows_built_ = 0;
+  evaluations_ = 0;
+  named_beams_ = 0;
+}
+
 const Steering& LinkTable::steering(std::size_t rx) {
   Row& r = row(rx);
-  if (!r.toward) {
+  if (!r.has_toward) {
     const geo::Vec3 local =
         tx_->local_direction(receivers_[rx] - tx_->pose().position);
     // A response is a function of its array-frame direction alone.
     if (!r.paths.empty() && r.paths.front().line_of_sight &&
-        same_bits(local, r.los_local))
-      r.toward = Steering{r.responses.lane(0), r.element_gains.front()};
-    else
-      r.toward = tx_->response(local);
+        same_bits(local, r.los_local)) {
+      r.responses.lane(0, r.toward.phasors);
+      r.toward.element_gain = r.element_gains.front();
+    } else {
+      tx_->response(local, r.toward);
+    }
+    r.has_toward = true;
   }
-  return *r.toward;
+  return r.toward;
 }
 
 const Awv& LinkTable::steered(std::size_t rx) {
   Row& r = row(rx);
-  if (!r.steered) r.steered = PhasedArray::steer(steering(rx));
-  return *r.steered;
+  if (!r.has_steered) {
+    PhasedArray::steer(steering(rx), r.steered);
+    r.has_steered = true;
+  }
+  return r.steered;
 }
 
-std::vector<Awv> LinkTable::reflection_beams(std::size_t rx) {
+std::span<const Awv> LinkTable::reflection_beams(std::size_t rx) {
   const Row& r = row(rx);
-  std::vector<Awv> out;
-  for (std::size_t p = 0; p < r.paths.size(); ++p)
-    if (!r.paths[p].line_of_sight)
-      out.push_back(PhasedArray::steer(
-          Steering{r.responses.lane(p), r.element_gains[p]}));
-  return out;
+  std::size_t count = 0;
+  for (std::size_t p = 0; p < r.paths.size(); ++p) {
+    if (r.paths[p].line_of_sight) continue;
+    if (count == reflection_beams_.size()) reflection_beams_.emplace_back();
+    r.responses.lane(p, lane_.phasors);
+    lane_.element_gain = r.element_gains[p];
+    PhasedArray::steer(lane_, reflection_beams_[count++]);
+  }
+  return {reflection_beams_.data(), count};
 }
 
 const Codebook& LinkTable::codebook() const {
@@ -113,7 +133,10 @@ const Codebook& LinkTable::codebook() const {
 std::span<const double> LinkTable::sector_gains(std::size_t rx) {
   const Codebook& sectors = codebook();
   Row& r = row(rx);
-  if (r.sector_gains.empty()) r.sector_gains = sectors.gains(steering(rx));
+  if (r.sector_gains.empty()) {
+    r.sector_gains.resize(sectors.size());
+    sectors.gains(steering(rx), r.sector_gains);
+  }
   return r.sector_gains;
 }
 
@@ -123,25 +146,31 @@ std::size_t LinkTable::best_sector(std::size_t rx) {
 
 std::size_t LinkTable::best_common_sector(std::span<const std::size_t> rxs) {
   const Codebook& sectors = codebook();
-  std::vector<std::span<const double>> targets;
-  targets.reserve(rxs.size());
-  for (std::size_t rx : rxs) targets.push_back(sector_gains(rx));
-  return mmwave::best_common_sector(targets, sectors.size());
+  sector_rows_.clear();
+  for (std::size_t rx : rxs) sector_rows_.push_back(sector_gains(rx));
+  return mmwave::best_common_sector(sector_rows_, sectors.size());
 }
 
 LinkTable::Row& LinkTable::row(std::size_t rx) {
-  std::optional<Row>& slot = rows_.at(rx);
-  if (slot.has_value()) return *slot;
+  Row& r = rows_.at(rx);
+  if (r.built) return r;
   ++rows_built_;
   if (counters_.rows != nullptr) counters_.rows->add();
   const geo::Vec3& origin = tx_->pose().position;
-  Row& r = slot.emplace();
-  r.responses = LaneBlocks(tx_->element_count());
-  const std::vector<TracedPath> traced_paths =
-      channel_->trace(origin, receivers_[rx]);
-  r.paths.reserve(traced_paths.size());
-  r.element_gains.reserve(traced_paths.size());
-  for (const TracedPath& traced : traced_paths) {
+  r.built = true;
+  r.has_toward = false;
+  r.has_steered = false;
+  r.paths.clear();
+  r.responses.reset(tx_->element_count());
+  r.element_gains.clear();
+  r.losses.clear();
+  r.loss_bodies.clear();
+  r.prices.clear();
+  r.budget_sets.clear();
+  r.budgets_mw.clear();
+  r.sector_gains.clear();
+  channel_->trace(origin, receivers_[rx], traced_);
+  for (const TracedPath& traced : traced_) {
     const geo::Vec3 local = tx_->local_direction(traced.path.tx_direction);
     if (r.paths.empty()) r.los_local = local;  // trace puts the LoS first
     r.element_gains.push_back(tx_->response(local, r.responses.push_lane()));
@@ -165,7 +194,7 @@ LinkTable::Row& LinkTable::row(std::size_t rx) {
       }
     }
     term.loss_begin[term.segments] = r.losses.size();
-    r.paths.push_back(std::move(term));
+    r.paths.push_back(term);
   }
   std::sort(r.loss_bodies.begin(), r.loss_bodies.end());
   r.loss_bodies.erase(std::unique(r.loss_bodies.begin(), r.loss_bodies.end()),

@@ -86,7 +86,14 @@ struct LinkCounters {
 /// rules, so they equal Codebook::best_beam_toward / best_common_beam.
 ///
 /// `receivers`, `bodies` and `codebook` are referenced, not copied; they
-/// must outlive the table.
+/// must outlive the table, or the table's next rebind().
+///
+/// rebind() points the table at new receivers and bodies and leaves it
+/// equal to a fresh table over them (no row built, no evaluation, no
+/// beam named), but every row keeps the storage of its vectors and lanes:
+/// a table rebound each tick stops allocating once its rows have grown.
+/// Spans and references a table hands out are valid until its next
+/// rebind().
 class LinkTable {
  public:
   LinkTable(const PhasedArray& tx, const Channel& channel,
@@ -94,6 +101,12 @@ class LinkTable {
             std::span<const geo::Vec3> receivers,
             std::span<const geo::BodyObstacle> bodies,
             const Codebook* codebook = nullptr, LinkCounters counters = {});
+
+  /// Makes this table equal to a fresh one over `receivers` and `bodies`
+  /// (same array, channel, budget, blockage, codebook and counters),
+  /// keeping its rows' storage.
+  void rebind(std::span<const geo::Vec3> receivers,
+              std::span<const geo::BodyObstacle> bodies);
 
   [[nodiscard]] const PhasedArray& tx() const noexcept { return *tx_; }
   [[nodiscard]] std::span<const geo::Vec3> receivers() const noexcept {
@@ -123,8 +136,9 @@ class LinkTable {
 
   /// The conjugate-steered beam along each non-line-of-sight path toward
   /// receivers[rx], in Channel::trace order: tx.steer(that path's
-  /// tx_direction), bit for bit.
-  [[nodiscard]] std::vector<Awv> reflection_beams(std::size_t rx);
+  /// tx_direction), bit for bit. The beams live in table storage that the
+  /// next reflection_beams() call overwrites.
+  [[nodiscard]] std::span<const Awv> reflection_beams(std::size_t rx);
 
   /// Every codebook sector's gain toward receivers[rx], in beam order:
   /// codebook.gains(steering(rx)), computed once per row. Throws
@@ -232,9 +246,13 @@ class LinkTable {
     double full_gain_mw;
     double unit_mw;
   };
+  /// A row's vectors are cleared, never freed, when it is rebuilt.
   struct Row {
-    std::optional<Steering> toward;  // both built on first use
-    std::optional<Awv> steered;
+    bool built = false;
+    bool has_toward = false;  // toward and steered: built on first use
+    bool has_steered = false;
+    Steering toward;
+    Awv steered;
     std::vector<PathTerm> paths;
     LaneBlocks responses;               // path p's array response is lane p
     std::vector<double> element_gains;  // and its element gain entry p
@@ -260,11 +278,18 @@ class LinkTable {
   std::span<const geo::BodyObstacle> bodies_;
   const Codebook* codebook_;
   LinkCounters counters_;
-  std::vector<std::optional<Row>> rows_;
+  std::vector<Row> rows_;  // one per receiver
   std::size_t rows_built_ = 0;
   std::size_t evaluations_ = 0;
   std::size_t named_beams_ = 0;
-  std::vector<double> path_gains_;  // scratch: one row's per-path gains
+  // Scratch, reused by every row: one row's per-path gains, its traced
+  // paths, the sector-gain rows of best_common_sector(), and
+  // reflection_beams()'s response copy and beams.
+  std::vector<double> path_gains_;
+  std::vector<TracedPath> traced_;
+  std::vector<std::span<const double>> sector_rows_;
+  Steering lane_;
+  std::vector<Awv> reflection_beams_;
   // rss_above()'s last threshold and its value in mW.
   double threshold_dbm_ = std::numeric_limits<double>::quiet_NaN();
   double threshold_mw_ = 0.0;

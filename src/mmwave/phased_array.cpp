@@ -9,12 +9,16 @@
 namespace volcast::mmwave {
 
 Awv power_normalized(Awv w) {
+  power_normalize(w);
+  return w;
+}
+
+void power_normalize(Awv& w) noexcept {
   double power = 0.0;
   for (const Complex& c : w) power += std::norm(c);
-  if (power <= 0.0) return w;
+  if (power <= 0.0) return;
   const double scale = 1.0 / std::sqrt(power);
   for (Complex& c : w) c *= scale;
-  return w;
 }
 
 PhasedArray::PhasedArray(const ArrayGeometry& geometry, const geo::Pose& pose,
@@ -69,12 +73,16 @@ geo::Vec3 PhasedArray::local_direction(
 
 Steering PhasedArray::response(const geo::Vec3& local) const {
   Steering s;
-  s.phasors.resize(elements_local_.size());
+  response(local, s);
+  return s;
+}
+
+void PhasedArray::response(const geo::Vec3& local, Steering& out) const {
+  out.phasors.resize(elements_local_.size());
   // The standard lets an array of std::complex<double> be read and written
   // as an array of doubles, each real part followed by its imaginary part.
-  double* parts = reinterpret_cast<double*>(s.phasors.data());
-  s.element_gain = response(local, {parts, parts + 1, 2});
-  return s;
+  double* parts = reinterpret_cast<double*>(out.phasors.data());
+  out.element_gain = response(local, {parts, parts + 1, 2});
 }
 
 Steering PhasedArray::steering(const geo::Vec3& dir_world) const {
@@ -82,11 +90,16 @@ Steering PhasedArray::steering(const geo::Vec3& dir_world) const {
 }
 
 Awv PhasedArray::steer(const Steering& response) {
-  // Conjugate steering: cancel the per-element propagation phase.
   Awv w;
-  w.reserve(response.phasors.size());
-  for (const Complex& p : response.phasors) w.push_back(std::conj(p));
-  return power_normalized(std::move(w));
+  steer(response, w);
+  return w;
+}
+
+void PhasedArray::steer(const Steering& response, Awv& out) {
+  // Conjugate steering: cancel the per-element propagation phase.
+  out.clear();
+  for (const Complex& p : response.phasors) out.push_back(std::conj(p));
+  power_normalize(out);
 }
 
 Awv PhasedArray::steer(const geo::Vec3& dir_world) const {

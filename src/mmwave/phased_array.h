@@ -27,6 +27,9 @@ using Awv = std::vector<Complex>;
 /// Returns w scaled so that sum |w_i|^2 == 1 (no-op for a zero vector).
 [[nodiscard]] Awv power_normalized(Awv w);
 
+/// power_normalized() in place: the same scale, the same bits.
+void power_normalize(Awv& w) noexcept;
+
 /// The array's response toward one direction: the per-element phasors
 /// exp(+j k e_i . u) and the element-pattern gain there. Evaluating many
 /// AWVs toward one direction reuses it instead of redoing the trigonometry.
@@ -81,6 +84,9 @@ class PhasedArray {
   /// steer(steering(dir)), bit for bit.
   [[nodiscard]] static Awv steer(const Steering& response);
 
+  /// steer(response) written into `out`, reusing its storage.
+  static void steer(const Steering& response, Awv& out);
+
   /// AWV pointed at a world position (steer toward target - array origin).
   [[nodiscard]] Awv steer_at(const geo::Vec3& target_world) const;
 
@@ -98,6 +104,9 @@ class PhasedArray {
 
   /// The response toward array-frame direction `local`.
   [[nodiscard]] Steering response(const geo::Vec3& local) const;
+
+  /// response(local) written into `out`, reusing its storage.
+  void response(const geo::Vec3& local, Steering& out) const;
 
   /// Writes the response toward `local` into `out` (element_count()
   /// phasors) and returns its element gain: the one place a response is

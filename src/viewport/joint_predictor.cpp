@@ -79,8 +79,10 @@ JointPrediction JointViewportPredictor::predict(
   // Per-user visibility is the hot part of every tick: each user's map
   // depends only on the (already predicted) poses.
   result.visibility.reserve(result.poses.size());
+  std::vector<BodyObstacle> others;  // every user's, refilled per user
+  others.reserve(result.poses.size());
   for (std::size_t u = 0; u < result.poses.size(); ++u) {
-    std::vector<BodyObstacle> others;
+    others.clear();
     if (config_.user_occlusion) {
       for (std::size_t v = 0; v < result.poses.size(); ++v) {
         if (v == u) continue;

@@ -1,7 +1,9 @@
 #include "viewport/predictor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -71,14 +73,25 @@ geo::Pose LinearRegressionPredictor::predict(double horizon_s) const {
   if (window_.empty()) return {};
   if (window_.size() < 3) return window_.back().pose;
 
+  // The regression columns, sample times then one axis at a time: on the
+  // stack for windows of up to kStackWindow samples (every predictor a
+  // session builds), so a prediction allocates nothing.
+  constexpr std::size_t kStackWindow = 32;
   const std::size_t n = window_.size();
-  std::vector<double> ts(n);
+  std::array<double, 2 * kStackWindow> stack_columns;
+  std::vector<double> heap_columns;
+  std::span<double> columns(stack_columns);
+  if (n > kStackWindow) {
+    heap_columns.resize(2 * n);
+    columns = heap_columns;
+  }
+  const std::span<double> ts = columns.first(n);
+  const std::span<double> ys = columns.subspan(n, n);
   const double t0 = window_[0].t;
   for (std::size_t i = 0; i < n; ++i) ts[i] = window_[i].t - t0;
   const double t_pred = window_[n - 1].t - t0 + horizon_s;
 
   auto fit_axis = [&](auto getter) {
-    std::vector<double> ys(n);
     for (std::size_t i = 0; i < n; ++i) ys[i] = getter(window_[i]);
     return fit_line(ts, ys).at(t_pred);
   };

@@ -44,9 +44,15 @@ VisibilityMap intersection(std::span<const VisibilityMap> maps) {
 }
 
 VisibilityMap intersection(std::span<const VisibilityMap* const> maps) {
-  if (maps.empty()) return VisibilityMap{};
-  const std::size_t cells = maps.front()->cell_count();
-  VisibilityMap out(cells);
+  VisibilityMap out;
+  intersection(maps, out);
+  return out;
+}
+
+void intersection(std::span<const VisibilityMap* const> maps,
+                  VisibilityMap& out) {
+  const std::size_t cells = maps.empty() ? 0 : maps.front()->cell_count();
+  out.clear(cells);
   for (vv::CellId c = 0; c < cells; ++c) {
     bool in_all = true;
     double best = 0.0;
@@ -59,7 +65,6 @@ VisibilityMap intersection(std::span<const VisibilityMap* const> maps) {
     }
     if (in_all) out.set(c, best);
   }
-  return out;
 }
 
 VisibilityMap union_of(std::span<const VisibilityMap> maps) {

@@ -26,6 +26,9 @@ namespace volcast::view {
 [[nodiscard]] VisibilityMap intersection(std::span<const VisibilityMap> maps);
 [[nodiscard]] VisibilityMap intersection(
     std::span<const VisibilityMap* const> maps);
+/// intersection(maps) written into `out`, reusing its storage.
+void intersection(std::span<const VisibilityMap* const> maps,
+                  VisibilityMap& out);
 
 /// Cells visible to at least one user.
 [[nodiscard]] VisibilityMap union_of(std::span<const VisibilityMap> maps);

@@ -39,6 +39,13 @@ class VisibilityMap {
 
   [[nodiscard]] std::size_t cell_count() const noexcept { return lod_.size(); }
 
+  /// Makes this map equal to VisibilityMap(cell_count), keeping its
+  /// storage.
+  void clear(std::size_t cell_count) {
+    lod_.assign(cell_count, 0.0f);
+    visible_ = 0;
+  }
+
   void set(vv::CellId cell, double lod = 1.0) {
     float& slot = lod_.at(cell);
     const bool was = slot > 0.0f;

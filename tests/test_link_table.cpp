@@ -751,7 +751,7 @@ TEST(LinkTable, ReflectionBeamsSteerAlongEachBounce) {
          tb.channel().trace(ap.pose().position, receivers[rx]))
       if (!traced.path.line_of_sight)
         expected.push_back(ap.steer(traced.path.tx_direction));
-    const std::vector<Awv> got = table.reflection_beams(rx);
+    const std::span<const Awv> got = table.reflection_beams(rx);
     ASSERT_EQ(got.size(), expected.size()) << rx;
     for (std::size_t b = 0; b < got.size(); ++b)
       EXPECT_TRUE(same_bits(got[b], expected[b])) << rx << " bounce " << b;
