@@ -55,20 +55,21 @@ class MultiApCoordinator {
   /// APs with `available[a]` false are no candidates (fault tolerance: an
   /// AP in outage serves nobody); APs past the end of `available` are. When
   /// no AP is available every user keeps index 0; callers must treat a
-  /// down AP's users as unserved.
+  /// down AP's users as unserved. `evals` (optional) counts the exact RSS
+  /// evaluations, as the tables' own calls do.
   [[nodiscard]] std::vector<std::size_t> assign_users(
       std::size_t users, const ApLinks& links,
-      std::span<const bool> available) const;
+      std::span<const bool> available, obs::Counter* evals = nullptr) const;
 
   /// Goodput multiplier in [0, 1] for receiver `victim` of the per-AP link
   /// tables (see assign_users), served by `victim_ap` with signal
   /// `victim_rss_dbm`, while every other AP transmits with the given beams
   /// (indexed by AP; empty AWVs are idle). Each leak is priced with no
-  /// bodies.
+  /// bodies; `evals` (optional) counts those evaluations.
   [[nodiscard]] double interference_factor(
       std::size_t victim_ap, std::size_t victim, double victim_rss_dbm,
-      std::span<const mmwave::Awv> concurrent_beams,
-      const ApLinks& links) const;
+      std::span<const mmwave::Awv> concurrent_beams, const ApLinks& links,
+      obs::Counter* evals = nullptr) const;
 
  private:
   MultiApConfig config_;
