@@ -59,7 +59,8 @@ EmpiricalDistribution iou_distribution(const Fig2Setup& s,
       for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = i + 1; j < n; ++j)
           for (std::size_t k = j + 1; k < n; ++k) {
-            const view::VisibilityMap group[] = {maps[i], maps[j], maps[k]};
+            const view::VisibilityMap* group[] = {&maps[i], &maps[j],
+                                                  &maps[k]};
             dist.add(view::group_iou(group));
           }
     }

@@ -43,6 +43,7 @@ int main() {
 
   EmpiricalDistribution stock_dist, custom_dist, equal_dist, improvement;
   constexpr int kTrials = 4000;
+  mmwave::Awv combined;
   for (int trial = 0; trial < kTrials; ++trial) {
     const geo::Vec3 u1 = random_position();
     const geo::Vec3 u2 = random_position();
@@ -58,11 +59,14 @@ int main() {
                                       {}, testbed.budget());
     const double r2 = mmwave::rss_dbm(testbed.ap(), b2, testbed.channel(), u2,
                                       {}, testbed.budget());
-    const mmwave::Awv beams[] = {b1, b2};
+    const mmwave::Awv* beams[] = {&b1, &b2};
     const double rss_mw[] = {dbm_to_mw(r1), dbm_to_mw(r2)};
-    const double custom =
-        min_rss(mmwave::combine_awvs(beams, rss_mw), u1, u2);
-    const double equal = min_rss(mmwave::combine_awvs_equal(beams), u1, u2);
+    mmwave::combine_awvs(beams, rss_mw, combined);
+    const double custom = min_rss(combined, u1, u2);
+    // Equal RSS weighs both beams 1/2: the plain, power-normalized sum.
+    const double equal_rss[] = {1.0, 1.0};
+    mmwave::combine_awvs(beams, equal_rss, combined);
+    const double equal = min_rss(combined, u1, u2);
 
     stock_dist.add(stock);
     custom_dist.add(custom);

@@ -62,6 +62,8 @@ int main() {
   int samples = 0;
 
   const auto hm_users = study.users_of(trace::DeviceType::kHeadset);
+  view::VisibilityMap overlap;
+  mmwave::Awv custom_beam;
   for (std::size_t f = 0; f < 30; f += 2) {
     const auto occupancy_counts = [&] {
       std::vector<std::uint32_t> occ(grid.cell_count());
@@ -79,10 +81,11 @@ int main() {
           view::compute_visibility(grid, occupancy_counts, pose1, options);
       const auto map2 =
           view::compute_visibility(grid, occupancy_counts, pose2, options);
-      const view::VisibilityMap both[] = {map1, map2};
+      const view::VisibilityMap* both[] = {&map1, &map2};
+      view::intersection(both, overlap);
       const double s1 = visible_bits(map1, f);
       const double s2 = visible_bits(map2, f);
-      const double sm = visible_bits(view::intersection(both), f);
+      const double sm = visible_bits(overlap, f);
       if (s1 <= 0.0 || s2 <= 0.0) continue;
 
       // Rates.
@@ -105,9 +108,9 @@ int main() {
       const double rss2 = mmwave::rss_dbm(testbed.ap(), b2, testbed.channel(),
                                           room(pose2.position), {},
                                           testbed.budget());
-      const mmwave::Awv beams[] = {b1, b2};
+      const mmwave::Awv* beams[] = {&b1, &b2};
       const double rss_mw[] = {dbm_to_mw(rss1), dbm_to_mw(rss2)};
-      const mmwave::Awv custom_beam = mmwave::combine_awvs(beams, rss_mw);
+      mmwave::combine_awvs(beams, rss_mw, custom_beam);
       const double custom_rate =
           std::min(rate_for(custom_beam, pose1.position),
                    rate_for(custom_beam, pose2.position));

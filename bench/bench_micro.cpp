@@ -290,8 +290,10 @@ void BM_CodebookGains(benchmark::State& state) {
   const mmwave::PhasedArray& ap = testbed.ap();
   const mmwave::Steering response =
       ap.steering(geo::Vec3{4, 3, 1.5} - ap.pose().position);
+  std::vector<double> gains(testbed.codebook().size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(testbed.codebook().gains(response));
+    testbed.codebook().gains(response, gains);
+    benchmark::DoNotOptimize(gains.data());
   }
 }
 BENCHMARK(BM_CodebookGains);
@@ -324,9 +326,10 @@ void BM_DesignMulticastStock(benchmark::State& state) {
   mmwave::LinkTable table = designer.link_table(users, bodies);
   const std::size_t group[] = {0, 1, 2};
   const std::uint8_t outside[] = {0, 0, 0, 1};
+  core::GroupBeam beam;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        designer.design_multicast(table, group, outside));
+    designer.design_multicast(table, group, outside, {}, beam);
+    benchmark::DoNotOptimize(beam.awv.data());
   }
 }
 BENCHMARK(BM_DesignMulticastStock);
@@ -380,9 +383,10 @@ void BM_SpillProbe(benchmark::State& state) {
   // asks rss_above(), which decides it in linear power.
   const CrowdTable crowd;
   mmwave::LinkTable table = crowd.table();
-  const mmwave::Awv beams[] = {table.steered(2), table.steered(3)};
+  const mmwave::Awv* beams[] = {&table.steered(2), &table.steered(3)};
   const double rss_mw[] = {1e-6, 2e-6};
-  const mmwave::Awv custom = mmwave::combine_awvs(beams, rss_mw);
+  mmwave::Awv custom;
+  mmwave::combine_awvs(beams, rss_mw, custom);
   std::vector<std::uint8_t> outside(crowd.bodies.size(), 1);
   outside[2] = outside[3] = 0;
   const double threshold = core::BeamDesignerConfig{}.max_spill_dbm;
@@ -403,8 +407,12 @@ void BM_CombineAwvs(benchmark::State& state) {
     beams.push_back(testbed.ap().steer_at({2.0 + i, 3, 1.5}));
     rss.push_back(1e-6);
   }
+  std::vector<const mmwave::Awv*> beam_ptrs;
+  for (const mmwave::Awv& b : beams) beam_ptrs.push_back(&b);
+  mmwave::Awv combined;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mmwave::combine_awvs(beams, rss).data());
+    mmwave::combine_awvs(beam_ptrs, rss, combined);
+    benchmark::DoNotOptimize(combined.data());
   }
 }
 BENCHMARK(BM_CombineAwvs)->Arg(2)->Arg(4);

@@ -60,9 +60,10 @@ int main() {
                                     user1, {}, testbed.budget());
   const double r2 = mmwave::rss_dbm(testbed.ap(), b2, testbed.channel(),
                                     user2, {}, testbed.budget());
-  const mmwave::Awv beams[] = {b1, b2};
+  const mmwave::Awv* beams[] = {&b1, &b2};
   const double rss_mw[] = {dbm_to_mw(r1), dbm_to_mw(r2)};
-  const auto custom = mmwave::combine_awvs(beams, rss_mw);
+  mmwave::Awv custom;
+  mmwave::combine_awvs(beams, rss_mw, custom);
 
   print_cut(testbed, stock, "stock common sector (one main lobe):");
   std::printf("\n");

@@ -41,8 +41,6 @@ double RunningStats::variance() const noexcept {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 void EmpiricalDistribution::add_all(std::span<const double> xs) {
   samples_.insert(samples_.end(), xs.begin(), xs.end());
   sorted_ = false;

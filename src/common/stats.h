@@ -21,7 +21,6 @@ class RunningStats {
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }

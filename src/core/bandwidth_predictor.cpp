@@ -38,9 +38,9 @@ void BandwidthPredictor::set_phy_state(double phy_rate_mbps,
 double BandwidthPredictor::predict_mbps() const {
   if (window_.empty()) return current_phy_mbps_;
 
-  std::vector<double> app;
+  std::vector<double>& app = app_scratch_;
+  app.clear();
   double mean_phy = 0.0;
-  app.reserve(window_.size());
   for (std::size_t i = 0; i < window_.size(); ++i) {
     app.push_back(window_[i].app_mbps);
     mean_phy += window_[i].phy_mbps;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/ring_buffer.h"
 
@@ -58,6 +59,8 @@ class BandwidthPredictor {
   RingBuffer<Sample> window_;
   double current_phy_mbps_ = 0.0;
   bool blockage_forecast_ = false;
+  // predict_mbps's copy of the window's app samples, kept across calls.
+  mutable std::vector<double> app_scratch_;
 
   /// Forecast discount: expected residual rate fraction under an imminent
   /// body blockage (calibrated to the partial-blockage channel model).

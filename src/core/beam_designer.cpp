@@ -54,14 +54,6 @@ void BeamDesigner::stock_beam(mmwave::LinkTable& links, std::size_t sector,
   });
 }
 
-GroupBeam BeamDesigner::design_unicast(
-    mmwave::LinkTable& links, std::size_t rx,
-    std::span<const std::uint8_t> body_mask) const {
-  GroupBeam beam;
-  design_unicast(links, rx, body_mask, beam);
-  return beam;
-}
-
 void BeamDesigner::design_unicast(mmwave::LinkTable& links, std::size_t rx,
                                   std::span<const std::uint8_t> body_mask,
                                   GroupBeam& out) const {
@@ -90,15 +82,6 @@ mmwave::LinkTable BeamDesigner::link_table(
   return mmwave::LinkTable(testbed_->ap(), testbed_->channel(),
                            testbed_->budget(), testbed_->blockage(),
                            receivers, bodies, &testbed_->codebook(), counters);
-}
-
-GroupBeam BeamDesigner::design_multicast(
-    mmwave::LinkTable& links, std::span<const std::size_t> members,
-    std::span<const std::uint8_t> body_mask,
-    std::span<const std::size_t> others) const {
-  GroupBeam beam;
-  design_multicast(links, members, body_mask, others, beam);
-  return beam;
 }
 
 void BeamDesigner::design_multicast(mmwave::LinkTable& links,

@@ -76,36 +76,25 @@ class BeamDesigner {
  public:
   BeamDesigner(const Testbed& testbed, BeamDesignerConfig config = {});
 
-  /// Unicast beam + achievable goodput toward receiver `rx` of a link
-  /// table of this designer's AP, shadowed by the bodies `body_mask`
-  /// selects from the table's body list: the steered beam is
-  /// links.steered(rx), the stock sector is picked from the row's cached
-  /// sector gains. Throws std::invalid_argument for a table built for
-  /// another array.
-  [[nodiscard]] GroupBeam design_unicast(
-      mmwave::LinkTable& links, std::size_t rx,
-      std::span<const std::uint8_t> body_mask) const;
-
-  /// design_unicast() written into `out`, reusing the storage of its AWV.
+  /// Writes the unicast beam + achievable goodput toward receiver `rx` of
+  /// a link table of this designer's AP, shadowed by the bodies
+  /// `body_mask` selects from the table's body list, into `out`, reusing
+  /// the storage of its AWV: the steered beam is links.steered(rx), the
+  /// stock sector is picked from the row's cached sector gains. Throws
+  /// std::invalid_argument for a table built for another array.
   void design_unicast(mmwave::LinkTable& links, std::size_t rx,
                       std::span<const std::uint8_t> body_mask,
                       GroupBeam& out) const;
 
-  /// Multicast beam over a link table of this designer's AP: `members`
-  /// (>= 1) and `others` index the table's receivers, and `body_mask`
-  /// selects the shadowing bodies from its body list. `others` are the
-  /// non-members the custom beam is spill-probed against. The stock common
-  /// sector is picked from the members' cached sector gains. Throws
+  /// Writes the multicast beam over a link table of this designer's AP
+  /// into `out`, reusing the storage of its AWV: `members` (>= 1) and
+  /// `others` index the table's receivers, and `body_mask` selects the
+  /// shadowing bodies from its body list. `others` are the non-members the
+  /// custom beam is spill-probed against. The stock common sector is
+  /// picked from the members' cached sector gains; the members' steered
+  /// beams are combined where the table keeps them, not copied. Throws
   /// std::invalid_argument for an empty group or a table built for another
   /// array.
-  [[nodiscard]] GroupBeam design_multicast(
-      mmwave::LinkTable& links, std::span<const std::size_t> members,
-      std::span<const std::uint8_t> body_mask,
-      std::span<const std::size_t> others = {}) const;
-
-  /// design_multicast() written into `out`, reusing the storage of its
-  /// AWV. The members' steered beams are combined where the table keeps
-  /// them, not copied.
   void design_multicast(mmwave::LinkTable& links,
                         std::span<const std::size_t> members,
                         std::span<const std::uint8_t> body_mask,

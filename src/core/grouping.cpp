@@ -61,9 +61,6 @@ struct GroupingWorkspace::Storage {
 
 GroupingWorkspace::GroupingWorkspace() noexcept = default;
 GroupingWorkspace::~GroupingWorkspace() = default;
-GroupingWorkspace::GroupingWorkspace(GroupingWorkspace&&) noexcept = default;
-GroupingWorkspace& GroupingWorkspace::operator=(GroupingWorkspace&&) noexcept =
-    default;
 
 GroupingWorkspace::Storage& GroupingWorkspace::storage() {
   if (storage_ == nullptr) storage_ = std::make_unique<Storage>();

@@ -85,8 +85,6 @@ class GroupingWorkspace {
 
   GroupingWorkspace() noexcept;
   ~GroupingWorkspace();
-  GroupingWorkspace(GroupingWorkspace&&) noexcept;
-  GroupingWorkspace& operator=(GroupingWorkspace&&) noexcept;
 
   /// The storage, created on first use.
   [[nodiscard]] Storage& storage();

@@ -7,16 +7,6 @@
 
 namespace volcast::core::overload {
 
-const char* to_string(BrownoutLevel level) noexcept {
-  switch (level) {
-    case BrownoutLevel::kGreen: return "green";
-    case BrownoutLevel::kYellow: return "yellow";
-    case BrownoutLevel::kOrange: return "orange";
-    case BrownoutLevel::kRed: return "red";
-  }
-  return "?";
-}
-
 void OverloadConfig::validate() const {
   if (!(encode_budget_bytes > 0.0))
     throw std::invalid_argument(

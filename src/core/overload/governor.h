@@ -34,8 +34,6 @@ enum class BrownoutLevel : std::uint8_t {
   kRed = 3,     // + global tier cap; fleet admission denies new slots
 };
 
-[[nodiscard]] const char* to_string(BrownoutLevel level) noexcept;
-
 /// Sentinel for "no tier cap" in ShedDirectives.
 inline constexpr std::size_t kNoTierCap =
     std::numeric_limits<std::size_t>::max();

@@ -239,7 +239,6 @@ Session::Session(SessionConfig config) {
 }
 Session::~Session() = default;
 Session::Session(Session&&) noexcept = default;
-Session& Session::operator=(Session&&) noexcept = default;
 
 const SessionConfig& Session::config() const noexcept {
   return impl_->state.config;

@@ -230,7 +230,6 @@ class Session {
   explicit Session(SessionConfig config);
   ~Session();
   Session(Session&&) noexcept;
-  Session& operator=(Session&&) noexcept;
 
   [[nodiscard]] const SessionConfig& config() const noexcept;
 

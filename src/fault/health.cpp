@@ -4,16 +4,6 @@
 
 namespace volcast::fault {
 
-const char* to_string(HealthState state) noexcept {
-  switch (state) {
-    case HealthState::kHealthy: return "healthy";
-    case HealthState::kDegraded: return "degraded";
-    case HealthState::kOutage: return "outage";
-    case HealthState::kRecovering: return "recovering";
-  }
-  return "unknown";
-}
-
 void HealthMonitor::enter(HealthState next) {
   if (next == state_) return;
   state_ = next;

@@ -20,8 +20,6 @@ namespace volcast::fault {
 
 enum class HealthState { kHealthy, kDegraded, kOutage, kRecovering };
 
-[[nodiscard]] const char* to_string(HealthState state) noexcept;
-
 /// Link rates below this (Mbps) count as degraded service.
 inline constexpr double kDegradedRateMbps = 50.0;
 /// Consecutive good ticks required to leave kRecovering.

@@ -44,12 +44,6 @@ PhasorSink LaneBlocks::push_lane() {
   return {block + slot, block + kLanes + slot, kBlockStride};
 }
 
-std::vector<Complex> LaneBlocks::lane(std::size_t lane) const {
-  std::vector<Complex> out;
-  this->lane(lane, out);
-  return out;
-}
-
 void LaneBlocks::lane(std::size_t lane, std::vector<Complex>& out) const {
   if (lane >= lanes_) throw std::out_of_range("LaneBlocks: no such lane");
   const double* block =

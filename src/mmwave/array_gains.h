@@ -44,10 +44,8 @@ class LaneBlocks {
 
   [[nodiscard]] std::size_t elements() const noexcept { return elements_; }
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
-  /// Lane `lane`'s vector, as pushed. Throws std::out_of_range for a lane
-  /// that does not exist.
-  [[nodiscard]] std::vector<Complex> lane(std::size_t lane) const;
-  /// lane(lane) written into `out`, reusing its storage.
+  /// Writes lane `lane`'s vector, as pushed, into `out`, reusing its
+  /// storage. Throws std::out_of_range for a lane that does not exist.
   void lane(std::size_t lane, std::vector<Complex>& out) const;
   /// The blocks: ceil(lanes() / kLanes) * elements() * 2 * kLanes doubles.
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }
@@ -58,7 +56,7 @@ class LaneBlocks {
   std::vector<double> data_;
 };
 
-/// Writes out[l] = |sum_i w_i v_i|^2 g for every lane v = lanes.lane(l),
+/// Writes out[l] = |sum_i w_i v_i|^2 g for every lane v (lane l of `lanes`),
 /// with g = gains[l], or gains[0] for every lane when `gains` has one
 /// entry; 0 in every lane when `w` does not have lanes.elements() entries.
 /// For finite inputs that do not overflow, out[l] is bit for bit what

@@ -19,21 +19,16 @@
 namespace volcast::mmwave {
 
 /// Combines per-user AWVs into one multi-lobe AWV using the paper's
-/// RSS-weighted rule. `rss_mw` are linear received powers (milliwatts)
-/// measured per user with its individual beam. Returns a power-normalized
-/// AWV. Throws std::invalid_argument on size mismatch, empty input, or a
-/// non-positive RSS.
-[[nodiscard]] Awv combine_awvs(std::span<const Awv> beams,
-                               std::span<const double> rss_mw);
-
-/// combine_awvs() over beams held elsewhere, written into `out` (reusing
-/// its storage): the same arithmetic, the same bits.
+/// RSS-weighted rule and writes it, power-normalized, into `out` (reusing
+/// its storage). `rss_mw` are linear received powers (milliwatts) measured
+/// per user with its individual beam. Throws std::invalid_argument on size
+/// mismatch, empty input, or a non-positive RSS.
+///
+/// The equal-weight ablation baseline (no RSS balancing term) is this with
+/// equal RSS: on two beams every weight is exactly 1/2, so the result is
+/// the power-normalized plain sum bit for bit.
 void combine_awvs(std::span<const Awv* const> beams,
                   std::span<const double> rss_mw, Awv& out);
-
-/// Equal-weight combination (the ablation baseline: what you get without
-/// the RSS balancing term).
-[[nodiscard]] Awv combine_awvs_equal(std::span<const Awv> beams);
 
 /// Beam-probing verdict (paper Section 5: multi-lobe beams can interfere
 /// via reflections and must be probed before use).

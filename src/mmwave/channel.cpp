@@ -78,7 +78,8 @@ double Channel::fspl_db(double distance_m) const noexcept {
 std::vector<Path> Channel::paths(const geo::Vec3& tx, const geo::Vec3& rx,
                                  std::span<const geo::BodyObstacle> bodies,
                                  const BlockageModel& blockage) const {
-  const std::vector<TracedPath> geometry = trace(tx, rx);
+  std::vector<TracedPath> geometry;
+  trace(tx, rx, geometry);
   std::vector<Path> out;
   out.reserve(geometry.size());
   for (const TracedPath& traced : geometry) {
@@ -88,13 +89,6 @@ std::vector<Path> Channel::paths(const geo::Vec3& tx, const geo::Vec3& rx,
           traced.vertices[s], traced.vertices[s + 1], bodies);
     out.push_back(p);
   }
-  return out;
-}
-
-std::vector<TracedPath> Channel::trace(const geo::Vec3& tx,
-                                       const geo::Vec3& rx) const {
-  std::vector<TracedPath> out;
-  trace(tx, rx, out);
   return out;
 }
 

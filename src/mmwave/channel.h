@@ -119,12 +119,9 @@ class Channel {
       std::span<const geo::BodyObstacle> bodies = {},
       const BlockageModel& blockage = {}) const;
 
-  /// The same paths before blockage, with their segment polylines. paths()
-  /// is trace() plus, per path, each segment's body loss added in order.
-  [[nodiscard]] std::vector<TracedPath> trace(const geo::Vec3& tx,
-                                              const geo::Vec3& rx) const;
-
-  /// trace(tx, rx) written into `out` (cleared first), reusing its storage.
+  /// Writes the same paths before blockage, with their segment polylines,
+  /// into `out` (cleared first), reusing its storage. paths() is trace()
+  /// plus, per path, each segment's body loss added in order.
   void trace(const geo::Vec3& tx, const geo::Vec3& rx,
              std::vector<TracedPath>& out) const;
 

@@ -25,7 +25,8 @@ Awv apply_subarray(Awv w, const ArrayGeometry& geometry, unsigned sub_ny,
       if (!inside) w[iz * geometry.ny + iy] = Complex{0.0, 0.0};
     }
   }
-  return power_normalized(std::move(w));
+  power_normalize(w);
+  return w;
 }
 
 }  // namespace
@@ -63,12 +64,6 @@ Codebook::Codebook(const PhasedArray& array, const CodebookConfig& config)
   }
 }
 
-std::vector<double> Codebook::gains(const Steering& response) const {
-  std::vector<double> out(beams_.size());
-  gains(response, out);
-  return out;
-}
-
 void Codebook::gains(const Steering& response, std::span<double> out) const {
   array_gains(response.phasors, lanes_,
               std::span<const double>(&response.element_gain, 1), out);
@@ -76,15 +71,19 @@ void Codebook::gains(const Steering& response, std::span<double> out) const {
 
 std::size_t Codebook::best_beam_toward(const PhasedArray& array,
                                        const geo::Vec3& target) const {
-  return best_sector(gains(array.steering(target - array.pose().position)));
+  std::vector<double> row(beams_.size());
+  gains(array.steering(target - array.pose().position), row);
+  return best_sector(row);
 }
 
 std::size_t Codebook::best_common_beam(
     const PhasedArray& array, std::span<const geo::Vec3> targets) const {
   std::vector<std::vector<double>> rows;
   rows.reserve(targets.size());
-  for (const geo::Vec3& t : targets)
-    rows.push_back(gains(array.steering(t - array.pose().position)));
+  for (const geo::Vec3& t : targets) {
+    gains(array.steering(t - array.pose().position),
+          rows.emplace_back(beams_.size()));
+  }
   const std::vector<std::span<const double>> views(rows.begin(), rows.end());
   return best_common_sector(views, beams_.size());
 }

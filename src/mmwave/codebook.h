@@ -54,12 +54,10 @@ class Codebook {
   [[nodiscard]] std::size_t best_common_beam(
       const PhasedArray& array, std::span<const geo::Vec3> targets) const;
 
-  /// Every beam's gain toward one array response, in beam order:
-  /// response.gain(beam(i)) at index i, in one array_gains pass.
-  [[nodiscard]] std::vector<double> gains(const Steering& response) const;
-
-  /// gains(response) written into `out`, which must have size() entries
-  /// (std::invalid_argument otherwise).
+  /// Writes every beam's gain toward one array response into `out`, in
+  /// beam order: response.gain(beam(i)) at index i, in one array_gains
+  /// pass. `out` must have size() entries (std::invalid_argument
+  /// otherwise).
   void gains(const Steering& response, std::span<double> out) const;
 
  private:

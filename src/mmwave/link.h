@@ -141,7 +141,7 @@ class LinkTable {
   [[nodiscard]] std::span<const Awv> reflection_beams(std::size_t rx);
 
   /// Every codebook sector's gain toward receivers[rx], in beam order:
-  /// codebook.gains(steering(rx)), computed once per row. Throws
+  /// what codebook.gains(steering(rx), out) writes, computed once per row. Throws
   /// std::logic_error when the table has no codebook.
   [[nodiscard]] std::span<const double> sector_gains(std::size_t rx);
 

@@ -8,11 +8,6 @@
 
 namespace volcast::mmwave {
 
-Awv power_normalized(Awv w) {
-  power_normalize(w);
-  return w;
-}
-
 void power_normalize(Awv& w) noexcept {
   double power = 0.0;
   for (const Complex& c : w) power += std::norm(c);
@@ -71,12 +66,6 @@ geo::Vec3 PhasedArray::local_direction(
   return element_gain(local.x);
 }
 
-Steering PhasedArray::response(const geo::Vec3& local) const {
-  Steering s;
-  response(local, s);
-  return s;
-}
-
 void PhasedArray::response(const geo::Vec3& local, Steering& out) const {
   out.phasors.resize(elements_local_.size());
   // The standard lets an array of std::complex<double> be read and written
@@ -86,13 +75,9 @@ void PhasedArray::response(const geo::Vec3& local, Steering& out) const {
 }
 
 Steering PhasedArray::steering(const geo::Vec3& dir_world) const {
-  return response(local_direction(dir_world));
-}
-
-Awv PhasedArray::steer(const Steering& response) {
-  Awv w;
-  steer(response, w);
-  return w;
+  Steering s;
+  response(local_direction(dir_world), s);
+  return s;
 }
 
 void PhasedArray::steer(const Steering& response, Awv& out) {
@@ -103,7 +88,9 @@ void PhasedArray::steer(const Steering& response, Awv& out) {
 }
 
 Awv PhasedArray::steer(const geo::Vec3& dir_world) const {
-  return steer(steering(dir_world));
+  Awv w;
+  steer(steering(dir_world), w);
+  return w;
 }
 
 Awv PhasedArray::steer_at(const geo::Vec3& target_world) const {

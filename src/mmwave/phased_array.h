@@ -24,10 +24,7 @@ using Complex = std::complex<double>;
 /// constraint the paper's multi-lobe combination must respect).
 using Awv = std::vector<Complex>;
 
-/// Returns w scaled so that sum |w_i|^2 == 1 (no-op for a zero vector).
-[[nodiscard]] Awv power_normalized(Awv w);
-
-/// power_normalized() in place: the same scale, the same bits.
+/// Scales `w` in place so that sum |w_i|^2 == 1 (no-op for a zero vector).
 void power_normalize(Awv& w) noexcept;
 
 /// The array's response toward one direction: the per-element phasors
@@ -80,19 +77,17 @@ class PhasedArray {
   /// (need not be normalized), power-normalized.
   [[nodiscard]] Awv steer(const geo::Vec3& dir_world) const;
 
-  /// The conjugate-steering AWV of a precomputed response: steer(dir) ==
-  /// steer(steering(dir)), bit for bit.
-  [[nodiscard]] static Awv steer(const Steering& response);
-
-  /// steer(response) written into `out`, reusing its storage.
+  /// Writes the conjugate-steering AWV of a precomputed response into
+  /// `out`, reusing its storage: steer(dir) is this over steering(dir),
+  /// bit for bit.
   static void steer(const Steering& response, Awv& out);
 
   /// AWV pointed at a world position (steer toward target - array origin).
   [[nodiscard]] Awv steer_at(const geo::Vec3& target_world) const;
 
   /// The array's response toward world direction `dir` (need not be
-  /// normalized). gain() and steer() are both built on it. Equals
-  /// response(local_direction(dir)).
+  /// normalized). gain() and steer() are both built on it. Equals what
+  /// response(local_direction(dir), out) writes.
   [[nodiscard]] Steering steering(const geo::Vec3& dir_world) const;
 
   /// World direction `dir` (need not be normalized) as a unit vector in the
@@ -102,10 +97,8 @@ class PhasedArray {
   [[nodiscard]] geo::Vec3 local_direction(
       const geo::Vec3& dir_world) const noexcept;
 
-  /// The response toward array-frame direction `local`.
-  [[nodiscard]] Steering response(const geo::Vec3& local) const;
-
-  /// response(local) written into `out`, reusing its storage.
+  /// Writes the response toward array-frame direction `local` into `out`,
+  /// reusing its storage.
   void response(const geo::Vec3& local, Steering& out) const;
 
   /// Writes the response toward `local` into `out` (element_count()

@@ -9,13 +9,6 @@ double iou(const VisibilityMap& a, const VisibilityMap& b) {
   return group_iou(pair);
 }
 
-double group_iou(std::span<const VisibilityMap> maps) {
-  std::vector<const VisibilityMap*> ptrs;
-  ptrs.reserve(maps.size());
-  for (const VisibilityMap& m : maps) ptrs.push_back(&m);
-  return group_iou(std::span<const VisibilityMap* const>(ptrs));
-}
-
 double group_iou(std::span<const VisibilityMap* const> maps) {
   if (maps.empty()) return 1.0;
   const std::size_t cells = maps.front()->cell_count();
@@ -34,19 +27,6 @@ double group_iou(std::span<const VisibilityMap* const> maps) {
   }
   if (uni == 0) return 1.0;
   return static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-VisibilityMap intersection(std::span<const VisibilityMap> maps) {
-  std::vector<const VisibilityMap*> ptrs;
-  ptrs.reserve(maps.size());
-  for (const VisibilityMap& m : maps) ptrs.push_back(&m);
-  return intersection(std::span<const VisibilityMap* const>(ptrs));
-}
-
-VisibilityMap intersection(std::span<const VisibilityMap* const> maps) {
-  VisibilityMap out;
-  intersection(maps, out);
-  return out;
 }
 
 void intersection(std::span<const VisibilityMap* const> maps,

@@ -17,16 +17,12 @@ namespace volcast::view {
 
 /// IoU over an arbitrary group: |intersection of all| / |union of all|.
 /// Mirrors the paper's group-size analysis (Fig. 2b, HM(3) curve).
-[[nodiscard]] double group_iou(std::span<const VisibilityMap> maps);
 [[nodiscard]] double group_iou(std::span<const VisibilityMap* const> maps);
 
-/// Cells visible to every user of the group (the multicast payload of
-/// Fig. 1: "overlapped cells"), with the group-maximum LoD per cell so the
-/// multicast copy satisfies the most demanding member.
-[[nodiscard]] VisibilityMap intersection(std::span<const VisibilityMap> maps);
-[[nodiscard]] VisibilityMap intersection(
-    std::span<const VisibilityMap* const> maps);
-/// intersection(maps) written into `out`, reusing its storage.
+/// Writes the cells visible to every user of the group (the multicast
+/// payload of Fig. 1: "overlapped cells") into `out`, reusing its storage,
+/// with the group-maximum LoD per cell so the multicast copy satisfies the
+/// most demanding member.
 void intersection(std::span<const VisibilityMap* const> maps,
                   VisibilityMap& out);
 

@@ -55,12 +55,14 @@ Awv random_awv(Rng& rng, const mmwave::PhasedArray& ap) {
     case 1: {
       Awv w = ap.steer(random_direction(rng));
       for (std::size_t i = 0; i < w.size(); i += 3) w[i] = {0.0, 0.0};
-      return mmwave::power_normalized(std::move(w));
+      mmwave::power_normalize(w);
+      return w;
     }
     case 2: {
       Awv w(ap.element_count());
       for (Complex& c : w) c = {rng.normal(), rng.normal()};
-      return mmwave::power_normalized(std::move(w));
+      mmwave::power_normalize(w);
+      return w;
     }
     default: {
       Awv w(ap.element_count());
@@ -147,13 +149,14 @@ TEST(ArrayGains, ReflectionOrderTwoRows) {
   const mmwave::Codebook codebook(ap);
   Rng rng(29);
   std::size_t multi_block_rows = 0;
+  std::vector<mmwave::TracedPath> traced_paths;
   for (int trial = 0; trial < 20; ++trial) {
     const geo::Vec3 rx{rng.uniform(0.2, room.width_m - 0.2),
                        rng.uniform(0.2, room.length_m - 0.2),
                        rng.uniform(0.3, 2.0)};
     std::vector<Steering> responses;
-    for (const mmwave::TracedPath& traced :
-         channel.trace(ap.pose().position, rx))
+    channel.trace(ap.pose().position, rx, traced_paths);
+    for (const mmwave::TracedPath& traced : traced_paths)
       responses.push_back(ap.steering(traced.path.tx_direction));
     if (responses.size() > mmwave::kLanes) ++multi_block_rows;
     const std::string where = "trial " + std::to_string(trial) + " (" +
@@ -194,7 +197,8 @@ TEST(ArrayGains, ValidatesSizes) {
   LaneBlocks lanes(ap.element_count());
   EXPECT_THROW(lanes.push_back(Awv(14)), std::invalid_argument);
   for (int p = 0; p < 3; ++p) lanes.push_back(ap.steer({1, 0.1 * p, 0}));
-  EXPECT_THROW((void)lanes.lane(3), std::out_of_range);
+  std::vector<Complex> lane;
+  EXPECT_THROW(lanes.lane(3, lane), std::out_of_range);
   const Awv w = ap.steer({1, 0, 0});
   std::vector<double> out(3);
   const std::vector<double> two_gains = {1.0, 2.0};
@@ -221,8 +225,9 @@ TEST(ArrayGains, LanesKeepTheirValuesAndPadWithZeros) {
     EXPECT_EQ(lanes.data().size(),
               blocks * ap.element_count() * 2 * mmwave::kLanes);
   }
+  std::vector<Complex> lane;
   for (std::size_t l = 0; l < pushed.size(); ++l) {
-    const std::vector<Complex> lane = lanes.lane(l);
+    lanes.lane(l, lane);
     ASSERT_EQ(lane.size(), pushed[l].size());
     EXPECT_EQ(std::memcmp(lane.data(), pushed[l].data(),
                           lane.size() * sizeof(Complex)),
@@ -254,10 +259,10 @@ TEST(ArrayGains, CodebookGainsEqualEachBeamsGain) {
       config.el_steps = grid.el;
       const mmwave::Codebook codebook(ap, config);
       ASSERT_EQ(codebook.size(), grid.az * grid.el);
+      std::vector<double> gains(codebook.size());
       for (int trial = 0; trial < 10; ++trial) {
         const Steering response = ap.steering(random_direction(rng));
-        const std::vector<double> gains = codebook.gains(response);
-        ASSERT_EQ(gains.size(), codebook.size());
+        codebook.gains(response, gains);
         for (std::size_t i = 0; i < codebook.size(); ++i)
           EXPECT_TRUE(same_bits(gains[i], response.gain(codebook.beam(i))))
               << g.ny << "x" << g.nz << " codebook " << codebook.size()
@@ -266,7 +271,8 @@ TEST(ArrayGains, CodebookGainsEqualEachBeamsGain) {
       // A response of another array has the wrong length: every gain is 0,
       // as Steering::gain gives.
       const Steering foreign = array_of(2, 2).steering({1, 0, 0});
-      for (const double gain : codebook.gains(foreign))
+      codebook.gains(foreign, gains);
+      for (const double gain : gains)
         EXPECT_TRUE(same_bits(gain, 0.0));
     }
   }

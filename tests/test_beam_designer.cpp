@@ -27,7 +27,9 @@ GroupBeam unicast(const BeamDesigner& designer, const geo::Vec3& position,
   const geo::Vec3 receivers[] = {position};
   mmwave::LinkTable links = designer.link_table(receivers, bodies);
   const std::vector<std::uint8_t> every_body(bodies.size(), 1);
-  return designer.design_unicast(links, 0, every_body);
+  GroupBeam beam;
+  designer.design_unicast(links, 0, every_body, beam);
+  return beam;
 }
 
 /// `designer`'s multicast design for `members`, priced through a link table
@@ -45,7 +47,9 @@ GroupBeam multicast(const BeamDesigner& designer,
   std::vector<std::size_t> other_ids(others.size());
   std::iota(other_ids.begin(), other_ids.end(), members.size());
   const std::vector<std::uint8_t> every_body(bodies.size(), 1);
-  return designer.design_multicast(links, member_ids, every_body, other_ids);
+  GroupBeam beam;
+  designer.design_multicast(links, member_ids, every_body, other_ids, beam);
+  return beam;
 }
 
 TEST(BeamDesigner, UnicastCustomSteersAtUser) {
@@ -82,7 +86,8 @@ TEST(BeamDesigner, MulticastEmptyGroupThrows) {
   Fixture f;
   const geo::Vec3 receivers[] = {f.seat(0.0, 2.0)};
   mmwave::LinkTable links = f.designer.link_table(receivers, {});
-  EXPECT_THROW((void)f.designer.design_multicast(links, {}, {}),
+  GroupBeam beam;
+  EXPECT_THROW(f.designer.design_multicast(links, {}, {}, {}, beam),
                std::invalid_argument);
 }
 

@@ -37,9 +37,10 @@ struct Fixture {
 
   [[nodiscard]] OverlapBitsFn overlap_fn() const {
     return [this](std::span<const std::size_t> idx) {
-      std::vector<VisibilityMap> group;
-      for (auto i : idx) group.push_back(maps[i]);
-      const auto inter = view::intersection(group);
+      std::vector<const VisibilityMap*> group;
+      for (auto i : idx) group.push_back(&maps[i]);
+      VisibilityMap inter;
+      view::intersection(group, inter);
       return 1e6 * static_cast<double>(inter.visible_count());
     };
   }
@@ -394,10 +395,9 @@ OverlapBitsFn overlap_of(const std::vector<VisibilityMap>& maps) {
   return [&maps](std::span<const std::size_t> idx) {
     std::vector<const VisibilityMap*> group;
     for (std::size_t i : idx) group.push_back(&maps[i]);
-    return 6e5 * static_cast<double>(
-                     view::intersection(
-                         std::span<const VisibilityMap* const>(group))
-                         .visible_count());
+    VisibilityMap inter;
+    view::intersection(group, inter);
+    return 6e5 * static_cast<double>(inter.visible_count());
   };
 }
 

@@ -281,10 +281,9 @@ struct Instance {
       log.add('o', idx);
       std::vector<const VisibilityMap*> group;
       for (std::size_t i : idx) group.push_back(&maps[i]);
-      return 5e5 * static_cast<double>(
-                       view::intersection(
-                           std::span<const VisibilityMap* const>(group))
-                           .visible_count());
+      VisibilityMap inter;
+      view::intersection(group, inter);
+      return 5e5 * static_cast<double>(inter.visible_count());
     };
   }
 };

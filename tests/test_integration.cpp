@@ -94,8 +94,9 @@ TEST(Integration, VisibilityNeverExceedsFrameBytes) {
 TEST(Integration, OverlapBitsBoundedByMemberDemands) {
   Pipeline p;
   const auto maps = p.maps_at(0);
-  const view::VisibilityMap pair[] = {maps[0], maps[1]};
-  const auto inter = view::intersection(pair);
+  const view::VisibilityMap* pair[] = {&maps[0], &maps[1]};
+  view::VisibilityMap inter;
+  view::intersection(pair, inter);
   const double overlap = p.visible_bits(inter, 0, 1);
   // The multicast blob is never bigger than what the hungrier member
   // would fetch anyway at the shared LoD... the group-max LoD can exceed a
@@ -116,19 +117,23 @@ TEST(Integration, GroupedScheduleBeatsUnicastAirtime) {
     positions.push_back(p.testbed.to_room(p.study.trace(u).poses[0].position));
   mmwave::LinkTable links = p.designer.link_table(positions, {});
   std::vector<core::UserState> users(maps.size());
+  core::GroupBeam beam;
   for (std::size_t u = 0; u < maps.size(); ++u) {
-    const auto beam = p.designer.design_unicast(links, u, {});
+    p.designer.design_unicast(links, u, {}, beam);
     users[u] = {u, &maps[u], p.visible_bits(maps[u], 0, 1),
                 beam.multicast_rate_mbps};
   }
 
   auto group_rate = [&](std::span<const std::size_t> idx) {
-    return p.designer.design_multicast(links, idx, {}).multicast_rate_mbps;
+    p.designer.design_multicast(links, idx, {}, {}, beam);
+    return beam.multicast_rate_mbps;
   };
   auto overlap_bits = [&](std::span<const std::size_t> idx) {
-    std::vector<view::VisibilityMap> group_maps;
-    for (auto i : idx) group_maps.push_back(maps[i]);
-    return p.visible_bits(view::intersection(group_maps), 0, 1);
+    std::vector<const view::VisibilityMap*> group_maps;
+    for (auto i : idx) group_maps.push_back(&maps[i]);
+    view::VisibilityMap overlap;
+    view::intersection(group_maps, overlap);
+    return p.visible_bits(overlap, 0, 1);
   };
 
   core::GrouperConfig greedy;
@@ -175,8 +180,9 @@ TEST(Integration, BeamRatesSupportMeasuredDemands) {
     positions.push_back(p.testbed.to_room(p.study.trace(u).poses[0].position));
   mmwave::LinkTable links = p.designer.link_table(positions, {});
   double total_airtime = 0.0;
+  core::GroupBeam beam;
   for (std::size_t u = 0; u < maps.size(); ++u) {
-    const auto beam = p.designer.design_unicast(links, u, {});
+    p.designer.design_unicast(links, u, {}, beam);
     ASSERT_GT(beam.multicast_rate_mbps, 0.0);
     total_airtime +=
         tx_time_s(p.visible_bits(maps[u], 0, 1), beam.multicast_rate_mbps);

@@ -108,8 +108,9 @@ struct Scene {
   /// receiver rx: the bodies its row's loss list names.
   [[nodiscard]] std::vector<std::size_t> listed_bodies(std::size_t rx) const {
     std::vector<bool> listed(bodies.size(), false);
-    for (const mmwave::TracedPath& traced :
-         channel.trace(ap.pose().position, receivers[rx]))
+    std::vector<mmwave::TracedPath> traced_paths;
+    channel.trace(ap.pose().position, receivers[rx], traced_paths);
+    for (const mmwave::TracedPath& traced : traced_paths)
       for (std::size_t s = 0; s < traced.segment_count(); ++s)
         for (std::size_t k = 0; k < bodies.size(); ++k)
           if (blockage.segment_loss_db(traced.vertices[s],
@@ -256,10 +257,13 @@ Awv probe_beam(Rng& rng, const Scene& scene) {
     case 1:
       return scene.codebook.beam(pick(rng, scene.codebook.size()));
     case 2: {
-      const Awv beams[] = {scene.ap.steer_at(random_point(rng, room)),
-                           scene.ap.steer_at(random_point(rng, room))};
+      const Awv first = scene.ap.steer_at(random_point(rng, room));
+      const Awv second = scene.ap.steer_at(random_point(rng, room));
+      const Awv* beams[] = {&first, &second};
       const double rss[] = {rng.uniform(1e-9, 1e-5), rng.uniform(1e-9, 1e-5)};
-      return mmwave::combine_awvs(beams, rss);
+      Awv combined;
+      mmwave::combine_awvs(beams, rss, combined);
+      return combined;
     }
     case 3: {
       Awv w(scene.ap.element_count());

@@ -89,10 +89,13 @@ Awv random_awv(Rng& rng, const mmwave::PhasedArray& ap,
       return codebook.beam(static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(codebook.size()) - 1)));
     case 2: {
-      const Awv beams[] = {ap.steer_at(random_point(rng, room)),
-                           ap.steer_at(random_point(rng, room))};
+      const Awv first = ap.steer_at(random_point(rng, room));
+      const Awv second = ap.steer_at(random_point(rng, room));
+      const Awv* beams[] = {&first, &second};
       const double rss[] = {rng.uniform(1e-9, 1e-5), rng.uniform(1e-9, 1e-5)};
-      return mmwave::combine_awvs(beams, rss);
+      Awv combined;
+      mmwave::combine_awvs(beams, rss, combined);
+      return combined;
     }
     default: {
       Awv w(ap.element_count());
@@ -161,7 +164,8 @@ TEST_P(LinkTableRss, BitEqualToRssDbm) {
       std::vector<std::uint8_t> mask(bodies.size());
       for (auto& bit : mask) bit = rng.chance(0.6) ? 1 : 0;
       Awv w = random_awv(rng, ap, codebook, room);
-      const auto traced = channel.trace(ap.pose().position, receivers[rx]);
+      std::vector<mmwave::TracedPath> traced;
+      channel.trace(ap.pose().position, receivers[rx], traced);
       if (traced.size() > 1 && rng.chance(0.5)) {
         // Aim at a reflection so that a multi-segment path, not the LoS,
         // carries most of the power and decides the last bits.
@@ -310,7 +314,11 @@ core::GroupBeam reference_design(const core::Testbed& tb,
     beams.push_back(tb.ap().steer_at(p));
     rss_mw.push_back(std::max(dbm_to_mw(rss(beams.back(), p)), 1e-15));
   }
-  core::GroupBeam custom = finish(mmwave::combine_awvs(beams, rss_mw), true);
+  std::vector<const Awv*> beam_ptrs;
+  for (const Awv& b : beams) beam_ptrs.push_back(&b);
+  Awv combined;
+  mmwave::combine_awvs(beam_ptrs, rss_mw, combined);
+  core::GroupBeam custom = finish(std::move(combined), true);
   if (custom.min_member_rss_dbm <
       stock.min_member_rss_dbm + config.min_improvement_db)
     return stock;
@@ -349,8 +357,8 @@ TEST(LinkTable, MulticastDesignMatchesDirectPricing) {
       }
     }
     mmwave::LinkTable table = designer.link_table(users, bodies);
-    const core::GroupBeam tabled =
-        designer.design_multicast(table, group, mask, others);
+    core::GroupBeam tabled;
+    designer.design_multicast(table, group, mask, others, tabled);
     std::vector<geo::Vec3> positions;
     for (std::size_t m : group) positions.push_back(users[m]);
     std::vector<geo::Vec3> other_positions;
@@ -418,15 +426,16 @@ TEST_P(LinkTableBound, NeverBelowRssOfAnyNormalizedBeam) {
         beams.push_back(table.steered(other));
       // A beam steered along one path meets that path's bound with
       // equality: the pad alone keeps the bound above it.
-      for (const mmwave::TracedPath& traced :
-           tb.channel().trace(ap.pose().position, receivers[rx]))
+      std::vector<mmwave::TracedPath> traced_paths;
+      tb.channel().trace(ap.pose().position, receivers[rx], traced_paths);
+      for (const mmwave::TracedPath& traced : traced_paths)
         beams.push_back(ap.steer(traced.path.tx_direction));
       for (int k = 0; k < 3; ++k) {
-        const Awv pair[] = {ap.steer_at(random_point(rng, tc.room)),
-                            table.steered(rx)};
+        const Awv aimed = ap.steer_at(random_point(rng, tc.room));
+        const Awv* pair[] = {&aimed, &table.steered(rx)};
         const double rss_mw[] = {rng.uniform(1e-9, 1e-5),
                                  rng.uniform(1e-9, 1e-5)};
-        beams.push_back(mmwave::combine_awvs(pair, rss_mw));
+        mmwave::combine_awvs(pair, rss_mw, beams.emplace_back());
       }
       const core::GroupBeam reflection =
           designer.design_reflection(receivers[rx], masked(bodies, mask));
@@ -437,7 +446,8 @@ TEST_P(LinkTableBound, NeverBelowRssOfAnyNormalizedBeam) {
       for (int k = 0; k < 4; ++k) {
         Awv w(ap.element_count());
         for (Complex& c : w) c = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-        beams.push_back(mmwave::power_normalized(std::move(w)));
+        mmwave::power_normalize(w);
+        beams.push_back(std::move(w));
       }
       const double bound = table.rss_upper_bound(rx, mask);
       for (const Awv& w : beams) {
@@ -499,11 +509,11 @@ TEST(BeamDesigner, EveryEmittedBeamIsPowerNormalized) {
           others.push_back(u);
         }
       }
-      const core::GroupBeam multicast =
-          designer.design_multicast(table, group, mask, others);
+      core::GroupBeam multicast;
+      designer.design_multicast(table, group, mask, others, multicast);
       custom_multicast += multicast.custom && group.size() > 1 ? 1 : 0;
-      const core::GroupBeam unicast =
-          designer.design_unicast(table, 0, mask);
+      core::GroupBeam unicast;
+      designer.design_unicast(table, 0, mask, unicast);
       const core::GroupBeam reflection =
           designer.design_reflection(table, 0, mask);
       for (const Awv* w : {&multicast.awv, &unicast.awv})
@@ -525,7 +535,8 @@ TEST(LinkTable, DesignRejectsTableOfAnotherArray) {
   const std::vector<geo::Vec3> users = {{3, 3, 1.5}, {5, 3, 1.5}};
   mmwave::LinkTable table = core::BeamDesigner(other).link_table(users, {});
   const std::size_t group[] = {0, 1};
-  EXPECT_THROW((void)designer.design_multicast(table, group, {}, {}),
+  core::GroupBeam beam;
+  EXPECT_THROW(designer.design_multicast(table, group, {}, {}, beam),
                std::invalid_argument);
 }
 
@@ -624,8 +635,8 @@ TEST_P(LinkTableDesigns, SectorPicksAndTableOverloadsMatchDirectPricing) {
         std::vector<std::uint8_t> mask(bodies.size());
         for (auto& bit : mask) bit = rng.chance(0.6) ? 1 : 0;
         const auto shadowing = masked(bodies, mask);
-        const core::GroupBeam unicast =
-            designer.design_unicast(table, rx, mask);
+        core::GroupBeam unicast;
+        designer.design_unicast(table, rx, mask, unicast);
         expect_same_beam(unicast,
                          reference_unicast(tb, custom, receivers[rx],
                                            shadowing),
@@ -747,8 +758,9 @@ TEST(LinkTable, ReflectionBeamsSteerAlongEachBounce) {
   std::size_t multi_block_rows = 0;
   for (std::size_t rx = 0; rx < receivers.size(); ++rx) {
     std::vector<Awv> expected;
-    for (const mmwave::TracedPath& traced :
-         tb.channel().trace(ap.pose().position, receivers[rx]))
+    std::vector<mmwave::TracedPath> traced_paths;
+    tb.channel().trace(ap.pose().position, receivers[rx], traced_paths);
+    for (const mmwave::TracedPath& traced : traced_paths)
       if (!traced.path.line_of_sight)
         expected.push_back(ap.steer(traced.path.tx_direction));
     const std::span<const Awv> got = table.reflection_beams(rx);
@@ -766,7 +778,8 @@ TEST(LinkTable, TableOverloadsRejectTableOfAnotherArray) {
   const core::BeamDesigner designer(tb);
   const std::vector<geo::Vec3> users = {{3, 3, 1.5}};
   mmwave::LinkTable table = core::BeamDesigner(other).link_table(users, {});
-  EXPECT_THROW((void)designer.design_unicast(table, 0, {}),
+  core::GroupBeam beam;
+  EXPECT_THROW(designer.design_unicast(table, 0, {}, beam),
                std::invalid_argument);
   EXPECT_THROW((void)designer.design_reflection(table, 0, {}),
                std::invalid_argument);

@@ -49,9 +49,10 @@ TEST_P(RadioSeatSweep, TwoLobeBeamWithinPowerBudget) {
                      1.5};
   const Awv b1 = rig.ap.steer_at(u1);
   const Awv b2 = rig.ap.steer_at(u2);
-  const Awv beams[] = {b1, b2};
+  const Awv* beams[] = {&b1, &b2};
   const double rss_mw[] = {1e-6, 1e-6};
-  const Awv combined = combine_awvs(beams, rss_mw);
+  Awv combined;
+  combine_awvs(beams, rss_mw, combined);
   const double g1 = rig.ap.gain(combined, u1 - rig.ap.pose().position);
   const double g2 = rig.ap.gain(combined, u2 - rig.ap.pose().position);
   const double solo1 = rig.ap.gain(b1, u1 - rig.ap.pose().position);

@@ -49,7 +49,7 @@ TEST(GroupIou, ThreeUsersIntersectOverUnion) {
   const auto a = map_with(10, {0, 1, 2, 3});
   const auto b = map_with(10, {1, 2, 3, 4});
   const auto c = map_with(10, {2, 3, 4, 5});
-  const std::vector<VisibilityMap> maps{a, b, c};
+  const VisibilityMap* maps[] = {&a, &b, &c};
   // Intersection {2,3}, union {0..5}.
   EXPECT_DOUBLE_EQ(group_iou(maps), 2.0 / 6.0);
 }
@@ -59,19 +59,19 @@ TEST(GroupIou, MoreUsersNeverIncreaseIou) {
   const auto a = map_with(10, {0, 1, 2, 3, 4});
   const auto b = map_with(10, {1, 2, 3, 4, 5});
   const auto c = map_with(10, {2, 3, 4, 5, 6});
-  const std::vector<VisibilityMap> pair{a, b};
-  const std::vector<VisibilityMap> triple{a, b, c};
+  const VisibilityMap* pair[] = {&a, &b};
+  const VisibilityMap* triple[] = {&a, &b, &c};
   EXPECT_GE(group_iou(pair), group_iou(triple));
 }
 
 TEST(GroupIou, SingletonIsOne) {
   const auto a = map_with(10, {3, 4});
-  const std::vector<VisibilityMap> one{a};
+  const VisibilityMap* one[] = {&a};
   EXPECT_DOUBLE_EQ(group_iou(one), 1.0);
 }
 
 TEST(GroupIou, EmptySpanIsOne) {
-  EXPECT_DOUBLE_EQ(group_iou(std::span<const VisibilityMap>{}), 1.0);
+  EXPECT_DOUBLE_EQ(group_iou({}), 1.0);
 }
 
 TEST(Intersection, KeepsMaxLod) {
@@ -80,16 +80,19 @@ TEST(Intersection, KeepsMaxLod) {
   a.set(1, 0.4);
   b.set(1, 0.9);
   a.set(2, 1.0);  // not in b
-  const std::vector<VisibilityMap> maps{a, b};
-  const auto inter = intersection(maps);
+  const VisibilityMap* maps[] = {&a, &b};
+  VisibilityMap inter;
+  intersection(maps, inter);
   EXPECT_TRUE(inter.visible(1));
   EXPECT_NEAR(inter.lod(1), 0.9, 1e-6);
   EXPECT_FALSE(inter.visible(2));
 }
 
 TEST(Intersection, EmptyInputGivesEmptyMap) {
-  const auto inter = intersection(std::span<const VisibilityMap>{});
+  VisibilityMap inter = map_with(8, {2, 5});  // what `out` held before
+  intersection({}, inter);
   EXPECT_EQ(inter.cell_count(), 0u);
+  EXPECT_EQ(inter.visible_count(), 0u);
 }
 
 TEST(UnionOf, CoversAllVisibleCells) {
@@ -112,7 +115,9 @@ TEST(SetOps, IntersectionSubsetOfUnion) {
   for (vv::CellId c = 0; c < 30; c += 2) a.set(c);
   for (vv::CellId c = 0; c < 30; c += 3) b.set(c);
   const std::vector<VisibilityMap> maps{a, b};
-  const auto inter = intersection(maps);
+  const VisibilityMap* ptrs[] = {&a, &b};
+  VisibilityMap inter;
+  intersection(ptrs, inter);
   const auto uni = union_of(maps);
   for (vv::CellId c = 0; c < 30; ++c) {
     if (inter.visible(c)) {
@@ -123,7 +128,7 @@ TEST(SetOps, IntersectionSubsetOfUnion) {
   EXPECT_DOUBLE_EQ(
       static_cast<double>(inter.visible_count()) /
           static_cast<double>(uni.visible_count()),
-      group_iou(maps));
+      group_iou(ptrs));
 }
 
 }  // namespace

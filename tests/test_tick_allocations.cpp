@@ -193,16 +193,16 @@ SessionConfig surround_wire(std::uint64_t seed) {
 constexpr std::size_t kFirstSteadyTick = 3;
 
 /// Allocation budgets per steady-state tick: the most in any one tick and
-/// the mean, each the count measured at seeds 1 and 11 (186 and 125 for
-/// crowd16, 513 and 403 for surround_wire, whose packet wire allocates per
+/// the mean, each the count measured at seeds 1 and 11 (179 and 115 for
+/// crowd16, 505 and 395 for surround_wire, whose packet wire allocates per
 /// train) plus about a sixth. Rebuilding one link table per tick, or
 /// allocating per grouping candidate, adds hundreds.
 struct Budget {
   std::size_t max_tick;
   double mean_tick;
 };
-constexpr Budget kCrowd16Budget{220, 145.0};
-constexpr Budget kSurroundWireBudget{600, 470.0};
+constexpr Budget kCrowd16Budget{210, 135.0};
+constexpr Budget kSurroundWireBudget{590, 460.0};
 
 struct SteadyState {
   std::size_t max_tick = 0;
