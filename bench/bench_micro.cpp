@@ -240,6 +240,23 @@ void BM_BeamGain(benchmark::State& state) {
 }
 BENCHMARK(BM_BeamGain);
 
+void BM_ArrayResponse(benchmark::State& state) {
+  // One response of the default 8x4 array toward a seated user: the
+  // per-axis phasors and their products, the work behind every lane of a
+  // link row and every steered beam.
+  const core::Testbed testbed;
+  const mmwave::PhasedArray& ap = testbed.ap();
+  const geo::Vec3 local =
+      ap.local_direction(geo::Vec3{4, 3, 1.5} - ap.pose().position);
+  mmwave::Steering response;
+  for (auto _ : state) {
+    ap.response(local, response);
+    benchmark::DoNotOptimize(response.phasors.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ArrayResponse);
+
 void BM_RssEvaluation(benchmark::State& state) {
   const core::Testbed testbed;
   const mmwave::Awv beam = testbed.ap().steer_at({4, 3, 1.5});

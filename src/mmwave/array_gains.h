@@ -5,7 +5,12 @@
 // |sum_i w_i v_i|^2 g over many vectors v of one length. LaneBlocks stores
 // those vectors ("lanes") element-major in blocks of kLanes, so that
 // array_gains() reads each weight once and advances every lane's sum with
-// it (see DESIGN.md, "Tick link state").
+// it (see DESIGN.md, "Tick link state"). A row's lanes are its paths'
+// factored responses, written in place by PhasedArray::response; the
+// table multiplies each path's gain by that path's cached budget at unit
+// gain, K_p, and sums in mW, both for rss() and for rss_above()'s second
+// screen, so the gains computed here are the only per-beam work of a
+// price.
 #pragma once
 
 #include <cstddef>

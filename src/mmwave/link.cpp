@@ -12,18 +12,19 @@ namespace volcast::mmwave {
 
 namespace {
 
-/// The one per-path term of the link budget, in mW: P_tx + G_tx - FSPL -
-/// extra losses + G_rx - implementation loss. rss_dbm and LinkTable::rss
-/// both sum it; it stays out of line so that FMA contraction
-/// (VOLCAST_NATIVE) cannot compile the two callers' copies differently.
-[[gnu::noinline]] double path_power_mw(const LinkBudget& budget,
-                                       double tx_gain, double fspl_db,
-                                       double extra_loss_db) noexcept {
-  const double gain_db = ratio_to_db(std::max(tx_gain, 1e-12));
-  const double rx_dbm = budget.tx_power_dbm + gain_db - fspl_db -
-                        extra_loss_db + budget.rx_gain_dbi -
-                        budget.implementation_loss_db;
-  return dbm_to_mw(rx_dbm);
+/// Path p's link budget in mW at unit transmit gain, K_p: P_tx - FSPL -
+/// extra losses + G_rx - implementation loss.
+double unit_gain_mw(const LinkBudget& budget, double fspl_db,
+                    double extra_loss_db) noexcept {
+  return dbm_to_mw(budget.tx_power_dbm - fspl_db - extra_loss_db +
+                   budget.rx_gain_dbi - budget.implementation_loss_db);
+}
+
+/// The one per-path term of the link budget, in mW: the transmit gain
+/// (floored at 1e-12) times K_p. rss_dbm and LinkTable both sum it over
+/// the paths in Channel::paths order.
+double path_power_mw(double tx_gain, double unit_mw) noexcept {
+  return std::max(tx_gain, 1e-12) * unit_mw;
 }
 
 /// The RSS of an empty (or underflowed) power sum.
@@ -52,9 +53,10 @@ double rss_dbm(const PhasedArray& tx, const Awv& w, const Channel& channel,
                                    blockage);
   double total_mw = 0.0;
   for (const Path& path : paths)
-    total_mw += path_power_mw(budget, tx.gain(w, path.tx_direction),
-                              channel.fspl_db(path.length_m),
-                              path.extra_loss_db);
+    total_mw += path_power_mw(
+        tx.gain(w, path.tx_direction),
+        unit_gain_mw(budget, channel.fspl_db(path.length_m),
+                     path.extra_loss_db));
   return total_to_dbm(total_mw);
 }
 
@@ -231,24 +233,31 @@ double LinkTable::extra_loss_db(
   return extra_loss_db;
 }
 
-double LinkTable::masked_rss(const Row& r,
-                             std::span<const std::uint8_t> body_mask,
-                             std::span<const double> path_gains) const {
+double LinkTable::power_mw(const Row& r, const double* budgets_mw,
+                           std::span<const double> path_gains) noexcept {
   double total_mw = 0.0;
-  for (std::size_t p = 0; p < r.paths.size(); ++p) {
-    const PathTerm& term = r.paths[p];
-    total_mw += path_power_mw(budget_, path_gains[p], term.fspl_db,
-                              extra_loss_db(r, term, body_mask));
-  }
-  return total_to_dbm(total_mw);
+  for (std::size_t p = 0; p < r.paths.size(); ++p)
+    total_mw += path_power_mw(path_gains[p], budgets_mw[p]);
+  return total_mw;
 }
 
-double LinkTable::evaluate(const Row& r,
-                           std::span<const std::uint8_t> body_mask,
-                           obs::Counter* evals) {
+const double* LinkTable::budgets_mw(Row& r,
+                                    std::span<const std::uint8_t> body_mask) {
+  if (const std::optional<std::uint64_t> visible = visible_key(r, body_mask)) {
+    const std::size_t first = path_budgets(r, *visible, body_mask).first;
+    return r.budgets_mw.data() + first;
+  }
+  budgets_scratch_.clear();
+  for (const PathTerm& term : r.paths)
+    budgets_scratch_.push_back(unit_gain_mw(
+        budget_, term.fspl_db, extra_loss_db(r, term, body_mask)));
+  return budgets_scratch_.data();
+}
+
+double LinkTable::evaluate(double total_mw, obs::Counter* evals) {
   ++evaluations_;
   if (evals != nullptr) evals->add();
-  return masked_rss(r, body_mask, path_gains_);
+  return total_to_dbm(total_mw);
 }
 
 void LinkTable::fill_gains(const Row& r, const Awv& w) {
@@ -260,9 +269,9 @@ double LinkTable::rss(const Awv& w, std::size_t rx,
                       std::span<const std::uint8_t> body_mask,
                       obs::Counter* evals) {
   check_mask(body_mask);
-  const Row& r = row(rx);
+  Row& r = row(rx);
   fill_gains(r, w);
-  return evaluate(r, body_mask, evals);
+  return evaluate(power_mw(r, budgets_mw(r, body_mask), path_gains_), evals);
 }
 
 std::size_t LinkTable::name_beam() noexcept {
@@ -306,8 +315,8 @@ const LinkTable::PathBudgets& LinkTable::path_budgets(
   PathBudgets set{visible, r.budgets_mw.size(), 0.0, 0.0};
   for (std::size_t p = 0; p < r.paths.size(); ++p) {
     const PathTerm& term = r.paths[p];
-    const double k = path_power_mw(budget_, 1.0, term.fspl_db,
-                                   extra_loss_db(r, term, body_mask));
+    const double k =
+        unit_gain_mw(budget_, term.fspl_db, extra_loss_db(r, term, body_mask));
     r.budgets_mw.push_back(k);
     set.full_gain_mw += n * r.element_gains[p] * k;
     set.unit_mw += k;
@@ -316,51 +325,44 @@ const LinkTable::PathBudgets& LinkTable::path_budgets(
   return r.budget_sets.back();
 }
 
-std::optional<bool> LinkTable::screen(Row& r, const Awv& w,
-                                      std::span<const std::uint8_t> body_mask,
-                                      double threshold_dbm) {
+bool LinkTable::rss_above(const Awv& w, std::size_t rx,
+                          std::span<const std::uint8_t> body_mask,
+                          double threshold_dbm, obs::Counter* evals) {
   constexpr double kPad = 1e-9;
   constexpr double kBoundPad = 1.0 + 1e-6;
+  check_mask(body_mask);
+  Row& r = row(rx);
   const std::optional<std::uint64_t> visible = visible_key(r, body_mask);
   // At or above the floor, total_to_dbm's -200 dBm for an empty sum stays
   // below the threshold, as a zero sum in mW does.
-  if (!visible || !(threshold_dbm >= kFloorDbm)) return std::nullopt;
+  if (!visible || !(threshold_dbm >= kFloorDbm))
+    return rss(w, rx, body_mask, evals) > threshold_dbm;
   if (threshold_dbm != threshold_dbm_) {
     threshold_dbm_ = threshold_dbm;
     threshold_mw_ = dbm_to_mw(threshold_dbm);
   }
-  if (!std::isfinite(threshold_mw_)) return std::nullopt;
+  if (!std::isfinite(threshold_mw_))
+    return rss(w, rx, body_mask, evals) > threshold_dbm;
   const double below_mw = threshold_mw_ * (1.0 - kPad);
   const double above_mw = threshold_mw_ * (1.0 + kPad);
   const PathBudgets& set = path_budgets(r, *visible, body_mask);
   double power = 0.0;
   for (const Complex& c : w) power += std::norm(c);
+  const auto screened = [this](bool above) {
+    if (counters_.screened != nullptr) counters_.screened->add();
+    return above;
+  };
   if ((power * kBoundPad * set.full_gain_mw + 1e-12 * set.unit_mw) *
           kBoundPad <
       below_mw)
-    return false;
+    return screened(false);
   fill_gains(r, w);
-  const double* budgets_mw = r.budgets_mw.data() + set.first;
-  double total_mw = 0.0;
-  for (std::size_t p = 0; p < r.paths.size(); ++p)
-    total_mw += std::max(path_gains_[p], 1e-12) * budgets_mw[p];
-  if (total_mw > above_mw) return true;
-  if (total_mw < below_mw) return false;
-  return std::nullopt;
-}
-
-bool LinkTable::rss_above(const Awv& w, std::size_t rx,
-                          std::span<const std::uint8_t> body_mask,
-                          double threshold_dbm, obs::Counter* evals) {
-  check_mask(body_mask);
-  Row& r = row(rx);
-  if (const std::optional<bool> decided =
-          screen(r, w, body_mask, threshold_dbm)) {
-    if (counters_.screened != nullptr) counters_.screened->add();
-    return *decided;
-  }
-  fill_gains(r, w);
-  return evaluate(r, body_mask, evals) > threshold_dbm;
+  const double total_mw =
+      power_mw(r, r.budgets_mw.data() + set.first, path_gains_);
+  if (total_mw > above_mw) return screened(true);
+  if (total_mw < below_mw) return screened(false);
+  // Inside the pad the decision is rss()'s: the same sum, turned to dBm.
+  return evaluate(total_mw, evals) > threshold_dbm;
 }
 
 double LinkTable::rss_upper_bound(std::size_t rx,
@@ -368,12 +370,13 @@ double LinkTable::rss_upper_bound(std::size_t rx,
   constexpr double kGainPad = 1.0 + 1e-6;
   constexpr double kPadDb = 1e-6;
   check_mask(body_mask);
-  const Row& r = row(rx);
+  Row& r = row(rx);
   const auto n = static_cast<double>(r.responses.elements());
   path_gains_.clear();
   for (const double element_gain : r.element_gains)
     path_gains_.push_back(n * element_gain * kGainPad);
-  return masked_rss(r, body_mask, path_gains_) + kPadDb;
+  return total_to_dbm(power_mw(r, budgets_mw(r, body_mask), path_gains_)) +
+         kPadDb;
 }
 
 double best_beam_rss_dbm(const PhasedArray& tx, const Codebook& codebook,

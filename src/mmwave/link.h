@@ -32,10 +32,12 @@ struct LinkBudget {
 };
 
 /// Computes the received signal strength at `rx_pos` for transmit AWV `w`:
-/// non-coherent power sum over all channel paths of
-///   P_tx + G_tx(path direction) - FSPL(length) - extra losses + G_rx.
-/// (Non-coherent summing models the wideband 802.11ad waveform, whose
-/// symbol bandwidth decorrelates path phases.)
+/// the non-coherent power sum over all channel paths, in mW, of
+///   max(G_tx(path direction), 1e-12) * K_p,
+///   K_p = 10^((P_tx - FSPL(length) - extra losses + G_rx - impl. loss) / 10),
+/// K_p being the path's budget at unit transmit gain, turned to dBm once
+/// (-200 dBm for an empty sum). (Non-coherent summing models the wideband
+/// 802.11ad waveform, whose symbol bandwidth decorrelates path phases.)
 /// `evals`, when non-null, counts link-budget evaluations (telemetry only:
 /// an atomic bump that never feeds back into a result). Sessions price
 /// every link through LinkTable; this direct trace is the reference the
@@ -65,13 +67,14 @@ struct LinkCounters {
 /// LaneBlocks, and for each path segment the non-zero loss of every body
 /// in `bodies`, in list order; SegmentReach skips the bodies whose loss is
 /// provably zero. rss() prices every path's array gain in one array_gains
-/// pass and then only sums: it adds the same terms in the same order as
-/// rss_dbm() over the masked bodies, through the same per-path term
-/// function, so the two agree bit for bit (a body whose loss is exactly
-/// zero adds nothing to a segment's sum). The response toward the receiver
-/// itself, behind steering() and steered(), is computed on the first call
-/// to either, or copied from the line-of-sight lane when its array-frame
-/// direction is that lane's bit for bit.
+/// pass and then only sums g_p K_p, with each path's K_p computed once per
+/// row and visible-body set (path_budgets()): it adds the same terms in the
+/// same order as rss_dbm() over the masked bodies, through the same
+/// per-path term function, so the two agree bit for bit (a body whose loss
+/// is exactly zero adds nothing to a segment's sum). The response toward
+/// the receiver itself, behind steering() and steered(), is computed on
+/// the first call to either, or copied from the line-of-sight lane when its
+/// array-frame direction is that lane's bit for bit.
 ///
 /// rss() depends on the body mask only through the bodies in the row's
 /// loss list, its "visible" bodies. sector_rss(), steered_rss() and
@@ -119,8 +122,9 @@ class LinkTable {
     return bodies_.size();
   }
   /// Rows built so far, and exact link-budget sums so far (every rss(),
-  /// a memo miss included, and every rss_above() fallback): the table's
-  /// work. A reused price or a screened threshold test is not counted.
+  /// a memo miss included, and every rss_above() decided in dBm): the
+  /// table's work. A reused price or a screened threshold test is not
+  /// counted.
   [[nodiscard]] std::size_t rows_built() const noexcept { return rows_built_; }
   [[nodiscard]] std::size_t evaluations() const noexcept {
     return evaluations_;
@@ -185,20 +189,21 @@ class LinkTable {
                                  obs::Counter* evals = nullptr);
 
   /// rss(w, rx, body_mask, evals) > threshold_dbm, for callers that only
-  /// compare. In linear power the test is S > T, S being the sum over
-  /// paths of max(g_p, 1e-12) * K_p, K_p path p's link budget in mW at unit
-  /// gain (cached per row and visible-body set) and g_p its array gain.
-  /// Two screens decide it, each with the threshold padded by a relative
-  /// 1e-9 on both sides:
+  /// compare. rss() is S turned to dBm, S being the sum over paths of
+  /// max(g_p, 1e-12) * K_p (g_p the path's array gain, K_p its budget at
+  /// unit gain, cached per row and visible-body set), so the test is S > T
+  /// in mW, T the threshold's power. Two screens decide it, each with T
+  /// padded by a relative 1e-9 on both sides:
   ///  - first, without the gains, below when the bound sum over paths of
   ///    (|w|^2 N g_elem,p + 1e-12) K_p, padded by 1e-6 (rss_upper_bound's
   ///    Cauchy-Schwarz bound, scaled by the beam's power |w|^2), is below;
-  ///  - then S itself from one array_gains pass, as rss() runs it.
-  /// Only a sum inside the pad, or a threshold below the -200 dBm floor or
-  /// NaN, falls back to rss(). The pad is far above the rounding that
-  /// separates the linear sum from rss()'s dB terms (about 1e-13 for dB
-  /// terms below 1e3 in magnitude), so outside it both sides of the
-  /// comparison agree. `evals` counts the fallbacks. Throws like rss().
+  ///  - then S itself from one array_gains pass, the sum rss() takes.
+  /// A sum inside the pad is decided as rss() decides it, by turning that
+  /// sum to dBm (no second gain pass); a threshold below the -200 dBm floor
+  /// or NaN, a threshold whose power is not finite, or a row with no
+  /// visible-body key goes to rss(). The pad is far above the rounding of
+  /// the dBm/mW conversions, so outside it S > T and rss() > threshold_dbm
+  /// agree. `evals` counts the decisions taken in dBm. Throws like rss().
   [[nodiscard]] bool rss_above(const Awv& w, std::size_t rx,
                                std::span<const std::uint8_t> body_mask,
                                double threshold_dbm,
@@ -210,8 +215,9 @@ class LinkTable {
   /// (Cauchy-Schwarz with |p_i| = 1), so the bound sums the same row with
   /// the same masked segment losses as rss(), with every path's gain
   /// replaced by N g_elem (1 + 1e-6), and adds 1e-6 dB to the total. The
-  /// pad, far above the rounding of log10/pow, keeps the bound from ever
-  /// falling below rss() for a beam that meets the bound with equality.
+  /// pad, far above the rounding of the gains and the dBm conversion, keeps
+  /// the bound from ever falling below rss() for a beam that meets the
+  /// bound with equality.
   /// Throws like rss().
   [[nodiscard]] double rss_upper_bound(std::size_t rx,
                                        std::span<const std::uint8_t> body_mask);
@@ -290,6 +296,7 @@ class LinkTable {
   std::vector<std::span<const double>> sector_rows_;
   Steering lane_;
   std::vector<Awv> reflection_beams_;
+  std::vector<double> budgets_scratch_;  // K_p of a row with no visible key
   // rss_above()'s last threshold and its value in mW.
   double threshold_dbm_ = std::numeric_limits<double>::quiet_NaN();
   double threshold_mw_ = 0.0;
@@ -308,22 +315,21 @@ class LinkTable {
   [[nodiscard]] static double extra_loss_db(
       const Row& r, const PathTerm& term,
       std::span<const std::uint8_t> body_mask) noexcept;
-  /// The link budget over row r's paths and the masked bodies, path p's
-  /// transmit gain being path_gains[p]: rss()'s one summation.
-  [[nodiscard]] double masked_rss(const Row& r,
-                                  std::span<const std::uint8_t> body_mask,
-                                  std::span<const double> path_gains) const;
+  /// The link budget in mW over row r's paths, path p's transmit gain being
+  /// path_gains[p] and its K_p budgets_mw[p]: the one summation behind
+  /// rss(), rss_above() and rss_upper_bound().
+  [[nodiscard]] static double power_mw(
+      const Row& r, const double* budgets_mw,
+      std::span<const double> path_gains) noexcept;
+  /// Row r's K_p under `body_mask`: path_budgets() of its visible-body key,
+  /// or, for a row with no key, computed into scratch (valid until the next
+  /// call).
+  [[nodiscard]] const double* budgets_mw(
+      Row& r, std::span<const std::uint8_t> body_mask);
   /// Fills path_gains_ with every path gain of row r under `w`.
   void fill_gains(const Row& r, const Awv& w);
-  /// rss() of the gains in path_gains_ (filled for row r): the one exact
-  /// evaluation, counted.
-  double evaluate(const Row& r, std::span<const std::uint8_t> body_mask,
-                  obs::Counter* evals);
-  /// rss_above()'s two screens: the decision, or empty when neither
-  /// decides and rss() must.
-  [[nodiscard]] std::optional<bool> screen(
-      Row& r, const Awv& w, std::span<const std::uint8_t> body_mask,
-      double threshold_dbm);
+  /// rss() of the power sum `total_mw`: the one exact evaluation, counted.
+  double evaluate(double total_mw, obs::Counter* evals);
   /// Row r's K_p for visible-body set `visible`, built on first use.
   [[nodiscard]] const PathBudgets& path_budgets(
       Row& r, std::uint64_t visible, std::span<const std::uint8_t> body_mask);

@@ -25,15 +25,18 @@ PhasedArray::PhasedArray(const ArrayGeometry& geometry, const geo::Pose& pose,
     throw std::invalid_argument("PhasedArray: empty geometry");
   if (carrier_hz <= 0.0)
     throw std::invalid_argument("PhasedArray: non-positive carrier");
+  // Element (iy, iz) sits at y0 + d iy along local y and z0 + d iz along
+  // local z; each axis keeps k times those positions.
+  const double k = 2.0 * std::numbers::pi / wavelength_m_;
   const double d = geometry.spacing_wavelengths * wavelength_m_;
-  elements_local_.reserve(geometry.element_count());
   const double y0 = -0.5 * d * (geometry.ny - 1);
   const double z0 = -0.5 * d * (geometry.nz - 1);
+  wave_y_.reserve(geometry.ny);
+  wave_z_.reserve(geometry.nz);
+  for (unsigned iy = 0; iy < geometry.ny; ++iy)
+    wave_y_.push_back(k * (y0 + d * static_cast<double>(iy)));
   for (unsigned iz = 0; iz < geometry.nz; ++iz)
-    for (unsigned iy = 0; iy < geometry.ny; ++iy)
-      elements_local_.push_back(
-          {0.0, y0 + d * static_cast<double>(iy),
-           z0 + d * static_cast<double>(iz)});
+    wave_z_.push_back(k * (z0 + d * static_cast<double>(iz)));
 }
 
 geo::Vec3 PhasedArray::local_direction(
@@ -55,19 +58,36 @@ geo::Vec3 PhasedArray::local_direction(
   return std::norm(af) * element_gain;
 }
 
+// The planar array's factor is the product of its two axes' factors. The
+// y factors are written to row 0 first and every row is built from them,
+// the last row first, so row 0 is overwritten last and no scratch is
+// needed. The product (a + jb)(c + js) is written out as
+// re = a c - b s, im = a s + b c.
 [[gnu::noinline]] double PhasedArray::response(
     const geo::Vec3& local, PhasorSink out) const noexcept {
-  const double k = 2.0 * std::numbers::pi / wavelength_m_;
-  for (std::size_t i = 0; i < elements_local_.size(); ++i) {
-    const double phase = k * elements_local_[i].dot(local);
-    out.re[i * out.stride] = std::cos(phase);
-    out.im[i * out.stride] = std::sin(phase);
+  const std::size_t ny = wave_y_.size();
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    const double phase = wave_y_[iy] * local.y;
+    out.re[iy * out.stride] = std::cos(phase);
+    out.im[iy * out.stride] = std::sin(phase);
+  }
+  for (std::size_t iz = wave_z_.size(); iz-- > 0;) {
+    const double phase = wave_z_[iz] * local.z;
+    const double c = std::cos(phase);
+    const double s = std::sin(phase);
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      const double a = out.re[iy * out.stride];
+      const double b = out.im[iy * out.stride];
+      const std::size_t i = (iz * ny + iy) * out.stride;
+      out.re[i] = a * c - b * s;
+      out.im[i] = a * s + b * c;
+    }
   }
   return element_gain(local.x);
 }
 
 void PhasedArray::response(const geo::Vec3& local, Steering& out) const {
-  out.phasors.resize(elements_local_.size());
+  out.phasors.resize(element_count());
   // The standard lets an array of std::complex<double> be read and written
   // as an array of doubles, each real part followed by its imaginary part.
   double* parts = reinterpret_cast<double*>(out.phasors.data());
@@ -104,7 +124,7 @@ double PhasedArray::element_gain(double cos_theta) noexcept {
 }
 
 double PhasedArray::gain(const Awv& w, const geo::Vec3& dir_world) const {
-  if (w.size() != elements_local_.size()) return 0.0;
+  if (w.size() != element_count()) return 0.0;
   return steering(dir_world).gain(w);
 }
 

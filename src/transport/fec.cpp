@@ -21,16 +21,16 @@ std::vector<std::vector<std::uint8_t>> make_parity(
   return parity;
 }
 
-int count_recoverable(const std::vector<bool>& data_arrived,
-                      const std::vector<bool>& parity_arrived) {
+int count_recoverable(std::span<const bool> data_arrived,
+                      std::span<const bool> parity_arrived) noexcept {
   const std::size_t r = parity_arrived.size();
-  if (r == 0) return 0;
-  std::vector<int> stripe_losses(r, 0);
-  for (std::size_t i = 0; i < data_arrived.size(); ++i)
-    if (!data_arrived[i]) ++stripe_losses[i % r];
   int recovered = 0;
-  for (std::size_t j = 0; j < r; ++j)
-    if (stripe_losses[j] == 1 && parity_arrived[j]) ++recovered;
+  for (std::size_t j = 0; j < r; ++j) {
+    int losses = 0;
+    for (std::size_t i = j; i < data_arrived.size(); i += r)
+      if (!data_arrived[i]) ++losses;
+    if (losses == 1 && parity_arrived[j]) ++recovered;
+  }
   return recovered;
 }
 

@@ -11,7 +11,7 @@
 //
 // Two layers of API:
 //  - `count_recoverable()` answers the *erasure pattern* question from
-//    arrival booleans alone. This is what the simulated wire uses: the sim
+//    arrival flags alone. This is what the simulated wire uses: the sim
 //    models each packet as delivered or lost and never builds payloads.
 //  - `make_parity()` / `recover()` operate on real byte payloads. They are
 //    the reference the erasure counter is tested against: a lost data
@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace volcast::transport::fec {
@@ -30,13 +31,15 @@ namespace volcast::transport::fec {
 [[nodiscard]] std::vector<std::vector<std::uint8_t>> make_parity(
     const std::vector<std::vector<std::uint8_t>>& data, int r);
 
-/// Given per-packet arrival booleans (`data_arrived.size() == k`,
+/// Given per-packet arrival flags (`data_arrived.size() == k`,
 /// `parity_arrived.size() == r`), returns the number of lost data packets
 /// that the parity can reconstruct under the stripe rule (each stripe
 /// repairs at most one loss, and only when its parity arrived). Lost
 /// packets in over-subscribed or parity-less stripes are not counted.
-[[nodiscard]] int count_recoverable(const std::vector<bool>& data_arrived,
-                                    const std::vector<bool>& parity_arrived);
+/// Allocates nothing.
+[[nodiscard]] int count_recoverable(
+    std::span<const bool> data_arrived,
+    std::span<const bool> parity_arrived) noexcept;
 
 /// Reconstructs the single lost data packet of stripe `lost_index % r` by
 /// XOR-ing the stripe's parity with its surviving data packets. `data`

@@ -1,7 +1,9 @@
 #include "transport/wire.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "transport/fec.h"
@@ -27,6 +29,10 @@ double uniform(std::uint64_t seed, std::size_t user, std::uint32_t seq,
       mix(static_cast<std::uint64_t>(user) * 0x632be59bd9b4e019ULL ^ seq));
   return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);  // [0,1)
 }
+
+/// The most packets one tile takes: its arrival flags live on the stack.
+constexpr std::size_t kTilePackets = (kTileBytes + kMtuBytes - 1) / kMtuBytes;
+static_assert(kTilePackets <= 64, "a tile's arrival flags must stay small");
 
 constexpr std::uint64_t kSaltChain = 0x9e1c'7a2f'55b3'0d41ULL;
 constexpr std::uint64_t kSaltLoss = 0x2b0f'48a1'c93d'7e65ULL;
@@ -122,46 +128,49 @@ TrainResult transmit_train(TransportPolicy policy, const TrainParams& params,
 
     // First transmission, group by group: data packets then the group's
     // parity, exactly the order the packets occupy the train.
-    std::vector<bool> data_arrived(static_cast<std::size_t>(n));
+    std::array<bool, kTilePackets> data_arrived{};
     int lost_data = 0;
     int recoverable_losses = 0;
     for (int g = 0; g * k < n; ++g) {
       const int lo = g * k;
       const int hi = std::min(n, lo + k);
-      std::vector<bool> group_data(static_cast<std::size_t>(hi - lo));
-      for (int i = lo; i < hi; ++i) {
-        const bool ok = send_packet(params, rx);
+      const std::span<bool> group_data(data_arrived.data() + lo,
+                                       static_cast<std::size_t>(hi - lo));
+      for (bool& arrived : group_data) {
+        arrived = send_packet(params, rx);
         ++out.data_packets;
         out.header_bits += header_bits_per_packet;
-        data_arrived[static_cast<std::size_t>(i)] = ok;
-        group_data[static_cast<std::size_t>(i - lo)] = ok;
-        if (!ok) {
+        if (!arrived) {
           ++out.lost_packets;
           ++lost_data;
         }
       }
-      std::vector<bool> group_parity(static_cast<std::size_t>(r));
+      std::array<bool, kFecGroupParity> parity_arrived{};
+      const std::span<const bool> group_parity(parity_arrived.data(),
+                                               static_cast<std::size_t>(r));
       for (int j = 0; j < r; ++j) {
         const bool ok = send_packet(params, rx);
         ++out.parity_packets;
         out.parity_bits += static_cast<double>(kMtuBytes) * 8.0;
         out.header_bits += header_bits_per_packet;
-        group_parity[static_cast<std::size_t>(j)] = ok;
+        parity_arrived[static_cast<std::size_t>(j)] = ok;
         if (!ok) ++out.lost_packets;
       }
       const int fixed = fec::count_recoverable(group_data, group_parity);
       recoverable_losses += fixed;
       // Mark repaired packets as arrived so the NACK pass only chases what
-      // the parity could not rebuild.
+      // the parity could not rebuild. A packet's repair depends only on its
+      // own flag and its stripe's loss count, so marking in place is safe.
       if (fixed > 0) {
-        std::vector<int> stripe_losses(static_cast<std::size_t>(r), 0);
+        std::array<int, kFecGroupParity> stripe_losses{};
+        const auto stripes = static_cast<std::size_t>(r);
         for (std::size_t i = 0; i < group_data.size(); ++i)
-          if (!group_data[i]) ++stripe_losses[i % static_cast<std::size_t>(r)];
+          if (!group_data[i]) ++stripe_losses[i % stripes];
         for (std::size_t i = 0; i < group_data.size(); ++i) {
-          const std::size_t stripe = i % static_cast<std::size_t>(r);
+          const std::size_t stripe = i % stripes;
           if (!group_data[i] && stripe_losses[stripe] == 1 &&
               group_parity[stripe])
-            data_arrived[static_cast<std::size_t>(lo) + i] = true;
+            group_data[i] = true;
         }
       }
     }
@@ -180,7 +189,8 @@ TrainResult transmit_train(TransportPolicy policy, const TrainParams& params,
     while (missing > 0 && rounds_used < round_budget) {
       ++rounds_used;
       ++out.nacks;
-      for (std::size_t i = 0; i < data_arrived.size() && missing > 0; ++i) {
+      for (std::size_t i = 0; i < static_cast<std::size_t>(n) && missing > 0;
+           ++i) {
         if (data_arrived[i]) continue;
         const bool ok = send_packet(params, rx);
         ++out.retransmitted_packets;

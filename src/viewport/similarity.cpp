@@ -47,16 +47,4 @@ void intersection(std::span<const VisibilityMap* const> maps,
   }
 }
 
-VisibilityMap union_of(std::span<const VisibilityMap> maps) {
-  if (maps.empty()) return VisibilityMap{};
-  const std::size_t cells = maps.front().cell_count();
-  VisibilityMap out(cells);
-  for (vv::CellId c = 0; c < cells; ++c) {
-    double best = 0.0;
-    for (const VisibilityMap& m : maps) best = std::max(best, m.lod(c));
-    if (best > 0.0) out.set(c, best);
-  }
-  return out;
-}
-
 }  // namespace volcast::view

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "viewport/visibility.h"
 
@@ -25,8 +24,5 @@ namespace volcast::view {
 /// most demanding member.
 void intersection(std::span<const VisibilityMap* const> maps,
                   VisibilityMap& out);
-
-/// Cells visible to at least one user.
-[[nodiscard]] VisibilityMap union_of(std::span<const VisibilityMap> maps);
 
 }  // namespace volcast::view

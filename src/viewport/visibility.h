@@ -56,11 +56,6 @@ class VisibilityMap {
     else if (was && !now)
       --visible_;
   }
-  void reset(vv::CellId cell) {
-    float& slot = lod_.at(cell);
-    if (slot > 0.0f) --visible_;
-    slot = 0.0f;
-  }
 
   [[nodiscard]] bool visible(vv::CellId cell) const {
     return lod_.at(cell) > 0.0f;

@@ -14,6 +14,7 @@
 #include "sim/player.h"
 #include "trace/user_study.h"
 #include "viewport/similarity.h"
+#include "visibility_union.h"
 
 namespace volcast {
 namespace {

@@ -246,19 +246,82 @@ TEST(LinkTable, CountsEvaluationsAndValidatesArguments) {
   EXPECT_THROW((void)table.steering(1), std::out_of_range);
 }
 
-TEST(ArrayResponse, GainBitEqualToDirectArrayFactor) {
-  // The array factor written out as PhasedArray::gain computed it before
-  // the response was factored out: one cos/sin pair per element.
+/// The response as PhasedArray::response computes it, written out: element
+/// (iy, iz) is exp(j k y_iy u_y) * exp(j k z_iz u_z), the complex product
+/// expanded as re = a c - b d, im = a d + b c.
+std::vector<Complex> factored_response(const mmwave::ArrayGeometry& geometry,
+                                       const geo::Vec3& local) {
+  const double lambda = wavelength_m(kMmWaveCarrierHz);
+  const double k = 2.0 * std::numbers::pi / lambda;
+  const double d = geometry.spacing_wavelengths * lambda;
+  const double y0 = -0.5 * d * (geometry.ny - 1);
+  const double z0 = -0.5 * d * (geometry.nz - 1);
+  std::vector<Complex> phasors;
+  for (unsigned iz = 0; iz < geometry.nz; ++iz) {
+    const double pz = k * (z0 + d * iz) * local.z;
+    const double c = std::cos(pz);
+    const double s = std::sin(pz);
+    for (unsigned iy = 0; iy < geometry.ny; ++iy) {
+      const double py = k * (y0 + d * iy) * local.y;
+      const double a = std::cos(py);
+      const double b = std::sin(py);
+      phasors.emplace_back(a * c - b * s, a * s + b * c);
+    }
+  }
+  return phasors;
+}
+
+/// The per-element phasors exp(j k e_i . u): one cos/sin pair per element,
+/// the form the factored response is checked against.
+std::vector<Complex> per_element_response(
+    const mmwave::ArrayGeometry& geometry, const geo::Vec3& local) {
+  const double lambda = wavelength_m(kMmWaveCarrierHz);
+  const double k = 2.0 * std::numbers::pi / lambda;
+  const double d = geometry.spacing_wavelengths * lambda;
+  std::vector<Complex> phasors;
+  for (unsigned iz = 0; iz < geometry.nz; ++iz)
+    for (unsigned iy = 0; iy < geometry.ny; ++iy) {
+      const geo::Vec3 element{0.0, -0.5 * d * (geometry.ny - 1) + d * iy,
+                              -0.5 * d * (geometry.nz - 1) + d * iz};
+      const double phase = k * element.dot(local);
+      phasors.emplace_back(std::cos(phase), std::sin(phase));
+    }
+  return phasors;
+}
+
+/// Array-frame unit directions: random ones over the whole sphere, grazing
+/// ones in the element plane (u_x = 0 and within 1e-9 of it) and ones
+/// behind the backplane.
+std::vector<geo::Vec3> response_directions(Rng& rng) {
+  std::vector<geo::Vec3> dirs;
+  for (int i = 0; i < 200; ++i)
+    dirs.push_back(geo::Vec3{rng.normal(0, 1), rng.normal(0, 1),
+                             rng.normal(0, 1)}
+                       .normalized());
+  for (int i = 0; i < 100; ++i) {
+    const double a = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    const double x = i % 3 == 0 ? 0.0 : rng.uniform(-1e-9, 1e-9);
+    dirs.push_back(geo::Vec3{x, std::cos(a), std::sin(a)}.normalized());
+  }
+  for (int i = 0; i < 100; ++i)
+    dirs.push_back(geo::Vec3{-rng.uniform(0.05, 1.0), rng.uniform(-1, 1),
+                             rng.uniform(-1, 1)}
+                       .normalized());
+  dirs.push_back({-1.0, 0.0, 0.0});
+  dirs.push_back({0.0, 1.0, 0.0});
+  dirs.push_back({0.0, 0.0, -1.0});
+  return dirs;
+}
+
+const mmwave::ArrayGeometry kResponseGeometries[] = {
+    {8, 4, 0.5}, {1, 1, 0.5}, {1, 16, 0.5}, {16, 1, 0.5}, {3, 5, 0.5}};
+
+TEST(ArrayResponse, GainBitEqualToFactoredArrayFactor) {
+  // The array factor over the factored phasors, summed as Steering::gain
+  // sums it, is what PhasedArray::gain returns, bit for bit.
   const mmwave::ArrayGeometry geometry;
   const geo::Pose pose = geo::Pose::look_at({4, 0.1, 2.6}, {4, 3, 1.2});
   const mmwave::PhasedArray ap(geometry, pose, kMmWaveCarrierHz);
-  const double lambda = wavelength_m(kMmWaveCarrierHz);
-  const double d = geometry.spacing_wavelengths * lambda;
-  std::vector<geo::Vec3> elements;
-  for (unsigned iz = 0; iz < geometry.nz; ++iz)
-    for (unsigned iy = 0; iy < geometry.ny; ++iy)
-      elements.push_back({0.0, -0.5 * d * (geometry.ny - 1) + d * iy,
-                          -0.5 * d * (geometry.nz - 1) + d * iz});
   const mmwave::Codebook codebook(ap);
   Rng rng(11);
   for (int trial = 0; trial < 200; ++trial) {
@@ -268,15 +331,52 @@ TEST(ArrayResponse, GainBitEqualToDirectArrayFactor) {
     const geo::Vec3 u = dir.normalized();
     const geo::Vec3 local{u.dot(pose.forward()), u.dot(pose.left()),
                           u.dot(pose.up())};
-    const double k = 2.0 * std::numbers::pi / lambda;
+    const std::vector<Complex> phasors = factored_response(geometry, local);
     Complex af{0.0, 0.0};
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      const double phase = k * elements[i].dot(local);
-      af += w[i] * Complex{std::cos(phase), std::sin(phase)};
-    }
+    for (std::size_t i = 0; i < w.size(); ++i) af += w[i] * phasors[i];
     const double direct =
         std::norm(af) * mmwave::PhasedArray::element_gain(local.x);
     EXPECT_TRUE(same_bits(direct, ap.gain(w, dir))) << "trial " << trial;
+  }
+}
+
+TEST(ArrayResponse, PhasorsBitEqualToFactoredFormula) {
+  Rng rng(5);
+  const std::vector<geo::Vec3> dirs = response_directions(rng);
+  for (const mmwave::ArrayGeometry& geometry : kResponseGeometries) {
+    const mmwave::PhasedArray ap(geometry, geo::Pose{}, kMmWaveCarrierHz);
+    mmwave::Steering response;
+    for (const geo::Vec3& local : dirs) {
+      ap.response(local, response);
+      EXPECT_TRUE(same_bits(response.phasors, factored_response(geometry, local)))
+          << geometry.ny << "x" << geometry.nz;
+      EXPECT_TRUE(same_bits(response.element_gain,
+                            mmwave::PhasedArray::element_gain(local.x)));
+    }
+  }
+}
+
+TEST(ArrayResponse, FactoredPhasorsWithin1e14OfPerElementPhasors) {
+  // Factoring changes how each phase is rounded, not what it is: every
+  // component stays within 1e-14 of exp(j k e_i . u) computed per element.
+  Rng rng(17);
+  const std::vector<geo::Vec3> dirs = response_directions(rng);
+  for (const mmwave::ArrayGeometry& geometry : kResponseGeometries) {
+    const mmwave::PhasedArray ap(geometry, geo::Pose{}, kMmWaveCarrierHz);
+    mmwave::Steering response;
+    double worst = 0.0;
+    for (const geo::Vec3& local : dirs) {
+      ap.response(local, response);
+      const std::vector<Complex> reference =
+          per_element_response(geometry, local);
+      ASSERT_EQ(response.phasors.size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        worst = std::max(
+            {worst, std::abs(response.phasors[i].real() - reference[i].real()),
+             std::abs(response.phasors[i].imag() - reference[i].imag())});
+      }
+    }
+    EXPECT_LE(worst, 1e-14) << geometry.ny << "x" << geometry.nz;
   }
 }
 

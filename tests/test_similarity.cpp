@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "visibility_union.h"
+
 namespace volcast::view {
 namespace {
 

@@ -5,8 +5,10 @@
 // and fleets under burst-loss chaos.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -57,25 +59,33 @@ TEST(TransportFec, RecoverReproducesAnySingleLossPerStripe) {
   }
 }
 
+/// Arrival flags of N packets, every one arrived.
+template <std::size_t N>
+std::array<bool, N> all_arrived() {
+  std::array<bool, N> flags;
+  flags.fill(true);
+  return flags;
+}
+
 TEST(TransportFec, TwoLossesInDistinctStripesRecoverable) {
-  std::vector<bool> data_arrived(8, true);
-  std::vector<bool> parity_arrived(2, true);
+  auto data_arrived = all_arrived<8>();
+  const auto parity_arrived = all_arrived<2>();
   data_arrived[0] = false;  // stripe 0
   data_arrived[3] = false;  // stripe 1
   EXPECT_EQ(fec::count_recoverable(data_arrived, parity_arrived), 2);
 }
 
 TEST(TransportFec, TwoLossesInSameStripeNotRecoverable) {
-  std::vector<bool> data_arrived(8, true);
-  std::vector<bool> parity_arrived(2, true);
+  auto data_arrived = all_arrived<8>();
+  const auto parity_arrived = all_arrived<2>();
   data_arrived[0] = false;  // stripe 0
   data_arrived[2] = false;  // stripe 0 again
   EXPECT_EQ(fec::count_recoverable(data_arrived, parity_arrived), 0);
 }
 
 TEST(TransportFec, LostParityDisablesItsStripe) {
-  std::vector<bool> data_arrived(8, true);
-  std::vector<bool> parity_arrived(2, true);
+  auto data_arrived = all_arrived<8>();
+  auto parity_arrived = all_arrived<2>();
   data_arrived[1] = false;   // stripe 1
   parity_arrived[1] = false;  // stripe 1's parity gone too
   // The other stripe is intact, so nothing is countable.
@@ -83,7 +93,7 @@ TEST(TransportFec, LostParityDisablesItsStripe) {
 }
 
 TEST(TransportFec, NoParityMeansOnlyCleanGroupsSurvive) {
-  std::vector<bool> all(4, true);
+  auto all = all_arrived<4>();
   EXPECT_EQ(fec::count_recoverable(all, {}), 0);
   all[2] = false;
   // The loss stays unrepaired: nothing can rebuild it without parity.
@@ -114,8 +124,10 @@ TEST(TransportFec, CountRecoverableMatchesByteRecovery) {
     const auto parity = fec::make_parity(data, r);
     ASSERT_EQ(parity.size(), static_cast<std::size_t>(r));
 
-    std::vector<bool> data_arrived(data.size());
-    std::vector<bool> parity_arrived(parity.size());
+    std::array<bool, 16> data_flags{};
+    std::array<bool, 4> parity_flags{};
+    const std::span<bool> data_arrived(data_flags.data(), data.size());
+    const std::span<bool> parity_arrived(parity_flags.data(), parity.size());
     for (std::size_t i = 0; i < data.size(); ++i)
       data_arrived[i] = !rng.chance(loss);
     for (std::size_t j = 0; j < parity.size(); ++j)

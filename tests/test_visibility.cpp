@@ -30,7 +30,7 @@ TEST(VisibilityMap, SetAndQuery) {
   EXPECT_TRUE(map.visible(3));
   EXPECT_DOUBLE_EQ(map.lod(3), 0.5);
   EXPECT_FALSE(map.visible(2));
-  map.reset(3);
+  map.set(3, 0.0);
   EXPECT_FALSE(map.visible(3));
 }
 
@@ -46,8 +46,8 @@ TEST(VisibilityMap, VisibleCellsAscending) {
     EXPECT_DOUBLE_EQ(map.lod(c), want) << "cell " << c;
   }
   map.set(7, 0.0);  // a zero density hides the cell
-  map.reset(2);
-  map.reset(2);
+  map.set(2, 0.0);
+  map.set(2, 0.0);  // hiding a hidden cell does not count it twice
   EXPECT_EQ(map.visible_count(), 1u);
   EXPECT_TRUE(map.visible(4));
 }
