@@ -125,6 +125,18 @@ inline std::vector<GoldenCase> golden_matrix() {
     c.overload.enabled = true;
     c.overload.encode_budget_bytes = 8.0e4;
   });
+  // Heavy frame loss on every user: the player conceals lost frames until
+  // its conceal run is used up and skips the rest, on both the scheduled
+  // and the prefetched frame.
+  add("frame_loss", [](SessionConfig& c) {
+    fault::FaultEvent loss;
+    loss.t_s = 0.25;
+    loss.kind = fault::FaultKind::kFrameLoss;
+    loss.target = fault::kAllUsers;
+    loss.duration_s = 1.5;
+    loss.magnitude = 0.8;
+    c.fault_plan.add(loss);
+  });
   return cases;
 }
 

@@ -112,6 +112,20 @@ TEST(GoldenMatrix, BrownoutCaseRunsTheGovernorAndStitchesTiles) {
   EXPECT_GT(r.tiles.stitched_bytes, 0u);
 }
 
+TEST(GoldenMatrix, FrameLossCaseConcealsAndSkipsFrames) {
+  // The golden pins the conceal / skip counts; this case must use up the
+  // player's conceal run, so both counts carry values.
+  const auto matrix = golden_matrix();
+  const auto it = std::find_if(matrix.begin(), matrix.end(),
+                               [](const GoldenCase& g) {
+                                 return g.name == "frame_loss";
+                               });
+  ASSERT_NE(it, matrix.end());
+  const SessionResult r = Session(it->config).run();
+  EXPECT_GT(r.faults.concealed_frames, 0u);
+  EXPECT_GT(r.faults.skipped_frames, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, RefactorEquivalence,
                          ::testing::Values(1u, 4u),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
