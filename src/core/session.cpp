@@ -1,12 +1,14 @@
 // Session driver: validates the config, assembles the staged pipeline
 // from the policy registry, and owns the tick loop. All per-tick work
 // lives in the stages (src/core/stages/); the driver contributes only
-// what frames them — the event-queue clock, the fault-injection prologue
-// that updates AP availability, and the result finalization.
+// what frames them — landing the frames that reached each player, the
+// fault-injection prologue that updates AP availability, and the result
+// finalization.
 #include "core/session.h"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -105,6 +107,19 @@ SessionResult Session::Impl::run() {
       std::llround(config.duration_s * config.fps));
   const std::size_t n = config.user_count;
   state.begin_run();
+  // Hands one arrival to its player: a whole frame enters the buffer; a
+  // lost one is concealed by holding the last decoded frame (bounded),
+  // else it is skipped.
+  const auto land = [this](const sim::Arrival& arrival) {
+    sim::Player& player = state.users[arrival.user].player;
+    if (arrival.intact) {
+      player.deliver(arrival.frame);
+    } else if (player.conceal()) {
+      ++state.freport.concealed_frames;
+    } else {
+      ++state.freport.skipped_frames;
+    }
+  };
 
   for (std::size_t tick = 0; tick < ticks; ++tick) {
     if (config.tick_budget != 0 && tick >= config.tick_budget)
@@ -118,7 +133,7 @@ SessionResult Session::Impl::run() {
     ctx.tick32 = static_cast<std::uint32_t>(tick);
     ctx.t = static_cast<double>(tick) * state.dt;
     ctx.tel = state.tel;
-    state.queue.run_until(ctx.t);
+    state.arrivals.run_until(ctx.t, land);
     ctx.frame = tick % config.video_frames;
 
     // Fault-injection prologue: advance the injector's clock and fold AP
@@ -159,7 +174,7 @@ SessionResult Session::Impl::run() {
 
     for (const auto& stage : pipeline) stage->run(state, ctx);
   }
-  state.queue.run();
+  state.arrivals.run_until(std::numeric_limits<double>::infinity(), land);
 
   SessionResult result;
   result.qoe.duration_s = config.duration_s;

@@ -27,7 +27,7 @@
 #include "obs/telemetry.h"
 #include "pointcloud/tile_report.h"
 #include "pointcloud/video_store.h"
-#include "sim/event_queue.h"
+#include "sim/arrival_queue.h"
 #include "sim/player.h"
 #include "viewport/joint_predictor.h"
 
@@ -172,7 +172,7 @@ struct SessionState {
   double dt = 0.0;
   std::size_t horizon_ticks = 0;
   const mmwave::McsTable* mcs = nullptr;
-  sim::EventQueue queue;
+  sim::ArrivalQueue arrivals;                 // frames on their way to players
   std::vector<double> backlog;                // per AP: air-queue depth (s)
   std::vector<std::size_t> assignment;        // user -> serving AP
   // Beams each AP transmitted with last tick: the interference the other

@@ -22,6 +22,9 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
   obs::Telemetry* tel = state.tel;
   auto& users = state.users;
   const auto absent = [&](std::size_t u) { return state.absent(u); };
+  const auto lost = [&](std::size_t u) {
+    return state.has_faults && state.injector.frame_lost(u, tick);
+  };
   const bool use_wire = policy_ != transport::TransportPolicy::kGoodput;
   const mmwave::PerModel per_model{};
 
@@ -182,25 +185,11 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
         users[u].decode_free_at =
             std::max(users[u].decode_free_at, user_delivery) + decode_time;
         users[u].m2p.add(users[u].decode_free_at - t);
-        if ((state.has_faults && state.injector.frame_lost(u, tick)) ||
-            !wire_ok) {
-          // Corrupted on the air interface — or tiles the wire could not
-          // recover before the frame deadline: the airtime was spent but
-          // nothing playable arrives. Conceal by holding the last
-          // decoded frame (bounded), else the frame is skipped.
-          state.queue.schedule_at(users[u].decode_free_at, [&state, u]() {
-            if (state.users[u].player.conceal()) {
-              ++state.freport.concealed_frames;
-            } else {
-              ++state.freport.skipped_frames;
-            }
-          });
-        } else {
-          state.queue.schedule_at(users[u].decode_free_at,
-                                  [&state, u, frame, tier, bits]() {
-            state.users[u].player.deliver({frame, tier, bits});
-          });
-        }
+        // A frame corrupted on the air interface, or with tiles the wire
+        // could not recover before the frame deadline, spent its airtime
+        // but arrives unplayable.
+        state.arrivals.push({users[u].decode_free_at, u, {frame, tier, bits},
+                             wire_ok && !lost(u)});
       }
     }
 
@@ -230,21 +219,8 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
       state.backlog[a] += extra_air;
       state.unicast_bits += bits;
       users[u].delivered_bits += bits;
-      const double when = t + state.backlog[a];
-      const std::size_t tier = users[u].tier;
-      if (state.has_faults && state.injector.frame_lost(u, tick)) {
-        state.queue.schedule_at(when, [&state, u]() {
-          if (state.users[u].player.conceal()) {
-            ++state.freport.concealed_frames;
-          } else {
-            ++state.freport.skipped_frames;
-          }
-        });
-      } else {
-        state.queue.schedule_at(when, [&state, u, next_frame, tier, bits]() {
-          state.users[u].player.deliver({next_frame, tier, bits});
-        });
-      }
+      state.arrivals.push({t + state.backlog[a], u,
+                           {next_frame, users[u].tier, bits}, !lost(u)});
     }
 
     schedule_span.end();

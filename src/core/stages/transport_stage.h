@@ -1,7 +1,8 @@
 // Pipeline stage 6: MAC scheduling and delivery. Turns each AP's group
-// plan into airtime, queues frame deliveries through the decode model,
-// spends prefetch credit, accounts viewport-prediction misses against
-// ground truth, then advances every client player.
+// plan into airtime, queues each frame's arrival at its player (whole or
+// lost) through the decode model, spends prefetch credit, accounts
+// viewport-prediction misses against ground truth, then advances every
+// client player.
 //
 // With a wire policy (fec / nack / hybrid) each scheduled (user, frame)
 // additionally runs through the packet wire (transport/wire.h): the frame
