@@ -1,7 +1,6 @@
 #include "core/multi_ap.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -33,7 +32,8 @@ MultiApCoordinator::MultiApCoordinator(const TestbedConfig& base,
 
 std::vector<std::size_t> MultiApCoordinator::assign_users(
     std::size_t users, const ApLinks& links,
-    std::span<const bool> available, obs::Counter* evals) const {
+    std::span<const bool> available, std::span<const std::uint8_t> no_bodies,
+    obs::Counter* evals) const {
   std::vector<std::size_t> assignment;
   assignment.reserve(users);
   for (std::size_t u = 0; u < users; ++u) {
@@ -42,7 +42,6 @@ std::vector<std::size_t> MultiApCoordinator::assign_users(
     for (std::size_t a = 0; a < aps_.size(); ++a) {
       if (a < available.size() && !available[a]) continue;
       mmwave::LinkTable& table = links(a);
-      const std::vector<std::uint8_t> no_bodies(table.body_count(), 0);
       const double rss =
           table.sector_rss(table.best_sector(u), u, no_bodies, evals);
       if (rss > best_rss) {
@@ -58,15 +57,13 @@ std::vector<std::size_t> MultiApCoordinator::assign_users(
 double MultiApCoordinator::interference_factor(
     std::size_t victim_ap, std::size_t victim, double victim_rss_dbm,
     std::span<const mmwave::Awv> concurrent_beams, const ApLinks& links,
-    obs::Counter* evals) const {
+    std::span<const std::uint8_t> no_bodies, obs::Counter* evals) const {
   double strongest_interference = -std::numeric_limits<double>::infinity();
   for (std::size_t a = 0; a < aps_.size() && a < concurrent_beams.size();
        ++a) {
     if (a == victim_ap || concurrent_beams[a].empty()) continue;
-    mmwave::LinkTable& table = links(a);
-    const std::vector<std::uint8_t> no_bodies(table.body_count(), 0);
     const double leak =
-        table.rss(concurrent_beams[a], victim, no_bodies, evals);
+        links(a).rss(concurrent_beams[a], victim, no_bodies, evals);
     strongest_interference = std::max(strongest_interference, leak);
   }
   if (strongest_interference ==

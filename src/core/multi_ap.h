@@ -8,6 +8,7 @@
 // the signal-to-interference ratio is poor.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -50,7 +51,9 @@ class MultiApCoordinator {
   /// RSS. `links(a)` is AP a's table (its codebook bound, as
   /// BeamDesigner::link_table binds it), whose receivers 0..users-1 are
   /// the users. Each user's best sector comes from the table's cached
-  /// sector gains and is priced with no bodies (an all-zero mask).
+  /// sector gains and is priced with no bodies: `no_bodies` is an all-zero
+  /// mask with every table's body_count() entries, which the caller holds
+  /// so that pricing allocates nothing.
   ///
   /// APs with `available[a]` false are no candidates (fault tolerance: an
   /// AP in outage serves nobody); APs past the end of `available` are. When
@@ -59,16 +62,19 @@ class MultiApCoordinator {
   /// evaluations, as the tables' own calls do.
   [[nodiscard]] std::vector<std::size_t> assign_users(
       std::size_t users, const ApLinks& links,
-      std::span<const bool> available, obs::Counter* evals = nullptr) const;
+      std::span<const bool> available, std::span<const std::uint8_t> no_bodies,
+      obs::Counter* evals = nullptr) const;
 
   /// Goodput multiplier in [0, 1] for receiver `victim` of the per-AP link
   /// tables (see assign_users), served by `victim_ap` with signal
   /// `victim_rss_dbm`, while every other AP transmits with the given beams
   /// (indexed by AP; empty AWVs are idle). Each leak is priced with no
-  /// bodies; `evals` (optional) counts those evaluations.
+  /// bodies, against `no_bodies` as in assign_users; `evals` (optional)
+  /// counts those evaluations.
   [[nodiscard]] double interference_factor(
       std::size_t victim_ap, std::size_t victim, double victim_rss_dbm,
       std::span<const mmwave::Awv> concurrent_beams, const ApLinks& links,
+      std::span<const std::uint8_t> no_bodies,
       obs::Counter* evals = nullptr) const;
 
  private:

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/stages/session_state.h"
@@ -26,6 +27,9 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
   const ApLinks tick_tables = [&](std::size_t a) -> mmwave::LinkTable& {
     return tick_links(state, ctx, a);
   };
+  // One entry per body of the tick tables (tick_links: every user, then
+  // the obstacles).
+  state.no_bodies.assign(n + state.injector.obstacles().size(), 0);
 
   // ---- AP assignment (refreshed every second, and immediately when an AP
   // goes dark or comes back) ----------------------------------------------
@@ -36,15 +40,16 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
     assignment = state.coordinator.assign_users(
         n, tick_tables,
         std::span<const bool>(ap_up.data(), state.coordinator.ap_count()),
-        state.rss_evals);
+        state.no_bodies, state.rss_evals);
   }
 
   // Multicast membership tracking: the set of users each AP can serve.
   // Under an active fault, any change to that set is a group reformation
   // (member churned, blacked out, or was re-homed after an AP outage).
   if (state.has_faults) {
+    std::vector<std::size_t>& sig = state.active;
     for (std::size_t a = 0; a < state.coordinator.ap_count(); ++a) {
-      std::vector<std::size_t> sig;
+      sig.clear();
       if (ap_up[a]) {
         for (std::size_t u = 0; u < n; ++u)
           if (assignment[u] == a && !absent(u)) sig.push_back(u);
@@ -52,7 +57,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       if (ctx.tick > 0 && state.injector.any_active() &&
           sig != state.prev_active[a])
         ++state.freport.group_reformations;
-      state.prev_active[a] = std::move(sig);
+      std::swap(sig, state.prev_active[a]);
     }
   }
 
@@ -233,7 +238,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
     if (state.coordinator.ap_count() > 1) {
       unicast_rate[u] *= state.coordinator.interference_factor(
           assignment[u], u, rss, state.concurrent_beams, tick_tables,
-          state.rss_evals);
+          state.no_bodies, state.rss_evals);
     }
     users[u].predictor.set_phy_state(unicast_rate[u],
                                      users[u].blockage_forecast);

@@ -144,6 +144,12 @@ struct SessionState {
   // One link table per AP, rebound to each tick's receivers and bodies by
   // tick_links().
   std::vector<mmwave::LinkTable> link_tables;
+  // An all-zero mask over the tick body list, refilled by the Beam stage:
+  // multi-AP assignment and interference screening price with no bodies.
+  std::vector<std::uint8_t> no_bodies;
+  // The membership signature of the AP the Beam stage is tracking; swapped
+  // with that AP's prev_active entry once compared.
+  std::vector<std::size_t> active;
   // The Beam stage's unicast design of the user it is pricing.
   GroupBeam unicast_design;
   // The grouping stage's per-AP-round buffers (grouping_stage.cpp).

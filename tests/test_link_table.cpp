@@ -909,6 +909,7 @@ TEST(MultiApTables, AssignmentAndInterferenceMatchRssDbm) {
     const core::ApLinks links = [&](std::size_t a) -> mmwave::LinkTable& {
       return tables[a];
     };
+    const std::vector<std::uint8_t> no_bodies(bodies.size(), 0);
 
     std::vector<bool> up(coord.ap_count());
     for (std::size_t a = 0; a < up.size(); ++a) up[a] = rng.chance(0.7);
@@ -935,7 +936,8 @@ TEST(MultiApTables, AssignmentAndInterferenceMatchRssDbm) {
       }
       const std::span<const bool> flags =
           with_availability ? available : std::span<const bool>{};
-      EXPECT_EQ(coord.assign_users(users.size(), links, flags), reference)
+      EXPECT_EQ(coord.assign_users(users.size(), links, flags, no_bodies),
+                reference)
           << "trial " << trial;
     }
 
@@ -963,8 +965,8 @@ TEST(MultiApTables, AssignmentAndInterferenceMatchRssDbm) {
                                : sir < mc.outage_sir_db   ? 0.0
                                : sir < mc.degraded_sir_db ? 0.5
                                                           : 1.0;
-      const double tabled =
-          coord.interference_factor(victim_ap, u, victim_rss, beams, links);
+      const double tabled = coord.interference_factor(
+          victim_ap, u, victim_rss, beams, links, no_bodies);
       EXPECT_TRUE(same_bits(tabled, reference)) << "trial " << trial;
       ++outcomes[tabled == 0.0 ? 0 : tabled == 0.5 ? 1 : 2];
     }

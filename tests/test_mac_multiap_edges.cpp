@@ -117,7 +117,7 @@ TEST(MultiApEdges, AssignWithNoPositionsIsEmpty) {
   config.ap_count = 2;
   const core::MultiApCoordinator coord(core::TestbedConfig{}, config);
   auto tables = core::ap_tables(coord, {});
-  EXPECT_TRUE(coord.assign_users(0, core::ap_links(tables), {}).empty());
+  EXPECT_TRUE(coord.assign_users(0, core::ap_links(tables), {}, {}).empty());
 }
 
 TEST(MultiApEdges, AllApsDownAssignsEveryoneToZero) {
@@ -128,7 +128,7 @@ TEST(MultiApEdges, AllApsDownAssignsEveryoneToZero) {
   const std::array<bool, 2> down{false, false};
   auto tables = core::ap_tables(coord, positions);
   const auto assignment =
-      coord.assign_users(positions.size(), core::ap_links(tables), down);
+      coord.assign_users(positions.size(), core::ap_links(tables), down, {});
   ASSERT_EQ(assignment.size(), 2u);
   for (const std::size_t a : assignment) EXPECT_EQ(a, 0u);
 }
@@ -140,8 +140,8 @@ TEST(MultiApEdges, SingleAvailableApTakesAllUsers) {
   const std::vector<geo::Vec3> positions{{4.0, 1.2, 1.5}, {4.0, 4.8, 1.5}};
   const std::array<bool, 2> only_back{false, true};
   auto tables = core::ap_tables(coord, positions);
-  for (const std::size_t a :
-       coord.assign_users(positions.size(), core::ap_links(tables), only_back))
+  for (const std::size_t a : coord.assign_users(
+           positions.size(), core::ap_links(tables), only_back, {}))
     EXPECT_EQ(a, 1u);
 }
 

@@ -45,7 +45,7 @@ TEST(MultiAp, AssignsUsersToNearestStrongAp) {
   };
   auto tables = ap_tables(coord, positions);
   const auto assignment =
-      coord.assign_users(positions.size(), ap_links(tables), {});
+      coord.assign_users(positions.size(), ap_links(tables), {}, {});
   ASSERT_EQ(assignment.size(), 2u);
   EXPECT_EQ(assignment[0], 0u);
   EXPECT_EQ(assignment[1], 1u);
@@ -55,7 +55,7 @@ TEST(MultiAp, SingleApAssignsEverythingToZero) {
   const auto coord = make(1);
   const std::vector<geo::Vec3> positions{{1, 1, 1.5}, {7, 5, 1.5}};
   auto tables = ap_tables(coord, positions);
-  for (auto a : coord.assign_users(positions.size(), ap_links(tables), {}))
+  for (auto a : coord.assign_users(positions.size(), ap_links(tables), {}, {}))
     EXPECT_EQ(a, 0u);
 }
 
@@ -65,7 +65,7 @@ TEST(MultiAp, NoConcurrentBeamsNoInterference) {
   const geo::Vec3 victim{4.0, 1.0, 1.5};
   auto tables = ap_tables(coord, std::span(&victim, 1));
   EXPECT_DOUBLE_EQ(
-      coord.interference_factor(0, 0, -55.0, idle, ap_links(tables)), 1.0);
+      coord.interference_factor(0, 0, -55.0, idle, ap_links(tables), {}), 1.0);
 }
 
 TEST(MultiAp, StrongInterferenceDegradesOrKills) {
@@ -77,7 +77,7 @@ TEST(MultiAp, StrongInterferenceDegradesOrKills) {
   // Weak desired signal vs a beam pointed right at you: factor < 1.
   auto tables = ap_tables(coord, std::span(&victim, 1));
   const double factor =
-      coord.interference_factor(0, 0, -60.0, beams, ap_links(tables));
+      coord.interference_factor(0, 0, -60.0, beams, ap_links(tables), {});
   EXPECT_LT(factor, 1.0);
 }
 
@@ -90,7 +90,7 @@ TEST(MultiAp, DirectionalityGivesSpatialReuse) {
   beams[1] = coord.ap(1).ap().steer_at({4.0, 5.0, 1.5});
   auto tables = ap_tables(coord, std::span(&victim, 1));
   const double factor =
-      coord.interference_factor(0, 0, -50.0, beams, ap_links(tables));
+      coord.interference_factor(0, 0, -50.0, beams, ap_links(tables), {});
   EXPECT_DOUBLE_EQ(factor, 1.0);
 }
 
@@ -101,7 +101,7 @@ TEST(MultiAp, VictimApBeamIgnored) {
   beams[0] = coord.ap(0).ap().steer_at(victim);  // its own serving beam
   auto tables = ap_tables(coord, std::span(&victim, 1));
   EXPECT_DOUBLE_EQ(
-      coord.interference_factor(0, 0, -50.0, beams, ap_links(tables)), 1.0);
+      coord.interference_factor(0, 0, -50.0, beams, ap_links(tables), {}), 1.0);
 }
 
 }  // namespace
